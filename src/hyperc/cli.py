@@ -4,8 +4,9 @@ Every randomized subcommand resolves a master seed (flag, then the
 HYPERC_SEED environment variable, then a fresh one printed to stderr)
 and echoes the fully resolved configuration in its JSON summary, so
 every published number can be reproduced.  Results are independent of
---workers by construction: trials are keyed by (seed, trial index) and
-reduced with order-independent sums.
+--workers by construction: trials are keyed by (seed, trial index) or,
+in simulate-f, by (seed, block of trials), and reduced with
+order-independent sums.
 """
 
 from __future__ import annotations

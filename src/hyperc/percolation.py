@@ -2,10 +2,14 @@
 
 Each experiment runs trials in canonical position (the segment on the
 imaginary axis, or rays fanning out of (0, 1)); the invariance of the
-models makes this lossless and keeps every trial a handful of
-vectorized array operations.  The per-segment predicates used by the
-tests are exposed as well, and the fast canonical paths are
-cross-checked against them.
+models makes this lossless.  ``estimate_f`` draws only what can touch
+its longest segment: the Poisson points of the segment's
+R-neighbourhood, in the Fermi coordinates (foot, offset) of the axis,
+or for lines only the feet where they cross it.  Each trial draws from
+its own generator, keyed by the trial index; the trials run in blocks,
+each reduced at once to one containment threshold per trial.  The
+per-segment predicates are exposed as well, and the tests cross-check
+the block thresholds against them on the same realization.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage, stats
@@ -39,9 +44,10 @@ from .sampling import (
     ModelParams,
     RngStream,
     WindowError,
-    phi_ball,
+    sample_crossings,
     sample_lines,
     sample_points,
+    sample_tube,
 )
 
 __all__ = [
@@ -66,7 +72,8 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("vacant", "occupied", "lines")
 
-# window padding beyond the exact reach of a query; guards the end caps
+# padding of the ball windows that rays, detect-line and the tube sandwich
+# sample, beyond the exact reach of their queries; guards the end caps
 WINDOW_SLACK = 0.5
 LINE_WINDOW_MARGIN = 2.0
 
@@ -158,9 +165,38 @@ def _distance_to_axis_segment(w: np.ndarray, length: float):
     return d, u, yoff
 
 
+def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n: int):
+    """For each of n trials, sup{c : [0, c] covered by the union of the
+    trial's closed intervals [left, right]}, or -1 when not even the
+    point 0 is covered; interval k belongs to trial[k].
+
+    Intervals wholly left of 0 cannot help cover [0, c], and a gap among
+    them must not end the cover, so they are dropped first.
+    """
+    keep = right >= 0.0
+    trial, left, right = trial[keep], left[keep], right[keep]
+    reach = np.full(n, -1.0)
+    if len(trial) == 0:
+        return reach
+    order = np.lexsort((left, trial))
+    trial, left, right = trial[order], left[order], right[order]
+    # lift each trial above every earlier one, so that one running max
+    # serves the whole block and every trial ends in a gap
+    off = trial * (right.max() - left.min() + 1.0)
+    run = np.maximum.accumulate(right + off)
+    stops = np.flatnonzero(np.append(left[1:] + off[1:] > run[:-1], True))
+    starts = np.flatnonzero(np.append(True, trial[1:] != trial[:-1]))
+    ends = stops[np.searchsorted(stops, starts)]
+    covered = left[starts] <= 0.0
+    reach[trial[starts[covered]]] = (run[ends] - off[ends])[covered]
+    return reach
+
+
 def _coverage_reach(left: np.ndarray, right: np.ndarray) -> float:
-    """sup{c : [0, c] covered by the union of closed intervals}, or -1
-    when not even the point 0 is covered."""
+    """``_coverage_reaches`` of a single trial, at a quarter of its
+    per-call cost for the loops over directions and segments."""
+    keep = right >= 0.0
+    left, right = left[keep], right[keep]
     if len(left) == 0:
         return -1.0
     order = np.argsort(left)
@@ -168,9 +204,8 @@ def _coverage_reach(left: np.ndarray, right: np.ndarray) -> float:
     right = np.maximum.accumulate(right[order])
     if left[0] > 0.0:
         return -1.0
-    gaps = np.nonzero(left[1:] > right[:-1])[0]
-    reach = float(right[gaps[0]]) if len(gaps) else float(right[-1])
-    return reach if reach >= 0.0 else -1.0
+    gaps = np.flatnonzero(left[1:] > right[:-1])
+    return float(right[gaps[0]] if len(gaps) else right[-1])
 
 
 def _boolean_window_check(seg: Segment, sample: BooleanSample, op: str) -> None:
@@ -234,76 +269,43 @@ def segment_avoids_lines(seg: Segment, sample: LineSample) -> bool:
 # f(r) estimation
 #
 # Every trial reduces to a containment threshold: the sup of r for
-# which the canonical segment is still inside the set.  Containment of
-# the whole nested r grid then reads off one comparison per r.
+# which the axis segment over feet [0, r] is still inside the set.
+# Containment of the whole nested r grid then reads off one comparison
+# per r.  Each trial draws from its own generator, keyed by the trial
+# index; the trials are reduced in blocks of TRIAL_BLOCK.
+
+TRIAL_BLOCK = 256
 
 
-def _vacant_trial_threshold(gen, lam: float, R: float, r_max: float) -> float:
-    center = HPoint(0.0, math.exp(r_max / 2.0))
-    sample = sample_points(ModelParams(lam, R), center, r_max / 2.0 + R + WINDOW_SLACK, gen)
-    if len(sample) == 0:
-        return math.inf
-    u, yoff = axis_coordinates(sample.points)
-    thr = np.full(len(u), np.inf)
-    behind = u <= 0.0
-    if behind.any():
-        d0 = np.arccosh(np.maximum(np.cosh(u[behind]) * np.cosh(yoff[behind]), 1.0))
-        thr[behind] = np.where(d0 >= R, np.inf, -1.0)
-    ahead = ~behind & (np.abs(yoff) < R)
-    if ahead.any():
-        # the moving endpoint gamma(r) first comes within R of the point
-        # when cosh(u - r) cosh(y) = cosh(R)
-        half = np.arccosh(np.cosh(R) / np.cosh(yoff[ahead]))
-        thr[ahead] = u[ahead] - half
-    return float(thr.min())
+def _block_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
+    """Containment thresholds of the trials drawn from gens, one
+    generator each: negative when even r = 0 fails, inf when nothing
+    within reach of [0, r_max] ends containment."""
+    thr = np.full(len(gens), math.inf)
+    if model == "lines":
+        # a line separates the endpoints of [0, r] iff it crosses at a foot < r
+        trial, feet = sample_crossings(lam, r_max, gens)
+        np.minimum.at(thr, trial, feet)
+        return thr
+    trial, u, y = sample_tube(ModelParams(lam, R), r_max, gens)
+    # the closed ball at (u, y) meets the axis over feet [u - half, u + half]
+    half = np.arccosh(math.cosh(R) / np.cosh(y))
+    if model == "occupied":
+        return _coverage_reaches(trial, u - half, u + half, len(gens))
+    # every point lies within R of [0, r_max], and its open ball first
+    # meets [0, r] at r = u - half
+    np.minimum.at(thr, trial, u - half)
+    return thr
 
 
-def _occupied_trial_threshold(gen, lam: float, R: float, r_max: float) -> float:
-    center = HPoint(0.0, math.exp(r_max / 2.0))
-    sample = sample_points(ModelParams(lam, R), center, r_max / 2.0 + R + WINDOW_SLACK, gen)
-    if len(sample) == 0:
-        return -1.0
-    u, yoff = axis_coordinates(sample.points)
-    near = np.abs(yoff) < R
-    if not near.any():
-        return -1.0
-    half = np.arccosh(np.cosh(R) / np.cosh(yoff[near]))
-    return _coverage_reach(u[near] - half, u[near] + half)
-
-
-def _lines_trial_threshold(gen, lam: float, r_max: float) -> float:
-    """Sup of r such that the centered segment [-r/2, r/2] avoids all
-    lines; the line at foot (p, phi) first hits it when
-    tanh(r/2) |cos phi| = tanh p."""
-    rho = r_max / 2.0 + LINE_WINDOW_MARGIN
-    n = gen.poisson(lam * phi_ball(rho))
-    if n == 0:
-        return math.inf
-    p = np.arcsinh(gen.uniform(0.0, 1.0, n) * math.sinh(rho))
-    phi = gen.uniform(0.0, 2.0 * math.pi, n)
-    c = np.abs(np.cos(phi))
-    ratio = np.tanh(p) / np.where(c > 0.0, c, 1.0)
-    hit = (c > 0.0) & (ratio < 1.0)
-    if not hit.any():
-        return math.inf
-    return float(2.0 * np.arctanh(ratio[hit]).min())
-
-
-def _count_chunk(model, lam, R, r_tuple, master_seed, stream_index, lo, hi):
+def _count_block(model, lam, R, r_tuple, master_seed, stream_index, trials, block):
+    """Successes at each r among the trials of one block."""
     rs = np.asarray(r_tuple)
-    counts = np.zeros(len(rs), dtype=np.int64)
     stream = RngStream(master_seed, stream_index)
-    r_max = float(rs.max())
-    for trial in range(lo, hi):
-        gen = stream.generator(trial)
-        if model == "lines":
-            thr = _lines_trial_threshold(gen, lam, r_max)
-        elif model == "vacant":
-            thr = _vacant_trial_threshold(gen, lam, R, r_max)
-        else:
-            thr = _occupied_trial_threshold(gen, lam, R, r_max)
-        counts += rs <= thr
-    return counts
+    lo = block * TRIAL_BLOCK
+    gens = [stream.generator(t) for t in range(lo, min(trials, lo + TRIAL_BLOCK))]
+    thr = np.sort(_block_thresholds(model, lam, R, float(rs.max()), gens))
+    return len(gens) - np.searchsorted(thr, rs, side="left")
 
 
 def _fit_alpha(r_values, successes, trials):
@@ -341,11 +343,17 @@ def estimate_f(
 ) -> ExperimentResult:
     """Monte Carlo estimate of f(r) over a shared-sample r grid.
 
-    Each trial draws one realization in a window sized for the largest
-    r and tests the nested family of segments, so the estimates are
-    pointwise monotone in r.  Trials are keyed by (master seed, stream,
-    trial index) and summed, which makes the result independent of the
-    worker count.
+    Each trial tests the nested family of axis segments over feet
+    [0, r] against one realization, so the estimates are pointwise
+    monotone in r.  A realization holds only what can reach the longest
+    segment: for the Boolean models the Poisson points of its
+    R-neighbourhood (``sample_tube``), and for lines only the feet where
+    lines cross it (``sample_crossings``; their measure is the segment
+    length, by Crofton's formula).  Each trial draws from the generator
+    keyed by (master seed, stream, trial index); trials run in blocks
+    of TRIAL_BLOCK, the pool hands out whole blocks and the counts are
+    summed, so the result depends neither on the worker count nor on
+    the block size.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -357,22 +365,13 @@ def estimate_f(
     lam, R = params.intensity, params.radius
     if model != "lines" and R is None:
         raise ValueError("point models need a ball radius")
-    r_tuple = tuple(rs)
-    if workers <= 1:
-        counts = _count_chunk(
-            model, lam, R, r_tuple, rng.master_seed, rng.stream_index, 0, trials
-        )
+    blocks = range(math.ceil(trials / TRIAL_BLOCK))
+    job = partial(_count_block, model, lam, R, tuple(rs), rng.master_seed, rng.stream_index, trials)
+    if workers <= 1 or len(blocks) == 1:
+        counts = sum(map(job, blocks))
     else:
-        edges = np.linspace(0, trials, workers * 4 + 1, dtype=int)
-        jobs = [
-            (model, lam, R, r_tuple, rng.master_seed, rng.stream_index, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        counts = np.zeros(len(rs), dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_count_chunk, *zip(*jobs)):
-                counts += part
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            counts = sum(pool.map(job, blocks))
     est = counts / trials
     hw = 1.96 * np.sqrt(est * (1.0 - est) / trials)
     if np.any(counts == 0):

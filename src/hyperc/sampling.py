@@ -1,10 +1,12 @@
 """Exact samplers for the Poisson models and the invariant line measure.
 
-Point clouds are drawn on hyperbolic balls with the isometry-invariant
+Point clouds are drawn on hyperbolic balls, or on the R-neighbourhood
+of a segment of the imaginary axis, with the isometry-invariant
 area measure; lines are drawn from the invariant Grassmannian measure
 restricted to the set of lines meeting a reference ball around the
-origin (0, 1).  All randomness flows through counter-style streams so a
-trial's draws are a pure function of (master seed, stream index).
+origin (0, 1), or only as the feet where they cross an axis segment.
+All randomness flows through counter-style streams so a trial's draws
+are a pure function of (master seed, stream index).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .geometry import (
     INF,
     Geodesic,
     HPoint,
+    ORIGIN,
+    axis_coordinates,
     ball_area,
     dist,
     ideal_from_disk_angle,
@@ -34,6 +38,8 @@ __all__ = [
     "WindowError",
     "sample_points",
     "sample_lines",
+    "sample_tube",
+    "sample_crossings",
     "phi_segment",
     "phi_segment_quadrature",
     "phi_separating",
@@ -183,6 +189,58 @@ def sample_lines(
     phi = gen.uniform(0.0, 2.0 * math.pi, n)
     a, b = _polar_to_ideal(p, phi)
     return LineSample(intensity, rho, a, b, p, phi)
+
+
+def sample_tube(params: ModelParams, length: float, gens):
+    """Independent Poisson realizations, one per generator, on the
+    R-neighbourhood of the axis segment over feet [0, length].
+
+    Points are returned in the axis coordinates (u, y) of
+    ``axis_coordinates``, with the index of the trial each belongs to.
+    The neighbourhood is the rectangle u in [0, length], |y| < R, whose
+    area element is cosh y du dy (u uniform, y = arsinh(sinh R U) with
+    U uniform on (-1, 1)), and the two half balls of radius R at the
+    ends.  Together the half balls are one ball: each trial draws the
+    ball around gamma(0) with ``sample_points``, keeps its half behind
+    gamma(0) and moves the other half along the axis to gamma(length).
+    """
+    R = params.radius
+    if length < 0:
+        raise ValueError("segment length must be nonnegative")
+    mean = params.intensity * length * 2.0 * math.sinh(R)
+    n_rect, rect, n_cap, caps = [], [], [], []
+    for gen in gens:
+        n = gen.poisson(mean)
+        rect.append(gen.random((2, n)))
+        cap = sample_points(params, ORIGIN, R, gen).points
+        n_rect.append(n)
+        n_cap.append(len(cap))
+        caps.append(cap)
+    trials = np.arange(len(n_rect))
+    a, b = np.concatenate(rect, axis=1)
+    cu, cy = axis_coordinates(np.concatenate(caps))
+    trial = np.concatenate([np.repeat(trials, n_rect), np.repeat(trials, n_cap)])
+    u = np.concatenate([length * a, np.where(cu < 0.0, cu, cu + length)])
+    y = np.concatenate([np.arcsinh(math.sinh(R) * (2.0 * b - 1.0)), cy])
+    return trial, u, y
+
+
+def sample_crossings(intensity: float, length: float, gens):
+    """Where the lines of independent Poisson line processes, one per
+    generator, cross the axis segment over feet [0, length].
+
+    The lines meeting the segment have measure phi_segment(length)
+    (Crofton), and by invariance along the axis their crossing feet are
+    uniform.  Returns the crossing feet with the index of the trial
+    each belongs to.
+    """
+    mean = intensity * phi_segment(length)
+    counts, feet = [], []
+    for gen in gens:
+        counts.append(gen.poisson(mean))
+        feet.append(gen.uniform(0.0, length, counts[-1]))
+    trial = np.repeat(np.arange(len(counts)), counts)
+    return trial, np.concatenate(feet)
 
 
 def _polar_to_ideal(p: np.ndarray, phi: np.ndarray):

@@ -86,13 +86,15 @@ class TestCrescentArea:
             assert area_crescent(2 * R + 1.0, R) == ball_area(R)
 
     def test_quadrature_matches_antiderivative(self):
-        # closed-form oracle from the antiderivative of
-        # sqrt(cosh^2 R - cosh^2 s)/cosh s
+        # the closed form, from the antiderivative of
+        # sqrt(cosh^2 R - cosh^2 s)/cosh s, against the quadrature oracle
         for R in (0.5, 1.0, 2.0):
-            for t in np.linspace(0.01, 2 * R - 1e-6, 23):
-                assert area_crescent(t, R) == pytest.approx(
-                    area_crescent_closed_form(t, R), abs=1e-10
-                )
+            ts = np.append(np.linspace(0.01, 2 * R - 1e-6, 23), [2 * R, 2 * R + 1.0])
+            quad = [area_crescent(t, R) for t in ts]
+            for t, q in zip(ts, quad):
+                assert area_crescent_closed_form(t, R) == pytest.approx(q, abs=1e-10)
+            # the array form, which the exponent solver uses
+            assert area_crescent_closed_form(ts, R) == pytest.approx(quad, abs=1e-10)
 
     def test_quadrature_at_closure(self):
         for R in (0.5, 1.0, 2.0):
@@ -197,6 +199,14 @@ class TestCriticalIntensity:
             lam = lambda_gc(R)
             assert 0.0 < lam < math.inf
             assert abs(alpha_occupied(ModelParams(lam, R)).alpha - 1.0) < 1e-8
+
+    def test_large_radius_converges(self):
+        # lambda_gc(6) is about 2e-6 and lambda_gc(8) about 4e-8, so the
+        # bisection width has to be relative to lambda
+        for R in (6.0, 8.0):
+            lam = lambda_gc(R)
+            assert 0.0 < lam < 1e-5
+            assert abs(alpha_occupied(ModelParams(lam, R)).alpha - 1.0) < 1e-10
 
     def test_known_value_R1(self):
         # pinned from the solver itself; guards against regressions

@@ -6,12 +6,15 @@ from scipy import stats
 
 from hyperc.geometry import (
     Geodesic,
+    GeodesicFrame,
     HPoint,
     ORIGIN,
+    axis_coordinates,
     ball_area,
     dist,
     dist_arrays,
     dist_to_geodesic,
+    offset_point,
 )
 from hyperc.sampling import (
     ModelParams,
@@ -22,9 +25,11 @@ from hyperc.sampling import (
     phi_segment_quadrature,
     phi_separating,
     phi_separating_quadrature,
+    sample_crossings,
     sample_lines,
     sample_lines_rejection,
     sample_points,
+    sample_tube,
 )
 
 
@@ -186,6 +191,79 @@ class TestSampleLines:
         p = math.exp(-lam * r)
         z = (clear - trials * p) / math.sqrt(trials * p * (1 - p))
         assert abs(z) < 3.5
+
+
+def _gens(seed: int, n: int) -> list:
+    stream = RngStream(seed)
+    return [stream.generator(t) for t in range(n)]
+
+
+class TestSampleTube:
+    def test_points_in_neighbourhood(self):
+        R, length = 0.7, 3.0
+        trial, u, y = sample_tube(ModelParams(2.0, R), length, _gens(1, 50))
+        assert len(trial) == len(u) == len(y) and set(trial) <= set(range(50))
+        excess = u - np.clip(u, 0.0, length)
+        assert (np.cosh(excess) * np.cosh(y) < math.cosh(R)).all()
+        assert (u < 0.0).any() and (u > length).any()  # both end caps are drawn
+
+    def test_fermi_coordinates_are_axis_coordinates(self):
+        _, u, y = sample_tube(ModelParams(2.0, 1.0), 2.0, _gens(2, 20))
+        frame = GeodesicFrame.canonical_axis()
+        z = np.array([offset_point(frame, a, b).as_complex() for a, b in zip(u, y)])
+        u2, y2 = axis_coordinates(z)
+        assert np.allclose(u2, u, atol=1e-12) and np.allclose(y2, y, atol=1e-12)
+
+    def test_offset_law(self):
+        # area element cosh y du dy on the rectangle between the caps:
+        # P(y <= x) = (sinh x + sinh R)/(2 sinh R)
+        R, length = 1.3, 10.0
+        _, u, y = sample_tube(ModelParams(50.0, R), length, _gens(3, 20))
+        y = y[(u >= 0.0) & (u <= length)]
+        res = stats.kstest(y, lambda x: (np.sinh(x) + math.sinh(R)) / (2.0 * math.sinh(R)))
+        assert res.pvalue > 1e-3
+
+    def test_count_is_poisson_of_the_neighbourhood_area(self):
+        lam, R, length, trials = 0.8, 1.0, 2.0, 4000
+        trial, _, _ = sample_tube(ModelParams(lam, R), length, _gens(4, trials))
+        mean = lam * (2.0 * length * math.sinh(R) + ball_area(R))
+        z = (len(trial) - trials * mean) / math.sqrt(trials * mean)
+        assert abs(z) < 3.5
+        # the per-trial counts are Poisson: variance equal to the mean
+        counts = np.bincount(trial, minlength=trials)
+        assert abs(counts.var() / counts.mean() - 1.0) < 0.1
+
+    def test_ball_count_is_poisson_of_its_area(self):
+        # the points within R of gamma(0), a region the neighbourhood
+        # holds whole, number Poisson(lambda area B(R)) per trial
+        lam, R, trials = 1.5, 1.0, 4000
+        _, u, y = sample_tube(ModelParams(lam, R), 1.0, _gens(5, trials))
+        inside = int((np.cosh(u) * np.cosh(y) < math.cosh(R)).sum())
+        mean = lam * ball_area(R)
+        z = (inside - trials * mean) / math.sqrt(trials * mean)
+        assert abs(z) < 3.5
+
+    def test_invalid_length(self):
+        with pytest.raises(ValueError):
+            sample_tube(ModelParams(1.0, 1.0), -1.0, _gens(0, 10))
+
+
+class TestSampleCrossings:
+    def test_mean_count_is_lambda_r(self):
+        lam, length, trials = 0.7, 3.0, 4000
+        trial, feet = sample_crossings(lam, length, _gens(5, trials))
+        mean = lam * phi_segment(length)
+        z = (len(trial) - trials * mean) / math.sqrt(trials * mean)
+        assert abs(z) < 3.5
+        assert len(feet) == len(trial) and (feet >= 0.0).all() and (feet <= length).all()
+
+    def test_feet_are_uniform(self):
+        _, feet = sample_crossings(5.0, 2.0, _gens(6, 400))
+        assert stats.kstest(feet, stats.uniform(0.0, 2.0).cdf).pvalue > 1e-3
+
+    def test_zero_length_has_no_crossings(self):
+        trial, feet = sample_crossings(1.0, 0.0, _gens(7, 10))
+        assert len(trial) == 0 and len(feet) == 0
 
 
 class TestPhiMeasures:
