@@ -6,7 +6,17 @@ from scipy.stats import binom
 
 from hyperc import percolation
 from hyperc.analytic import f_grassmann, f_vacant
-from hyperc.geometry import GeodesicFrame, ball_area, offset_point
+from hyperc.geometry import (
+    ORIGIN,
+    Geodesic,
+    GeodesicFrame,
+    HPoint,
+    ball_area,
+    dist,
+    offset_point,
+    polar_around_origin,
+    to_hyperboloid,
+)
 from hyperc.percolation import (
     TRIAL_BLOCK,
     Segment,
@@ -14,10 +24,13 @@ from hyperc.percolation import (
     _coverage_reach,
     _coverage_reaches,
     _line_side_values,
+    detect_line_through_ball,
     estimate_f,
+    sandwich_AQ,
     segment_avoids_lines,
     segment_in_occupied,
     segment_in_vacant,
+    surviving_directions,
 )
 from hyperc.sampling import (
     BooleanSample,
@@ -26,6 +39,7 @@ from hyperc.sampling import (
     RngStream,
     _polar_to_ideal,
     sample_crossings,
+    sample_points,
     sample_tube,
 )
 
@@ -205,3 +219,120 @@ def test_rejects_bad_input():
         estimate_f("vacant", ModelParams(1.0, 1.0), [-1.0, 1.0], 100, RngStream(0))
     with pytest.raises(ValueError):
         estimate_f("occupied", ModelParams(1.0), [1.0], 100, RngStream(0))
+
+
+# ---------------------------------------------------------------------------
+# rays, chords and the tube sandwich
+
+
+def _through(p: HPoint, q: HPoint) -> Segment:
+    """The segment from p to q."""
+    length = dist(p, q)
+    frame = GeodesicFrame(Geodesic.through(p, q), p, 1)
+    if dist(frame.point(length), q) > dist(frame.point(-length), q):
+        return Segment(frame, -length, length)
+    return Segment(frame, 0.0, length)
+
+
+def _ray_alive(model, params, sample, r, n_dir) -> np.ndarray:
+    thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
+    w = (sample.points - 1j) / (sample.points + 1j)
+    cloud = percolation._PolarCloud(2.0 * np.arctanh(np.abs(w)), np.angle(w), sample.window_radius)
+    return percolation._boolean_ray_survivors(cloud, params, r, thetas, model == "occupied")
+
+
+def _net(model, p, q, w, R) -> bool:
+    if model == "vacant":
+        return percolation._net_contained_vacant(p, q, w, R)
+    return percolation._net_contained_occupied(p, q, w, R)
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_ray_survival_matches_the_segment_predicates(model, params):
+    r, n_dir = 3.0, 64
+    predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
+    seen = set()
+    for seed in range(6):
+        sample = sample_points(params, ORIGIN, r + params.radius, np.random.default_rng(seed))
+        alive = _ray_alive(model, params, sample, r, n_dir)
+        for k in range(n_dir):
+            end = polar_around_origin(np.asarray([r]), np.asarray([2.0 * math.pi * k / n_dir]))[0]
+            seg = _through(ORIGIN, HPoint(end.real, end.imag))
+            assert alive[k] == predicate(seg, sample), (seed, k)
+        seen.update(alive.tolist())
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.15, 0.6)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_net_containment_matches_the_segment_predicates(model, params):
+    R = params.radius
+    predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
+    gen = np.random.default_rng(40)
+    # segments between points of B(o, 2) lie in it, so the window
+    # B(o, 2 + R) holds every ball that can reach them
+    sample = sample_points(params, ORIGIN, 2.0 + R, gen)
+    w = to_hyperboloid(sample.points)
+    ends = polar_around_origin(gen.uniform(0.0, 2.0, (2, 40)), gen.uniform(0.0, 2.0 * math.pi, (2, 40)))
+    p, q = to_hyperboloid(ends[0]), to_hyperboloid(ends[1])
+    expect = []
+    for k in range(40):
+        seg = _through(HPoint(ends[0, k].real, ends[0, k].imag), HPoint(ends[1, k].real, ends[1, k].imag))
+        expect.append(predicate(seg, sample))
+        assert _net(model, p[k : k + 1], q[k : k + 1], w, R) == expect[-1], k
+    assert set(expect) == {True, False}
+    assert _net(model, p, q, w, R) == all(expect)
+    good = np.flatnonzero(expect)
+    assert _net(model, p[good], q[good], w, R)
+
+
+X_TUBE, Y_TUBE = HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0))
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.05, 1.0)), ("occupied", ModelParams(0.8, 1.0))]
+)
+def test_sandwich_orders_each_realization(model, params):
+    outcomes = set()
+    for seed in range(10):
+        res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 1, RngStream(seed))
+        assert res.p_Q <= res.f_hat <= res.p_A, seed
+        outcomes.add(res.f_hat)
+    assert outcomes == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
+def test_empty_process(model):
+    """With no points or lines, the vacant set and the complement of the
+    lines are the whole plane, and the occupied set is empty."""
+    params = ModelParams(0.0, None if model == "lines" else 1.0)
+    inside = model != "occupied"
+    rays = surviving_directions(model, params, 4.0, 16, RngStream(1))
+    assert len(rays.surviving) == (16 if inside else 0)
+    det = detect_line_through_ball(model, params, 0.1, 4.0, RngStream(1), n_directions=36)
+    assert det.found == inside
+    assert det.n_surviving == (36 if inside else 0)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 2, RngStream(1))
+    assert (res.p_A, res.f_hat, res.p_Q) == ((1.0,) * 3 if inside else (0.0,) * 3)
+    f = estimate_f(model, params, [0.0, 2.0], 100, RngStream(1))
+    assert np.all(f.estimates == (1.0 if inside else 0.0))
+    if model != "lines":
+        sample = sample_points(params, ORIGIN, 5.0, RngStream(1))
+        predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
+        assert predicate(Segment(AXIS, 0.0, 3.0), sample) == inside
+
+
+def test_vacant_ray_share_matches_f_vacant():
+    """Each direction's ray survives with probability f(r), so the mean
+    surviving share over independent samples is gated by Hoeffding's
+    bound 2 exp(-2 n t^2) = TAIL."""
+    params, r, n_dir, n = ModelParams(0.1, 1.0), 3.0, 32, 1000
+    share = [
+        len(surviving_directions("vacant", params, r, n_dir, RngStream(50, i)).surviving) / n_dir
+        for i in range(n)
+    ]
+    t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
+    assert abs(np.mean(share) - f_vacant(r, params)) <= t
