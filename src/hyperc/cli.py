@@ -276,12 +276,11 @@ def _cmd_rays(args, config):
         raise ValueError("--lambda is required")
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
-    base = RngStream(cfg["seed"])
     counts = []
     nonempty = 0
     for i in range(int(cfg["samples"])):
         rs = surviving_directions(
-            cfg["model"], params, cfg["r"], int(cfg["directions"]), base.substream(i)
+            cfg["model"], params, cfg["r"], int(cfg["directions"]), RngStream(cfg["seed"], i + 1)
         )
         counts.append(len(rs.surviving))
         nonempty += bool(rs.surviving)
@@ -311,11 +310,10 @@ def _cmd_detect_line(args, config):
         raise ValueError("--lambda is required")
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
-    base = RngStream(cfg["seed"])
     found = 0
     for i in range(int(cfg["samples"])):
         det = detect_line_through_ball(
-            cfg["model"], params, cfg["s"], cfg["r"], base.substream(i),
+            cfg["model"], params, cfg["s"], cfg["r"], RngStream(cfg["seed"], i + 1),
             n_directions=int(cfg["directions"]),
         )
         found += det.found

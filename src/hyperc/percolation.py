@@ -31,7 +31,6 @@ from .geometry import (
     axis_coordinates,
     ball_area,
     dist,
-    dist_arrays,
     dist_to_geodesic,
     minkowski,
     polar_around_origin,
@@ -155,16 +154,6 @@ class SandwichResult:
 # general per-segment predicates
 
 
-def _distance_to_axis_segment(w: np.ndarray, length: float):
-    """Distance from points w (complex UHP) to the axis segment whose
-    feet run over [0, length], plus the (foot, offset) coordinates."""
-    u, yoff = axis_coordinates(w)
-    d_lo = dist_arrays(w, np.asarray(1j))
-    d_hi = dist_arrays(w, np.asarray(1j * math.exp(length)))
-    d = np.where(u < 0.0, d_lo, np.where(u > length, d_hi, np.abs(yoff)))
-    return d, u, yoff
-
-
 def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n: int):
     """For each of n trials, sup{c : [0, c] covered by the union of the
     trial's closed intervals [left, right]}, or -1 when not even the
@@ -192,56 +181,48 @@ def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n:
     return reach
 
 
-def _coverage_reach(left: np.ndarray, right: np.ndarray) -> float:
-    """``_coverage_reaches`` of a single trial, at a quarter of its
-    per-call cost for the loops over directions and segments."""
-    keep = right >= 0.0
-    left, right = left[keep], right[keep]
-    if len(left) == 0:
-        return -1.0
-    order = np.argsort(left)
-    left = left[order]
-    right = np.maximum.accumulate(right[order])
-    if left[0] > 0.0:
-        return -1.0
-    gaps = np.flatnonzero(left[1:] > right[:-1])
-    return float(right[gaps[0]] if len(gaps) else right[-1])
+def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, R: float, n: int):
+    """Containment thresholds of n segments in a Boolean model.
+
+    Ball k has foot parameter foot[k] and offset offset[k] in the Fermi
+    coordinates of segment seg[k], which runs over feet [0, length].
+    Returns, per segment, sup{c : the feet [0, c] lie in the vacant or
+    occupied set}: negative when even c = 0 fails, inf when nothing ends
+    vacancy.  This is the one containment test of the Boolean models;
+    every Monte Carlo path reduces its question to it.
+    """
+    near = np.abs(offset) < R
+    seg, foot = seg[near], foot[near]
+    # the closed ball meets the geodesic over [foot - half, foot + half],
+    # the open ball over the open interval
+    half = np.arccosh(math.cosh(R) / np.cosh(offset[near]))
+    if model == "occupied":
+        return _coverage_reaches(seg, foot - half, foot + half, n)
+    hit = foot + half > 0.0
+    thr = np.full(n, math.inf)
+    np.minimum.at(thr, seg[hit], (foot - half)[hit])
+    return thr
 
 
-def _boolean_window_check(seg: Segment, sample: BooleanSample, op: str) -> None:
+def _segment_reach(seg: Segment, sample: BooleanSample, model: str) -> float:
+    """``_reaches`` of the segment, with its start at foot 0."""
     p, q = seg.endpoints()
     reach = max(dist(sample.window_center, p), dist(sample.window_center, q))
-    sample.require_window(reach + sample.params.radius, op)
+    sample.require_window(reach + sample.params.radius, f"{model} containment")
+    w = seg.frame.pullback_array(sample.points) * math.exp(-seg.start)
+    u, yoff = axis_coordinates(w)
+    return _reaches(model, np.zeros(len(u), dtype=np.intp), u, yoff, sample.params.radius, 1)[0]
 
 
 def segment_in_vacant(seg: Segment, sample: BooleanSample) -> bool:
     """True iff no sample point lies strictly within R of the segment,
     so a ball tangent to the segment still counts as vacant."""
-    _boolean_window_check(seg, sample, "vacant containment")
-    if len(sample) == 0:
-        return True
-    w = seg.frame.pullback_array(sample.points) * math.exp(-seg.start)
-    d, _, _ = _distance_to_axis_segment(w, seg.length)
-    return bool(d.min() >= sample.params.radius)
+    return bool(_segment_reach(seg, sample, "vacant") >= seg.length)
 
 
 def segment_in_occupied(seg: Segment, sample: BooleanSample) -> bool:
-    """True iff the union of the closed balls covers the whole segment.
-
-    Each point within offset |y| < R of the geodesic covers the foot
-    interval of half-length arccosh(cosh R / cosh y) around its foot.
-    """
-    _boolean_window_check(seg, sample, "occupied containment")
-    R = sample.params.radius
-    if len(sample) == 0:
-        return False
-    w = seg.frame.pullback_array(sample.points) * math.exp(-seg.start)
-    u, yoff = axis_coordinates(w)
-    near = np.abs(yoff) < R
-    if not near.any():
-        return False
-    half = np.arccosh(np.cosh(R) / np.cosh(yoff[near]))
-    return _coverage_reach(u[near] - half, u[near] + half) >= seg.length
+    """True iff the union of the closed balls covers the whole segment."""
+    return bool(_segment_reach(seg, sample, "occupied") >= seg.length)
 
 
 def _line_side_values(sample: LineSample, z: complex) -> np.ndarray:
@@ -288,14 +269,7 @@ def _block_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
         np.minimum.at(thr, trial, feet)
         return thr
     trial, u, y = sample_tube(ModelParams(lam, R), r_max, gens)
-    # the closed ball at (u, y) meets the axis over feet [u - half, u + half]
-    half = np.arccosh(math.cosh(R) / np.cosh(y))
-    if model == "occupied":
-        return _coverage_reaches(trial, u - half, u + half, len(gens))
-    # every point lies within R of [0, r_max], and its open ball first
-    # meets [0, r] at r = u - half
-    np.minimum.at(thr, trial, u - half)
-    return thr
+    return _reaches(model, trial, u, y, R, len(gens))
 
 
 def _count_block(model, lam, R, r_tuple, master_seed, stream_index, trials, block):
@@ -406,43 +380,27 @@ def _sample_polar_cloud(gen, lam: float, window_radius: float) -> _PolarCloud:
     return _PolarCloud(t, psi, window_radius)
 
 
-def _boolean_ray_survivors(cloud, params, r, thetas, occupied, block=16):
+def _boolean_ray_survivors(cloud, params, r, thetas, model, block=16):
+    """Directions whose ray of length r from (0, 1) lies in the set;
+    the direction index is the kernel's segment index."""
     R = params.radius
     if cloud.window_radius + 1e-9 < r + R:
         raise WindowError(
             f"ray survival at r={r} needs window radius {r + R:.6g}, "
             f"sampled {cloud.window_radius:.6g}"
         )
-    n_dir = len(thetas)
-    out = np.zeros(n_dir, dtype=bool)
-    if cloud.t.size == 0:
-        out[:] = not occupied
-        return out
-    t, psi = cloud.t, cloud.psi
-    sinh_t, cosh_t, tanh_t = np.sinh(t), np.cosh(t), np.tanh(t)
-    for lo in range(0, n_dir, block):
-        th = thetas[lo : lo + block][:, None]
-        dpsi = psi[None, :] - th
-        cosd = np.cos(dpsi)
+    sinh_t, tanh_t = np.sinh(cloud.t), np.tanh(cloud.t)
+    segs, feet, offsets = [], [], []
+    for lo in range(0, len(thetas), block):
+        dpsi = cloud.psi[None, :] - thetas[lo : lo + block, None]
         perp = np.arcsinh(sinh_t[None, :] * np.abs(np.sin(dpsi)))
-        u = np.arctanh(np.clip(tanh_t[None, :] * cosd, -1.0 + 1e-15, 1.0 - 1e-15))
-        if occupied:
-            for k in range(th.shape[0]):
-                near = perp[k] < R
-                if not near.any():
-                    continue
-                half = np.arccosh(np.cosh(R) / np.cosh(perp[k][near]))
-                out[lo + k] = _coverage_reach(u[k][near] - half, u[k][near] + half) >= r
-        else:
-            d_end = np.arccosh(
-                np.maximum(
-                    cosh_t[None, :] * math.cosh(r) - sinh_t[None, :] * math.sinh(r) * cosd,
-                    1.0,
-                )
-            )
-            d = np.where(u < 0.0, t[None, :], np.where(u > r, d_end, perp))
-            out[lo : lo + th.shape[0]] = d.min(axis=1) >= R
-    return out
+        k, j = np.nonzero(perp < R)
+        tanh_foot = np.clip(tanh_t[j] * np.cos(dpsi[k, j]), -1.0 + 1e-15, 1.0 - 1e-15)
+        segs.append(lo + k)
+        feet.append(np.arctanh(tanh_foot))
+        offsets.append(perp[k, j])
+    seg, foot, offset = map(np.concatenate, (segs, feet, offsets))
+    return _reaches(model, seg, foot, offset, R, len(thetas)) >= r
 
 
 def _line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
@@ -496,25 +454,17 @@ def surviving_directions(
         alive = _line_ray_survivors(sample, r, n_directions)
     else:
         cloud = _sample_polar_cloud(gen, params.intensity, r + params.radius + WINDOW_SLACK)
-        alive = _boolean_ray_survivors(cloud, params, r, thetas, model == "occupied")
+        alive = _boolean_ray_survivors(cloud, params, r, thetas, model)
     return RaySurvival(r, n_directions, [int(i) for i in np.nonzero(alive)[0]])
 
 
-def _chord_contained_boolean(cloud, params, e_i: complex, e_j: complex, occupied):
-    pq = to_hyperboloid(np.asarray([e_i, e_j]))
-    if cloud.t.size == 0:
-        return not occupied
-    w = to_hyperboloid(cloud.uhp())
-    d, foot, perp = segment_point_distance(pq[0:1], pq[1:2], w)
-    R = params.radius
-    if not occupied:
-        return bool(d.min() >= R)
-    length = float(np.arccosh(max(-minkowski(pq[0], pq[1]), 1.0)))
-    near = perp[0] < R
-    if not near.any():
-        return False
-    half = np.arccosh(np.cosh(R) / np.cosh(perp[0][near]))
-    return _coverage_reach(foot[0][near] - half, foot[0][near] + half) >= length
+def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
+    """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
+    balls of radius R around the points w (all hyperboloid vectors)."""
+    _, foot, perp = segment_point_distance(seg_p, seg_q, w)
+    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
+    seg = np.repeat(np.arange(len(seg_p)), len(w))
+    return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))
 
 
 def detect_line_through_ball(
@@ -542,11 +492,10 @@ def detect_line_through_ball(
     if model == "lines":
         sample = sample_lines(params.intensity, r + 0.1, gen)
         alive = _line_ray_survivors(sample, r, n_directions)
-        cloud = None
     else:
-        sample = None
         cloud = _sample_polar_cloud(gen, params.intensity, r + params.radius + WINDOW_SLACK)
-        alive = _boolean_ray_survivors(cloud, params, r, thetas, model == "occupied")
+        alive = _boolean_ray_survivors(cloud, params, r, thetas, model)
+        w = to_hyperboloid(cloud.uhp())
     idx = np.nonzero(alive)[0]
     if len(idx) < 2:
         return LineDetection(False, None, len(idx))
@@ -573,8 +522,10 @@ def detect_line_through_ball(
             side_j = np.tanh(r) * np.cos(thetas[j] - sample.foot_dir) - np.tanh(sample.foot_dist)
             if np.any(side_i * side_j < 0.0):
                 continue
-        elif not _chord_contained_boolean(cloud, params, e_i, e_j, model == "occupied"):
-            continue
+        else:
+            pq = to_hyperboloid(np.asarray([e_i, e_j]))
+            if not _net_contained(pq[0:1], pq[1:2], w, params.radius, model):
+                continue
         return LineDetection(True, pair, len(idx))
     return LineDetection(False, None, len(idx))
 
@@ -626,25 +577,6 @@ def _ball_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
         chunks.append(polar_around_origin(np.full(m, rad), ang))
         k += 1
     return math.exp(center_foot) * np.concatenate(chunks)
-
-
-def _net_contained_vacant(seg_p, seg_q, w_pts, R) -> bool:
-    d, _, _ = segment_point_distance(seg_p, seg_q, w_pts)
-    return bool(d.min() >= R)
-
-
-def _net_contained_occupied(seg_p, seg_q, w_pts, R) -> bool:
-    d, foot, perp = segment_point_distance(seg_p, seg_q, w_pts)
-    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
-    coshR = math.cosh(R)
-    for k in range(seg_p.shape[0]):
-        near = perp[k] < R
-        if not near.any():
-            return False
-        half = np.arccosh(coshR / np.cosh(perp[k][near]))
-        if _coverage_reach(foot[k][near] - half, foot[k][near] + half) < lengths[k]:
-            return False
-    return True
 
 
 def _lines_net_clear(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray) -> bool:
@@ -736,7 +668,7 @@ def sandwich_AQ(
     region_connected = _flood_connected(in_region, start_cells, end_cells, structure)
 
     gen = rng.generator()
-    shift = math.exp(half_d)
+    centre = Segment(GeodesicFrame.canonical_axis(), -half_d, d)
     rho = half_d + s + LINE_WINDOW_MARGIN
     window_radius = half_d + s + (R or 0.0) + WINDOW_SLACK
     zx, zy = complex(0.0, math.exp(-half_d)), complex(0.0, math.exp(half_d))
@@ -754,37 +686,18 @@ def sandwich_AQ(
         else:
             psample = sample_points(ModelParams(lam, R), ORIGIN, window_radius, gen)
             pts = psample.points
-            if len(pts) == 0:
-                f_ok = q_ok = a_ok = model == "vacant"
-            else:
-                dmin, u, yoff = _distance_to_axis_segment(pts * shift, d)
-                if model == "vacant":
-                    f_ok = bool(dmin.min() >= R)
-                else:
-                    near = np.abs(yoff) < R
-                    if near.any():
-                        half = np.arccosh(np.cosh(R) / np.cosh(yoff[near]))
-                        f_ok = _coverage_reach(u[near] - half, u[near] + half) >= d
-                    else:
-                        f_ok = False
-                if f_ok:
-                    w_pts = to_hyperboloid(pts)
-                    q_ok = (
-                        _net_contained_vacant(seg_p, seg_q, w_pts, R)
-                        if model == "vacant"
-                        else _net_contained_occupied(seg_p, seg_q, w_pts, R)
-                    )
-                    a_ok = True
-                else:
-                    q_ok = False
-                    blocked = _blocked_cells(cells_flat, cells_y, pts, R)
-                    open_grid = blocked if model == "occupied" else ~blocked
-                    a_ok = _flood_connected(
-                        open_grid.reshape(cells.shape) & in_region,
-                        start_cells,
-                        end_cells,
-                        structure,
-                    )
+            f_ok = bool(_segment_reach(centre, psample, model) >= d)
+            q_ok = f_ok and _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
+            a_ok = f_ok
+            if not f_ok:
+                blocked = _blocked_cells(cells_flat, cells_y, pts, R)
+                open_grid = blocked if model == "occupied" else ~blocked
+                a_ok = _flood_connected(
+                    open_grid.reshape(cells.shape) & in_region,
+                    start_cells,
+                    end_cells,
+                    structure,
+                )
         n_A += a_ok
         n_f += f_ok
         n_Q += q_ok

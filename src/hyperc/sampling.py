@@ -74,7 +74,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible substream: (master_seed, stream_index) -> generator.
+    """Reproducible random stream: (master_seed, stream_index) -> generator.
 
     Distinct stream indices give statistically independent streams and
     identical pairs reproduce identical draws bit for bit.
@@ -88,9 +88,6 @@ class RngStream:
             entropy=self.master_seed, spawn_key=(self.stream_index, *subkeys)
         )
         return np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, index: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_index * 1_000_003 + index + 1)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hyperc.geometry import (
     HPoint,
     Isometry,
     ORIGIN,
+    axis_coordinates,
     ball_metrics,
     disk_angle_from_ideal,
     disk_dist,
@@ -292,6 +293,16 @@ class TestGeodesicType:
         assert g == Geodesic(2.0, INF)
 
 
+def _distance_to_axis_segment(w: np.ndarray, length: float):
+    """Reference for segment_point_distance on the axis segment over feet
+    [0, length]: the offset beside it, the endpoint distance beyond."""
+    u, yoff = axis_coordinates(w)
+    d_lo = dist_arrays(w, np.asarray(1j))
+    d_hi = dist_arrays(w, np.asarray(1j * math.exp(length)))
+    d = np.where(u < 0.0, d_lo, np.where(u > length, d_hi, np.abs(yoff)))
+    return d, u, yoff
+
+
 class TestHyperboloid:
     def test_segment_distance_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -299,8 +310,6 @@ class TestHyperboloid:
         p = to_hyperboloid(np.asarray([1j]))
         q = to_hyperboloid(np.asarray([1j * math.exp(2.5)]))
         d, foot, perp = segment_point_distance(p, q, to_hyperboloid(pts))
-        from hyperc.percolation import _distance_to_axis_segment
-
         d_ref, u_ref, y_ref = _distance_to_axis_segment(pts, 2.5)
         assert np.abs(d[0] - d_ref).max() < 1e-10
         assert np.abs(foot[0] - u_ref).max() < 1e-10

@@ -21,7 +21,6 @@ from hyperc.percolation import (
     TRIAL_BLOCK,
     Segment,
     _block_thresholds,
-    _coverage_reach,
     _coverage_reaches,
     _line_side_values,
     detect_line_through_ball,
@@ -50,6 +49,19 @@ TAIL = 3.8e-8
 
 def _binomial_tail(k: int, n: int, p: float) -> float:
     return min(1.0, 2.0 * float(min(binom.cdf(k, n, p), binom.sf(k - 1, n, p))))
+
+
+def _coverage_reach(left, right) -> float:
+    """Plain reference for one trial: extend the cover of 0 interval by
+    interval, in order of left end, until a gap opens."""
+    reach = -1.0
+    for lo, hi in sorted(zip(left, right)):
+        if hi < 0.0:
+            continue
+        if lo > max(reach, 0.0):
+            break
+        reach = max(reach, hi)
+    return reach
 
 
 class TestCoverageReach:
@@ -238,13 +250,11 @@ def _ray_alive(model, params, sample, r, n_dir) -> np.ndarray:
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     w = (sample.points - 1j) / (sample.points + 1j)
     cloud = percolation._PolarCloud(2.0 * np.arctanh(np.abs(w)), np.angle(w), sample.window_radius)
-    return percolation._boolean_ray_survivors(cloud, params, r, thetas, model == "occupied")
+    return percolation._boolean_ray_survivors(cloud, params, r, thetas, model)
 
 
 def _net(model, p, q, w, R) -> bool:
-    if model == "vacant":
-        return percolation._net_contained_vacant(p, q, w, R)
-    return percolation._net_contained_occupied(p, q, w, R)
+    return percolation._net_contained(p, q, w, R, model)
 
 
 @pytest.mark.parametrize(
@@ -276,12 +286,14 @@ def test_net_containment_matches_the_segment_predicates(model, params):
     # B(o, 2 + R) holds every ball that can reach them
     sample = sample_points(params, ORIGIN, 2.0 + R, gen)
     w = to_hyperboloid(sample.points)
-    ends = polar_around_origin(gen.uniform(0.0, 2.0, (2, 40)), gen.uniform(0.0, 2.0 * math.pi, (2, 40)))
+    ends = polar_around_origin(
+        gen.uniform(0.0, 2.0, (2, 40)), gen.uniform(0.0, 2.0 * math.pi, (2, 40))
+    )
     p, q = to_hyperboloid(ends[0]), to_hyperboloid(ends[1])
     expect = []
     for k in range(40):
-        seg = _through(HPoint(ends[0, k].real, ends[0, k].imag), HPoint(ends[1, k].real, ends[1, k].imag))
-        expect.append(predicate(seg, sample))
+        a, b = (HPoint(z.real, z.imag) for z in ends[:, k])
+        expect.append(predicate(_through(a, b), sample))
         assert _net(model, p[k : k + 1], q[k : k + 1], w, R) == expect[-1], k
     assert set(expect) == {True, False}
     assert _net(model, p, q, w, R) == all(expect)
