@@ -2,14 +2,17 @@
 
 Each experiment runs trials in canonical position (the segment on the
 imaginary axis, or rays fanning out of (0, 1)); the invariance of the
-models makes this lossless.  ``estimate_f`` draws only what can touch
-its longest segment: the Poisson points of the segment's
-R-neighbourhood, in the Fermi coordinates (foot, offset) of the axis,
-or for lines only the feet where they cross it.  Each trial draws from
-its own generator, keyed by the trial index; the trials run in blocks,
-each reduced at once to one containment threshold per trial.  The
-per-segment predicates are exposed as well, and the tests cross-check
-the block thresholds against them on the same realization.
+models makes this lossless.  Every Boolean-model path reduces its
+question to one kernel, ``_reaches``: given the Fermi coordinates
+(foot, offset) of the balls around a batch of segments, it returns each
+segment's containment threshold in the vacant or the occupied set.
+``estimate_f`` draws only what can touch its longest segment: the
+Poisson points of the segment's R-neighbourhood, or for lines only the
+feet where they cross it.  Each trial draws from its own generator,
+keyed by the trial index; the trials run in blocks, each reduced at
+once.  Rays, chords and the tube sandwich draw exactly the ball that
+can reach them.  The per-segment predicates are exposed as well, and the
+tests cross-check every path against them on the same realization.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ import numpy as np
 from scipy import ndimage, stats
 
 from .geometry import (
-    Geodesic,
     GeodesicFrame,
     HPoint,
     ORIGIN,
     axis_coordinates,
     ball_area,
     dist,
-    dist_to_geodesic,
     minkowski,
     polar_around_origin,
     segment_point_distance,
@@ -42,7 +43,6 @@ from .sampling import (
     LineSample,
     ModelParams,
     RngStream,
-    WindowError,
     sample_crossings,
     sample_lines,
     sample_points,
@@ -70,11 +70,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MODELS = ("vacant", "occupied", "lines")
-
-# padding of the ball windows that rays, detect-line and the tube sandwich
-# sample, beyond the exact reach of their queries; guards the end caps
-WINDOW_SLACK = 0.5
-LINE_WINDOW_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -361,38 +356,18 @@ def estimate_f(
 # ray survival and line detection
 
 
-@dataclass(frozen=True)
-class _PolarCloud:
-    """A Boolean-model realization in polar form around (0, 1)."""
-
-    t: np.ndarray
-    psi: np.ndarray
-    window_radius: float
-
-    def uhp(self) -> np.ndarray:
-        return polar_around_origin(self.t, self.psi)
-
-
-def _sample_polar_cloud(gen, lam: float, window_radius: float) -> _PolarCloud:
-    n = gen.poisson(lam * ball_area(window_radius))
-    t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, n) * (math.cosh(window_radius) - 1.0))
-    psi = gen.uniform(0.0, 2.0 * math.pi, n)
-    return _PolarCloud(t, psi, window_radius)
-
-
-def _boolean_ray_survivors(cloud, params, r, thetas, model, block=16):
+def _boolean_ray_survivors(sample: BooleanSample, r, thetas, model, block=16):
     """Directions whose ray of length r from (0, 1) lies in the set;
     the direction index is the kernel's segment index."""
-    R = params.radius
-    if cloud.window_radius + 1e-9 < r + R:
-        raise WindowError(
-            f"ray survival at r={r} needs window radius {r + R:.6g}, "
-            f"sampled {cloud.window_radius:.6g}"
-        )
-    sinh_t, tanh_t = np.sinh(cloud.t), np.tanh(cloud.t)
+    R = sample.params.radius
+    sample.require_window(r + R, "ray survival")
+    # polar coordinates around (0, 1) from the Cayley disk coordinate
+    w = (sample.points - 1j) / (sample.points + 1j)
+    t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
+    sinh_t, tanh_t = np.sinh(t), np.tanh(t)
     segs, feet, offsets = [], [], []
     for lo in range(0, len(thetas), block):
-        dpsi = cloud.psi[None, :] - thetas[lo : lo + block, None]
+        dpsi = psi[None, :] - thetas[lo : lo + block, None]
         perp = np.arcsinh(sinh_t[None, :] * np.abs(np.sin(dpsi)))
         k, j = np.nonzero(perp < R)
         tanh_foot = np.clip(tanh_t[j] * np.cos(dpsi[k, j]), -1.0 + 1e-15, 1.0 - 1e-15)
@@ -449,12 +424,14 @@ def surviving_directions(
         raise ValueError("need at least 8 directions")
     gen = rng.generator()
     thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
+    # a ray of length r lies in B(o, r): only the lines meeting that ball
+    # and the points within R of it can reach it
     if model == "lines":
-        sample = sample_lines(params.intensity, r + 0.1, gen)
+        sample = sample_lines(params.intensity, r, gen)
         alive = _line_ray_survivors(sample, r, n_directions)
     else:
-        cloud = _sample_polar_cloud(gen, params.intensity, r + params.radius + WINDOW_SLACK)
-        alive = _boolean_ray_survivors(cloud, params, r, thetas, model)
+        sample = sample_points(params, ORIGIN, r + params.radius, gen)
+        alive = _boolean_ray_survivors(sample, r, thetas, model)
     return RaySurvival(r, n_directions, [int(i) for i in np.nonzero(alive)[0]])
 
 
@@ -489,45 +466,41 @@ def detect_line_through_ball(
     gen = rng.generator()
     thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
     tol = pair_tol if pair_tol is not None else 2.5 * (2.0 * math.pi / n_directions)
+    # the rays and the chords between their ends lie in B(o, r)
     if model == "lines":
-        sample = sample_lines(params.intensity, r + 0.1, gen)
+        sample = sample_lines(params.intensity, r, gen)
         alive = _line_ray_survivors(sample, r, n_directions)
     else:
-        cloud = _sample_polar_cloud(gen, params.intensity, r + params.radius + WINDOW_SLACK)
-        alive = _boolean_ray_survivors(cloud, params, r, thetas, model)
-        w = to_hyperboloid(cloud.uhp())
+        sample = sample_points(params, ORIGIN, r + params.radius, gen)
+        alive = _boolean_ray_survivors(sample, r, thetas, model)
+        w = to_hyperboloid(sample.points)
     idx = np.nonzero(alive)[0]
     if len(idx) < 2:
         return LineDetection(False, None, len(idx))
     th = thetas[idx]
     delta = np.mod(th[None, :] - th[:, None], 2.0 * math.pi)
     miss = np.abs(delta - math.pi)
-    cand_i, cand_j = np.nonzero(miss <= tol)
-    order = np.argsort(miss[cand_i, cand_j], kind="stable")
-    seen = set()
-    for k in order:
+    cand_i, cand_j = np.nonzero(np.triu((miss <= tol) & (_chord_distance(r, delta) < s), 1))
+    for k in np.argsort(miss[cand_i, cand_j], kind="stable"):
         i, j = int(idx[cand_i[k]]), int(idx[cand_j[k]])
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            continue
-        seen.add(pair)
-        e_i = complex(polar_around_origin(np.asarray([r]), np.asarray([thetas[i]]))[0])
-        e_j = complex(polar_around_origin(np.asarray([r]), np.asarray([thetas[j]]))[0])
-        chord = Geodesic.through(HPoint(e_i.real, e_i.imag), HPoint(e_j.real, e_j.imag))
-        d0, _ = dist_to_geodesic(ORIGIN, chord)
-        if d0 >= s:
-            continue
         if model == "lines":
-            side_i = np.tanh(r) * np.cos(thetas[i] - sample.foot_dir) - np.tanh(sample.foot_dist)
-            side_j = np.tanh(r) * np.cos(thetas[j] - sample.foot_dir) - np.tanh(sample.foot_dist)
-            if np.any(side_i * side_j < 0.0):
+            side = np.tanh(r) * np.cos(thetas[[i, j], None] - sample.foot_dir)
+            side -= np.tanh(sample.foot_dist)
+            if np.any(side[0] * side[1] < 0.0):
                 continue
         else:
-            pq = to_hyperboloid(np.asarray([e_i, e_j]))
-            if not _net_contained(pq[0:1], pq[1:2], w, params.radius, model):
+            pq = to_hyperboloid(polar_around_origin(np.full(2, r), thetas[[i, j]]))
+            if not _net_contained(pq[:1], pq[1:], w, params.radius, model):
                 continue
-        return LineDetection(True, pair, len(idx))
+        return LineDetection(True, (i, j), len(idx))
     return LineDetection(False, None, len(idx))
+
+
+def _chord_distance(r: float, delta: np.ndarray) -> np.ndarray:
+    """Distance from (0, 1) to the chord between the points at distance r
+    in directions delta apart.  In the Klein model centred at (0, 1) the
+    chord is straight, at Euclidean distance tanh r |cos(delta / 2)|."""
+    return np.arctanh(math.tanh(r) * np.abs(np.cos(delta / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +642,9 @@ def sandwich_AQ(
 
     gen = rng.generator()
     centre = Segment(GeodesicFrame.canonical_axis(), -half_d, d)
-    rho = half_d + s + LINE_WINDOW_MARGIN
-    window_radius = half_d + s + (R or 0.0) + WINDOW_SLACK
+    # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
+    # the points within R of it can reach it
+    rho = half_d + s
     zx, zy = complex(0.0, math.exp(-half_d)), complex(0.0, math.exp(half_d))
     n_A = n_f = n_Q = 0
 
@@ -684,7 +658,7 @@ def sandwich_AQ(
             # tube cells miss the measure-zero lines almost surely
             a_ok = True if f_ok else region_connected
         else:
-            psample = sample_points(ModelParams(lam, R), ORIGIN, window_radius, gen)
+            psample = sample_points(params, ORIGIN, rho + R, gen)
             pts = psample.points
             f_ok = bool(_segment_reach(centre, psample, model) >= d)
             q_ok = f_ok and _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)

@@ -246,13 +246,6 @@ def _through(p: HPoint, q: HPoint) -> Segment:
     return Segment(frame, 0.0, length)
 
 
-def _ray_alive(model, params, sample, r, n_dir) -> np.ndarray:
-    thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    w = (sample.points - 1j) / (sample.points + 1j)
-    cloud = percolation._PolarCloud(2.0 * np.arctanh(np.abs(w)), np.angle(w), sample.window_radius)
-    return percolation._boolean_ray_survivors(cloud, params, r, thetas, model)
-
-
 def _net(model, p, q, w, R) -> bool:
     return percolation._net_contained(p, q, w, R, model)
 
@@ -262,14 +255,15 @@ def _net(model, p, q, w, R) -> bool:
 )
 def test_ray_survival_matches_the_segment_predicates(model, params):
     r, n_dir = 3.0, 64
+    thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
+    ends = polar_around_origin(np.full(n_dir, r), thetas)
     predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
     seen = set()
     for seed in range(6):
         sample = sample_points(params, ORIGIN, r + params.radius, np.random.default_rng(seed))
-        alive = _ray_alive(model, params, sample, r, n_dir)
+        alive = percolation._boolean_ray_survivors(sample, r, thetas, model)
         for k in range(n_dir):
-            end = polar_around_origin(np.asarray([r]), np.asarray([2.0 * math.pi * k / n_dir]))[0]
-            seg = _through(ORIGIN, HPoint(end.real, end.imag))
+            seg = _through(ORIGIN, HPoint(ends[k].real, ends[k].imag))
             assert alive[k] == predicate(seg, sample), (seed, k)
         seen.update(alive.tolist())
     assert seen == {True, False}
@@ -340,11 +334,28 @@ def test_empty_process(model):
 def test_vacant_ray_share_matches_f_vacant():
     """Each direction's ray survives with probability f(r), so the mean
     surviving share over independent samples is gated by Hoeffding's
-    bound 2 exp(-2 n t^2) = TAIL."""
-    params, r, n_dir, n = ModelParams(0.1, 1.0), 3.0, 32, 1000
+    bound 2 exp(-2 n t^2) = TAIL.  A window missing the balls beyond
+    B(o, r) would read about 0.3 here, against f = 0.197."""
+    params, r, n_dir, n = ModelParams(0.2, 1.0), 2.0, 32, 2000
     share = [
         len(surviving_directions("vacant", params, r, n_dir, RngStream(50, i)).surviving) / n_dir
         for i in range(n)
     ]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f_vacant(r, params)) <= t
+
+
+def test_chord_distance_is_well_conditioned():
+    """At r = 10 the chords between the ends of near-antipodal rays of the
+    360-direction grid, which detect-line tests, pass within a few
+    hundredths of (0, 1); their distance holds to 1e-12 against 50-digit
+    arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    r, n = 10.0, 360
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    for m in range(178, 183):
+        with mpmath.workdps(50):
+            exact = float(mpmath.atanh(mpmath.tanh(r) * abs(mpmath.cos(mpmath.pi * m / n))))
+        delta = np.mod(np.roll(thetas, -m) - thetas, 2.0 * math.pi)
+        err = np.abs(percolation._chord_distance(r, delta) - exact)
+        assert err.max() < 1e-12, (m, err.max())
