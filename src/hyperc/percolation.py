@@ -193,6 +193,8 @@ def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, 
     half = np.arccosh(math.cosh(R) / np.cosh(offset[near]))
     if model == "occupied":
         return _coverage_reaches(seg, foot - half, foot + half, n)
+    # an open ball first meets [0, c] at c = foot - half, unless it lies
+    # wholly behind 0
     hit = foot + half > 0.0
     thr = np.full(n, math.inf)
     np.minimum.at(thr, seg[hit], (foot - half)[hit])

@@ -21,8 +21,11 @@ from hyperc.percolation import (
     TRIAL_BLOCK,
     Segment,
     _block_thresholds,
+    _boolean_ray_survivors,
+    _chord_distance,
     _coverage_reaches,
     _line_side_values,
+    _net_contained,
     detect_line_through_ball,
     estimate_f,
     sandwich_AQ,
@@ -246,10 +249,6 @@ def _through(p: HPoint, q: HPoint) -> Segment:
     return Segment(frame, 0.0, length)
 
 
-def _net(model, p, q, w, R) -> bool:
-    return percolation._net_contained(p, q, w, R, model)
-
-
 @pytest.mark.parametrize(
     "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
 )
@@ -261,7 +260,7 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     seen = set()
     for seed in range(6):
         sample = sample_points(params, ORIGIN, r + params.radius, np.random.default_rng(seed))
-        alive = percolation._boolean_ray_survivors(sample, r, thetas, model)
+        alive = _boolean_ray_survivors(sample, r, thetas, model)
         for k in range(n_dir):
             seg = _through(ORIGIN, HPoint(ends[k].real, ends[k].imag))
             assert alive[k] == predicate(seg, sample), (seed, k)
@@ -288,11 +287,11 @@ def test_net_containment_matches_the_segment_predicates(model, params):
     for k in range(40):
         a, b = (HPoint(z.real, z.imag) for z in ends[:, k])
         expect.append(predicate(_through(a, b), sample))
-        assert _net(model, p[k : k + 1], q[k : k + 1], w, R) == expect[-1], k
+        assert _net_contained(p[k : k + 1], q[k : k + 1], w, R, model) == expect[-1], k
     assert set(expect) == {True, False}
-    assert _net(model, p, q, w, R) == all(expect)
+    assert _net_contained(p, q, w, R, model) == all(expect)
     good = np.flatnonzero(expect)
-    assert _net(model, p[good], q[good], w, R)
+    assert _net_contained(p[good], q[good], w, R, model)
 
 
 X_TUBE, Y_TUBE = HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0))
@@ -357,5 +356,5 @@ def test_chord_distance_is_well_conditioned():
         with mpmath.workdps(50):
             exact = float(mpmath.atanh(mpmath.tanh(r) * abs(mpmath.cos(mpmath.pi * m / n))))
         delta = np.mod(np.roll(thetas, -m) - thetas, 2.0 * math.pi)
-        err = np.abs(percolation._chord_distance(r, delta) - exact)
+        err = np.abs(_chord_distance(r, delta) - exact)
         assert err.max() < 1e-12, (m, err.max())
