@@ -2,31 +2,122 @@ import json
 
 import pytest
 
-from hyperc.cli import USAGE_ERROR, main
+from hyperc.cli import SOLVER_ERROR, USAGE_ERROR, main
+
+MODELS = [("vacant", "0.1"), ("occupied", "1.0"), ("lines", "0.1")]
 
 SMOKE = {
     "rays": ["--r", "3.0", "--directions", "32", "--samples", "20"],
     "detect-line": ["--s", "0.1", "--r", "4.0", "--directions", "90", "--samples", "10"],
 }
 
+# the file-valued flags a run writes besides --out, each to its own file
+FILES = {"--csv": "table.csv", "--svg": "tree.svg"}
 
-@pytest.mark.parametrize("command", sorted(SMOKE))
-@pytest.mark.parametrize(
-    "model, lam", [("vacant", "0.1"), ("occupied", "1.0"), ("lines", "0.1")]
-)
-def test_runs_and_reruns_byte_identically(tmp_path, command, model, lam):
-    argv = [command, "--model", model, "--lambda", lam, "--seed", "7", *SMOKE[command]]
-    out = tmp_path / "summary.json"
-    texts = []
+
+def _case(case_id, argv, files=()):
+    return pytest.param(argv, files, id=case_id)
+
+
+CASES = [
+    *(
+        _case(f"{model}-{lam}-{command}",
+              [command, "--model", model, "--lambda", lam, "--seed", "7", *SMOKE[command]])
+        for model, lam in MODELS
+        for command in sorted(SMOKE)
+    ),
+    *(_case(f"alpha-{model}", ["alpha", "--model", model, "--lambda", lam]) for model, lam in MODELS),
+    *(_case(f"critical-{model}", ["critical", "--model", model, "--R", "1.0"]) for model, _ in MODELS),
+    *(
+        _case(f"simulate-f-{model}",
+              ["simulate-f", "--model", model, "--lambda", lam, "--rmin", "0", "--rmax", "3",
+               "--trials", "300", "--seed", "7"],
+              ["--csv"])
+        for model, lam in MODELS
+    ),
+    _case("s-dist", ["s-dist", "--lambda", "0.3", "--trials", "500", "--grid", "20", "--seed", "7"],
+          ["--csv"]),
+    _case("grassmann", ["grassmann", "--r-values", "0.5,2", "--theta-values", "1.0", "--rho", "0.5",
+                        "--mc-lambda", "0.5", "--mc-trials", "200", "--mc-rmax", "2", "--seed", "7"]),
+    _case("lrp", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "20"], ["--csv"]),
+    _case("tree", ["tree", "--arc-length", "1.2", "--depth", "3", "--paths", "8",
+                   "--check-separation", "--seed", "7"], ["--svg"]),
+    _case("render-points", ["render", "--model", "points", "--lambda", "0.5", "--R", "0.5",
+                            "--window", "2.0", "--seed", "7"]),
+    _case("render-lines", ["render", "--model", "lines", "--lambda", "0.5", "--rho", "2.0",
+                           "--seed", "7"]),
+    _case("render-tree", ["render", "--model", "tree", "--arc-length", "1.2", "--depth", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv, files", CASES)
+def test_runs_and_reruns_byte_identically(tmp_path, argv, files):
+    """Every subcommand exits 0 and writes the same bytes to the same
+    --out (JSON, or SVG for render) and to its CSV or SVG file."""
+    paths = [tmp_path / "out", *(tmp_path / FILES[flag] for flag in files)]
+    flags = [arg for flag, path in zip(["--out", *files], paths) for arg in (flag, str(path))]
+    runs = []
     for _ in range(2):
-        assert main([*argv, "--out", str(out)]) == 0
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
-    summary = json.loads(texts[0])
-    assert summary["config"]["model"] == model
+        assert main([*argv, *flags]) == 0
+        runs.append([path.read_bytes() for path in paths])
+    assert runs[0] == runs[1]
+    if argv[0] == "render":
+        assert b"<svg" in runs[0][0]
+        return
+    summary = json.loads(runs[0][0])
+    assert summary["command"] == argv[0]
+    if "--model" in argv:
+        assert summary["config"]["model"] == argv[argv.index("--model") + 1]
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_bad_model_is_a_usage_error(command):
     argv = [command, "--model", "sticks", "--lambda", "0.1", "--seed", "1", *SMOKE[command]]
     assert main(argv) == USAGE_ERROR
+
+
+@pytest.mark.parametrize(
+    "flags, trials", [([], 50), (["--trials", "80"], 80)], ids=["config", "flag-overrides-config"]
+)
+def test_config_file_sets_defaults_and_flags_override_it(tmp_path, flags, trials):
+    config = tmp_path / "run.cfg"
+    config.write_text("# s-dist run\nlam = 0.2\ntrials = 50\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["s-dist", "--config", str(config), "--seed", "3", "--grid", "10", *flags]
+    assert main([*argv, "--out", str(out)]) == 0
+    cfg = json.loads(out.read_text())["config"]
+    assert (cfg["lam"], cfg["trials"], cfg["R"]) == (0.2, trials, 1.0)
+
+
+@pytest.mark.parametrize("command", ["alpha", "detect-line", "rays", "s-dist", "simulate-f"])
+def test_missing_lambda_is_a_usage_error(command, capsys):
+    assert main([command]) == USAGE_ERROR
+    assert "--lambda is required" in capsys.readouterr().err
+
+
+def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
+    assert main(["critical", "--R", "20"]) == SOLVER_ERROR
+    assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["alpha", "--model", "occupied", "--lambda", "0.5"], ["critical"]]
+)
+def test_deterministic_summaries_carry_no_seed(argv, capsys):
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert "seed" not in summary["config"]
+    assert summary["provenance"]["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "flags, generated",
+    [([], False), (["--mc-lambda", "0.5", "--mc-trials", "200", "--mc-rmax", "2"], True)],
+    ids=["closed-forms", "monte-carlo"],
+)
+def test_grassmann_resolves_a_seed_only_for_monte_carlo(flags, generated, capsys, monkeypatch):
+    monkeypatch.delenv("HYPERC_SEED", raising=False)
+    assert main(["grassmann", "--r-values", "1", "--theta-values", "1.0", *flags]) == 0
+    captured = capsys.readouterr()
+    assert ("generated seed" in captured.err) == generated
+    assert (json.loads(captured.out)["config"]["seed"] is not None) == generated
