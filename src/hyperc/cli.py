@@ -1,5 +1,16 @@
 """Command-line front end: experiments, persistence, and rendering.
 
+Each subcommand is declared once, in the ``_COMMANDS`` table, as its
+handler, its help text and its options.  Each ``_Option`` gives the
+flag, the built-in default, the type, the help text and, where it
+differs from the flag, the config key.  The parser is built from that
+table, and ``_resolve`` reads it to fill each option from the flag,
+then the ``--config`` file (keys are the option keys, such as ``lam``
+or ``r_values``), then the default; a ``_REQUIRED`` default that is
+still unset is a usage error.  A handler takes the resolved
+configuration and returns its results, which ``main`` writes as the
+JSON summary; ``render`` writes its SVG itself and returns None.
+
 Every randomized subcommand resolves a master seed (flag, then the
 HYPERC_SEED environment variable, then a fresh one printed to stderr)
 and echoes the fully resolved configuration in its JSON summary, so
@@ -17,23 +28,22 @@ import os
 import secrets
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, analytic, render
-from .geometry import HPoint, ORIGIN
+from .geometry import ORIGIN
 from .percolation import (
     detect_line_through_ball,
     estimate_f,
     estimate_S_cdf,
-    sandwich_AQ,
     surviving_directions,
 )
 from .sampling import (
     ModelParams,
     RngStream,
     WindowError,
-    phi_ball,
     phi_ball_quadrature,
     phi_segment,
     phi_segment_quadrature,
@@ -48,18 +58,22 @@ from .treecover import build_tree, check_separation, estimate_R_prime, reduced_w
 USAGE_ERROR = 2
 SOLVER_ERROR = 3
 
-_SUBCOMMANDS = (
-    "alpha",
-    "critical",
-    "simulate-f",
-    "rays",
-    "detect-line",
-    "s-dist",
-    "grassmann",
-    "lrp",
-    "tree",
-    "render",
-)
+_REQUIRED = object()  # default of an option that must come from the flag or the config file
+
+
+class _Option(NamedTuple):
+    """One flag of a subcommand; ``type`` None keeps the text, ``bool``
+    makes a switch."""
+
+    flag: str
+    default: object = None
+    type: type | None = None
+    help: str | None = None
+    dest: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.flag.lstrip("-").replace("-", "_")
 
 
 def _read_config(path: str) -> dict:
@@ -88,16 +102,18 @@ def _coerce(text: str):
     return text
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
+def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
     """CLI flag > config file entry > builtin default."""
     resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None and key in config:
-            value = _coerce(config[key])
+    for opt in options:
+        value = getattr(args, opt.key)
+        if value is None and opt.key in config:
+            value = _coerce(config[opt.key])
         if value is None:
-            value = default
-        resolved[key] = value
+            value = opt.default
+        if value is _REQUIRED:
+            raise ValueError(f"{opt.flag} is required")
+        resolved[opt.key] = value
     return resolved
 
 
@@ -151,15 +167,6 @@ def _emit_csv(header: list[str], rows: list[tuple], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary(command: str, cfg: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "config": cfg,
-        "results": results,
-        "provenance": {"seed": cfg.get("seed"), "version": __version__},
-    }
-
-
 def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
         return _float_list(cfg["r_values"])
@@ -172,62 +179,33 @@ def _r_grid(cfg: dict) -> list[float]:
 # subcommands
 
 
-def _cmd_alpha(args, config):
-    defaults = {"model": "vacant", "lam": None, "R": 1.0, "out": None}
-    cfg = _resolve(args, config, defaults)
-    if cfg["lam"] is None:
-        raise ValueError("--lambda is required")
+def _cmd_alpha(cfg):
     model = cfg["model"]
     if model == "vacant":
         value = analytic.alpha_vacant(ModelParams(cfg["lam"], cfg["R"]))
-        results = {"alpha": value, "formula": "2*lambda*sinh(R)"}
+        return {"alpha": value, "formula": "2*lambda*sinh(R)"}
     elif model == "occupied":
         res = analytic.alpha_occupied(ModelParams(cfg["lam"], cfg["R"]))
-        results = {"alpha": res.alpha, "residual": res.residual, "iterations": res.iterations}
+        return {"alpha": res.alpha, "residual": res.residual, "iterations": res.iterations}
     elif model == "lines":
-        results = {"alpha": cfg["lam"], "formula": "f(r) = exp(-lambda*r)"}
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    _emit_json(_summary("alpha", cfg, results), cfg["out"])
-    return 0
+        return {"alpha": cfg["lam"], "formula": "f(r) = exp(-lambda*r)"}
+    raise ValueError(f"unknown model {model!r}")
 
 
-def _cmd_critical(args, config):
-    defaults = {"model": "occupied", "R": 1.0, "out": None}
-    cfg = _resolve(args, config, defaults)
+def _cmd_critical(cfg):
     model = cfg["model"]
     if model == "vacant":
-        results = {"lambda_critical": analytic.lambda_gv(cfg["R"]), "formula": "1/(2*sinh(R))"}
+        return {"lambda_critical": analytic.lambda_gv(cfg["R"]), "formula": "1/(2*sinh(R))"}
     elif model == "occupied":
         lam = analytic.lambda_gc(cfg["R"])
         check = analytic.alpha_occupied(ModelParams(lam, cfg["R"]))
-        results = {"lambda_critical": lam, "alpha_residual": abs(check.alpha - 1.0)}
+        return {"lambda_critical": lam, "alpha_residual": abs(check.alpha - 1.0)}
     elif model == "lines":
-        results = {"lambda_critical": 1.0, "formula": "exponent 1 at lambda = 1"}
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    _emit_json(_summary("critical", cfg, results), cfg["out"])
-    return 0
+        return {"lambda_critical": 1.0, "formula": "exponent 1 at lambda = 1"}
+    raise ValueError(f"unknown model {model!r}")
 
 
-def _cmd_simulate_f(args, config):
-    defaults = {
-        "model": "vacant",
-        "lam": None,
-        "R": 1.0,
-        "rmin": 1.0,
-        "rmax": 6.0,
-        "rstep": 1.0,
-        "r_values": None,
-        "trials": 10000,
-        "seed": None,
-        "workers": 1,
-        "csv": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
-    if cfg["lam"] is None:
-        raise ValueError("--lambda is required")
+def _cmd_simulate_f(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     rs = _r_grid(cfg)
     model = cfg["model"]
@@ -247,7 +225,7 @@ def _cmd_simulate_f(args, config):
             for r, f, hw in zip(result.r_values, result.estimates, result.half_widths)
         ]
         _emit_csv(["r", "f_hat", "ci95", "trials"], rows, cfg["csv"])
-    results = {
+    return {
         "r": list(result.r_values),
         "f_hat": list(result.estimates),
         "ci95": list(result.half_widths),
@@ -255,24 +233,9 @@ def _cmd_simulate_f(args, config):
         "alpha_stderr": result.alpha_stderr,
         "alpha_analytic": alpha_ref,
     }
-    _emit_json(_summary("simulate-f", cfg, results), cfg["out"])
-    return 0
 
 
-def _cmd_rays(args, config):
-    defaults = {
-        "model": "vacant",
-        "lam": None,
-        "R": 1.0,
-        "r": 5.0,
-        "directions": 64,
-        "samples": 200,
-        "seed": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
-    if cfg["lam"] is None:
-        raise ValueError("--lambda is required")
+def _cmd_rays(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
     counts = []
@@ -283,30 +246,14 @@ def _cmd_rays(args, config):
         )
         counts.append(len(rs.surviving))
         nonempty += bool(rs.surviving)
-    results = {
+    return {
         "mean_survivors": float(np.mean(counts)),
         "survival_probability": nonempty / int(cfg["samples"]),
         "samples": int(cfg["samples"]),
     }
-    _emit_json(_summary("rays", cfg, results), cfg["out"])
-    return 0
 
 
-def _cmd_detect_line(args, config):
-    defaults = {
-        "model": "lines",
-        "lam": None,
-        "R": 1.0,
-        "s": 0.1,
-        "r": 10.0,
-        "directions": 360,
-        "samples": 200,
-        "seed": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
-    if cfg["lam"] is None:
-        raise ValueError("--lambda is required")
+def _cmd_detect_line(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
     found = 0
@@ -316,24 +263,10 @@ def _cmd_detect_line(args, config):
             n_directions=int(cfg["directions"]),
         )
         found += det.found
-    results = {"detections": found, "frequency": found / int(cfg["samples"])}
-    _emit_json(_summary("detect-line", cfg, results), cfg["out"])
-    return 0
+    return {"detections": found, "frequency": found / int(cfg["samples"])}
 
 
-def _cmd_s_dist(args, config):
-    defaults = {
-        "lam": None,
-        "R": 1.0,
-        "trials": 10000,
-        "grid": 100,
-        "seed": None,
-        "csv": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
-    if cfg["lam"] is None:
-        raise ValueError("--lambda is required")
+def _cmd_s_dist(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], cfg["R"])
     result = estimate_S_cdf(params, int(cfg["trials"]), RngStream(cfg["seed"]))
@@ -343,29 +276,16 @@ def _cmd_s_dist(args, config):
     if cfg["csv"]:
         rows = [(float(t), float(e), float(a)) for t, e, a in zip(ts, emp, ana)]
         _emit_csv(["t", "G_empirical", "G_analytic"], rows, cfg["csv"])
-    results = {
+    return {
         "sup_distance": float(np.abs(emp - ana).max()),
         "neg_inf_mass": result.neg_inf_mass,
         "neg_inf_mass_analytic": float(
             math.exp(-cfg["lam"] * 2.0 * math.pi * (math.cosh(cfg["R"]) - 1.0))
         ),
     }
-    _emit_json(_summary("s-dist", cfg, results), cfg["out"])
-    return 0
 
 
-def _cmd_grassmann(args, config):
-    defaults = {
-        "r_values": "0.5,1,2",
-        "theta_values": "0.3,0.7853981633974483,1.5707963267948966,2.0,2.8",
-        "rho": 1.0,
-        "mc_lambda": None,
-        "mc_trials": 10000,
-        "mc_rmax": 4.0,
-        "seed": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
+def _cmd_grassmann(cfg):
     seg = [
         {"r": r, "closed_form": phi_segment(r), "quadrature": phi_segment_quadrature(r)}
         for r in _float_list(cfg["r_values"])
@@ -403,13 +323,10 @@ def _cmd_grassmann(args, config):
                 }
             )
         results["monte_carlo"] = mc
-    _emit_json(_summary("grassmann", cfg, results), cfg["out"])
-    return 0
+    return results
 
 
-def _cmd_lrp(args, config):
-    defaults = {"lam": 1.0, "c": 1.0, "nmin": 2, "nmax": 200, "csv": None, "out": None}
-    cfg = _resolve(args, config, defaults)
+def _cmd_lrp(cfg):
     rows = []
     for n in range(int(cfg["nmin"]), int(cfg["nmax"]) + 1):
         measure = analytic.lrp_edge_measure(0, n)
@@ -417,27 +334,15 @@ def _cmd_lrp(args, config):
         rows.append((n, measure, prob, n * n * prob))
     if cfg["csv"]:
         _emit_csv(["n", "measure", "prob", "n2_times_prob"], rows, cfg["csv"])
-    results = {
+    return {
         "n": [r[0] for r in rows],
         "measure": [r[1] for r in rows],
         "prob": [r[2] for r in rows],
         "n2_times_prob": [r[3] for r in rows],
     }
-    _emit_json(_summary("lrp", cfg, results), cfg["out"])
-    return 0
 
 
-def _cmd_tree(args, config):
-    defaults = {
-        "arc_length": 1.0,
-        "depth": 8,
-        "paths": 64,
-        "check_separation": None,
-        "svg": None,
-        "seed": None,
-        "out": None,
-    }
-    cfg = _resolve(args, config, defaults)
+def _cmd_tree(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     tree = build_tree(cfg["arc_length"], int(cfg["depth"]))
     results = {
@@ -453,23 +358,10 @@ def _cmd_tree(args, config):
     if cfg["svg"]:
         render.write_svg(render.render_tree(tree), cfg["svg"])
         results["svg"] = cfg["svg"]
-    _emit_json(_summary("tree", cfg, results), cfg["out"])
-    return 0
+    return results
 
 
-def _cmd_render(args, config):
-    defaults = {
-        "model": "lines",
-        "lam": 1.0,
-        "R": 1.0,
-        "rho": 5.0,
-        "window": 3.0,
-        "arc_length": 1.0,
-        "depth": 6,
-        "seed": None,
-        "out": "scene.svg",
-    }
-    cfg = _resolve(args, config, defaults)
+def _cmd_render(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     stream = RngStream(cfg["seed"])
     model = cfg["model"]
@@ -485,20 +377,155 @@ def _cmd_render(args, config):
         raise ValueError(f"unknown render model {model!r}")
     render.write_svg(content, cfg["out"])
     print(f"wrote {cfg['out']}", file=sys.stderr)
-    return 0
 
 
-_HANDLERS = {
-    "alpha": _cmd_alpha,
-    "critical": _cmd_critical,
-    "simulate-f": _cmd_simulate_f,
-    "rays": _cmd_rays,
-    "detect-line": _cmd_detect_line,
-    "s-dist": _cmd_s_dist,
-    "grassmann": _cmd_grassmann,
-    "lrp": _cmd_lrp,
-    "tree": _cmd_tree,
-    "render": _cmd_render,
+# ---------------------------------------------------------------------------
+# option table
+
+
+def _model(default, help="vacant | occupied | lines"):
+    return _Option("--model", default, None, help)
+
+
+def _lam(default=_REQUIRED):
+    return _Option("--lambda", default, float, "process intensity", "lam")
+
+
+_R = _Option("--R", 1.0, float, "ball radius of the Boolean model")
+_SEED = _Option("--seed", None, int, "master seed (fallback: HYPERC_SEED)")
+_OUT = _Option("--out", None, None, "JSON summary path (default: stdout)")
+_CSV = _Option("--csv", None, None, "CSV table path")
+
+_COMMANDS = {
+    "alpha": (
+        _cmd_alpha,
+        "decay exponent of f(r)",
+        [
+            _model("vacant"),
+            _lam(),
+            _R,
+            _OUT,
+        ],
+    ),
+    "critical": (
+        _cmd_critical,
+        "critical intensity for geodesic percolation",
+        [_model("occupied"), _R, _OUT],
+    ),
+    "simulate-f": (
+        _cmd_simulate_f,
+        "Monte Carlo estimate of f(r) with a fitted exponent",
+        [
+            _model("vacant"),
+            _lam(),
+            _R,
+            _Option("--rmin", 1.0, float),
+            _Option("--rmax", 6.0, float),
+            _Option("--rstep", 1.0, float),
+            _Option("--r-values", None, None, "comma list overriding the grid"),
+            _Option("--trials", 10000, int),
+            _Option("--workers", 1, int, "parallel workers; output is independent of this"),
+            _SEED,
+            _CSV,
+            _OUT,
+        ],
+    ),
+    "rays": (
+        _cmd_rays,
+        "ray survival from the origin on a direction grid",
+        [
+            _model("vacant"),
+            _lam(),
+            _R,
+            _Option("--r", 5.0, float, "ray length"),
+            _Option("--directions", 64, int),
+            _Option("--samples", 200, int),
+            _SEED,
+            _OUT,
+        ],
+    ),
+    "detect-line": (
+        _cmd_detect_line,
+        "frequency of certified chords through a small ball",
+        [
+            _model("lines"),
+            _lam(),
+            _R,
+            _Option("--s", 0.1, float, "ball radius for the chord certificate"),
+            _Option("--r", 10.0, float, "ray length"),
+            _Option("--directions", 360, int),
+            _Option("--samples", 200, int),
+            _SEED,
+            _OUT,
+        ],
+    ),
+    "s-dist": (
+        _cmd_s_dist,
+        "empirical law of the first coverage gap against the analytic CDF",
+        [
+            _lam(),
+            _R,
+            _Option("--trials", 10000, int),
+            _Option("--grid", 100, int, "comparison grid size"),
+            _SEED,
+            _CSV,
+            _OUT,
+        ],
+    ),
+    "grassmann": (
+        _cmd_grassmann,
+        "line-measure normalization checks (closed forms vs quadrature)",
+        [
+            _Option("--r-values", "0.5,1,2"),
+            _Option("--theta-values", "0.3,0.7853981633974483,1.5707963267948966,2.0,2.8"),
+            _Option("--rho", 1.0, float),
+            _Option("--mc-lambda", None, None, "comma list; runs the MC check"),
+            _Option("--mc-trials", 10000, int),
+            _Option("--mc-rmax", 4.0, float),
+            _SEED,
+            _OUT,
+        ],
+    ),
+    "lrp": (
+        _cmd_lrp,
+        "long-range percolation edge law on Z",
+        [
+            _lam(1.0),
+            _Option("--c", 1.0, float, "edge retention constant"),
+            _Option("--nmin", 2, int),
+            _Option("--nmax", 200, int),
+            _CSV,
+            _OUT,
+        ],
+    ),
+    "tree": (
+        _cmd_tree,
+        "reflection-group tree: separation checks and tube constants",
+        [
+            _Option("--arc-length", 1.0, float),
+            _Option("--depth", 8, int),
+            _Option("--paths", 64, int),
+            _Option("--check-separation", None, bool),
+            _Option("--svg", None, None, "render the tree to this SVG path"),
+            _SEED,
+            _OUT,
+        ],
+    ),
+    "render": (
+        _cmd_render,
+        "SVG of a realization in the Poincare disk",
+        [
+            _model("lines", "points | lines | tree"),
+            _lam(1.0),
+            _R,
+            _Option("--rho", 5.0, float, "line-process reference radius"),
+            _Option("--window", 3.0, float, "point-process window radius"),
+            _Option("--arc-length", 1.0, float),
+            _Option("--depth", 6, int),
+            _SEED,
+            _Option("--out", "scene.svg", None, "output SVG path"),
+        ],
+    ),
 }
 
 
@@ -509,151 +536,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "closed forms, critical intensities, and Monte Carlo experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, options):
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
-        for flags, kwargs in options:
-            p.add_argument(*flags, **kwargs)
-        return p
-
-    f = lambda **kw: dict(type=float, default=None, **kw)
-    i = lambda **kw: dict(type=int, default=None, **kw)
-    s = lambda **kw: dict(default=None, **kw)
-
-    model_opt = (("--model",), s(help="vacant | occupied | lines"))
-    lam_opt = (("--lambda",), f(dest="lam", help="process intensity"))
-    R_opt = (("--R",), f(help="ball radius of the Boolean model"))
-    seed_opt = (("--seed",), i(help="master seed (fallback: HYPERC_SEED)"))
-    out_opt = (("--out",), s(help="JSON summary path (default: stdout)"))
-    csv_opt = (("--csv",), s(help="CSV table path"))
-
-    add("alpha", "decay exponent of f(r)", [model_opt, lam_opt, R_opt, out_opt])
-    add("critical", "critical intensity for geodesic percolation", [model_opt, R_opt, out_opt])
-    add(
-        "simulate-f",
-        "Monte Carlo estimate of f(r) with a fitted exponent",
-        [
-            model_opt,
-            lam_opt,
-            R_opt,
-            (("--rmin",), f()),
-            (("--rmax",), f()),
-            (("--rstep",), f()),
-            (("--r-values",), s(dest="r_values", help="comma list overriding the grid")),
-            (("--trials",), i()),
-            (("--workers",), i(help="parallel workers; output is independent of this")),
-            seed_opt,
-            csv_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "rays",
-        "ray survival from the origin on a direction grid",
-        [
-            model_opt,
-            lam_opt,
-            R_opt,
-            (("--r",), f(help="ray length")),
-            (("--directions",), i()),
-            (("--samples",), i()),
-            seed_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "detect-line",
-        "frequency of certified chords through a small ball",
-        [
-            model_opt,
-            lam_opt,
-            R_opt,
-            (("--s",), f(help="ball radius for the chord certificate")),
-            (("--r",), f(help="ray length")),
-            (("--directions",), i()),
-            (("--samples",), i()),
-            seed_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "s-dist",
-        "empirical law of the first coverage gap against the analytic CDF",
-        [
-            lam_opt,
-            R_opt,
-            (("--trials",), i()),
-            (("--grid",), i(help="comparison grid size")),
-            seed_opt,
-            csv_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "grassmann",
-        "line-measure normalization checks (closed forms vs quadrature)",
-        [
-            (("--r-values",), s(dest="r_values")),
-            (("--theta-values",), s(dest="theta_values")),
-            (("--rho",), f()),
-            (("--mc-lambda",), s(dest="mc_lambda", help="comma list; runs the MC check")),
-            (("--mc-trials",), i(dest="mc_trials")),
-            (("--mc-rmax",), f(dest="mc_rmax")),
-            seed_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "lrp",
-        "long-range percolation edge law on Z",
-        [
-            lam_opt,
-            (("--c",), f(help="edge retention constant")),
-            (("--nmin",), i()),
-            (("--nmax",), i()),
-            csv_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "tree",
-        "reflection-group tree: separation checks and tube constants",
-        [
-            (("--arc-length",), f(dest="arc_length")),
-            (("--depth",), i()),
-            (("--paths",), i()),
-            (("--check-separation",), dict(action="store_const", const=True, default=None)),
-            (("--svg",), s(help="render the tree to this SVG path")),
-            seed_opt,
-            out_opt,
-        ],
-    )
-    add(
-        "render",
-        "SVG of a realization in the Poincare disk",
-        [
-            (("--model",), s(help="points | lines | tree")),
-            lam_opt,
-            R_opt,
-            (("--rho",), f(help="line-process reference radius")),
-            (("--window",), f(help="point-process window radius")),
-            (("--arc-length",), f(dest="arc_length")),
-            (("--depth",), i()),
-            seed_opt,
-            (("--out",), s(help="output SVG path")),
-        ],
-    )
+        for opt in options:
+            # every flag parses to None when absent, so _resolve can fall
+            # back to the config file and then to the table default
+            kind = dict(action="store_const", const=True) if opt.type is bool else dict(type=opt.type)
+            p.add_argument(opt.flag, dest=opt.key, default=None, help=opt.help, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     config = _read_config(args.config) if args.config else {}
+    handler, _, options = _COMMANDS[args.command]
     started = time.monotonic()
     try:
-        code = _HANDLERS[args.command](args, config)
+        cfg = _resolve(args, config, options)
+        results = handler(cfg)
+        if results is not None:
+            summary = {
+                "command": args.command,
+                "config": cfg,
+                "results": results,
+                "provenance": {"seed": cfg.get("seed"), "version": __version__},
+            }
+            _emit_json(summary, cfg["out"])
     except SolverError as exc:
         print(f"hyperc: solver failure: {exc}", file=sys.stderr)
         return SOLVER_ERROR
@@ -663,7 +572,7 @@ def main(argv=None) -> int:
     # wall time goes to stderr, never into the summary files, so reruns
     # with identical seeds stay byte-identical
     print(f"hyperc: {args.command} finished in {time.monotonic() - started:.2f}s", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":
