@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -350,23 +349,15 @@ def phi_separating_quadrature(theta: float) -> float:
     return float(v1 + v2)
 
 
-@lru_cache(maxsize=None)
 def phi_ball(rho: float) -> float:
-    """Measure of the lines meeting B(o, rho).
+    """Measure of the lines meeting B(o, rho): pi sinh(rho).
 
-    Computed once per rho by quadrature over boundary-angle pairs; the
-    closed form pi sinh(rho) is only returned after the quadrature
-    confirms it to 1e-6.
+    ``phi_ball_quadrature`` integrates the same measure over
+    boundary-angle pairs and is its oracle in the tests.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    closed = math.pi * math.sinh(rho)
-    quad = phi_ball_quadrature(rho)
-    if abs(quad - closed) > 1e-6 * max(1.0, closed):
-        raise AssertionError(
-            f"phi_ball quadrature {quad!r} disagrees with pi sinh rho {closed!r}"
-        )
-    return closed
+    return math.pi * math.sinh(rho)
 
 
 def phi_ball_quadrature(rho: float) -> float:

@@ -305,8 +305,9 @@ class TestPhiMeasures:
         assert phi_separating(theta) == pytest.approx(-2.0 * math.log(theta / 2.0), rel=1e-6)
 
     def test_phi_ball_quadrature_confirms_closed_form(self):
-        for rho in (0.5, 1.0, 2.0):
-            assert phi_ball_quadrature(rho) == pytest.approx(math.pi * math.sinh(rho), abs=1e-6)
+        # up to the line windows that rays and detect-line draw on (rho = r)
+        for rho in (0.5, 1.0, 2.0, 5.0, 10.0):
+            assert phi_ball_quadrature(rho) == pytest.approx(math.pi * math.sinh(rho), rel=1e-8)
             assert phi_ball(rho) == math.pi * math.sinh(rho)
 
     def test_phi_ball_nested_consistency(self):
