@@ -38,7 +38,6 @@ from .sampling import (
 )
 from .analytic import (
     AlphaResult,
-    Quadrature,
     SolverError,
     alpha_occupied,
     alpha_vacant,

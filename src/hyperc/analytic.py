@@ -22,7 +22,6 @@ from .sampling import ModelParams
 
 __all__ = [
     "AlphaResult",
-    "Quadrature",
     "SolverError",
     "f_vacant",
     "alpha_vacant",
@@ -45,20 +44,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Quadrature:
-    """Tolerances for the adaptive quadratures and the root searches."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 200
-    gauss_nodes: int = 160
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class AlphaResult:
     """Occupied-set decay exponent with solver diagnostics.
 
@@ -71,7 +56,11 @@ class AlphaResult:
     iterations: int
 
 
-DEFAULT_QUADRATURE = Quadrature()
+# absolute and relative tolerance and subdivision limit of the adaptive
+# quadratures, and the Gauss-Legendre order of the exponent solver
+QUAD_TOL = 1e-12
+QUAD_LIMIT = 200
+GAUSS_NODES = 160
 
 
 def f_vacant(r: float, params: ModelParams) -> float:
@@ -105,15 +94,16 @@ def _crescent_integrand(s: float, R: float) -> float:
     return 2.0 * math.sqrt(max(v, 0.0))
 
 
-def area_crescent(t: float, R: float, q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def area_crescent(t: float, R: float) -> float:
     """Area of the crescent B(gamma(0), R) \\ B(gamma(t), R).
 
     Equals the area of the band of the ball whose foot parameter lies
     in [-t/2, t/2]; for t >= 2R the balls are disjoint and the crescent
     is the whole ball.  Computed by adaptive quadrature of
     2 sqrt(cosh^2 R / cosh^2 s - 1); the square-root zero at s = R is
-    integrable and handled by subdivision.  The exponent solvers use
-    ``area_crescent_closed_form``; this quadrature is its oracle.
+    integrable and handled by subdivision.  The hitting law and the
+    exponent solvers use ``area_crescent_closed_form``; this quadrature
+    is its oracle.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -124,9 +114,9 @@ def area_crescent(t: float, R: float, q: Quadrature = DEFAULT_QUADRATURE) -> flo
         -t / 2.0,
         t / 2.0,
         args=(R,),
-        epsabs=q.abs_tol,
-        epsrel=q.rel_tol,
-        limit=q.max_subdivisions,
+        epsabs=QUAD_TOL,
+        epsrel=QUAD_TOL,
+        limit=QUAD_LIMIT,
     )
     return float(val)
 
@@ -149,34 +139,32 @@ def area_crescent_closed_form(t, R: float):
     return float(out) if out.ndim == 0 else out
 
 
-def hitting_cdf(t: float, params: ModelParams, q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def hitting_cdf(t: float, params: ModelParams) -> float:
     """G(t) = P(first coverage gap parameter S falls in (0, t)):
     1 - exp(-lambda area of the crescent)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return 1.0 - math.exp(-params.intensity * area_crescent(t, params.radius, q))
+    return 1.0 - math.exp(-params.intensity * area_crescent_closed_form(t, params.radius))
 
 
-def hitting_density(s, params: ModelParams, q: Quadrature = DEFAULT_QUADRATURE):
+def hitting_density(s, params: ModelParams):
     """G'(s) = lambda 2 sqrt(cosh^2 R / cosh^2(s/2) - 1) e^{-lambda area}."""
     lam, R = params.intensity, params.radius
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    area = np.array([area_crescent(si, R, q) for si in s_arr])
+    area = area_crescent_closed_form(s_arr, R)
     rate = 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(s_arr / 2.0) ** 2 - 1.0, 0.0))
     out = lam * rate * np.exp(-lam * area)
     return out if np.ndim(s) else float(out[0])
 
 
-def hitting_H(t: float, params: ModelParams, q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def hitting_H(t: float, params: ModelParams) -> float:
     """The half-range form: -exp(-4 lambda int_0^{t/2} ...); equals G - 1."""
     lam, R = params.intensity, params.radius
     val, _ = integrate.quad(
         lambda s: math.sqrt(max(math.cosh(R) ** 2 / math.cosh(s) ** 2 - 1.0, 0.0)),
         0.0,
         min(t, 2.0 * R) / 2.0,
-        epsabs=q.abs_tol,
-        epsrel=q.rel_tol,
-        limit=q.max_subdivisions,
+        epsabs=QUAD_TOL,
+        epsrel=QUAD_TOL,
+        limit=QUAD_LIMIT,
     )
     return -math.exp(-4.0 * lam * val)
 
@@ -190,12 +178,12 @@ def _gauss_legendre(n: int):
     return x, wq
 
 
-def _exponent_nodes(R: float, q: Quadrature):
+def _exponent_nodes(R: float):
     """Gauss-Legendre nodes for int_0^{2R} e^{beta s} G'(s) ds after the
     substitution s = 2R - w^2, which removes the square-root zero of G'
     at s = 2R and makes the rule converge spectrally.  The crescent
     areas at the nodes come from the closed form."""
-    x, wq = _gauss_legendre(q.gauss_nodes)
+    x, wq = _gauss_legendre(GAUSS_NODES)
     wmax = math.sqrt(2.0 * R)
     w = 0.5 * wmax * (x + 1.0)
     jac = 0.5 * wmax * wq * 2.0 * w
@@ -210,9 +198,7 @@ def _exponent_residual(beta: float, lam: float, s, jac, area, rate) -> float:
     return float(np.dot(jac, np.exp(beta * s) * gp)) - 1.0
 
 
-def alpha_occupied(
-    params: ModelParams, q: Quadrature = DEFAULT_QUADRATURE, _nodes=None
-) -> AlphaResult:
+def alpha_occupied(params: ModelParams, _nodes=None) -> AlphaResult:
     """Occupied-set exponent: the unique beta > 0 with
     int_0^{2R} e^{beta s} G'(s) ds = 1.
 
@@ -223,7 +209,7 @@ def alpha_occupied(
     lam, R = params.intensity, params.radius
     if not lam > 0:
         raise ValueError("occupied exponent needs positive intensity")
-    s, jac, area, rate = _nodes if _nodes is not None else _exponent_nodes(R, q)
+    s, jac, area, rate = _nodes if _nodes is not None else _exponent_nodes(R)
 
     def residual(beta):
         return _exponent_residual(beta, lam, s, jac, area, rate)
@@ -251,7 +237,7 @@ def alpha_occupied(
     return AlphaResult(beta, res, iterations)
 
 
-def lambda_gc(R: float, q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def lambda_gc(R: float) -> float:
     """Critical intensity for lines in the occupied set: the lambda at
     which the occupied exponent equals one.
 
@@ -263,10 +249,10 @@ def lambda_gc(R: float, q: Quadrature = DEFAULT_QUADRATURE) -> float:
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    nodes = _exponent_nodes(R, q)
+    nodes = _exponent_nodes(R)
 
     def excess(lam):
-        return alpha_occupied(ModelParams(lam, R), q, _nodes=nodes).alpha - 1.0
+        return alpha_occupied(ModelParams(lam, R), _nodes=nodes).alpha - 1.0
 
     lo = hi = 1.0 / (2.0 * math.sinh(R))  # vacant threshold as a starting scale
     if excess(lo) > 0.0:
@@ -286,7 +272,7 @@ def lambda_gc(R: float, q: Quadrature = DEFAULT_QUADRATURE) -> float:
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    check = alpha_occupied(ModelParams(lam, R), q, _nodes=nodes)
+    check = alpha_occupied(ModelParams(lam, R), _nodes=nodes)
     if abs(check.alpha - 1.0) > 1e-8:
         raise SolverError(f"lambda_gc residual |alpha-1| = {abs(check.alpha-1.0):.3e}")
     return lam

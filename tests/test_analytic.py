@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from hyperc.analytic import (
-    Quadrature,
     SolverError,
     alpha_occupied,
     alpha_vacant,
@@ -248,14 +247,3 @@ class TestLongRangePercolation:
         for bad in (0, 1):
             with pytest.raises(ValueError):
                 lrp_edge_measure(0, bad)
-
-
-class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Quadrature(abs_tol=0.0)
-
-    def test_custom_tolerances_accepted(self):
-        q = Quadrature(abs_tol=1e-10, rel_tol=1e-10, gauss_nodes=120)
-        res = alpha_occupied(ModelParams(1.0, 1.0), q)
-        assert abs(res.residual) < 1e-10
