@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .geometry import Geodesic, disk_angle_from_ideal, to_disk
+from .geometry import Geodesic, disk_angle_from_ideal
 from .sampling import BooleanSample, LineSample
 from .treecover import EmbeddedTree
 

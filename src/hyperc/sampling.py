@@ -24,8 +24,6 @@ from .geometry import (
     ORIGIN,
     axis_coordinates,
     ball_area,
-    dist,
-    ideal_from_disk_angle,
     polar_around_origin,
 )
 

@@ -30,7 +30,7 @@ from .geometry import (
     to_disk,
     to_hyperboloid,
 )
-from .sampling import BooleanSample, LineSample, WindowError
+from .sampling import BooleanSample, LineSample
 
 __all__ = [
     "Word",
