@@ -400,12 +400,7 @@ _COMMANDS = {
     "alpha": (
         _cmd_alpha,
         "decay exponent of f(r)",
-        [
-            _model("vacant"),
-            _lam(),
-            _R,
-            _OUT,
-        ],
+        [_model("vacant"), _lam(), _R, _OUT],
     ),
     "critical": (
         _cmd_critical,
