@@ -30,7 +30,6 @@ __all__ = [
     "area_crescent_closed_form",
     "hitting_cdf",
     "hitting_density",
-    "hitting_H",
     "alpha_occupied",
     "lambda_gc",
     "f_grassmann",
@@ -153,20 +152,6 @@ def hitting_density(s, params: ModelParams):
     rate = 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(s_arr / 2.0) ** 2 - 1.0, 0.0))
     out = lam * rate * np.exp(-lam * area)
     return out if np.ndim(s) else float(out[0])
-
-
-def hitting_H(t: float, params: ModelParams) -> float:
-    """The half-range form: -exp(-4 lambda int_0^{t/2} ...); equals G - 1."""
-    lam, R = params.intensity, params.radius
-    val, _ = integrate.quad(
-        lambda s: math.sqrt(max(math.cosh(R) ** 2 / math.cosh(s) ** 2 - 1.0, 0.0)),
-        0.0,
-        min(t, 2.0 * R) / 2.0,
-        epsabs=QUAD_TOL,
-        epsrel=QUAD_TOL,
-        limit=QUAD_LIMIT,
-    )
-    return -math.exp(-4.0 * lam * val)
 
 
 @lru_cache(maxsize=None)

@@ -90,16 +90,16 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+def _from_config(opt: _Option, text: str):
+    """A config-file value converted with the option's declared type, as
+    its flag would be; a switch takes true or false."""
+    if opt.type is None:
+        return text
+    if opt.type is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"config key {opt.key} must be true or false, got {text!r}")
+        return text.lower() == "true"
+    return opt.type(text)
 
 
 def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
@@ -108,7 +108,7 @@ def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
     for opt in options:
         value = getattr(args, opt.key)
         if value is None and opt.key in config:
-            value = _coerce(config[opt.key])
+            value = _from_config(opt, config[opt.key])
         if value is None:
             value = opt.default
         if value is _REQUIRED:
@@ -119,7 +119,7 @@ def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
 
 def _resolve_seed(cfg: dict) -> int:
     if cfg.get("seed") is not None:
-        return int(cfg["seed"])
+        return cfg["seed"]
     env = os.environ.get("HYPERC_SEED")
     if env:
         return int(env)
@@ -128,10 +128,8 @@ def _resolve_seed(cfg: dict) -> int:
     return seed
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _json_ready(obj):
@@ -211,7 +209,7 @@ def _cmd_simulate_f(cfg):
     model = cfg["model"]
     params = ModelParams(cfg["lam"], None if model == "lines" else cfg["R"])
     result = estimate_f(
-        model, params, rs, int(cfg["trials"]), RngStream(cfg["seed"]), workers=int(cfg["workers"])
+        model, params, rs, cfg["trials"], RngStream(cfg["seed"]), workers=cfg["workers"]
     )
     if model == "vacant":
         alpha_ref = analytic.alpha_vacant(params)
@@ -240,16 +238,16 @@ def _cmd_rays(cfg):
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
     counts = []
     nonempty = 0
-    for i in range(int(cfg["samples"])):
+    for i in range(cfg["samples"]):
         rs = surviving_directions(
-            cfg["model"], params, cfg["r"], int(cfg["directions"]), RngStream(cfg["seed"], i + 1)
+            cfg["model"], params, cfg["r"], cfg["directions"], RngStream(cfg["seed"], i + 1)
         )
         counts.append(len(rs.surviving))
         nonempty += bool(rs.surviving)
     return {
         "mean_survivors": float(np.mean(counts)),
-        "survival_probability": nonempty / int(cfg["samples"]),
-        "samples": int(cfg["samples"]),
+        "survival_probability": nonempty / cfg["samples"],
+        "samples": cfg["samples"],
     }
 
 
@@ -257,20 +255,20 @@ def _cmd_detect_line(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
     found = 0
-    for i in range(int(cfg["samples"])):
+    for i in range(cfg["samples"]):
         det = detect_line_through_ball(
             cfg["model"], params, cfg["s"], cfg["r"], RngStream(cfg["seed"], i + 1),
-            n_directions=int(cfg["directions"]),
+            n_directions=cfg["directions"],
         )
         found += det.found
-    return {"detections": found, "frequency": found / int(cfg["samples"])}
+    return {"detections": found, "frequency": found / cfg["samples"]}
 
 
 def _cmd_s_dist(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     params = ModelParams(cfg["lam"], cfg["R"])
-    result = estimate_S_cdf(params, int(cfg["trials"]), RngStream(cfg["seed"]))
-    ts = np.linspace(0.0, 2.0 * cfg["R"], int(cfg["grid"]) + 1)[1:]
+    result = estimate_S_cdf(params, cfg["trials"], RngStream(cfg["seed"]))
+    ts = np.linspace(0.0, 2.0 * cfg["R"], cfg["grid"] + 1)[1:]
     emp = result.empirical_cdf(ts)
     ana = np.asarray([analytic.hitting_cdf(t, params) for t in ts])
     if cfg["csv"]:
@@ -311,7 +309,7 @@ def _cmd_grassmann(cfg):
         rs = [float(k) for k in range(1, int(cfg["mc_rmax"]) + 1)]
         for lam in _float_list(cfg["mc_lambda"]):
             est = estimate_f(
-                "lines", ModelParams(lam), rs, int(cfg["mc_trials"]), RngStream(cfg["seed"])
+                "lines", ModelParams(lam), rs, cfg["mc_trials"], RngStream(cfg["seed"])
             )
             mc.append(
                 {
@@ -328,7 +326,7 @@ def _cmd_grassmann(cfg):
 
 def _cmd_lrp(cfg):
     rows = []
-    for n in range(int(cfg["nmin"]), int(cfg["nmax"]) + 1):
+    for n in range(cfg["nmin"], cfg["nmax"] + 1):
         measure = analytic.lrp_edge_measure(0, n)
         prob = analytic.lrp_edge_prob(0, n, cfg["lam"], cfg["c"])
         rows.append((n, measure, prob, n * n * prob))
@@ -344,15 +342,15 @@ def _cmd_lrp(cfg):
 
 def _cmd_tree(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    tree = build_tree(cfg["arc_length"], int(cfg["depth"]))
+    tree = build_tree(cfg["arc_length"], cfg["depth"])
     results = {
         "vertices": len(tree.vertices),
         "edge_length": tree.edge_length(),
     }
     if cfg["check_separation"]:
-        ok = all(check_separation(tree, w) for w in reduced_words(int(cfg["depth"])))
+        ok = all(check_separation(tree, w) for w in reduced_words(cfg["depth"]))
         results["all_separated"] = ok
-    est = estimate_R_prime(tree, int(cfg["paths"]), RngStream(cfg["seed"]))
+    est = estimate_R_prime(tree, cfg["paths"], RngStream(cfg["seed"]))
     results["r_prime"] = est.line_to_vertices
     results["vertex_to_line"] = est.vertex_to_line
     if cfg["svg"]:
@@ -372,7 +370,7 @@ def _cmd_render(cfg):
         sample = sample_points(ModelParams(cfg["lam"], cfg["R"]), ORIGIN, cfg["window"], stream)
         content = render.render_boolean(sample)
     elif model == "tree":
-        content = render.render_tree(build_tree(cfg["arc_length"], int(cfg["depth"])))
+        content = render.render_tree(build_tree(cfg["arc_length"], cfg["depth"]))
     else:
         raise ValueError(f"unknown render model {model!r}")
     render.write_svg(content, cfg["out"])
@@ -544,10 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _read_config(args.config) if args.config else {}
     handler, _, options = _COMMANDS[args.command]
     started = time.monotonic()
     try:
+        config = _read_config(args.config) if args.config else {}
         cfg = _resolve(args, config, options)
         results = handler(cfg)
         if results is not None:

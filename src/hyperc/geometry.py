@@ -27,7 +27,6 @@ __all__ = [
     "dist_to_geodesic",
     "dist_to_frame",
     "offset_point",
-    "apply_isometry",
     "reflect",
     "reflection_in",
     "to_disk",
@@ -324,14 +323,6 @@ def offset_point(frame: GeodesicFrame, s: float, y: float) -> HPoint:
     rho = math.exp(frame.direction * s)
     w = HPoint(rho * math.cos(theta), rho * math.sin(theta))
     return frame._matrix.apply(w)
-
-
-def apply_isometry(m: Isometry, obj):
-    if isinstance(obj, HPoint):
-        return m.apply(obj)
-    if isinstance(obj, Geodesic):
-        return m.apply_geodesic(obj)
-    raise TypeError(f"cannot apply isometry to {type(obj).__name__}")
 
 
 def reflection_in(g: Geodesic) -> Isometry:

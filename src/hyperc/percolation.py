@@ -6,6 +6,10 @@ models makes this lossless.  Every Boolean-model path reduces its
 question to one kernel, ``_reaches``: given the Fermi coordinates
 (foot, offset) of the balls around a batch of segments, it returns each
 segment's containment threshold in the vacant or the occupied set.
+Every lines path that asks which side of a line a point is on (segment
+avoidance, the chord check, the tube sandwich) asks ``LineSample.sides``;
+``estimate_f`` and the ray survivors read the crossing feet and the
+blocked arcs of directions instead, which need no side test.
 ``estimate_f`` draws only what can touch its longest segment: the
 Poisson points of the segment's R-neighbourhood, or for lines only the
 feet where they cross it.  Each trial draws from its own generator,
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import ndimage, stats
+from scipy import ndimage
 
 from .geometry import (
     GeodesicFrame,
@@ -64,7 +68,6 @@ __all__ = [
     "detect_line_through_ball",
     "estimate_S_cdf",
     "sandwich_AQ",
-    "two_proportion_pvalue",
 ]
 
 logger = logging.getLogger(__name__)
@@ -222,24 +225,12 @@ def segment_in_occupied(seg: Segment, sample: BooleanSample) -> bool:
     return bool(_segment_reach(seg, sample, "occupied") >= seg.length)
 
 
-def _line_side_values(sample: LineSample, z: complex) -> np.ndarray:
-    vertical = np.isinf(sample.b)
-    c = 0.5 * (sample.a + sample.b)
-    r = 0.5 * (sample.b - sample.a)
-    with np.errstate(invalid="ignore"):
-        circ = (z.real - c) ** 2 + z.imag**2 - r * r
-    return np.where(vertical, z.real - sample.a, circ)
-
-
 def segment_avoids_lines(seg: Segment, sample: LineSample) -> bool:
     """True iff no sampled line strictly separates the segment endpoints."""
     p, q = seg.endpoints()
     reach = max(dist(ORIGIN, p), dist(ORIGIN, q))
     sample.require_window(reach, "line avoidance")
-    if len(sample) == 0:
-        return True
-    sp = _line_side_values(sample, p.as_complex())
-    sq = _line_side_values(sample, q.as_complex())
+    sp, sq = sample.sides(to_hyperboloid([p.as_complex(), q.as_complex()]))
     return bool(np.all(sp * sq >= 0.0))
 
 
@@ -485,16 +476,14 @@ def detect_line_through_ball(
     cand_i, cand_j = np.nonzero(np.triu((miss <= tol) & (_chord_distance(r, delta) < s), 1))
     for k in np.argsort(miss[cand_i, cand_j], kind="stable"):
         i, j = int(idx[cand_i[k]]), int(idx[cand_j[k]])
+        pq = to_hyperboloid(polar_around_origin(np.full(2, r), thetas[[i, j]]))
         if model == "lines":
-            side = np.tanh(r) * np.cos(thetas[[i, j], None] - sample.foot_dir)
-            side -= np.tanh(sample.foot_dist)
-            if np.any(side[0] * side[1] < 0.0):
-                continue
+            side = sample.sides(pq)
+            contained = not np.any(side[0] * side[1] < 0.0)
         else:
-            pq = to_hyperboloid(polar_around_origin(np.full(2, r), thetas[[i, j]]))
-            if not _net_contained(pq[:1], pq[1:], w, params.radius, model):
-                continue
-        return LineDetection(True, (i, j), len(idx))
+            contained = _net_contained(pq[:1], pq[1:], w, params.radius, model)
+        if contained:
+            return LineDetection(True, (i, j), len(idx))
     return LineDetection(False, None, len(idx))
 
 
@@ -554,14 +543,21 @@ def _ball_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
     return math.exp(center_foot) * np.concatenate(chunks)
 
 
-def _lines_net_clear(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray) -> bool:
-    """No sampled line separates any net pair, hence none crosses the tube."""
-    sx = np.stack([_line_side_values(sample, complex(z)) for z in net_x])
-    sy = np.stack([_line_side_values(sample, complex(z)) for z in net_y])
-    x_lo, x_hi = sx.min(axis=0), sx.max(axis=0)
-    y_lo, y_hi = sy.min(axis=0), sy.max(axis=0)
-    crossed = ((x_lo < 0) & (y_hi > 0)) | ((x_hi > 0) & (y_lo < 0))
-    return not bool(crossed.any())
+def _lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
+    """(A, f, Q) of one line realization for the tube whose end nets
+    net_x and net_y (hyperboloid vectors) start with the end centres.
+
+    The tube is convex, so two of its points are joined off the lines
+    iff no line separates them, that is iff their rows of signs of
+    ``sides`` are equal.  f joins the end centres, A some point of each
+    net, and Q every point of both nets.
+    """
+    pos_x, pos_y = sample.sides(net_x) > 0.0, sample.sides(net_y) > 0.0
+    f_ok = bool(np.array_equal(pos_x[0], pos_y[0]))
+    both = np.concatenate([pos_x, pos_y])
+    q_ok = bool(np.all(both.all(axis=0) | ~both.any(axis=0)))
+    a_ok = f_ok or bool({row.tobytes() for row in pos_x} & {row.tobytes() for row in pos_y})
+    return a_ok, f_ok, q_ok
 
 
 def _blocked_cells(cells_flat, cells_y, pts, R) -> np.ndarray:
@@ -597,7 +593,8 @@ def sandwich_AQ(
     """Estimate the triple (P(A), f, P(Q)) for the s-tube between x and y.
 
     Q tests containment of a net of segments spanning the tube, A runs
-    a flood fill over a foot-by-offset grid of the tube, and f tests
+    a flood fill over a foot-by-offset grid of the tube (lines: some
+    point of each end net on the same side of every line), and f tests
     the central segment.  All three share each trial's sample and the
     discretizations are one-sided, so Q <= f <= A holds per realization.
     Only d(x, y) enters; trials run in canonical position with the tube
@@ -619,47 +616,36 @@ def sandwich_AQ(
     half_d = d / 2.0
     net_x = _ball_net(-half_d, s, net_mesh)
     net_y = _ball_net(half_d, s, net_mesh)
-    if model != "lines":
-        seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
-        seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
-
-    n_t = int(math.ceil((d + 2.0 * s) / grid_mesh)) + 1
-    n_v = 2 * int(math.ceil(s / grid_mesh)) + 1
-    tt, vv = np.meshgrid(
-        np.linspace(-half_d - s, half_d + s, n_t),
-        np.linspace(-s, s, n_v),
-        indexing="ij",
-    )
-    theta = 2.0 * np.arctan(np.exp(vv))
-    cells = np.exp(tt) * (np.cos(theta) + 1j * np.sin(theta))
-    d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(vv), 1.0))
-    d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(vv), 1.0))
-    in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
-    start_cells = in_region & (d_x < s)
-    end_cells = in_region & (d_y < s)
-    cells_flat = cells.ravel()
-    cells_y = cells_flat.imag
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    region_connected = _flood_connected(in_region, start_cells, end_cells, structure)
-
     gen = rng.generator()
-    centre = Segment(GeodesicFrame.canonical_axis(), -half_d, d)
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
     rho = half_d + s
-    zx, zy = complex(0.0, math.exp(-half_d)), complex(0.0, math.exp(half_d))
-    n_A = n_f = n_Q = 0
-
-    for _ in range(trials):
-        if model == "lines":
-            lsample = sample_lines(lam, rho, gen)
-            sx = _line_side_values(lsample, zx)
-            sy = _line_side_values(lsample, zy)
-            f_ok = bool(np.all(sx * sy >= 0.0))
-            q_ok = f_ok and _lines_net_clear(lsample, net_x, net_y)
-            # tube cells miss the measure-zero lines almost surely
-            a_ok = True if f_ok else region_connected
-        else:
+    if model == "lines":
+        hx, hy = to_hyperboloid(net_x), to_hyperboloid(net_y)
+        events = [_lines_tube_events(sample_lines(lam, rho, gen), hx, hy) for _ in range(trials)]
+    else:
+        events = []
+        seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
+        seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
+        n_t = int(math.ceil((d + 2.0 * s) / grid_mesh)) + 1
+        n_v = 2 * int(math.ceil(s / grid_mesh)) + 1
+        tt, vv = np.meshgrid(
+            np.linspace(-half_d - s, half_d + s, n_t),
+            np.linspace(-s, s, n_v),
+            indexing="ij",
+        )
+        theta = 2.0 * np.arctan(np.exp(vv))
+        cells = np.exp(tt) * (np.cos(theta) + 1j * np.sin(theta))
+        d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(vv), 1.0))
+        d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(vv), 1.0))
+        in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
+        start_cells = in_region & (d_x < s)
+        end_cells = in_region & (d_y < s)
+        cells_flat = cells.ravel()
+        cells_y = cells_flat.imag
+        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        centre = Segment(GeodesicFrame.canonical_axis(), -half_d, d)
+        for _ in range(trials):
             psample = sample_points(params, ORIGIN, rho + R, gen)
             pts = psample.points
             f_ok = bool(_segment_reach(centre, psample, model) >= d)
@@ -674,21 +660,6 @@ def sandwich_AQ(
                     end_cells,
                     structure,
                 )
-        n_A += a_ok
-        n_f += f_ok
-        n_Q += q_ok
+            events.append((a_ok, f_ok, q_ok))
+    n_A, n_f, n_Q = (sum(col) for col in zip(*events))
     return SandwichResult(n_A / trials, n_f / trials, n_Q / trials, trials)
-
-
-# ---------------------------------------------------------------------------
-
-
-def two_proportion_pvalue(k1: int, n1: int, k2: int, n2: int) -> float:
-    """One-sided two-proportion z test: P(observing rate1 - rate2 this
-    large under equal rates)."""
-    p1, p2 = k1 / n1, k2 / n2
-    pool = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(pool * (1.0 - pool) * (1.0 / n1 + 1.0 / n2))
-    if se == 0.0:
-        return 0.5
-    return float(stats.norm.sf((p1 - p2) / se))

@@ -72,7 +72,7 @@ def _arc_segment(p1, p2, center, radius, stroke, width) -> str:
     )
 
 
-def _geodesic_element(g: Geodesic, stroke="steelblue", width=0.004) -> str:
+def _geodesic_element(g: Geodesic, stroke: str, width: float) -> str:
     return _arc_path(disk_angle_from_ideal(g.a), disk_angle_from_ideal(g.b), stroke, width)
 
 
@@ -130,8 +130,11 @@ def render_boolean(sample: BooleanSample, size: int = 600) -> str:
 def render_lines(sample: LineSample, size: int = 600) -> str:
     """A line-process realization, arcs orthogonal to the boundary."""
     lines = _header(size)
-    for g in sample.geodesics():
-        lines.append(_geodesic_element(g))
+    for p, phi in zip(sample.foot_dist, sample.foot_dir):
+        # the line's ends lie arccos(tanh p) either side of its foot direction
+        delta = math.acos(math.tanh(p))
+        ends = sorted(((phi - delta) % (2.0 * math.pi), (phi + delta) % (2.0 * math.pi)))
+        lines.append(_arc_path(*ends, "steelblue", 0.004))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -18,12 +18,11 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import (
-    INF,
-    Geodesic,
     HPoint,
     ORIGIN,
     axis_coordinates,
     ball_area,
+    minkowski,
     polar_around_origin,
 )
 
@@ -99,9 +98,6 @@ class BooleanSample:
     def __len__(self) -> int:
         return len(self.points)
 
-    def hpoints(self) -> list[HPoint]:
-        return [HPoint(z.real, z.imag) for z in self.points]
-
     def require_window(self, reach: float, what: str = "query") -> None:
         """Fail when a query needs geometry beyond the sampled window."""
         if reach > self.window_radius + 1e-9:
@@ -113,26 +109,32 @@ class BooleanSample:
 
 @dataclass(frozen=True)
 class LineSample:
-    """Poisson lines meeting B(origin, ref_radius).
-
-    Lines are stored both as UHP ideal endpoint pairs (a, b) and in
-    polar form: ``foot_dist`` is the hyperbolic distance from (0, 1) to
-    the line and ``foot_dir`` the disk-model direction of the nearest
-    point.
+    """Poisson lines meeting B(origin, ref_radius), in polar form:
+    ``foot_dist`` is the hyperbolic distance from (0, 1) to the line and
+    ``foot_dir`` the disk-model direction of its nearest point.
     """
 
     intensity: float
     ref_radius: float
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
     foot_dist: np.ndarray = field(repr=False)
     foot_dir: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.foot_dist)
 
-    def geodesics(self) -> list[Geodesic]:
-        return [Geodesic(ai, bi) for ai, bi in zip(self.a, self.b)]
+    def sides(self, w: np.ndarray) -> np.ndarray:
+        """sinh of the signed distance from each hyperboloid vector in w,
+        of shape (..., 3), to each line; the result has shape
+        (..., len(self)).
+
+        The line at foot (p, phi) has the unit normal
+        n = (-cosh p sin phi, cosh p cos phi, sinh p), and the side is
+        <w, n> in the Minkowski form; (0, 1) lies on the negative side of
+        every line.
+        """
+        p, phi = self.foot_dist, self.foot_dir
+        n = np.stack([-np.cosh(p) * np.sin(phi), np.cosh(p) * np.cos(phi), np.sinh(p)], axis=-1)
+        return minkowski(np.asarray(w)[..., None, :], n)
 
     def require_window(self, reach: float, what: str = "query") -> None:
         if reach > self.ref_radius + 1e-9:
@@ -181,8 +183,7 @@ def sample_lines(
     n = gen.poisson(intensity * phi_ball(rho))
     p = np.arcsinh(gen.uniform(0.0, 1.0, n) * math.sinh(rho))
     phi = gen.uniform(0.0, 2.0 * math.pi, n)
-    a, b = _polar_to_ideal(p, phi)
-    return LineSample(intensity, rho, a, b, p, phi)
+    return LineSample(intensity, rho, p, phi)
 
 
 def sample_tube(params: ModelParams, length: float, gens):
@@ -235,62 +236,6 @@ def sample_crossings(intensity: float, length: float, gens):
         feet.append(gen.uniform(0.0, length, counts[-1]))
     trial = np.repeat(np.arange(len(counts)), counts)
     return trial, np.concatenate(feet)
-
-
-def _polar_to_ideal(p: np.ndarray, phi: np.ndarray):
-    """Ideal endpoints of the line at foot distance p, foot direction phi."""
-    delta = np.arccos(np.tanh(p))
-    a = _ideal_from_angles(phi - delta)
-    b = _ideal_from_angles(phi + delta)
-    return a, b
-
-
-def _ideal_from_angles(theta: np.ndarray) -> np.ndarray:
-    half = 0.5 * np.mod(theta, 2.0 * np.pi)
-    t = np.tan(half)
-    with np.errstate(divide="ignore"):
-        out = -1.0 / t
-    return np.where(t == 0.0, INF, out)
-
-
-def sample_lines_rejection(
-    intensity: float, rho: float, gen: np.random.Generator, count: int | None = None
-):
-    """Reference sampler: rejection on boundary-angle pairs.
-
-    Proposes (alpha, beta) uniformly on the circle squared and accepts
-    with probability proportional to |e^{i alpha} - e^{i beta}|^{-2},
-    restricted to pairs whose line meets B(o, rho).  The acceptance
-    rate collapses like e^{-2 rho}, so this is only usable for small
-    windows; it exists to cross-validate ``sample_lines``.
-    """
-    dmin = 2.0 * math.acos(math.tanh(rho))
-    n = gen.poisson(intensity * phi_ball(rho)) if count is None else count
-    bound = 1.0 / (4.0 * math.sin(dmin / 2.0) ** 2)
-    alphas = []
-    betas = []
-    got = 0
-    while got < n:
-        a = gen.uniform(0.0, 2.0 * math.pi, 4096)
-        b = gen.uniform(0.0, 2.0 * math.pi, 4096)
-        gap = np.abs(a - b)
-        gap = np.minimum(gap, 2.0 * math.pi - gap)
-        dens = 1.0 / (4.0 * np.sin((a - b) / 2.0) ** 2)
-        keep = (gap > dmin) & (gen.uniform(0.0, 1.0, 4096) < dens / bound)
-        alphas.append(a[keep])
-        betas.append(b[keep])
-        got += int(keep.sum())
-    a = np.concatenate(alphas)[:n]
-    b = np.concatenate(betas)[:n]
-    # polar form for comparisons: foot distance from the gap, direction
-    # from the bisector of the short arc
-    gap = np.abs(a - b)
-    sep = np.minimum(gap, 2.0 * math.pi - gap)
-    p = np.arctanh(np.cos(sep / 2.0))
-    mid = 0.5 * (a + b)
-    phi = np.mod(np.where(gap > math.pi, mid + math.pi, mid), 2.0 * math.pi)
-    ga, gb = _polar_to_ideal(p, phi)
-    return LineSample(intensity, rho, ga, gb, p, phi)
 
 
 def phi_segment(r: float) -> float:

@@ -249,19 +249,8 @@ def tree_site_reduction(
         if not isinstance(sample, LineSample):
             raise TypeError("lines model needs a LineSample")
         sample.require_window(reach + r_prime, "tree site reduction")
-        if len(sample) == 0:
-            return set(words)
-        w_h = to_hyperboloid(verts)
-        normals = np.stack(
-            [
-                -np.cosh(sample.foot_dist) * np.sin(sample.foot_dir),
-                np.cosh(sample.foot_dist) * np.cos(sample.foot_dir),
-                np.sinh(sample.foot_dist),
-            ],
-            axis=-1,
-        )
-        sinh_d = np.abs(np.einsum("vk,lk->vl", w_h, normals))
-        open_mask = np.arcsinh(sinh_d).min(axis=1) >= r_prime
+        sinh_d = np.abs(sample.sides(to_hyperboloid(verts)))
+        open_mask = np.all(sinh_d >= math.sinh(r_prime), axis=1)
         return {w for w, ok in zip(words, open_mask) if ok}
 
     if not isinstance(sample, BooleanSample):
@@ -269,10 +258,8 @@ def tree_site_reduction(
     R = sample.params.radius
     sample.require_window(reach + r_prime + R, "tree site reduction")
     if model == "vacant":
-        if len(sample) == 0:
-            return set(words)
         dmat = dist_arrays(verts[:, None], sample.points[None, :])
-        open_mask = dmat.min(axis=1) >= R + r_prime
+        open_mask = np.all(dmat >= R + r_prime, axis=1)
         return {w for w, ok in zip(words, open_mask) if ok}
     if model != "occupied":
         raise ValueError("model must be vacant, occupied, or lines")

@@ -12,7 +12,6 @@ from hyperc.analytic import (
     area_crescent_closed_form,
     f_grassmann,
     f_vacant,
-    hitting_H,
     hitting_cdf,
     hitting_density,
     lambda_gc,
@@ -24,6 +23,21 @@ from hyperc.geometry import ball_area
 from hyperc.sampling import ModelParams
 
 RNG = np.random.default_rng(77)
+
+
+def hitting_H(t: float, params: ModelParams) -> float:
+    """The half-range form of the hitting law, -exp(-4 lambda int_0^{t/2}
+    sqrt(cosh^2 R / cosh^2 s - 1) ds); the oracle for G - 1."""
+    lam, R = params.intensity, params.radius
+    val, _ = integrate.quad(
+        lambda s: math.sqrt(max(math.cosh(R) ** 2 / math.cosh(s) ** 2 - 1.0, 0.0)),
+        0.0,
+        min(t, 2.0 * R) / 2.0,
+        epsabs=1e-12,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return -math.exp(-4.0 * lam * val)
 
 
 class TestVacantClosedForms:

@@ -121,3 +121,59 @@ def test_grassmann_resolves_a_seed_only_for_monte_carlo(flags, generated, capsys
     captured = capsys.readouterr()
     assert ("generated seed" in captured.err) == generated
     assert (json.loads(captured.out)["config"]["seed"] is not None) == generated
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["alpha", "--model", "lines", "--lambda", "1"], "model = lines\nlam = 1\n"),
+        (
+            ["simulate-f", "--model", "occupied", "--lambda", "1", "--r-values", "0,1",
+             "--trials", "200", "--seed", "5"],
+            "model = occupied\nlam = 1\nr-values = 0,1\ntrials = 200\nseed = 5\n",
+        ),
+        (
+            ["tree", "--depth", "2", "--paths", "4", "--check-separation", "--seed", "3"],
+            "depth = 2\npaths = 4\ncheck_separation = TRUE\nseed = 3\n",
+        ),
+    ],
+    ids=["alpha", "simulate-f", "tree"],
+)
+def test_config_file_and_flags_give_identical_summaries(tmp_path, argv, config):
+    """Config values take each option's declared type, as flags do."""
+    path = tmp_path / "run.cfg"
+    path.write_text(config, encoding="utf-8")
+    out = tmp_path / "out.json"
+    summaries = []
+    for args in (argv, [argv[0], "--config", str(path)]):
+        assert main([*args, "--out", str(out)]) == 0
+        summaries.append(out.read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+def test_config_switch_can_be_false(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("check_separation = false\n", encoding="utf-8")
+    assert main(["tree", "--depth", "2", "--paths", "4", "--seed", "3", "--config", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["config"]["check_separation"] is False
+    assert "all_separated" not in summary["results"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("alpha", None),
+        ("alpha", "lam = 0.2\nmodel\n"),
+        ("simulate-f", "lam = 0.2\ntrials = many\n"),
+        ("tree", "check_separation = yes\n"),
+    ],
+    ids=["missing-file", "no-equals", "bad-int", "bad-switch"],
+)
+def test_bad_config_is_a_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("hyperc: ") and "Traceback" not in err

@@ -23,8 +23,9 @@ from hyperc.percolation import (
     _block_thresholds,
     _boolean_ray_survivors,
     _chord_distance,
+    _ball_net,
     _coverage_reaches,
-    _line_side_values,
+    _lines_tube_events,
     _net_contained,
     detect_line_through_ball,
     estimate_f,
@@ -39,7 +40,6 @@ from hyperc.sampling import (
     LineSample,
     ModelParams,
     RngStream,
-    _polar_to_ideal,
     sample_crossings,
     sample_points,
     sample_tube,
@@ -131,11 +131,10 @@ def _crossing_lines(lam, feet, r_max, gen) -> LineSample:
     """Lines that cross the axis at the given feet, at random angles."""
     psi = gen.uniform(-1.4, 1.4, len(feet))
     p = np.arctanh(np.tanh(feet) * np.cos(psi))
-    a, b = _polar_to_ideal(p, psi)
-    lines = LineSample(lam, r_max, a, b, p, np.mod(psi, 2.0 * math.pi))
-    for z in np.exp(feet):
-        side = _line_side_values(lines, complex(0.0, z))
-        assert np.min(np.abs(side) / z**2) < 1e-9  # some line passes through i e^c
+    lines = LineSample(lam, r_max, p, np.mod(psi, 2.0 * math.pi))
+    # some line passes through each i e^c
+    sinh_d = lines.sides(to_hyperboloid(1j * np.exp(feet)))
+    assert np.all(np.min(np.abs(sinh_d), axis=1, initial=1.0) < 1e-9)
     return lines
 
 
@@ -298,15 +297,49 @@ X_TUBE, Y_TUBE = HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0))
 
 
 @pytest.mark.parametrize(
-    "model, params", [("vacant", ModelParams(0.05, 1.0)), ("occupied", ModelParams(0.8, 1.0))]
+    "model, params",
+    [
+        ("vacant", ModelParams(0.05, 1.0)),
+        ("occupied", ModelParams(0.8, 1.0)),
+        ("lines", ModelParams(0.3)),
+    ],
 )
 def test_sandwich_orders_each_realization(model, params):
-    outcomes = set()
+    outcomes, a_events = set(), set()
     for seed in range(10):
         res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 1, RngStream(seed))
         assert res.p_Q <= res.f_hat <= res.p_A, seed
         outcomes.add(res.f_hat)
+        a_events.add(res.p_A)
     assert outcomes == {0.0, 1.0}
+    # a line that crosses the tube from side to side blocks A
+    assert a_events == {0.0, 1.0}
+
+
+@pytest.mark.parametrize(
+    "feet, events",
+    [
+        ([], (True, True, True)),
+        ([-2.03], (True, True, False)),
+        ([-1.97], (True, False, False)),
+        ([-1.97, 1.97], (True, False, False)),
+        ([0.0], (False, False, False)),
+    ],
+)
+def test_lines_tube_events(feet, events):
+    """(A, f, Q) for lines crossing the axis at right angles at the given
+    feet, with the tube's end balls of radius 0.05 around i e^-2 and
+    i e^2: a line behind the start centre cuts off part of the start
+    net (Q fails), a line just past it separates the centres but not
+    the net points beyond it (A holds, f fails), and a line at the
+    middle separates everything."""
+    s = 0.05
+    hx, hy = (to_hyperboloid(_ball_net(c, s, 0.999 * s / 4.0)) for c in (-2.0, 2.0))
+    feet = np.asarray(feet)
+    # the line at right angles to the axis at foot c has its foot there:
+    # distance |c| from (0, 1), disk direction 0 above (0, 1) and pi below
+    lines = LineSample(1.0, 2.05, np.abs(feet), np.where(feet < 0.0, math.pi, 0.0))
+    assert _lines_tube_events(lines, hx, hy) == events
 
 
 @pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from hyperc.geometry import (
-    Geodesic,
     GeodesicFrame,
     HPoint,
     ORIGIN,
@@ -15,8 +14,11 @@ from hyperc.geometry import (
     dist_arrays,
     dist_to_geodesic,
     offset_point,
+    polar_around_origin,
+    to_hyperboloid,
 )
 from hyperc.sampling import (
+    LineSample,
     ModelParams,
     RngStream,
     phi_ball,
@@ -27,10 +29,47 @@ from hyperc.sampling import (
     phi_separating_quadrature,
     sample_crossings,
     sample_lines,
-    sample_lines_rejection,
     sample_points,
     sample_tube,
 )
+
+from line_oracles import geodesic, semicircle_sides
+
+
+def sample_lines_rejection(intensity: float, rho: float, gen: np.random.Generator, count: int):
+    """Reference sampler: rejection on boundary-angle pairs.
+
+    Proposes (alpha, beta) uniformly on the circle squared and accepts
+    with probability proportional to |e^{i alpha} - e^{i beta}|^{-2},
+    restricted to pairs whose line meets B(o, rho).  The acceptance
+    rate collapses like e^{-2 rho}, so this is only usable for small
+    windows; it cross-validates ``sample_lines``.
+    """
+    dmin = 2.0 * math.acos(math.tanh(rho))
+    bound = 1.0 / (4.0 * math.sin(dmin / 2.0) ** 2)
+    alphas = []
+    betas = []
+    got = 0
+    while got < count:
+        a = gen.uniform(0.0, 2.0 * math.pi, 4096)
+        b = gen.uniform(0.0, 2.0 * math.pi, 4096)
+        gap = np.abs(a - b)
+        gap = np.minimum(gap, 2.0 * math.pi - gap)
+        dens = 1.0 / (4.0 * np.sin((a - b) / 2.0) ** 2)
+        keep = (gap > dmin) & (gen.uniform(0.0, 1.0, 4096) < dens / bound)
+        alphas.append(a[keep])
+        betas.append(b[keep])
+        got += int(keep.sum())
+    a = np.concatenate(alphas)[:count]
+    b = np.concatenate(betas)[:count]
+    # polar form: foot distance from the gap, direction from the
+    # bisector of the short arc
+    gap = np.abs(a - b)
+    sep = np.minimum(gap, 2.0 * math.pi - gap)
+    p = np.arctanh(np.cos(sep / 2.0))
+    mid = 0.5 * (a + b)
+    phi = np.mod(np.where(gap > math.pi, mid + math.pi, mid), 2.0 * math.pi)
+    return LineSample(intensity, rho, p, phi)
 
 
 class TestRngStream:
@@ -52,7 +91,7 @@ class TestRngStream:
         l1 = sample_lines(1.0, 2.0, RngStream(9))
         l2 = sample_lines(1.0, 2.0, RngStream(9))
         assert np.array_equal(l1.foot_dist, l2.foot_dist)
-        assert np.array_equal(l1.a, l2.a)
+        assert np.array_equal(l1.foot_dir, l2.foot_dir)
 
 
 class TestSamplePoints:
@@ -124,10 +163,33 @@ class TestSampleLines:
     def test_every_line_meets_reference_ball(self):
         s = sample_lines(2.0, 1.5, RngStream(2))
         assert (s.foot_dist < 1.5 + 1e-9).all()
-        # the stored ideal endpoints agree with the polar form
+        # the line through the polar form's ideal ends passes at foot_dist
         for k in range(min(len(s), 200)):
-            d, _ = dist_to_geodesic(ORIGIN, Geodesic(s.a[k], s.b[k]))
+            d, _ = dist_to_geodesic(ORIGIN, geodesic(s.foot_dist[k], s.foot_dir[k]))
             assert d == pytest.approx(s.foot_dist[k], abs=1e-9)
+
+    def test_sides_match_the_semicircle_oracle(self):
+        """sides is the sinh of the signed distance to each line: its size
+        is the distance to the line through the ideal ends, (0, 1) lies on
+        its negative side, and it separates two points exactly when the
+        UHP semicircle test does."""
+        s = sample_lines(1.0, 3.0, RngStream(7))
+        gen = np.random.default_rng(8)
+        z = polar_around_origin(gen.uniform(0.0, 3.0, 60), gen.uniform(0.0, 2.0 * math.pi, 60))
+        sides = s.sides(to_hyperboloid(z))
+        assert sides.shape == (60, len(s)) and len(s) > 20
+        # each line flips the oracle's sign by one constant factor
+        agree = np.sign(sides) * np.sign(np.stack([semicircle_sides(s, zk) for zk in z]))
+        assert np.all(agree == agree[0])
+        assert np.any(sides > 0.0, axis=0).sum() > 10  # lines that separate some points
+        for k in range(0, 60, 6):
+            for line in range(len(s)):
+                g = geodesic(s.foot_dist[line], s.foot_dir[line])
+                d, _ = dist_to_geodesic(HPoint(z[k].real, z[k].imag), g)
+                assert math.asinh(abs(sides[k, line])) == pytest.approx(d, abs=1e-9)
+        assert np.allclose(s.sides(to_hyperboloid(1j)), -np.sinh(s.foot_dist), rtol=1e-12)
+        assert s.sides(to_hyperboloid(z)[:0]).shape == (0, len(s))
+        assert sample_lines(0.0, 3.0, RngStream(7)).sides(to_hyperboloid(z)).shape == (60, 0)
 
     def test_mean_count_matches_phi_ball(self):
         lam, rho, trials = 1.0, 1.5, 4000
@@ -150,11 +212,7 @@ class TestSampleLines:
             total += len(s)
             if len(s) == 0:
                 continue
-            c = 0.5 * (s.a + s.b)
-            rad = 0.5 * (s.b - s.a)
-            vertical = np.isinf(s.b)
-            s1 = np.where(vertical, z1.real - s.a, (z1.real - c) ** 2 + z1.imag**2 - rad * rad)
-            s2 = np.where(vertical, z2.real - s.a, (z2.real - c) ** 2 + z2.imag**2 - rad * rad)
+            s1, s2 = semicircle_sides(s, z1), semicircle_sides(s, z2)
             hits += int((s1 * s2 < 0).sum())
         p = r / phi_ball(rho)
         z = (hits - total * p) / math.sqrt(total * p * (1 - p))
@@ -182,11 +240,7 @@ class TestSampleLines:
         z2 = complex(0.0, math.exp(r / 2.0))
         for _ in range(trials):
             s = sample_lines(lam, rho, gen)
-            c = 0.5 * (s.a + s.b)
-            rad = 0.5 * (s.b - s.a)
-            vertical = np.isinf(s.b)
-            s1 = np.where(vertical, z1.real - s.a, (z1.real - c) ** 2 + z1.imag**2 - rad * rad)
-            s2 = np.where(vertical, z2.real - s.a, (z2.real - c) ** 2 + z2.imag**2 - rad * rad)
+            s1, s2 = semicircle_sides(s, z1), semicircle_sides(s, z2)
             clear += bool((s1 * s2 >= 0).all())
         p = math.exp(-lam * r)
         z = (clear - trials * p) / math.sqrt(trials * p * (1 - p))
