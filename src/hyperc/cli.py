@@ -103,7 +103,11 @@ def _from_config(opt: _Option, text: str):
 
 
 def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
-    """CLI flag > config file entry > builtin default."""
+    """CLI flag > config file entry > builtin default; a config key that
+    no option of the subcommand reads is an error."""
+    unknown = sorted(set(config) - {opt.key for opt in options})
+    if unknown:
+        raise ValueError(f"config keys not read by {args.command}: {', '.join(unknown)}")
     resolved = {}
     for opt in options:
         value = getattr(args, opt.key)

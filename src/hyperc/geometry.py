@@ -71,10 +71,6 @@ class HPoint:
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
 
-    @staticmethod
-    def from_complex(z: complex) -> "HPoint":
-        return HPoint(float(z.real), float(z.imag))
-
 
 ORIGIN = HPoint(0.0, 1.0)
 

@@ -15,8 +15,10 @@ Poisson points of the segment's R-neighbourhood, or for lines only the
 feet where they cross it.  Each trial draws from its own generator,
 keyed by the trial index; the trials run in blocks, each reduced at
 once.  Rays, chords and the tube sandwich draw exactly the ball that
-can reach them.  The per-segment predicates are exposed as well, and the
-tests cross-check every path against them on the same realization.
+can reach them, and measure each ray, net segment or grid cell only
+against the points that can come within R of it.  The per-segment
+predicates are exposed as well, and the tests cross-check every path
+against them on the same realization.
 """
 
 from __future__ import annotations
@@ -143,9 +145,6 @@ class SandwichResult:
     f_hat: float
     p_Q: float
     trials: int
-
-    def half_width(self, p: float) -> float:
-        return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -349,26 +348,40 @@ def estimate_f(
 # ray survival and line detection
 
 
-def _boolean_ray_survivors(sample: BooleanSample, r, thetas, model, block=16):
-    """Directions whose ray of length r from (0, 1) lies in the set;
-    the direction index is the kernel's segment index."""
+def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str) -> np.ndarray:
+    """Directions whose ray of length r from (0, 1) lies in the set; the
+    direction index is the kernel's segment index.
+
+    A point at polar (t, psi) with t > R keeps more than R from (0, 1),
+    so it can come within R only of the rays that run toward it, in the
+    directions theta with |theta - psi| < beta, sin beta = sinh R / sinh t.
+    Such a point is measured on the grid directions of that arc and the
+    next one beyond each end, a point with t <= R on every direction; a
+    margin of 1e-9 on t keeps ties at distance R decided as by measuring
+    every pair.
+    """
     R = sample.params.radius
     sample.require_window(r + R, "ray survival")
+    h = 2.0 * math.pi / n_dir
+    thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     # polar coordinates around (0, 1) from the Cayley disk coordinate
     w = (sample.points - 1j) / (sample.points + 1j)
     t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
-    sinh_t, tanh_t = np.sinh(t), np.tanh(t)
-    segs, feet, offsets = [], [], []
-    for lo in range(0, len(thetas), block):
-        dpsi = psi[None, :] - thetas[lo : lo + block, None]
-        perp = np.arcsinh(sinh_t[None, :] * np.abs(np.sin(dpsi)))
-        k, j = np.nonzero(perp < R)
-        tanh_foot = np.clip(tanh_t[j] * np.cos(dpsi[k, j]), -1.0 + 1e-15, 1.0 - 1e-15)
-        segs.append(lo + k)
-        feet.append(np.arctanh(tanh_foot))
-        offsets.append(perp[k, j])
-    seg, foot, offset = map(np.concatenate, (segs, feet, offsets))
-    return _reaches(model, seg, foot, offset, R, len(thetas)) >= r
+    sinh_t = np.sinh(t)
+    beta = np.arcsin(math.sinh(R) / np.maximum(sinh_t, math.sinh(R)))
+    # each point's run [lo, hi] of direction indices, expanded into pairs
+    lo = np.floor((psi - beta) / h).astype(np.int64)
+    hi = np.ceil((psi + beta) / h).astype(np.int64)
+    lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
+    run_len = hi - lo + 1
+    j = np.repeat(np.arange(len(t)), run_len)
+    k = np.mod(np.arange(len(j)) + np.repeat(lo + run_len - np.cumsum(run_len), run_len), n_dir)
+    dpsi = psi[j] - thetas[k]
+    perp = np.arcsinh(sinh_t[j] * np.abs(np.sin(dpsi)))
+    near = perp < R
+    k, j, dpsi = k[near], j[near], dpsi[near]
+    tanh_foot = np.clip(np.tanh(t[j]) * np.cos(dpsi), -1.0 + 1e-15, 1.0 - 1e-15)
+    return _reaches(model, k, np.arctanh(tanh_foot), perp[near], R, n_dir) >= r
 
 
 def _line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
@@ -416,7 +429,6 @@ def surviving_directions(
     if n_directions < 8:
         raise ValueError("need at least 8 directions")
     gen = rng.generator()
-    thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
     # a ray of length r lies in B(o, r): only the lines meeting that ball
     # and the points within R of it can reach it
     if model == "lines":
@@ -424,7 +436,7 @@ def surviving_directions(
         alive = _line_ray_survivors(sample, r, n_directions)
     else:
         sample = sample_points(params, ORIGIN, r + params.radius, gen)
-        alive = _boolean_ray_survivors(sample, r, thetas, model)
+        alive = _boolean_ray_survivors(sample, r, n_directions, model)
     return RaySurvival(r, n_directions, [int(i) for i in np.nonzero(alive)[0]])
 
 
@@ -465,7 +477,7 @@ def detect_line_through_ball(
         alive = _line_ray_survivors(sample, r, n_directions)
     else:
         sample = sample_points(params, ORIGIN, r + params.radius, gen)
-        alive = _boolean_ray_survivors(sample, r, thetas, model)
+        alive = _boolean_ray_survivors(sample, r, n_directions, model)
         w = to_hyperboloid(sample.points)
     idx = np.nonzero(alive)[0]
     if len(idx) < 2:
@@ -560,13 +572,21 @@ def _lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray)
     return a_ok, f_ok, q_ok
 
 
-def _blocked_cells(cells_flat, cells_y, pts, R) -> np.ndarray:
+def _within_segment(u: np.ndarray, y: np.ndarray, half_length: float, reach: float) -> np.ndarray:
+    """Mask of the points at axis coordinates (u, y) strictly within reach
+    of the axis segment over feet [-half_length, half_length], by
+    cosh dist = cosh(max(|u| - half_length, 0)) cosh y."""
+    beyond = np.maximum(np.abs(u) - half_length, 0.0)
+    return np.cosh(beyond) * np.cosh(y) < math.cosh(reach)
+
+
+def _blocked_cells(cells_flat, pts, R) -> np.ndarray:
     """Cells strictly within R of some process point, compared through
     the cosh identity to avoid arccosh per cell."""
     blocked = np.zeros(len(cells_flat), dtype=bool)
-    gap = math.cosh(R) - 1.0
+    gap, two_y = math.cosh(R) - 1.0, 2.0 * cells_flat.imag
     for z in pts:
-        blocked |= np.abs(cells_flat - z) ** 2 < 2.0 * cells_y * z.imag * gap
+        blocked |= np.abs(cells_flat - z) ** 2 < two_y * z.imag * gap
     return blocked
 
 
@@ -598,7 +618,8 @@ def sandwich_AQ(
     the central segment.  All three share each trial's sample and the
     discretizations are one-sided, so Q <= f <= A holds per realization.
     Only d(x, y) enters; trials run in canonical position with the tube
-    centered on (0, 1).
+    centered on (0, 1).  The net and the grid lie within s of the
+    central segment and see only the points strictly within R + s of it.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -614,8 +635,7 @@ def sandwich_AQ(
     lam, R = params.intensity, params.radius
 
     half_d = d / 2.0
-    net_x = _ball_net(-half_d, s, net_mesh)
-    net_y = _ball_net(half_d, s, net_mesh)
+    net_x, net_y = (_ball_net(c, s, net_mesh) for c in (-half_d, half_d))
     gen = rng.generator()
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
@@ -629,11 +649,8 @@ def sandwich_AQ(
         seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
         n_t = int(math.ceil((d + 2.0 * s) / grid_mesh)) + 1
         n_v = 2 * int(math.ceil(s / grid_mesh)) + 1
-        tt, vv = np.meshgrid(
-            np.linspace(-half_d - s, half_d + s, n_t),
-            np.linspace(-s, s, n_v),
-            indexing="ij",
-        )
+        feet = np.linspace(-half_d - s, half_d + s, n_t)
+        tt, vv = np.meshgrid(feet, np.linspace(-s, s, n_v), indexing="ij")
         theta = 2.0 * np.arctan(np.exp(vv))
         cells = np.exp(tt) * (np.cos(theta) + 1j * np.sin(theta))
         d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(vv), 1.0))
@@ -642,24 +659,20 @@ def sandwich_AQ(
         start_cells = in_region & (d_x < s)
         end_cells = in_region & (d_y < s)
         cells_flat = cells.ravel()
-        cells_y = cells_flat.imag
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        centre = Segment(GeodesicFrame.canonical_axis(), -half_d, d)
         for _ in range(trials):
-            psample = sample_points(params, ORIGIN, rho + R, gen)
-            pts = psample.points
-            f_ok = bool(_segment_reach(centre, psample, model) >= d)
+            pts = sample_points(params, ORIGIN, rho + R, gen).points
+            # Fermi coordinates of the central segment, which runs over feet [0, d]
+            u, y = axis_coordinates(pts * math.exp(half_d))
+            f_ok = bool(_reaches(model, np.zeros(len(u), dtype=np.intp), u, y, R, 1)[0] >= d)
+            # the net and the grid lie within s of the central segment
+            pts = pts[_within_segment(u - half_d, y, half_d, R + s)]
             q_ok = f_ok and _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
             a_ok = f_ok
             if not f_ok:
-                blocked = _blocked_cells(cells_flat, cells_y, pts, R)
-                open_grid = blocked if model == "occupied" else ~blocked
-                a_ok = _flood_connected(
-                    open_grid.reshape(cells.shape) & in_region,
-                    start_cells,
-                    end_cells,
-                    structure,
-                )
+                blocked = _blocked_cells(cells_flat, pts, R).reshape(cells.shape)
+                open_grid = (blocked if model == "occupied" else ~blocked) & in_region
+                a_ok = _flood_connected(open_grid, start_cells, end_cells, structure)
             events.append((a_ok, f_ok, q_ok))
     n_A, n_f, n_Q = (sum(col) for col in zip(*events))
     return SandwichResult(n_A / trials, n_f / trials, n_Q / trials, trials)

@@ -22,6 +22,7 @@ from .geometry import (
     HPoint,
     Isometry,
     ORIGIN,
+    axis_coordinates,
     dist,
     dist_arrays,
     ideal_from_disk_angle,
@@ -82,17 +83,6 @@ class EmbeddedTree:
 
     def words(self) -> list[Word]:
         return list(self.vertices.keys())
-
-    def neighbors(self, w: Word) -> list[Word]:
-        out = []
-        if w:
-            out.append(w[:-1])
-        for letter in (0, 1, 2):
-            if not w or w[-1] != letter:
-                child = w + (letter,)
-                if child in self.vertices:
-                    out.append(child)
-        return out
 
 
 def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
@@ -201,11 +191,7 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng) -> RPrimeEstimate:
         limit = Geodesic(ideal_from_disk_angle(ang_l), ideal_from_disk_angle(ang_r))
         frame = GeodesicFrame.canonical(limit)
         verts = np.asarray([tree.uhp_vertices[w].as_complex() for w in path])
-        w = frame.pullback_array(verts)
-        feet = np.log(np.abs(w))
-        x, y = w.real, w.imag
-        rho = np.abs(w)
-        yoff = np.where(x >= 0, np.log(y) - np.log(rho + x), np.log(rho - x) - np.log(y))
+        feet, yoff = axis_coordinates(frame.pullback_array(verts))
         worst_vertex = max(worst_vertex, float(np.abs(yoff).max()))
         ts = np.arange(feet.min(), feet.max() + 0.05, 0.05)
         line_pts = frame._matrix.apply_array(1j * np.exp(ts))
@@ -264,15 +250,14 @@ def tree_site_reduction(
     if model != "occupied":
         raise ValueError("model must be vacant, occupied, or lines")
     mesh = 0.05
-    if len(sample) == 0:
-        return set()
-    t_net, psi_net = _ball_net_polar(r_prime, mesh)
+    net = polar_around_origin(*_ball_net_polar(r_prime, mesh))
     out = set()
     for w_word, v in zip(words, verts):
-        # net of B(v, r_prime): polar net around origin moved to v
-        net = polar_around_origin(t_net, psi_net)
-        net = v.imag * net + v.real
-        dmat = dist_arrays(net[:, None], sample.points[None, :])
-        if bool((dmat.min(axis=1) <= R - mesh).all()):
+        # the net lies in B(v, r_prime), so a point at least R + r_prime
+        # from v keeps more than R - mesh from every net point
+        pts = sample.points[dist_arrays(v, sample.points) < R + r_prime]
+        # the net of B(v, r_prime): the polar net around (0, 1) moved to v
+        dmat = dist_arrays((v.imag * net + v.real)[:, None], pts[None, :])
+        if len(pts) and bool((dmat.min(axis=1) <= R - mesh).all()):
             out.add(w_word)
     return out

@@ -177,3 +177,17 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, command, text):
     assert main([command, "--config", str(path)]) == USAGE_ERROR
     err = capsys.readouterr().err
     assert err.startswith("hyperc: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, key", [("radius = 2\n", "radius"), ("trials = 50\n", "trials")],
+    ids=["misspelt", "other-subcommand"],
+)
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, text, key):
+    """A key that no option of the subcommand reads is named, not dropped."""
+    path = tmp_path / "run.cfg"
+    path.write_text("lam = 1\n" + text, encoding="utf-8")
+    assert main(["alpha", "--model", "vacant", "--config", str(path)]) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("hyperc: ") and key in err and "alpha" in err
+    assert "lam" not in err.split(":", 2)[-1]

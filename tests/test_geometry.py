@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hyperc.geometry import (
@@ -321,3 +323,35 @@ class TestHyperboloid:
         z = polar_around_origin(t, phi)
         for k in range(3):
             assert dist(ORIGIN, HPoint(z[k].real, z[k].imag)) == pytest.approx(t[k], abs=1e-12)
+
+
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    ends=st.tuples(st.floats(0.0, 3.0), _angle, st.floats(0.1, 4.0), _angle),
+    pts=st.lists(st.tuples(st.floats(0.0, 4.0), _angle), min_size=1, max_size=8),
+    move=st.tuples(_angle, st.floats(-2.0, 2.0), st.booleans()),
+)
+def test_segment_point_distance_is_invariant(ends, pts, move):
+    """foot and perp, which the sandwich's Q net reads, do not change when
+    one isometry (a rotation about (0, 1), a translation along the axis
+    and maybe a reflection) moves the segment and the points."""
+    t_p, phi_p, length, phi_q = ends
+    p = polar_around_origin(t_p, phi_p)
+    # q at distance length from p, in direction phi_q seen from p
+    q = p.imag * polar_around_origin(length, phi_q) + p.real
+    w = polar_around_origin(*np.asarray(pts).T)
+    angle, shift, mirror = move
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    iso = Isometry(c, s, -s, c)
+    iso = Isometry(math.exp(shift / 2), 0.0, 0.0, math.exp(-shift / 2)) @ iso
+    if mirror:
+        iso = Isometry(-1.0, 0.0, 0.0, 1.0) @ iso
+    before = segment_point_distance(*(to_hyperboloid(np.atleast_1d(z)) for z in (p, q, w)))
+    after = segment_point_distance(
+        *(to_hyperboloid(iso.apply_array(np.atleast_1d(z))) for z in (p, q, w))
+    )
+    for name, k in (("foot", 1), ("perp", 2)):
+        assert np.allclose(before[k], after[k], rtol=1e-7, atol=1e-7), name

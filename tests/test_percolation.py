@@ -11,10 +11,12 @@ from hyperc.geometry import (
     Geodesic,
     GeodesicFrame,
     HPoint,
+    axis_coordinates,
     ball_area,
     dist,
     offset_point,
     polar_around_origin,
+    segment_point_distance,
     to_hyperboloid,
 )
 from hyperc.percolation import (
@@ -27,6 +29,7 @@ from hyperc.percolation import (
     _coverage_reaches,
     _lines_tube_events,
     _net_contained,
+    _within_segment,
     detect_line_through_ball,
     estimate_f,
     sandwich_AQ,
@@ -259,12 +262,67 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     seen = set()
     for seed in range(6):
         sample = sample_points(params, ORIGIN, r + params.radius, np.random.default_rng(seed))
-        alive = _boolean_ray_survivors(sample, r, thetas, model)
+        alive = _boolean_ray_survivors(sample, r, n_dir, model)
         for k in range(n_dir):
             seg = _through(ORIGIN, HPoint(ends[k].real, ends[k].imag))
             assert alive[k] == predicate(seg, sample), (seed, k)
         seen.update(alive.tolist())
     assert seen == {True, False}
+
+
+def _all_pairs_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str):
+    """Reference for _boolean_ray_survivors: every direction measured
+    against every point."""
+    R = sample.params.radius
+    thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
+    w = (sample.points - 1j) / (sample.points + 1j)
+    t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
+    dpsi = psi[None, :] - thetas[:, None]
+    perp = np.arcsinh(np.sinh(t)[None, :] * np.abs(np.sin(dpsi)))
+    k, j = np.nonzero(perp < R)
+    tanh_foot = np.clip(np.tanh(t)[j] * np.cos(dpsi[k, j]), -1.0 + 1e-15, 1.0 - 1e-15)
+    return percolation._reaches(model, k, np.arctanh(tanh_foot), perp[k, j], R, n_dir) >= r
+
+
+@pytest.mark.parametrize("n_dir", [360, 37])
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.3, 0.5)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_ray_arcs_match_all_pairs(model, params, n_dir):
+    r = 5.0
+    for seed in range(8):
+        sample = sample_points(params, ORIGIN, r + params.radius, RngStream(seed))
+        got = _boolean_ray_survivors(sample, r, n_dir, model)
+        assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, model)), seed
+
+
+@pytest.mark.parametrize("n_dir", [360, 37, 8])
+def test_ray_arcs_of_single_points(n_dir):
+    """A lone point blocks exactly the vacant rays that pass within R of
+    it.  The points sit inside B(o, R), on its rim, just beyond it and
+    far out, at directions whose arcs wrap round theta = 0 and 2 pi;
+    and, at random, where the ray m grid steps from a grid direction
+    passes at distance R, so that the arc ends on a grid direction."""
+    params, r = ModelParams(1.0, 1.0), 3.0
+    h = 2.0 * math.pi / n_dir
+    radii = [0.0, 0.4, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.05, 1.5, 2.5, 3.9]
+    angles = [0.0, 1e-12, -1e-12, 0.5 * h, h, math.pi - 1e-12, math.pi, -math.pi + 1e-12, 2.0]
+    places = [(t, psi) for t in radii for psi in angles]
+    gen = np.random.default_rng(n_dir)
+    for _ in range(40):
+        m = int(gen.integers(1, 4 if n_dir > 8 else 2))
+        t = math.asinh(math.sinh(1.0) / math.sin(m * h))
+        places.append((t, h * (int(gen.integers(0, n_dir)) + m * gen.choice([-1, 1]))))
+    blocked = set()
+    for t, psi in places:
+        z = polar_around_origin(np.asarray([t]), np.asarray([psi]))
+        sample = BooleanSample(params, ORIGIN, r + params.radius, z)
+        got = _boolean_ray_survivors(sample, r, n_dir, "vacant")
+        ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
+        assert np.array_equal(got, ref), (t, psi)
+        blocked.add(int(n_dir - got.sum()))
+    # points near (0, 1) block every ray, far ones only a few
+    assert n_dir in blocked and min(blocked) < n_dir // 4
 
 
 @pytest.mark.parametrize(
@@ -294,6 +352,69 @@ def test_net_containment_matches_the_segment_predicates(model, params):
 
 
 X_TUBE, Y_TUBE = HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0))
+
+
+def test_within_segment_keeps_the_points_near_the_tube():
+    """Points just inside and just outside distance R + s of the axis
+    segment over feet [-2, 2], beside it and beyond either end."""
+    half_d, reach = 2.0, 1.05
+    pts, inside = [], []
+    places = ((0.0, 1.0), (1.9, -1.0), (-half_d, 1.0), (half_d + 0.3, 1.0), (-half_d - 0.8, -1.0))
+    for foot, y_sign in places:
+        beyond = max(abs(foot) - half_d, 0.0)
+        for gap, expect in ((-1e-9, True), (1e-9, False)):
+            y = math.acosh(math.cosh(reach + gap) / math.cosh(beyond))
+            pts.append(offset_point(AXIS, foot, y_sign * y).as_complex())
+            inside.append(expect)
+    pts = np.asarray(pts)
+    u, y = axis_coordinates(pts)
+    assert _within_segment(u, y, half_d, reach).tolist() == inside
+    ends = to_hyperboloid(1j * np.exp([-half_d, half_d]))
+    d = segment_point_distance(ends[:1], ends[1:], to_hyperboloid(pts))[0][0]
+    assert ((d < reach) == inside).all()
+
+
+def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
+    """A point R + s/2 beside the end y of the tube keeps more than R
+    from the central segment, so f holds, but comes within R of the end
+    net, so Q fails; A holds."""
+    params, s = ModelParams(0.1, 1.0), 0.05
+    z = np.asarray([offset_point(AXIS, 2.0, params.radius + s / 2.0).as_complex()])
+    monkeypatch.setattr(
+        percolation, "sample_points", lambda p, c, radius, gen: BooleanSample(p, c, radius, z)
+    )
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
+
+
+def _tube_nets(half_d: float, s: float):
+    """Segments joining every point of a coarse net of B(x, s) to every
+    point of one of B(y, s), as in the sandwich's Q net."""
+    net_x, net_y = (_ball_net(c, s, 0.999 * s / 2.0) for c in (-half_d, half_d))
+    seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
+    seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
+    return seg_p, seg_q
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_filtered_points_decide_the_net_alike(model, params):
+    """The sandwich measures its Q net only against the points strictly
+    within R + s of the central segment; on the whole window of the
+    tube the net is decided alike."""
+    half_d, s, R = 2.0, 0.05, params.radius
+    seg_p, seg_q = _tube_nets(half_d, s)
+    outcomes, dropped = set(), 0
+    for seed in range(40):
+        pts = sample_points(params, ORIGIN, half_d + s + R, RngStream(seed)).points
+        u, y = axis_coordinates(pts)
+        near = _within_segment(u, y, half_d, R + s)
+        full = _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
+        assert _net_contained(seg_p, seg_q, to_hyperboloid(pts[near]), R, model) == full, seed
+        outcomes.add(full)
+        dropped += int((~near).sum())
+    assert outcomes == {True, False} and dropped > 0
 
 
 @pytest.mark.parametrize(

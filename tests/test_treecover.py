@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from hyperc.geometry import ORIGIN, HPoint, dist, dist_to_geodesic
+from hyperc.geometry import ORIGIN, HPoint, dist, dist_arrays, dist_to_geodesic, polar_around_origin
 from hyperc.sampling import ModelParams, RngStream, WindowError, sample_lines, sample_points
-from hyperc.treecover import build_tree, tree_site_reduction
+from hyperc.treecover import _ball_net_polar, build_tree, tree_site_reduction
 
 from line_oracles import geodesic
 
@@ -44,6 +45,41 @@ def test_vacant_branch_matches_brute_force_distances():
         assert got == expect, seed
         outcomes.update(w in got for w in TREE.words())
     assert outcomes == {True, False}
+
+
+def _occupied_per_vertex(tree, sample, r_prime):
+    """Reference for the occupied branch: each vertex's ball net, built
+    anew, measured against every point of the window."""
+    mesh, R = 0.05, sample.params.radius
+    if len(sample) == 0:
+        return set()
+    t_net, psi_net = _ball_net_polar(r_prime, mesh)
+    out = set()
+    for w, v in tree.uhp_vertices.items():
+        net = v.y * polar_around_origin(t_net, psi_net) + v.x
+        dmat = dist_arrays(net[:, None], sample.points[None, :])
+        if bool((dmat.min(axis=1) <= R - mesh).all()):
+            out.add(w)
+    return out
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 0.0])
+def test_occupied_branch_matches_the_per_vertex_reference(lam):
+    """The nets measured only against the points within R + r' of their
+    vertex give the same words; at lambda 0.5 some vertices have no such
+    point at all."""
+    params = ModelParams(lam, 0.8)
+    verts = np.asarray([v.as_complex() for v in TREE.uhp_vertices.values()])
+    outcomes, lonely = set(), 0
+    for seed in range(4):
+        sample = sample_points(params, ORIGIN, REACH + R_PRIME + params.radius, RngStream(seed))
+        got = tree_site_reduction(TREE, sample, "occupied", R_PRIME)
+        assert got == _occupied_per_vertex(TREE, sample, R_PRIME), seed
+        outcomes.update(w in got for w in TREE.words())
+        near = dist_arrays(verts[:, None], sample.points[None, :]) < params.radius + R_PRIME
+        lonely += int((~near.any(axis=1)).sum())
+    assert outcomes == ({True, False} if lam > 0.0 else {False})
+    assert (lonely > 0) == (lam < 2.0)
 
 
 @pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
