@@ -29,7 +29,6 @@ __all__ = [
     "area_crescent",
     "area_crescent_closed_form",
     "hitting_cdf",
-    "hitting_density",
     "alpha_occupied",
     "lambda_gc",
     "f_grassmann",
@@ -142,16 +141,6 @@ def hitting_cdf(t: float, params: ModelParams) -> float:
     """G(t) = P(first coverage gap parameter S falls in (0, t)):
     1 - exp(-lambda area of the crescent)."""
     return 1.0 - math.exp(-params.intensity * area_crescent_closed_form(t, params.radius))
-
-
-def hitting_density(s, params: ModelParams):
-    """G'(s) = lambda 2 sqrt(cosh^2 R / cosh^2(s/2) - 1) e^{-lambda area}."""
-    lam, R = params.intensity, params.radius
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    area = area_crescent_closed_form(s_arr, R)
-    rate = 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(s_arr / 2.0) ** 2 - 1.0, 0.0))
-    out = lam * rate * np.exp(-lam * area)
-    return out if np.ndim(s) else float(out[0])
 
 
 @lru_cache(maxsize=None)

@@ -44,6 +44,7 @@ from .sampling import (
     ModelParams,
     RngStream,
     WindowError,
+    phi_ball,
     phi_ball_quadrature,
     phi_segment,
     phi_segment_quadrature,
@@ -169,6 +170,11 @@ def _emit_csv(header: list[str], rows: list[tuple], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _params(cfg: dict) -> ModelParams:
+    """The model parameters of a run: the lines model has no ball radius."""
+    return ModelParams(cfg["lam"], None if cfg.get("model") == "lines" else cfg["R"])
+
+
 def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
         return _float_list(cfg["r_values"])
@@ -184,10 +190,10 @@ def _r_grid(cfg: dict) -> list[float]:
 def _cmd_alpha(cfg):
     model = cfg["model"]
     if model == "vacant":
-        value = analytic.alpha_vacant(ModelParams(cfg["lam"], cfg["R"]))
+        value = analytic.alpha_vacant(_params(cfg))
         return {"alpha": value, "formula": "2*lambda*sinh(R)"}
     elif model == "occupied":
-        res = analytic.alpha_occupied(ModelParams(cfg["lam"], cfg["R"]))
+        res = analytic.alpha_occupied(_params(cfg))
         return {"alpha": res.alpha, "residual": res.residual, "iterations": res.iterations}
     elif model == "lines":
         return {"alpha": cfg["lam"], "formula": "f(r) = exp(-lambda*r)"}
@@ -210,17 +216,11 @@ def _cmd_critical(cfg):
 def _cmd_simulate_f(cfg):
     cfg["seed"] = _resolve_seed(cfg)
     rs = _r_grid(cfg)
-    model = cfg["model"]
-    params = ModelParams(cfg["lam"], None if model == "lines" else cfg["R"])
     result = estimate_f(
-        model, params, rs, cfg["trials"], RngStream(cfg["seed"]), workers=cfg["workers"]
+        cfg["model"], _params(cfg), rs, cfg["trials"], RngStream(cfg["seed"]),
+        workers=cfg["workers"],
     )
-    if model == "vacant":
-        alpha_ref = analytic.alpha_vacant(params)
-    elif model == "lines":
-        alpha_ref = cfg["lam"]
-    else:
-        alpha_ref = analytic.alpha_occupied(params).alpha
+    alpha_ref = _cmd_alpha(cfg)["alpha"]
     if cfg["csv"]:
         rows = [
             (float(r), float(f), float(hw), result.trials)
@@ -239,7 +239,7 @@ def _cmd_simulate_f(cfg):
 
 def _cmd_rays(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
+    params = _params(cfg)
     counts = []
     nonempty = 0
     for i in range(cfg["samples"]):
@@ -257,7 +257,7 @@ def _cmd_rays(cfg):
 
 def _cmd_detect_line(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    params = ModelParams(cfg["lam"], None if cfg["model"] == "lines" else cfg["R"])
+    params = _params(cfg)
     found = 0
     for i in range(cfg["samples"]):
         det = detect_line_through_ball(
@@ -270,7 +270,7 @@ def _cmd_detect_line(cfg):
 
 def _cmd_s_dist(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    params = ModelParams(cfg["lam"], cfg["R"])
+    params = _params(cfg)
     result = estimate_S_cdf(params, cfg["trials"], RngStream(cfg["seed"]))
     ts = np.linspace(0.0, 2.0 * cfg["R"], cfg["grid"] + 1)[1:]
     emp = result.empirical_cdf(ts)
@@ -303,7 +303,7 @@ def _cmd_grassmann(cfg):
     rho = cfg["rho"]
     ball = {
         "rho": rho,
-        "closed_form": math.pi * math.sinh(rho),
+        "closed_form": phi_ball(rho),
         "quadrature": phi_ball_quadrature(rho),
     }
     results = {"segment_measure": seg, "separating_measure": sep, "ball_measure": ball}
@@ -371,7 +371,7 @@ def _cmd_render(cfg):
         sample = sample_lines(cfg["lam"], cfg["rho"], stream)
         content = render.render_lines(sample)
     elif model == "points":
-        sample = sample_points(ModelParams(cfg["lam"], cfg["R"]), ORIGIN, cfg["window"], stream)
+        sample = sample_points(_params(cfg), ORIGIN, cfg["window"], stream)
         content = render.render_boolean(sample)
     elif model == "tree":
         content = render.render_tree(build_tree(cfg["arc_length"], cfg["depth"]))

@@ -4,7 +4,7 @@ Points live in the open upper half-plane (metric |ds|/y); geodesics are
 stored by their unordered pair of ideal boundary points, where the
 boundary is R together with the single point at infinity.  The Poincare
 disk model is available through the standard Cayley transform, which is
-used by the samplers and the renderer.
+used by the tree construction and the renderer.
 """
 
 from __future__ import annotations
@@ -23,18 +23,11 @@ __all__ = [
     "GeodesicFrame",
     "ORIGIN",
     "dist",
-    "frame_point",
     "dist_to_geodesic",
-    "dist_to_frame",
     "offset_point",
-    "reflect",
     "reflection_in",
     "to_disk",
-    "from_disk",
-    "disk_dist",
     "ball_area",
-    "ball_circumference",
-    "ball_metrics",
     "ideal_from_disk_angle",
     "disk_angle_from_ideal",
 ]
@@ -172,18 +165,6 @@ class Isometry:
         w = (self.a * z + self.b) / (self.c * z + self.d)
         return HPoint(w.real, abs(w.imag))
 
-    def apply_ideal(self, x: float) -> float:
-        if x == INF:
-            return self.a / self.c if self.c != 0 else INF
-        den = self.c * x + self.d
-        if den == 0:
-            return INF
-        v = (self.a * x + self.b) / den
-        return v if math.isfinite(v) else INF
-
-    def apply_geodesic(self, g: Geodesic) -> Geodesic:
-        return Geodesic(self.apply_ideal(g.a), self.apply_ideal(g.b))
-
     def apply_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized action on complex upper half-plane coordinates."""
         if self.det < 0:
@@ -243,16 +224,10 @@ class GeodesicFrame:
     def point(self, t: float) -> HPoint:
         return self._matrix.apply(HPoint(0.0, math.exp(self.direction * t)))
 
-    def pullback(self, p: HPoint) -> complex:
-        """Coordinates of p in the frame where the geodesic is the imaginary
-        axis and the origin is i; the direction sign is absorbed."""
-        w = self._matrix.inverse().apply(p).as_complex()
-        if self.direction == -1:
-            w = -1.0 / w
-            w = complex(w.real, abs(w.imag))
-        return w
-
     def pullback_array(self, z: np.ndarray) -> np.ndarray:
+        """Coordinates of the points z in the frame where the geodesic is
+        the imaginary axis and the origin is i; the direction sign is
+        absorbed."""
         w = self._matrix.inverse().apply_array(z)
         if self.direction == -1:
             w = -1.0 / w
@@ -275,10 +250,6 @@ def dist_arrays(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.where(small, np.sqrt(2.0 * delta), out)
 
 
-def frame_point(frame: GeodesicFrame, t: float) -> HPoint:
-    return frame.point(t)
-
-
 def axis_coordinates(z: np.ndarray):
     """Foot parameter and signed offset relative to the imaginary axis.
 
@@ -293,13 +264,6 @@ def axis_coordinates(z: np.ndarray):
     # tan(theta/2) = y/(rho+x) = (rho-x)/y; pick the cancellation-free form
     yoff = np.where(x >= 0.0, np.log(y) - np.log(rho + x), np.log(rho - x) - np.log(y))
     return u, yoff
-
-
-def dist_to_frame(p: HPoint, frame: GeodesicFrame):
-    """(signed offset, foot parameter) of p relative to the frame."""
-    w = frame.pullback(p)
-    u, yoff = axis_coordinates(np.asarray([w]))
-    return float(yoff[0]), float(u[0])
 
 
 def dist_to_geodesic(p: HPoint, g: Geodesic):
@@ -331,30 +295,11 @@ def reflection_in(g: Geodesic) -> Isometry:
     return Isometry(c, r * r - c * c, 1.0, -c)
 
 
-def reflect(g: Geodesic, p: HPoint) -> HPoint:
-    return reflection_in(g).apply(p)
-
-
 def to_disk(p: HPoint):
     """Cayley transform w = (z - i)/(z + i); sends (0, 1) to the disk center."""
     z = p.as_complex()
     w = (z - 1j) / (z + 1j)
     return (w.real, w.imag)
-
-
-def from_disk(uv) -> HPoint:
-    u, v = uv
-    if u * u + v * v >= 1.0:
-        raise ValueError(f"disk point must satisfy |(u, v)| < 1, got {uv}")
-    w = complex(u, v)
-    z = 1j * (1.0 + w) / (1.0 - w)
-    return HPoint(z.real, z.imag)
-
-
-def disk_dist(w1: complex, w2: complex) -> float:
-    num = 2.0 * abs(w1 - w2) ** 2
-    den = (1.0 - abs(w1) ** 2) * (1.0 - abs(w2) ** 2)
-    return _acosh_excess(num / den)
 
 
 def ideal_from_disk_angle(theta: float) -> float:
@@ -374,17 +319,6 @@ def disk_angle_from_ideal(x: float) -> float:
 
 def ball_area(r: float) -> float:
     return 2.0 * math.pi * (math.cosh(r) - 1.0)
-
-
-def ball_circumference(r: float) -> float:
-    return 2.0 * math.pi * math.sinh(r)
-
-
-def ball_metrics(r: float):
-    """(area, circumference) of the hyperbolic disk of radius r."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return ball_area(r), ball_circumference(r)
 
 
 def polar_around_origin(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -423,12 +357,14 @@ def geodesic_normal(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def segment_point_distance(p: np.ndarray, q: np.ndarray, w: np.ndarray):
-    """Distances (and foot data) from points w to geodesic segments [p, q].
+    """Fermi coordinates of points w relative to geodesic segments [p, q].
 
     p, q: (S, 3) hyperboloid endpoints; w: (N, 3) points.  Returns a
-    triple (dist, foot, perp) of (S, N) arrays: the distance to the
-    segment, the signed foot parameter measured from p toward q, and
-    the unsigned perpendicular distance to the full geodesic.
+    pair (foot, perp) of (S, N) arrays: the signed foot parameter
+    measured from p toward q, and the unsigned perpendicular distance
+    to the full geodesic.  These are what the containment kernel
+    ``percolation._reaches`` reads; the distance to the segment itself
+    is not needed there and is not computed.
     """
     p = np.atleast_2d(p)
     q = np.atleast_2d(q)
@@ -440,14 +376,9 @@ def segment_point_distance(p: np.ndarray, q: np.ndarray, w: np.ndarray):
     w_plane = w[None, :, :] - c[:, :, None] * n[:, None, :]
     norm2 = -minkowski(w_plane, w_plane)
     f = w_plane / np.sqrt(np.maximum(norm2, 1e-300))[:, :, None]
-    cosh_l = -minkowski(p, q)  # (S,)
-    length = np.arccosh(np.maximum(cosh_l, 1.0))
+    length = np.arccosh(np.maximum(-minkowski(p, q), 1.0))  # (S,)
     fp = -np.einsum("snk,sk->sn", f, p * flip)  # cosh d(f, p)
     fq = -np.einsum("snk,sk->sn", f, q * flip)
     sinh_l = np.maximum(np.sinh(length), 1e-300)[:, None]
     foot = np.arcsinh((np.cosh(length)[:, None] * fp - fq) / sinh_l)
-    d_p = np.arccosh(np.maximum(-np.einsum("sk,nk->sn", p * flip, w), 1.0))
-    d_q = np.arccosh(np.maximum(-np.einsum("sk,nk->sn", q * flip, w), 1.0))
-    between = (fp <= cosh_l[:, None]) & (fq <= cosh_l[:, None])
-    dist_seg = np.where(between, perp, np.minimum(d_p, d_q))
-    return dist_seg, foot, perp
+    return foot, perp

@@ -178,6 +178,12 @@ def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n:
     return reach
 
 
+def _half_width(R: float, offset: np.ndarray) -> np.ndarray:
+    """Half the length of the chord that a ball of radius R cuts from a
+    geodesic at distance offset from its centre: arccosh(cosh R / cosh y)."""
+    return np.arccosh(math.cosh(R) / np.cosh(offset))
+
+
 def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, R: float, n: int):
     """Containment thresholds of n segments in a Boolean model.
 
@@ -192,7 +198,7 @@ def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, 
     seg, foot = seg[near], foot[near]
     # the closed ball meets the geodesic over [foot - half, foot + half],
     # the open ball over the open interval
-    half = np.arccosh(math.cosh(R) / np.cosh(offset[near]))
+    half = _half_width(R, offset[near])
     if model == "occupied":
         return _coverage_reaches(seg, foot - half, foot + half, n)
     # an open ball first meets [0, c] at c = foot - half, unless it lies
@@ -416,6 +422,17 @@ def _line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
     return np.cumsum(diff[:-1]) == 0
 
 
+def _ray_survivors(model: str, params: ModelParams, r: float, n_dir: int, gen):
+    """Draw what can reach the rays of length r from (0, 1), the lines
+    meeting B(o, r) or the points within R of it, and return it with the
+    mask of the n_dir grid directions whose ray survives."""
+    if model == "lines":
+        sample = sample_lines(params.intensity, r, gen)
+        return sample, _line_ray_survivors(sample, r, n_dir)
+    sample = sample_points(params, ORIGIN, r + params.radius, gen)
+    return sample, _boolean_ray_survivors(sample, r, n_dir, model)
+
+
 def surviving_directions(
     model: str,
     params: ModelParams,
@@ -428,22 +445,14 @@ def surviving_directions(
         raise ValueError(f"model must be one of {MODELS}")
     if n_directions < 8:
         raise ValueError("need at least 8 directions")
-    gen = rng.generator()
-    # a ray of length r lies in B(o, r): only the lines meeting that ball
-    # and the points within R of it can reach it
-    if model == "lines":
-        sample = sample_lines(params.intensity, r, gen)
-        alive = _line_ray_survivors(sample, r, n_directions)
-    else:
-        sample = sample_points(params, ORIGIN, r + params.radius, gen)
-        alive = _boolean_ray_survivors(sample, r, n_directions, model)
+    _, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
     return RaySurvival(r, n_directions, [int(i) for i in np.nonzero(alive)[0]])
 
 
 def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
     """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
     balls of radius R around the points w (all hyperboloid vectors)."""
-    _, foot, perp = segment_point_distance(seg_p, seg_q, w)
+    foot, perp = segment_point_distance(seg_p, seg_q, w)
     lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
     seg = np.repeat(np.arange(len(seg_p)), len(w))
     return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))
@@ -468,20 +477,15 @@ def detect_line_through_ball(
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
-    gen = rng.generator()
-    thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    tol = pair_tol if pair_tol is not None else 2.5 * (2.0 * math.pi / n_directions)
-    # the rays and the chords between their ends lie in B(o, r)
-    if model == "lines":
-        sample = sample_lines(params.intensity, r, gen)
-        alive = _line_ray_survivors(sample, r, n_directions)
-    else:
-        sample = sample_points(params, ORIGIN, r + params.radius, gen)
-        alive = _boolean_ray_survivors(sample, r, n_directions, model)
-        w = to_hyperboloid(sample.points)
+    # the chords between the rays' ends lie in B(o, r) as well
+    sample, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
     idx = np.nonzero(alive)[0]
     if len(idx) < 2:
         return LineDetection(False, None, len(idx))
+    if model != "lines":
+        w = to_hyperboloid(sample.points)
+    thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
+    tol = pair_tol if pair_tol is not None else 2.5 * (2.0 * math.pi / n_directions)
     th = thetas[idx]
     delta = np.mod(th[None, :] - th[:, None], 2.0 * math.pi)
     miss = np.abs(delta - math.pi)
@@ -528,7 +532,7 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
     psi = gen.uniform(0.0, 2.0 * math.pi, total)
     u = np.arctanh(np.tanh(t) * np.cos(psi))
     perp = np.arcsinh(np.sinh(t) * np.abs(np.sin(psi)))
-    u_plus = u + np.arccosh(np.cosh(R) / np.cosh(perp))
+    u_plus = u + _half_width(R, perp)
     nonempty = counts > 0
     if nonempty.any():
         starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
@@ -582,12 +586,10 @@ def _within_segment(u: np.ndarray, y: np.ndarray, half_length: float, reach: flo
 
 def _blocked_cells(cells_flat, pts, R) -> np.ndarray:
     """Cells strictly within R of some process point, compared through
-    the cosh identity to avoid arccosh per cell."""
-    blocked = np.zeros(len(cells_flat), dtype=bool)
+    the cosh identity to avoid arccosh per cell; the points run along
+    the first axis, which ``any`` reduces far faster than a short last one."""
     gap, two_y = math.cosh(R) - 1.0, 2.0 * cells_flat.imag
-    for z in pts:
-        blocked |= np.abs(cells_flat - z) ** 2 < two_y * z.imag * gap
-    return blocked
+    return (np.abs(cells_flat - pts[:, None]) ** 2 < two_y * pts.imag[:, None] * gap).any(axis=0)
 
 
 def _flood_connected(open_grid, start_cells, end_cells, structure) -> bool:

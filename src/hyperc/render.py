@@ -25,14 +25,24 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _header(size: int) -> list[str]:
-    return [
+def _svg(body: list[str], size: int) -> str:
+    """The document: the elements of body over the white view of the disk."""
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="{-_VIEW} {-_VIEW} {2 * _VIEW} {2 * _VIEW}">',
         f'<rect x="{-_VIEW}" y="{-_VIEW}" width="{2 * _VIEW}" height="{2 * _VIEW}" fill="white"/>',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="0.006"/>',
     ]
+    return "\n".join(head + body + ["</svg>"]) + "\n"
+
+
+def _line(p1: complex, p2: complex, stroke: str, width: float) -> str:
+    return (
+        f'<line x1="{_fmt(p1.real)}" y1="{_fmt(p1.imag)}" '
+        f'x2="{_fmt(p2.real)}" y2="{_fmt(p2.imag)}" '
+        f'stroke="{stroke}" stroke-width="{width}" fill="none"/>'
+    )
 
 
 def _arc_path(theta_a: float, theta_b: float, stroke: str, width: float) -> str:
@@ -42,11 +52,7 @@ def _arc_path(theta_a: float, theta_b: float, stroke: str, width: float) -> str:
     sep = abs(theta_a - theta_b) % (2.0 * math.pi)
     sep = min(sep, 2.0 * math.pi - sep)
     if abs(sep - math.pi) < _DIAMETRAL_TOL:
-        return (
-            f'<line x1="{_fmt(p1.real)}" y1="{_fmt(p1.imag)}" '
-            f'x2="{_fmt(p2.real)}" y2="{_fmt(p2.imag)}" '
-            f'stroke="{stroke}" stroke-width="{width}" fill="none"/>'
-        )
+        return _line(p1, p2, stroke, width)
     delta = sep / 2.0
     signed = math.remainder(theta_b - theta_a, 2.0 * math.pi)
     mu = theta_a + signed / 2.0
@@ -81,11 +87,7 @@ def _edge_element(w1: complex, w2: complex, stroke="black", width=0.004) -> str:
     d = w1 * w2.conjugate()
     if abs(d.imag) < 1e-12 * max(abs(d), 1e-12):
         # collinear with the center: the geodesic is a diameter
-        return (
-            f'<line x1="{_fmt(w1.real)}" y1="{_fmt(w1.imag)}" '
-            f'x2="{_fmt(w2.real)}" y2="{_fmt(w2.imag)}" '
-            f'stroke="{stroke}" stroke-width="{width}" fill="none"/>'
-        )
+        return _line(w1, w2, stroke, width)
     # orthocircle through w1, w2: center c with |c|^2 = r^2 + 1
     a1, a2 = abs(w1) ** 2 + 1.0, abs(w2) ** 2 + 1.0
     det = 2.0 * (w1.real * w2.imag - w1.imag * w2.real)
@@ -114,7 +116,7 @@ def _ball_element(w: complex, R: float, stroke="firebrick", fill="none") -> str:
 
 def render_boolean(sample: BooleanSample, size: int = 600) -> str:
     """Points of the process with their R-balls."""
-    lines = _header(size)
+    lines = []
     R = sample.params.radius
     disk = [(complex(z) - 1j) / (complex(z) + 1j) for z in sample.points]
     for w in disk:
@@ -123,41 +125,35 @@ def render_boolean(sample: BooleanSample, size: int = 600) -> str:
         lines.append(
             f'<circle cx="{_fmt(w.real)}" cy="{_fmt(w.imag)}" r="0.006" fill="firebrick"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(lines, size)
 
 
 def render_lines(sample: LineSample, size: int = 600) -> str:
     """A line-process realization, arcs orthogonal to the boundary."""
-    lines = _header(size)
+    lines = []
     for p, phi in zip(sample.foot_dist, sample.foot_dir):
         # the line's ends lie arccos(tanh p) either side of its foot direction
         delta = math.acos(math.tanh(p))
         ends = sorted(((phi - delta) % (2.0 * math.pi), (phi + delta) % (2.0 * math.pi)))
         lines.append(_arc_path(*ends, "steelblue", 0.004))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(lines, size)
 
 
-def render_tree(tree: EmbeddedTree, size: int = 600, show_generators: bool = True) -> str:
-    """The embedded tree: vertex orbit, edges, and generator lines."""
-    lines = _header(size)
-    if show_generators:
-        for g in tree.generator_lines:
-            lines.append(_geodesic_element(g, stroke="lightsteelblue", width=0.003))
+def render_tree(tree: EmbeddedTree, size: int = 600) -> str:
+    """The embedded tree: generator lines, edges, and vertex orbit."""
+    lines = []
+    for g in tree.generator_lines:
+        lines.append(_geodesic_element(g, stroke="lightsteelblue", width=0.003))
+    # the vertices run breadth first, so each edge to a parent is drawn
+    # in the order the parents list their children
     for w, z in tree.vertices.items():
-        for letter in (0, 1, 2):
-            if w and w[-1] == letter:
-                continue
-            child = w + (letter,)
-            if child in tree.vertices:
-                lines.append(_edge_element(z, tree.vertices[child]))
+        if w:
+            lines.append(_edge_element(tree.vertices[w[:-1]], z))
     for z in tree.vertices.values():
         lines.append(
             f'<circle cx="{_fmt(z.real)}" cy="{_fmt(z.imag)}" r="0.008" fill="black"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(lines, size)
 
 
 def write_svg(content: str, path) -> None:

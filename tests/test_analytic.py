@@ -13,7 +13,6 @@ from hyperc.analytic import (
     f_grassmann,
     f_vacant,
     hitting_cdf,
-    hitting_density,
     lambda_gc,
     lambda_gv,
     lrp_edge_measure,
@@ -38,6 +37,18 @@ def hitting_H(t: float, params: ModelParams) -> float:
         limit=200,
     )
     return -math.exp(-4.0 * lam * val)
+
+
+def hitting_density(s, params: ModelParams):
+    """G'(s) = lambda 2 sqrt(cosh^2 R / cosh^2(s/2) - 1) e^{-lambda area},
+    the density of the hitting law; the independent oracle for the
+    renewal equation that alpha_occupied solves on its own nodes."""
+    lam, R = params.intensity, params.radius
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    area = area_crescent_closed_form(s_arr, R)
+    rate = 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(s_arr / 2.0) ** 2 - 1.0, 0.0))
+    out = lam * rate * np.exp(-lam * area)
+    return out if np.ndim(s) else float(out[0])
 
 
 class TestVacantClosedForms:

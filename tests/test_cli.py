@@ -95,6 +95,11 @@ def test_missing_lambda_is_a_usage_error(command, capsys):
     assert "--lambda is required" in capsys.readouterr().err
 
 
+def test_too_deep_tree_is_a_usage_error(capsys):
+    assert main(["tree", "--depth", "10", "--seed", "1"]) == USAGE_ERROR
+    assert "MAX_RADIUS" in capsys.readouterr().err
+
+
 def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
     assert main(["critical", "--R", "20"]) == SOLVER_ERROR
     assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err

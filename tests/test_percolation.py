@@ -16,7 +16,6 @@ from hyperc.geometry import (
     dist,
     offset_point,
     polar_around_origin,
-    segment_point_distance,
     to_hyperboloid,
 )
 from hyperc.percolation import (
@@ -47,6 +46,8 @@ from hyperc.sampling import (
     sample_points,
     sample_tube,
 )
+
+from axis_oracles import distance_to_axis_segment
 
 AXIS = GeodesicFrame.canonical_axis()
 # false-alarm rate per estimate of the exact two-sided binomial gates
@@ -369,9 +370,33 @@ def test_within_segment_keeps_the_points_near_the_tube():
     pts = np.asarray(pts)
     u, y = axis_coordinates(pts)
     assert _within_segment(u, y, half_d, reach).tolist() == inside
-    ends = to_hyperboloid(1j * np.exp([-half_d, half_d]))
-    d = segment_point_distance(ends[:1], ends[1:], to_hyperboloid(pts))[0][0]
+    d, _, _ = distance_to_axis_segment(pts * math.exp(half_d), 2.0 * half_d)
     assert ((d < reach) == inside).all()
+
+
+def _blocked_cells_per_point(cells_flat, pts, R):
+    """Reference for _blocked_cells: one pass over the cells per point."""
+    blocked = np.zeros(len(cells_flat), dtype=bool)
+    gap, two_y = math.cosh(R) - 1.0, 2.0 * cells_flat.imag
+    for z in pts:
+        blocked |= np.abs(cells_flat - z) ** 2 < two_y * z.imag * gap
+    return blocked
+
+
+@pytest.mark.parametrize("n_pts", [0, 1, 7, 40])
+def test_blocked_cells_match_the_per_point_loop(n_pts):
+    """The one broadcast does the loop's arithmetic, so the masks agree bit
+    for bit, also for cells at distance R from a point up to rounding."""
+    gen = np.random.default_rng(n_pts)
+    cells = polar_around_origin(gen.uniform(0.0, 3.0, 2000), gen.uniform(0.0, 2.0 * math.pi, 2000))
+    pts = polar_around_origin(gen.uniform(0.0, 3.0, n_pts), gen.uniform(0.0, 2.0 * math.pi, n_pts))
+    # cells on the circles of radius R around the first points
+    rim = polar_around_origin(np.full(50, 0.8), np.arange(50))
+    for z in pts[:3]:
+        cells = np.append(cells, z.imag * rim + z.real)
+    got = percolation._blocked_cells(cells, pts, 0.8)
+    assert np.array_equal(got, _blocked_cells_per_point(cells, pts, 0.8))
+    assert got.any() == (n_pts > 0)
 
 
 def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hyperc.geometry import (
@@ -389,3 +391,24 @@ class TestPhiMeasures:
             ModelParams(-0.5, 1.0)
         with pytest.raises(ValueError):
             ModelParams(1.0, 0.0)
+
+
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(deadline=None, max_examples=200)
+@given(line=st.tuples(st.floats(0.0, 3.0), _angle), point=st.tuples(st.floats(0.0, 3.0), _angle))
+def test_sides_is_the_sinh_of_the_distance_to_the_line(line, point):
+    """For any line and point, |sides| is sinh of dist_to_geodesic to the
+    line through the ideal ends, and the sign is positive exactly on the
+    far side, the side of the point one beyond the foot."""
+    p, phi = line
+    sample = LineSample(1.0, 3.0, np.asarray([p]), np.asarray([phi]))
+    z = complex(polar_around_origin(*point))
+    side = float(sample.sides(to_hyperboloid(z))[0])
+    d, _ = dist_to_geodesic(HPoint(z.real, z.imag), geodesic(p, phi))
+    assert math.asinh(abs(side)) == pytest.approx(d, abs=1e-9)
+    if d > 1e-9:
+        far = complex(polar_around_origin(p + 1.0, phi))
+        beyond = semicircle_sides(sample, z)[0] * semicircle_sides(sample, far)[0] > 0.0
+        assert (side > 0.0) == beyond

@@ -1,0 +1,126 @@
+"""Fingerprint the bytes every hyperc subcommand produces.
+
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 44
+invocations, each in a fresh empty directory, and prints one line
+``name sha16`` per invocation: the first 16 hex digits of the SHA-256
+of the exit code, stdout, stderr and every file the run left behind.
+The stderr lines that report the wall time or a generated seed are
+dropped first, so reruns with the same seeds hash alike.
+
+Run it from the repository root, on two checkouts, and compare:
+
+    python tools/cli_hashes.py > after.txt
+    python tools/cli_hashes.py --src ../other/src > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIM = ["--rmin", "0", "--rmax", "4", "--trials", "400", "--seed", "11"]
+TREE = ["--arc-length", "1.2", "--depth", "4", "--paths", "8", "--seed", "5"]
+
+# (name, argv, {file name: text} written before the run, extra environment)
+INVOCATIONS = [
+    ("alpha.vacant", ["alpha", "--model", "vacant", "--lambda", "0.3", "--R", "0.7"]),
+    ("alpha.occupied", ["alpha", "--model", "occupied", "--lambda", "1.0"]),
+    ("alpha.lines", ["alpha", "--model", "lines", "--lambda", "0.5"]),
+    ("alpha.no-lambda", ["alpha", "--model", "vacant"]),
+    ("alpha.bad-model", ["alpha", "--model", "cubes", "--lambda", "1"]),
+    ("critical.default", ["critical"]),
+    ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
+    ("critical.lines", ["critical", "--model", "lines"]),
+    ("critical.R20", ["critical", "--model", "occupied", "--R", "20"]),
+    ("simulate-f.vacant.csv",
+     ["simulate-f", "--model", "vacant", "--lambda", "0.1", *SIM, "--csv", "f.csv"]),
+    ("simulate-f.occupied.rvalues.w2",
+     ["simulate-f", "--model", "occupied", "--lambda", "1.0", "--r-values", "0,0.5,1,2",
+      "--trials", "600", "--workers", "2", "--seed", "3"]),
+    ("simulate-f.lines.envseed",
+     ["simulate-f", "--model", "lines", "--lambda", "0.3", "--rmax", "5", "--trials", "500"],
+     {}, {"HYPERC_SEED": "42"}),
+    ("simulate-f.config",
+     ["simulate-f", "--config", "run.cfg"],
+     {"run.cfg": "model = vacant\nlam = 0.2\nR = 0.5\ntrials = 300\nseed = 8\n"}),
+    ("simulate-f.config+flag",
+     ["simulate-f", "--config", "run.cfg", "--trials", "200", "--out", "sum.json"],
+     {"run.cfg": "model = occupied\nlam = 1.5\nrmax = 3\ntrials = 900\nseed = 8\n"}),
+    ("simulate-f.no-lambda", ["simulate-f", "--model", "vacant", "--seed", "1"]),
+    ("rays.vacant",
+     ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "4", "--directions", "90",
+      "--samples", "30", "--seed", "2"]),
+    ("rays.occupied",
+     ["rays", "--model", "occupied", "--lambda", "1.0", "--r", "3", "--directions", "64",
+      "--samples", "10", "--seed", "2"]),
+    ("rays.lines",
+     ["rays", "--model", "lines", "--lambda", "0.2", "--samples", "40", "--seed", "2"]),
+    ("detect-line.lines",
+     ["detect-line", "--model", "lines", "--lambda", "0.1", "--samples", "30", "--seed", "4"]),
+    ("detect-line.occupied",
+     ["detect-line", "--model", "occupied", "--lambda", "1.0", "--r", "4", "--samples", "6",
+      "--seed", "4"]),
+    ("s-dist.csv",
+     ["s-dist", "--lambda", "1.0", "--trials", "3000", "--seed", "6", "--csv", "g.csv"]),
+    ("s-dist.config",
+     ["s-dist", "--config", "s.cfg"], {"s.cfg": "lam = 0.4\nR = 0.8\ntrials = 2000\nseed = 9\n"}),
+    ("grassmann.default", ["grassmann"]),
+    ("grassmann.mc",
+     ["grassmann", "--rho", "2.0", "--mc-lambda", "0.5,1", "--mc-trials", "300", "--seed", "5"]),
+    ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
+    ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
+    ("tree.sep.svg", ["tree", *TREE, "--check-separation", "--svg", "tree.svg"]),
+    ("tree.default", ["tree", "--seed", "5"]),
+    ("render.lines.default-out", ["render", "--lambda", "0.5", "--rho", "3", "--seed", "1"]),
+    ("render.points",
+     ["render", "--model", "points", "--lambda", "0.5", "--R", "0.5", "--window", "2",
+      "--seed", "1", "--out", "p.svg"]),
+    ("render.tree", ["render", "--model", "tree", "--depth", "4", "--out", "t.svg"]),
+    ("render.bad-model", ["render", "--model", "cubes", "--seed", "1"]),
+    ("unknown-flag", ["alpha", "--lambda", "1", "--radius", "2"]),
+    ("help", ["--help"]),
+    *((f"help.{cmd}", [cmd, "--help"]) for cmd in (
+        "alpha", "critical", "simulate-f", "rays", "detect-line", "s-dist", "grassmann",
+        "lrp", "tree", "render")),
+]
+
+_VOLATILE = re.compile(r"^hyperc: (\S+ finished in \S+s|generated seed \d+)$")
+
+
+def _fingerprint(src: Path, argv, files=None, env_extra=None) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "HYPERC_SEED"}
+    env.update({"PYTHONPATH": str(src), "COLUMNS": "100", **(env_extra or {})})
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in (files or {}).items():
+            (work / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "hyperc.cli", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=600)
+        stderr = b"\n".join(line for line in proc.stderr.split(b"\n")
+                            if not _VOLATILE.match(line.decode("utf-8", "replace")))
+        h = hashlib.sha256()
+        for part in (str(proc.returncode).encode(), proc.stdout, stderr):
+            h.update(len(part).to_bytes(8, "little") + part)
+        for path in sorted(work.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the hyperc package (default: ./src)")
+    args = parser.parse_args()
+    for name, argv, *extra in INVOCATIONS:
+        print(name, _fingerprint(args.src.resolve(), argv, *extra), flush=True)
+
+
+if __name__ == "__main__":
+    main()
