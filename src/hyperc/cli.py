@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, render
-from .geometry import ORIGIN
 from .percolation import (
     detect_line_through_ball,
     estimate_f,
@@ -368,10 +367,10 @@ def _cmd_render(cfg):
     stream = RngStream(cfg["seed"])
     model = cfg["model"]
     if model == "lines":
-        sample = sample_lines(cfg["lam"], cfg["rho"], stream)
+        sample = sample_lines(cfg["lam"], cfg["rho"], stream.generator())
         content = render.render_lines(sample)
     elif model == "points":
-        sample = sample_points(_params(cfg), ORIGIN, cfg["window"], stream)
+        sample = sample_points(_params(cfg), cfg["window"], stream.generator())
         content = render.render_boolean(sample)
     elif model == "tree":
         content = render.render_tree(build_tree(cfg["arc_length"], cfg["depth"]))

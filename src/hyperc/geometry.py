@@ -1,17 +1,20 @@
 """Exact geometry of the hyperbolic plane in upper half-plane coordinates.
 
-Points live in the open upper half-plane (metric |ds|/y); geodesics are
-stored by their unordered pair of ideal boundary points, where the
-boundary is R together with the single point at infinity.  The Poincare
-disk model is available through the standard Cayley transform, which is
-used by the tree construction and the renderer.
+Points live in the open upper half-plane (metric |ds|/y).  The Monte
+Carlo experiments run in canonical position and read points through
+the axis coordinates, the polar form around (0, 1) and the hyperboloid
+helpers.  The Mobius layer, geodesics stored by their unordered pair of
+ideal boundary points (the boundary is R together with the single point
+at infinity) and isometries as real matrices, serves the tree's
+reflections and limit geodesics.  The Poincare disk model is available
+through the standard Cayley transform, which is used by the tree
+construction and the renderer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +23,9 @@ __all__ = [
     "HPoint",
     "Geodesic",
     "Isometry",
-    "GeodesicFrame",
     "ORIGIN",
     "dist",
-    "dist_to_geodesic",
-    "offset_point",
+    "canonical_matrix",
     "reflection_in",
     "to_disk",
     "ball_area",
@@ -99,18 +100,6 @@ class Geodesic:
     def vertical(self) -> bool:
         return self.b == INF
 
-    @staticmethod
-    def through(p: HPoint, q: HPoint) -> "Geodesic":
-        """The unique geodesic through two distinct interior points."""
-        if p == q:
-            raise ValueError("need two distinct points")
-        if abs(p.x - q.x) < 1e-15 * (1.0 + abs(p.x)):
-            return Geodesic(p.x, INF)
-        # semicircle centered on the real axis through both points
-        c = (abs(p.as_complex()) ** 2 - abs(q.as_complex()) ** 2) / (2.0 * (p.x - q.x))
-        r = abs(p.as_complex() - c)
-        return Geodesic(c - r, c + r)
-
     def side(self, p: HPoint) -> float:
         """Signed side indicator; opposite signs mean the geodesic separates."""
         if self.vertical:
@@ -173,66 +162,13 @@ class Isometry:
         return w.real + 1j * np.abs(w.imag)
 
 
-def _canonical_matrix(g: Geodesic) -> Isometry:
-    # maps the imaginary axis onto g with 0 -> a, INF -> b and i -> the
-    # summit of the semicircle (or (a, 1) for vertical lines)
+def canonical_matrix(g: Geodesic) -> Isometry:
+    """The isometry that takes the imaginary axis onto g, with 0 -> a,
+    INF -> b and i -> the summit of the semicircle (or (a, 1) for
+    vertical lines)."""
     if g.vertical:
         return Isometry(1.0, g.a, 0.0, 1.0)
     return Isometry(g.b, g.a, 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class GeodesicFrame:
-    """An arclength parameterization of a geodesic.
-
-    ``point(0)`` is ``origin`` and ``point(t)`` moves distance ``t``
-    along ``gamma``; ``direction=+1`` runs from ``gamma.a`` toward
-    ``gamma.b`` in the normalized endpoint order.
-    """
-
-    gamma: Geodesic
-    origin: HPoint
-    direction: int = 1
-
-    _ON_TOL = 1e-12
-
-    def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
-        d, _ = dist_to_geodesic(self.origin, self.gamma)
-        if d > self._ON_TOL:
-            raise ValueError(f"frame origin is off its geodesic by {d:.3e}")
-
-    @staticmethod
-    def canonical(g: Geodesic) -> "GeodesicFrame":
-        m = _canonical_matrix(g)
-        return GeodesicFrame(g, m.apply(ORIGIN), 1)
-
-    @staticmethod
-    def canonical_axis() -> "GeodesicFrame":
-        return GeodesicFrame(Geodesic(0.0, INF), ORIGIN, 1)
-
-    @cached_property
-    def _matrix(self) -> Isometry:
-        # canonical matrix shifted so that i maps to the frame origin
-        m = _canonical_matrix(self.gamma)
-        w = m.inverse().apply(self.origin).as_complex()
-        s0 = math.log(abs(w))
-        e = math.exp(s0 / 2.0)
-        return m @ Isometry(e, 0.0, 0.0, 1.0 / e)
-
-    def point(self, t: float) -> HPoint:
-        return self._matrix.apply(HPoint(0.0, math.exp(self.direction * t)))
-
-    def pullback_array(self, z: np.ndarray) -> np.ndarray:
-        """Coordinates of the points z in the frame where the geodesic is
-        the imaginary axis and the origin is i; the direction sign is
-        absorbed."""
-        w = self._matrix.inverse().apply_array(z)
-        if self.direction == -1:
-            w = -1.0 / w
-            w = w.real + 1j * np.abs(w.imag)
-        return w
 
 
 def dist(p: HPoint, q: HPoint) -> float:
@@ -264,25 +200,6 @@ def axis_coordinates(z: np.ndarray):
     # tan(theta/2) = y/(rho+x) = (rho-x)/y; pick the cancellation-free form
     yoff = np.where(x >= 0.0, np.log(y) - np.log(rho + x), np.log(rho - x) - np.log(y))
     return u, yoff
-
-
-def dist_to_geodesic(p: HPoint, g: Geodesic):
-    """Distance from p to g and the foot parameter in g's canonical frame."""
-    m = _canonical_matrix(g)
-    w = m.inverse().apply(p).as_complex()
-    u, yoff = axis_coordinates(np.asarray([w]))
-    return abs(float(yoff[0])), float(u[0])
-
-
-def offset_point(frame: GeodesicFrame, s: float, y: float) -> HPoint:
-    """The point at foot parameter s and signed perpendicular offset y.
-
-    Satisfies cosh d(frame.point(0), result) = cosh s cosh y.
-    """
-    theta = 2.0 * math.atan(math.exp(frame.direction * y))
-    rho = math.exp(frame.direction * s)
-    w = HPoint(rho * math.cos(theta), rho * math.sin(theta))
-    return frame._matrix.apply(w)
 
 
 def reflection_in(g: Geodesic) -> Isometry:

@@ -6,19 +6,24 @@ models makes this lossless.  Every Boolean-model path reduces its
 question to one kernel, ``_reaches``: given the Fermi coordinates
 (foot, offset) of the balls around a batch of segments, it returns each
 segment's containment threshold in the vacant or the occupied set.
-Every lines path that asks which side of a line a point is on (segment
-avoidance, the chord check, the tube sandwich) asks ``LineSample.sides``;
-``estimate_f`` and the ray survivors read the crossing feet and the
-blocked arcs of directions instead, which need no side test.
-``estimate_f`` draws only what can touch its longest segment: the
-Poisson points of the segment's R-neighbourhood, or for lines only the
-feet where they cross it.  Each trial draws from its own generator,
-keyed by the trial index; the trials run in blocks, each reduced at
-once.  Rays, chords and the tube sandwich draw exactly the ball that
-can reach them, and measure each ray, net segment or grid cell only
-against the points that can come within R of it.  The per-segment
-predicates are exposed as well, and the tests cross-check every path
-against them on the same realization.
+Every lines path that asks which side of a line a point is on
+(``segment_in``, the chord check, the tube sandwich) asks
+``LineSample.sides``; ``estimate_f`` and the ray survivors read the
+crossing feet and the blocked arcs of directions instead, which need no
+side test.  ``estimate_f`` draws only what can touch its longest
+segment: the Poisson points of the segment's R-neighbourhood, or for
+lines only the feet where they cross it.  Each trial draws from its own
+generator, keyed by the trial index; the trials run in blocks, each
+reduced at once.  Rays, chords and the tube sandwich draw exactly the
+ball that can reach them, and measure each ray, net segment or grid
+cell only against the points that can come within R of it.
+
+One predicate, ``segment_in``, decides a single segment [p, q] against
+a sample: the Boolean models through ``_net_contained`` on hyperboloid
+vectors, the lines through the side test of the chord check.
+``estimate_f`` and the Boolean ray survivors reach their thresholds
+through axis coordinates or polar formulas instead, so the tests check
+them against ``segment_in`` on the same realization.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import (
-    GeodesicFrame,
     HPoint,
     ORIGIN,
     axis_coordinates,
     ball_area,
     dist,
+    dist_arrays,
     minkowski,
     polar_around_origin,
     segment_point_distance,
@@ -56,15 +61,12 @@ from .sampling import (
 )
 
 __all__ = [
-    "Segment",
     "ExperimentResult",
     "RaySurvival",
     "LineDetection",
     "SDistResult",
     "SandwichResult",
-    "segment_in_vacant",
-    "segment_in_occupied",
-    "segment_avoids_lines",
+    "segment_in",
     "estimate_f",
     "surviving_directions",
     "detect_line_through_ball",
@@ -75,22 +77,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MODELS = ("vacant", "occupied", "lines")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A geodesic segment: frame, start parameter, and length r >= 0."""
-
-    frame: GeodesicFrame
-    start: float
-    length: float
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("segment length must be nonnegative")
-
-    def endpoints(self) -> tuple[HPoint, HPoint]:
-        return self.frame.point(self.start), self.frame.point(self.start + self.length)
 
 
 @dataclass(frozen=True)
@@ -110,8 +96,6 @@ class ExperimentResult:
 class RaySurvival:
     """Directions (on a uniform grid) whose ray of length r survived."""
 
-    r: float
-    n_directions: int
     surviving: list[int]
 
 
@@ -148,7 +132,7 @@ class SandwichResult:
 
 
 # ---------------------------------------------------------------------------
-# general per-segment predicates
+# the containment kernels and the per-segment predicate
 
 
 def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n: int):
@@ -209,34 +193,43 @@ def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, 
     return thr
 
 
-def _segment_reach(seg: Segment, sample: BooleanSample, model: str) -> float:
-    """``_reaches`` of the segment, with its start at foot 0."""
-    p, q = seg.endpoints()
-    reach = max(dist(sample.window_center, p), dist(sample.window_center, q))
-    sample.require_window(reach + sample.params.radius, f"{model} containment")
-    w = seg.frame.pullback_array(sample.points) * math.exp(-seg.start)
-    u, yoff = axis_coordinates(w)
-    return _reaches(model, np.zeros(len(u), dtype=np.intp), u, yoff, sample.params.radius, 1)[0]
+def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
+    """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
+    balls of radius R around the points w (all hyperboloid vectors)."""
+    foot, perp = segment_point_distance(seg_p, seg_q, w)
+    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
+    seg = np.repeat(np.arange(len(seg_p)), len(w))
+    return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))
 
 
-def segment_in_vacant(seg: Segment, sample: BooleanSample) -> bool:
-    """True iff no sample point lies strictly within R of the segment,
-    so a ball tangent to the segment still counts as vacant."""
-    return bool(_segment_reach(seg, sample, "vacant") >= seg.length)
+def _lines_avoid(sample: LineSample, pq: np.ndarray) -> bool:
+    """True iff no line strictly separates the hyperboloid points pq[0]
+    and pq[1]."""
+    side = sample.sides(pq)
+    return not np.any(side[0] * side[1] < 0.0)
 
 
-def segment_in_occupied(seg: Segment, sample: BooleanSample) -> bool:
-    """True iff the union of the closed balls covers the whole segment."""
-    return bool(_segment_reach(seg, sample, "occupied") >= seg.length)
+def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSample) -> bool:
+    """True iff the segment [p, q] lies in the model's set.
 
-
-def segment_avoids_lines(seg: Segment, sample: LineSample) -> bool:
-    """True iff no sampled line strictly separates the segment endpoints."""
-    p, q = seg.endpoints()
+    Vacant: no sample point lies strictly within R of it, so a ball
+    tangent to it still counts as vacant.  Occupied: the closed balls
+    cover it.  Lines: no line strictly separates p from q.  A
+    zero-length segment is decided as the point p.
+    """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
     reach = max(dist(ORIGIN, p), dist(ORIGIN, q))
-    sample.require_window(reach, "line avoidance")
-    sp, sq = sample.sides(to_hyperboloid([p.as_complex(), q.as_complex()]))
-    return bool(np.all(sp * sq >= 0.0))
+    pq = to_hyperboloid([p.as_complex(), q.as_complex()])
+    if model == "lines":
+        sample.require_window(reach, "line avoidance")
+        return _lines_avoid(sample, pq)
+    R = sample.params.radius
+    sample.require_window(reach + R, f"{model} containment")
+    if p == q:
+        d = dist_arrays(sample.points, np.asarray(p.as_complex()))
+        return bool(np.all(d >= R)) if model == "vacant" else bool(np.any(d <= R))
+    return _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +422,7 @@ def _ray_survivors(model: str, params: ModelParams, r: float, n_dir: int, gen):
     if model == "lines":
         sample = sample_lines(params.intensity, r, gen)
         return sample, _line_ray_survivors(sample, r, n_dir)
-    sample = sample_points(params, ORIGIN, r + params.radius, gen)
+    sample = sample_points(params, r + params.radius, gen)
     return sample, _boolean_ray_survivors(sample, r, n_dir, model)
 
 
@@ -446,16 +439,7 @@ def surviving_directions(
     if n_directions < 8:
         raise ValueError("need at least 8 directions")
     _, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
-    return RaySurvival(r, n_directions, [int(i) for i in np.nonzero(alive)[0]])
-
-
-def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
-    """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
-    balls of radius R around the points w (all hyperboloid vectors)."""
-    foot, perp = segment_point_distance(seg_p, seg_q, w)
-    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
-    seg = np.repeat(np.arange(len(seg_p)), len(w))
-    return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))
+    return RaySurvival([int(i) for i in np.nonzero(alive)[0]])
 
 
 def detect_line_through_ball(
@@ -465,15 +449,15 @@ def detect_line_through_ball(
     r: float,
     rng: RngStream,
     n_directions: int = 360,
-    pair_tol: float | None = None,
 ) -> LineDetection:
     """Search for a full chord through B(o, s) certified by two
     surviving rays in nearly antipodal directions.
 
-    Among the surviving directions of one shared sample, nearly
-    antipodal pairs are enumerated closest-to-antipodal first; the
-    chord between their far endpoints is returned as the witness when
-    it passes within s of the origin and is itself contained.
+    Among the surviving directions of one shared sample, the pairs
+    within 2.5 grid steps of antipodal are enumerated closest to
+    antipodal first; the chord between their far endpoints is returned
+    as the witness when it passes within s of the origin and is itself
+    contained.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -485,7 +469,7 @@ def detect_line_through_ball(
     if model != "lines":
         w = to_hyperboloid(sample.points)
     thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    tol = pair_tol if pair_tol is not None else 2.5 * (2.0 * math.pi / n_directions)
+    tol = 2.5 * (2.0 * math.pi / n_directions)
     th = thetas[idx]
     delta = np.mod(th[None, :] - th[:, None], 2.0 * math.pi)
     miss = np.abs(delta - math.pi)
@@ -494,8 +478,7 @@ def detect_line_through_ball(
         i, j = int(idx[cand_i[k]]), int(idx[cand_j[k]])
         pq = to_hyperboloid(polar_around_origin(np.full(2, r), thetas[[i, j]]))
         if model == "lines":
-            side = sample.sides(pq)
-            contained = not np.any(side[0] * side[1] < 0.0)
+            contained = _lines_avoid(sample, pq)
         else:
             contained = _net_contained(pq[:1], pq[1:], w, params.radius, model)
         if contained:
@@ -610,7 +593,6 @@ def sandwich_AQ(
     params: ModelParams,
     trials: int,
     rng: RngStream,
-    mesh: float | None = None,
 ) -> SandwichResult:
     """Estimate the triple (P(A), f, P(Q)) for the s-tube between x and y.
 
@@ -630,9 +612,7 @@ def sandwich_AQ(
         raise ValueError("the tube estimates need d(x, y) >= 4")
     if not 0.0 < s <= 0.05:
         raise ValueError("tube radius s must lie in (0, 0.05]")
-    grid_mesh = s / 8.0 if mesh is None else mesh
-    if not grid_mesh < s / 4.0:
-        raise ValueError("grid resolution must satisfy mesh < s/4")
+    grid_mesh = s / 8.0
     net_mesh = 0.999 * s / 4.0
     lam, R = params.intensity, params.radius
 
@@ -663,7 +643,7 @@ def sandwich_AQ(
         cells_flat = cells.ravel()
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
         for _ in range(trials):
-            pts = sample_points(params, ORIGIN, rho + R, gen).points
+            pts = sample_points(params, rho + R, gen).points
             # Fermi coordinates of the central segment, which runs over feet [0, d]
             u, y = axis_coordinates(pts * math.exp(half_d))
             f_ok = bool(_reaches(model, np.zeros(len(u), dtype=np.intp), u, y, R, 1)[0] >= d)

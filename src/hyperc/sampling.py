@@ -1,12 +1,12 @@
 """Exact samplers for the Poisson models and the invariant line measure.
 
-Point clouds are drawn on hyperbolic balls, or on the R-neighbourhood
-of a segment of the imaginary axis, with the isometry-invariant
-area measure; lines are drawn from the invariant Grassmannian measure
-restricted to the set of lines meeting a reference ball around the
-origin (0, 1), or only as the feet where they cross an axis segment.
-All randomness flows through counter-style streams so a trial's draws
-are a pure function of (master seed, stream index).
+Every window is a ball around (0, 1): point clouds are drawn on it with
+the isometry-invariant area measure, and lines from the invariant
+Grassmannian measure restricted to the lines meeting it.  The
+R-neighbourhood of a segment of the imaginary axis is drawn as well,
+and for lines only the feet where they cross an axis segment.  All
+randomness flows through counter-style streams so a trial's draws are
+a pure function of (master seed, stream index).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import (
-    HPoint,
-    ORIGIN,
     axis_coordinates,
     ball_area,
     minkowski,
@@ -86,36 +84,39 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+class _Window:
+    """A realization drawn on the window B((0, 1), window_radius)."""
+
+    def require_window(self, reach: float, what: str = "query") -> None:
+        """Fail when a query needs geometry beyond the sampled window."""
+        if reach > self.window_radius + 1e-9:
+            raise WindowError(
+                f"{what} reaches distance {reach:.6g} from (0, 1) "
+                f"but the window was sampled only out to {self.window_radius:.6g}"
+            )
+
+
 @dataclass(frozen=True)
-class BooleanSample:
-    """A Poisson point realization on the window ball B(center, radius)."""
+class BooleanSample(_Window):
+    """A Poisson point realization on the window ball B((0, 1), window_radius)."""
 
     params: ModelParams
-    window_center: HPoint
     window_radius: float
     points: np.ndarray = field(repr=False)  # complex UHP coordinates
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def require_window(self, reach: float, what: str = "query") -> None:
-        """Fail when a query needs geometry beyond the sampled window."""
-        if reach > self.window_radius + 1e-9:
-            raise WindowError(
-                f"{what} needs radius {reach:.6g} around the window center "
-                f"but only {self.window_radius:.6g} was sampled"
-            )
-
 
 @dataclass(frozen=True)
-class LineSample:
-    """Poisson lines meeting B(origin, ref_radius), in polar form:
+class LineSample(_Window):
+    """Poisson lines meeting B((0, 1), window_radius), in polar form:
     ``foot_dist`` is the hyperbolic distance from (0, 1) to the line and
     ``foot_dir`` the disk-model direction of its nearest point.
     """
 
     intensity: float
-    ref_radius: float
+    window_radius: float
     foot_dist: np.ndarray = field(repr=False)
     foot_dir: np.ndarray = field(repr=False)
 
@@ -136,37 +137,22 @@ class LineSample:
         n = np.stack([-np.cosh(p) * np.sin(phi), np.cosh(p) * np.cos(phi), np.sinh(p)], axis=-1)
         return minkowski(np.asarray(w)[..., None, :], n)
 
-    def require_window(self, reach: float, what: str = "query") -> None:
-        if reach > self.ref_radius + 1e-9:
-            raise WindowError(
-                f"{what} reaches distance {reach:.6g} from the origin "
-                f"but lines were sampled only out to {self.ref_radius:.6g}"
-            )
 
-
-def sample_points(
-    params: ModelParams, center: HPoint, radius: float, rng: RngStream | np.random.Generator
-) -> BooleanSample:
-    """Poisson(intensity * area) points, i.i.d. invariant on the ball.
+def sample_points(params: ModelParams, radius: float, gen: np.random.Generator) -> BooleanSample:
+    """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius).
 
     The radial CDF is F(t) = (cosh t - 1)/(cosh radius - 1) and the
-    angle around the center is uniform.
+    angle around (0, 1) is uniform.
     """
     if not radius > 0:
         raise ValueError("window radius must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = gen.poisson(params.intensity * ball_area(radius))
     t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, n) * (math.cosh(radius) - 1.0))
     phi = gen.uniform(0.0, 2.0 * math.pi, n)
-    z = polar_around_origin(t, phi)
-    # translate the canonical center (0, 1) to the requested center
-    z = center.y * z + center.x
-    return BooleanSample(params, center, radius, z)
+    return BooleanSample(params, radius, polar_around_origin(t, phi))
 
 
-def sample_lines(
-    intensity: float, rho: float, rng: RngStream | np.random.Generator
-) -> LineSample:
+def sample_lines(intensity: float, rho: float, gen: np.random.Generator) -> LineSample:
     """Poisson draw from the invariant line measure restricted to lines
     meeting B((0, 1), rho).
 
@@ -179,7 +165,6 @@ def sample_lines(
         raise ValueError("reference radius must be positive")
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = gen.poisson(intensity * phi_ball(rho))
     p = np.arcsinh(gen.uniform(0.0, 1.0, n) * math.sinh(rho))
     phi = gen.uniform(0.0, 2.0 * math.pi, n)
@@ -207,7 +192,7 @@ def sample_tube(params: ModelParams, length: float, gens):
     for gen in gens:
         n = gen.poisson(mean)
         rect.append(gen.random((2, n)))
-        cap = sample_points(params, ORIGIN, R, gen).points
+        cap = sample_points(params, R, gen).points
         n_rect.append(n)
         n_cap.append(len(cap))
         caps.append(cap)

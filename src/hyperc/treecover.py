@@ -18,11 +18,11 @@ import numpy as np
 
 from .geometry import (
     Geodesic,
-    GeodesicFrame,
     HPoint,
     Isometry,
     ORIGIN,
     axis_coordinates,
+    canonical_matrix,
     dist,
     dist_arrays,
     ideal_from_disk_angle,
@@ -31,7 +31,7 @@ from .geometry import (
     to_disk,
     to_hyperboloid,
 )
-from .sampling import BooleanSample, LineSample
+from .sampling import BooleanSample, LineSample, RngStream
 
 __all__ = [
     "Word",
@@ -148,7 +148,6 @@ class RPrimeEstimate:
 
     line_to_vertices: float
     vertex_to_line: float
-    n_paths: int
 
 
 def _random_path_words(tree: EmbeddedTree, gen) -> tuple[list[Word], Word, Word]:
@@ -168,18 +167,19 @@ def _random_path_words(tree: EmbeddedTree, gen) -> tuple[list[Word], Word, Word]
     return path, left, right
 
 
-def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng) -> RPrimeEstimate:
+def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrimeEstimate:
     """Sample bi-infinite non-backtracking paths through the origin and
     measure how far their limit geodesics stray from the vertices.
 
     The limit points are approximated by the Euclidean normalization of
     the deepest vertices' disk coordinates, which converges because
     disk geodesics approach their ideal endpoints in the Euclidean
-    metric.
+    metric.  Each limit geodesic is read in the coordinates where it is
+    the imaginary axis, through ``canonical_matrix`` and its inverse.
     """
     if tree.depth < 2:
         raise ValueError("need depth >= 2 to walk paths")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = rng.generator()
     worst_line = 0.0
     worst_vertex = 0.0
     for _ in range(n_paths):
@@ -187,15 +187,15 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng) -> RPrimeEstimate:
         ang_l = math.atan2(tree.vertices[left].imag, tree.vertices[left].real)
         ang_r = math.atan2(tree.vertices[right].imag, tree.vertices[right].real)
         limit = Geodesic(ideal_from_disk_angle(ang_l), ideal_from_disk_angle(ang_r))
-        frame = GeodesicFrame.canonical(limit)
+        m = canonical_matrix(limit)
         verts = np.asarray([tree.uhp_vertices[w].as_complex() for w in path])
-        feet, yoff = axis_coordinates(frame.pullback_array(verts))
+        feet, yoff = axis_coordinates(m.inverse().apply_array(verts))
         worst_vertex = max(worst_vertex, float(np.abs(yoff).max()))
         ts = np.arange(feet.min(), feet.max() + 0.05, 0.05)
-        line_pts = frame._matrix.apply_array(1j * np.exp(ts))
+        line_pts = m.apply_array(1j * np.exp(ts))
         dmat = dist_arrays(line_pts[:, None], verts[None, :])
         worst_line = max(worst_line, float(dmat.min(axis=1).max()))
-    return RPrimeEstimate(worst_line, worst_vertex, n_paths)
+    return RPrimeEstimate(worst_line, worst_vertex)
 
 
 def _ball_net_polar(radius: float, mesh: float):

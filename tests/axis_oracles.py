@@ -1,11 +1,33 @@
-"""Reference distance to a segment of the imaginary axis, built from the
-axis coordinates and the point distance alone."""
+"""Reference forms of the axis coordinates that the tests compare
+against: the point at given axis coordinates, the isometry that lays a
+segment on the axis, and the distance to a segment of the imaginary
+axis, built from the axis coordinates and the point distance alone."""
 
 import math
 
 import numpy as np
 
-from hyperc.geometry import axis_coordinates, dist_arrays
+from hyperc.geometry import Isometry, axis_coordinates, dist_arrays
+
+
+def axis_point(u, y):
+    """The points (complex UHP coordinates) at foot u on the imaginary
+    axis and signed perpendicular offset y, positive on the x < 0 side:
+    the inverse of ``axis_coordinates``, with cosh d((0, 1), z) =
+    cosh u cosh y."""
+    theta = 2.0 * np.arctan(np.exp(y))
+    return np.exp(u) * np.exp(1j * theta)
+
+
+def to_axis(p: complex, q: complex) -> Isometry:
+    """An isometry that takes p to i and q to i e^{d(p, q)}: a shift and
+    scaling that takes p to i, then the rotation about i that turns the
+    image of q onto the axis above i."""
+    shift = Isometry(1.0, -p.real, 0.0, p.imag)
+    z = shift.apply_array(np.asarray(q))
+    psi = float(np.angle((z - 1j) / (z + 1j)))
+    c, s = math.cos(psi / 2.0), math.sin(psi / 2.0)
+    return Isometry(c, -s, s, c) @ shift
 
 
 def distance_to_axis_segment(w: np.ndarray, length: float):

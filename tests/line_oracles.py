@@ -1,12 +1,18 @@
 """Reference forms of the sampled lines that the tests compare against:
-each line as the UHP geodesic through its ideal ends, and the UHP
-semicircle side test."""
+each line as the UHP geodesic through its ideal ends, the distance to
+such a geodesic, and the UHP semicircle side test."""
 
 import math
 
 import numpy as np
 
-from hyperc.geometry import Geodesic, ideal_from_disk_angle
+from hyperc.geometry import (
+    Geodesic,
+    HPoint,
+    axis_coordinates,
+    canonical_matrix,
+    ideal_from_disk_angle,
+)
 from hyperc.sampling import LineSample
 
 
@@ -15,6 +21,15 @@ def geodesic(p: float, phi: float) -> Geodesic:
     ideal ends lie at the disk angles phi -+ arccos(tanh p)."""
     delta = math.acos(math.tanh(p))
     return Geodesic(ideal_from_disk_angle(phi - delta), ideal_from_disk_angle(phi + delta))
+
+
+def dist_to_geodesic(p: HPoint, g: Geodesic):
+    """Distance from p to g and the foot parameter in g's canonical
+    frame: p is moved by the inverse of ``canonical_matrix(g)``, which
+    takes g onto the imaginary axis, and read in axis coordinates."""
+    w = canonical_matrix(g).inverse().apply(p).as_complex()
+    u, yoff = axis_coordinates(np.asarray([w]))
+    return abs(float(yoff[0])), float(u[0])
 
 
 def semicircle_sides(sample: LineSample, z: complex) -> np.ndarray:

@@ -9,18 +9,16 @@ from scipy import integrate
 from hyperc.geometry import (
     INF,
     Geodesic,
-    GeodesicFrame,
     HPoint,
     Isometry,
     ORIGIN,
     axis_coordinates,
     ball_area,
+    canonical_matrix,
     disk_angle_from_ideal,
     dist,
     dist_arrays,
-    dist_to_geodesic,
     ideal_from_disk_angle,
-    offset_point,
     polar_around_origin,
     reflection_in,
     segment_point_distance,
@@ -28,7 +26,8 @@ from hyperc.geometry import (
     to_hyperboloid,
 )
 
-from axis_oracles import distance_to_axis_segment
+from axis_oracles import axis_point, distance_to_axis_segment
+from line_oracles import dist_to_geodesic
 
 RNG = np.random.default_rng(20240811)
 
@@ -86,30 +85,6 @@ class TestDist:
             assert d[k] == pytest.approx(ref, abs=1e-12)
 
 
-class TestFrames:
-    def test_canonical_axis_points(self):
-        f = GeodesicFrame.canonical_axis()
-        assert f.point(0.0) == HPoint(0.0, 1.0)
-        p = f.point(1.0)
-        assert p.x == pytest.approx(0.0, abs=1e-15)
-        assert p.y == pytest.approx(math.e, abs=1e-12)
-
-    def test_isometric_embedding(self):
-        for _ in range(50):
-            g = Geodesic(float(RNG.normal(0, 3)), float(RNG.normal(0, 3) + 7.0))
-            f = GeodesicFrame.canonical(g)
-            s, t = RNG.uniform(-4, 4, 2)
-            assert dist(f.point(s), f.point(t)) == pytest.approx(abs(s - t), abs=1e-10)
-
-    def test_distance_three_apart(self):
-        f = GeodesicFrame.canonical(Geodesic(-2.0, INF))
-        assert dist(f.point(-1.0), f.point(2.0)) == pytest.approx(3.0, abs=1e-10)
-
-    def test_off_geodesic_origin_rejected(self):
-        with pytest.raises(ValueError):
-            GeodesicFrame(Geodesic(0.0, INF), HPoint(1.0, 1.0))
-
-
 class TestDistToGeodesic:
     def test_point_on_geodesic(self):
         d, foot = dist_to_geodesic(HPoint(0.0, 2.5), Geodesic(0.0, INF))
@@ -124,41 +99,44 @@ class TestDistToGeodesic:
         assert foot == pytest.approx(0.0, abs=1e-12)
 
 
+def _hpoint(z) -> HPoint:
+    return HPoint(float(np.real(z)), float(np.imag(z)))
+
+
 class TestOffsetPoint:
+    """``axis_point``, the oracle that places points by axis coordinates."""
+
     def test_zero_offset_is_frame_point(self):
-        f = GeodesicFrame.canonical_axis()
-        assert dist(offset_point(f, 0.0, 0.0), f.point(0.0)) < 1e-12
+        assert dist(_hpoint(axis_point(0.0, 0.0)), ORIGIN) < 1e-12
 
     def test_pythagoras_value(self):
-        f = GeodesicFrame.canonical_axis()
-        p = offset_point(f, 1.0, 1.0)
         # cosh d = cosh 1 cosh 1
-        assert dist(f.point(0.0), p) == pytest.approx(1.513374006596504, abs=1e-10)
+        d = dist(ORIGIN, _hpoint(axis_point(1.0, 1.0)))
+        assert d == pytest.approx(1.513374006596504, abs=1e-10)
 
     def test_pythagoras_identity_random(self):
+        # cosh d(i, z) = cosh s cosh y, also after a random isometry
         for _ in range(50):
-            g = Geodesic(float(RNG.normal(0, 2)), float(RNG.normal(0, 2) + 5.0))
-            f = GeodesicFrame.canonical(g)
+            m = random_isometry()
             s, y = RNG.uniform(-2, 2, 2)
-            p = offset_point(f, s, y)
-            lhs = math.cosh(dist(f.point(0.0), p))
+            p = m.apply(_hpoint(axis_point(s, y)))
+            lhs = math.cosh(dist(m.apply(ORIGIN), p))
             assert lhs == pytest.approx(math.cosh(s) * math.cosh(y), rel=1e-10)
 
     def test_roundtrip_through_the_frame_pullback(self):
-        for _ in range(50):
+        # canonical_matrix(g) lays the axis on g, and points placed beside
+        # g by it read back their axis coordinates through its inverse
+        for _ in range(10):
             g = Geodesic(float(RNG.normal(0, 2)), float(RNG.normal(0, 2) + 4.0))
-            direction = 1 if RNG.uniform() < 0.5 else -1
-            f = GeodesicFrame(g, GeodesicFrame.canonical(g).origin, direction)
-            s, y = RNG.uniform(-2.5, 2.5, 2)
-            z = np.asarray([offset_point(f, s, y).as_complex()])
-            foot, yoff = axis_coordinates(f.pullback_array(z))
-            assert yoff[0] == pytest.approx(y, abs=1e-8)
-            assert foot[0] == pytest.approx(s, abs=1e-8)
+            m = canonical_matrix(g)
+            s, y = RNG.uniform(-2.5, 2.5, (2, 5))
+            on_g = m.apply_array(axis_point(s, 0.0))
+            assert np.allclose(np.abs(on_g - (g.a + g.b) / 2.0), (g.b - g.a) / 2.0, rtol=1e-10)
+            foot, yoff = axis_coordinates(m.inverse().apply_array(m.apply_array(axis_point(s, y))))
+            assert np.allclose(yoff, y, atol=1e-8) and np.allclose(foot, s, atol=1e-8)
 
     def test_perpendicular_offset(self):
-        f = GeodesicFrame.canonical_axis()
-        p = offset_point(f, 0.0, 0.75)
-        assert dist(f.point(0.0), p) == pytest.approx(0.75, abs=1e-10)
+        assert dist(ORIGIN, _hpoint(axis_point(0.0, 0.75))) == pytest.approx(0.75, abs=1e-10)
 
 
 class TestIsometries:
@@ -199,8 +177,7 @@ class TestIsometries:
 class TestReflection:
     def test_fixes_points_on_line(self):
         g = Geodesic(-1.0, 3.0)
-        f = GeodesicFrame.canonical(g)
-        p = f.point(0.7)
+        p = canonical_matrix(g).apply(HPoint(0.0, math.exp(0.7)))
         assert dist(reflection_in(g).apply(p), p) < 1e-10
 
     def test_vertical_mirror(self):
@@ -267,16 +244,6 @@ class TestGeodesicType:
     def test_distinct_endpoints_required(self):
         with pytest.raises(ValueError):
             Geodesic(1.0, 1.0)
-
-    def test_through_two_points(self):
-        p, q = HPoint(-1.0, 1.0), HPoint(1.0, 1.0)
-        g = Geodesic.through(p, q)
-        assert dist_to_geodesic(p, g)[0] < 1e-12
-        assert dist_to_geodesic(q, g)[0] < 1e-12
-
-    def test_through_vertical(self):
-        g = Geodesic.through(HPoint(2.0, 1.0), HPoint(2.0, 3.0))
-        assert g == Geodesic(2.0, INF)
 
 
 class TestHyperboloid:

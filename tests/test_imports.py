@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in it or exported."""
+"""Every name a module of the package imports is used in it or exported,
+and every function, class and method it defines is used in the package."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,50 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# Public names that no code of the package calls, kept on purpose:
+ALLOWED_UNREFERENCED = {
+    # the single-segment definition that the tests check every Monte
+    # Carlo path against
+    "segment_in",
+    # the only code for the paper's site reduction of the tree at p0
+    "tree_site_reduction",
+    # the quadrature oracle of area_crescent_closed_form, which the
+    # tests and the benchmark's tracer reach by name
+    "area_crescent",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of the module's top-level functions and classes and
+    of the methods of its top-level classes, without dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def test_every_definition_is_referenced():
+    """A function, class or method that no module of the package names,
+    other than in its own definition and in ``__all__``, is dead code:
+    only tests would reach it."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    exempt = set(hyperc.__all__) | ALLOWED_UNREFERENCED
+    unreferenced = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _definitions(tree)
+        if name.rsplit(".", 1)[-1] not in referenced | exempt
+    ]
+    assert unreferenced == []

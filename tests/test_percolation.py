@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,33 +9,27 @@ from hyperc import percolation
 from hyperc.analytic import f_grassmann, f_vacant
 from hyperc.geometry import (
     ORIGIN,
-    Geodesic,
-    GeodesicFrame,
     HPoint,
     axis_coordinates,
     ball_area,
-    dist,
-    offset_point,
     polar_around_origin,
     to_hyperboloid,
 )
 from hyperc.percolation import (
     TRIAL_BLOCK,
-    Segment,
     _block_thresholds,
     _boolean_ray_survivors,
     _chord_distance,
     _ball_net,
     _coverage_reaches,
+    _line_ray_survivors,
     _lines_tube_events,
     _net_contained,
     _within_segment,
     detect_line_through_ball,
     estimate_f,
     sandwich_AQ,
-    segment_avoids_lines,
-    segment_in_occupied,
-    segment_in_vacant,
+    segment_in,
     surviving_directions,
 )
 from hyperc.sampling import (
@@ -42,14 +37,15 @@ from hyperc.sampling import (
     LineSample,
     ModelParams,
     RngStream,
+    WindowError,
     sample_crossings,
+    sample_lines,
     sample_points,
     sample_tube,
 )
 
-from axis_oracles import distance_to_axis_segment
+from axis_oracles import axis_point, distance_to_axis_segment, to_axis
 
-AXIS = GeodesicFrame.canonical_axis()
 # false-alarm rate per estimate of the exact two-sided binomial gates
 TAIL = 3.8e-8
 
@@ -123,12 +119,16 @@ def _threshold_agrees(contained, thr: float, r_max: float) -> None:
         assert contained(r) == (r <= thr), (r, thr)
 
 
+def _axis_end(r: float) -> HPoint:
+    """The point at foot r on the imaginary axis."""
+    return HPoint(0.0, math.exp(r))
+
+
 def _trial_sample(params, u, y, r_max) -> BooleanSample:
     # the neighbourhood's points are all that the segments over
-    # [0, r_max] can see; the window claims the ball around the
-    # segment's midpoint that holds the neighbourhood
-    pts = np.array([offset_point(AXIS, a, b).as_complex() for a, b in zip(u, y)], dtype=complex)
-    return BooleanSample(params, AXIS.point(r_max / 2.0), r_max / 2.0 + 2.0 * params.radius, pts)
+    # [0, r_max] can see; the window claims the ball B(o, r_max + R)
+    # that holds the neighbourhood
+    return BooleanSample(params, r_max + params.radius, axis_point(u, y))
 
 
 def _crossing_lines(lam, feet, r_max, gen) -> LineSample:
@@ -162,14 +162,13 @@ def test_block_thresholds_match_the_segment_predicates(model, params):
         for t in range(n):
             lines = _crossing_lines(params.intensity, feet[trial == t], r_max, tilt)
             _threshold_agrees(
-                lambda r: segment_avoids_lines(Segment(AXIS, 0.0, r), lines), thr[t], r_max
+                lambda r: segment_in(model, ORIGIN, _axis_end(r), lines), thr[t], r_max
             )
         return
     trial, u, y = sample_tube(params, r_max, _gens(11, n))
-    predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
     for t in range(n):
         sample = _trial_sample(params, u[trial == t], y[trial == t], r_max)
-        _threshold_agrees(lambda r: predicate(Segment(AXIS, 0.0, r), sample), thr[t], r_max)
+        _threshold_agrees(lambda r: segment_in(model, ORIGIN, _axis_end(r), sample), thr[t], r_max)
     # both outcomes occur, so the comparison has power
     assert np.any(thr >= r_max) or np.any(thr < 0.0)
     assert np.any((thr >= 0.0) & (thr < r_max))
@@ -243,15 +242,6 @@ def test_rejects_bad_input():
 # rays, chords and the tube sandwich
 
 
-def _through(p: HPoint, q: HPoint) -> Segment:
-    """The segment from p to q."""
-    length = dist(p, q)
-    frame = GeodesicFrame(Geodesic.through(p, q), p, 1)
-    if dist(frame.point(length), q) > dist(frame.point(-length), q):
-        return Segment(frame, -length, length)
-    return Segment(frame, 0.0, length)
-
-
 @pytest.mark.parametrize(
     "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
 )
@@ -259,14 +249,13 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     r, n_dir = 3.0, 64
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     ends = polar_around_origin(np.full(n_dir, r), thetas)
-    predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
     seen = set()
     for seed in range(6):
-        sample = sample_points(params, ORIGIN, r + params.radius, np.random.default_rng(seed))
+        sample = sample_points(params, r + params.radius, np.random.default_rng(seed))
         alive = _boolean_ray_survivors(sample, r, n_dir, model)
         for k in range(n_dir):
-            seg = _through(ORIGIN, HPoint(ends[k].real, ends[k].imag))
-            assert alive[k] == predicate(seg, sample), (seed, k)
+            end = HPoint(ends[k].real, ends[k].imag)
+            assert alive[k] == segment_in(model, ORIGIN, end, sample), (seed, k)
         seen.update(alive.tolist())
     assert seen == {True, False}
 
@@ -292,7 +281,7 @@ def _all_pairs_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model:
 def test_ray_arcs_match_all_pairs(model, params, n_dir):
     r = 5.0
     for seed in range(8):
-        sample = sample_points(params, ORIGIN, r + params.radius, RngStream(seed))
+        sample = sample_points(params, r + params.radius, RngStream(seed).generator())
         got = _boolean_ray_survivors(sample, r, n_dir, model)
         assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, model)), seed
 
@@ -317,7 +306,7 @@ def test_ray_arcs_of_single_points(n_dir):
     blocked = set()
     for t, psi in places:
         z = polar_around_origin(np.asarray([t]), np.asarray([psi]))
-        sample = BooleanSample(params, ORIGIN, r + params.radius, z)
+        sample = BooleanSample(params, r + params.radius, z)
         got = _boolean_ray_survivors(sample, r, n_dir, "vacant")
         ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
         assert np.array_equal(got, ref), (t, psi)
@@ -326,25 +315,43 @@ def test_ray_arcs_of_single_points(n_dir):
     assert n_dir in blocked and min(blocked) < n_dir // 4
 
 
+def _axis_contained(w: np.ndarray, length: float, R: float, model: str) -> bool:
+    """Oracle in axis coordinates: whether the axis segment over feet
+    [0, length] lies in the set of the balls of radius R around the
+    points w (complex UHP coordinates).  Vacant: every point keeps at
+    least R from the segment.  Occupied: the chords [u - h, u + h],
+    cosh h = cosh R / cosh y, that the closed balls cut from the axis
+    cover [0, length]."""
+    d, u, y = distance_to_axis_segment(w, length)
+    if model == "vacant":
+        return bool(np.all(d >= R))
+    near = np.abs(y) <= R
+    h = np.arccosh(math.cosh(R) / np.cosh(y[near]))
+    return _coverage_reach(u[near] - h, u[near] + h) >= length
+
+
 @pytest.mark.parametrize(
     "model, params", [("vacant", ModelParams(0.15, 0.6)), ("occupied", ModelParams(1.0, 1.0))]
 )
 def test_net_containment_matches_the_segment_predicates(model, params):
+    """_net_contained, on hyperboloid vectors, decides each segment as the
+    axis oracle does after the isometry that lays the segment on the
+    imaginary axis has moved the segment and the points."""
     R = params.radius
-    predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
     gen = np.random.default_rng(40)
     # segments between points of B(o, 2) lie in it, so the window
     # B(o, 2 + R) holds every ball that can reach them
-    sample = sample_points(params, ORIGIN, 2.0 + R, gen)
-    w = to_hyperboloid(sample.points)
+    pts = sample_points(params, 2.0 + R, gen).points
+    w = to_hyperboloid(pts)
     ends = polar_around_origin(
         gen.uniform(0.0, 2.0, (2, 40)), gen.uniform(0.0, 2.0 * math.pi, (2, 40))
     )
     p, q = to_hyperboloid(ends[0]), to_hyperboloid(ends[1])
     expect = []
     for k in range(40):
-        a, b = (HPoint(z.real, z.imag) for z in ends[:, k])
-        expect.append(predicate(_through(a, b), sample))
+        m = to_axis(ends[0, k], ends[1, k])
+        length = math.log(m.apply_array(ends[1, k]).imag)
+        expect.append(_axis_contained(m.apply_array(pts), length, R, model))
         assert _net_contained(p[k : k + 1], q[k : k + 1], w, R, model) == expect[-1], k
     assert set(expect) == {True, False}
     assert _net_contained(p, q, w, R, model) == all(expect)
@@ -365,7 +372,7 @@ def test_within_segment_keeps_the_points_near_the_tube():
         beyond = max(abs(foot) - half_d, 0.0)
         for gap, expect in ((-1e-9, True), (1e-9, False)):
             y = math.acosh(math.cosh(reach + gap) / math.cosh(beyond))
-            pts.append(offset_point(AXIS, foot, y_sign * y).as_complex())
+            pts.append(axis_point(foot, y_sign * y))
             inside.append(expect)
     pts = np.asarray(pts)
     u, y = axis_coordinates(pts)
@@ -404,9 +411,9 @@ def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
     from the central segment, so f holds, but comes within R of the end
     net, so Q fails; A holds."""
     params, s = ModelParams(0.1, 1.0), 0.05
-    z = np.asarray([offset_point(AXIS, 2.0, params.radius + s / 2.0).as_complex()])
+    z = np.atleast_1d(axis_point(2.0, params.radius + s / 2.0))
     monkeypatch.setattr(
-        percolation, "sample_points", lambda p, c, radius, gen: BooleanSample(p, c, radius, z)
+        percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, z)
     )
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
     assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
@@ -432,7 +439,7 @@ def test_filtered_points_decide_the_net_alike(model, params):
     seg_p, seg_q = _tube_nets(half_d, s)
     outcomes, dropped = set(), 0
     for seed in range(40):
-        pts = sample_points(params, ORIGIN, half_d + s + R, RngStream(seed)).points
+        pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
         u, y = axis_coordinates(pts)
         near = _within_segment(u, y, half_d, R + s)
         full = _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
@@ -503,10 +510,12 @@ def test_empty_process(model):
     assert (res.p_A, res.f_hat, res.p_Q) == ((1.0,) * 3 if inside else (0.0,) * 3)
     f = estimate_f(model, params, [0.0, 2.0], 100, RngStream(1))
     assert np.all(f.estimates == (1.0 if inside else 0.0))
-    if model != "lines":
-        sample = sample_points(params, ORIGIN, 5.0, RngStream(1))
-        predicate = segment_in_vacant if model == "vacant" else segment_in_occupied
-        assert predicate(Segment(AXIS, 0.0, 3.0), sample) == inside
+    gen = RngStream(1).generator()
+    if model == "lines":
+        sample = sample_lines(0.0, 5.0, gen)
+    else:
+        sample = sample_points(params, 5.0, gen)
+    assert segment_in(model, ORIGIN, _axis_end(3.0), sample) == inside
 
 
 def test_vacant_ray_share_matches_f_vacant():
@@ -537,3 +546,70 @@ def test_chord_distance_is_well_conditioned():
         delta = np.mod(np.roll(thetas, -m) - thetas, 2.0 * math.pi)
         err = np.abs(_chord_distance(r, delta) - exact)
         assert err.max() < 1e-12, (m, err.max())
+
+
+# ---------------------------------------------------------------------------
+# the window checks and zero-length segments
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
+def test_segment_in_refuses_a_segment_past_the_window(model):
+    """A Boolean window must hold the R-neighbourhood of the segment, a
+    line window the segment itself."""
+    gen = RngStream(2).generator()
+    if model == "lines":
+        sample = sample_lines(1.0, 2.0, gen)
+    else:
+        sample = sample_points(ModelParams(0.5, 1.0), 3.0, gen)
+    segment_in(model, ORIGIN, _axis_end(1.9), sample)
+    segment_in(model, _axis_end(-1.9), ORIGIN, sample)
+    with pytest.raises(WindowError):
+        segment_in(model, ORIGIN, _axis_end(2.1), sample)
+    with pytest.raises(WindowError):
+        segment_in(model, _axis_end(-2.1), _axis_end(-2.1), sample)
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
+def test_rays_refuse_a_length_past_the_window(model):
+    gen = RngStream(3).generator()
+    if model == "lines":
+        sample = sample_lines(1.0, 2.0, gen)
+        rays = partial(_line_ray_survivors, sample, n_dir=16)
+    else:
+        sample = sample_points(ModelParams(0.5, 1.0), 3.0, gen)
+        rays = partial(_boolean_ray_survivors, sample, n_dir=16, model=model)
+    assert rays(r=2.0).shape == (16,)
+    with pytest.raises(WindowError):
+        rays(r=2.1)
+
+
+@pytest.mark.parametrize("at", [ORIGIN, HPoint(0.4, 0.7)])
+@pytest.mark.parametrize(
+    "gap, vacant, occupied", [(-1e-9, False, True), (1e-9, True, False), (None, True, False)]
+)
+def test_zero_length_segment_is_decided_as_a_point(at, gap, vacant, occupied):
+    """One point at distance R + gap from the segment [at, at] in each of
+    four directions, or no point at all (gap None)."""
+    R = 1.0
+    for phi in (0.0, 1.3, math.pi, 4.4):
+        pts = np.empty(0, dtype=complex)
+        if gap is not None:
+            pts = np.atleast_1d(at.y * polar_around_origin(R + gap, phi) + at.x)
+        sample = BooleanSample(ModelParams(1.0, R), 3.0, pts)
+        assert segment_in("vacant", at, at, sample) == vacant, phi
+        assert segment_in("occupied", at, at, sample) == occupied, phi
+
+
+def test_zero_length_segment_is_in_the_lines_complement():
+    """No line separates a point from itself, also when a line passes
+    through it."""
+    gen = np.random.default_rng(5)
+    sample = sample_lines(5.0, 3.0, gen)
+    z = polar_around_origin(gen.uniform(0.0, 2.5, 50), gen.uniform(0.0, 2.0 * math.pi, 50))
+    on_lines = LineSample(1.0, 3.0, np.asarray([0.0, 0.7]), np.asarray([0.3, 2.0]))
+    foot = polar_around_origin(0.7, 2.0)
+    for s, p in [(sample, HPoint(zk.real, zk.imag)) for zk in z] + [
+        (on_lines, ORIGIN),
+        (on_lines, HPoint(foot.real, foot.imag)),
+    ]:
+        assert segment_in("lines", p, p, s)

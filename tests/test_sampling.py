@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hyperc.geometry import (
-    GeodesicFrame,
     HPoint,
     ORIGIN,
     axis_coordinates,
     ball_area,
     dist,
     dist_arrays,
-    dist_to_geodesic,
-    offset_point,
     polar_around_origin,
     to_hyperboloid,
 )
@@ -35,7 +32,8 @@ from hyperc.sampling import (
     sample_tube,
 )
 
-from line_oracles import geodesic, semicircle_sides
+from axis_oracles import axis_point
+from line_oracles import dist_to_geodesic, geodesic, semicircle_sides
 
 
 def sample_lines_rejection(intensity: float, rho: float, gen: np.random.Generator, count: int):
@@ -87,31 +85,30 @@ class TestRngStream:
 
     def test_sampling_is_deterministic(self):
         p = ModelParams(1.0, 1.0)
-        s1 = sample_points(p, ORIGIN, 2.0, RngStream(9))
-        s2 = sample_points(p, ORIGIN, 2.0, RngStream(9))
+        s1 = sample_points(p, 2.0, RngStream(9).generator())
+        s2 = sample_points(p, 2.0, RngStream(9).generator())
         assert np.array_equal(s1.points, s2.points)
-        l1 = sample_lines(1.0, 2.0, RngStream(9))
-        l2 = sample_lines(1.0, 2.0, RngStream(9))
+        l1 = sample_lines(1.0, 2.0, RngStream(9).generator())
+        l2 = sample_lines(1.0, 2.0, RngStream(9).generator())
         assert np.array_equal(l1.foot_dist, l2.foot_dist)
         assert np.array_equal(l1.foot_dir, l2.foot_dir)
 
 
 class TestSamplePoints:
     def test_zero_intensity(self):
-        s = sample_points(ModelParams(0.0, 1.0), ORIGIN, 2.0, RngStream(1))
+        s = sample_points(ModelParams(0.0, 1.0), 2.0, RngStream(1).generator())
         assert len(s) == 0
 
     def test_points_inside_window(self):
-        center = HPoint(0.5, 2.0)
-        s = sample_points(ModelParams(2.0, 1.0), center, 1.5, RngStream(2))
-        d = dist_arrays(s.points, np.asarray(center.as_complex()))
-        assert (d <= 1.5 + 1e-9).all()
+        s = sample_points(ModelParams(2.0, 1.0), 1.5, RngStream(2).generator())
+        assert s.window_radius == 1.5 and len(s) > 0
+        assert (dist_arrays(s.points, np.asarray(1j)) <= 1.5 + 1e-9).all()
 
     def test_mean_count(self):
         # Poisson(lambda * area): z test on the total of many trials
         lam, radius, trials = 1.0, 1.0, 3000
         gen = RngStream(3).generator()
-        counts = [len(sample_points(ModelParams(lam, radius), ORIGIN, radius, gen)) for _ in range(trials)]
+        counts = [len(sample_points(ModelParams(lam, radius), radius, gen)) for _ in range(trials)]
         mean = lam * ball_area(radius)
         z = (np.sum(counts) - trials * mean) / math.sqrt(trials * mean)
         assert abs(z) < 3.5
@@ -120,7 +117,7 @@ class TestSamplePoints:
         # one large conditional draw is i.i.d. from the radial law
         radius = 2.0
         lam = 100_000 / ball_area(radius)
-        s = sample_points(ModelParams(lam, radius), ORIGIN, radius, RngStream(4))
+        s = sample_points(ModelParams(lam, radius), radius, RngStream(4).generator())
         t = dist_arrays(s.points, np.asarray(1j))
         cdf = lambda x: (np.cosh(x) - 1.0) / (math.cosh(radius) - 1.0)
         res = stats.kstest(t, cdf)
@@ -134,7 +131,7 @@ class TestSamplePoints:
         c2 = np.asarray(HPoint(0.0, math.exp(-0.9)).as_complex())
         n1, n2 = [], []
         for _ in range(2000):
-            s = sample_points(ModelParams(lam, 1.0), ORIGIN, window, gen)
+            s = sample_points(ModelParams(lam, 1.0), window, gen)
             if len(s) == 0:
                 n1.append(0)
                 n2.append(0)
@@ -149,9 +146,9 @@ class TestSamplePoints:
         gen = RngStream(6).generator()
         thinned, direct = [], []
         for _ in range(3000):
-            s = sample_points(ModelParams(lam, 1.0), ORIGIN, 1.5, gen)
+            s = sample_points(ModelParams(lam, 1.0), 1.5, gen)
             thinned.append(int((gen.uniform(size=len(s)) < keep).sum()))
-            s2 = sample_points(ModelParams(lam * keep, 1.0), ORIGIN, 1.5, gen)
+            s2 = sample_points(ModelParams(lam * keep, 1.0), 1.5, gen)
             direct.append(len(s2))
         res = stats.ks_2samp(thinned, direct)
         assert res.pvalue > 1e-3
@@ -159,11 +156,11 @@ class TestSamplePoints:
 
 class TestSampleLines:
     def test_zero_intensity(self):
-        s = sample_lines(0.0, 2.0, RngStream(1))
+        s = sample_lines(0.0, 2.0, RngStream(1).generator())
         assert len(s) == 0
 
     def test_every_line_meets_reference_ball(self):
-        s = sample_lines(2.0, 1.5, RngStream(2))
+        s = sample_lines(2.0, 1.5, RngStream(2).generator())
         assert (s.foot_dist < 1.5 + 1e-9).all()
         # the line through the polar form's ideal ends passes at foot_dist
         for k in range(min(len(s), 200)):
@@ -175,7 +172,7 @@ class TestSampleLines:
         is the distance to the line through the ideal ends, (0, 1) lies on
         its negative side, and it separates two points exactly when the
         UHP semicircle test does."""
-        s = sample_lines(1.0, 3.0, RngStream(7))
+        s = sample_lines(1.0, 3.0, RngStream(7).generator())
         gen = np.random.default_rng(8)
         z = polar_around_origin(gen.uniform(0.0, 3.0, 60), gen.uniform(0.0, 2.0 * math.pi, 60))
         sides = s.sides(to_hyperboloid(z))
@@ -191,7 +188,8 @@ class TestSampleLines:
                 assert math.asinh(abs(sides[k, line])) == pytest.approx(d, abs=1e-9)
         assert np.allclose(s.sides(to_hyperboloid(1j)), -np.sinh(s.foot_dist), rtol=1e-12)
         assert s.sides(to_hyperboloid(z)[:0]).shape == (0, len(s))
-        assert sample_lines(0.0, 3.0, RngStream(7)).sides(to_hyperboloid(z)).shape == (60, 0)
+        empty = sample_lines(0.0, 3.0, RngStream(7).generator())
+        assert empty.sides(to_hyperboloid(z)).shape == (60, 0)
 
     def test_mean_count_matches_phi_ball(self):
         lam, rho, trials = 1.0, 1.5, 4000
@@ -265,9 +263,7 @@ class TestSampleTube:
 
     def test_fermi_coordinates_are_axis_coordinates(self):
         _, u, y = sample_tube(ModelParams(2.0, 1.0), 2.0, _gens(2, 20))
-        frame = GeodesicFrame.canonical_axis()
-        z = np.array([offset_point(frame, a, b).as_complex() for a, b in zip(u, y)])
-        u2, y2 = axis_coordinates(z)
+        u2, y2 = axis_coordinates(axis_point(u, y))
         assert np.allclose(u2, u, atol=1e-12) and np.allclose(y2, y, atol=1e-12)
 
     def test_offset_law(self):
@@ -382,11 +378,11 @@ class TestPhiMeasures:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            sample_lines(-1.0, 1.0, RngStream(0))
+            sample_lines(-1.0, 1.0, RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_lines(1.0, 0.0, RngStream(0))
+            sample_lines(1.0, 0.0, RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_points(ModelParams(1.0, 1.0), ORIGIN, 0.0, RngStream(0))
+            sample_points(ModelParams(1.0, 1.0), 0.0, RngStream(0).generator())
         with pytest.raises(ValueError):
             ModelParams(-0.5, 1.0)
         with pytest.raises(ValueError):

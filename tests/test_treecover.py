@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperc.geometry import ORIGIN, HPoint, dist, dist_arrays, dist_to_geodesic, polar_around_origin
+from hyperc.geometry import ORIGIN, HPoint, dist, dist_arrays, polar_around_origin
 from hyperc.sampling import ModelParams, RngStream, WindowError, sample_lines, sample_points
 from hyperc.treecover import (
     MAX_DEPTH,
@@ -14,7 +14,7 @@ from hyperc.treecover import (
     tree_site_reduction,
 )
 
-from line_oracles import geodesic
+from line_oracles import dist_to_geodesic, geodesic
 
 R_PRIME = 0.3
 TREE = build_tree(1.5, 3)
@@ -25,7 +25,7 @@ def test_lines_branch_matches_brute_force_distances():
     """A vertex is open iff every line keeps at least r' from it."""
     outcomes = set()
     for seed in range(10):
-        sample = sample_lines(0.3, REACH + R_PRIME, RngStream(seed))
+        sample = sample_lines(0.3, REACH + R_PRIME, RngStream(seed).generator())
         lines = [geodesic(p, phi) for p, phi in zip(sample.foot_dist, sample.foot_dir)]
         expect = {
             w
@@ -43,7 +43,7 @@ def test_vacant_branch_matches_brute_force_distances():
     params = ModelParams(0.3, 0.5)
     outcomes = set()
     for seed in range(10):
-        sample = sample_points(params, ORIGIN, REACH + R_PRIME + params.radius, RngStream(seed))
+        sample = sample_points(params, REACH + R_PRIME + params.radius, RngStream(seed).generator())
         points = [HPoint(z.real, z.imag) for z in sample.points]
         expect = {
             w
@@ -81,7 +81,7 @@ def test_occupied_branch_matches_the_per_vertex_reference(lam):
     verts = np.asarray([v.as_complex() for v in TREE.uhp_vertices.values()])
     outcomes, lonely = set(), 0
     for seed in range(4):
-        sample = sample_points(params, ORIGIN, REACH + R_PRIME + params.radius, RngStream(seed))
+        sample = sample_points(params, REACH + R_PRIME + params.radius, RngStream(seed).generator())
         got = tree_site_reduction(TREE, sample, "occupied", R_PRIME)
         assert got == _occupied_per_vertex(TREE, sample, R_PRIME), seed
         outcomes.update(w in got for w in TREE.words())
@@ -96,17 +96,19 @@ def test_empty_process(model):
     """With no points or lines every vertex ball lies in the vacant set
     and in the complement of the lines, and none in the occupied set."""
     if model == "lines":
-        sample = sample_lines(0.0, REACH + R_PRIME, RngStream(1))
+        sample = sample_lines(0.0, REACH + R_PRIME, RngStream(1).generator())
     else:
-        sample = sample_points(ModelParams(0.0, 0.5), ORIGIN, REACH + R_PRIME + 0.5, RngStream(1))
+        gen = RngStream(1).generator()
+        sample = sample_points(ModelParams(0.0, 0.5), REACH + R_PRIME + 0.5, gen)
     got = tree_site_reduction(TREE, sample, model, R_PRIME)
     assert got == (set() if model == "occupied" else set(TREE.words()))
 
 
 def test_window_too_small():
+    lines = sample_lines(0.3, REACH, RngStream(1).generator())
     with pytest.raises(WindowError):
-        tree_site_reduction(TREE, sample_lines(0.3, REACH, RngStream(1)), "lines", R_PRIME)
-    sample = sample_points(ModelParams(0.3, 0.5), ORIGIN, REACH + R_PRIME, RngStream(1))
+        tree_site_reduction(TREE, lines, "lines", R_PRIME)
+    sample = sample_points(ModelParams(0.3, 0.5), REACH + R_PRIME, RngStream(1).generator())
     with pytest.raises(WindowError):
         tree_site_reduction(TREE, sample, "vacant", R_PRIME)
 
