@@ -2,10 +2,12 @@
 
 The probability f(r) that a geodesic segment of length r stays inside
 the random set decays like e^{-alpha r}.  For the vacant set alpha has
-the closed form 2 lambda sinh R; for the occupied set alpha is the
-unique positive root of an exponential-moment equation driven by the
-hitting-time law G of the first coverage gap; for the line-process
-complement f(r) = e^{-lambda r} exactly.
+the closed form 2 lambda sinh R; for the line-process complement
+f(r) = e^{-lambda r} exactly.  For the occupied set alpha is the root
+beta of int_0^{2R} e^{beta s} G'(s) ds = 1, G the hitting-time law of
+the first coverage gap.  The left side increases in beta, so alpha > 1
+exactly where it is below one at beta = 1: lambda_gc, where alpha = 1,
+is the root in lambda of the equation at beta = 1.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ def lambda_gv(R: float) -> float:
     return 1.0 / (2.0 * math.sinh(R))
 
 
-def _crescent_integrand(s: float, R: float) -> float:
-    v = math.cosh(R) ** 2 / math.cosh(s) ** 2 - 1.0
-    return 2.0 * math.sqrt(max(v, 0.0))
+def _band_density(x, R: float):
+    """2 sqrt(cosh^2 R / cosh^2 x - 1), elementwise: the area of B(o, R)
+    per unit foot parameter at foot x along a geodesic through o."""
+    return 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(x) ** 2 - 1.0, 0.0))
 
 
 def area_crescent(t: float, R: float) -> float:
@@ -97,18 +100,17 @@ def area_crescent(t: float, R: float) -> float:
 
     Equals the area of the band of the ball whose foot parameter lies
     in [-t/2, t/2]; for t >= 2R the balls are disjoint and the crescent
-    is the whole ball.  Computed by adaptive quadrature of
-    2 sqrt(cosh^2 R / cosh^2 s - 1); the square-root zero at s = R is
-    integrable and handled by subdivision.  The hitting law and the
-    exponent solvers use ``area_crescent_closed_form``; this quadrature
-    is its oracle.
+    is the whole ball.  Computed by adaptive quadrature of the band
+    density, whose square-root zero at s = R is integrable and handled
+    by subdivision.  The hitting law and the exponent solvers use
+    ``area_crescent_closed_form``; this quadrature is its oracle.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t >= 2.0 * R:
         return ball_area(R)
     val, _ = integrate.quad(
-        _crescent_integrand,
+        _band_density,
         -t / 2.0,
         t / 2.0,
         args=(R,),
@@ -163,7 +165,7 @@ def _exponent_nodes(R: float):
     jac = 0.5 * wmax * wq * 2.0 * w
     s = 2.0 * R - w * w
     area = area_crescent_closed_form(s, R)
-    rate = 2.0 * np.sqrt(np.maximum(np.cosh(R) ** 2 / np.cosh(s / 2.0) ** 2 - 1.0, 0.0))
+    rate = _band_density(s / 2.0, R)
     return s, jac, area, rate
 
 
@@ -172,7 +174,7 @@ def _exponent_residual(beta: float, lam: float, s, jac, area, rate) -> float:
     return float(np.dot(jac, np.exp(beta * s) * gp)) - 1.0
 
 
-def alpha_occupied(params: ModelParams, _nodes=None) -> AlphaResult:
+def alpha_occupied(params: ModelParams) -> AlphaResult:
     """Occupied-set exponent: the unique beta > 0 with
     int_0^{2R} e^{beta s} G'(s) ds = 1.
 
@@ -183,7 +185,7 @@ def alpha_occupied(params: ModelParams, _nodes=None) -> AlphaResult:
     lam, R = params.intensity, params.radius
     if not lam > 0:
         raise ValueError("occupied exponent needs positive intensity")
-    s, jac, area, rate = _nodes if _nodes is not None else _exponent_nodes(R)
+    s, jac, area, rate = _exponent_nodes(R)
 
     def residual(beta):
         return _exponent_residual(beta, lam, s, jac, area, rate)
@@ -215,38 +217,39 @@ def lambda_gc(R: float) -> float:
     """Critical intensity for lines in the occupied set: the lambda at
     which the occupied exponent equals one.
 
-    The exponent is strictly decreasing in lambda, so a geometric
-    bracket plus bisection converges.  The bisection stops at a width
-    relative to lambda, since lambda_gc spans many decades (about 500
-    at R = 0.05, about 2e-6 at R = 6).  Over R in [0.05, 8] the result
-    satisfies |alpha(lambda_gc) - 1| < 1e-8; otherwise SolverError.
+    The renewal residual int_0^{2R} e^{beta s} G'(s) ds - 1 increases
+    in beta and vanishes at alpha(lambda), so its sign at beta = 1 is
+    that of 1 - alpha(lambda): bracket and bisection on it need no alpha.
+    The bisection stops at a width relative to lambda, since lambda_gc
+    spans many decades (about 500 at R = 0.05, about 2e-6 at R = 6).
+    Over R in [0.05, 8], |alpha(lambda_gc) - 1| < 1e-8; else SolverError.
     """
     if not R > 0:
         raise ValueError("R must be positive")
     nodes = _exponent_nodes(R)
 
-    def excess(lam):
-        return alpha_occupied(ModelParams(lam, R), _nodes=nodes).alpha - 1.0
+    def residual(lam):
+        return _exponent_residual(1.0, lam, *nodes)
 
     lo = hi = 1.0 / (2.0 * math.sinh(R))  # vacant threshold as a starting scale
-    if excess(lo) > 0.0:
-        while excess(hi) > 0.0:
+    if residual(lo) < 0.0:
+        while residual(hi) < 0.0:
             lo, hi = hi, 2.0 * hi
             if hi > 1e9:
                 raise SolverError(f"no lambda_gc bracket below 1e9 for R={R}")
     else:
-        while excess(lo) < 0.0:
+        while residual(lo) > 0.0:
             hi, lo = lo, lo / 2.0
             if lo < 1e-12:
                 raise SolverError(f"no lambda_gc bracket above 1e-12 for R={R}")
     while hi - lo > 1e-11 * hi:
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        if residual(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    check = alpha_occupied(ModelParams(lam, R), _nodes=nodes)
+    check = alpha_occupied(ModelParams(lam, R))
     if abs(check.alpha - 1.0) > 1e-8:
         raise SolverError(f"lambda_gc residual |alpha-1| = {abs(check.alpha-1.0):.3e}")
     return lam

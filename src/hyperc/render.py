@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import Geodesic, disk_angle_from_ideal
+from .geometry import Geodesic, disk_angle_from_ideal, to_disk
 from .sampling import BooleanSample, LineSample
 from .treecover import EmbeddedTree
 
@@ -144,12 +144,13 @@ def render_tree(tree: EmbeddedTree, size: int = 600) -> str:
     lines = []
     for g in tree.generator_lines:
         lines.append(_geodesic_element(g, stroke="lightsteelblue", width=0.003))
+    disk = {w: complex(*to_disk(v)) for w, v in tree.vertices.items()}
     # the vertices run breadth first, so each edge to a parent is drawn
     # in the order the parents list their children
-    for w, z in tree.vertices.items():
+    for w, z in disk.items():
         if w:
-            lines.append(_edge_element(tree.vertices[w[:-1]], z))
-    for z in tree.vertices.values():
+            lines.append(_edge_element(disk[w[:-1]], z))
+    for z in disk.values():
         lines.append(
             f'<circle cx="{_fmt(z.real)}" cy="{_fmt(z.imag)}" r="0.008" fill="black"/>'
         )

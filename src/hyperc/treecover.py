@@ -75,12 +75,11 @@ class EmbeddedTree:
 
     arc_length: float
     depth: int
-    vertices: dict[Word, complex]  # Poincare disk coordinates
+    vertices: dict[Word, HPoint] = field(repr=False)
     generator_lines: list[Geodesic]
-    uhp_vertices: dict[Word, HPoint] = field(repr=False)
 
     def edge_length(self) -> float:
-        return dist(ORIGIN, self.uhp_vertices[(0,)])
+        return dist(ORIGIN, self.vertices[(0,)])
 
     def words(self) -> list[Word]:
         return list(self.vertices.keys())
@@ -113,14 +112,12 @@ def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
         raise ValueError(f"depth {depth} at arc length {arc_length} reaches {depth * edge:.4g} "
                          f"from the origin, beyond MAX_RADIUS = {MAX_RADIUS:g}")
 
-    vertices: dict[Word, complex] = {(): complex(*to_disk(ORIGIN))}
-    uhp: dict[Word, HPoint] = {(): ORIGIN}
+    vertices: dict[Word, HPoint] = {(): ORIGIN}
     mats: dict[Word, Isometry] = {(): Isometry.identity()}
     for w in reduced_words(depth):
         mats[w] = mats[w[:-1]] @ refls[w[-1]]
-        uhp[w] = mats[w].apply(ORIGIN)
-        vertices[w] = complex(*to_disk(uhp[w]))
-    return EmbeddedTree(arc_length, depth, vertices, lines, uhp)
+        vertices[w] = mats[w].apply(ORIGIN)
+    return EmbeddedTree(arc_length, depth, vertices, lines)
 
 
 def check_separation(tree: EmbeddedTree, word: Word) -> bool:
@@ -130,10 +127,10 @@ def check_separation(tree: EmbeddedTree, word: Word) -> bool:
         raise ValueError("the empty word has no separating line")
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    if word not in tree.uhp_vertices:
+    if word not in tree.vertices:
         raise ValueError(f"word {word} is beyond the tree depth")
     line = tree.generator_lines[word[0]]
-    return line.side(ORIGIN) * line.side(tree.uhp_vertices[word]) < 0.0
+    return line.side(ORIGIN) * line.side(tree.vertices[word]) < 0.0
 
 
 @dataclass(frozen=True)
@@ -184,11 +181,10 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrime
     worst_vertex = 0.0
     for _ in range(n_paths):
         path, left, right = _random_path_words(tree, gen)
-        ang_l = math.atan2(tree.vertices[left].imag, tree.vertices[left].real)
-        ang_r = math.atan2(tree.vertices[right].imag, tree.vertices[right].real)
-        limit = Geodesic(ideal_from_disk_angle(ang_l), ideal_from_disk_angle(ang_r))
+        ends = [to_disk(tree.vertices[w]) for w in (left, right)]
+        limit = Geodesic(*(ideal_from_disk_angle(math.atan2(y, x)) for x, y in ends))
         m = canonical_matrix(limit)
-        verts = np.asarray([tree.uhp_vertices[w].as_complex() for w in path])
+        verts = np.asarray([tree.vertices[w].as_complex() for w in path])
         feet, yoff = axis_coordinates(m.inverse().apply_array(verts))
         worst_vertex = max(worst_vertex, float(np.abs(yoff).max()))
         ts = np.arange(feet.min(), feet.max() + 0.05, 0.05)
@@ -226,7 +222,7 @@ def tree_site_reduction(
     Lines: no sampled line passes within r_prime of the vertex.
     """
     words = tree.words()
-    verts = np.asarray([tree.uhp_vertices[w].as_complex() for w in words])
+    verts = np.asarray([tree.vertices[w].as_complex() for w in words])
     reach = float(np.arccosh((np.abs(verts) ** 2 + 1.0) / (2.0 * verts.imag)).max())
 
     if model == "lines":

@@ -217,7 +217,36 @@ class TestOccupiedExponent:
             alpha_occupied(ModelParams(0.0, 1.0))
 
 
+def nested_lambda_gc(R: float) -> float:
+    """lambda_gc by bisection on alpha itself: a full alpha_occupied
+    solve at every lambda step, with lambda_gc's bracket and stop width.
+    The reference for the single bisection on the residual at beta = 1."""
+    def excess(lam):
+        return alpha_occupied(ModelParams(lam, R)).alpha - 1.0
+
+    lo = hi = lambda_gv(R)
+    if excess(lo) > 0.0:
+        while excess(hi) > 0.0:
+            lo, hi = hi, 2.0 * hi
+    else:
+        while excess(lo) < 0.0:
+            hi, lo = lo, lo / 2.0
+    while hi - lo > 1e-11 * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCriticalIntensity:
+    @pytest.mark.parametrize("R", np.geomspace(0.05, 8.0, 25))
+    def test_matches_the_nested_solve(self, R):
+        # the sign of the residual at beta = 1 is the sign of 1 - alpha,
+        # so both bisections take the same steps and end on the same bits
+        assert lambda_gc(R) == nested_lambda_gc(R)
+
     def test_self_consistency(self):
         for R in (0.5, 1.0, 2.0):
             lam = lambda_gc(R)

@@ -18,7 +18,7 @@ from line_oracles import dist_to_geodesic, geodesic
 
 R_PRIME = 0.3
 TREE = build_tree(1.5, 3)
-REACH = max(dist(ORIGIN, v) for v in TREE.uhp_vertices.values())
+REACH = max(dist(ORIGIN, v) for v in TREE.vertices.values())
 
 
 def test_lines_branch_matches_brute_force_distances():
@@ -29,7 +29,7 @@ def test_lines_branch_matches_brute_force_distances():
         lines = [geodesic(p, phi) for p, phi in zip(sample.foot_dist, sample.foot_dir)]
         expect = {
             w
-            for w, v in TREE.uhp_vertices.items()
+            for w, v in TREE.vertices.items()
             if all(dist_to_geodesic(v, g)[0] >= R_PRIME for g in lines)
         }
         got = tree_site_reduction(TREE, sample, "lines", R_PRIME)
@@ -47,7 +47,7 @@ def test_vacant_branch_matches_brute_force_distances():
         points = [HPoint(z.real, z.imag) for z in sample.points]
         expect = {
             w
-            for w, v in TREE.uhp_vertices.items()
+            for w, v in TREE.vertices.items()
             if all(dist(v, q) >= params.radius + R_PRIME for q in points)
         }
         got = tree_site_reduction(TREE, sample, "vacant", R_PRIME)
@@ -64,7 +64,7 @@ def _occupied_per_vertex(tree, sample, r_prime):
         return set()
     t_net, psi_net = _ball_net_polar(r_prime, mesh)
     out = set()
-    for w, v in tree.uhp_vertices.items():
+    for w, v in tree.vertices.items():
         net = v.y * polar_around_origin(t_net, psi_net) + v.x
         dmat = dist_arrays(net[:, None], sample.points[None, :])
         if bool((dmat.min(axis=1) <= R - mesh).all()):
@@ -78,7 +78,7 @@ def test_occupied_branch_matches_the_per_vertex_reference(lam):
     vertex give the same words; at lambda 0.5 some vertices have no such
     point at all."""
     params = ModelParams(lam, 0.8)
-    verts = np.asarray([v.as_complex() for v in TREE.uhp_vertices.values()])
+    verts = np.asarray([v.as_complex() for v in TREE.vertices.values()])
     outcomes, lonely = set(), 0
     for seed in range(4):
         sample = sample_points(params, REACH + R_PRIME + params.radius, RngStream(seed).generator())
@@ -127,8 +127,8 @@ def test_parent_child_distances_hold_at_the_largest_accepted_depth(arc):
     depth = min(MAX_DEPTH, int(MAX_RADIUS // edge))
     tree = build_tree(arc, depth)
     words = [w for w in tree.words() if w]
-    child = np.asarray([tree.uhp_vertices[w].as_complex() for w in words])
-    parent = np.asarray([tree.uhp_vertices[w[:-1]].as_complex() for w in words])
+    child = np.asarray([tree.vertices[w].as_complex() for w in words])
+    parent = np.asarray([tree.vertices[w[:-1]].as_complex() for w in words])
     assert np.abs(dist_arrays(child, parent) - edge).max() < 1e-5
     with pytest.raises(ValueError, match="MAX_RADIUS"):
         build_tree(arc, depth + 1)

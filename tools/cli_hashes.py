@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 44
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 47
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -39,6 +39,8 @@ INVOCATIONS = [
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
     ("critical.lines", ["critical", "--model", "lines"]),
     ("critical.R20", ["critical", "--model", "occupied", "--R", "20"]),
+    *((f"critical.occupied.R{R}", ["critical", "--model", "occupied", "--R", R])
+      for R in ("0.05", "3", "8")),
     ("simulate-f.vacant.csv",
      ["simulate-f", "--model", "vacant", "--lambda", "0.1", *SIM, "--csv", "f.csv"]),
     ("simulate-f.occupied.rvalues.w2",
