@@ -28,6 +28,7 @@ import os
 import secrets
 import sys
 import time
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -420,7 +421,14 @@ _COMMANDS = {
             _Option("--rstep", 1.0, float),
             _Option("--r-values", None, None, "comma list overriding the grid"),
             _Option("--trials", 10000, int),
-            _Option("--workers", 1, int, "parallel workers; output is independent of this"),
+            _Option(
+                "--workers",
+                1,
+                int,
+                "worker processes, from one pool kept for the process's later runs and "
+                "started only when trials span more than one block; output is "
+                "independent of this",
+            ),
             _SEED,
             _CSV,
             _OUT,
@@ -525,7 +533,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing
+    does not change it."""
     parser = argparse.ArgumentParser(
         prog="hyperc",
         description="Geodesic percolation in the hyperbolic plane: "

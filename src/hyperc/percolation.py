@@ -14,9 +14,13 @@ side test.  ``estimate_f`` draws only what can touch its longest
 segment: the Poisson points of the segment's R-neighbourhood, or for
 lines only the feet where they cross it.  Each trial draws from its own
 generator, keyed by the trial index; the trials run in blocks, each
-reduced at once.  Rays, chords and the tube sandwich draw exactly the
-ball that can reach them, and measure each ray, net segment or grid
-cell only against the points that can come within R of it.
+reduced at once.  With more than one worker and more than one block the
+blocks go to one process pool per process, started by the first such
+call and kept for the next ones (never at import, never for a single
+block); each job gets its block's trial range from the caller.  Rays,
+chords and the tube sandwich draw exactly the ball that can reach them,
+and measure each ray, net segment or grid cell only against the points
+that can come within R of it.
 
 One predicate, ``segment_in``, decides a single segment [p, q] against
 a sample: the Boolean models through ``_net_contained`` on hyperboloid
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -258,14 +264,54 @@ def _block_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
     return _reaches(model, trial, u, y, R, len(gens))
 
 
-def _count_block(model, lam, R, r_tuple, master_seed, stream_index, trials, block):
-    """Successes at each r among the trials of one block."""
+def _count_block(model, lam, R, r_tuple, master_seed, stream_index, span):
+    """Successes at each r among the trials lo <= t < hi of span."""
     rs = np.asarray(r_tuple)
     stream = RngStream(master_seed, stream_index)
-    lo = block * TRIAL_BLOCK
-    gens = [stream.generator(t) for t in range(lo, min(trials, lo + TRIAL_BLOCK))]
+    gens = [stream.generator(t) for t in range(*span)]
     thr = np.sort(_block_thresholds(model, lam, R, float(rs.max()), gens))
     return len(gens) - np.searchsorted(thr, rs, side="left")
+
+
+# The process pool that estimate_f calls share, as (size, executor), and
+# the lock that lets one call at a time start, replace or use it.  The
+# workers start by the platform's default method, fork on Linux: a
+# spawned one re-imports numpy and scipy (0.9 s on a 2-core host), and
+# no pool thread is alive when a pool forks, because the old pool is
+# shut down first.  A long-lived worker keeps the module state it was
+# forked with, so its jobs take everything they read as arguments.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _shared_pool(size: int) -> ProcessPoolExecutor:
+    """The shared pool, started on first use or replaced by one of
+    another size."""
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _close_pool()
+    if _pool is None:
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+    return _pool[1]
+
+
+def _pool_sum(job, spans, size: int):
+    """Sum of job over spans on the shared pool.  A pool that broke (one
+    of its workers died) is replaced and the spans run once more; the
+    jobs are pure, so the rerun counts the same."""
+    with _pool_lock:
+        try:
+            return sum(_shared_pool(size).map(job, spans))
+        except BrokenProcessPool:
+            _close_pool()
+            return sum(_shared_pool(size).map(job, spans))
 
 
 def _fit_alpha(r_values, successes, trials):
@@ -311,9 +357,13 @@ def estimate_f(
     lines cross it (``sample_crossings``; their measure is the segment
     length, by Crofton's formula).  Each trial draws from the generator
     keyed by (master seed, stream, trial index); trials run in blocks
-    of TRIAL_BLOCK, the pool hands out whole blocks and the counts are
-    summed, so the result depends neither on the worker count nor on
-    the block size.
+    of TRIAL_BLOCK and the counts are summed, so the result depends
+    neither on the worker count nor on the block size.  With workers > 1
+    and more than one block, the blocks run on one process pool of
+    min(workers, blocks) processes that the process keeps for later
+    calls: the first such call starts it, a call that needs another
+    size replaces it, a pool whose worker died is replaced, and the
+    interpreter shuts it down at exit.  Otherwise the blocks run inline.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -325,13 +375,12 @@ def estimate_f(
     lam, R = params.intensity, params.radius
     if model != "lines" and R is None:
         raise ValueError("point models need a ball radius")
-    blocks = range(math.ceil(trials / TRIAL_BLOCK))
-    job = partial(_count_block, model, lam, R, tuple(rs), rng.master_seed, rng.stream_index, trials)
-    if workers <= 1 or len(blocks) == 1:
-        counts = sum(map(job, blocks))
+    spans = [(lo, min(trials, lo + TRIAL_BLOCK)) for lo in range(0, trials, TRIAL_BLOCK)]
+    job = partial(_count_block, model, lam, R, tuple(rs), rng.master_seed, rng.stream_index)
+    if workers <= 1 or len(spans) == 1:
+        counts = sum(map(job, spans))
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            counts = sum(pool.map(job, blocks))
+        counts = _pool_sum(job, spans, min(workers, len(spans)))
     est = counts / trials
     hw = 1.96 * np.sqrt(est * (1.0 - est) / trials)
     if np.any(counts == 0):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hyperc import cli
 from hyperc.cli import SOLVER_ERROR, USAGE_ERROR, main
 
 MODELS = [("vacant", "0.1"), ("occupied", "1.0"), ("lines", "0.1")]
@@ -196,3 +197,51 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, text, key):
     err = capsys.readouterr().err
     assert err.startswith("hyperc: ") and key in err and "alpha" in err
     assert "lam" not in err.split(":", 2)[-1]
+
+
+# one run after another in one process; "CFG" stands for the config file
+# below, and the last two runs end in usage errors (a missing --lambda,
+# which main reports, and a bad int, which the parser rejects)
+SEQUENCE = [
+    ["simulate-f", "--config", "CFG"],
+    ["simulate-f", "--model", "vacant", "--lambda", "0.2", "--trials", "200", "--seed", "8"],
+    ["alpha", "--model", "occupied", "--lambda", "1.0"],
+    ["lrp", "--lambda", "0.5", "--nmax", "20", "--csv", "CSV"],
+    ["s-dist", "--lambda", "0.3", "--trials", "300", "--grid", "10", "--seed", "4"],
+    ["critical", "--model", "vacant", "--R", "0.5"],
+    ["simulate-f", "--model", "lines", "--lambda", "0.3", "--rmax", "3", "--trials", "100",
+     "--seed", "2", "--workers", "2"],
+    ["alpha", "--model", "vacant"],
+    ["simulate-f", "--lambda", "0.2", "--trials", "many"],
+]
+
+
+def test_repeated_main_calls_match_fresh_ones(tmp_path, capsys):
+    """main builds its parser once per process; runs that follow one
+    another write the same bytes as runs that each build a new one."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = occupied\nlam = 1.5\nrmax = 3\ntrials = 200\nseed = 8\n",
+                   encoding="utf-8")
+    assert cli._build_parser() is cli._build_parser()
+
+    def run(fresh):
+        outputs = []
+        for i, argv in enumerate(SEQUENCE):
+            out, csv = tmp_path / f"{i}.out", tmp_path / f"{i}.csv"
+            argv = [{"CFG": str(cfg), "CSV": str(csv)}.get(arg, arg) for arg in argv]
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append([code, *(p.read_bytes() if p.exists() else None for p in (out, csv))])
+            out.unlink(missing_ok=True)
+            csv.unlink(missing_ok=True)
+        return outputs
+
+    again, fresh = run(False), run(True)
+    capsys.readouterr()
+    assert again == fresh
+    assert [o[0] for o in again] == [0] * 7 + [USAGE_ERROR] * 2
+    assert again[0][1] != again[1][1]

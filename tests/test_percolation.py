@@ -1,5 +1,13 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +233,116 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(percolation, "TRIAL_BLOCK", 7)
     small = estimate_f("occupied", params, rs, 300, RngStream(32))
     assert np.array_equal(ref.successes, small.successes)
+
+
+POOL_CASES = [
+    ("vacant", ModelParams(0.3, 1.0)),
+    ("occupied", ModelParams(1.0, 1.0)),
+    ("lines", ModelParams(0.3)),
+]
+
+
+def _worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_one_pool_serves_every_model_back_to_back():
+    trials, rs = 2 * TRIAL_BLOCK + 37, np.arange(0.0, 7.0)
+    pids = []
+    for model, params in POOL_CASES:
+        one = estimate_f(model, params, rs, trials, RngStream(33), workers=1)
+        two = estimate_f(model, params, rs, trials, RngStream(33), workers=2)
+        assert np.array_equal(one.successes, two.successes)
+        pids.append(_worker_pids())
+    assert len(pids[0]) == 2
+    assert pids == [pids[0]] * len(POOL_CASES)
+
+
+def test_a_live_pool_reads_no_block_size_of_its_own(monkeypatch):
+    """The workers were forked with the block size of their day; the
+    caller's current one must decide the trials, either way round."""
+    params, rs = ModelParams(1.0, 1.0), np.arange(0.0, 5.0)
+
+    def both():
+        one = estimate_f("occupied", params, rs, 300, RngStream(32), workers=1)
+        two = estimate_f("occupied", params, rs, 300, RngStream(32), workers=2)
+        assert np.array_equal(one.successes, two.successes)
+
+    both()  # the pool now exists, forked at the default block size
+    monkeypatch.setattr(percolation, "TRIAL_BLOCK", 7)
+    both()
+    percolation._close_pool()
+    both()  # a new pool, forked at block size 7
+    monkeypatch.setattr(percolation, "TRIAL_BLOCK", TRIAL_BLOCK)
+    both()
+
+
+def test_a_pool_with_a_killed_worker_is_replaced():
+    model, params = POOL_CASES[0]
+    trials, rs = 2 * TRIAL_BLOCK + 37, np.arange(0.0, 7.0)
+    one = estimate_f(model, params, rs, trials, RngStream(34), workers=1)
+    estimate_f(model, params, rs, trials, RngStream(34), workers=2)
+    victim = _worker_pids()[0]
+    os.kill(victim, signal.SIGKILL)
+    two = estimate_f(model, params, rs, trials, RngStream(34), workers=2)
+    assert np.array_equal(one.successes, two.successes)
+    assert victim not in _worker_pids()
+
+
+def test_threads_that_need_different_pools_take_turns():
+    """Calls from several threads that alternate between pool sizes
+    (three workers is more than this suite assumes cores) each get the
+    one-worker counts."""
+    model, params = POOL_CASES[2]
+    trials, rs = 3 * TRIAL_BLOCK, np.arange(0.0, 7.0)
+    one = estimate_f(model, params, rs, trials, RngStream(35), workers=1).successes
+    results = []
+
+    def calls(first):
+        for k in range(8):
+            res = estimate_f(model, params, rs, trials, RngStream(35), workers=2 + (first + k) % 2)
+            results.append(res.successes)
+
+    threads = [threading.Thread(target=calls, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 32
+    assert all(np.array_equal(one, res) for res in results)
+
+
+def test_an_interpreter_with_a_pool_exits_and_leaves_no_worker():
+    code = (
+        "import multiprocessing\n"
+        "from hyperc.percolation import estimate_f\n"
+        "from hyperc.sampling import ModelParams, RngStream\n"
+        "estimate_f('lines', ModelParams(0.3), [0.0, 1.0, 2.0], 600, RngStream(5), workers=2)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(percolation.__file__).parents[1])}
+    # its own session, so that whatever it leaves behind is killed below
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+        pids = [int(pid) for pid in out.split()]
+        left = [pid for pid in pids if _alive(pid)]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, err
+    assert len(pids) == 2 and left == []
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_rejects_bad_input():
