@@ -180,7 +180,7 @@ def alpha_occupied(params: ModelParams) -> AlphaResult:
 
     The integral at beta = 0 is P(S > 0) < 1 and grows monotonically in
     beta, so a geometric search brackets the root and bisection to
-    width 1e-12 pins it down.
+    width 1e-12 pins it down.  A non-finite residual raises SolverError.
     """
     lam, R = params.intensity, params.radius
     if not lam > 0:
@@ -208,8 +208,8 @@ def alpha_occupied(params: ModelParams) -> AlphaResult:
         iterations += 1
     beta = 0.5 * (lo + hi)
     res = residual(beta)
-    if abs(res) > 1e-10:
-        raise SolverError(f"exponent residual {res:.3e} exceeds 1e-10")
+    if not abs(res) <= 1e-10:
+        raise SolverError(f"exponent residual {res:.3e} is not within 1e-10")
     return AlphaResult(beta, res, iterations)
 
 

@@ -246,6 +246,20 @@ def polar_around_origin(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return z.real + 1j * np.abs(z.imag)
 
 
+def ball_net(radius: float, mesh: float, rim: bool):
+    """Polar coordinates (t, psi) around (0, 1) of a net of B(o, radius)
+    with spacing at most mesh: the centre, the rings at k mesh < radius
+    and, with rim, the boundary circle, each ring of at least four
+    equally spaced points."""
+    radii = [k * mesh for k in range(1, int(radius / mesh) + 2) if k * mesh < radius]
+    if rim:
+        radii.append(radius)
+    sizes = [max(4, int(math.ceil(2.0 * math.pi * math.sinh(rad) / mesh))) for rad in radii]
+    t = np.concatenate([[0.0]] + [np.full(m, rad) for m, rad in zip(sizes, radii)])
+    psi = np.concatenate([[0.0]] + [2.0 * math.pi * np.arange(m) / m for m in sizes])
+    return t, psi
+
+
 # ---------------------------------------------------------------------------
 # Hyperboloid-model helpers.  Large upper half-plane coordinates make the
 # semicircle representation of near-vertical geodesics ill conditioned; the

@@ -14,20 +14,24 @@ side test.  ``estimate_f`` draws only what can touch its longest
 segment: the Poisson points of the segment's R-neighbourhood, or for
 lines only the feet where they cross it.  Each trial draws from its own
 generator, keyed by the trial index; the trials run in blocks, each
-reduced at once.  With more than one worker and more than one block the
-blocks go to one process pool per process, started by the first such
-call and kept for the next ones (never at import, never for a single
-block); each job gets its block's trial range from the caller.  Rays,
-chords and the tube sandwich draw exactly the ball that can reach them,
-and measure each ray, net segment or grid cell only against the points
-that can come within R of it.
+reduced at once, inline or on a process pool that ``estimate_f`` keeps
+for later calls.  Rays, chords and the tube sandwich draw exactly the
+ball that can reach them, and measure each ray, net segment or grid
+cell only against the points that can come within R of it.
+
+The polar steps around (0, 1) are each written once: ``_grid_runs``
+maps every arc of directions (a point's rays, a line's blocked rays,
+a direction's antipodal partners) onto the direction grid,
+``_polar_fermi`` reads polar coordinates as Fermi coordinates along a
+ray (the ray survivors, the law of S), and ``sampling.ball_polar`` and
+``geometry.ball_net`` draw and net a ball.
 
 One predicate, ``segment_in``, decides a single segment [p, q] against
 a sample: the Boolean models through ``_net_contained`` on hyperboloid
 vectors, the lines through the side test of the chord check.
-``estimate_f`` and the Boolean ray survivors reach their thresholds
-through axis coordinates or polar formulas instead, so the tests check
-them against ``segment_in`` on the same realization.
+``estimate_f`` and the ray survivors reach their thresholds through
+axis coordinates or polar formulas instead, so the tests check them
+against ``segment_in`` on the same realization.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .geometry import (
     ORIGIN,
     axis_coordinates,
     ball_area,
+    ball_net,
     dist,
     dist_arrays,
     minkowski,
@@ -60,6 +65,7 @@ from .sampling import (
     LineSample,
     ModelParams,
     RngStream,
+    ball_polar,
     sample_crossings,
     sample_lines,
     sample_points,
@@ -396,6 +402,26 @@ def estimate_f(
 # ray survival and line detection
 
 
+def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
+    """(owner, k mod n) for every integer k with lo[owner] <= k <= hi[owner]:
+    the runs expanded on the circular grid of n directions, none for hi < lo."""
+    run_len = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(len(lo)), run_len)
+    k = np.arange(len(owner)) + np.repeat(lo + run_len - np.cumsum(run_len), run_len)
+    return owner, np.mod(k, n)
+
+
+def _polar_fermi(t: np.ndarray, dpsi: np.ndarray, reach: float = math.inf):
+    """Of the points at distance t from (0, 1), angle dpsi from a geodesic
+    through it, the mask of those at offset below reach, and their foot
+    arctanh(tanh t cos dpsi) (tanh clipped short of +-1) and offset
+    arcsinh(sinh t |sin dpsi|)."""
+    perp = np.arcsinh(np.sinh(t) * np.abs(np.sin(dpsi)))
+    near = perp < reach
+    tanh_foot = np.clip(np.tanh(t[near]) * np.cos(dpsi[near]), -1.0 + 1e-15, 1.0 - 1e-15)
+    return near, np.arctanh(tanh_foot), perp[near]
+
+
 def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str) -> np.ndarray:
     """Directions whose ray of length r from (0, 1) lies in the set; the
     direction index is the kernel's segment index.
@@ -415,59 +441,43 @@ def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: s
     # polar coordinates around (0, 1) from the Cayley disk coordinate
     w = (sample.points - 1j) / (sample.points + 1j)
     t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
-    sinh_t = np.sinh(t)
-    beta = np.arcsin(math.sinh(R) / np.maximum(sinh_t, math.sinh(R)))
-    # each point's run [lo, hi] of direction indices, expanded into pairs
+    beta = np.arcsin(math.sinh(R) / np.maximum(np.sinh(t), math.sinh(R)))
+    # each point's run [lo, hi] of direction indices
     lo = np.floor((psi - beta) / h).astype(np.int64)
     hi = np.ceil((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
-    run_len = hi - lo + 1
-    j = np.repeat(np.arange(len(t)), run_len)
-    k = np.mod(np.arange(len(j)) + np.repeat(lo + run_len - np.cumsum(run_len), run_len), n_dir)
-    dpsi = psi[j] - thetas[k]
-    perp = np.arcsinh(sinh_t[j] * np.abs(np.sin(dpsi)))
-    near = perp < R
-    k, j, dpsi = k[near], j[near], dpsi[near]
-    tanh_foot = np.clip(np.tanh(t[j]) * np.cos(dpsi), -1.0 + 1e-15, 1.0 - 1e-15)
-    return _reaches(model, k, np.arctanh(tanh_foot), perp[near], R, n_dir) >= r
+    j, k = _grid_runs(lo, hi, n_dir)
+    near, foot, perp = _polar_fermi(t[j], psi[j] - thetas[k], R)
+    return _reaches(model, k[near], foot, perp, R, n_dir) >= r
 
 
 def _line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
     """Directions whose radial segment of length r misses every line.
 
     The line at foot (p, phi) blocks the arc of directions theta with
-    cos(theta - phi) > tanh p / tanh r; arcs are painted onto the
-    direction grid with a wrap-around difference array.
+    cos(theta - phi) > tanh p / tanh r, that is the grid directions k
+    with |k h - phi| <= beta, cos beta = tanh p / tanh r.
     """
     sample.require_window(r, "ray survival")
     h = 2.0 * math.pi / n_dir
-    diff = np.zeros(n_dir + 1, dtype=np.int64)
     mask = sample.foot_dist < r
-    if mask.any():
-        ratio = np.tanh(sample.foot_dist[mask]) / math.tanh(r)
-        beta = np.arccos(np.clip(ratio, -1.0, 1.0))
-        lo = sample.foot_dir[mask] - beta
-        hi = sample.foot_dir[mask] + beta
-        start = np.ceil(lo / h).astype(np.int64)
-        end = np.floor(hi / h).astype(np.int64)
-        keep = end >= start
-        start, end = start[keep], end[keep]
-        span = end - start
-        start = np.mod(start, n_dir)
-        end = start + span
-        wrap = end >= n_dir
-        np.add.at(diff, start, 1)
-        np.add.at(diff, np.where(wrap, n_dir, end + 1), -1)
-        if wrap.any():
-            np.add.at(diff, np.zeros(int(wrap.sum()), dtype=np.int64), 1)
-            np.add.at(diff, np.mod(end[wrap], n_dir) + 1, -1)
-    return np.cumsum(diff[:-1]) == 0
+    beta = np.arccos(np.clip(np.tanh(sample.foot_dist[mask]) / math.tanh(r), -1.0, 1.0))
+    lo = np.ceil((sample.foot_dir[mask] - beta) / h).astype(np.int64)
+    hi = np.floor((sample.foot_dir[mask] + beta) / h).astype(np.int64)
+    alive = np.ones(n_dir, dtype=bool)
+    alive[_grid_runs(lo, hi, n_dir)[1]] = False
+    return alive
 
 
 def _ray_survivors(model: str, params: ModelParams, r: float, n_dir: int, gen):
     """Draw what can reach the rays of length r from (0, 1), the lines
     meeting B(o, r) or the points within R of it, and return it with the
     mask of the n_dir grid directions whose ray survives."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
+    # with fewer, detect-line's seven antipodal partners of a direction repeat
+    if n_dir < 8:
+        raise ValueError("need at least 8 directions")
     if model == "lines":
         sample = sample_lines(params.intensity, r, gen)
         return sample, _line_ray_survivors(sample, r, n_dir)
@@ -483,12 +493,27 @@ def surviving_directions(
     rng: RngStream,
 ) -> RaySurvival:
     """Ray survival on a uniform direction grid, one shared sample."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    if n_directions < 8:
-        raise ValueError("need at least 8 directions")
     _, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
     return RaySurvival([int(i) for i in np.nonzero(alive)[0]])
+
+
+def _antipodal_pairs(alive: np.ndarray, r: float, s: float):
+    """Pairs i < j of alive grid directions within 2.5 steps of antipodal
+    whose chord at distance r passes within s of (0, 1), as two arrays,
+    closest to antipodal first, ties in order of (i, j).  Only the
+    partners i + n//2 - 3 ... i + n//2 + 3 (mod n) of i can be that close.
+    """
+    n = len(alive)
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    idx = np.flatnonzero(alive)
+    owner, j = _grid_runs(idx + n // 2 - 3, idx + n // 2 + 3, n)
+    i = idx[owner]
+    delta = np.mod(thetas[j] - thetas[i], 2.0 * math.pi)
+    miss = np.abs(delta - math.pi)
+    keep = alive[j] & (j > i) & (miss <= 2.5 * (2.0 * math.pi / n))
+    keep &= _chord_distance(r, delta) < s
+    order = np.lexsort((j[keep], i[keep], miss[keep]))
+    return i[keep][order], j[keep][order]
 
 
 def detect_line_through_ball(
@@ -500,39 +525,27 @@ def detect_line_through_ball(
     n_directions: int = 360,
 ) -> LineDetection:
     """Search for a full chord through B(o, s) certified by two
-    surviving rays in nearly antipodal directions.
-
-    Among the surviving directions of one shared sample, the pairs
-    within 2.5 grid steps of antipodal are enumerated closest to
-    antipodal first; the chord between their far endpoints is returned
-    as the witness when it passes within s of the origin and is itself
-    contained.
-    """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
+    surviving rays in nearly antipodal directions: the pairs of one
+    shared sample's surviving directions that ``_antipodal_pairs``
+    enumerates are tried in its order, and the first whose chord between
+    the far endpoints is contained is the witness."""
     # the chords between the rays' ends lie in B(o, r) as well
     sample, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
-    idx = np.nonzero(alive)[0]
-    if len(idx) < 2:
-        return LineDetection(False, None, len(idx))
+    n_surviving = int(np.count_nonzero(alive))
+    if n_surviving < 2:
+        return LineDetection(False, None, n_surviving)
     if model != "lines":
         w = to_hyperboloid(sample.points)
-    thetas = 2.0 * math.pi * np.arange(n_directions) / n_directions
-    tol = 2.5 * (2.0 * math.pi / n_directions)
-    th = thetas[idx]
-    delta = np.mod(th[None, :] - th[:, None], 2.0 * math.pi)
-    miss = np.abs(delta - math.pi)
-    cand_i, cand_j = np.nonzero(np.triu((miss <= tol) & (_chord_distance(r, delta) < s), 1))
-    for k in np.argsort(miss[cand_i, cand_j], kind="stable"):
-        i, j = int(idx[cand_i[k]]), int(idx[cand_j[k]])
-        pq = to_hyperboloid(polar_around_origin(np.full(2, r), thetas[[i, j]]))
+    for i, j in zip(*_antipodal_pairs(alive, r, s)):
+        ends = 2.0 * math.pi * np.asarray([i, j]) / n_directions
+        pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
         if model == "lines":
             contained = _lines_avoid(sample, pq)
         else:
             contained = _net_contained(pq[:1], pq[1:], w, params.radius, model)
         if contained:
-            return LineDetection(True, (i, j), len(idx))
-    return LineDetection(False, None, len(idx))
+            return LineDetection(True, (int(i), int(j)), n_surviving)
+    return LineDetection(False, None, n_surviving)
 
 
 def _chord_distance(r: float, delta: np.ndarray) -> np.ndarray:
@@ -559,36 +572,17 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
     lam, R = params.intensity, params.radius
     gen = rng.generator()
     counts = gen.poisson(lam * ball_area(R), trials)
-    total = int(counts.sum())
-    t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, total) * (math.cosh(R) - 1.0))
-    psi = gen.uniform(0.0, 2.0 * math.pi, total)
-    u = np.arctanh(np.tanh(t) * np.cos(psi))
-    perp = np.arcsinh(np.sinh(t) * np.abs(np.sin(psi)))
+    # Fermi coordinates along gamma, the geodesic through (0, 1) in direction 0
+    _, u, perp = _polar_fermi(*ball_polar(R, int(counts.sum()), gen))
     u_plus = u + _half_width(R, perp)
     nonempty = counts > 0
-    if nonempty.any():
-        starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
-        s_vals = np.minimum.reduceat(u_plus, starts)
-    else:
-        s_vals = np.empty(0)
+    starts = (np.cumsum(counts) - counts)[nonempty]
+    s_vals = np.minimum.reduceat(u_plus, starts) if len(starts) else np.empty(0)
     return SDistResult(np.sort(s_vals), trials, 1.0 - float(nonempty.mean()))
 
 
 # ---------------------------------------------------------------------------
 # the tube sandwich P(Q) <= f <= P(A)
-
-
-def _ball_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
-    """Polar net of B(gamma(center_foot), s) with spacing <= mesh."""
-    chunks = [np.asarray([1j])]
-    k = 1
-    while k * mesh < s:
-        rad = k * mesh
-        m = max(4, int(math.ceil(2.0 * math.pi * math.sinh(rad) / mesh)))
-        ang = 2.0 * math.pi * np.arange(m) / m
-        chunks.append(polar_around_origin(np.full(m, rad), ang))
-        k += 1
-    return math.exp(center_foot) * np.concatenate(chunks)
 
 
 def _lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
@@ -666,7 +660,9 @@ def sandwich_AQ(
     lam, R = params.intensity, params.radius
 
     half_d = d / 2.0
-    net_x, net_y = (_ball_net(c, s, net_mesh) for c in (-half_d, half_d))
+    # the net of B(o, s), moved along the axis to the ends gamma(-+d/2)
+    net = polar_around_origin(*ball_net(s, net_mesh, rim=False))
+    net_x, net_y = math.exp(-half_d) * net, math.exp(half_d) * net
     gen = rng.generator()
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it

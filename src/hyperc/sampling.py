@@ -138,18 +138,20 @@ class LineSample(_Window):
         return minkowski(np.asarray(w)[..., None, :], n)
 
 
-def sample_points(params: ModelParams, radius: float, gen: np.random.Generator) -> BooleanSample:
-    """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius).
+def ball_polar(radius: float, n, gen: np.random.Generator):
+    """Polar coordinates (t, phi) around (0, 1) of n i.i.d. invariant points
+    of B((0, 1), radius): radial CDF (cosh t - 1)/(cosh radius - 1), and
+    uniform angles, drawn after all the radii."""
+    t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, n) * (math.cosh(radius) - 1.0))
+    return t, gen.uniform(0.0, 2.0 * math.pi, n)
 
-    The radial CDF is F(t) = (cosh t - 1)/(cosh radius - 1) and the
-    angle around (0, 1) is uniform.
-    """
+
+def sample_points(params: ModelParams, radius: float, gen: np.random.Generator) -> BooleanSample:
+    """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius)."""
     if not radius > 0:
         raise ValueError("window radius must be positive")
     n = gen.poisson(params.intensity * ball_area(radius))
-    t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, n) * (math.cosh(radius) - 1.0))
-    phi = gen.uniform(0.0, 2.0 * math.pi, n)
-    return BooleanSample(params, radius, polar_around_origin(t, phi))
+    return BooleanSample(params, radius, polar_around_origin(*ball_polar(radius, n, gen)))
 
 
 def sample_lines(intensity: float, rho: float, gen: np.random.Generator) -> LineSample:

@@ -22,6 +22,7 @@ from .geometry import (
     Isometry,
     ORIGIN,
     axis_coordinates,
+    ball_net,
     canonical_matrix,
     dist,
     dist_arrays,
@@ -194,20 +195,6 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrime
     return RPrimeEstimate(worst_line, worst_vertex)
 
 
-def _ball_net_polar(radius: float, mesh: float):
-    """(t, psi) net of B(o, radius) with spacing <= mesh, including rim."""
-    ts = [np.asarray([0.0])]
-    ps = [np.asarray([0.0])]
-    radii = np.arange(mesh, radius + mesh / 2.0, mesh)
-    if len(radii) == 0 or radii[-1] < radius - 1e-12:
-        radii = np.append(radii, radius)
-    for rad in radii:
-        m = max(4, int(math.ceil(2.0 * math.pi * math.sinh(rad) / mesh)))
-        ts.append(np.full(m, rad))
-        ps.append(2.0 * math.pi * np.arange(m) / m)
-    return np.concatenate(ts), np.concatenate(ps)
-
-
 def tree_site_reduction(
     tree: EmbeddedTree,
     sample: BooleanSample | LineSample,
@@ -244,7 +231,7 @@ def tree_site_reduction(
     if model != "occupied":
         raise ValueError("model must be vacant, occupied, or lines")
     mesh = 0.05
-    net = polar_around_origin(*_ball_net_polar(r_prime, mesh))
+    net = polar_around_origin(*ball_net(r_prime, mesh, rim=True))
     out = set()
     for w_word, v in zip(words, verts):
         # the net lies in B(v, r_prime), so a point at least R + r_prime

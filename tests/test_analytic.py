@@ -216,6 +216,15 @@ class TestOccupiedExponent:
         with pytest.raises(ValueError):
             alpha_occupied(ModelParams(0.0, 1.0))
 
+    @pytest.mark.parametrize("lam, R", [(1.0, 8.0), (0.1, 10.0)])
+    def test_non_finite_residual_is_refused(self, lam, R):
+        """Far off the tested grid the renewal integral overflows and the
+        residual at the bisection's end is NaN, which compares false
+        with any bound; it must raise, not return an exponent."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="residual nan"):
+                alpha_occupied(ModelParams(lam, R))
+
 
 def nested_lambda_gc(R: float) -> float:
     """lambda_gc by bisection on alpha itself: a full alpha_occupied

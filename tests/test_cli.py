@@ -106,6 +106,22 @@ def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
     assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_non_finite_exponent_residual_is_a_solver_error(capsys):
+    """At R = 8 the renewal integral overflows, and the NaN residual
+    must not pass as a solved exponent."""
+    assert main(["alpha", "--model", "occupied", "--lambda", "1", "--R", "8"]) == SOLVER_ERROR
+    captured = capsys.readouterr()
+    assert "exponent residual nan" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("directions", ["0", "3", "-4"])
+def test_too_few_directions_is_a_usage_error(directions, capsys):
+    argv = ["detect-line", "--lambda", "0.1", "--directions", directions, "--samples", "2"]
+    assert main([*argv, "--seed", "1"]) == USAGE_ERROR
+    assert "need at least 8 directions" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["alpha", "--model", "occupied", "--lambda", "0.5"], ["critical"]]
 )

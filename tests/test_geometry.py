@@ -14,6 +14,7 @@ from hyperc.geometry import (
     ORIGIN,
     axis_coordinates,
     ball_area,
+    ball_net,
     canonical_matrix,
     disk_angle_from_ideal,
     dist,
@@ -234,6 +235,27 @@ class TestBallMetrics:
         for r in (0.5, 1.0, 2.0, 3.0):
             slope = (ball_area(r + h) - ball_area(r - h)) / (2 * h)
             assert slope == pytest.approx(2.0 * math.pi * math.sinh(r), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "radius, mesh", [(0.33, 0.05), (0.3, 0.05), (0.05, 0.0125), (0.05, 0.05), (0.02, 0.05),
+                         (1.0, 0.07)]
+    )
+    @pytest.mark.parametrize("rim", [False, True])
+    def test_ball_net_stays_in_the_ball(self, radius, mesh, rim):
+        """The centre, rings at k mesh < radius and, with rim, the rim
+        itself; rings at most mesh apart, and on each ring points at
+        most mesh apart along it."""
+        t, psi = ball_net(radius, mesh, rim)
+        rings = np.unique(t)
+        assert rings[0] == 0.0 and psi[0] == 0.0 and np.count_nonzero(t == 0.0) == 1
+        assert np.all(rings[:-1] < radius) and rings[-1] <= radius
+        assert (rings[-1] == radius) == rim
+        assert np.all(np.diff(np.append(rings, radius)) <= mesh * (1.0 + 1e-12))
+        for rad in rings[1:]:
+            on_ring = psi[t == rad]
+            assert np.array_equal(on_ring, 2.0 * math.pi * np.arange(len(on_ring)) / len(on_ring))
+            assert len(on_ring) >= 4
+            assert 2.0 * math.pi * math.sinh(rad) / len(on_ring) <= mesh
 
 
 class TestGeodesicType:

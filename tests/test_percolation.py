@@ -20,15 +20,16 @@ from hyperc.geometry import (
     HPoint,
     axis_coordinates,
     ball_area,
+    ball_net,
     polar_around_origin,
     to_hyperboloid,
 )
 from hyperc.percolation import (
     TRIAL_BLOCK,
+    _antipodal_pairs,
     _block_thresholds,
     _boolean_ray_survivors,
     _chord_distance,
-    _ball_net,
     _coverage_reaches,
     _line_ray_survivors,
     _lines_tube_events,
@@ -433,6 +434,27 @@ def test_ray_arcs_of_single_points(n_dir):
     assert n_dir in blocked and min(blocked) < n_dir // 4
 
 
+@pytest.mark.parametrize("n_dir", [64, 37])
+@pytest.mark.parametrize("foot_dist, steps", [(1.0, 0.3), (1.5, -0.6)])
+def test_line_ray_arcs_match_the_segment_predicate(n_dir, foot_dist, steps):
+    """A ray survives iff no line separates its ends, on one realization
+    with one more line, whose foot lies the given grid steps from
+    theta = 0, so that its blocked arc wraps through 0 or 2 pi."""
+    r, h = 3.0, 2.0 * math.pi / n_dir
+    drawn = sample_lines(0.1, r, RngStream(5).generator())
+    foot_dir = np.mod(steps * h, 2.0 * math.pi)
+    sample = LineSample(
+        0.1, r, np.append(drawn.foot_dist, foot_dist), np.append(drawn.foot_dir, foot_dir)
+    )
+    alive = _line_ray_survivors(sample, r, n_dir)
+    ends = polar_around_origin(np.full(n_dir, r), h * np.arange(n_dir))
+    for k in range(n_dir):
+        end = HPoint(ends[k].real, ends[k].imag)
+        assert alive[k] == segment_in("lines", ORIGIN, end, sample), k
+    # the extra line blocks the rays on either side of theta = 0
+    assert not alive[[0, 1, -2, -1]].any() and alive.any()
+
+
 def _axis_contained(w: np.ndarray, length: float, R: float, model: str) -> bool:
     """Oracle in axis coordinates: whether the axis segment over feet
     [0, length] lies in the set of the balls of radius R around the
@@ -537,10 +559,36 @@ def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
     assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
 
 
+def _end_nets(half_d: float, s: float, mesh: float):
+    """The sandwich's nets of the balls of radius s around i e^-half_d
+    and i e^half_d."""
+    net = polar_around_origin(*ball_net(s, mesh, rim=False))
+    return math.exp(-half_d) * net, math.exp(half_d) * net
+
+
+def _ring_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
+    """Reference for _end_nets: the net of B(i e^center_foot, s) built
+    ring by ring, its centre written as i e^center_foot."""
+    chunks = [np.asarray([1j])]
+    k = 1
+    while k * mesh < s:
+        m = max(4, int(math.ceil(2.0 * math.pi * math.sinh(k * mesh) / mesh)))
+        chunks.append(polar_around_origin(np.full(m, k * mesh), 2.0 * math.pi * np.arange(m) / m))
+        k += 1
+    return math.exp(center_foot) * np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("s, mesh", [(0.05, 0.999 * 0.05 / 4.0), (0.05, 0.0125), (0.03, 0.014),
+                                     (0.05, 0.2), (0.2, 0.999 * 0.2 / 4.0)])
+def test_end_nets_match_the_ring_by_ring_net(s, mesh):
+    for c, net in zip((-2.0, 2.0), _end_nets(2.0, s, mesh)):
+        assert net.tobytes() == _ring_net(c, s, mesh).tobytes(), c
+
+
 def _tube_nets(half_d: float, s: float):
     """Segments joining every point of a coarse net of B(x, s) to every
     point of one of B(y, s), as in the sandwich's Q net."""
-    net_x, net_y = (_ball_net(c, s, 0.999 * s / 2.0) for c in (-half_d, half_d))
+    net_x, net_y = _end_nets(half_d, s, 0.999 * s / 2.0)
     seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
     seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
     return seg_p, seg_q
@@ -605,7 +653,7 @@ def test_lines_tube_events(feet, events):
     the net points beyond it (A holds, f fails), and a line at the
     middle separates everything."""
     s = 0.05
-    hx, hy = (to_hyperboloid(_ball_net(c, s, 0.999 * s / 4.0)) for c in (-2.0, 2.0))
+    hx, hy = (to_hyperboloid(net) for net in _end_nets(2.0, s, 0.999 * s / 4.0))
     feet = np.asarray(feet)
     # the line at right angles to the axis at foot c has its foot there:
     # distance |c| from (0, 1), disk direction 0 above (0, 1) and pi below
@@ -648,6 +696,52 @@ def test_vacant_ray_share_matches_f_vacant():
     ]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f_vacant(r, params)) <= t
+
+
+def _all_pairs_antipodal(alive, r, s):
+    """Reference for _antipodal_pairs: every pair of alive directions,
+    taken in row-major order of the upper triangle and sorted stably by
+    the distance from antipodal."""
+    n = len(alive)
+    idx = np.nonzero(alive)[0]
+    th = (2.0 * math.pi * np.arange(n) / n)[idx]
+    delta = np.mod(th[None, :] - th[:, None], 2.0 * math.pi)
+    miss = np.abs(delta - math.pi)
+    near = (miss <= 2.5 * (2.0 * math.pi / n)) & (_chord_distance(r, delta) < s)
+    ci, cj = np.nonzero(np.triu(near, 1))
+    order = np.argsort(miss[ci, cj], kind="stable")
+    return idx[ci[order]], idx[cj[order]]
+
+
+@pytest.mark.parametrize("n_dir", [36, 37, 360, 361])
+@pytest.mark.parametrize(
+    "model, params",
+    [("vacant", ModelParams(0.05, 1.0)), ("occupied", ModelParams(1.0, 1.0)),
+     ("lines", ModelParams(0.1))],
+)
+def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
+    """detect-line tries the pairs, and in the order, of the all-pairs
+    reference: on the full grid, whose pairs tie in their distance from
+    antipodal, and on the surviving directions of real samples."""
+    r, s = 4.0, 0.1
+    masks = [np.ones(n_dir, dtype=bool)]
+    for seed in range(8):
+        gen = RngStream(seed).generator()
+        masks.append(percolation._ray_survivors(model, params, r, n_dir, gen)[1])
+    partial_tried = 0
+    for alive in masks:
+        got, ref = _antipodal_pairs(alive, r, s), _all_pairs_antipodal(alive, r, s)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        partial_tried += len(got[0]) * (not alive.all())
+    assert partial_tried > 0
+
+
+@pytest.mark.parametrize("n_dir", [-4, 0, 1, 3, 7])
+def test_detect_line_needs_eight_directions(n_dir):
+    with pytest.raises(ValueError, match="at least 8 directions"):
+        detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, RngStream(1), n_dir)
+    det = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, RngStream(1), 8)
+    assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
 
 
 def test_chord_distance_is_well_conditioned():

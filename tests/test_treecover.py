@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from hyperc.geometry import ORIGIN, HPoint, dist, dist_arrays, polar_around_origin
+from hyperc.geometry import ORIGIN, HPoint, ball_net, dist, dist_arrays, polar_around_origin
 from hyperc.sampling import ModelParams, RngStream, WindowError, sample_lines, sample_points
 from hyperc.treecover import (
     MAX_DEPTH,
     MAX_RADIUS,
-    _ball_net_polar,
     build_tree,
     check_separation,
     estimate_R_prime,
@@ -62,7 +61,7 @@ def _occupied_per_vertex(tree, sample, r_prime):
     mesh, R = 0.05, sample.params.radius
     if len(sample) == 0:
         return set()
-    t_net, psi_net = _ball_net_polar(r_prime, mesh)
+    t_net, psi_net = ball_net(r_prime, mesh, rim=True)
     out = set()
     for w, v in tree.vertices.items():
         net = v.y * polar_around_origin(t_net, psi_net) + v.x

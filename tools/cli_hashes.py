@@ -1,11 +1,13 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 47
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 51
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
 The stderr lines that report the wall time or a generated seed are
-dropped first, so reruns with the same seeds hash alike.
+dropped first, and the source directory in warnings is replaced by
+``<src>``, so reruns with the same seeds hash alike, also from another
+checkout.
 
 Run it from the repository root, on two checkouts, and compare:
 
@@ -34,6 +36,7 @@ INVOCATIONS = [
     ("alpha.occupied", ["alpha", "--model", "occupied", "--lambda", "1.0"]),
     ("alpha.lines", ["alpha", "--model", "lines", "--lambda", "0.5"]),
     ("alpha.no-lambda", ["alpha", "--model", "vacant"]),
+    ("alpha.occupied.R8", ["alpha", "--model", "occupied", "--lambda", "1", "--R", "8"]),
     ("alpha.bad-model", ["alpha", "--model", "cubes", "--lambda", "1"]),
     ("critical.default", ["critical"]),
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
@@ -64,11 +67,19 @@ INVOCATIONS = [
       "--samples", "10", "--seed", "2"]),
     ("rays.lines",
      ["rays", "--model", "lines", "--lambda", "0.2", "--samples", "40", "--seed", "2"]),
+    ("rays.lines.odd-grid",
+     ["rays", "--model", "lines", "--lambda", "0.2", "--directions", "63", "--samples", "40",
+      "--seed", "2"]),
     ("detect-line.lines",
      ["detect-line", "--model", "lines", "--lambda", "0.1", "--samples", "30", "--seed", "4"]),
     ("detect-line.occupied",
      ["detect-line", "--model", "occupied", "--lambda", "1.0", "--r", "4", "--samples", "6",
       "--seed", "4"]),
+    ("detect-line.vacant.odd-grid",
+     ["detect-line", "--model", "vacant", "--lambda", "0.05", "--r", "4", "--directions", "361",
+      "--samples", "20", "--seed", "4"]),
+    ("detect-line.no-directions",
+     ["detect-line", "--lambda", "0.1", "--directions", "0", "--samples", "3", "--seed", "4"]),
     ("s-dist.csv",
      ["s-dist", "--lambda", "1.0", "--trials", "3000", "--seed", "6", "--csv", "g.csv"]),
     ("s-dist.config",
@@ -107,6 +118,7 @@ def _fingerprint(src: Path, argv, files=None, env_extra=None) -> str:
                               capture_output=True, timeout=600)
         stderr = b"\n".join(line for line in proc.stderr.split(b"\n")
                             if not _VOLATILE.match(line.decode("utf-8", "replace")))
+        stderr = stderr.replace(str(src).encode(), b"<src>")
         h = hashlib.sha256()
         for part in (str(proc.returncode).encode(), proc.stdout, stderr):
             h.update(len(part).to_bytes(8, "little") + part)
