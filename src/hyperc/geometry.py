@@ -6,9 +6,11 @@ the axis coordinates, the polar form around (0, 1) and the hyperboloid
 helpers.  The Mobius layer, geodesics stored by their unordered pair of
 ideal boundary points (the boundary is R together with the single point
 at infinity) and isometries as real matrices, serves the tree's
-reflections and limit geodesics.  The Poincare disk model is available
-through the standard Cayley transform, which is used by the tree
-construction and the renderer.
+reflections and limit geodesics.  Each change of model is written once
+for complex coordinates, scalar or array: the distance ``dist_arrays``,
+the Mobius action ``Isometry.apply_array`` and the Cayley map
+``to_disk`` to the Poincare disk; ``dist`` and ``Isometry.apply`` read
+the first two for ``HPoint``.
 """
 
 from __future__ import annotations
@@ -35,20 +37,6 @@ __all__ = [
 
 #: The single ideal point at infinity of the upper half-plane boundary.
 INF = math.inf
-
-# cosh(d) arguments below 1 + _COSH_GUARD are expanded as sqrt(2(arg-1))
-# to avoid arccosh cancellation for near-coincident points.
-_COSH_GUARD = 1e-14
-
-
-def _acosh_excess(delta: float) -> float:
-    """arccosh(1 + delta) computed from the excess delta >= 0, so that
-    near-coincident points keep full relative precision."""
-    if delta < 0.0:
-        delta = 0.0
-    if delta < _COSH_GUARD:
-        return math.sqrt(2.0 * delta)
-    return math.log1p(delta + math.sqrt(delta * (2.0 + delta)))
 
 
 @dataclass(frozen=True)
@@ -148,16 +136,15 @@ class Isometry:
         return Isometry(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: HPoint) -> HPoint:
-        z = p.as_complex()
+        w = self.apply_array(p.as_complex())
+        return HPoint(float(w.real), float(w.imag))
+
+    def apply_array(self, z):
+        """The action on complex UHP coordinates, scalar or array; a Python
+        complex stays on CPython arithmetic (``z.conjugate()``, not
+        ``np.conjugate``), so the tree's vertices skip NumPy's division."""
         if self.det < 0:
             z = z.conjugate()
-        w = (self.a * z + self.b) / (self.c * z + self.d)
-        return HPoint(w.real, abs(w.imag))
-
-    def apply_array(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized action on complex upper half-plane coordinates."""
-        if self.det < 0:
-            z = np.conjugate(z)
         w = (self.a * z + self.b) / (self.c * z + self.d)
         return w.real + 1j * np.abs(w.imag)
 
@@ -172,18 +159,19 @@ def canonical_matrix(g: Geodesic) -> Isometry:
 
 
 def dist(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance, cosh d = 1 + ((dx)^2 + (dy)^2) / (2 y_p y_q)."""
-    delta = ((p.x - q.x) ** 2 + (p.y - q.y) ** 2) / (2.0 * p.y * q.y)
-    return _acosh_excess(delta)
+    """Hyperbolic distance between two points."""
+    return float(dist_arrays(p.as_complex(), q.as_complex()))
 
 
-def dist_arrays(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Vectorized distance between complex UHP coordinate arrays."""
-    delta = (np.abs(z1 - z2) ** 2) / (2.0 * z1.imag * z2.imag)
-    delta = np.maximum(delta, 0.0)
-    small = delta < _COSH_GUARD
-    out = np.arccosh(np.where(small, 2.0, 1.0 + delta))
-    return np.where(small, np.sqrt(2.0 * delta), out)
+def dist_arrays(z1, z2):
+    """Hyperbolic distance between complex UHP coordinates, elementwise,
+    from delta = cosh d - 1 as log1p(delta + sqrt(delta (2 + delta))),
+    which keeps full relative precision for near-coincident points.  It
+    squares by products, as CPython's ** 2 is not always correctly
+    rounded, so that ``dist`` gets the bits of the array form."""
+    dz = z1 - z2
+    delta = (dz.real * dz.real + dz.imag * dz.imag) / (2.0 * z1.imag * z2.imag)
+    return np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
 
 
 def axis_coordinates(z: np.ndarray):
@@ -212,11 +200,10 @@ def reflection_in(g: Geodesic) -> Isometry:
     return Isometry(c, r * r - c * c, 1.0, -c)
 
 
-def to_disk(p: HPoint):
-    """Cayley transform w = (z - i)/(z + i); sends (0, 1) to the disk center."""
-    z = p.as_complex()
-    w = (z - 1j) / (z + 1j)
-    return (w.real, w.imag)
+def to_disk(z):
+    """The Cayley map w = (z - i)/(z + i) of complex UHP coordinates,
+    scalar or array, to the Poincare disk; sends (0, 1) to the centre."""
+    return (z - 1j) / (z + 1j)
 
 
 def ideal_from_disk_angle(theta: float) -> float:

@@ -17,7 +17,8 @@ generator, keyed by the trial index; the trials run in blocks, each
 reduced at once, inline or on a process pool that ``estimate_f`` keeps
 for later calls.  Rays, chords and the tube sandwich draw exactly the
 ball that can reach them, and measure each ray, net segment or grid
-cell only against the points that can come within R of it.
+cell only against the points that can come within R of it; the
+sandwich decides its flood-fill grid in its tube's axis coordinates.
 
 The polar steps around (0, 1) are each written once: ``_grid_runs``
 maps every arc of directions (a point's rays, a line's blocked rays,
@@ -58,6 +59,7 @@ from .geometry import (
     minkowski,
     polar_around_origin,
     segment_point_distance,
+    to_disk,
     to_hyperboloid,
 )
 from .sampling import (
@@ -439,7 +441,7 @@ def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: s
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     # polar coordinates around (0, 1) from the Cayley disk coordinate
-    w = (sample.points - 1j) / (sample.points + 1j)
+    w = to_disk(sample.points)
     t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
     beta = np.arcsin(math.sinh(R) / np.maximum(np.sinh(t), math.sinh(R)))
     # each point's run [lo, hi] of direction indices
@@ -610,12 +612,14 @@ def _within_segment(u: np.ndarray, y: np.ndarray, half_length: float, reach: flo
     return np.cosh(beyond) * np.cosh(y) < math.cosh(reach)
 
 
-def _blocked_cells(cells_flat, pts, R) -> np.ndarray:
-    """Cells strictly within R of some process point, compared through
-    the cosh identity to avoid arccosh per cell; the points run along
-    the first axis, which ``any`` reduces far faster than a short last one."""
-    gap, two_y = math.cosh(R) - 1.0, 2.0 * cells_flat.imag
-    return (np.abs(cells_flat - pts[:, None]) ** 2 < two_y * pts.imag[:, None] * gap).any(axis=0)
+def _blocked_cells(feet, offs, u, y, R) -> np.ndarray:
+    """Mask over the grid feet x offs of axis coordinates (t, v) of the
+    cells strictly within R of some point at axis coordinates (u, y), by
+    cosh dist = cosh y cosh v cosh(u - t) - sinh y sinh v, with no
+    arccosh per cell; the points run along the first axis, which ``any``
+    reduces far faster than a short last one."""
+    ch = np.cosh(y)[:, None, None] * np.cosh(offs) * np.cosh(u[:, None] - feet)[:, :, None]
+    return (ch - (np.sinh(y)[:, None] * np.sinh(offs))[:, None, :] < math.cosh(R)).any(axis=0)
 
 
 def _flood_connected(open_grid, start_cells, end_cells, structure) -> bool:
@@ -640,7 +644,7 @@ def sandwich_AQ(
     """Estimate the triple (P(A), f, P(Q)) for the s-tube between x and y.
 
     Q tests containment of a net of segments spanning the tube, A runs
-    a flood fill over a foot-by-offset grid of the tube (lines: some
+    a flood fill over a grid of the tube in axis coordinates (lines: some
     point of each end net on the same side of every line), and f tests
     the central segment.  All three share each trial's sample and the
     discretizations are one-sided, so Q <= f <= A holds per realization.
@@ -676,28 +680,27 @@ def sandwich_AQ(
         seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
         n_t = int(math.ceil((d + 2.0 * s) / grid_mesh)) + 1
         n_v = 2 * int(math.ceil(s / grid_mesh)) + 1
-        feet = np.linspace(-half_d - s, half_d + s, n_t)
-        tt, vv = np.meshgrid(feet, np.linspace(-s, s, n_v), indexing="ij")
-        theta = 2.0 * np.arctan(np.exp(vv))
-        cells = np.exp(tt) * (np.cos(theta) + 1j * np.sin(theta))
+        feet, offs = np.linspace(-half_d - s, half_d + s, n_t), np.linspace(-s, s, n_v)
+        tt, vv = np.meshgrid(feet, offs, indexing="ij")
         d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(vv), 1.0))
         d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(vv), 1.0))
         in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
         start_cells = in_region & (d_x < s)
         end_cells = in_region & (d_y < s)
-        cells_flat = cells.ravel()
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
         for _ in range(trials):
             pts = sample_points(params, rho + R, gen).points
             # Fermi coordinates of the central segment, which runs over feet [0, d]
             u, y = axis_coordinates(pts * math.exp(half_d))
             f_ok = bool(_reaches(model, np.zeros(len(u), dtype=np.intp), u, y, R, 1)[0] >= d)
-            # the net and the grid lie within s of the central segment
-            pts = pts[_within_segment(u - half_d, y, half_d, R + s)]
+            # the net and the grid lie within s of the central segment;
+            # u is measured from the tube's centre, as the grid's feet are
+            near = _within_segment(u - half_d, y, half_d, R + s)
+            pts, u, y = pts[near], u[near] - half_d, y[near]
             q_ok = f_ok and _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
             a_ok = f_ok
             if not f_ok:
-                blocked = _blocked_cells(cells_flat, pts, R).reshape(cells.shape)
+                blocked = _blocked_cells(feet, offs, u, y, R)
                 open_grid = (blocked if model == "occupied" else ~blocked) & in_region
                 a_ok = _flood_connected(open_grid, start_cells, end_cells, structure)
             events.append((a_ok, f_ok, q_ok))

@@ -83,19 +83,20 @@ def _geodesic_element(g: Geodesic, stroke: str, width: float) -> str:
 
 
 def _edge_element(w1: complex, w2: complex, stroke="black", width=0.004) -> str:
-    """Geodesic segment between two interior disk points."""
+    """Geodesic segment between two interior disk points: off a diameter,
+    an arc of the circle through them orthogonal to the unit circle,
+    |c|^2 = r^2 + 1.  Its centre c = m + k n lies on the chord's
+    perpendicular bisector (m the midpoint, n the unit normal), so both
+    ends lie on it however short the chord: k = (1 - |m|^2 + |w2 - m|^2)
+    / (2 m.n), with 1 - |m|^2 as (1 - |m|)(1 + |m|) to keep its digits."""
     d = w1 * w2.conjugate()
     if abs(d.imag) < 1e-12 * max(abs(d), 1e-12):
         # collinear with the center: the geodesic is a diameter
         return _line(w1, w2, stroke, width)
-    # orthocircle through w1, w2: center c with |c|^2 = r^2 + 1
-    a1, a2 = abs(w1) ** 2 + 1.0, abs(w2) ** 2 + 1.0
-    det = 2.0 * (w1.real * w2.imag - w1.imag * w2.real)
-    cx = (a1 * w2.imag - a2 * w1.imag) / det
-    cy = (a2 * w1.real - a1 * w2.real) / det
-    center = complex(cx, cy)
-    radius = math.sqrt(abs(center) ** 2 - 1.0)
-    return _arc_segment(w1, w2, center, radius, stroke, width)
+    m, n = (w1 + w2) / 2.0, 1j * (w2 - w1) / abs(w2 - w1)
+    k = ((1.0 - abs(m)) * (1.0 + abs(m)) + abs(w2 - m) ** 2) / (2.0 * (m * n.conjugate()).real)
+    center = m + k * n
+    return _arc_segment(w1, w2, center, abs(center - w1), stroke, width)
 
 
 def _ball_element(w: complex, R: float, stroke="firebrick", fill="none") -> str:
@@ -118,7 +119,7 @@ def render_boolean(sample: BooleanSample, size: int = 600) -> str:
     """Points of the process with their R-balls."""
     lines = []
     R = sample.params.radius
-    disk = [(complex(z) - 1j) / (complex(z) + 1j) for z in sample.points]
+    disk = to_disk(sample.points)
     for w in disk:
         lines.append(_ball_element(w, R, fill="#fde0e0"))
     for w in disk:
@@ -144,7 +145,7 @@ def render_tree(tree: EmbeddedTree, size: int = 600) -> str:
     lines = []
     for g in tree.generator_lines:
         lines.append(_geodesic_element(g, stroke="lightsteelblue", width=0.003))
-    disk = {w: complex(*to_disk(v)) for w, v in tree.vertices.items()}
+    disk = {w: to_disk(v.as_complex()) for w, v in tree.vertices.items()}
     # the vertices run breadth first, so each edge to a parent is drawn
     # in the order the parents list their children
     for w, z in disk.items():

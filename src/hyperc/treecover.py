@@ -182,8 +182,8 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrime
     worst_vertex = 0.0
     for _ in range(n_paths):
         path, left, right = _random_path_words(tree, gen)
-        ends = [to_disk(tree.vertices[w]) for w in (left, right)]
-        limit = Geodesic(*(ideal_from_disk_angle(math.atan2(y, x)) for x, y in ends))
+        ends = [to_disk(tree.vertices[w].as_complex()) for w in (left, right)]
+        limit = Geodesic(*(ideal_from_disk_angle(math.atan2(w.imag, w.real)) for w in ends))
         m = canonical_matrix(limit)
         verts = np.asarray([tree.vertices[w].as_complex() for w in path])
         feet, yoff = axis_coordinates(m.inverse().apply_array(verts))
@@ -210,7 +210,7 @@ def tree_site_reduction(
     """
     words = tree.words()
     verts = np.asarray([tree.vertices[w].as_complex() for w in words])
-    reach = float(np.arccosh((np.abs(verts) ** 2 + 1.0) / (2.0 * verts.imag)).max())
+    reach = float(dist_arrays(verts, 1j).max())
 
     if model == "lines":
         if not isinstance(sample, LineSample):

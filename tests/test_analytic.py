@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hyperc.analytic import (
@@ -129,6 +131,15 @@ class TestCrescentArea:
                 limit=200,
             )
             assert val == pytest.approx(ball_area(R), abs=1e-8)
+
+    @settings(deadline=None, max_examples=200)
+    @given(R=st.floats(0.05, 8.0), frac=st.floats(0.0, 2.5))
+    def test_closed_form_matches_the_quadrature_everywhere(self, R, frac):
+        """The closed form agrees with its quadrature oracle to 1e-12 of the
+        ball's area for R in [0.05, 8] and t in [0, 2.5 R]."""
+        t = frac * R
+        gap = float(area_crescent_closed_form(t, R)) - area_crescent(t, R)
+        assert abs(gap) <= 1e-12 * ball_area(R)
 
     def test_small_t_expansion(self):
         # the band integrand at s = 0 is 2 sinh R

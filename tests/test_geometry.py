@@ -78,12 +78,25 @@ class TestDist:
         assert d == pytest.approx(1e-9, rel=1e-4)
 
     def test_array_version_matches(self):
-        zs = np.asarray([random_point().as_complex() for _ in range(64)])
-        ws = np.asarray([random_point().as_complex() for _ in range(64)])
-        d = dist_arrays(zs, ws)
-        for k in range(64):
-            ref = dist(HPoint(zs[k].real, zs[k].imag), HPoint(ws[k].real, ws[k].imag))
-            assert d[k] == pytest.approx(ref, abs=1e-12)
+        """dist is dist_arrays on one pair, bit for bit, also for
+        near-coincident pairs."""
+        ps = [random_point() for _ in range(400)]
+        qs = [random_point() for _ in range(200)] + [
+            HPoint(p.x + float(RNG.normal()) * 10.0 ** -(k % 16), p.y)
+            for k, p in enumerate(ps[200:])
+        ]
+        d = dist_arrays(np.asarray([p.as_complex() for p in ps]),
+                        np.asarray([q.as_complex() for q in qs]))
+        assert [dist(p, q) for p, q in zip(ps, qs)] == d.tolist()
+
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_vertical_distance_keeps_full_relative_precision(self, x):
+        """(x, 1) and (x, y) are log y apart; with y = e^eps down to
+        eps = 1e-9 the distance keeps its relative precision, which
+        arccosh(1 + delta) loses with the digits 1 + delta rounds away."""
+        y = np.exp(np.logspace(-9.0, -1.0, 200))
+        d = dist_arrays(np.asarray(x + 1j), x + 1j * y)
+        assert (np.abs(d - np.log(y)) <= 4.0 * np.finfo(float).eps * np.log(y)).all()
 
 
 class TestDistToGeodesic:
@@ -174,6 +187,25 @@ class TestIsometries:
         p = random_point()
         assert dist(m.inverse().apply(m.apply(p)), p) < 1e-10
 
+    def test_apply_is_apply_array_bit_for_bit(self):
+        """apply is apply_array on one Python complex, bit for bit, and both
+        keep to CPython's complex arithmetic, reflections included: NumPy's
+        complex division rounds otherwise in the last bit for many
+        reflections, which would move the tree's vertices.  On arrays the
+        two agree to rounding."""
+        mirrors = [reflection_in(Geodesic(float(RNG.normal()), float(RNG.normal()) + 3.0))
+                   for _ in range(20)]
+        for m in [random_isometry() for _ in range(20)] + mirrors:
+            ps = [random_point() for _ in range(20)]
+            for p in ps:
+                z = p.as_complex().conjugate() if m.det < 0 else p.as_complex()
+                w = (m.a * z + m.b) / (m.c * z + m.d)
+                assert m.apply(p).as_complex() == m.apply_array(p.as_complex())
+                assert m.apply(p) == HPoint(w.real, abs(w.imag))
+            ws = m.apply_array(np.asarray([p.as_complex() for p in ps]))
+            ref = [m.apply(p).as_complex() for p in ps]
+            assert ws == pytest.approx(ref, rel=1e-14, abs=0.0)
+
 
 class TestReflection:
     def test_fixes_points_on_line(self):
@@ -198,20 +230,20 @@ class TestReflection:
 
 class TestDiskModel:
     def test_center_convention(self):
-        assert to_disk(HPoint(0, 1)) == (0.0, 0.0)
+        assert to_disk(1j) == 0.0
+        assert to_disk(np.asarray([1j, 2j])).tolist() == [0.0, 1.0 / 3.0]
 
     def test_roundtrip(self):
-        for _ in range(1000):
-            p = random_point()
-            w = complex(*to_disk(p))
-            z = 1j * (1.0 + w) / (1.0 - w)  # the inverse Cayley map
-            assert dist(HPoint(z.real, z.imag), p) < 1e-12
+        z = np.asarray([random_point().as_complex() for _ in range(1000)])
+        w = to_disk(z)
+        back = 1j * (1.0 + w) / (1.0 - w)  # the inverse Cayley map
+        assert (dist_arrays(back, z) < 1e-12).all()
 
     def test_distance_agreement(self):
         # the disk metric: cosh d = 1 + 2|w1 - w2|^2 / ((1 - |w1|^2)(1 - |w2|^2))
         for _ in range(100):
             p, q = random_point(), random_point()
-            w1, w2 = complex(*to_disk(p)), complex(*to_disk(q))
+            w1, w2 = to_disk(p.as_complex()), to_disk(q.as_complex())
             excess = 2.0 * abs(w1 - w2) ** 2 / ((1.0 - abs(w1) ** 2) * (1.0 - abs(w2) ** 2))
             assert math.acosh(1.0 + excess) == pytest.approx(dist(p, q), abs=1e-10)
 

@@ -21,6 +21,7 @@ from hyperc.geometry import (
     axis_coordinates,
     ball_area,
     ball_net,
+    dist_arrays,
     polar_around_origin,
     to_hyperboloid,
 )
@@ -521,29 +522,40 @@ def test_within_segment_keeps_the_points_near_the_tube():
     assert ((d < reach) == inside).all()
 
 
-def _blocked_cells_per_point(cells_flat, pts, R):
-    """Reference for _blocked_cells: one pass over the cells per point."""
-    blocked = np.zeros(len(cells_flat), dtype=bool)
-    gap, two_y = math.cosh(R) - 1.0, 2.0 * cells_flat.imag
-    for z in pts:
-        blocked |= np.abs(cells_flat - z) ** 2 < two_y * z.imag * gap
+def _blocked_cells_per_point(feet, offs, u, y, R):
+    """Reference for _blocked_cells: one pass over the grid per point."""
+    blocked = np.zeros((len(feet), len(offs)), dtype=bool)
+    cosh_y, sinh_y = np.cosh(y), np.sinh(y)
+    for k in range(len(u)):
+        ch = (cosh_y[k] * np.cosh(offs))[None, :] * np.cosh(u[k] - feet)[:, None]
+        blocked |= ch - (sinh_y[k] * np.sinh(offs))[None, :] < math.cosh(R)
     return blocked
 
 
 @pytest.mark.parametrize("n_pts", [0, 1, 7, 40])
 def test_blocked_cells_match_the_per_point_loop(n_pts):
     """The one broadcast does the loop's arithmetic, so the masks agree bit
-    for bit, also for cells at distance R from a point up to rounding."""
+    for bit, also for cells at distance R from a point up to rounding; and
+    away from such ties they are the cells that dist_arrays puts within R
+    of a point, with both mapped to the upper half-plane."""
+    R = 0.8
     gen = np.random.default_rng(n_pts)
-    cells = polar_around_origin(gen.uniform(0.0, 3.0, 2000), gen.uniform(0.0, 2.0 * math.pi, 2000))
-    pts = polar_around_origin(gen.uniform(0.0, 3.0, n_pts), gen.uniform(0.0, 2.0 * math.pi, n_pts))
-    # cells on the circles of radius R around the first points
-    rim = polar_around_origin(np.full(50, 0.8), np.arange(50))
-    for z in pts[:3]:
-        cells = np.append(cells, z.imag * rim + z.real)
-    got = percolation._blocked_cells(cells, pts, 0.8)
-    assert np.array_equal(got, _blocked_cells_per_point(cells, pts, 0.8))
+    feet, offs = np.linspace(-2.0, 2.0, 161), np.linspace(-0.3, 0.3, 13)
+    pts = axis_point(gen.uniform(-3.0, 3.0, n_pts), gen.uniform(-1.2, 1.2, n_pts))
+    # points on the circles of radius R around grid cells on the axis, so
+    # that those cells lie at distance R from them
+    rim = polar_around_origin(np.full(50, R), np.arange(50))
+    for t in feet[[10, 80, 150]][:n_pts]:
+        pts = np.append(pts, math.exp(t) * rim)
+    u, y = axis_coordinates(pts)
+    got = percolation._blocked_cells(feet, offs, u, y, R)
+    assert np.array_equal(got, _blocked_cells_per_point(feet, offs, u, y, R))
     assert got.any() == (n_pts > 0)
+    cells = axis_point(*np.meshgrid(feet, offs, indexing="ij"))
+    d = dist_arrays(cells[:, :, None], pts[None, None, :])
+    clear = (np.abs(d - R) > 1e-9).all(axis=2)
+    assert clear.sum() > 0.9 * clear.size
+    assert np.array_equal(got[clear], (d < R).any(axis=2)[clear])
 
 
 def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):

@@ -1,5 +1,8 @@
+import pytest
+
 from hyperc import render
 from hyperc.sampling import RngStream, sample_lines
+from hyperc.treecover import build_tree
 
 from line_oracles import geodesic
 
@@ -16,3 +19,25 @@ def test_line_arcs_match_the_geodesics_through_their_ideal_ends():
         body = render.render_lines(sample).splitlines()[4:-1]
         assert len(body) == len(sample) > 0
         assert body == expect, rho
+
+
+@pytest.mark.parametrize("arc, depth", [(1.0, 7), (1.0, 8), (1.5, 10), (1.5, 14)])
+def test_tree_edges_end_on_their_arcs(arc, depth, monkeypatch):
+    """Deep trees render, and both ends of each edge lie on the circle
+    its arc is drawn on, to within 1e-6 of the chord."""
+    arcs = []
+    draw = render._arc_segment
+
+    def record(p1, p2, center, radius, *style):
+        arcs.append((p1, p2, center, radius))
+        return draw(p1, p2, center, radius, *style)
+
+    monkeypatch.setattr(render, "_arc_segment", record)
+    tree = build_tree(arc, depth)
+    render.render_tree(tree)
+    # the generator lines come first; the edges from the root are diameters
+    edges = arcs[len(tree.generator_lines):]
+    assert len(edges) == len(tree.vertices) - 4
+    for p1, p2, c, r in edges:
+        assert abs(abs(p1 - c) - r) <= 1e-6 * abs(p2 - p1)
+        assert abs(abs(p2 - c) - r) <= 1e-6 * abs(p2 - p1)

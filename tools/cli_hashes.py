@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 51
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 55
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -96,6 +96,13 @@ INVOCATIONS = [
      ["render", "--model", "points", "--lambda", "0.5", "--R", "0.5", "--window", "2",
       "--seed", "1", "--out", "p.svg"]),
     ("render.tree", ["render", "--model", "tree", "--depth", "4", "--out", "t.svg"]),
+    ("render.lines.dense",
+     ["render", "--lambda", "3", "--rho", "6", "--seed", "2", "--out", "l.svg"]),
+    ("render.points.dense",
+     ["render", "--model", "points", "--lambda", "2", "--R", "0.3", "--window", "3",
+      "--seed", "2", "--out", "p.svg"]),
+    ("tree.default.svg", ["tree", "--seed", "5", "--svg", "t.svg"]),
+    ("render.tree.depth7", ["render", "--model", "tree", "--depth", "7", "--out", "t.svg"]),
     ("render.bad-model", ["render", "--model", "cubes", "--seed", "1"]),
     ("unknown-flag", ["alpha", "--lambda", "1", "--radius", "2"]),
     ("help", ["--help"]),
