@@ -102,21 +102,21 @@ def area_crescent(t: float, R: float) -> float:
     in [-t/2, t/2]; for t >= 2R the balls are disjoint and the crescent
     is the whole ball.  Computed by adaptive quadrature of the band
     density, whose square-root zero at s = R is integrable and handled
-    by subdivision.  The hitting law and the exponent solvers use
+    by subdivision.  The density is 2 sinh R (1 - coth^2 R s^2 / 2 + ...),
+    so below t = 1e-8 tanh R the first-order area 2 t sinh R is exact to
+    rounding and is returned instead, as the quadrature's error estimate
+    underflows there.  The hitting law and the exponent solvers use
     ``area_crescent_closed_form``; this quadrature is its oracle.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t >= 2.0 * R:
         return ball_area(R)
+    if t < 1e-8 * math.tanh(R):
+        return 2.0 * t * math.sinh(R)
     val, _ = integrate.quad(
-        _band_density,
-        -t / 2.0,
-        t / 2.0,
-        args=(R,),
-        epsabs=QUAD_TOL,
-        epsrel=QUAD_TOL,
-        limit=QUAD_LIMIT,
+        _band_density, -t / 2.0, t / 2.0, args=(R,),
+        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT,
     )
     return float(val)
 

@@ -19,6 +19,14 @@ for later calls.  Rays, chords and the tube sandwich draw exactly the
 ball that can reach them, and measure each ray, net segment or grid
 cell only against the points that can come within R of it; the
 sandwich decides its flood-fill grid in its tube's axis coordinates.
+Before its Q net and flood fill, the Boolean sandwich tries margins on
+its central segment through ``_reaches``.  Every net segment lies within
+s of the central segment, so Q holds if that segment is in the set for
+balls of radius R + s (vacant) or R - s (occupied).  Every path of grid
+cells between the end balls crosses each column between them, whose
+cells lie within s of its axis point, so A fails if one such point lies
+strictly within R - s of a point (vacant) or at least R + s from every
+point (occupied).
 
 The polar steps around (0, 1) are each written once: ``_grid_runs``
 maps every arc of directions (a point's rays, a line's blocked rays,
@@ -622,6 +630,29 @@ def _blocked_cells(feet, offs, u, y, R) -> np.ndarray:
     return (ch - (np.sinh(y)[:, None] * np.sinh(offs))[:, None, :] < math.cosh(R)).any(axis=0)
 
 
+def _q_by_margin(model: str, u: np.ndarray, y: np.ndarray, half_d: float, R: float, s: float) -> bool:
+    """True when the central segment, over feet [-half_d, half_d], lies in
+    the set for balls of radius R + s (vacant) or R - s (occupied) around
+    the points at axis coordinates (u, y): then Q holds (``sandwich_AQ``
+    gives the argument), and False leaves it undecided.  The net's points
+    keep short of radius s, so the margin exceeds rounding."""
+    grow = s if model == "vacant" else -s
+    seg = np.zeros(len(u), dtype=np.intp)
+    return bool(_reaches(model, seg, u + half_d, y, R + grow, 1)[0] >= 2.0 * half_d)
+
+
+def _cut_columns(model: str, u: np.ndarray, y: np.ndarray, feet: np.ndarray, R: float, s: float) -> np.ndarray:
+    """Mask of the grid columns over the feet whose axis point lies
+    strictly within R - s of a point (vacant) or at least R + s from
+    every point (occupied), each column passed to ``_reaches`` as a
+    zero-length segment: such a column is closed in every cell
+    (``sandwich_AQ`` gives the argument), and the others are undecided."""
+    grow = s if model == "vacant" else -s
+    col = np.repeat(np.arange(len(feet)), len(u))
+    foot = (u[None, :] - feet[:, None]).ravel()
+    return _reaches(model, col, foot, np.tile(y, len(feet)), R - grow, len(feet)) < 0.0
+
+
 def _flood_connected(open_grid, start_cells, end_cells, structure) -> bool:
     labels, n = ndimage.label(open_grid, structure=structure)
     if n == 0:
@@ -651,6 +682,22 @@ def sandwich_AQ(
     Only d(x, y) enters; trials run in canonical position with the tube
     centered on (0, 1).  The net and the grid lie within s of the
     central segment and see only the points strictly within R + s of it.
+
+    Margins on the central segment settle most Boolean trials first.
+    Q: each net segment joins points within s of x and y, and the
+    distance to the central segment is convex along it, so it lies
+    within s of that segment; Q then holds if the central segment lies
+    in the set for balls of radius R + s (vacant) or R - s (occupied),
+    and the net is not measured (``_q_by_margin``).  A: start cells have
+    feet below -d/2 + s and end cells above d/2 - s, so every 4-connected
+    path between them crosses each grid column with foot in
+    [-d/2 + s, d/2 - s], and such a column's cells lie within s of its
+    axis point; A then fails if one of those axis points lies strictly
+    within R - s of a point (vacant) or at least R + s from every point
+    (occupied), and no flood fill runs (``_cut_columns``).  Both
+    conditions are sufficient only; a trial they leave undecided runs
+    the net or the flood fill, so the results are those of the full
+    checks.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -688,6 +735,8 @@ def sandwich_AQ(
         start_cells = in_region & (d_x < s)
         end_cells = in_region & (d_y < s)
         structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+        # every path from the start to the end cells crosses these columns
+        mid_feet = feet[np.abs(feet) <= half_d - s]
         for _ in range(trials):
             pts = sample_points(params, rho + R, gen).points
             # Fermi coordinates of the central segment, which runs over feet [0, d]
@@ -697,9 +746,12 @@ def sandwich_AQ(
             # u is measured from the tube's centre, as the grid's feet are
             near = _within_segment(u - half_d, y, half_d, R + s)
             pts, u, y = pts[near], u[near] - half_d, y[near]
-            q_ok = f_ok and _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
+            q_ok = f_ok and (
+                _q_by_margin(model, u, y, half_d, R, s)
+                or _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
+            )
             a_ok = f_ok
-            if not f_ok:
+            if not f_ok and not _cut_columns(model, u, y, mid_feet, R, s).any():
                 blocked = _blocked_cells(feet, offs, u, y, R)
                 open_grid = (blocked if model == "occupied" else ~blocked) & in_region
                 a_ok = _flood_connected(open_grid, start_cells, end_cells, structure)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -132,20 +132,29 @@ class TestCrescentArea:
             )
             assert val == pytest.approx(ball_area(R), abs=1e-8)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @settings(deadline=None, max_examples=200)
     @given(R=st.floats(0.05, 8.0), frac=st.floats(0.0, 2.5))
+    @example(R=2.0, frac=4.45e-308 / 2.0)
     def test_closed_form_matches_the_quadrature_everywhere(self, R, frac):
         """The closed form agrees with its quadrature oracle to 1e-12 of the
-        ball's area for R in [0.05, 8] and t in [0, 2.5 R]."""
+        ball's area for R in [0.05, 8] and t in [0, 2.5 R], and the oracle
+        warns nowhere, also for t near the smallest normal double."""
         t = frac * R
         gap = float(area_crescent_closed_form(t, R)) - area_crescent(t, R)
         assert abs(gap) <= 1e-12 * ball_area(R)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_small_t_expansion(self):
         # the band integrand at s = 0 is 2 sinh R
-        for R in (0.5, 1.0, 2.0):
+        for R in (0.05, 0.5, 1.0, 2.0):
             t = 1e-4
             assert area_crescent(t, R) == pytest.approx(2.0 * t * math.sinh(R), rel=1e-6)
+            # either side of the switch to the first-order area
+            for t in (1e-8 * math.tanh(R) * (1.0 + 1e-9), 1e-8 * math.tanh(R)):
+                assert area_crescent(t, R) == pytest.approx(2.0 * t * math.sinh(R), rel=1e-15)
+            for t in (4.45e-308, 5e-324):
+                assert area_crescent(t, R) == 2.0 * t * math.sinh(R)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

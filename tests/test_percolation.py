@@ -32,9 +32,11 @@ from hyperc.percolation import (
     _boolean_ray_survivors,
     _chord_distance,
     _coverage_reaches,
+    _cut_columns,
     _line_ray_survivors,
     _lines_tube_events,
     _net_contained,
+    _q_by_margin,
     _within_segment,
     detect_line_through_ball,
     estimate_f,
@@ -558,17 +560,161 @@ def test_blocked_cells_match_the_per_point_loop(n_pts):
     assert np.array_equal(got[clear], (d < R).any(axis=2)[clear])
 
 
+def _one_point(monkeypatch, z: complex) -> None:
+    """Make every Boolean realization the single point z."""
+    pts = np.atleast_1d(z)
+    monkeypatch.setattr(
+        percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, pts)
+    )
+
+
+def _spy_margins(monkeypatch) -> dict:
+    """Wrap the sandwich's two margin checks; per check's name, [calls,
+    calls that settled their trial]."""
+    counts = {}
+    for name in ("_q_by_margin", "_cut_columns"):
+        tally = counts[name] = [0, 0]
+
+        def spy(*args, check=getattr(percolation, name), tally=tally):
+            out = check(*args)
+            tally[0] += 1
+            tally[1] += bool(np.any(out))
+            return out
+
+        monkeypatch.setattr(percolation, name, spy)
+    return counts
+
+
+def _undecided(monkeypatch) -> None:
+    """Leave every trial to the Q net and the flood fill."""
+    monkeypatch.setattr(percolation, "_q_by_margin", lambda *args: False)
+    monkeypatch.setattr(percolation, "_cut_columns", lambda *args: np.zeros(1, dtype=bool))
+
+
 def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
     """A point R + s/2 beside the end y of the tube keeps more than R
     from the central segment, so f holds, but comes within R of the end
     net, so Q fails; A holds."""
     params, s = ModelParams(0.1, 1.0), 0.05
-    z = np.atleast_1d(axis_point(2.0, params.radius + s / 2.0))
-    monkeypatch.setattr(
-        percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, z)
-    )
+    _one_point(monkeypatch, axis_point(2.0, params.radius + s / 2.0))
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
     assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "foot, gap, events, cut",
+    [
+        # within R - s of the middle column's axis point: every cell of
+        # that column is blocked
+        (0.0, 1.5, (0.0, 0.0, 0.0), 1),
+        # beside the end centre y, more than R - s from every column with
+        # foot in [-d/2 + s, d/2 - s]: the path passes the far side
+        (2.0, 0.5, (1.0, 0.0, 0.0), 0),
+    ],
+)
+def test_column_margin_cuts_beside_the_middle_only(monkeypatch, foot, gap, events, cut):
+    """A vacant point at offset R - gap s beside the tube ends f.  Beside
+    the middle the column margin settles A; beside an end it leaves A to
+    the flood fill.  The flood fill agrees in both."""
+    params, s = ModelParams(0.1, 1.0), 0.05
+    _one_point(monkeypatch, axis_point(foot, params.radius - gap * s))
+    counts = _spy_margins(monkeypatch)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == events
+    assert counts == {"_q_by_margin": [0, 0], "_cut_columns": [1, cut]}
+    _undecided(monkeypatch)
+    assert sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0)) == res
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_margins_imply_the_full_checks(model, params):
+    """Over 200 realizations of the tube workload's model: a Q that the
+    margin accepts is one that the sandwich's net accepts, and a column
+    that the margin cuts is closed in every cell of the sandwich's grid of
+    offsets, all blocked (vacant) or none covered (occupied)."""
+    half_d, s, R = 2.0, 0.05, params.radius
+    net_x, net_y = _end_nets(half_d, s, 0.999 * s / 4.0)
+    seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
+    seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
+    feet, offs = np.linspace(-half_d - s, half_d + s, 657), np.linspace(-s, s, 17)
+    mid = feet[np.abs(feet) <= half_d - s]
+    q_accepted = cut_trials = 0
+    for seed in range(200):
+        pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
+        u, y = axis_coordinates(pts)
+        near = _within_segment(u, y, half_d, R + s)
+        pts, u, y = pts[near], u[near], y[near]
+        if _q_by_margin(model, u, y, half_d, R, s):
+            q_accepted += 1
+            assert _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
+        cut = _cut_columns(model, u, y, mid, R, s)
+        blocked = percolation._blocked_cells(mid[cut], offs, u, y, R)
+        assert (blocked if model == "vacant" else ~blocked).all(), seed
+        cut_trials += int(cut.any())
+    assert 0 < q_accepted < 200 and 0 < cut_trials < 200
+
+
+@pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
+@pytest.mark.parametrize("s", [0.02, 0.05])
+def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
+    """With both margin checks made to decide nothing, every trial runs the
+    Q net or the flood fill, and each result is the same, to the type of
+    its fields; each check had decided some trials."""
+    cases = [
+        ("vacant", ModelParams(0.0, 1.0)),
+        ("vacant", ModelParams(0.1, 1.0)),
+        ("vacant", ModelParams(0.02, 2.0)),
+        ("occupied", ModelParams(0.0, 1.0)),
+        ("occupied", ModelParams(1.0, 1.0)),
+        ("occupied", ModelParams(3.0, 0.5)),
+    ]
+    y_end = HPoint(0.0, math.exp(d))
+
+    def run():
+        return [
+            sandwich_AQ(X_TUBE, y_end, s, model, params, 8, RngStream(seed))
+            for model, params in cases
+            for seed in range(4)
+        ]
+
+    counts = _spy_margins(monkeypatch)
+    fast = run()
+    _undecided(monkeypatch)
+    for a, b in zip(fast, run(), strict=True):
+        assert repr(a) == repr(b)
+        assert {type(v) for v in (a.p_A, a.f_hat, a.p_Q, b.p_A, b.f_hat, b.p_Q)} == {float}
+    for calls, decided in counts.values():
+        assert decided > 0
+
+
+# (p_A, f, p_Q) of the tube workload's sandwich (d 4, s 0.05) at seeds
+# 0-4, recorded before the margin checks were added
+SANDWICH_STREAM = [
+    ("vacant", ModelParams(0.1, 1.0), 100,
+     [(0.28, 0.26, 0.24), (0.38, 0.34, 0.32), (0.38, 0.37, 0.36), (0.31, 0.29, 0.28),
+      (0.37, 0.31, 0.31)]),
+    ("occupied", ModelParams(1.0, 1.0), 20,
+     [(0.7, 0.7, 0.7), (0.55, 0.55, 0.55), (0.7, 0.65, 0.65), (0.6, 0.55, 0.5),
+      (0.75, 0.6, 0.6)]),
+    ("lines", ModelParams(0.1), 100,
+     [(0.7, 0.69, 0.68), (0.67, 0.66, 0.63), (0.7, 0.69, 0.68), (0.72, 0.7, 0.68),
+      (0.64, 0.63, 0.63)]),
+]
+
+
+@pytest.mark.parametrize("model, params, trials, pinned", SANDWICH_STREAM)
+def test_sandwich_stream_is_pinned(monkeypatch, model, params, trials, pinned):
+    """The tube workload's sandwich gives the recorded triples, and at its
+    parameters each margin check settles most of the trials it sees."""
+    counts = _spy_margins(monkeypatch)
+    got = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+           for seed in range(5)]
+    assert [(r.p_A, r.f_hat, r.p_Q) for r in got] == pinned
+    if model != "lines":
+        for calls, decided in counts.values():
+            assert decided > calls / 2
 
 
 def _end_nets(half_d: float, s: float, mesh: float):
