@@ -49,6 +49,9 @@ class AlphaResult:
 
     ``residual`` is the value of the defining integral minus one at the
     returned exponent and must be below 1e-10 in magnitude.
+    ``iterations`` counts the residual evaluations after the first: the
+    doubling steps of the bracket search and then the Newton or
+    bisection steps inside the bracket.
     """
 
     alpha: float
@@ -154,11 +157,13 @@ def _gauss_legendre(n: int):
     return x, wq
 
 
+@lru_cache(maxsize=8)
 def _exponent_nodes(R: float):
     """Gauss-Legendre nodes for int_0^{2R} e^{beta s} G'(s) ds after the
     substitution s = 2R - w^2, which removes the square-root zero of G'
     at s = 2R and makes the rule converge spectrally.  The crescent
-    areas at the nodes come from the closed form."""
+    areas at the nodes come from the closed form.  Read-only and cached,
+    so that lambda_gc, its alpha check and the caller's share them."""
     x, wq = _gauss_legendre(GAUSS_NODES)
     wmax = math.sqrt(2.0 * R)
     w = 0.5 * wmax * (x + 1.0)
@@ -166,48 +171,63 @@ def _exponent_nodes(R: float):
     s = 2.0 * R - w * w
     area = area_crescent_closed_form(s, R)
     rate = _band_density(s / 2.0, R)
+    for a in (s, jac, area, rate):
+        a.flags.writeable = False
     return s, jac, area, rate
-
-
-def _exponent_residual(beta: float, lam: float, s, jac, area, rate) -> float:
-    gp = lam * rate * np.exp(-lam * area)
-    return float(np.dot(jac, np.exp(beta * s) * gp)) - 1.0
 
 
 def alpha_occupied(params: ModelParams) -> AlphaResult:
     """Occupied-set exponent: the unique beta > 0 with
-    int_0^{2R} e^{beta s} G'(s) ds = 1.
+    F(beta) = int_0^{2R} e^{beta s} G'(s) ds - 1 = 0.
 
-    The integral at beta = 0 is P(S > 0) < 1 and grows monotonically in
-    beta, so a geometric search brackets the root and bisection to
-    width 1e-12 pins it down.  A non-finite residual raises SolverError.
+    F(0) = P(S > 0) - 1 < 0 and F is increasing and convex, so a
+    doubling search brackets the root in [lo, hi], and Newton steps
+    from hi fall monotonically onto it.  A step that leaves (lo, hi],
+    as rounding can make it near a root at 0, is replaced by the
+    bracket's midpoint, and each step moves lo or hi by the sign of F.
+    The solve stops after a step of at most 1e-12, once the bracket is
+    that narrow, or at a non-finite F; a residual not within 1e-10
+    raises SolverError.  Where e^{beta s} overflows, F is NaN and the
+    solve raises without numpy's overflow warnings.
     """
     lam, R = params.intensity, params.radius
     if not lam > 0:
         raise ValueError("occupied exponent needs positive intensity")
     s, jac, area, rate = _exponent_nodes(R)
+    # F(beta) = w . e^{beta s} - 1 and F'(beta) = (w s) . e^{beta s}
+    w = jac * (lam * rate * np.exp(-lam * area))
+    ws = w * s
 
-    def residual(beta):
-        return _exponent_residual(beta, lam, s, jac, area, rate)
+    def residual_and_slope(beta):
+        e = np.exp(beta * s)
+        return float(np.dot(w, e)) - 1.0, float(np.dot(ws, e))
 
-    iterations = 0
-    lo, hi = 0.0, 1.0
-    while residual(hi) < 0.0:
-        lo, hi = hi, 2.0 * hi
-        iterations += 1
-        if hi > 1e6:
-            raise SolverError(
-                f"no exponent bracket below 1e6 for lambda={lam}, R={R}"
-            )
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    beta = 0.5 * (lo + hi)
-    res = residual(beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterations = 0
+        lo, hi = 0.0, 1.0
+        res, slope = residual_and_slope(hi)
+        while res < 0.0:
+            lo, hi = hi, 2.0 * hi
+            iterations += 1
+            if hi > 1e6:
+                raise SolverError(
+                    f"no exponent bracket below 1e6 for lambda={lam}, R={R}"
+                )
+            res, slope = residual_and_slope(hi)
+        beta = hi
+        while math.isfinite(res) and hi - lo > 1e-12:
+            new = beta - res / slope
+            if not lo < new <= hi:
+                new = 0.5 * (lo + hi)
+            step, beta = abs(new - beta), new
+            res, slope = residual_and_slope(beta)
+            iterations += 1
+            if res < 0.0:
+                lo = beta
+            else:
+                hi = beta
+            if step <= 1e-12:
+                break
     if not abs(res) <= 1e-10:
         raise SolverError(f"exponent residual {res:.3e} is not within 1e-10")
     return AlphaResult(beta, res, iterations)
@@ -220,16 +240,21 @@ def lambda_gc(R: float) -> float:
     The renewal residual int_0^{2R} e^{beta s} G'(s) ds - 1 increases
     in beta and vanishes at alpha(lambda), so its sign at beta = 1 is
     that of 1 - alpha(lambda): bracket and bisection on it need no alpha.
-    The bisection stops at a width relative to lambda, since lambda_gc
-    spans many decades (about 500 at R = 0.05, about 2e-6 at R = 6).
-    Over R in [0.05, 8], |alpha(lambda_gc) - 1| < 1e-8; else SolverError.
+    At beta = 1 it is lambda (c . e^{-lambda area}) - 1 with the node
+    weights c = jac rate e^s formed once.  The bisection stops at a
+    width relative to lambda, since lambda_gc spans many decades (about
+    500 at R = 0.05, about 2e-6 at R = 6); it takes the same steps as a
+    bisection on alpha itself, so its value does not depend on how
+    alpha is solved.  Over R in [0.05, 8], |alpha(lambda_gc) - 1| < 1e-8;
+    else SolverError.
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    nodes = _exponent_nodes(R)
+    s, jac, area, rate = _exponent_nodes(R)
+    c = jac * rate * np.exp(s)
 
     def residual(lam):
-        return _exponent_residual(1.0, lam, *nodes)
+        return lam * float(np.dot(c, np.exp(-lam * area))) - 1.0
 
     lo = hi = 1.0 / (2.0 * math.sinh(R))  # vacant threshold as a starting scale
     if residual(lo) < 0.0:

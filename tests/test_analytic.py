@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from hyperc import analytic
 from hyperc.analytic import (
     SolverError,
     alpha_occupied,
@@ -244,6 +245,71 @@ class TestOccupiedExponent:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError, match="residual nan"):
                 alpha_occupied(ModelParams(lam, R))
+
+
+def bisected_alpha(params: ModelParams) -> float:
+    """alpha by the bisection that preceded the bracketed Newton solve:
+    the same nodes, doubling bracket and residual check, then bisection
+    to width 1e-12 on the residual formed afresh at every step.  The
+    reference for alpha_occupied; raises where that solve raised."""
+    lam, R = params.intensity, params.radius
+    s, jac, area, rate = analytic._exponent_nodes(R)
+
+    def residual(beta):
+        gp = lam * rate * np.exp(-lam * area)
+        return float(np.dot(jac, np.exp(beta * s) * gp)) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while residual(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            raise SolverError("no exponent bracket below 1e6")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    if not abs(residual(beta)) <= 1e-10:
+        raise SolverError("exponent residual is not within 1e-10")
+    return beta
+
+
+# (lambda, R) where the root lies within rounding of 0, which a Newton
+# step without the bracket overshoots to a negative exponent
+NEAR_ZERO_ROOTS = [(2.0, 2.0), (1.0, 3.0), (50.0, 0.5)]
+SOLVE_GRID = [
+    *NEAR_ZERO_ROOTS,
+    *((float(lam), float(R)) for lam in np.geomspace(0.01, 1000.0, 13)
+      for R in np.geomspace(0.05, 8.0, 11)),
+]
+
+
+class TestBracketedNewton:
+    @pytest.mark.parametrize("lam, R", SOLVE_GRID)
+    def test_matches_the_bisected_solve(self, lam, R):
+        params = ModelParams(lam, R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                expected = bisected_alpha(params)
+            except SolverError:
+                with pytest.raises(SolverError):
+                    alpha_occupied(params)
+                return
+        res = alpha_occupied(params)
+        assert abs(res.alpha - expected) <= 2e-12
+        assert res.alpha >= 0.0
+        assert abs(res.residual) <= 1e-10
+
+    def test_few_steps_at_unit_radius(self):
+        # the bisection took 40-45 steps here
+        for lam in np.geomspace(0.04, 2.2, 40):
+            assert alpha_occupied(ModelParams(float(lam), 1.0)).iterations <= 16
+
+    @pytest.mark.parametrize("R", np.geomspace(0.04, 3.2, 12))
+    def test_few_steps_at_the_critical_intensity(self, R):
+        assert alpha_occupied(ModelParams(lambda_gc(R), R)).iterations <= 16
 
 
 def nested_lambda_gc(R: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -106,13 +107,16 @@ def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
     assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_non_finite_exponent_residual_is_a_solver_error(capsys):
     """At R = 8 the renewal integral overflows, and the NaN residual
-    must not pass as a solved exponent."""
-    assert main(["alpha", "--model", "occupied", "--lambda", "1", "--R", "8"]) == SOLVER_ERROR
+    must not pass as a solved exponent; the failure is reported in one
+    line, without numpy's overflow warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["alpha", "--model", "occupied", "--lambda", "1", "--R", "8"]) == SOLVER_ERROR
     captured = capsys.readouterr()
-    assert "exponent residual nan" in captured.err and captured.out == ""
+    assert captured.err.startswith("hyperc: solver failure: exponent residual nan")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("directions", ["0", "3", "-4"])

@@ -5,9 +5,10 @@ invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
 The stderr lines that report the wall time or a generated seed are
-dropped first, and the source directory in warnings is replaced by
-``<src>``, so reruns with the same seeds hash alike, also from another
-checkout.
+dropped first, and in warnings the source directory is replaced by
+``<src>`` and the line number is dropped, so reruns with the same seeds
+hash alike, also from another checkout, and an edit that only moves a
+warning's line leaves the hash alone.
 
 Run it from the repository root, on two checkouts, and compare:
 
@@ -112,6 +113,8 @@ INVOCATIONS = [
 ]
 
 _VOLATILE = re.compile(r"^hyperc: (\S+ finished in \S+s|generated seed \d+)$")
+# the line number in a warning's location "<src>/hyperc/analytic.py:174:"
+_WARNING_LINE = re.compile(rb"(<src>\S*?\.py):\d+:")
 
 
 def _fingerprint(src: Path, argv, files=None, env_extra=None) -> str:
@@ -125,7 +128,7 @@ def _fingerprint(src: Path, argv, files=None, env_extra=None) -> str:
                               capture_output=True, timeout=600)
         stderr = b"\n".join(line for line in proc.stderr.split(b"\n")
                             if not _VOLATILE.match(line.decode("utf-8", "replace")))
-        stderr = stderr.replace(str(src).encode(), b"<src>")
+        stderr = _WARNING_LINE.sub(rb"\1:", stderr.replace(str(src).encode(), b"<src>"))
         h = hashlib.sha256()
         for part in (str(proc.returncode).encode(), proc.stdout, stderr):
             h.update(len(part).to_bytes(8, "little") + part)
