@@ -45,7 +45,6 @@ against ``segment_in`` on the same realization.
 
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -96,14 +95,12 @@ __all__ = [
     "sandwich_AQ",
 ]
 
-logger = logging.getLogger(__name__)
-
 MODELS = ("vacant", "occupied", "lines")
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Containment curve estimates and the fitted decay exponent."""
+    """Containment curve estimates and the decay exponent."""
 
     r_values: np.ndarray
     estimates: np.ndarray
@@ -178,9 +175,13 @@ def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n:
     run = np.maximum.accumulate(right + off)
     stops = np.flatnonzero(np.append(left[1:] + off[1:] > run[:-1], True))
     starts = np.flatnonzero(np.append(True, trial[1:] != trial[:-1]))
-    ends = stops[np.searchsorted(stops, starts)]
     covered = left[starts] <= 0.0
-    reach[trial[starts[covered]]] = (run[ends] - off[ends])[covered]
+    starts = starts[covered]
+    ends = stops[np.searchsorted(stops, starts)]
+    # the reach is the largest right end of the covered run, read from the
+    # unlifted ends so that it does not round with the block's other trials
+    runs = np.stack([starts, ends + 1], axis=1).ravel()
+    reach[trial[starts]] = np.maximum.reduceat(np.append(right, -math.inf), runs)[::2]
     return reach
 
 
@@ -260,8 +261,9 @@ def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSam
 # Every trial reduces to a containment threshold: the sup of r for
 # which the axis segment over feet [0, r] is still inside the set.
 # Containment of the whole nested r grid then reads off one comparison
-# per r.  Each trial draws from its own generator, keyed by the trial
-# index; the trials are reduced in blocks of TRIAL_BLOCK.
+# per r, and the decay exponent off the thresholds themselves.  Each
+# trial draws from its own generator, keyed by the trial index; the
+# trials are drawn in blocks of TRIAL_BLOCK.
 
 TRIAL_BLOCK = 256
 
@@ -280,13 +282,10 @@ def _block_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
     return _reaches(model, trial, u, y, R, len(gens))
 
 
-def _count_block(model, lam, R, r_tuple, master_seed, stream_index, span):
-    """Successes at each r among the trials lo <= t < hi of span."""
-    rs = np.asarray(r_tuple)
+def _span_thresholds(model, lam, R, r_max, master_seed, stream_index, span):
+    """Containment thresholds of the trials lo <= t < hi of span."""
     stream = RngStream(master_seed, stream_index)
-    gens = [stream.generator(t) for t in range(*span)]
-    thr = np.sort(_block_thresholds(model, lam, R, float(rs.max()), gens))
-    return len(gens) - np.searchsorted(thr, rs, side="left")
+    return _block_thresholds(model, lam, R, r_max, [stream.generator(t) for t in range(*span)])
 
 
 # The process pool that estimate_f calls share, as (size, executor), and
@@ -318,41 +317,30 @@ def _shared_pool(size: int) -> ProcessPoolExecutor:
     return _pool[1]
 
 
-def _pool_sum(job, spans, size: int):
-    """Sum of job over spans on the shared pool.  A pool that broke (one
-    of its workers died) is replaced and the spans run once more; the
-    jobs are pure, so the rerun counts the same."""
+def _pool_map(job, spans, size: int) -> list:
+    """job over spans on the shared pool, in span order.  A pool that
+    broke (one of its workers died) is replaced and the spans run once
+    more; the jobs are pure, so the rerun returns the same."""
     with _pool_lock:
         try:
-            return sum(_shared_pool(size).map(job, spans))
+            return list(_shared_pool(size).map(job, spans))
         except BrokenProcessPool:
             _close_pool()
-            return sum(_shared_pool(size).map(job, spans))
+            return list(_shared_pool(size).map(job, spans))
 
 
-def _fit_alpha(r_values, successes, trials):
-    """Weighted least squares of -log fhat against r with an intercept.
-
-    Weights come from the delta-method variance (1 - f)/(f n); r values
-    with fewer than 10 successes are dropped because the log variance
-    explodes there.
-    """
-    r = np.asarray(r_values, dtype=float)
-    s = np.asarray(successes, dtype=float)
-    if np.all(s == trials):
-        return 0.0, 0.0
-    keep = s >= 10
-    if keep.sum() < 2:
+def _exposure_alpha(thr: np.ndarray, a: float, b: float):
+    """(alpha_hat, alpha_stderr) from the thresholds thr on the window
+    [a, b], as ``estimate_f`` states."""
+    at_risk = thr[thr >= a]
+    exposure = math.fsum(np.minimum(at_risk, b) - a)
+    if exposure == 0.0:
         return math.nan, math.nan
-    r, s = r[keep], s[keep]
-    f = s / trials
-    var = np.maximum(trials - s, 0.5) / (s * trials)
-    w = 1.0 / var
-    x = np.stack([np.ones_like(r), r], axis=1)
-    xtw = x.T * w
-    cov = np.linalg.inv(xtw @ x)
-    beta = cov @ (xtw @ (-np.log(f)))
-    return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
+    events = int(np.count_nonzero(at_risk < b))
+    if events == 0:
+        return 0.0, 0.0
+    alpha = events / exposure
+    return alpha, alpha / math.sqrt(events)
 
 
 def estimate_f(
@@ -373,8 +361,15 @@ def estimate_f(
     lines cross it (``sample_crossings``; their measure is the segment
     length, by Crofton's formula).  Each trial draws from the generator
     keyed by (master seed, stream, trial index); trials run in blocks
-    of TRIAL_BLOCK and the counts are summed, so the result depends
-    neither on the worker count nor on the block size.  With workers > 1
+    of TRIAL_BLOCK, each returning its trials' containment thresholds T,
+    and f(r) = P(T >= r) is counted from all of them at once, so the
+    result depends neither on the worker count nor on the block size.
+
+    The exponent is a constant hazard on the grid's window [a, b]
+    (Andersen, Borgan, Gill and Keiding 1993, ch. IV): alpha_hat is the
+    events a <= T < b over the exposure, the sum of min(T, b) - a over
+    the trials with T >= a, and alpha_stderr = alpha_hat / sqrt(events);
+    (0, 0) with no event, (nan, nan) with no exposure.  With workers > 1
     and more than one block, the blocks run on one process pool of
     min(workers, blocks) processes that the process keeps for later
     calls: the first such call starts it, a call that needs another
@@ -392,19 +387,16 @@ def estimate_f(
     if model != "lines" and R is None:
         raise ValueError("point models need a ball radius")
     spans = [(lo, min(trials, lo + TRIAL_BLOCK)) for lo in range(0, trials, TRIAL_BLOCK)]
-    job = partial(_count_block, model, lam, R, tuple(rs), rng.master_seed, rng.stream_index)
+    job = partial(_span_thresholds, model, lam, R, float(rs[-1]), rng.master_seed, rng.stream_index)
     if workers <= 1 or len(spans) == 1:
-        counts = sum(map(job, spans))
+        blocks = list(map(job, spans))
     else:
-        counts = _pool_sum(job, spans, min(workers, len(spans)))
+        blocks = _pool_map(job, spans, min(workers, len(spans)))
+    thr = np.sort(np.concatenate(blocks))
+    counts = trials - np.searchsorted(thr, rs, side="left")
     est = counts / trials
     hw = 1.96 * np.sqrt(est * (1.0 - est) / trials)
-    if np.any(counts == 0):
-        logger.warning(
-            "no successes at r=%g and beyond; exponent fit uses the prefix",
-            rs[int(np.argmax(counts == 0))],
-        )
-    alpha_hat, alpha_stderr = _fit_alpha(rs, counts, trials)
+    alpha_hat, alpha_stderr = _exposure_alpha(thr, rs[0], rs[-1])
     return ExperimentResult(rs, est, hw, trials, alpha_hat, alpha_stderr, counts)
 
 

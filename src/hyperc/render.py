@@ -17,6 +17,7 @@ from .treecover import EmbeddedTree
 __all__ = ["render_boolean", "render_lines", "render_tree", "write_svg"]
 
 _VIEW = 1.08
+_SIZE = 600  # the document's width and height
 _DIAMETRAL_TOL = 1e-9
 
 
@@ -25,11 +26,11 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _svg(body: list[str], size: int) -> str:
+def _svg(body: list[str]) -> str:
     """The document: the elements of body over the white view of the disk."""
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="{-_VIEW} {-_VIEW} {2 * _VIEW} {2 * _VIEW}">',
         f'<rect x="{-_VIEW}" y="{-_VIEW}" width="{2 * _VIEW}" height="{2 * _VIEW}" fill="white"/>',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="0.006"/>',
@@ -115,7 +116,7 @@ def _ball_element(w: complex, R: float, stroke="firebrick", fill="none") -> str:
     )
 
 
-def render_boolean(sample: BooleanSample, size: int = 600) -> str:
+def render_boolean(sample: BooleanSample) -> str:
     """Points of the process with their R-balls."""
     lines = []
     R = sample.params.radius
@@ -126,10 +127,10 @@ def render_boolean(sample: BooleanSample, size: int = 600) -> str:
         lines.append(
             f'<circle cx="{_fmt(w.real)}" cy="{_fmt(w.imag)}" r="0.006" fill="firebrick"/>'
         )
-    return _svg(lines, size)
+    return _svg(lines)
 
 
-def render_lines(sample: LineSample, size: int = 600) -> str:
+def render_lines(sample: LineSample) -> str:
     """A line-process realization, arcs orthogonal to the boundary."""
     lines = []
     for p, phi in zip(sample.foot_dist, sample.foot_dir):
@@ -137,10 +138,10 @@ def render_lines(sample: LineSample, size: int = 600) -> str:
         delta = math.acos(math.tanh(p))
         ends = sorted(((phi - delta) % (2.0 * math.pi), (phi + delta) % (2.0 * math.pi)))
         lines.append(_arc_path(*ends, "steelblue", 0.004))
-    return _svg(lines, size)
+    return _svg(lines)
 
 
-def render_tree(tree: EmbeddedTree, size: int = 600) -> str:
+def render_tree(tree: EmbeddedTree) -> str:
     """The embedded tree: generator lines, edges, and vertex orbit."""
     lines = []
     for g in tree.generator_lines:
@@ -155,7 +156,7 @@ def render_tree(tree: EmbeddedTree, size: int = 600) -> str:
         lines.append(
             f'<circle cx="{_fmt(z.real)}" cy="{_fmt(z.imag)}" r="0.008" fill="black"/>'
         )
-    return _svg(lines, size)
+    return _svg(lines)
 
 
 def write_svg(content: str, path) -> None:

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, chi2, norm
 
 from hyperc import percolation
-from hyperc.analytic import f_grassmann, f_vacant
+from hyperc.analytic import alpha_occupied, f_grassmann, f_vacant, hitting_cdf
 from hyperc.geometry import (
     ORIGIN,
     HPoint,
@@ -33,12 +33,14 @@ from hyperc.percolation import (
     _chord_distance,
     _coverage_reaches,
     _cut_columns,
+    _exposure_alpha,
     _line_ray_survivors,
     _lines_tube_events,
     _net_contained,
     _q_by_margin,
     _within_segment,
     detect_line_through_ball,
+    estimate_S_cdf,
     estimate_f,
     sandwich_AQ,
     segment_in,
@@ -113,6 +115,20 @@ class TestCoverageReach:
             for t in range(n):
                 ref = _coverage_reach((mid - half)[trial == t], (mid + half)[trial == t])
                 assert got[t] == pytest.approx(ref, abs=1e-12)
+
+    def test_reaches_are_input_ends_whatever_the_block(self):
+        """Each covered reach is one of its trial's right ends, bit for
+        bit, however many trials share the block."""
+        gen = np.random.default_rng(9)
+        n = TRIAL_BLOCK
+        trial = gen.integers(0, n, 40 * n)
+        mid, half = gen.uniform(-2.0, 9.0, len(trial)), gen.uniform(0.0, 1.5, len(trial))
+        got = _coverage_reaches(trial, mid - half, mid + half, n)
+        assert np.count_nonzero(got >= 0.0) > n // 2
+        for t in range(n):
+            right = (mid + half)[trial == t]
+            assert got[t] == _coverage_reach((mid - half)[trial == t], right)
+            assert got[t] < 0.0 or got[t] in right
 
 
 def _gens(seed: int, n: int) -> list:
@@ -231,19 +247,23 @@ def test_results_do_not_depend_on_workers(model, params):
     assert one.successes[0] > 0 and one.trials == trials
 
 
-def test_results_do_not_depend_on_the_block_size(monkeypatch):
-    params, rs = ModelParams(1.0, 1.0), np.arange(0.0, 5.0)
-    ref = estimate_f("occupied", params, rs, 300, RngStream(32))
-    monkeypatch.setattr(percolation, "TRIAL_BLOCK", 7)
-    small = estimate_f("occupied", params, rs, 300, RngStream(32))
-    assert np.array_equal(ref.successes, small.successes)
-
-
 POOL_CASES = [
     ("vacant", ModelParams(0.3, 1.0)),
     ("occupied", ModelParams(1.0, 1.0)),
     ("lines", ModelParams(0.3)),
 ]
+
+
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    rs = np.arange(0.0, 5.0)
+    for model, params in POOL_CASES:
+        monkeypatch.setattr(percolation, "TRIAL_BLOCK", TRIAL_BLOCK)
+        ref = estimate_f(model, params, rs, 300, RngStream(32))
+        monkeypatch.setattr(percolation, "TRIAL_BLOCK", 7)
+        small = estimate_f(model, params, rs, 300, RngStream(32))
+        assert np.array_equal(ref.successes, small.successes), model
+        assert (ref.alpha_hat, ref.alpha_stderr) == (small.alpha_hat, small.alpha_stderr), model
+        assert 0.0 < ref.alpha_hat < math.inf, model
 
 
 def _worker_pids():
@@ -347,6 +367,77 @@ def _alive(pid):
     except ProcessLookupError:
         return False
     return True
+
+
+# the f-grid parameters: vacant and lines decay exactly at 2 lambda sinh R
+# and lambda, occupied at the renewal root
+F_GRID_CASES = [
+    ("vacant", ModelParams(0.1, 1.0), 0.2 * math.sinh(1.0)),
+    ("occupied", ModelParams(1.0, 1.0), alpha_occupied(ModelParams(1.0, 1.0)).alpha),
+    ("lines", ModelParams(0.1), 0.1),
+]
+
+
+def test_alpha_stderr_is_calibrated():
+    """The z-scores (alpha_hat - alpha) / alpha_stderr of 40 seeds per model
+    at r = 0..6 have a pooled root mean square inside the two-sided
+    chi-square bound of 120 unit normals at tail 1e-6, and no occupied one
+    strays past the normal tail of TAIL from alpha_occupied."""
+    z = {}
+    for model, params, alpha in F_GRID_CASES:
+        res = [estimate_f(model, params, np.arange(0.0, 7.0), 500, RngStream(s)) for s in range(40)]
+        z[model] = np.array([(r.alpha_hat - alpha) / r.alpha_stderr for r in res])
+    pooled = np.concatenate(list(z.values()))
+    lo, hi = np.sqrt(chi2.ppf([5e-7, 1.0 - 5e-7], len(pooled)) / len(pooled))
+    assert lo <= math.sqrt(np.mean(pooled**2)) <= hi, {m: float(np.std(v)) for m, v in z.items()}
+    assert np.all(np.abs(z["occupied"]) <= norm.isf(TAIL / 2.0))
+
+
+def test_exponent_counts_only_the_trials_at_risk():
+    """On [1, 3]: T = 1, 1.5 and 2.5 end in the window, and the exposure is
+    0 + 0.5 + 1.5 + 2 + 2 from the trials with T >= 1."""
+    thr = np.array([4.0, -1.0, 2.5, 0.5, math.inf, 1.0, 0.75, 1.5])
+    alpha, stderr = _exposure_alpha(thr, 1.0, 3.0)
+    assert alpha == 3.0 / 6.0 and stderr == 0.5 / math.sqrt(3.0)
+    # from 0 on, T = 0.5 and 0.75 are at risk and end in the window too
+    alpha = 5.0 / 12.25
+    assert _exposure_alpha(thr, 0.0, 3.0) == (alpha, alpha / math.sqrt(5.0))
+
+
+@pytest.mark.parametrize("model, params", POOL_CASES)
+def test_exponent_on_a_window_past_zero(model, params):
+    """With r_min > 0 the exponent is the hand count on the trials'
+    thresholds, drawn again from identically keyed generators."""
+    rs, trials = np.arange(1.0, 5.0), 300
+    res = estimate_f(model, params, rs, trials, RngStream(36))
+    thr = _block_thresholds(model, params.intensity, params.radius, 4.0, _gens(36, trials))
+    events = sum(1 for t in thr if 1.0 <= t < 4.0)
+    exposure = math.fsum(min(t, 4.0) - 1.0 for t in thr if t >= 1.0)
+    assert events < np.count_nonzero(thr < 4.0)  # some trials end before r_min
+    assert res.alpha_hat == events / exposure
+    assert res.alpha_stderr == res.alpha_hat / math.sqrt(events)
+
+
+@pytest.mark.parametrize("model, params", POOL_CASES)
+def test_one_point_grid_has_no_exponent(model, params):
+    res = estimate_f(model, params, [2.0], 200, RngStream(37))
+    assert math.isnan(res.alpha_hat) and math.isnan(res.alpha_stderr)
+
+
+def test_S_law_matches_the_hitting_cdf():
+    """S is -inf with probability p0 = e^{-lambda area B(R)}, else in
+    (0, 2R] with P(0 < S < t) = G(t).  The empirical P(S < t) keeps within
+    the DKW bound 2.69 / sqrt(n) of p0 + G(t) (false-alarm rate 1e-6), and
+    the count of empty balls passes the exact binomial gate against p0."""
+    params, n = ModelParams(1.0, 1.0), 20000
+    res = estimate_S_cdf(params, n, RngStream(39))
+    p0 = math.exp(-ball_area(1.0))
+    ts = np.linspace(0.0, 2.0, 201)[1:]
+    exact = p0 + np.array([hitting_cdf(t, params) for t in ts])
+    assert np.abs(res.neg_inf_mass + res.empirical_cdf(ts) - exact).max() <= 2.69 / math.sqrt(n)
+    empty = round(res.neg_inf_mass * n)
+    assert len(res.values) == n - empty and 0.0 < res.values[0] and res.values[-1] <= 2.0
+    assert _binomial_tail(empty, n, p0) >= TAIL
 
 
 def test_rejects_bad_input():
@@ -822,7 +913,8 @@ def test_lines_tube_events(feet, events):
 @pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
 def test_empty_process(model):
     """With no points or lines, the vacant set and the complement of the
-    lines are the whole plane, and the occupied set is empty."""
+    lines are the whole plane, and the occupied set is empty: no trial
+    ends, or none is at risk at r = 0."""
     params = ModelParams(0.0, None if model == "lines" else 1.0)
     inside = model != "occupied"
     rays = surviving_directions(model, params, 4.0, 16, RngStream(1))
@@ -834,6 +926,10 @@ def test_empty_process(model):
     assert (res.p_A, res.f_hat, res.p_Q) == ((1.0,) * 3 if inside else (0.0,) * 3)
     f = estimate_f(model, params, [0.0, 2.0], 100, RngStream(1))
     assert np.all(f.estimates == (1.0 if inside else 0.0))
+    if inside:
+        assert (f.alpha_hat, f.alpha_stderr) == (0.0, 0.0)
+    else:
+        assert math.isnan(f.alpha_hat) and math.isnan(f.alpha_stderr)
     gen = RngStream(1).generator()
     if model == "lines":
         sample = sample_lines(0.0, 5.0, gen)
