@@ -15,8 +15,9 @@ Every randomized subcommand resolves a master seed (flag, then the
 HYPERC_SEED environment variable, then a fresh one printed to stderr)
 and echoes the fully resolved configuration in its JSON summary, so
 every published number can be reproduced.  Results are independent of
---workers by construction: trials are keyed by (seed, trial index) and
-reduced with order-independent sums.
+--workers by construction: each trial draws from its own generator,
+keyed by (seed, stream, trial index), and yields an exact containment
+threshold, whatever block or process it ran in.
 """
 
 from __future__ import annotations
@@ -411,7 +412,7 @@ _COMMANDS = {
     ),
     "simulate-f": (
         _cmd_simulate_f,
-        "Monte Carlo estimate of f(r) with a fitted exponent",
+        "Monte Carlo estimate of f(r) and of its decay rate on [rmin, rmax]",
         [
             _model("vacant"),
             _lam(),

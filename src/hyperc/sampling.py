@@ -5,14 +5,20 @@ the isometry-invariant area measure, and lines from the invariant
 Grassmannian measure restricted to the lines meeting it.  The
 R-neighbourhood of a segment of the imaginary axis is drawn as well,
 and for lines only the feet where they cross an axis segment.  All
-randomness flows through counter-style streams so a trial's draws are
-a pure function of (master seed, stream index).
+randomness flows through ``RngStream``: trial t of stream s under master
+seed m draws from PCG64 seeded by numpy's
+``SeedSequence(m, spawn_key=(s, t))``, so a trial's draws are a pure
+function of (m, s, t).  A stream mixes its pool once and each trial's
+key into a copy of it, which reproduces numpy's ``SeedSequence`` bit for
+bit.  Every sampler refuses, with ``ValueError``, a trial whose expected
+number of points or lines exceeds ``MAX_TRIAL_POINTS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -66,22 +72,90 @@ class ModelParams:
             raise ValueError("ball radius must be positive")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose
+# output numpy keeps stable under its stream-compatibility policy (NEP 19)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(x: int) -> int:
+    """How many 32-bit words numpy's SeedSequence splits x into."""
+    return max(1, -(-int(x).bit_length() // 32))
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the seeding words a SeedSequence would have made."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly generate_state(4, np.uint64)
+        return self.words
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream: (master_seed, stream_index) -> generator.
 
-    Distinct stream indices give statistically independent streams and
-    identical pairs reproduce identical draws bit for bit.
+    ``generator(*subkeys)`` returns PCG64 seeded by numpy's
+    ``SeedSequence(master_seed, spawn_key=(stream_index, *subkeys))``.
+    Distinct keys give statistically independent generators and
+    identical keys reproduce identical draws bit for bit.
+
+    A trial's key is one subkey t with 0 <= t < 2**32.  Its sequence
+    mixes the single word t last into the pool of the stream's own
+    sequence, ``SeedSequence(master_seed, spawn_key=(stream_index,))``,
+    so the stream computes that pool once (``_pool``) and each trial
+    mixes t into a copy and hashes out PCG64's seed exactly as numpy
+    does.  Any other key goes through numpy's SeedSequence itself.
     """
 
     master_seed: int
     stream_index: int = 0
 
+    @cached_property
+    def _pool(self) -> tuple[list[int], int]:
+        """The pool of SeedSequence(master_seed, spawn_key=(stream_index,))
+        and the hash constant that the next entropy word meets.
+
+        With a spawn key the seed's words are padded to at least 4, and
+        mixing them into the 4-word pool takes 4 _MULT_A rounds for the
+        first four words, 12 to mix the pool with itself and 4 for every
+        word after.
+        """
+        pool = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,)).pool
+        rounds = 16 + 4 * (max(_words32(self.master_seed), 4) + _words32(self.stream_index) - 4)
+        return [int(w) for w in pool], _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _M32
+
     def generator(self, *subkeys: int) -> np.random.Generator:
+        if len(subkeys) == 1 and isinstance(subkeys[0], int) and 0 <= subkeys[0] <= _M32:
+            return np.random.Generator(np.random.PCG64(_State(self._seed_words(subkeys[0]))))
         seq = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.stream_index, *subkeys)
         )
         return np.random.Generator(np.random.PCG64(seq))
+
+    def _seed_words(self, t: int) -> np.ndarray:
+        """SeedSequence(master_seed, spawn_key=(stream_index, t))
+        .generate_state(4, np.uint64), from the cached pool."""
+        pool, h = self._pool
+        mixed = []
+        for x in pool:
+            v = t ^ h
+            h = h * _MULT_A & _M32
+            v = v * h & _M32
+            r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _M32
+            mixed.append(r ^ r >> 16)
+        out, h = [], _INIT_B
+        for k in range(8):
+            v = mixed[k % 4] ^ h
+            h = h * _MULT_B & _M32
+            v = v * h & _M32
+            out.append(v ^ v >> 16)
+        return np.array([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], dtype=np.uint64)
 
 
 class _Window:
@@ -138,19 +212,36 @@ class LineSample(_Window):
         return minkowski(np.asarray(w)[..., None, :], n)
 
 
+# The most points or lines one trial may expect to draw.  A point of
+# estimate_f's tube peaks at about 100 bytes of working arrays on its way
+# through the kernel, so this is about a gigabyte for one trial; a larger
+# mean fails as a usage error before numpy is asked for the memory.  It
+# bounds one trial, not a block of trials drawn at once.
+MAX_TRIAL_POINTS = 10**7
+
+
+def _expected_per_trial(count: float, what: str) -> float:
+    """count, one trial's expected number of what, once it is checked
+    against MAX_TRIAL_POINTS."""
+    if count > MAX_TRIAL_POINTS:
+        raise ValueError(f"one trial expects {count:.4g} {what}, "
+                         f"beyond MAX_TRIAL_POINTS = {MAX_TRIAL_POINTS:.4g}")
+    return count
+
+
 def ball_polar(radius: float, n, gen: np.random.Generator):
     """Polar coordinates (t, phi) around (0, 1) of n i.i.d. invariant points
     of B((0, 1), radius): radial CDF (cosh t - 1)/(cosh radius - 1), and
     uniform angles, drawn after all the radii."""
-    t = np.arccosh(1.0 + gen.uniform(0.0, 1.0, n) * (math.cosh(radius) - 1.0))
-    return t, gen.uniform(0.0, 2.0 * math.pi, n)
+    t = np.arccosh(1.0 + gen.random(n) * (math.cosh(radius) - 1.0))
+    return t, gen.random(n) * (2.0 * math.pi)
 
 
 def sample_points(params: ModelParams, radius: float, gen: np.random.Generator) -> BooleanSample:
     """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius)."""
     if not radius > 0:
         raise ValueError("window radius must be positive")
-    n = gen.poisson(params.intensity * ball_area(radius))
+    n = gen.poisson(_expected_per_trial(params.intensity * ball_area(radius), "points"))
     return BooleanSample(params, radius, polar_around_origin(*ball_polar(radius, n, gen)))
 
 
@@ -167,9 +258,9 @@ def sample_lines(intensity: float, rho: float, gen: np.random.Generator) -> Line
         raise ValueError("reference radius must be positive")
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
-    n = gen.poisson(intensity * phi_ball(rho))
-    p = np.arcsinh(gen.uniform(0.0, 1.0, n) * math.sinh(rho))
-    phi = gen.uniform(0.0, 2.0 * math.pi, n)
+    n = gen.poisson(_expected_per_trial(intensity * phi_ball(rho), "lines"))
+    p = np.arcsinh(gen.random(n) * math.sinh(rho))
+    phi = gen.random(n) * (2.0 * math.pi)
     return LineSample(intensity, rho, p, phi)
 
 
@@ -190,6 +281,7 @@ def sample_tube(params: ModelParams, length: float, gens):
     if length < 0:
         raise ValueError("segment length must be nonnegative")
     mean = params.intensity * length * 2.0 * math.sinh(R)
+    _expected_per_trial(mean + params.intensity * ball_area(R), "points")
     n_rect, rect, n_cap, caps = [], [], [], []
     for gen in gens:
         n = gen.poisson(mean)
@@ -216,11 +308,11 @@ def sample_crossings(intensity: float, length: float, gens):
     uniform.  Returns the crossing feet with the index of the trial
     each belongs to.
     """
-    mean = intensity * phi_segment(length)
+    mean = _expected_per_trial(intensity * phi_segment(length), "line crossings")
     counts, feet = [], []
     for gen in gens:
         counts.append(gen.poisson(mean))
-        feet.append(gen.uniform(0.0, length, counts[-1]))
+        feet.append(gen.random(counts[-1]) * length)
     trial = np.repeat(np.arange(len(counts)), counts)
     return trial, np.concatenate(feet)
 

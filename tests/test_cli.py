@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from hyperc import cli
+from hyperc import cli, sampling
 from hyperc.cli import SOLVER_ERROR, USAGE_ERROR, main
 
 MODELS = [("vacant", "0.1"), ("occupied", "1.0"), ("lines", "0.1")]
@@ -100,6 +100,16 @@ def test_missing_lambda_is_a_usage_error(command, capsys):
 def test_too_deep_tree_is_a_usage_error(capsys):
     assert main(["tree", "--depth", "10", "--seed", "1"]) == USAGE_ERROR
     assert "MAX_RADIUS" in capsys.readouterr().err
+
+
+def test_a_trial_above_the_sampling_cap_is_a_usage_error(capsys, monkeypatch):
+    # refused before anything is drawn, so no memory is asked for
+    argv = ["simulate-f", "--model", "vacant", "--lambda", "1", "--seed", "1"]
+    assert main([*argv, "--R", "30"]) == USAGE_ERROR
+    assert "beyond MAX_TRIAL_POINTS" in capsys.readouterr().err
+    monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 10)
+    assert main([*argv, "--R", "1", "--trials", "100"]) == USAGE_ERROR
+    assert "beyond MAX_TRIAL_POINTS = 10" in capsys.readouterr().err
 
 
 def test_unbracketed_critical_intensity_is_a_solver_error(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from hyperc import sampling
 from hyperc.geometry import (
     HPoint,
     ORIGIN,
@@ -92,6 +93,50 @@ class TestRngStream:
         l2 = sample_lines(1.0, 2.0, RngStream(9).generator())
         assert np.array_equal(l1.foot_dist, l2.foot_dist)
         assert np.array_equal(l1.foot_dir, l2.foot_dir)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 - 1, 2**64 + 5, 2**128 + 7])
+    def test_generators_are_numpys(self, seed):
+        # one int key below 2**32 takes the pooled path; the others,
+        # numpy's SeedSequence
+        keys = [(0,), (1,), (255,), (256,), (2**32 - 1,), (), (3, 4), (2**32,), (np.int64(5),)]
+        for stream in (0, 7, 2**32 - 1, 2**32):
+            rng = RngStream(seed, stream)
+            for key in keys:
+                seq = np.random.SeedSequence(seed, spawn_key=(stream, *key))
+                assert rng.generator(*key).bit_generator.state == np.random.PCG64(seq).state
+            assert (rng.generator(np.int64(5)).bit_generator.state
+                    == rng.generator(5).bit_generator.state)
+
+    def test_negative_key_is_refused(self):
+        with pytest.raises(ValueError):
+            RngStream(3, 1).generator(-1)
+
+
+class TestTrialCap:
+    """Each sampler refuses, before it draws, a trial that expects more
+    than MAX_TRIAL_POINTS points or lines; the cap is patched down."""
+
+    DRAWS = {
+        "points": (lambda gens: sample_points(ModelParams(2.0, 1.0), 2.0, gens[0]),
+                   2.0 * ball_area(2.0)),
+        "lines": (lambda gens: sample_lines(2.0, 1.5, gens[0]), 2.0 * phi_ball(1.5)),
+        "tube": (lambda gens: sample_tube(ModelParams(2.0, 1.0), 3.0, gens),
+                 2.0 * (3.0 * 2.0 * math.sinh(1.0) + ball_area(1.0))),
+        "crossings": (lambda gens: sample_crossings(2.0, 3.0, gens), 2.0 * 3.0),
+    }
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_refuses_above_the_cap_before_drawing(self, name, monkeypatch):
+        draw, expected = self.DRAWS[name]
+        gens = _gens(8, 3)
+        before = [g.bit_generator.state for g in gens]
+        monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 0.999 * expected)
+        with pytest.raises(ValueError, match=f"one trial expects {expected:.4g} "):
+            draw(gens)
+        assert [g.bit_generator.state for g in gens] == before
+        monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 1.001 * expected)
+        draw(gens)
 
 
 class TestSamplePoints:

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 55
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 56
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -59,6 +59,10 @@ INVOCATIONS = [
     ("simulate-f.config+flag",
      ["simulate-f", "--config", "run.cfg", "--trials", "200", "--out", "sum.json"],
      {"run.cfg": "model = occupied\nlam = 1.5\nrmax = 3\ntrials = 900\nseed = 8\n"}),
+    # a 129-bit seed: four 32-bit words plus one, mixed through the stream's pool
+    ("simulate-f.occupied.long-seed.w2",
+     ["simulate-f", "--model", "occupied", "--lambda", "1.0", "--rmax", "3", "--trials", "600",
+      "--workers", "2", "--seed", "340282366920938463463374607431768211457"]),
     ("simulate-f.no-lambda", ["simulate-f", "--model", "vacant", "--seed", "1"]),
     ("rays.vacant",
      ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "4", "--directions", "90",
