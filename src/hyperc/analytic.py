@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .geometry import ball_area
+from .geometry import ball_area, tube_area
 from .sampling import ModelParams
 
 __all__ = [
@@ -77,7 +77,7 @@ def f_vacant(r: float, params: ModelParams) -> float:
     if r < 0:
         raise ValueError("segment length must be nonnegative")
     lam, R = params.intensity, params.radius
-    return math.exp(-lam * (2.0 * r * math.sinh(R) + ball_area(R)))
+    return math.exp(-lam * tube_area(R, r))
 
 
 def alpha_vacant(params: ModelParams) -> float:

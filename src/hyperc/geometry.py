@@ -31,6 +31,7 @@ __all__ = [
     "reflection_in",
     "to_disk",
     "ball_area",
+    "tube_area",
     "ideal_from_disk_angle",
     "disk_angle_from_ideal",
 ]
@@ -223,6 +224,12 @@ def disk_angle_from_ideal(x: float) -> float:
 
 def ball_area(r: float) -> float:
     return 2.0 * math.pi * (math.cosh(r) - 1.0)
+
+
+def tube_area(R: float, length: float) -> float:
+    """Area of the R-neighbourhood of a geodesic segment of the given
+    length: a rectangle of area 2 length sinh R and two half balls."""
+    return 2.0 * length * math.sinh(R) + ball_area(R)
 
 
 def polar_around_origin(t: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ segment: the Poisson points of the segment's R-neighbourhood, or for
 lines only the feet where they cross it.  Each trial draws from its own
 generator, keyed by the trial index; the trials run in blocks, each
 reduced at once, inline or on a process pool that ``estimate_f`` keeps
-for later calls.  Rays, chords and the tube sandwich draw exactly the
-ball that can reach them, and measure each ray, net segment or grid
-cell only against the points that can come within R of it; the
-sandwich decides its flood-fill grid in its tube's axis coordinates.
+for later calls, and a block whose points would exceed the sampling
+cap is drawn in chunks of trials below it.  Rays, chords and the tube
+sandwich draw exactly the ball that can reach them, and measure each
+ray, net segment or grid cell only against the points that can come
+within R of it; the sandwich decides its flood-fill grid in its tube's
+axis coordinates.
 Before its Q net and flood fill, the Boolean sandwich tries margins on
 its central segment through ``_reaches``.  Every net segment lies within
 s of the central segment, so Q holds if that segment is in the set for
@@ -55,6 +57,7 @@ from functools import partial
 import numpy as np
 from scipy import ndimage
 
+from . import sampling
 from .geometry import (
     HPoint,
     ORIGIN,
@@ -68,6 +71,7 @@ from .geometry import (
     segment_point_distance,
     to_disk,
     to_hyperboloid,
+    tube_area,
 )
 from .sampling import (
     BooleanSample,
@@ -75,6 +79,7 @@ from .sampling import (
     ModelParams,
     RngStream,
     ball_polar,
+    phi_segment,
     sample_crossings,
     sample_lines,
     sample_points,
@@ -271,7 +276,19 @@ TRIAL_BLOCK = 256
 def _block_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
     """Containment thresholds of the trials drawn from gens, one
     generator each: negative when even r = 0 fails, inf when nothing
-    within reach of [0, r_max] ends containment."""
+    within reach of [0, r_max] ends containment.
+
+    The trials are drawn and reduced in chunks whose expected points or
+    line crossings together stay within sampling.MAX_TRIAL_POINTS, at
+    least one trial a chunk.  Each trial draws from its own generator,
+    so the thresholds are the same at any chunk size."""
+    per_trial = lam * (phi_segment(r_max) if model == "lines" else tube_area(R, r_max))
+    step = max(1, int(sampling.MAX_TRIAL_POINTS // max(per_trial, 1.0)))
+    return np.concatenate([_chunk_thresholds(model, lam, R, r_max, gens[i:i + step])
+                           for i in range(0, len(gens), step)])
+
+
+def _chunk_thresholds(model, lam, R, r_max, gens) -> np.ndarray:
     thr = np.full(len(gens), math.inf)
     if model == "lines":
         # a line separates the endpoints of [0, r] iff it crosses at a foot < r
@@ -572,8 +589,9 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
     if trials < 1:
         raise ValueError("need at least one trial")
     lam, R = params.intensity, params.radius
+    mean = sampling._expected_per_trial(lam * ball_area(R), "points")
     gen = rng.generator()
-    counts = gen.poisson(lam * ball_area(R), trials)
+    counts = gen.poisson(mean, trials)
     # Fermi coordinates along gamma, the geodesic through (0, 1) in direction 0
     _, u, perp = _polar_fermi(*ball_polar(R, int(counts.sum()), gen))
     u_plus = u + _half_width(R, perp)

@@ -8,9 +8,10 @@ and for lines only the feet where they cross an axis segment.  All
 randomness flows through ``RngStream``: trial t of stream s under master
 seed m draws from PCG64 seeded by numpy's
 ``SeedSequence(m, spawn_key=(s, t))``, so a trial's draws are a pure
-function of (m, s, t).  A stream mixes its pool once and each trial's
-key into a copy of it, which reproduces numpy's ``SeedSequence`` bit for
-bit.  Every sampler refuses, with ``ValueError``, a trial whose expected
+function of (m, s, t).  A stream mixes its pool once, hashes the seeds
+of t's group of 256 consecutive keys in one numpy pass and keeps the
+last group's; the seeds equal numpy's ``SeedSequence`` bit for bit.
+Every sampler refuses, with ``ValueError``, a trial whose expected
 number of points or lines exceeds ``MAX_TRIAL_POINTS``.
 """
 
@@ -28,6 +29,7 @@ from .geometry import (
     ball_area,
     minkowski,
     polar_around_origin,
+    tube_area,
 )
 
 __all__ = [
@@ -77,12 +79,32 @@ class ModelParams:
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+# A stream hashes the seeds of this many consecutive trial keys at once.
+_KEY_GROUP = 256
 
 
 def _words32(x: int) -> int:
     """How many 32-bit words numpy's SeedSequence splits x into."""
     return max(1, -(-int(x).bit_length() // 32))
+
+
+def _hash_chain(h: int, mult: int, n: int):
+    """The constants that n successive words of the hash meet, starting
+    from h: each is xored with one and multiplied by the next, as
+    columns (1, n) of uint32."""
+    chain = [h * pow(mult, k, 1 << 32) & _M32 for k in range(n + 1)]
+    return np.array([chain[:-1]], np.uint32), np.array([chain[1:]], np.uint32)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ v >> 16
+
+
+# the 8 output words are hashed from the pool's 4 words twice over
+_OUT_XOR, _OUT_MUL = _hash_chain(_INIT_B, _MULT_B, 8)
 
 
 class _State(np.random.bit_generator.ISeedSequence):
@@ -108,18 +130,27 @@ class RngStream:
     A trial's key is one subkey t with 0 <= t < 2**32.  Its sequence
     mixes the single word t last into the pool of the stream's own
     sequence, ``SeedSequence(master_seed, spawn_key=(stream_index,))``,
-    so the stream computes that pool once (``_pool``) and each trial
-    mixes t into a copy and hashes out PCG64's seed exactly as numpy
-    does.  Any other key goes through numpy's SeedSequence itself.
+    so the stream computes that pool once (``_pool``).  It hashes the
+    seeds of t's whole group of _KEY_GROUP consecutive keys in one numpy
+    pass (``_seed_words``) and keeps the last group's, so a run of
+    trials pays for the hash once per group.  Any other key goes through
+    numpy's SeedSequence itself.
     """
 
     master_seed: int
     stream_index: int = 0
 
+    # (group, its seeding words): one tuple, replaced whole, so threads
+    # that share the stream never pair a group with another's words; two
+    # that miss at once both hash, and either result is right
+    _keys = (-1, None)
+
     @cached_property
-    def _pool(self) -> tuple[list[int], int]:
-        """The pool of SeedSequence(master_seed, spawn_key=(stream_index,))
-        and the hash constant that the next entropy word meets.
+    def _pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constants that mix a key into the pool of
+        SeedSequence(master_seed, spawn_key=(stream_index,)): _MIX_L
+        times each pool word, and the hash constants each copy of the
+        key meets, all as uint32 columns (1, 4).
 
         With a spawn key the seed's words are padded to at least 4, and
         mixing them into the 4-word pool takes 4 _MULT_A rounds for the
@@ -128,34 +159,35 @@ class RngStream:
         """
         pool = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,)).pool
         rounds = 16 + 4 * (max(_words32(self.master_seed), 4) + _words32(self.stream_index) - 4)
-        return [int(w) for w in pool], _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _M32
+        h = _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _M32
+        return (_MIX_L * pool[None, :], *_hash_chain(h, _MULT_A, 4))
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         if len(subkeys) == 1 and isinstance(subkeys[0], int) and 0 <= subkeys[0] <= _M32:
-            return np.random.Generator(np.random.PCG64(_State(self._seed_words(subkeys[0]))))
+            group, t = divmod(subkeys[0], _KEY_GROUP)
+            keys = self._keys
+            if keys[0] != group:
+                keys = (group, self._seed_words(group))
+                object.__setattr__(self, "_keys", keys)
+            return np.random.Generator(np.random.PCG64(_State(keys[1][t])))
         seq = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.stream_index, *subkeys)
         )
         return np.random.Generator(np.random.PCG64(seq))
 
-    def _seed_words(self, t: int) -> np.ndarray:
-        """SeedSequence(master_seed, spawn_key=(stream_index, t))
-        .generate_state(4, np.uint64), from the cached pool."""
-        pool, h = self._pool
-        mixed = []
-        for x in pool:
-            v = t ^ h
-            h = h * _MULT_A & _M32
-            v = v * h & _M32
-            r = (_MIX_L * x - _MIX_R * (v ^ v >> 16)) & _M32
-            mixed.append(r ^ r >> 16)
-        out, h = [], _INIT_B
-        for k in range(8):
-            v = mixed[k % 4] ^ h
-            h = h * _MULT_B & _M32
-            v = v * h & _M32
-            out.append(v ^ v >> 16)
-        return np.array([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], dtype=np.uint64)
+    def _seed_words(self, group: int) -> np.ndarray:
+        """Row i is SeedSequence(master_seed, spawn_key=(stream_index, t))
+        .generate_state(4, np.uint64) for t = group * _KEY_GROUP + i.
+
+        Every hash constant is the same for every key, so one pass of
+        uint32 arithmetic over the group's keys mixes each key into the
+        pool and hashes out its 8 words.
+        """
+        mixed_pool, xor, mul = self._pool
+        t = np.arange(_KEY_GROUP, dtype=np.uint32) + np.uint32(group * _KEY_GROUP)
+        r = mixed_pool - _MIX_R * _hashmix(t[:, None], xor, mul)
+        out = _hashmix(np.tile(r ^ r >> 16, 2), _OUT_XOR, _OUT_MUL).astype(np.uint64)
+        return out[:, 0::2] | out[:, 1::2] << 32
 
 
 class _Window:
@@ -215,8 +247,9 @@ class LineSample(_Window):
 # The most points or lines one trial may expect to draw.  A point of
 # estimate_f's tube peaks at about 100 bytes of working arrays on its way
 # through the kernel, so this is about a gigabyte for one trial; a larger
-# mean fails as a usage error before numpy is asked for the memory.  It
-# bounds one trial, not a block of trials drawn at once.
+# mean fails as a usage error before numpy is asked for the memory.
+# estimate_f also draws a block's trials in chunks that together expect
+# at most this many.
 MAX_TRIAL_POINTS = 10**7
 
 
@@ -280,8 +313,8 @@ def sample_tube(params: ModelParams, length: float, gens):
     R = params.radius
     if length < 0:
         raise ValueError("segment length must be nonnegative")
+    _expected_per_trial(params.intensity * tube_area(R, length), "points")
     mean = params.intensity * length * 2.0 * math.sinh(R)
-    _expected_per_trial(mean + params.intensity * ball_area(R), "points")
     n_rect, rect, n_cap, caps = [], [], [], []
     for gen in gens:
         n = gen.poisson(mean)

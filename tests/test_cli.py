@@ -112,6 +112,16 @@ def test_a_trial_above_the_sampling_cap_is_a_usage_error(capsys, monkeypatch):
     assert "beyond MAX_TRIAL_POINTS = 10" in capsys.readouterr().err
 
 
+def test_an_S_law_trial_above_the_sampling_cap_is_a_usage_error(capsys, monkeypatch):
+    # the law of S draws its own counts, and is refused before them
+    argv = ["s-dist", "--seed", "1"]
+    assert main([*argv, "--lambda", "1", "--R", "40"]) == USAGE_ERROR
+    assert "one trial expects 7.395e+17 points, beyond MAX_TRIAL_POINTS" in capsys.readouterr().err
+    monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 10)
+    assert main([*argv, "--lambda", "4", "--R", "1"]) == USAGE_ERROR
+    assert "one trial expects 13.65 points, beyond MAX_TRIAL_POINTS = 10" in capsys.readouterr().err
+
+
 def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
     assert main(["critical", "--R", "20"]) == SOLVER_ERROR
     assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2, norm
 
-from hyperc import percolation
+from hyperc import percolation, sampling
 from hyperc.analytic import alpha_occupied, f_grassmann, f_vacant, hitting_cdf
 from hyperc.geometry import (
     ORIGIN,
@@ -24,6 +24,7 @@ from hyperc.geometry import (
     dist_arrays,
     polar_around_origin,
     to_hyperboloid,
+    tube_area,
 )
 from hyperc.percolation import (
     TRIAL_BLOCK,
@@ -264,6 +265,25 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(ref.successes, small.successes), model
         assert (ref.alpha_hat, ref.alpha_stderr) == (small.alpha_hat, small.alpha_stderr), model
         assert 0.0 < ref.alpha_hat < math.inf, model
+
+
+@pytest.mark.parametrize("model, params", POOL_CASES)
+def test_thresholds_do_not_depend_on_the_chunk(model, params, monkeypatch):
+    """A block is drawn in chunks whose trials together expect at most
+    MAX_TRIAL_POINTS points or crossings; the cap is patched to 3.5
+    trials' mean, so 50 trials go in chunks of 3."""
+    lam, R, r_max = params.intensity, params.radius, 4.0
+    gens = partial(_gens, 33, 50)
+    whole = _block_thresholds(model, lam, R, r_max, gens())
+    sizes = []
+    for name in ("sample_tube", "sample_crossings"):
+        draw = getattr(percolation, name)
+        monkeypatch.setattr(percolation, name,
+                            lambda *a, _draw=draw: sizes.append(len(a[-1])) or _draw(*a))
+    per_trial = lam * (r_max if model == "lines" else tube_area(R, r_max))
+    monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 3.5 * per_trial)
+    assert np.array_equal(_block_thresholds(model, lam, R, r_max, gens()), whole)
+    assert sizes == [3] * 16 + [2]
 
 
 def _worker_pids():

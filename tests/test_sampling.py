@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +113,51 @@ class TestRngStream:
     def test_negative_key_is_refused(self):
         with pytest.raises(ValueError):
             RngStream(3, 1).generator(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**200 - 1), st.integers(0, 2**40 - 1), st.integers(0, 2**32 - 1))
+    def test_trial_generators_are_numpys(self, seed, stream, t):
+        seq = np.random.SeedSequence(seed, spawn_key=(stream, t))
+        assert (RngStream(seed, stream).generator(t).bit_generator.state
+                == np.random.PCG64(seq).state)
+
+    def test_keys_out_of_order(self):
+        # each key leaves another group's seeds cached for the next
+        rng = RngStream(2**70 + 3, 9)
+        for t in (300, 5, 300, 2**32 - 1, 0):
+            seq = np.random.SeedSequence(2**70 + 3, spawn_key=(9, t))
+            assert rng.generator(t).bit_generator.state == np.random.PCG64(seq).state, t
+
+    def test_threads_sharing_a_stream(self):
+        """Two threads cycle over keys of the same four groups on one
+        stream, out of step, so each keeps replacing the group the other
+        cached, and at times finds the group it wants cached by the other."""
+        seed, stream = 17, 3
+        keys = [[0, 300, 600, 900], [301, 601, 901, 1]]
+        want = {t: np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, t))).state
+                for ks in keys for t in ks}
+        rng = RngStream(seed, stream)
+        wrong, done = [], []
+
+        def run(ks):
+            for i in range(3000):
+                t = ks[i % len(ks)]
+                if rng.generator(t).bit_generator.state != want[t]:
+                    wrong.append(t)
+            done.append(ks)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(ks,)) for ks in keys]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(done) == 2 and wrong == []
 
 
 class TestTrialCap:

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 56
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 57
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -89,6 +89,8 @@ INVOCATIONS = [
      ["s-dist", "--lambda", "1.0", "--trials", "3000", "--seed", "6", "--csv", "g.csv"]),
     ("s-dist.config",
      ["s-dist", "--config", "s.cfg"], {"s.cfg": "lam = 0.4\nR = 0.8\ntrials = 2000\nseed = 9\n"}),
+    # one trial expects 7.4e17 points: refused by the sampling cap
+    ("s-dist.R40", ["s-dist", "--lambda", "1", "--R", "40", "--seed", "1"]),
     ("grassmann.default", ["grassmann"]),
     ("grassmann.mc",
      ["grassmann", "--rho", "2.0", "--mc-lambda", "0.5,1", "--mc-trials", "300", "--seed", "5"]),
