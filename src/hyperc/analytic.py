@@ -189,6 +189,16 @@ def alpha_occupied(params: ModelParams) -> AlphaResult:
     that narrow, or at a non-finite F; a residual not within 1e-10
     raises SolverError.  Where e^{beta s} overflows, F is NaN and the
     solve raises without numpy's overflow warnings.
+
+    The root is checked against the tangent of F at 0: F is convex with
+    F(0) = -e^{-lambda area B(R)}, so alpha <= e^{-lambda area B(R)} / F'(0)
+    with F'(0) = int s G'(s) ds on the same nodes, which can only loosen
+    the bound where they miss mass.  A root above it, by more than
+    1e-9 relative and 1e-12 absolute, raises SolverError.  This refuses
+    the wrong roots that the nodes give once lambda area B(R) is large
+    (above 1000 wherever seen over R in [0.05, 7] and lambda in
+    [1e-3, 1e3]), where G' has its mass near s = 0: at (lambda, R) =
+    (1000, 1) they give 0.471 against a bound below 1e-12.
     """
     lam, R = params.intensity, params.radius
     if not lam > 0:
@@ -230,6 +240,12 @@ def alpha_occupied(params: ModelParams) -> AlphaResult:
                 break
     if not abs(res) <= 1e-10:
         raise SolverError(f"exponent residual {res:.3e} is not within 1e-10")
+    bound = math.exp(-lam * ball_area(R)) / float(ws.sum())
+    if beta > bound * (1.0 + 1e-9) + 1e-12:
+        raise SolverError(
+            f"exponent {beta:.6g} breaks the tangent bound {bound:.3e} "
+            f"for lambda={lam}, R={R}"
+        )
     return AlphaResult(beta, res, iterations)
 
 

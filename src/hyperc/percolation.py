@@ -35,7 +35,10 @@ maps every arc of directions (a point's rays, a line's blocked rays,
 a direction's antipodal partners) onto the direction grid,
 ``_polar_fermi`` reads polar coordinates as Fermi coordinates along a
 ray (the ray survivors, the law of S), and ``sampling.ball_polar`` and
-``geometry.ball_net`` draw and net a ball.
+``geometry.ball_net`` draw and net a ball.  A ``BooleanSample`` keeps
+the polar coordinates it was drawn in, so the ray survivors read its
+``t`` and ``psi`` as they are, with no change of model; ``estimate_f``
+reads its end caps in axis coordinates, converted per chunk.
 
 One predicate, ``segment_in``, decides a single segment [p, q] against
 a sample: the Boolean models through ``_net_contained`` on hyperboloid
@@ -69,7 +72,6 @@ from .geometry import (
     minkowski,
     polar_around_origin,
     segment_point_distance,
-    to_disk,
     to_hyperboloid,
     tube_area,
 )
@@ -457,9 +459,7 @@ def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: s
     sample.require_window(r + R, "ray survival")
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    # polar coordinates around (0, 1) from the Cayley disk coordinate
-    w = to_disk(sample.points)
-    t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
+    t, psi = sample.t, sample.psi
     beta = np.arcsin(math.sinh(R) / np.maximum(np.sinh(t), math.sinh(R)))
     # each point's run [lo, hi] of direction indices
     lo = np.floor((psi - beta) / h).astype(np.int64)

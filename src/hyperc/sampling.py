@@ -1,10 +1,14 @@
 """Exact samplers for the Poisson models and the invariant line measure.
 
 Every window is a ball around (0, 1): point clouds are drawn on it with
-the isometry-invariant area measure, and lines from the invariant
-Grassmannian measure restricted to the lines meeting it.  The
+the isometry-invariant area measure and kept in polar coordinates
+(t, psi) around (0, 1), and lines are drawn from the invariant
+Grassmannian measure restricted to the lines meeting it.  A point
+cloud's upper half-plane coordinates are made on first read.  The
 R-neighbourhood of a segment of the imaginary axis is drawn as well,
-and for lines only the feet where they cross an axis segment.  All
+its end caps as one polar ball per trial, converted to axis
+coordinates once for a whole chunk of trials; for lines only the feet
+where they cross an axis segment are drawn.  All
 randomness flows through ``RngStream``: trial t of stream s under master
 seed m draws from PCG64 seeded by numpy's
 ``SeedSequence(m, spawn_key=(s, t))``, so a trial's draws are a pure
@@ -204,14 +208,23 @@ class _Window:
 
 @dataclass(frozen=True)
 class BooleanSample(_Window):
-    """A Poisson point realization on the window ball B((0, 1), window_radius)."""
+    """A Poisson point realization on the window ball B((0, 1), window_radius),
+    in polar form: point k lies at distance ``t[k]`` from (0, 1) in the
+    disk-model direction ``psi[k]``.  ``points``, their complex upper
+    half-plane coordinates, is computed on first read and kept.
+    """
 
     params: ModelParams
     window_radius: float
-    points: np.ndarray = field(repr=False)  # complex UHP coordinates
+    t: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return polar_around_origin(self.t, self.psi)
 
 
 @dataclass(frozen=True)
@@ -271,11 +284,12 @@ def ball_polar(radius: float, n, gen: np.random.Generator):
 
 
 def sample_points(params: ModelParams, radius: float, gen: np.random.Generator) -> BooleanSample:
-    """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius)."""
+    """Poisson(intensity * area) points, i.i.d. invariant on B((0, 1), radius),
+    as drawn by ``ball_polar``: in polar form, with no change of model."""
     if not radius > 0:
         raise ValueError("window radius must be positive")
     n = gen.poisson(_expected_per_trial(params.intensity * ball_area(radius), "points"))
-    return BooleanSample(params, radius, polar_around_origin(*ball_polar(radius, n, gen)))
+    return BooleanSample(params, radius, *ball_polar(radius, n, gen))
 
 
 def sample_lines(intensity: float, rho: float, gen: np.random.Generator) -> LineSample:
@@ -307,25 +321,28 @@ def sample_tube(params: ModelParams, length: float, gens):
     area element is cosh y du dy (u uniform, y = arsinh(sinh R U) with
     U uniform on (-1, 1)), and the two half balls of radius R at the
     ends.  Together the half balls are one ball: each trial draws the
-    ball around gamma(0) with ``sample_points``, keeps its half behind
-    gamma(0) and moves the other half along the axis to gamma(length).
+    ball around gamma(0) with ``sample_points``, in polar form, after its
+    rectangle.  The caps of all the trials then go through
+    ``axis_coordinates`` at once; each keeps its half behind gamma(0)
+    and moves the other half along the axis to gamma(length).
     """
     R = params.radius
     if length < 0:
         raise ValueError("segment length must be nonnegative")
     _expected_per_trial(params.intensity * tube_area(R, length), "points")
     mean = params.intensity * length * 2.0 * math.sinh(R)
-    n_rect, rect, n_cap, caps = [], [], [], []
+    n_rect, rect, n_cap, cap_t, cap_psi = [], [], [], [], []
     for gen in gens:
         n = gen.poisson(mean)
         rect.append(gen.random((2, n)))
-        cap = sample_points(params, R, gen).points
+        cap = sample_points(params, R, gen)
         n_rect.append(n)
         n_cap.append(len(cap))
-        caps.append(cap)
+        cap_t.append(cap.t)
+        cap_psi.append(cap.psi)
     trials = np.arange(len(n_rect))
     a, b = np.concatenate(rect, axis=1)
-    cu, cy = axis_coordinates(np.concatenate(caps))
+    cu, cy = axis_coordinates(polar_around_origin(np.concatenate(cap_t), np.concatenate(cap_psi)))
     trial = np.concatenate([np.repeat(trials, n_rect), np.repeat(trials, n_cap)])
     u = np.concatenate([length * a, np.where(cu < 0.0, cu, cu + length)])
     y = np.concatenate([np.arcsinh(math.sinh(R) * (2.0 * b - 1.0)), cy])

@@ -1,13 +1,15 @@
 """Reference forms of the axis coordinates that the tests compare
 against: the point at given axis coordinates, the isometry that lays a
 segment on the axis, and the distance to a segment of the imaginary
-axis, built from the axis coordinates and the point distance alone."""
+axis, built from the axis coordinates and the point distance alone;
+and the polar form around (0, 1) in which a ``BooleanSample`` holds
+given points."""
 
 import math
 
 import numpy as np
 
-from hyperc.geometry import Isometry, axis_coordinates, dist_arrays
+from hyperc.geometry import Isometry, axis_coordinates, dist_arrays, to_disk
 
 
 def axis_point(u, y):
@@ -39,3 +41,11 @@ def distance_to_axis_segment(w: np.ndarray, length: float):
     d_hi = dist_arrays(w, np.asarray(1j * math.exp(length)))
     d = np.where(u < 0.0, d_lo, np.where(u > length, d_hi, np.abs(yoff)))
     return d, u, yoff
+
+
+def polar_of(z):
+    """Polar coordinates (t, psi) around (0, 1) of the points z (complex
+    UHP coordinates), through the Cayley disk coordinate w:
+    t = 2 artanh |w|, psi = arg w."""
+    w = to_disk(np.atleast_1d(np.asarray(z, dtype=complex)))
+    return 2.0 * np.arctanh(np.abs(w)), np.angle(w)

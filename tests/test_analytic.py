@@ -237,6 +237,30 @@ class TestOccupiedExponent:
         with pytest.raises(ValueError):
             alpha_occupied(ModelParams(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "lam, R, wrong", [(1000.0, 1.0, 0.471), (50.0, 3.0, 1.89), (1.0, 6.0, 0.109)]
+    )
+    def test_roots_above_the_tangent_bound_are_refused(self, lam, R, wrong):
+        """Once lambda area B(R) is large the nodes miss the mass of G'
+        near s = 0 and the solve lands on a wrong root; the bound, far
+        below 1e-12 here, refuses it."""
+        params = ModelParams(lam, R)
+        assert lam * ball_area(R) > 1000.0
+        assert tangent_bound(params) < 1e-12
+        assert abs(bisected_alpha(params) - wrong) < 5e-3
+        with pytest.raises(SolverError, match="tangent bound"):
+            alpha_occupied(params)
+
+    def test_roots_keep_below_the_tangent_bound(self):
+        for lam in (0.5, 1.0, 2.0, 10.0):
+            for R in (0.5, 1.0, 2.0):
+                params = ModelParams(lam, R)
+                assert not breaks_the_tangent_bound(alpha_occupied(params).alpha, params)
+        # at (1, 1) the bound is tight to within 4%
+        params = ModelParams(1.0, 1.0)
+        assert alpha_occupied(params).alpha == pytest.approx(0.0833, abs=1e-4)
+        assert tangent_bound(params) == pytest.approx(0.0860, abs=1e-4)
+
     @pytest.mark.parametrize("lam, R", [(1.0, 8.0), (0.1, 10.0)])
     def test_non_finite_residual_is_refused(self, lam, R):
         """Far off the tested grid the renewal integral overflows and the
@@ -245,6 +269,20 @@ class TestOccupiedExponent:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverError, match="residual nan"):
                 alpha_occupied(ModelParams(lam, R))
+
+
+def tangent_bound(params: ModelParams) -> float:
+    """e^{-lambda area B(R)} / F'(0), with F'(0) = int s G'(s) ds on the
+    solver's nodes: F is convex with F(0) = -e^{-lambda area B(R)}, so
+    its root lies at or below where the tangent at 0 crosses zero."""
+    lam, R = params.intensity, params.radius
+    s, jac, area, rate = analytic._exponent_nodes(R)
+    slope = float(np.dot(jac * s, lam * rate * np.exp(-lam * area)))
+    return math.exp(-lam * ball_area(R)) / slope
+
+
+def breaks_the_tangent_bound(alpha: float, params: ModelParams) -> bool:
+    return alpha > tangent_bound(params) * (1.0 + 1e-9) + 1e-12
 
 
 def bisected_alpha(params: ModelParams) -> float:
@@ -289,6 +327,8 @@ SOLVE_GRID = [
 class TestBracketedNewton:
     @pytest.mark.parametrize("lam, R", SOLVE_GRID)
     def test_matches_the_bisected_solve(self, lam, R):
+        """Wherever the bisection was right: where it raised, or where its
+        own root breaks the tangent bound, the solve must raise."""
         params = ModelParams(lam, R)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -297,6 +337,10 @@ class TestBracketedNewton:
                 with pytest.raises(SolverError):
                     alpha_occupied(params)
                 return
+        if breaks_the_tangent_bound(expected, params):
+            with pytest.raises(SolverError, match="tangent bound"):
+                alpha_occupied(params)
+            return
         res = alpha_occupied(params)
         assert abs(res.alpha - expected) <= 2e-12
         assert res.alpha >= 0.0

@@ -139,6 +139,15 @@ def test_non_finite_exponent_residual_is_a_solver_error(capsys):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+def test_exponent_above_the_tangent_bound_is_a_solver_error(capsys):
+    """At lambda = 1000, R = 1 the solve lands on 0.471, far above the
+    tangent bound; it is reported as a solver failure, not printed."""
+    assert main(["alpha", "--model", "occupied", "--lambda", "1000", "--R", "1"]) == SOLVER_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hyperc: solver failure: exponent 0.471301 breaks the tangent")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("directions", ["0", "3", "-4"])
 def test_too_few_directions_is_a_usage_error(directions, capsys):
     argv = ["detect-line", "--lambda", "0.1", "--directions", directions, "--samples", "2"]

@@ -59,7 +59,7 @@ from hyperc.sampling import (
     sample_tube,
 )
 
-from axis_oracles import axis_point, distance_to_axis_segment, to_axis
+from axis_oracles import axis_point, distance_to_axis_segment, polar_of, to_axis
 
 # false-alarm rate per estimate of the exact two-sided binomial gates
 TAIL = 3.8e-8
@@ -157,7 +157,7 @@ def _trial_sample(params, u, y, r_max) -> BooleanSample:
     # the neighbourhood's points are all that the segments over
     # [0, r_max] can see; the window claims the ball B(o, r_max + R)
     # that holds the neighbourhood
-    return BooleanSample(params, r_max + params.radius, axis_point(u, y))
+    return BooleanSample(params, r_max + params.radius, *polar_of(axis_point(u, y)))
 
 
 def _crossing_lines(lam, feet, r_max, gen) -> LineSample:
@@ -498,8 +498,7 @@ def _all_pairs_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model:
     against every point."""
     R = sample.params.radius
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    w = (sample.points - 1j) / (sample.points + 1j)
-    t, psi = 2.0 * np.arctanh(np.abs(w)), np.angle(w)
+    t, psi = sample.t, sample.psi
     dpsi = psi[None, :] - thetas[:, None]
     perp = np.arcsinh(np.sinh(t)[None, :] * np.abs(np.sin(dpsi)))
     k, j = np.nonzero(perp < R)
@@ -538,8 +537,7 @@ def test_ray_arcs_of_single_points(n_dir):
         places.append((t, h * (int(gen.integers(0, n_dir)) + m * gen.choice([-1, 1]))))
     blocked = set()
     for t, psi in places:
-        z = polar_around_origin(np.asarray([t]), np.asarray([psi]))
-        sample = BooleanSample(params, r + params.radius, z)
+        sample = BooleanSample(params, r + params.radius, np.asarray([t]), np.asarray([psi]))
         got = _boolean_ray_survivors(sample, r, n_dir, "vacant")
         ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
         assert np.array_equal(got, ref), (t, psi)
@@ -673,9 +671,9 @@ def test_blocked_cells_match_the_per_point_loop(n_pts):
 
 def _one_point(monkeypatch, z: complex) -> None:
     """Make every Boolean realization the single point z."""
-    pts = np.atleast_1d(z)
+    t, psi = polar_of(z)
     monkeypatch.setattr(
-        percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, pts)
+        percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, t, psi)
     )
 
 
@@ -1081,7 +1079,7 @@ def test_zero_length_segment_is_decided_as_a_point(at, gap, vacant, occupied):
         pts = np.empty(0, dtype=complex)
         if gap is not None:
             pts = np.atleast_1d(at.y * polar_around_origin(R + gap, phi) + at.x)
-        sample = BooleanSample(ModelParams(1.0, R), 3.0, pts)
+        sample = BooleanSample(ModelParams(1.0, R), 3.0, *polar_of(pts))
         assert segment_in("vacant", at, at, sample) == vacant, phi
         assert segment_in("occupied", at, at, sample) == occupied, phi
 

@@ -233,6 +233,14 @@ class TestSamplePoints:
         res = stats.ks_2samp(n1, n2)
         assert res.pvalue > 1e-3
 
+    def test_polar_form_is_kept_until_the_points_are_read(self):
+        s = sample_points(ModelParams(2.0, 1.0), 1.5, RngStream(7).generator())
+        assert len(s) == len(s.t) == len(s.psi) > 0
+        assert (s.t <= 1.5).all() and (s.psi >= 0.0).all() and (s.psi < 2.0 * math.pi).all()
+        assert "points" not in vars(s)
+        assert np.array_equal(s.points, polar_around_origin(s.t, s.psi))
+        assert "points" in vars(s) and s.points is s.points
+
     def test_thinning_matches_lower_intensity(self):
         lam, keep = 3.0, 0.4
         gen = RngStream(6).generator()
@@ -344,7 +352,42 @@ def _gens(seed: int, n: int) -> list:
     return [stream.generator(t) for t in range(n)]
 
 
+def _tube_per_trial(params: ModelParams, length: float, gens):
+    """Reference for sample_tube: the same draws, with each trial's end
+    caps converted to axis coordinates on their own."""
+    R = params.radius
+    mean = params.intensity * length * 2.0 * math.sinh(R)
+    rects, caps = [], []
+    for k, gen in enumerate(gens):
+        a, b = gen.random((2, gen.poisson(mean)))
+        rects.append((np.full(len(a), k), length * a, np.arcsinh(math.sinh(R) * (2.0 * b - 1.0))))
+        cu, cy = axis_coordinates(sample_points(params, R, gen).points)
+        caps.append((np.full(len(cu), k), np.where(cu < 0.0, cu, cu + length), cy))
+    return tuple(np.concatenate(col) for col in zip(*rects, *caps))
+
+
 class TestSampleTube:
+    @pytest.mark.parametrize(
+        "lam, R, length, seed, trials, empty",
+        [
+            (0.1, 1.0, 2.0, 11, 256, (0.6, 0.8)),  # about 71% of the caps are empty
+            (0.02, 0.1, 500.0, 12, 10, (1.0, 1.0)),  # every cap is empty
+            (2.0, 1.0, 3.0, 13, 1, (0.0, 0.0)),  # a chunk of one trial
+            (1.5, 0.6, 4.0, 14, 40, (0.0, 0.5)),
+        ],
+    )
+    def test_caps_converted_per_chunk_match_per_trial(self, lam, R, length, seed, trials, empty):
+        """Bitwise: the chunk's caps are converted by elementwise functions
+        alone.  empty bounds the share of trials whose caps drew nothing."""
+        params = ModelParams(lam, R)
+        got = sample_tube(params, length, _gens(seed, trials))
+        ref = _tube_per_trial(params, length, _gens(seed, trials))
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+        trial, u, _ = got
+        caps = np.bincount(trial[(u < 0.0) | (u > length)], minlength=trials)
+        assert len(trial) > 0 and empty[0] <= np.mean(caps == 0) <= empty[1]
+
     def test_points_in_neighbourhood(self):
         R, length = 0.7, 3.0
         trial, u, y = sample_tube(ModelParams(2.0, R), length, _gens(1, 50))

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 57
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 58
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -38,6 +38,9 @@ INVOCATIONS = [
     ("alpha.lines", ["alpha", "--model", "lines", "--lambda", "0.5"]),
     ("alpha.no-lambda", ["alpha", "--model", "vacant"]),
     ("alpha.occupied.R8", ["alpha", "--model", "occupied", "--lambda", "1", "--R", "8"]),
+    # a root above the tangent bound: lambda area B(1) is about 3500
+    ("alpha.occupied.lambda1000",
+     ["alpha", "--model", "occupied", "--lambda", "1000", "--R", "1"]),
     ("alpha.bad-model", ["alpha", "--model", "cubes", "--lambda", "1"]),
     ("critical.default", ["critical"]),
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
