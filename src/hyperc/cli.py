@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, render
+from .geometry import ball_area
 from .percolation import (
     detect_line_through_ball,
     estimate_f,
@@ -147,10 +148,10 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "inf", "-inf" or "nan": JSON has no literal for them
     return obj
 
 
@@ -180,6 +181,10 @@ def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
         return _float_list(cfg["r_values"])
     rmin, rmax, rstep = cfg["rmin"], cfg["rmax"], cfg["rstep"]
+    if not rstep > 0:
+        raise ValueError("rstep must be positive")
+    if rmax < rmin:
+        raise ValueError("rmax must be at least rmin")
     count = int(round((rmax - rmin) / rstep)) + 1
     return [rmin + k * rstep for k in range(count)]
 
@@ -239,6 +244,8 @@ def _cmd_simulate_f(cfg):
 
 
 def _cmd_rays(cfg):
+    if cfg["samples"] < 1:
+        raise ValueError("need at least one sample")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     counts = []
@@ -257,6 +264,8 @@ def _cmd_rays(cfg):
 
 
 def _cmd_detect_line(cfg):
+    if cfg["samples"] < 1:
+        raise ValueError("need at least one sample")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     found = 0
@@ -282,9 +291,7 @@ def _cmd_s_dist(cfg):
     return {
         "sup_distance": float(np.abs(emp - ana).max()),
         "neg_inf_mass": result.neg_inf_mass,
-        "neg_inf_mass_analytic": float(
-            math.exp(-cfg["lam"] * 2.0 * math.pi * (math.cosh(cfg["R"]) - 1.0))
-        ),
+        "neg_inf_mass_analytic": math.exp(-cfg["lam"] * ball_area(cfg["R"])),
     }
 
 

@@ -400,6 +400,8 @@ def estimate_f(
     if trials < 100:
         raise ValueError("need at least 100 trials")
     rs = np.sort(np.asarray(r_values, dtype=float))
+    if rs.size == 0:
+        raise ValueError("need at least one r value")
     if rs[0] < 0:
         raise ValueError("r values must be nonnegative")
     lam, R = params.intensity, params.radius
@@ -722,7 +724,7 @@ def sandwich_AQ(
 
     half_d = d / 2.0
     # the net of B(o, s), moved along the axis to the ends gamma(-+d/2)
-    net = polar_around_origin(*ball_net(s, net_mesh, rim=False))
+    net = polar_around_origin(*ball_net(s, net_mesh))
     net_x, net_y = math.exp(-half_d) * net, math.exp(half_d) * net
     gen = rng.generator()
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and

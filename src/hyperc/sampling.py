@@ -72,7 +72,7 @@ class ModelParams:
     radius: float | None = None
 
     def __post_init__(self):
-        if self.intensity < 0:
+        if not self.intensity >= 0:
             raise ValueError("intensity must be nonnegative")
         if self.radius is not None and not self.radius > 0:
             raise ValueError("ball radius must be positive")

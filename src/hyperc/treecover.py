@@ -22,17 +22,14 @@ from .geometry import (
     Isometry,
     ORIGIN,
     axis_coordinates,
-    ball_net,
     canonical_matrix,
     dist,
     dist_arrays,
     ideal_from_disk_angle,
-    polar_around_origin,
     reflection_in,
     to_disk,
-    to_hyperboloid,
 )
-from .sampling import BooleanSample, LineSample, RngStream
+from .sampling import RngStream
 
 __all__ = [
     "Word",
@@ -43,7 +40,6 @@ __all__ = [
     "check_separation",
     "estimate_R_prime",
     "RPrimeEstimate",
-    "tree_site_reduction",
 ]
 
 Word = tuple[int, ...]
@@ -81,9 +77,6 @@ class EmbeddedTree:
 
     def edge_length(self) -> float:
         return dist(ORIGIN, self.vertices[(0,)])
-
-    def words(self) -> list[Word]:
-        return list(self.vertices.keys())
 
 
 def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
@@ -193,52 +186,3 @@ def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrime
         dmat = dist_arrays(line_pts[:, None], verts[None, :])
         worst_line = max(worst_line, float(dmat.min(axis=1).max()))
     return RPrimeEstimate(worst_line, worst_vertex)
-
-
-def tree_site_reduction(
-    tree: EmbeddedTree,
-    sample: BooleanSample | LineSample,
-    model: str,
-    r_prime: float,
-) -> set[Word]:
-    """Words whose vertex ball B(v, r_prime) lies inside the model's set.
-
-    Vacant: no process point within R + r_prime of the vertex.
-    Occupied: a dense net of the ball (mesh 0.05) must sit within
-    R - 0.05 of process points, a conservative sufficient test.
-    Lines: no sampled line passes within r_prime of the vertex.
-    """
-    words = tree.words()
-    verts = np.asarray([tree.vertices[w].as_complex() for w in words])
-    reach = float(dist_arrays(verts, 1j).max())
-
-    if model == "lines":
-        if not isinstance(sample, LineSample):
-            raise TypeError("lines model needs a LineSample")
-        sample.require_window(reach + r_prime, "tree site reduction")
-        sinh_d = np.abs(sample.sides(to_hyperboloid(verts)))
-        open_mask = np.all(sinh_d >= math.sinh(r_prime), axis=1)
-        return {w for w, ok in zip(words, open_mask) if ok}
-
-    if not isinstance(sample, BooleanSample):
-        raise TypeError("point models need a BooleanSample")
-    R = sample.params.radius
-    sample.require_window(reach + r_prime + R, "tree site reduction")
-    if model == "vacant":
-        dmat = dist_arrays(verts[:, None], sample.points[None, :])
-        open_mask = np.all(dmat >= R + r_prime, axis=1)
-        return {w for w, ok in zip(words, open_mask) if ok}
-    if model != "occupied":
-        raise ValueError("model must be vacant, occupied, or lines")
-    mesh = 0.05
-    net = polar_around_origin(*ball_net(r_prime, mesh, rim=True))
-    out = set()
-    for w_word, v in zip(words, verts):
-        # the net lies in B(v, r_prime), so a point at least R + r_prime
-        # from v keeps more than R - mesh from every net point
-        pts = sample.points[dist_arrays(v, sample.points) < R + r_prime]
-        # the net of B(v, r_prime): the polar net around (0, 1) moved to v
-        dmat = dist_arrays((v.imag * net + v.real)[:, None], pts[None, :])
-        if len(pts) and bool((dmat.min(axis=1) <= R - mesh).all()):
-            out.add(w_word)
-    return out

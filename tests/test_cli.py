@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from hyperc import cli, sampling
@@ -153,6 +154,56 @@ def test_too_few_directions_is_a_usage_error(directions, capsys):
     argv = ["detect-line", "--lambda", "0.1", "--directions", directions, "--samples", "2"]
     assert main([*argv, "--seed", "1"]) == USAGE_ERROR
     assert "need at least 8 directions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate-f", "--lambda", "0.1", "--rstep", "0"], "rstep must be positive"),
+        (["simulate-f", "--lambda", "0.1", "--rstep", "-1"], "rstep must be positive"),
+        (["simulate-f", "--lambda", "0.1", "--rmin", "3", "--rmax", "1"],
+         "rmax must be at least rmin"),
+        (["simulate-f", "--lambda", "0.1", "--r-values", ","], "need at least one r value"),
+        (["grassmann", "--mc-lambda", "0.1", "--mc-rmax", "0.5"], "need at least one r value"),
+    ],
+    ids=["rstep-0", "rstep-negative", "inverted", "empty-list", "grassmann-below-1"],
+)
+def test_empty_or_inverted_r_grid_is_a_usage_error(argv, message, capsys):
+    assert main([*argv, "--seed", "1"]) == USAGE_ERROR
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE))
+def test_no_samples_is_a_usage_error(command, capsys):
+    argv = [command, "--lambda", "0.1", "--seed", "1", *SMOKE[command], "--samples", "0"]
+    assert main(argv) == USAGE_ERROR
+    assert "need at least one sample" in capsys.readouterr().err
+
+
+def test_nan_intensity_is_a_usage_error(capsys):
+    assert main(["alpha", "--lambda", "nan"]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "intensity must be nonnegative" in captured.err and captured.out == ""
+
+
+def test_no_exposure_reads_nan_as_a_json_string(capsys):
+    """At lambda 20 no trial keeps the lines off a segment of length 3,
+    so the exponent has no exposure and is (nan, nan); the summary must
+    stay valid JSON, which has no NaN literal."""
+    argv = ["simulate-f", "--model", "lines", "--lambda", "20", "--rmin", "3", "--rmax", "4",
+            "--trials", "100", "--seed", "1"]
+    assert main(argv) == 0
+
+    def bare(constant):
+        raise AssertionError(f"bare {constant} in the summary")
+
+    results = json.loads(capsys.readouterr().out, parse_constant=bare)["results"]
+    assert results["alpha_hat"] == "nan" and results["alpha_stderr"] == "nan"
+
+
+def test_non_finite_floats_become_strings():
+    obj = {"a": float("nan"), "b": [np.float64("-inf"), np.float32("inf")], "c": np.float32(0.5)}
+    assert cli._json_ready(obj) == {"a": "nan", "b": ["-inf", "inf"], "c": 0.5}
 
 
 @pytest.mark.parametrize(

@@ -272,16 +272,13 @@ class TestBallMetrics:
         "radius, mesh", [(0.33, 0.05), (0.3, 0.05), (0.05, 0.0125), (0.05, 0.05), (0.02, 0.05),
                          (1.0, 0.07)]
     )
-    @pytest.mark.parametrize("rim", [False, True])
-    def test_ball_net_stays_in_the_ball(self, radius, mesh, rim):
-        """The centre, rings at k mesh < radius and, with rim, the rim
-        itself; rings at most mesh apart, and on each ring points at
-        most mesh apart along it."""
-        t, psi = ball_net(radius, mesh, rim)
+    def test_ball_net_stays_in_the_ball(self, radius, mesh):
+        """The centre and rings at k mesh < radius; rings at most mesh
+        apart, and on each ring points at most mesh apart along it."""
+        t, psi = ball_net(radius, mesh)
         rings = np.unique(t)
         assert rings[0] == 0.0 and psi[0] == 0.0 and np.count_nonzero(t == 0.0) == 1
-        assert np.all(rings[:-1] < radius) and rings[-1] <= radius
-        assert (rings[-1] == radius) == rim
+        assert np.all(rings < radius)
         assert np.all(np.diff(np.append(rings, radius)) <= mesh * (1.0 + 1e-12))
         for rad in rings[1:]:
             on_ring = psi[t == rad]

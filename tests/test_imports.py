@@ -39,8 +39,6 @@ ALLOWED_UNREFERENCED = {
     # the single-segment definition that the tests check every Monte
     # Carlo path against
     "segment_in",
-    # the only code for the paper's site reduction of the tree at p0
-    "tree_site_reduction",
     # the quadrature oracle of area_crescent_closed_form, which the
     # tests and the benchmark's tracer reach by name
     "area_crescent",

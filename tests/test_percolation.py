@@ -469,6 +469,8 @@ def test_rejects_bad_input():
         estimate_f("vacant", ModelParams(1.0, 1.0), [-1.0, 1.0], 100, RngStream(0))
     with pytest.raises(ValueError):
         estimate_f("occupied", ModelParams(1.0), [1.0], 100, RngStream(0))
+    with pytest.raises(ValueError, match="at least one r value"):
+        estimate_f("vacant", ModelParams(1.0, 1.0), [], 100, RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +831,7 @@ def test_sandwich_stream_is_pinned(monkeypatch, model, params, trials, pinned):
 def _end_nets(half_d: float, s: float, mesh: float):
     """The sandwich's nets of the balls of radius s around i e^-half_d
     and i e^half_d."""
-    net = polar_around_origin(*ball_net(s, mesh, rim=False))
+    net = polar_around_origin(*ball_net(s, mesh))
     return math.exp(-half_d) * net, math.exp(half_d) * net
 
 

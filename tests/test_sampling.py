@@ -521,6 +521,8 @@ class TestPhiMeasures:
         with pytest.raises(ValueError):
             ModelParams(-0.5, 1.0)
         with pytest.raises(ValueError):
+            ModelParams(math.nan, 1.0)
+        with pytest.raises(ValueError):
             ModelParams(1.0, 0.0)
 
 

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 58
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 62
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -67,6 +67,12 @@ INVOCATIONS = [
      ["simulate-f", "--model", "occupied", "--lambda", "1.0", "--rmax", "3", "--trials", "600",
       "--workers", "2", "--seed", "340282366920938463463374607431768211457"]),
     ("simulate-f.no-lambda", ["simulate-f", "--model", "vacant", "--seed", "1"]),
+    ("simulate-f.rstep0", ["simulate-f", "--lambda", "0.1", "--rstep", "0", "--seed", "1"]),
+    ("simulate-f.empty-grid", ["simulate-f", "--lambda", "0.1", "--r-values", ",", "--seed", "1"]),
+    # no trial keeps the lines off a segment of length 3: alpha_hat is "nan"
+    ("simulate-f.lines.no-exposure",
+     ["simulate-f", "--model", "lines", "--lambda", "20", "--rmin", "3", "--rmax", "4",
+      "--trials", "100", "--seed", "1"]),
     ("rays.vacant",
      ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "4", "--directions", "90",
       "--samples", "30", "--seed", "2"]),
@@ -75,6 +81,7 @@ INVOCATIONS = [
       "--samples", "10", "--seed", "2"]),
     ("rays.lines",
      ["rays", "--model", "lines", "--lambda", "0.2", "--samples", "40", "--seed", "2"]),
+    ("rays.no-samples", ["rays", "--lambda", "0.1", "--samples", "0", "--seed", "1"]),
     ("rays.lines.odd-grid",
      ["rays", "--model", "lines", "--lambda", "0.2", "--directions", "63", "--samples", "40",
       "--seed", "2"]),
