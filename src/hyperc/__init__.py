@@ -32,6 +32,6 @@ from .percolation import (
     sandwich_AQ,
     surviving_directions,
 )
-from .treecover import build_tree, estimate_R_prime
+from .treecover import build_tree, tube_constants
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import ball_area, tube_area
 from .sampling import ModelParams
@@ -117,6 +116,7 @@ def area_crescent(t: float, R: float) -> float:
         return ball_area(R)
     if t < 1e-8 * math.tanh(R):
         return 2.0 * t * math.sinh(R)
+    from scipy import integrate  # imported here, off the CLI import path
     val, _ = integrate.quad(
         _band_density, -t / 2.0, t / 2.0, args=(R,),
         epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_LIMIT,

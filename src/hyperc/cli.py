@@ -56,7 +56,7 @@ from .sampling import (
     sample_points,
 )
 from .analytic import SolverError
-from .treecover import build_tree, check_separation, estimate_R_prime, reduced_words
+from .treecover import build_tree, check_separation, reduced_words, tube_constants
 
 USAGE_ERROR = 2
 SOLVER_ERROR = 3
@@ -181,6 +181,8 @@ def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
         return _float_list(cfg["r_values"])
     rmin, rmax, rstep = cfg["rmin"], cfg["rmax"], cfg["rstep"]
+    if not all(map(math.isfinite, (rmin, rmax, rstep))):
+        raise ValueError("rmin, rmax and rstep must be finite")
     if not rstep > 0:
         raise ValueError("rstep must be positive")
     if rmax < rmin:
@@ -353,7 +355,6 @@ def _cmd_lrp(cfg):
 
 
 def _cmd_tree(cfg):
-    cfg["seed"] = _resolve_seed(cfg)
     tree = build_tree(cfg["arc_length"], cfg["depth"])
     results = {
         "vertices": len(tree.vertices),
@@ -362,9 +363,7 @@ def _cmd_tree(cfg):
     if cfg["check_separation"]:
         ok = all(check_separation(tree, w) for w in reduced_words(cfg["depth"]))
         results["all_separated"] = ok
-    est = estimate_R_prime(tree, cfg["paths"], RngStream(cfg["seed"]))
-    results["r_prime"] = est.line_to_vertices
-    results["vertex_to_line"] = est.vertex_to_line
+    results["vertex_to_line"], results["r_prime"] = tube_constants(cfg["arc_length"])
     if cfg["svg"]:
         render.write_svg(render.render_tree(tree), cfg["svg"])
         results["svg"] = cfg["svg"]
@@ -514,12 +513,12 @@ _COMMANDS = {
         _cmd_tree,
         "reflection-group tree: separation checks and tube constants",
         [
-            _Option("--arc-length", 1.0, float),
-            _Option("--depth", 8, int),
-            _Option("--paths", 64, int),
+            _Option("--arc-length", 1.0, float,
+                    "boundary arc of each generator line, in (0, 2 pi / 3); it alone "
+                    "sets the closed-form tube constants"),
+            _Option("--depth", 8, int, "word length of the vertices built, checked and drawn"),
             _Option("--check-separation", None, bool),
             _Option("--svg", None, None, "render the tree to this SVG path"),
-            _SEED,
             _OUT,
         ],
     ),

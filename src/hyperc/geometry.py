@@ -6,11 +6,12 @@ the axis coordinates, the polar form around (0, 1) and the hyperboloid
 helpers.  The Mobius layer, geodesics stored by their unordered pair of
 ideal boundary points (the boundary is R together with the single point
 at infinity) and isometries as real matrices, serves the tree's
-reflections and limit geodesics.  Each change of model is written once
-for complex coordinates, scalar or array: the distance ``dist_arrays``,
-the Mobius action ``Isometry.apply_array`` and the Cayley map
-``to_disk`` to the Poincare disk; ``dist`` and ``Isometry.apply`` read
-the first two for ``HPoint``.
+reflections.  Each change of model is written once for complex
+coordinates, scalar or array: the distance ``dist_arrays``, the Mobius
+action ``Isometry.apply_array`` and the Cayley map ``to_disk`` to the
+Poincare disk; ``dist`` and ``Isometry.apply`` read the first two for
+``HPoint``.  A line given by its foot from (0, 1) has its hyperboloid
+normal written once, in ``line_normal``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "Isometry",
     "ORIGIN",
     "dist",
-    "canonical_matrix",
     "reflection_in",
     "to_disk",
     "ball_area",
@@ -133,9 +133,6 @@ class Isometry:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "Isometry":
-        return Isometry(self.d, -self.b, -self.c, self.a)
-
     def apply(self, p: HPoint) -> HPoint:
         w = self.apply_array(p.as_complex())
         return HPoint(float(w.real), float(w.imag))
@@ -148,15 +145,6 @@ class Isometry:
             z = z.conjugate()
         w = (self.a * z + self.b) / (self.c * z + self.d)
         return w.real + 1j * np.abs(w.imag)
-
-
-def canonical_matrix(g: Geodesic) -> Isometry:
-    """The isometry that takes the imaginary axis onto g, with 0 -> a,
-    INF -> b and i -> the summit of the semicircle (or (a, 1) for
-    vertical lines)."""
-    if g.vertical:
-        return Isometry(1.0, g.a, 0.0, 1.0)
-    return Isometry(g.b, g.a, 1.0, 1.0)
 
 
 def dist(p: HPoint, q: HPoint) -> float:
@@ -268,6 +256,15 @@ def to_hyperboloid(z: np.ndarray) -> np.ndarray:
 
 def minkowski(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+
+
+def line_normal(foot_dist, foot_dir) -> np.ndarray:
+    """Unit Minkowski normal, shape (..., 3), of the line at hyperbolic
+    distance foot_dist from (0, 1) whose nearest point lies in the disk
+    direction foot_dir: n = (-cosh p sin phi, cosh p cos phi, sinh p).
+    (0, 1) lies on its negative side."""
+    p, phi = np.asarray(foot_dist), np.asarray(foot_dir)
+    return np.stack([-np.cosh(p) * np.sin(phi), np.cosh(p) * np.cos(phi), np.sinh(p)], axis=-1)
 
 
 def geodesic_normal(p: np.ndarray, q: np.ndarray) -> np.ndarray:

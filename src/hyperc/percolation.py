@@ -550,6 +550,8 @@ def detect_line_through_ball(
     shared sample's surviving directions that ``_antipodal_pairs``
     enumerates are tried in its order, and the first whose chord between
     the far endpoints is contained is the witness."""
+    if not s > 0:
+        raise ValueError("the chord certificate's ball radius s must be positive")
     # the chords between the rays' ends lie in B(o, r) as well
     sample, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
     n_surviving = int(np.count_nonzero(alive))

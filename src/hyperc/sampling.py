@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import (
     axis_coordinates,
     ball_area,
+    line_normal,
     minkowski,
     polar_around_origin,
     tube_area,
@@ -247,13 +247,10 @@ class LineSample(_Window):
         of shape (..., 3), to each line; the result has shape
         (..., len(self)).
 
-        The line at foot (p, phi) has the unit normal
-        n = (-cosh p sin phi, cosh p cos phi, sinh p), and the side is
-        <w, n> in the Minkowski form; (0, 1) lies on the negative side of
-        every line.
+        The side is <w, n> in the Minkowski form, with n the line's
+        ``line_normal``; (0, 1) lies on the negative side of every line.
         """
-        p, phi = self.foot_dist, self.foot_dir
-        n = np.stack([-np.cosh(p) * np.sin(phi), np.cosh(p) * np.cos(phi), np.sinh(p)], axis=-1)
+        n = line_normal(self.foot_dist, self.foot_dir)
         return minkowski(np.asarray(w)[..., None, :], n)
 
 
@@ -381,6 +378,7 @@ def phi_segment_quadrature(r: float) -> float:
     if r == 0:
         return 0.0
     e2r = math.exp(2.0 * r)
+    from scipy import integrate  # imported here, off the CLI import path
     val, _ = integrate.dblquad(
         lambda v, x: (x + v) ** -2,
         0.0,
@@ -410,6 +408,7 @@ def phi_separating_quadrature(theta: float) -> float:
     def dens(b, a):
         return 1.0 / (4.0 * math.sin((a - b) / 2.0) ** 2)
 
+    from scipy import integrate  # imported here, off the CLI import path
     v1, _ = integrate.dblquad(
         dens, 0.0, theta, lambda a: math.pi, lambda a: math.pi + theta,
         epsabs=1e-12, epsrel=1e-12,
@@ -442,6 +441,7 @@ def phi_ball_quadrature(rho: float) -> float:
     pairs.
     """
     gmin = 2.0 * math.acos(math.tanh(rho))
+    from scipy import integrate  # imported here, off the CLI import path
     val, _ = integrate.dblquad(
         lambda g, a: 1.0 / (8.0 * math.sin(g / 2.0) ** 2),
         0.0,

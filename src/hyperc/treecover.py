@@ -4,9 +4,10 @@ Three disjoint geodesics are spanned by three equal arcs on the ideal
 boundary, rotated by 120 degrees; the group generated by the three
 reflections acts simply transitively on the orbit of the disk center,
 and reduced words over {0, 1, 2} index the orbit points, which form a
-3-regular tree.  The module also estimates the tube constant: the
-geodesic joining the two ideal limits of a bi-infinite tree path stays
-within a bounded distance of the path's vertices.
+3-regular tree.  The geodesic joining the two ideal limits of a
+bi-infinite tree path stays near the path's vertices; the module gives
+the two tube constants of that statement in closed form, from the
+generator lines alone, with no vertex, depth or sample.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from .geometry import (
     HPoint,
     Isometry,
     ORIGIN,
-    axis_coordinates,
-    canonical_matrix,
     dist,
-    dist_arrays,
+    geodesic_normal,
     ideal_from_disk_angle,
+    line_normal,
+    minkowski,
     reflection_in,
-    to_disk,
 )
-from .sampling import RngStream
 
 __all__ = [
     "Word",
@@ -38,8 +37,7 @@ __all__ = [
     "EmbeddedTree",
     "build_tree",
     "check_separation",
-    "estimate_R_prime",
-    "RPrimeEstimate",
+    "tube_constants",
 ]
 
 Word = tuple[int, ...]
@@ -76,7 +74,7 @@ class EmbeddedTree:
     generator_lines: list[Geodesic]
 
     def edge_length(self) -> float:
-        return dist(ORIGIN, self.vertices[(0,)])
+        return dist(ORIGIN, reflection_in(self.generator_lines[0]).apply(ORIGIN))
 
 
 def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
@@ -127,62 +125,23 @@ def check_separation(tree: EmbeddedTree, word: Word) -> bool:
     return line.side(ORIGIN) * line.side(tree.vertices[word]) < 0.0
 
 
-@dataclass(frozen=True)
-class RPrimeEstimate:
-    """Empirical tube constants of the embedded tree.
+def tube_constants(arc_length: float) -> tuple[float, float]:
+    """The tube constants (vertex_to_line, r_prime) in closed form: the
+    largest distance from a bi-infinite tree path's vertices to its limit
+    geodesic, and from that geodesic to the path's vertices.
 
-    ``line_to_vertices`` is the largest distance from a sampled point
-    of a limit geodesic to the nearest vertex of its path (the tube
-    constant); ``vertex_to_line`` is the largest distance from a path
-    vertex to its limit geodesic.
+    L_j has foot distance p = artanh cos(arc/2) in the direction
+    2 pi j / 3, and cosh d(L_0, L_1) = -<n_0, n_1> on their unit normals.
+    The path ...0101... runs along the axis of r_0 r_1, their common
+    perpendicular with normal m, and its vertices lie delta = arcsinh |m_2|
+    from it.  L_0 crosses the axis d/2 from the foot of o, so its nearest
+    vertices o and r_0 o lie arccosh(cosh delta cosh(d/2)) from it.  The
+    tests check both as suprema over every reduced path to a fixed depth.
     """
-
-    line_to_vertices: float
-    vertex_to_line: float
-
-
-def _random_path_words(tree: EmbeddedTree, gen) -> tuple[list[Word], Word, Word]:
-    first = gen.choice(3, size=2, replace=False)
-    halves = []
-    for head in first:
-        w: Word = (int(head),)
-        while len(w) < tree.depth:
-            step = int(gen.integers(0, 2))
-            options = [k for k in (0, 1, 2) if k != w[-1]]
-            w = w + (options[step],)
-        halves.append(w)
-    left, right = halves
-    path = [left[: k + 1] for k in range(len(left))][::-1] + [()] + [
-        right[: k + 1] for k in range(len(right))
-    ]
-    return path, left, right
-
-
-def estimate_R_prime(tree: EmbeddedTree, n_paths: int, rng: RngStream) -> RPrimeEstimate:
-    """Sample bi-infinite non-backtracking paths through the origin and
-    measure how far their limit geodesics stray from the vertices.
-
-    The limit points are approximated by the Euclidean normalization of
-    the deepest vertices' disk coordinates, which converges because
-    disk geodesics approach their ideal endpoints in the Euclidean
-    metric.  Each limit geodesic is read in the coordinates where it is
-    the imaginary axis, through ``canonical_matrix`` and its inverse.
-    """
-    if tree.depth < 2:
-        raise ValueError("need depth >= 2 to walk paths")
-    gen = rng.generator()
-    worst_line = 0.0
-    worst_vertex = 0.0
-    for _ in range(n_paths):
-        path, left, right = _random_path_words(tree, gen)
-        ends = [to_disk(tree.vertices[w].as_complex()) for w in (left, right)]
-        limit = Geodesic(*(ideal_from_disk_angle(math.atan2(w.imag, w.real)) for w in ends))
-        m = canonical_matrix(limit)
-        verts = np.asarray([tree.vertices[w].as_complex() for w in path])
-        feet, yoff = axis_coordinates(m.inverse().apply_array(verts))
-        worst_vertex = max(worst_vertex, float(np.abs(yoff).max()))
-        ts = np.arange(feet.min(), feet.max() + 0.05, 0.05)
-        line_pts = m.apply_array(1j * np.exp(ts))
-        dmat = dist_arrays(line_pts[:, None], verts[None, :])
-        worst_line = max(worst_line, float(dmat.min(axis=1).max()))
-    return RPrimeEstimate(worst_line, worst_vertex)
+    if not 0.0 < arc_length < 2.0 * math.pi / 3.0:
+        raise ValueError("arc length must lie in (0, 2 pi / 3)")
+    p = math.atanh(math.cos(arc_length / 2.0))
+    n0, n1 = line_normal(np.full(2, p), np.asarray([0.0, 2.0 * math.pi / 3.0]))
+    d = math.acosh(-float(minkowski(n0, n1)))
+    delta = math.asinh(abs(float(geodesic_normal(n0, n1)[2])))
+    return delta, math.acosh(math.cosh(delta) * math.cosh(d / 2.0))

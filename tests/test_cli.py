@@ -43,8 +43,8 @@ CASES = [
     _case("grassmann", ["grassmann", "--r-values", "0.5,2", "--theta-values", "1.0", "--rho", "0.5",
                         "--mc-lambda", "0.5", "--mc-trials", "200", "--mc-rmax", "2", "--seed", "7"]),
     _case("lrp", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "20"], ["--csv"]),
-    _case("tree", ["tree", "--arc-length", "1.2", "--depth", "3", "--paths", "8",
-                   "--check-separation", "--seed", "7"], ["--svg"]),
+    _case("tree", ["tree", "--arc-length", "1.2", "--depth", "3", "--check-separation"],
+          ["--svg"]),
     _case("render-points", ["render", "--model", "points", "--lambda", "0.5", "--R", "0.5",
                             "--window", "2.0", "--seed", "7"]),
     _case("render-lines", ["render", "--model", "lines", "--lambda", "0.5", "--rho", "2.0",
@@ -99,8 +99,40 @@ def test_missing_lambda_is_a_usage_error(command, capsys):
 
 
 def test_too_deep_tree_is_a_usage_error(capsys):
-    assert main(["tree", "--depth", "10", "--seed", "1"]) == USAGE_ERROR
+    assert main(["tree", "--depth", "10"]) == USAGE_ERROR
     assert "MAX_RADIUS" in capsys.readouterr().err
+
+
+# (arc length, vertex_to_line, r_prime) to six digits, and accepted depths
+TUBE_CONSTANTS = [
+    ("0.5", 0.570931, 2.085549, ["0", "3", "6"]),
+    ("1.0", 0.647148, 1.424409, ["0", "4", "9"]),
+    ("1.5", 0.835373, 1.151959, ["0", "6", "14"]),
+    ("2.0", 1.625429, 1.656437, ["0", "7", "14"]),
+]
+
+
+@pytest.mark.parametrize("arc, delta, r_prime, depths", TUBE_CONSTANTS,
+                         ids=[row[0] for row in TUBE_CONSTANTS])
+def test_tree_reports_the_tube_constants_at_any_depth(arc, delta, r_prime, depths, capsys):
+    """The constants come from the arc length alone: every accepted depth,
+    the deepest included, reports the same bits."""
+    reported = set()
+    for depth in depths:
+        assert main(["tree", "--arc-length", arc, "--depth", depth]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        reported.add((results["vertex_to_line"], results["r_prime"]))
+    assert len(reported) == 1
+    got = reported.pop()
+    assert (round(got[0], 6), round(got[1], 6)) == (delta, r_prime)
+
+
+@pytest.mark.parametrize("flag", [["--paths", "8"], ["--seed", "1"]], ids=["paths", "seed"])
+def test_tree_has_no_paths_or_seed(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tree", *flag])
+    assert exit_info.value.code == USAGE_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_a_trial_above_the_sampling_cap_is_a_usage_error(capsys, monkeypatch):
@@ -165,8 +197,12 @@ def test_too_few_directions_is_a_usage_error(directions, capsys):
          "rmax must be at least rmin"),
         (["simulate-f", "--lambda", "0.1", "--r-values", ","], "need at least one r value"),
         (["grassmann", "--mc-lambda", "0.1", "--mc-rmax", "0.5"], "need at least one r value"),
+        *(((["simulate-f", "--lambda", "0.1", *bound, "--trials", "100"],
+            "rmin, rmax and rstep must be finite"))
+          for bound in (["--rmax", "inf"], ["--rmin=-inf"], ["--rstep", "inf"], ["--rmin", "nan"])),
     ],
-    ids=["rstep-0", "rstep-negative", "inverted", "empty-list", "grassmann-below-1"],
+    ids=["rstep-0", "rstep-negative", "inverted", "empty-list", "grassmann-below-1",
+         "rmax-inf", "rmin-minus-inf", "rstep-inf", "rmin-nan"],
 )
 def test_empty_or_inverted_r_grid_is_a_usage_error(argv, message, capsys):
     assert main([*argv, "--seed", "1"]) == USAGE_ERROR
@@ -239,8 +275,8 @@ def test_grassmann_resolves_a_seed_only_for_monte_carlo(flags, generated, capsys
             "model = occupied\nlam = 1\nr-values = 0,1\ntrials = 200\nseed = 5\n",
         ),
         (
-            ["tree", "--depth", "2", "--paths", "4", "--check-separation", "--seed", "3"],
-            "depth = 2\npaths = 4\ncheck_separation = TRUE\nseed = 3\n",
+            ["tree", "--arc-length", "1.5", "--depth", "2", "--check-separation"],
+            "arc_length = 1.5\ndepth = 2\ncheck_separation = TRUE\n",
         ),
     ],
     ids=["alpha", "simulate-f", "tree"],
@@ -260,7 +296,7 @@ def test_config_file_and_flags_give_identical_summaries(tmp_path, argv, config):
 def test_config_switch_can_be_false(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("check_separation = false\n", encoding="utf-8")
-    assert main(["tree", "--depth", "2", "--paths", "4", "--seed", "3", "--config", str(path)]) == 0
+    assert main(["tree", "--depth", "2", "--config", str(path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["config"]["check_separation"] is False
     assert "all_separated" not in summary["results"]

@@ -1,7 +1,11 @@
 """Every name a module of the package imports is used in it or exported,
-and every function, class and method it defines is used in the package."""
+every function, class and method it defines is used in the package, and
+the command line loads no quadrature code until a quadrature runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,14 @@ def test_every_definition_is_referenced():
         if name.rsplit(".", 1)[-1] not in referenced | exempt
     ]
     assert unreferenced == []
+
+
+def test_the_cli_import_leaves_out_scipy_integrate():
+    """scipy.integrate costs about 0.6 s to import and serves only the
+    quadrature oracles, which import it when called."""
+    code = "import sys, hyperc.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

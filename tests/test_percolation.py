@@ -1018,6 +1018,12 @@ def test_detect_line_needs_eight_directions(n_dir):
     assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
 
 
+@pytest.mark.parametrize("s", [-1.0, 0.0, float("nan")])
+def test_detect_line_needs_a_positive_ball(s):
+    with pytest.raises(ValueError, match="radius s must be positive"):
+        detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, RngStream(1))
+
+
 def test_chord_distance_is_well_conditioned():
     """At r = 10 the chords between the ends of near-antipodal rays of the
     360-direction grid, which detect-line tests, pass within a few

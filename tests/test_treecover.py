@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
-from hyperc.geometry import dist_arrays
-from hyperc.sampling import RngStream
+from hyperc.geometry import ORIGIN, Geodesic, HPoint, dist, dist_arrays, reflection_in
 from hyperc.treecover import (
     MAX_DEPTH,
     MAX_RADIUS,
     build_tree,
     check_separation,
-    estimate_R_prime,
     reduced_words,
+    tube_constants,
 )
+
+from line_oracles import canonical_matrix, dist_to_geodesic, inverse, path_tube_distances
 
 
 @pytest.mark.parametrize("arc, depth", [(0.3, 8), (0.5, 10), (0.5, 9), (1.0, 10)])
@@ -42,12 +45,49 @@ def test_first_generator_line_separates_every_reduced_word(arc):
     assert all(check_separation(tree, w) for w in words)
 
 
-@pytest.mark.parametrize("arc", [1.0, 1.5])
-def test_tube_constant_is_stable_in_the_depth(arc):
-    """The limit geodesics are approximated by the deepest vertices, so
-    the tube constant must settle as the depth grows."""
-    r_prime = [
-        estimate_R_prime(build_tree(arc, depth), 64, RngStream(3)).line_to_vertices
-        for depth in (5, 6, 8)
-    ]
-    assert max(r_prime) - min(r_prime) < 0.02
+PATH_DEPTH = 5
+PATH_STEP = 0.01
+
+
+@pytest.mark.parametrize("arc", [0.5, 1.0, 1.5])
+def test_enumerated_paths_stay_within_the_closed_forms(arc):
+    """Every reduced path through the origin with both halves of length
+    PATH_DEPTH stays within the closed-form tube constants, up to the
+    oracle's step PATH_STEP along the limit geodesic, and the worst path
+    comes within 3e-3 of them: the limit points are those of the
+    truncated paths, which fall 2.0e-3 short at arc 1.5."""
+    tree = build_tree(arc, PATH_DEPTH)
+    words = [w for w in reduced_words(PATH_DEPTH) if len(w) == PATH_DEPTH]
+    worst = np.max([
+        path_tube_distances(tree, left, right, PATH_STEP)
+        for left in words for right in words if right[0] > left[0]
+    ], axis=0)
+    closed = np.asarray(tube_constants(arc))
+    assert np.all(worst <= closed + PATH_STEP)
+    assert np.all(worst > closed - 3e-3)
+
+
+@pytest.mark.parametrize("arc", [0.5, 1.0, 1.5, 2.0])
+def test_periodic_path_attains_the_closed_forms(arc):
+    """The path ...0101... runs along the axis of r_0 r_1, the geodesic
+    through the two fixed points of that hyperbolic Mobius map.  Its
+    vertices o and r_0 o lie at vertex_to_line from the axis, and the
+    point where L_0 crosses the axis lies at r_prime from both."""
+    tree = build_tree(arc, 1)
+    m = reflection_in(tree.generator_lines[0]) @ reflection_in(tree.generator_lines[1])
+    # fixed points of z -> (a z + b) / (c z + d): c z^2 + (d - a) z - b = 0
+    disc = math.sqrt((m.d - m.a) ** 2 + 4.0 * m.b * m.c)
+    axis = Geodesic((m.a - m.d - disc) / (2.0 * m.c), (m.a - m.d + disc) / (2.0 * m.c))
+    delta, r_prime = tube_constants(arc)
+    vertices = [ORIGIN, tree.vertices[(0,)]]
+    for v in vertices:
+        assert dist_to_geodesic(v, axis)[0] == pytest.approx(delta, abs=1e-9)
+    # in the frame where the axis is the imaginary axis, the semicircle
+    # of L_0 on the ends a < 0 < b crosses it at height sqrt(-a b)
+    frame = canonical_matrix(axis)
+    a, b = sorted(inverse(frame).apply_array(complex(x, 0.0)).real
+                  for x in (tree.generator_lines[0].a, tree.generator_lines[0].b))
+    assert a < 0.0 < b
+    crossing = frame.apply(HPoint(0.0, math.sqrt(-a * b)))
+    for v in vertices:
+        assert dist(crossing, v) == pytest.approx(r_prime, abs=1e-9)

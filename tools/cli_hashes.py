@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 62
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 64
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 SIM = ["--rmin", "0", "--rmax", "4", "--trials", "400", "--seed", "11"]
-TREE = ["--arc-length", "1.2", "--depth", "4", "--paths", "8", "--seed", "5"]
+TREE = ["--arc-length", "1.2", "--depth", "4"]
 
 # (name, argv, {file name: text} written before the run, extra environment)
 INVOCATIONS = [
@@ -69,6 +69,8 @@ INVOCATIONS = [
     ("simulate-f.no-lambda", ["simulate-f", "--model", "vacant", "--seed", "1"]),
     ("simulate-f.rstep0", ["simulate-f", "--lambda", "0.1", "--rstep", "0", "--seed", "1"]),
     ("simulate-f.empty-grid", ["simulate-f", "--lambda", "0.1", "--r-values", ",", "--seed", "1"]),
+    ("simulate-f.rmax-inf",
+     ["simulate-f", "--lambda", "0.1", "--rmax", "inf", "--trials", "100", "--seed", "1"]),
     # no trial keeps the lines off a segment of length 3: alpha_hat is "nan"
     ("simulate-f.lines.no-exposure",
      ["simulate-f", "--model", "lines", "--lambda", "20", "--rmin", "3", "--rmax", "4",
@@ -93,6 +95,8 @@ INVOCATIONS = [
     ("detect-line.vacant.odd-grid",
      ["detect-line", "--model", "vacant", "--lambda", "0.05", "--r", "4", "--directions", "361",
       "--samples", "20", "--seed", "4"]),
+    ("detect-line.negative-s",
+     ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
     ("detect-line.no-directions",
      ["detect-line", "--lambda", "0.1", "--directions", "0", "--samples", "3", "--seed", "4"]),
     ("s-dist.csv",
@@ -107,7 +111,7 @@ INVOCATIONS = [
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
     ("tree.sep.svg", ["tree", *TREE, "--check-separation", "--svg", "tree.svg"]),
-    ("tree.default", ["tree", "--seed", "5"]),
+    ("tree.default", ["tree"]),
     ("render.lines.default-out", ["render", "--lambda", "0.5", "--rho", "3", "--seed", "1"]),
     ("render.points",
      ["render", "--model", "points", "--lambda", "0.5", "--R", "0.5", "--window", "2",
@@ -118,7 +122,7 @@ INVOCATIONS = [
     ("render.points.dense",
      ["render", "--model", "points", "--lambda", "2", "--R", "0.3", "--window", "3",
       "--seed", "2", "--out", "p.svg"]),
-    ("tree.default.svg", ["tree", "--seed", "5", "--svg", "t.svg"]),
+    ("tree.default.svg", ["tree", "--svg", "t.svg"]),
     ("render.tree.depth7", ["render", "--model", "tree", "--depth", "7", "--out", "t.svg"]),
     ("render.bad-model", ["render", "--model", "cubes", "--seed", "1"]),
     ("unknown-flag", ["alpha", "--lambda", "1", "--radius", "2"]),
