@@ -179,7 +179,10 @@ def _params(cfg: dict) -> ModelParams:
 
 def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
-        return _float_list(cfg["r_values"])
+        rs = _float_list(cfg["r_values"])
+        if not all(map(math.isfinite, rs)):
+            raise ValueError("r values must be finite")
+        return rs
     rmin, rmax, rstep = cfg["rmin"], cfg["rmax"], cfg["rstep"]
     if not all(map(math.isfinite, (rmin, rmax, rstep))):
         raise ValueError("rmin, rmax and rstep must be finite")
@@ -248,6 +251,8 @@ def _cmd_simulate_f(cfg):
 def _cmd_rays(cfg):
     if cfg["samples"] < 1:
         raise ValueError("need at least one sample")
+    if not math.isfinite(cfg["r"]):
+        raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     counts = []
@@ -268,6 +273,8 @@ def _cmd_rays(cfg):
 def _cmd_detect_line(cfg):
     if cfg["samples"] < 1:
         raise ValueError("need at least one sample")
+    if not math.isfinite(cfg["r"]):
+        raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     found = 0

@@ -200,13 +200,25 @@ def test_too_few_directions_is_a_usage_error(directions, capsys):
         *(((["simulate-f", "--lambda", "0.1", *bound, "--trials", "100"],
             "rmin, rmax and rstep must be finite"))
           for bound in (["--rmax", "inf"], ["--rmin=-inf"], ["--rstep", "inf"], ["--rmin", "nan"])),
+        *(((["simulate-f", "--lambda", "0.1", "--r-values", values, "--trials", "100"],
+            "r values must be finite"))
+          for values in ("0,nan", "0,inf")),
     ],
     ids=["rstep-0", "rstep-negative", "inverted", "empty-list", "grassmann-below-1",
-         "rmax-inf", "rmin-minus-inf", "rstep-inf", "rmin-nan"],
+         "rmax-inf", "rmin-minus-inf", "rstep-inf", "rmin-nan", "r-values-nan", "r-values-inf"],
 )
 def test_empty_or_inverted_r_grid_is_a_usage_error(argv, message, capsys):
     assert main([*argv, "--seed", "1"]) == USAGE_ERROR
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", sorted(SMOKE))
+def test_non_finite_r_is_a_usage_error(command, r, capsys):
+    argv = [command, "--lambda", "0.1", "--seed", "1", *SMOKE[command], f"--r={r}"]
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "r must be finite" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))

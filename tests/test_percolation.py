@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.stats import binom, chi2, norm
 
 from hyperc import percolation, sampling
@@ -35,10 +36,12 @@ from hyperc.percolation import (
     _coverage_reaches,
     _cut_columns,
     _exposure_alpha,
+    _flood_connected,
     _line_ray_survivors,
     _lines_tube_events,
     _net_contained,
     _q_by_margin,
+    _tube_grid,
     _within_segment,
     detect_line_through_ball,
     estimate_S_cdf,
@@ -902,6 +905,99 @@ def test_sandwich_orders_each_realization(model, params):
     assert outcomes == {0.0, 1.0}
     # a line that crosses the tube from side to side blocks A
     assert a_events == {0.0, 1.0}
+
+
+def _label_connected(open_grid, start_cells, end_cells) -> bool:
+    """The flood fill's oracle: some 4-connected component of the open
+    cells, as ``scipy.ndimage.label`` numbers them, holds an open start
+    cell and an open end cell."""
+    labels, _ = ndimage.label(open_grid)
+    return bool(np.intersect1d(labels[start_cells & open_grid], labels[end_cells & open_grid]).size)
+
+
+def _serpentine(shape, gap=None) -> np.ndarray:
+    """Open cells of a corridor on the tube workload's grid (657 x 17):
+    along the feet at offset 2 from the start centre to foot 400, across
+    to offset 8, back along the feet to foot 100, across to offset 14 and
+    on to the end centre; gap, a (foot, offset) cell, is closed."""
+    grid = np.zeros(shape, dtype=bool)
+    grid[8:401, 2] = True
+    grid[400, 2:9] = True
+    grid[100:401, 8] = True
+    grid[100, 8:15] = True
+    grid[100:649, 14] = True
+    if gap is not None:
+        grid[gap] = False
+    return grid
+
+
+def test_flood_fill_agrees_with_the_component_labels():
+    """On the tube workload's grid, with its start and end masks: seeded
+    random grids of open density 0.3-0.8, an all-closed grid, a grid
+    whose start cells are all closed, and a corridor that doubles back
+    along the feet, whole and cut."""
+    _, _, in_region, start, end = _tube_grid(2.0, 0.05)
+    rng = np.random.default_rng(2024)
+    grids = [(rng.random(in_region.shape) < p) & in_region
+             for p in np.repeat(np.linspace(0.3, 0.8, 11), 4)]
+    outcomes = [_label_connected(g, start, end) for g in grids]
+    assert 0 < sum(outcomes) < len(grids)
+    for grid, expected in zip(grids, outcomes):
+        assert _flood_connected(grid, start, end) == expected
+    cases = [
+        (np.zeros_like(in_region), False),
+        (in_region & ~start, False),
+        (in_region, True),
+        (_serpentine(in_region.shape), True),
+        (_serpentine(in_region.shape, gap=(250, 8)), False),
+        (_serpentine(in_region.shape, gap=(100, 11)), False),
+    ]
+    for grid, expected in cases:
+        assert _label_connected(grid, start, end) == expected
+        assert _flood_connected(grid, start, end) == expected
+
+
+@pytest.mark.parametrize(
+    "open_cells, start, end, expected",
+    [
+        # a start cell next to an end cell, and one that is an end cell
+        ([(0, 0), (1, 0)], [(0, 0)], [(1, 0)], True),
+        ([(2, 1)], [(2, 1)], [(2, 1)], True),
+        # diagonal neighbours are not joined
+        ([(0, 0), (1, 1)], [(0, 0)], [(1, 1)], False),
+        # an end cell next to the start cell but closed
+        ([(0, 0)], [(0, 0)], [(1, 0)], False),
+    ],
+)
+def test_flood_fill_of_start_cells_that_touch_end_cells(open_cells, start, end, expected):
+    def mask(cells):
+        grid = np.zeros((4, 3), dtype=bool)
+        grid[tuple(np.transpose(cells))] = True
+        return grid
+
+    args = mask(open_cells), mask(start), mask(end)
+    assert _label_connected(*args) == expected
+    assert _flood_connected(*args) == expected
+
+
+def test_sandwich_is_the_same_with_the_component_labels(monkeypatch):
+    """The tube workload's Boolean sandwiches give equal results with the
+    flood fill and with its oracle; the flood fill ran in many trials."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _flood_connected(*args)
+
+    cases = [("vacant", ModelParams(0.1, 1.0), 50), ("occupied", ModelParams(1.0, 1.0), 10)]
+    monkeypatch.setattr(percolation, "_flood_connected", counted)
+    got = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+           for model, params, trials in cases for seed in range(10)]
+    monkeypatch.setattr(percolation, "_flood_connected", _label_connected)
+    want = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+            for model, params, trials in cases for seed in range(10)]
+    assert got == want
+    assert len(calls) >= 20
 
 
 @pytest.mark.parametrize(

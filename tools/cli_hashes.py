@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 64
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 69
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -71,6 +71,10 @@ INVOCATIONS = [
     ("simulate-f.empty-grid", ["simulate-f", "--lambda", "0.1", "--r-values", ",", "--seed", "1"]),
     ("simulate-f.rmax-inf",
      ["simulate-f", "--lambda", "0.1", "--rmax", "inf", "--trials", "100", "--seed", "1"]),
+    ("simulate-f.r-values-nan",
+     ["simulate-f", "--lambda", "0.1", "--r-values", "0,nan", "--trials", "100", "--seed", "1"]),
+    ("simulate-f.r-values-inf",
+     ["simulate-f", "--lambda", "0.1", "--r-values", "0,inf", "--trials", "100", "--seed", "1"]),
     # no trial keeps the lines off a segment of length 3: alpha_hat is "nan"
     ("simulate-f.lines.no-exposure",
      ["simulate-f", "--model", "lines", "--lambda", "20", "--rmin", "3", "--rmax", "4",
@@ -84,6 +88,8 @@ INVOCATIONS = [
     ("rays.lines",
      ["rays", "--model", "lines", "--lambda", "0.2", "--samples", "40", "--seed", "2"]),
     ("rays.no-samples", ["rays", "--lambda", "0.1", "--samples", "0", "--seed", "1"]),
+    ("rays.r-nan", ["rays", "--lambda", "0.1", "--r", "nan", "--samples", "2", "--seed", "1"]),
+    ("rays.r-inf", ["rays", "--lambda", "0.1", "--r", "inf", "--samples", "2", "--seed", "1"]),
     ("rays.lines.odd-grid",
      ["rays", "--model", "lines", "--lambda", "0.2", "--directions", "63", "--samples", "40",
       "--seed", "2"]),
@@ -97,6 +103,8 @@ INVOCATIONS = [
       "--samples", "20", "--seed", "4"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
+    ("detect-line.r-nan",
+     ["detect-line", "--lambda", "0.1", "--r", "nan", "--samples", "2", "--seed", "1"]),
     ("detect-line.no-directions",
      ["detect-line", "--lambda", "0.1", "--directions", "0", "--samples", "3", "--seed", "4"]),
     ("s-dist.csv",
