@@ -177,12 +177,16 @@ def _params(cfg: dict) -> ModelParams:
     return ModelParams(cfg["lam"], None if cfg.get("model") == "lines" else cfg["R"])
 
 
+def _finite_r_values(text: str) -> list[float]:
+    rs = _float_list(text)
+    if not all(map(math.isfinite, rs)):
+        raise ValueError("r values must be finite")
+    return rs
+
+
 def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
-        rs = _float_list(cfg["r_values"])
-        if not all(map(math.isfinite, rs)):
-            raise ValueError("r values must be finite")
-        return rs
+        return _finite_r_values(cfg["r_values"])
     rmin, rmax, rstep = cfg["rmin"], cfg["rmax"], cfg["rstep"]
     if not all(map(math.isfinite, (rmin, rmax, rstep))):
         raise ValueError("rmin, rmax and rstep must be finite")
@@ -307,7 +311,7 @@ def _cmd_s_dist(cfg):
 def _cmd_grassmann(cfg):
     seg = [
         {"r": r, "closed_form": phi_segment(r), "quadrature": phi_segment_quadrature(r)}
-        for r in _float_list(cfg["r_values"])
+        for r in _finite_r_values(cfg["r_values"])
     ]
     sep = [
         {

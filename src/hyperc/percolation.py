@@ -7,10 +7,11 @@ question to one kernel, ``_reaches``: given the Fermi coordinates
 (foot, offset) of the balls around a batch of segments, it returns each
 segment's containment threshold in the vacant or the occupied set.
 Every lines path that asks which side of a line a point is on
-(``segment_in``, the chord check, the tube sandwich) asks
-``LineSample.sides``; ``estimate_f`` and the ray survivors read the
-crossing feet and the blocked arcs of directions instead, which need no
-side test.  ``estimate_f`` draws only what can touch its longest
+(``segment_in``, the tube sandwich) asks ``LineSample.sides``;
+``estimate_f`` and the ray survivors read the crossing feet and the
+blocked arcs of directions instead, which need no side test, and a chord
+between two surviving rays misses every line, so detect-line takes it
+unchecked.  ``estimate_f`` draws only what can touch its longest
 segment: the Poisson points of the segment's R-neighbourhood, or for
 lines only the feet where they cross it.  Each trial draws from its own
 generator, keyed by the trial index; the trials run in blocks, each
@@ -21,14 +22,10 @@ sandwich draw exactly the ball that can reach them, and measure each
 ray, net segment or grid cell only against the points that can come
 within R of it; the sandwich decides its flood-fill grid in its tube's
 axis coordinates.
-Before its Q net and flood fill, the Boolean sandwich tries margins on
-its central segment through ``_reaches``.  Every net segment lies within
-s of the central segment, so Q holds if that segment is in the set for
-balls of radius R + s (vacant) or R - s (occupied).  Every path of grid
-cells between the end balls crosses each column between them, whose
-cells lie within s of its axis point, so A fails if one such point lies
-strictly within R - s of a point (vacant) or at least R + s from every
-point (occupied).
+The Boolean sandwich decides its trials in blocks: f, and margins on
+the central segment that settle Q or A for most trials (``sandwich_AQ``
+gives the argument), each in one ``_reaches`` call per block; only the
+trials they leave run the Q net or the flood fill, one at a time.
 
 The polar steps around (0, 1) are each written once: ``_grid_runs``
 maps every arc of directions (a point's rays, a line's blocked rays,
@@ -38,11 +35,11 @@ ray (the ray survivors, the law of S), and ``sampling.ball_polar`` and
 ``geometry.ball_net`` draw and net a ball.  A ``BooleanSample`` keeps
 the polar coordinates it was drawn in, so the ray survivors read its
 ``t`` and ``psi`` as they are, with no change of model; ``estimate_f``
-reads its end caps in axis coordinates, converted per chunk.
+converts its end caps to axis coordinates per chunk, the sandwich per block.
 
 One predicate, ``segment_in``, decides a single segment [p, q] against
 a sample: the Boolean models through ``_net_contained`` on hyperboloid
-vectors, the lines through the side test of the chord check.
+vectors, the lines through ``_lines_avoid``, the side test.
 ``estimate_f`` and the ray survivors reach their thresholds through
 axis coordinates or polar formulas instead, so the tests check them
 against ``segment_in`` on the same realization.
@@ -166,14 +163,18 @@ def _coverage_reaches(trial: np.ndarray, left: np.ndarray, right: np.ndarray, n:
     point 0 is covered; interval k belongs to trial[k].
 
     Intervals wholly left of 0 cannot help cover [0, c], and a gap among
-    them must not end the cover, so they are dropped first.
+    them must not end the cover, so they are dropped first.  The rest are
+    sorted by left end, then stably by trial in the smallest unsigned type
+    that holds n, which numpy radix-sorts up to 16 bits, several times
+    faster than ``np.lexsort``; no stop falls between tied left ends.
     """
     keep = right >= 0.0
     trial, left, right = trial[keep], left[keep], right[keep]
     reach = np.full(n, -1.0)
     if len(trial) == 0:
         return reach
-    order = np.lexsort((left, trial))
+    order = np.argsort(left)
+    order = order[np.argsort(trial[order].astype(np.min_scalar_type(n - 1)), kind="stable")]
     trial, left, right = trial[order], left[order], right[order]
     # lift each trial above every earlier one, so that one running max
     # serves the whole block and every trial ends in a gap
@@ -550,7 +551,10 @@ def detect_line_through_ball(
     surviving rays in nearly antipodal directions: the pairs of one
     shared sample's surviving directions that ``_antipodal_pairs``
     enumerates are tried in its order, and the first whose chord between
-    the far endpoints is contained is the witness."""
+    the far endpoints is contained is the witness.  For lines that is the
+    first pair: a line that strictly separates the ends p and q puts one
+    of them on the side away from (0, 1), so it crosses that end's ray,
+    and no line crosses a surviving ray."""
     if not s > 0:
         raise ValueError("the chord certificate's ball radius s must be positive")
     # the chords between the rays' ends lie in B(o, r) as well
@@ -558,17 +562,14 @@ def detect_line_through_ball(
     n_surviving = int(np.count_nonzero(alive))
     if n_surviving < 2:
         return LineDetection(False, None, n_surviving)
-    if model != "lines":
-        w = to_hyperboloid(sample.points)
+    w = None if model == "lines" else to_hyperboloid(sample.points)
     for i, j in zip(*_antipodal_pairs(alive, r, s)):
-        ends = 2.0 * math.pi * np.asarray([i, j]) / n_directions
-        pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
-        if model == "lines":
-            contained = _lines_avoid(sample, pq)
-        else:
-            contained = _net_contained(pq[:1], pq[1:], w, params.radius, model)
-        if contained:
-            return LineDetection(True, (int(i), int(j)), n_surviving)
+        if w is not None:
+            ends = 2.0 * math.pi * np.asarray([i, j]) / n_directions
+            pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
+            if not _net_contained(pq[:1], pq[1:], w, params.radius, model):
+                continue
+        return LineDetection(True, (int(i), int(j)), n_surviving)
     return LineDetection(False, None, n_surviving)
 
 
@@ -609,6 +610,11 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 # ---------------------------------------------------------------------------
 # the tube sandwich P(Q) <= f <= P(A)
 
+# Boolean sandwich trials decided at once.  The column check measures
+# every grid column against every point near the tube; at lambda = 1,
+# R = 1 it lifts the peak memory 6 MB above a trial at a time (256: 46 MB).
+TUBE_BLOCK = 64
+
 
 def _lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
     """(A, f, Q) of one line realization for the tube whose end nets
@@ -645,27 +651,36 @@ def _blocked_cells(feet, offs, u, y, R) -> np.ndarray:
     return (ch - (np.sinh(y)[:, None] * np.sinh(offs))[:, None, :] < math.cosh(R)).any(axis=0)
 
 
-def _q_by_margin(model: str, u: np.ndarray, y: np.ndarray, half_d: float, R: float, s: float) -> bool:
-    """True when the central segment, over feet [-half_d, half_d], lies in
-    the set for balls of radius R + s (vacant) or R - s (occupied) around
-    the points at axis coordinates (u, y): then Q holds (``sandwich_AQ``
-    gives the argument), and False leaves it undecided.  The net's points
-    keep short of radius s, so the margin exceeds rounding."""
-    grow = s if model == "vacant" else -s
-    seg = np.zeros(len(u), dtype=np.intp)
-    return bool(_reaches(model, seg, u + half_d, y, R + grow, 1)[0] >= 2.0 * half_d)
+def _trials_of(mask: np.ndarray, trial: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """The points (u, y) of the trials where mask holds, as (trial, u, y,
+    n) with those n trials numbered 0, 1, ... in order."""
+    keep = mask[trial]
+    return (np.cumsum(mask) - 1)[trial[keep]], u[keep], y[keep], int(np.count_nonzero(mask))
 
 
-def _cut_columns(model: str, u: np.ndarray, y: np.ndarray, feet: np.ndarray, R: float, s: float) -> np.ndarray:
-    """Mask of the grid columns over the feet whose axis point lies
-    strictly within R - s of a point (vacant) or at least R + s from
-    every point (occupied), each column passed to ``_reaches`` as a
-    zero-length segment: such a column is closed in every cell
-    (``sandwich_AQ`` gives the argument), and the others are undecided."""
+def _q_by_margin(model: str, trial, u, y, n: int, half_d: float, R: float, s: float) -> np.ndarray:
+    """Per trial of n, True when the central segment, over feet [-half_d,
+    half_d], lies in the set for balls of radius R + s (vacant) or R - s
+    (occupied) around the trial's points, point k of trial[k] at axis
+    coordinates (u[k], y[k]): then Q holds (``sandwich_AQ`` gives the
+    argument), and False leaves it undecided.  The net's points keep
+    short of radius s, so the margin exceeds rounding."""
     grow = s if model == "vacant" else -s
-    col = np.repeat(np.arange(len(feet)), len(u))
-    foot = (u[None, :] - feet[:, None]).ravel()
-    return _reaches(model, col, foot, np.tile(y, len(feet)), R - grow, len(feet)) < 0.0
+    return _reaches(model, trial, u + half_d, y, R + grow, n) >= 2.0 * half_d
+
+
+def _cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
+    """Per trial of n, True when some grid column's axis point lies strictly
+    within R - s of a point (vacant) or at least R + s from every point
+    (occupied), trial t's column over feet[c] passed to ``_reaches`` as the
+    zero-length segment t * len(feet) + c: that column is closed in every
+    cell (``sandwich_AQ`` gives the argument); False leaves A undecided."""
+    grow = s if model == "vacant" else -s
+    cols = len(feet)
+    seg = (trial[:, None] * cols + np.arange(cols)).ravel()
+    foot = (u[:, None] - feet).ravel()
+    reach = _reaches(model, seg, foot, np.repeat(y, cols), R - grow, n * cols)
+    return (reach < 0.0).reshape(n, cols).any(axis=1)
 
 
 def _run_ids(cells: np.ndarray) -> np.ndarray:
@@ -748,29 +763,31 @@ def sandwich_AQ(
     centered on (0, 1).  The net and the grid lie within s of the
     central segment and see only the points strictly within R + s of it.
 
-    Margins on the central segment settle most Boolean trials first.
-    Q: each net segment joins points within s of x and y, and the
-    distance to the central segment is convex along it, so it lies
-    within s of that segment; Q then holds if the central segment lies
-    in the set for balls of radius R + s (vacant) or R - s (occupied),
-    and the net is not measured (``_q_by_margin``).  A: start cells have
-    feet below -d/2 + s and end cells above d/2 - s, so every 4-connected
-    path between them crosses each grid column with foot in
+    Boolean trials are decided in blocks of TUBE_BLOCK, alike at any
+    block size: f in one ``_reaches`` call, then two margins on the
+    central segment, which settle most trials.  Q: each net segment
+    joins points within s of x and y, and the distance to the central
+    segment is convex along it, so it lies within s of that segment; Q
+    then holds if the central segment lies in the set for balls of
+    radius R + s (vacant) or R - s (occupied), and the net is not
+    measured (``_q_by_margin``).  A: start cells have feet below
+    -d/2 + s and end cells above d/2 - s, so every 4-connected path
+    between them crosses each grid column with foot in
     [-d/2 + s, d/2 - s], and such a column's cells lie within s of its
     axis point; A then fails if one of those axis points lies strictly
     within R - s of a point (vacant) or at least R + s from every point
     (occupied), and no flood fill runs (``_cut_columns``).  Both
-    conditions are sufficient only; a trial they leave undecided runs
-    the net or the flood fill, so the results are those of the full
-    checks.
+    conditions are sufficient only; each trial they leave undecided runs
+    the net or the flood fill on its own, so the results are those of
+    the full checks.
 
     The flood fill (``_flood_connected``) is a plain numpy reachability
     sweep over the runs of open cells along and across the feet.  Over
     20 passes of the tube workload's sandwiches (2000 vacant and 200
-    occupied trials) the margins left it 88 trials, at about 0.27 ms a
-    call: 3% of the sandwiches' time.  Grids whose open paths turn many
-    times cost more rounds, about 2.4 ms on random grids of open
-    density 0.3-0.8.
+    occupied trials) the margins left it 72 trials at about 0.25 ms a
+    call, 4% of the sandwiches' time, and the Q net 86 at 2.5 ms, half
+    of it.  Grids whose open paths turn many times cost more rounds,
+    about 2.4 ms on random grids of open density 0.3-0.8.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -800,24 +817,31 @@ def sandwich_AQ(
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
         # every path from the start to the end cells crosses these columns
         mid_feet = feet[np.abs(feet) <= half_d - s]
-        for _ in range(trials):
-            pts = sample_points(params, rho + R, gen).points
-            # Fermi coordinates of the central segment, which runs over feet [0, d]
+        for lo in range(0, trials, TUBE_BLOCK):
+            n = min(TUBE_BLOCK, trials - lo)
+            samples = [sample_points(params, rho + R, gen) for _ in range(n)]
+            trial = np.repeat(np.arange(n), [len(p) for p in samples])
+            pts = polar_around_origin(np.concatenate([p.t for p in samples]),
+                                      np.concatenate([p.psi for p in samples]))
+            # Fermi coordinates of the central segments, which run over feet [0, d]
             u, y = axis_coordinates(pts * math.exp(half_d))
-            f_ok = bool(_reaches(model, np.zeros(len(u), dtype=np.intp), u, y, R, 1)[0] >= d)
+            f_ok = _reaches(model, trial, u, y, R, n) >= d
             # the net and the grid lie within s of the central segment;
             # u is measured from the tube's centre, as the grid's feet are
             near = _within_segment(u - half_d, y, half_d, R + s)
-            pts, u, y = pts[near], u[near] - half_d, y[near]
-            q_ok = f_ok and (
-                _q_by_margin(model, u, y, half_d, R, s)
-                or _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
-            )
-            a_ok = f_ok
-            if not f_ok and not _cut_columns(model, u, y, mid_feet, R, s).any():
-                blocked = _blocked_cells(feet, offs, u, y, R)
+            trial, pts, u, y = trial[near], pts[near], u[near] - half_d, y[near]
+            bounds = np.searchsorted(trial, np.arange(n + 1))
+            q_ok, a_ok = f_ok.copy(), f_ok.copy()
+            q_ok[f_ok] = _q_by_margin(model, *_trials_of(f_ok, trial, u, y), half_d, R, s)
+            cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s)
+            for t in np.flatnonzero(f_ok & ~q_ok):
+                k = slice(bounds[t], bounds[t + 1])
+                q_ok[t] = _net_contained(seg_p, seg_q, to_hyperboloid(pts[k]), R, model)
+            for t in np.flatnonzero(~f_ok)[~cut]:
+                k = slice(bounds[t], bounds[t + 1])
+                blocked = _blocked_cells(feet, offs, u[k], y[k], R)
                 open_grid = (blocked if model == "occupied" else ~blocked) & in_region
-                a_ok = _flood_connected(open_grid, start_cells, end_cells)
-            events.append((a_ok, f_ok, q_ok))
+                a_ok[t] = _flood_connected(open_grid, start_cells, end_cells)
+            events += zip(a_ok.tolist(), f_ok.tolist(), q_ok.tolist())
     n_A, n_f, n_Q = (sum(col) for col in zip(*events))
     return SandwichResult(n_A / trials, n_f / trials, n_Q / trials, trials)

@@ -367,6 +367,8 @@ def sample_crossings(intensity: float, length: float, gens):
 def phi_segment(r: float) -> float:
     """Invariant measure of the lines meeting a geodesic segment of
     length r; equals r in the paper's normalization."""
+    if not math.isfinite(r):
+        raise ValueError("segment length must be finite")
     if r < 0:
         raise ValueError("segment length must be nonnegative")
     return float(r)
@@ -375,7 +377,7 @@ def phi_segment(r: float) -> float:
 def phi_segment_quadrature(r: float) -> float:
     """Numeric oracle for phi_segment: integrate dx dy/(x-y)^2 over the
     endpoint pairs {x > 0 > y : 1 <= -x y <= e^{2r}}."""
-    if r == 0:
+    if phi_segment(r) == 0:
         return 0.0
     e2r = math.exp(2.0 * r)
     from scipy import integrate  # imported here, off the CLI import path

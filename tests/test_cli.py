@@ -212,6 +212,13 @@ def test_empty_or_inverted_r_grid_is_a_usage_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["nan,1", "1,inf", "-inf"])
+def test_grassmann_refuses_a_non_finite_r(values, capsys):
+    assert main(["grassmann", f"--r-values={values}"]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "r values must be finite" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_non_finite_r_is_a_usage_error(command, r, capsys):

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -29,6 +30,8 @@ from hyperc.geometry import (
 )
 from hyperc.percolation import (
     TRIAL_BLOCK,
+    TUBE_BLOCK,
+    LineDetection,
     _antipodal_pairs,
     _block_thresholds,
     _boolean_ray_survivors,
@@ -38,6 +41,7 @@ from hyperc.percolation import (
     _exposure_alpha,
     _flood_connected,
     _line_ray_survivors,
+    _lines_avoid,
     _lines_tube_events,
     _net_contained,
     _q_by_margin,
@@ -133,6 +137,50 @@ class TestCoverageReach:
             right = (mid + half)[trial == t]
             assert got[t] == _coverage_reach((mid - half)[trial == t], right)
             assert got[t] < 0.0 or got[t] in right
+
+
+def _lexsort_coverage_reaches(trial, left, right, n: int) -> np.ndarray:
+    """Oracle for _coverage_reaches: the same sweep over the intervals
+    ordered by ``np.lexsort((left, trial))``."""
+    keep = right >= 0.0
+    trial, left, right = trial[keep], left[keep], right[keep]
+    reach = np.full(n, -1.0)
+    if len(trial) == 0:
+        return reach
+    order = np.lexsort((left, trial))
+    trial, left, right = trial[order], left[order], right[order]
+    off = trial * (right.max() - left.min() + 1.0)
+    run = np.maximum.accumulate(right + off)
+    stops = np.flatnonzero(np.append(left[1:] + off[1:] > run[:-1], True))
+    starts = np.flatnonzero(np.append(True, trial[1:] != trial[:-1]))
+    starts = starts[left[starts] <= 0.0]
+    ends = stops[np.searchsorted(stops, starts)]
+    runs = np.stack([starts, ends + 1], axis=1).ravel()
+    reach[trial[starts]] = np.maximum.reduceat(np.append(right, -math.inf), runs)[::2]
+    return reach
+
+
+@pytest.mark.parametrize("n, k", [(1, 40), (7, 300), (TRIAL_BLOCK, 4524), (70_000, 150_000)])
+def test_coverage_sort_matches_the_lexsort_oracle(n, k):
+    """Thresholds equal to the lexsort sweep's bit for bit, on lefts and
+    lengths in steps of 1/8, so that lefts tie exactly within a trial
+    and across trials and closed intervals touch, and on a second draw
+    of continuous ends.  70,000 segments take the 32-bit trial sort."""
+    gen = np.random.default_rng(n)
+    trial = gen.integers(0, n, k)
+    left = gen.integers(-8, 8 * max(2, k // (2 * n)), k) / 8.0
+    right = left + gen.integers(0, 12, k) / 8.0
+    pairs = set(zip(trial.tolist(), left.tolist()))
+    assert len(pairs) < k  # an exact tie within a trial
+    assert len({lo for _, lo in pairs}) < len(pairs) or n == 1  # one across trials
+    assert set(zip(trial.tolist(), right.tolist())) & pairs  # closed intervals that touch
+    for lo, hi in ((left, right), (left + gen.uniform(0.0, 0.1, k), right + gen.uniform(0.1, 0.2, k))):
+        got = _coverage_reaches(trial, lo, hi, n)
+        assert got.tobytes() == _lexsort_coverage_reaches(trial, lo, hi, n).tobytes()
+        top = np.full(n, -math.inf)
+        np.maximum.at(top, trial, hi)
+        # some trial's cover of 0 ends in a gap before its last interval
+        assert ((got >= 0.0) & (got < top)).any() or n == 1
 
 
 def _gens(seed: int, n: int) -> list:
@@ -330,7 +378,11 @@ def test_a_pool_with_a_killed_worker_is_replaced():
     one = estimate_f(model, params, rs, trials, RngStream(34), workers=1)
     estimate_f(model, params, rs, trials, RngStream(34), workers=2)
     victim = _worker_pids()[0]
+    sentinel = next(p.sentinel for p in multiprocessing.active_children() if p.pid == victim)
     os.kill(victim, signal.SIGKILL)
+    # a worker that was sent SIGKILL but has not yet exited still looks
+    # alive to the executor, which may then run the third call without it
+    assert multiprocessing.connection.wait([sentinel], timeout=60), "the killed worker lives on"
     two = estimate_f(model, params, rs, trials, RngStream(34), workers=2)
     assert np.array_equal(one.successes, two.successes)
     assert victim not in _worker_pids()
@@ -683,16 +735,17 @@ def _one_point(monkeypatch, z: complex) -> None:
 
 
 def _spy_margins(monkeypatch) -> dict:
-    """Wrap the sandwich's two margin checks; per check's name, [calls,
-    calls that settled their trial]."""
+    """Wrap the sandwich's two margin checks; per check's name, [trials
+    it saw, trials it settled]."""
     counts = {}
     for name in ("_q_by_margin", "_cut_columns"):
         tally = counts[name] = [0, 0]
 
         def spy(*args, check=getattr(percolation, name), tally=tally):
             out = check(*args)
-            tally[0] += 1
-            tally[1] += bool(np.any(out))
+            assert out.shape == (args[4],) and out.dtype == bool
+            tally[0] += len(out)
+            tally[1] += int(np.count_nonzero(out))
             return out
 
         monkeypatch.setattr(percolation, name, spy)
@@ -701,8 +754,8 @@ def _spy_margins(monkeypatch) -> dict:
 
 def _undecided(monkeypatch) -> None:
     """Leave every trial to the Q net and the flood fill."""
-    monkeypatch.setattr(percolation, "_q_by_margin", lambda *args: False)
-    monkeypatch.setattr(percolation, "_cut_columns", lambda *args: np.zeros(1, dtype=bool))
+    for name in ("_q_by_margin", "_cut_columns"):
+        monkeypatch.setattr(percolation, name, lambda model, trial, u, y, n, *rest: np.zeros(n, bool))
 
 
 def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
@@ -740,34 +793,50 @@ def test_column_margin_cuts_beside_the_middle_only(monkeypatch, foot, gap, event
     assert sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0)) == res
 
 
+def _column_cuts(model, u, y, feet, R, s) -> np.ndarray:
+    """_cut_columns's verdict on each column over the feet alone: column
+    c is passed as trial c, its one foot at 0 and the points moved along
+    the axis by -feet[c]."""
+    cols = len(feet)
+    trial = np.repeat(np.arange(cols), len(u))
+    moved = (u[None, :] - feet[:, None]).ravel()
+    return _cut_columns(model, trial, moved, np.tile(y, cols), cols, np.zeros(1), R, s)
+
+
 @pytest.mark.parametrize(
     "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
 )
 def test_margins_imply_the_full_checks(model, params):
-    """Over 200 realizations of the tube workload's model: a Q that the
-    margin accepts is one that the sandwich's net accepts, and a column
-    that the margin cuts is closed in every cell of the sandwich's grid of
-    offsets, all blocked (vacant) or none covered (occupied)."""
+    """Over 200 realizations of the tube workload's model, decided in one
+    call of each margin check: a Q that the margin accepts is one that
+    the sandwich's net accepts, and a trial that the column margin cuts
+    has a cut column, each of which is closed in every cell of the
+    sandwich's grid of offsets, all blocked (vacant) or none covered
+    (occupied)."""
     half_d, s, R = 2.0, 0.05, params.radius
     net_x, net_y = _end_nets(half_d, s, 0.999 * s / 4.0)
     seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
     seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
     feet, offs = np.linspace(-half_d - s, half_d + s, 657), np.linspace(-s, s, 17)
     mid = feet[np.abs(feet) <= half_d - s]
-    q_accepted = cut_trials = 0
+    trials = []
     for seed in range(200):
         pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
         u, y = axis_coordinates(pts)
         near = _within_segment(u, y, half_d, R + s)
-        pts, u, y = pts[near], u[near], y[near]
-        if _q_by_margin(model, u, y, half_d, R, s):
-            q_accepted += 1
+        trials.append((pts[near], u[near], y[near]))
+    trial = np.repeat(np.arange(200), [len(u) for _, u, _ in trials])
+    u_all, y_all = (np.concatenate([t[k] for t in trials]) for k in (1, 2))
+    q_accepted = _q_by_margin(model, trial, u_all, y_all, 200, half_d, R, s)
+    cut = _cut_columns(model, trial, u_all, y_all, 200, mid, R, s)
+    for seed, (pts, u, y) in enumerate(trials):
+        if q_accepted[seed]:
             assert _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
-        cut = _cut_columns(model, u, y, mid, R, s)
-        blocked = percolation._blocked_cells(mid[cut], offs, u, y, R)
+        columns = _column_cuts(model, u, y, mid, R, s)
+        assert columns.any() == cut[seed], seed
+        blocked = percolation._blocked_cells(mid[columns], offs, u, y, R)
         assert (blocked if model == "vacant" else ~blocked).all(), seed
-        cut_trials += int(cut.any())
-    assert 0 < q_accepted < 200 and 0 < cut_trials < 200
+    assert 0 < q_accepted.sum() < 200 and 0 < cut.sum() < 200
 
 
 @pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
@@ -829,6 +898,22 @@ def test_sandwich_stream_is_pinned(monkeypatch, model, params, trials, pinned):
     if model != "lines":
         for calls, decided in counts.values():
             assert decided > calls / 2
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sandwich_is_the_same_at_any_block_size(monkeypatch, block):
+    """Trials decided in blocks of 7, or one at a time, give the results
+    of the default blocks, over several default blocks and a part one."""
+    cases = [("vacant", ModelParams(0.1, 1.0), 2 * TUBE_BLOCK + 22),
+             ("occupied", ModelParams(1.0, 1.0), TUBE_BLOCK + 6)]
+
+    def run():
+        return [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+                for model, params, trials in cases for seed in range(2)]
+
+    default = run()
+    monkeypatch.setattr(percolation, "TUBE_BLOCK", block)
+    assert run() == default
 
 
 def _end_nets(half_d: float, s: float, mesh: float):
@@ -1118,6 +1203,40 @@ def test_detect_line_needs_eight_directions(n_dir):
 def test_detect_line_needs_a_positive_ball(s):
     with pytest.raises(ValueError, match="radius s must be positive"):
         detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, RngStream(1))
+
+
+def _checked_lines_detection(params, s, r, rng, n_dir=360) -> LineDetection:
+    """detect_line_through_ball for lines with the chord check kept: the
+    pairs are tried in order, and the first whose chord _lines_avoid
+    passes is the witness."""
+    sample, alive = percolation._ray_survivors("lines", params, r, n_dir, rng.generator())
+    n_surviving = int(np.count_nonzero(alive))
+    if n_surviving >= 2:
+        for i, j in zip(*_antipodal_pairs(alive, r, s)):
+            ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray([i, j]) / n_dir)
+            if _lines_avoid(sample, to_hyperboloid(ends)):
+                return LineDetection(True, (int(i), int(j)), n_surviving)
+    return LineDetection(False, None, n_surviving)
+
+
+@pytest.mark.parametrize("r", [5.0, 10.0])
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+def test_the_lines_witness_needs_no_chord_check(lam, r):
+    """Over 200 samples, detect-line's unchecked lines witness is the one
+    that the chord check finds, and its chord misses every line, by
+    _lines_avoid and by segment_in."""
+    params, s = ModelParams(lam), 0.1
+    outcomes = set()
+    for seed in range(200):
+        det = detect_line_through_ball("lines", params, s, r, RngStream(seed))
+        assert det == _checked_lines_detection(params, s, r, RngStream(seed)), seed
+        outcomes.add(det.found)
+        if det.found:
+            sample = sample_lines(lam, r, RngStream(seed).generator())
+            ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray(det.witness) / 360)
+            assert _lines_avoid(sample, to_hyperboloid(ends)), seed
+            assert segment_in("lines", *(HPoint(z.real, z.imag) for z in ends), sample), seed
+    assert True in outcomes
 
 
 def test_chord_distance_is_well_conditioned():

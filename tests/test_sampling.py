@@ -461,6 +461,15 @@ class TestPhiMeasures:
     def test_segment_quadrature_oracle(self):
         assert phi_segment_quadrature(2.0) == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (-1.0, "nonnegative")],
+    )
+    def test_segment_refuses_a_non_finite_or_negative_length(self, r, message):
+        for phi in (phi_segment, phi_segment_quadrature):
+            with pytest.raises(ValueError, match=f"segment length must be {message}"):
+                phi(r)
+
     def test_separating_domain(self):
         for bad in (0.0, math.pi, -1.0, 4.0):
             with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 69
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 71
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -116,6 +116,8 @@ INVOCATIONS = [
     ("grassmann.default", ["grassmann"]),
     ("grassmann.mc",
      ["grassmann", "--rho", "2.0", "--mc-lambda", "0.5,1", "--mc-trials", "300", "--seed", "5"]),
+    ("grassmann.r-values-nan", ["grassmann", "--r-values", "nan,1"]),
+    ("grassmann.r-values-inf", ["grassmann", "--r-values", "1,inf"]),
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
     ("tree.sep.svg", ["tree", *TREE, "--check-separation", "--svg", "tree.svg"]),
