@@ -314,5 +314,10 @@ def lrp_edge_measure(x: int, y: int) -> float:
 
 def lrp_edge_prob(x: int, y: int, intensity: float, c: float) -> float:
     """Edge probability of the induced long-range percolation on Z:
-    c (1 - e^{-lambda measure}); asymptotic to c/|x-y|^2 at lambda = 1."""
+    c (1 - e^{-lambda measure}); asymptotic to c/|x-y|^2 at lambda = 1.
+    A probability needs lambda >= 0 and c in [0, 1]."""
+    if not intensity >= 0:
+        raise ValueError("intensity must be nonnegative")
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"edge retention constant c must lie in [0, 1], got {c}")
     return c * (1.0 - math.exp(-intensity * lrp_edge_measure(x, y)))

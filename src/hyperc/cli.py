@@ -211,7 +211,7 @@ def _cmd_alpha(cfg):
         res = analytic.alpha_occupied(_params(cfg))
         return {"alpha": res.alpha, "residual": res.residual, "iterations": res.iterations}
     elif model == "lines":
-        return {"alpha": cfg["lam"], "formula": "f(r) = exp(-lambda*r)"}
+        return {"alpha": _params(cfg).intensity, "formula": "f(r) = exp(-lambda*r)"}
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -292,6 +292,8 @@ def _cmd_detect_line(cfg):
 
 
 def _cmd_s_dist(cfg):
+    if cfg["grid"] < 1:
+        raise ValueError("--grid must be at least 1")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     result = estimate_S_cdf(params, cfg["trials"], RngStream(cfg["seed"]))
@@ -350,6 +352,8 @@ def _cmd_grassmann(cfg):
 
 
 def _cmd_lrp(cfg):
+    if cfg["nmax"] < cfg["nmin"]:
+        raise ValueError("nmax must be at least nmin")
     rows = []
     for n in range(cfg["nmin"], cfg["nmax"] + 1):
         measure = analytic.lrp_edge_measure(0, n)

@@ -3,15 +3,13 @@
 Points live in the open upper half-plane (metric |ds|/y).  The Monte
 Carlo experiments run in canonical position and read points through
 the axis coordinates, the polar form around (0, 1) and the hyperboloid
-helpers.  The Mobius layer, geodesics stored by their unordered pair of
-ideal boundary points (the boundary is R together with the single point
-at infinity) and isometries as real matrices, serves the tree's
-reflections.  Each change of model is written once for complex
-coordinates, scalar or array: the distance ``dist_arrays``, the Mobius
-action ``Isometry.apply_array`` and the Cayley map ``to_disk`` to the
-Poincare disk; ``dist`` and ``Isometry.apply`` read the first two for
-``HPoint``.  A line given by its foot from (0, 1) has its hyperboloid
-normal written once, in ``line_normal``.
+helpers, and lines through their unit hyperboloid normals: a line given
+by its foot from (0, 1) has its normal written once, in ``line_normal``,
+which the line process, the tree's semicircles and its tube constants
+all read.  Each change of model is written once for complex
+coordinates, scalar or array: the distance ``dist_arrays`` and the
+Cayley map ``to_disk`` to the Poincare disk; ``dist`` reads the first
+for ``HPoint``.
 """
 
 from __future__ import annotations
@@ -22,22 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "INF",
     "HPoint",
-    "Geodesic",
-    "Isometry",
     "ORIGIN",
     "dist",
-    "reflection_in",
     "to_disk",
     "ball_area",
     "tube_area",
-    "ideal_from_disk_angle",
-    "disk_angle_from_ideal",
 ]
-
-#: The single ideal point at infinity of the upper half-plane boundary.
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -56,95 +45,6 @@ class HPoint:
 
 
 ORIGIN = HPoint(0.0, 1.0)
-
-
-def _ideal_ok(a) -> bool:
-    return a == INF or (isinstance(a, (int, float)) and math.isfinite(a))
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """An unoriented hyperbolic line given by its two ideal endpoints.
-
-    Endpoints are reals or INF and are normalized so that {a, b}
-    compares equal regardless of input order: finite pairs are sorted,
-    and INF always sits in the second slot.
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        a, b = self.a, self.b
-        if not (_ideal_ok(a) and _ideal_ok(b)):
-            raise ValueError(f"ideal endpoints must be finite reals or INF: {a}, {b}")
-        if a == b:
-            raise ValueError("a geodesic needs two distinct ideal endpoints")
-        if a == INF or (b != INF and b < a):
-            a, b = b, a
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-
-    @property
-    def vertical(self) -> bool:
-        return self.b == INF
-
-    def side(self, p: HPoint) -> float:
-        """Signed side indicator; opposite signs mean the geodesic separates."""
-        if self.vertical:
-            return p.x - self.a
-        c = 0.5 * (self.a + self.b)
-        r = 0.5 * (self.b - self.a)
-        return (p.x - c) ** 2 + p.y**2 - r * r
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """An isometry of H^2 as a real Mobius matrix [[a, b], [c, d]].
-
-    Positive determinant acts as z -> (az+b)/(cz+d); negative
-    determinant acts on the conjugate, z -> (a zbar + b)/(c zbar + d),
-    covering reflections.  Composition is matrix multiplication either
-    way because the coefficients are real.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("Mobius coefficients must have nonzero determinant")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(1.0, 0.0, 0.0, 1.0)
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def apply(self, p: HPoint) -> HPoint:
-        w = self.apply_array(p.as_complex())
-        return HPoint(float(w.real), float(w.imag))
-
-    def apply_array(self, z):
-        """The action on complex UHP coordinates, scalar or array; a Python
-        complex stays on CPython arithmetic (``z.conjugate()``, not
-        ``np.conjugate``), so the tree's vertices skip NumPy's division."""
-        if self.det < 0:
-            z = z.conjugate()
-        w = (self.a * z + self.b) / (self.c * z + self.d)
-        return w.real + 1j * np.abs(w.imag)
 
 
 def dist(p: HPoint, q: HPoint) -> float:
@@ -179,35 +79,10 @@ def axis_coordinates(z: np.ndarray):
     return u, yoff
 
 
-def reflection_in(g: Geodesic) -> Isometry:
-    """The reflection across g as a negative-determinant Isometry."""
-    if g.vertical:
-        return Isometry(-1.0, 2.0 * g.a, 0.0, 1.0)
-    c = 0.5 * (g.a + g.b)
-    r = 0.5 * (g.b - g.a)
-    # circle inversion z -> c + r^2/(zbar - c)
-    return Isometry(c, r * r - c * c, 1.0, -c)
-
-
 def to_disk(z):
     """The Cayley map w = (z - i)/(z + i) of complex UHP coordinates,
     scalar or array, to the Poincare disk; sends (0, 1) to the centre."""
     return (z - 1j) / (z + 1j)
-
-
-def ideal_from_disk_angle(theta: float) -> float:
-    """Boundary circle point e^{i theta} mapped to the UHP ideal boundary."""
-    t = math.tan(0.5 * (theta % (2.0 * math.pi)))
-    if t == 0.0:
-        return INF
-    return -1.0 / t
-
-
-def disk_angle_from_ideal(x: float) -> float:
-    """Inverse boundary map; returns an angle in [0, 2 pi)."""
-    if x == INF:
-        return 0.0
-    return (2.0 * math.atan2(-1.0, x)) % (2.0 * math.pi)
 
 
 def ball_area(r: float) -> float:

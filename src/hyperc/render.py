@@ -1,16 +1,19 @@
 """Deterministic SVG scenes of realizations in the Poincare disk.
 
-Geodesics render as circular arcs orthogonal to the boundary circle
-(straight chords when diametral), balls as the Euclidean circles they
-are in the disk model, and tree edges as geodesic arc segments.  Output
-is byte-stable: fixed float formatting, no timestamps.
+Lines render from their foot direction and the half-angle their ideal
+ends span around it, as circular arcs orthogonal to the boundary circle
+(straight chords when diametral): the sampled lines, and the tree's
+generator lines on their boundary arcs.  Balls render as the Euclidean
+circles they are in the disk model, and tree edges as geodesic arc
+segments between the vertices' Cayley images.  Output is byte-stable:
+fixed float formatting, no timestamps.
 """
 
 from __future__ import annotations
 
 import math
 
-from .geometry import Geodesic, disk_angle_from_ideal, to_disk
+from .geometry import to_disk
 from .sampling import BooleanSample, LineSample
 from .treecover import EmbeddedTree
 
@@ -79,10 +82,6 @@ def _arc_segment(p1, p2, center, radius, stroke, width) -> str:
     )
 
 
-def _geodesic_element(g: Geodesic, stroke: str, width: float) -> str:
-    return _arc_path(disk_angle_from_ideal(g.a), disk_angle_from_ideal(g.b), stroke, width)
-
-
 def _edge_element(w1: complex, w2: complex, stroke="black", width=0.004) -> str:
     """Geodesic segment between two interior disk points: off a diameter,
     an arc of the circle through them orthogonal to the unit circle,
@@ -130,22 +129,26 @@ def render_boolean(sample: BooleanSample) -> str:
     return _svg(lines)
 
 
+def _line_element(phi: float, delta: float, stroke: str, width: float) -> str:
+    """The line whose ideal ends lie delta either side of the disk angle
+    phi, drawn from the smaller of the two end angles in [0, 2 pi)."""
+    ends = sorted(((phi - delta) % (2.0 * math.pi), (phi + delta) % (2.0 * math.pi)))
+    return _arc_path(*ends, stroke, width)
+
+
 def render_lines(sample: LineSample) -> str:
     """A line-process realization, arcs orthogonal to the boundary."""
-    lines = []
-    for p, phi in zip(sample.foot_dist, sample.foot_dir):
-        # the line's ends lie arccos(tanh p) either side of its foot direction
-        delta = math.acos(math.tanh(p))
-        ends = sorted(((phi - delta) % (2.0 * math.pi), (phi + delta) % (2.0 * math.pi)))
-        lines.append(_arc_path(*ends, "steelblue", 0.004))
+    # the line's ends lie arccos(tanh p) either side of its foot direction
+    lines = [_line_element(phi, math.acos(math.tanh(p)), "steelblue", 0.004)
+             for p, phi in zip(sample.foot_dist, sample.foot_dir)]
     return _svg(lines)
 
 
 def render_tree(tree: EmbeddedTree) -> str:
     """The embedded tree: generator lines, edges, and vertex orbit."""
-    lines = []
-    for g in tree.generator_lines:
-        lines.append(_geodesic_element(g, stroke="lightsteelblue", width=0.003))
+    # L_j spans the boundary arc of the tree's arc length centred at 2 pi j / 3
+    lines = [_line_element(2.0 * math.pi * j / 3.0, tree.arc_length / 2.0, "lightsteelblue", 0.003)
+             for j in range(3)]
     disk = {w: to_disk(v.as_complex()) for w, v in tree.vertices.items()}
     # the vertices run breadth first, so each edge to a parent is drawn
     # in the order the parents list their children

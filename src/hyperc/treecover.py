@@ -1,34 +1,26 @@
 """The 3-regular tree embedded in the hyperbolic plane by reflections.
 
-Three disjoint geodesics are spanned by three equal arcs on the ideal
-boundary, rotated by 120 degrees; the group generated by the three
-reflections acts simply transitively on the orbit of the disk center,
-and reduced words over {0, 1, 2} index the orbit points, which form a
-3-regular tree.  The geodesic joining the two ideal limits of a
-bi-infinite tree path stays near the path's vertices; the module gives
-the two tube constants of that statement in closed form, from the
-generator lines alone, with no vertex, depth or sample.
+Three disjoint geodesics L_0, L_1, L_2 are spanned by three equal arcs
+on the ideal boundary, rotated by 120 degrees.  The group generated by
+the reflections in them acts simply transitively on the orbit of the
+disk center, and reduced words over {0, 1, 2} index the orbit points,
+which form a 3-regular tree.  In the upper half-plane each L_j is a
+semicircle, read off its hyperboloid normal, and each vertex is one
+circle inversion of the vertex of its word's tail.  The geodesic joining
+the two ideal limits of a bi-infinite tree path stays near the path's
+vertices; the module gives the two tube constants of that statement in
+closed form, from the same normals, with no vertex, depth or sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .geometry import (
-    Geodesic,
-    HPoint,
-    Isometry,
-    ORIGIN,
-    dist,
-    geodesic_normal,
-    ideal_from_disk_angle,
-    line_normal,
-    minkowski,
-    reflection_in,
-)
+from .geometry import HPoint, ORIGIN, geodesic_normal, line_normal, minkowski
 
 __all__ = [
     "Word",
@@ -43,7 +35,8 @@ __all__ = [
 Word = tuple[int, ...]
 
 MAX_DEPTH = 14
-# reflection products lose precision: parent-child error 5e-6 at 27, 0.15 at 37
+# the inversions lose precision far out: the deepest vertices' worst
+# parent-child error over depths 3..16 is 4.4e-7 at 27, 3.5e-3 at 37
 MAX_RADIUS = 27.0
 
 
@@ -64,6 +57,32 @@ def reduced_words(depth: int):
         frontier = nxt
 
 
+def _check_arc(arc_length: float) -> None:
+    if not 0.0 < arc_length < 2.0 * math.pi / 3.0:
+        raise ValueError("arc length must lie in (0, 2 pi / 3)")
+
+
+def _foot_normals(arc_length: float) -> np.ndarray:
+    """Unit normals of L_0, L_1, L_2, shape (3, 3): L_j's foot lies
+    p = artanh cos(arc/2) from (0, 1) in the direction 2 pi j / 3."""
+    p = math.atanh(math.cos(arc_length / 2.0))
+    return line_normal(np.full(3, p), 2.0 * math.pi * np.arange(3) / 3.0)
+
+
+@cache
+def _mirrors(arc_length: float) -> tuple[tuple[float, float], ...]:
+    """(c, r^2) of each L_j as the UHP semicircle (x - c)^2 + y^2 = r^2.
+
+    A point lies on the line of normal n when <n, X> = 0; on the
+    hyperboloid vector X of z = x + iy this reads (n_1 - n_2)|z|^2 +
+    2 n_0 x - (n_1 + n_2) = 0 in the vector's [X1, X2, X0] order.  No
+    L_j is vertical, as no arc end sits at the disk angle 0."""
+    n = _foot_normals(arc_length)
+    c = -n[:, 0] / (n[:, 1] - n[:, 2])
+    r2 = c * c + (n[:, 1] + n[:, 2]) / (n[:, 1] - n[:, 2])
+    return tuple(zip(c.tolist(), r2.tolist()))
+
+
 @dataclass(frozen=True)
 class EmbeddedTree:
     """Vertices of the reflection orbit up to a word-length cutoff."""
@@ -71,58 +90,55 @@ class EmbeddedTree:
     arc_length: float
     depth: int
     vertices: dict[Word, HPoint] = field(repr=False)
-    generator_lines: list[Geodesic]
 
     def edge_length(self) -> float:
-        return dist(ORIGIN, reflection_in(self.generator_lines[0]).apply(ORIGIN))
+        """d(o, r_0 o): L_0 is the semicircle |z| = cot(arc/4), so
+        r_0 o = i cot^2(arc/4)."""
+        return -2.0 * math.log(math.tan(self.arc_length / 4.0))
 
 
 def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
-    """Compose reflections over reduced words of length <= depth.
+    """The orbit points of the reduced words of length <= depth.
 
     The boundary arc A_j is centered at angle 2 pi j / 3 with the given
     arc length; the generator geodesic L_j joins the endpoints of A_j.
+    The word w is the vertex r_{w_0} r_{w_1} ... o, that is the inversion
+    z -> c + r^2 / (conj(z) - c) in the semicircle of L_{w_0} applied to
+    the vertex of w's tail, which the breadth-first words build first.
     The deepest vertices lie depth edge lengths from the origin, which
     may not exceed MAX_RADIUS.
     """
-    if not 0.0 < arc_length < 2.0 * math.pi / 3.0:
-        raise ValueError("arc length must lie in (0, 2 pi / 3)")
+    _check_arc(arc_length)
     if not 0 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [0, {MAX_DEPTH}]")
-    lines = []
-    refls = []
-    for j in range(3):
-        center = 2.0 * math.pi * j / 3.0
-        g = Geodesic(
-            ideal_from_disk_angle(center - arc_length / 2.0),
-            ideal_from_disk_angle(center + arc_length / 2.0),
-        )
-        lines.append(g)
-        refls.append(reflection_in(g))
-    edge = dist(ORIGIN, refls[0].apply(ORIGIN))
+    vertices: dict[Word, HPoint] = {(): ORIGIN}
+    tree = EmbeddedTree(arc_length, depth, vertices)
+    edge = tree.edge_length()
     if depth * edge > MAX_RADIUS:
         raise ValueError(f"depth {depth} at arc length {arc_length} reaches {depth * edge:.4g} "
                          f"from the origin, beyond MAX_RADIUS = {MAX_RADIUS:g}")
-
-    vertices: dict[Word, HPoint] = {(): ORIGIN}
-    mats: dict[Word, Isometry] = {(): Isometry.identity()}
+    mirrors = _mirrors(arc_length)
     for w in reduced_words(depth):
-        mats[w] = mats[w[:-1]] @ refls[w[-1]]
-        vertices[w] = mats[w].apply(ORIGIN)
-    return EmbeddedTree(arc_length, depth, vertices, lines)
+        c, r2 = mirrors[w[0]]
+        tail = vertices[w[1:]]
+        v = c + r2 / complex(tail.x - c, -tail.y)
+        vertices[w] = HPoint(v.real, v.imag)
+    return tree
 
 
 def check_separation(tree: EmbeddedTree, word: Word) -> bool:
     """True iff the generator line of the word's first letter separates
-    the origin from the word's orbit point."""
+    the origin from the word's orbit point: (x - c)^2 + y^2 - r^2 has
+    opposite signs at the two points on L's semicircle."""
     if not word:
         raise ValueError("the empty word has no separating line")
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
     if word not in tree.vertices:
         raise ValueError(f"word {word} is beyond the tree depth")
-    line = tree.generator_lines[word[0]]
-    return line.side(ORIGIN) * line.side(tree.vertices[word]) < 0.0
+    c, r2 = _mirrors(tree.arc_length)[word[0]]
+    o, v = ORIGIN, tree.vertices[word]
+    return ((o.x - c) ** 2 + o.y**2 - r2) * ((v.x - c) ** 2 + v.y**2 - r2) < 0.0
 
 
 def tube_constants(arc_length: float) -> tuple[float, float]:
@@ -138,10 +154,8 @@ def tube_constants(arc_length: float) -> tuple[float, float]:
     vertices o and r_0 o lie arccosh(cosh delta cosh(d/2)) from it.  The
     tests check both as suprema over every reduced path to a fixed depth.
     """
-    if not 0.0 < arc_length < 2.0 * math.pi / 3.0:
-        raise ValueError("arc length must lie in (0, 2 pi / 3)")
-    p = math.atanh(math.cos(arc_length / 2.0))
-    n0, n1 = line_normal(np.full(2, p), np.asarray([0.0, 2.0 * math.pi / 3.0]))
+    _check_arc(arc_length)
+    n0, n1 = _foot_normals(arc_length)[:2]
     d = math.acosh(-float(minkowski(n0, n1)))
     delta = math.asinh(abs(float(geodesic_normal(n0, n1)[2])))
     return delta, math.acosh(math.cosh(delta) * math.cosh(d / 2.0))

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-from hyperc.geometry import Isometry, axis_coordinates, dist_arrays, to_disk
+from hyperc.geometry import axis_coordinates, dist_arrays, to_disk
+
+from mobius import Isometry
 
 
 def axis_point(u, y):

@@ -9,16 +9,11 @@ import math
 
 import numpy as np
 
-from hyperc.geometry import (
-    Geodesic,
-    HPoint,
-    Isometry,
-    axis_coordinates,
-    ideal_from_disk_angle,
-    to_disk,
-)
+from hyperc.geometry import HPoint, axis_coordinates, to_disk
 from hyperc.sampling import LineSample
 from hyperc.treecover import EmbeddedTree, Word
+
+from mobius import Geodesic, Isometry, ideal_from_disk_angle
 
 
 def canonical_matrix(g: Geodesic) -> Isometry:

@@ -440,3 +440,12 @@ class TestLongRangePercolation:
         for bad in (0, 1):
             with pytest.raises(ValueError):
                 lrp_edge_measure(0, bad)
+
+    @pytest.mark.parametrize("intensity, c", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 1.5),
+                                              (1.0, -0.5), (1.0, math.nan)])
+    def test_rejects_what_is_no_probability(self, intensity, c):
+        """A negative or NaN intensity, or c outside [0, 1], would give
+        values outside [0, 1]: -0.333 at lambda = -1 and n = 2."""
+        with pytest.raises(ValueError, match="intensity must be nonnegative|c must lie in"):
+            lrp_edge_prob(0, 2, intensity, c)
+        assert 0.0 <= lrp_edge_prob(0, 2, 0.0, 0.0) <= lrp_edge_prob(0, 2, math.inf, 1.0) == 1.0

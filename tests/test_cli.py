@@ -241,6 +241,29 @@ def test_nan_intensity_is_a_usage_error(capsys):
     assert "intensity must be nonnegative" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *((["alpha", "--model", "lines", f"--lambda={lam}"], "intensity must be nonnegative")
+          for lam in ("-1", "nan")),
+        *((["lrp", f"--lambda={lam}"], "intensity must be nonnegative") for lam in ("-1", "nan")),
+        *((["lrp", f"--c={c}"], "c must lie in [0, 1]") for c in ("5", "-0.5", "nan")),
+        (["lrp", "--nmin", "5", "--nmax", "2"], "nmax must be at least nmin"),
+        *((["s-dist", "--lambda", "1", f"--grid={grid}", "--seed", "1"],
+           "--grid must be at least 1") for grid in ("0", "-3")),
+    ],
+    ids=["alpha-lines-negative", "alpha-lines-nan", "lrp-negative", "lrp-nan", "lrp-c-above-1",
+         "lrp-c-negative", "lrp-c-nan", "lrp-inverted", "s-dist-grid-0", "s-dist-grid-negative"],
+)
+def test_out_of_range_parameter_is_a_usage_error(argv, message, capsys):
+    """Each is refused before anything is computed or drawn, in one
+    line, with no summary."""
+    assert main(argv) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hyperc: ") and captured.err.count("\n") == 1
+    assert message in captured.err and captured.out == ""
+
+
 def test_no_exposure_reads_nan_as_a_json_string(capsys):
     """At lambda 20 no trial keeps the lines off a segment of length 3,
     so the exponent has no exposure and is (nan, nan); the summary must

@@ -7,20 +7,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hyperc.geometry import (
-    INF,
-    Geodesic,
     HPoint,
-    Isometry,
     ORIGIN,
     axis_coordinates,
     ball_area,
     ball_net,
-    disk_angle_from_ideal,
     dist,
     dist_arrays,
-    ideal_from_disk_angle,
     polar_around_origin,
-    reflection_in,
     segment_point_distance,
     to_disk,
     to_hyperboloid,
@@ -28,6 +22,18 @@ from hyperc.geometry import (
 
 from axis_oracles import axis_point, distance_to_axis_segment
 from line_oracles import canonical_matrix, dist_to_geodesic, inverse
+# the Mobius matrices, geodesics by ideal ends and boundary maps that the
+# oracles are built on live in tests/mobius.py; TestIsometries,
+# TestReflection, TestGeodesicType and the boundary-map round trip check
+# them against the package's distance
+from mobius import (
+    INF,
+    Geodesic,
+    Isometry,
+    disk_angle_from_ideal,
+    ideal_from_disk_angle,
+    reflection_in,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -190,8 +196,7 @@ class TestIsometries:
         """apply is apply_array on one Python complex, bit for bit, and both
         keep to CPython's complex arithmetic, reflections included: NumPy's
         complex division rounds otherwise in the last bit for many
-        reflections, which would move the tree's vertices.  On arrays the
-        two agree to rounding."""
+        reflections.  On arrays the two agree to rounding."""
         mirrors = [reflection_in(Geodesic(float(RNG.normal()), float(RNG.normal()) + 3.0))
                    for _ in range(20)]
         for m in [random_isometry() for _ in range(20)] + mirrors:

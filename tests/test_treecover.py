@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperc.geometry import ORIGIN, Geodesic, HPoint, dist, dist_arrays, reflection_in
+from hyperc.geometry import ORIGIN, HPoint, dist, dist_arrays
 from hyperc.treecover import (
     MAX_DEPTH,
     MAX_RADIUS,
@@ -14,27 +14,52 @@ from hyperc.treecover import (
 )
 
 from line_oracles import canonical_matrix, dist_to_geodesic, inverse, path_tube_distances
+from mobius import Geodesic, generator_lines, reflection_in, tree_vertices
 
 
 @pytest.mark.parametrize("arc, depth", [(0.3, 8), (0.5, 10), (0.5, 9), (1.0, 10)])
 def test_trees_beyond_the_max_radius_are_rejected(arc, depth):
-    """Too far out the reflection products turn singular or give wrong
-    parent-child distances; such depths are refused by name."""
+    """Too far out the inversions give wrong parent-child distances (3.5e-3
+    off by 37 from the origin); such depths are refused by name."""
     with pytest.raises(ValueError, match="MAX_RADIUS"):
         build_tree(arc, depth)
 
 
+def _deepest_tree(arc):
+    """The tree at the largest depth that MAX_RADIUS and MAX_DEPTH accept."""
+    edge = build_tree(arc, 0).edge_length()
+    return build_tree(arc, min(MAX_DEPTH, int(MAX_RADIUS // edge)))
+
+
 @pytest.mark.parametrize("arc", [0.3, 0.5, 1.0])
 def test_parent_child_distances_hold_at_the_largest_accepted_depth(arc):
-    edge = build_tree(arc, 1).edge_length()
-    depth = min(MAX_DEPTH, int(MAX_RADIUS // edge))
-    tree = build_tree(arc, depth)
+    """One inversion per vertex keeps every edge within 1e-6 of its
+    length out to MAX_RADIUS (4e-8 at most at these arcs)."""
+    tree = _deepest_tree(arc)
     words = [w for w in tree.vertices if w]
     child = np.asarray([tree.vertices[w].as_complex() for w in words])
     parent = np.asarray([tree.vertices[w[:-1]].as_complex() for w in words])
-    assert np.abs(dist_arrays(child, parent) - edge).max() < 1e-5
+    assert np.abs(dist_arrays(child, parent) - tree.edge_length()).max() < 1e-6
     with pytest.raises(ValueError, match="MAX_RADIUS"):
-        build_tree(arc, depth + 1)
+        build_tree(arc, tree.depth + 1)
+
+
+# the largest gap is 1.4e-5, at arc 0.3 and depth 5, where the matrix
+# products' own edges are 4.6e-6 off their length
+MATRIX_TOL = 3e-5
+
+
+@pytest.mark.parametrize("arc", [0.3, 0.5, 1.0, 1.5, 2.0])
+def test_vertices_match_the_matrix_products(arc):
+    """Each vertex lies within MATRIX_TOL of the product of reflection matrices
+    over its word, applied to (0, 1), out to the largest accepted depth.
+    The matrices are built on the ideal ends of the generator lines, not
+    on their normals; the products carry most of the gap."""
+    tree = _deepest_tree(arc)
+    oracle = tree_vertices(arc, tree.depth)
+    assert list(oracle) == list(tree.vertices)
+    got = np.asarray([v.as_complex() for v in tree.vertices.values()])
+    assert dist_arrays(got, np.asarray(list(oracle.values()))).max() < MATRIX_TOL
 
 
 @pytest.mark.parametrize("arc", [0.5, 1.0, 1.5, 2.0])
@@ -74,7 +99,8 @@ def test_periodic_path_attains_the_closed_forms(arc):
     vertices o and r_0 o lie at vertex_to_line from the axis, and the
     point where L_0 crosses the axis lies at r_prime from both."""
     tree = build_tree(arc, 1)
-    m = reflection_in(tree.generator_lines[0]) @ reflection_in(tree.generator_lines[1])
+    lines = generator_lines(arc)
+    m = reflection_in(lines[0]) @ reflection_in(lines[1])
     # fixed points of z -> (a z + b) / (c z + d): c z^2 + (d - a) z - b = 0
     disc = math.sqrt((m.d - m.a) ** 2 + 4.0 * m.b * m.c)
     axis = Geodesic((m.a - m.d - disc) / (2.0 * m.c), (m.a - m.d + disc) / (2.0 * m.c))
@@ -86,7 +112,7 @@ def test_periodic_path_attains_the_closed_forms(arc):
     # of L_0 on the ends a < 0 < b crosses it at height sqrt(-a b)
     frame = canonical_matrix(axis)
     a, b = sorted(inverse(frame).apply_array(complex(x, 0.0)).real
-                  for x in (tree.generator_lines[0].a, tree.generator_lines[0].b))
+                  for x in (lines[0].a, lines[0].b))
     assert a < 0.0 < b
     crossing = frame.apply(HPoint(0.0, math.sqrt(-a * b)))
     for v in vertices:

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 71
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 76
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -42,6 +42,7 @@ INVOCATIONS = [
     ("alpha.occupied.lambda1000",
      ["alpha", "--model", "occupied", "--lambda", "1000", "--R", "1"]),
     ("alpha.bad-model", ["alpha", "--model", "cubes", "--lambda", "1"]),
+    ("alpha.lines.lambda-negative", ["alpha", "--model", "lines", "--lambda=-1"]),
     ("critical.default", ["critical"]),
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
     ("critical.lines", ["critical", "--model", "lines"]),
@@ -113,6 +114,7 @@ INVOCATIONS = [
      ["s-dist", "--config", "s.cfg"], {"s.cfg": "lam = 0.4\nR = 0.8\ntrials = 2000\nseed = 9\n"}),
     # one trial expects 7.4e17 points: refused by the sampling cap
     ("s-dist.R40", ["s-dist", "--lambda", "1", "--R", "40", "--seed", "1"]),
+    ("s-dist.grid0", ["s-dist", "--lambda", "1", "--grid", "0", "--seed", "1"]),
     ("grassmann.default", ["grassmann"]),
     ("grassmann.mc",
      ["grassmann", "--rho", "2.0", "--mc-lambda", "0.5,1", "--mc-trials", "300", "--seed", "5"]),
@@ -120,6 +122,9 @@ INVOCATIONS = [
     ("grassmann.r-values-inf", ["grassmann", "--r-values", "1,inf"]),
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
+    ("lrp.lambda-negative", ["lrp", "--lambda=-1"]),
+    ("lrp.c-above-1", ["lrp", "--c", "5"]),
+    ("lrp.inverted", ["lrp", "--nmin", "5", "--nmax", "2"]),
     ("tree.sep.svg", ["tree", *TREE, "--check-separation", "--svg", "tree.svg"]),
     ("tree.default", ["tree"]),
     ("render.lines.default-out", ["render", "--lambda", "0.5", "--rho", "3", "--seed", "1"]),
