@@ -84,10 +84,16 @@ def alpha_vacant(params: ModelParams) -> float:
     return 2.0 * params.intensity * math.sinh(params.radius)
 
 
-def lambda_gv(R: float) -> float:
-    """Critical intensity for lines in the vacant set, 1/(2 sinh R)."""
+def _check_R(R: float) -> None:
     if not R > 0:
         raise ValueError("R must be positive")
+    if R == math.inf:
+        raise ValueError("R must be finite")
+
+
+def lambda_gv(R: float) -> float:
+    """Critical intensity for lines in the vacant set, 1/(2 sinh R)."""
+    _check_R(R)
     return 1.0 / (2.0 * math.sinh(R))
 
 
@@ -264,8 +270,7 @@ def lambda_gc(R: float) -> float:
     alpha is solved.  Over R in [0.05, 8], |alpha(lambda_gc) - 1| < 1e-8;
     else SolverError.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    _check_R(R)
     s, jac, area, rate = _exponent_nodes(R)
     c = jac * rate * np.exp(s)
 

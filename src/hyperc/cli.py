@@ -258,15 +258,10 @@ def _cmd_rays(cfg):
     if not math.isfinite(cfg["r"]):
         raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
-    params = _params(cfg)
-    counts = []
-    nonempty = 0
-    for i in range(cfg["samples"]):
-        rs = surviving_directions(
-            cfg["model"], params, cfg["r"], cfg["directions"], RngStream(cfg["seed"], i + 1)
-        )
-        counts.append(len(rs.surviving))
-        nonempty += bool(rs.surviving)
+    rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
+    counts = [len(rs.surviving) for rs in surviving_directions(
+        cfg["model"], _params(cfg), cfg["r"], cfg["directions"], rngs)]
+    nonempty = sum(count > 0 for count in counts)
     return {
         "mean_survivors": float(np.mean(counts)),
         "survival_probability": nonempty / cfg["samples"],
@@ -280,14 +275,9 @@ def _cmd_detect_line(cfg):
     if not math.isfinite(cfg["r"]):
         raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
-    params = _params(cfg)
-    found = 0
-    for i in range(cfg["samples"]):
-        det = detect_line_through_ball(
-            cfg["model"], params, cfg["s"], cfg["r"], RngStream(cfg["seed"], i + 1),
-            n_directions=cfg["directions"],
-        )
-        found += det.found
+    rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
+    found = sum(det.found for det in detect_line_through_ball(
+        cfg["model"], _params(cfg), cfg["s"], cfg["r"], rngs, n_directions=cfg["directions"]))
     return {"detections": found, "frequency": found / cfg["samples"]}
 
 
@@ -352,6 +342,9 @@ def _cmd_grassmann(cfg):
 
 
 def _cmd_lrp(cfg):
+    # lrp_edge_prob takes the limit c at an infinite intensity; a run needs a finite one
+    if cfg["lam"] == math.inf:
+        raise ValueError("intensity must be finite")
     if cfg["nmax"] < cfg["nmin"]:
         raise ValueError("nmax must be at least nmin")
     rows = []

@@ -159,20 +159,21 @@ def segment_point_distance(p: np.ndarray, q: np.ndarray, w: np.ndarray):
     to the full geodesic.  These are what the containment kernel
     ``percolation._reaches`` reads; the distance to the segment itself
     is not needed there and is not computed.
+
+    Both are read in the segment's frame (p, e, n): n the unit normal
+    ``geodesic_normal(p, q)`` and e = (q - cosh L p) / sinh L the unit
+    tangent at p, L = d(p, q).  A point w = cosh v (cosh u p + sinh u e)
+    + sinh v n has c = <n, w> = sinh v and <e, w> = cosh v sinh u, so
+    perp = arcsinh |c| and foot = arcsinh(<e, w> / sqrt(1 + c^2)): two
+    (S, 3) x (3, N) products and no (S, N, 3) temporary.
     """
     p = np.atleast_2d(p)
     q = np.atleast_2d(q)
     w = np.atleast_2d(w)
     flip = np.asarray([1.0, 1.0, -1.0])  # turns a plain dot into <.,.>
-    n = geodesic_normal(p, q)  # (S, 3)
-    c = np.einsum("sk,nk->sn", n * flip, w)  # sinh of the signed offset
-    perp = np.arcsinh(np.abs(c))
-    w_plane = w[None, :, :] - c[:, :, None] * n[:, None, :]
-    norm2 = -minkowski(w_plane, w_plane)
-    f = w_plane / np.sqrt(np.maximum(norm2, 1e-300))[:, :, None]
-    length = np.arccosh(np.maximum(-minkowski(p, q), 1.0))  # (S,)
-    fp = -np.einsum("snk,sk->sn", f, p * flip)  # cosh d(f, p)
-    fq = -np.einsum("snk,sk->sn", f, q * flip)
-    sinh_l = np.maximum(np.sinh(length), 1e-300)[:, None]
-    foot = np.arcsinh((np.cosh(length)[:, None] * fp - fq) / sinh_l)
-    return foot, perp
+    cosh_l = np.maximum(-minkowski(p, q), 1.0)[:, None]
+    sinh_l = np.maximum(np.sqrt((cosh_l - 1.0) * (cosh_l + 1.0)), 1e-300)
+    w_flip = (w * flip).T
+    c = geodesic_normal(p, q) @ w_flip  # sinh of the signed offset
+    along = ((q - cosh_l * p) / sinh_l) @ w_flip
+    return np.arcsinh(along / np.sqrt(1.0 + c * c)), np.arcsinh(np.abs(c))

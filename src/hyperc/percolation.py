@@ -19,9 +19,14 @@ reduced at once, inline or on a process pool that ``estimate_f`` keeps
 for later calls, and a block whose points would exceed the sampling
 cap is drawn in chunks of trials below it.  Rays, chords and the tube
 sandwich draw exactly the ball that can reach them, and measure each
-ray, net segment or grid cell only against the points that can come
-within R of it; the sandwich decides its flood-fill grid in its tube's
-axis coordinates.
+ray, chord, net segment or grid cell only against the points that can
+come within R of it; the sandwich decides its flood-fill grid in its
+tube's axis coordinates.
+Rays and detect-line draw one sample per stream and decide their
+samples per group: consecutive samples of at most GROUP_POINTS points
+or lines together go through one ``_grid_runs``, ``_polar_fermi`` and
+``_reaches`` pass, sample i's direction k as segment i n + k.  The
+lines sandwich takes the sides of a group of trials' lines at once.
 The Boolean sandwich decides its trials in blocks: f, and margins on
 the central segment that settle Q or A for most trials (``sandwich_AQ``
 gives the argument), each in one ``_reaches`` call per block; only the
@@ -447,9 +452,48 @@ def _polar_fermi(t: np.ndarray, dpsi: np.ndarray, reach: float = math.inf):
     return near, np.arctanh(tanh_foot), perp[near]
 
 
-def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str) -> np.ndarray:
-    """Directions whose ray of length r from (0, 1) lies in the set; the
-    direction index is the kernel's segment index.
+# Samples that rays and detect-line decide in one pass, and lines
+# trials that the lines sandwich decides in one pass: consecutive ones
+# join a group while their points or lines together stay within this
+# many, and one at or above it makes a group of its own.  At budgets of
+# 1, 1024, 2048, 4096, 8192 and 16384 the tube workload's rays,
+# detect-line and lines sandwich operations took 60-66, 47-48, 46-48,
+# 46-49, 46-52 and 52-56 ms together (two runs of 40 alternating rounds,
+# in process, on a 2-core host).  Large groups lose on large kernel
+# passes: four occupied samples of about 1260 points at 360 directions
+# took 4.5-4.6 ms as one group against 3.3-3.5 ms one by one (at 64
+# directions 1.0 against 1.3 ms), so such samples are left alone.
+GROUP_POINTS = 1024
+
+
+def _groups(samples):
+    """The runs of consecutive samples whose points or lines together stay
+    within GROUP_POINTS, as lists; a sample at or above it makes a run
+    alone."""
+    group, size = [], 0
+    for sample in samples:
+        if group and size + len(sample) > GROUP_POINTS:
+            yield group
+            group, size = [], 0
+        group.append(sample)
+        size += len(sample)
+    if group:
+        yield group
+
+
+def _joined(samples, *fields):
+    """Each element's sample index, then the samples' arrays of each field
+    joined end to end; a lone sample's arrays as they are, uncopied."""
+    if len(samples) == 1:
+        return np.zeros(len(samples[0]), np.int64), *(getattr(samples[0], f) for f in fields)
+    owner = np.repeat(np.arange(len(samples)), [len(sample) for sample in samples])
+    return owner, *(np.concatenate([getattr(sample, f) for sample in samples]) for f in fields)
+
+
+def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, model: str):
+    """Mask (len(samples), n_dir) of the directions whose ray of length r
+    from (0, 1) lies in the set, per sample; sample i's direction k is the
+    kernel's segment i n_dir + k.
 
     A point at polar (t, psi) with t > R keeps more than R from (0, 1),
     so it can come within R only of the rays that run toward it, in the
@@ -459,11 +503,12 @@ def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: s
     margin of 1e-9 on t keeps ties at distance R decided as by measuring
     every pair.
     """
-    R = sample.params.radius
-    sample.require_window(r + R, "ray survival")
+    R = samples[0].params.radius
+    for sample in samples:
+        sample.require_window(r + R, "ray survival")
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    t, psi = sample.t, sample.psi
+    which, t, psi = _joined(samples, "t", "psi")
     beta = np.arcsin(math.sinh(R) / np.maximum(np.sinh(t), math.sinh(R)))
     # each point's run [lo, hi] of direction indices
     lo = np.floor((psi - beta) / h).astype(np.int64)
@@ -471,41 +516,51 @@ def _boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: s
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
     near, foot, perp = _polar_fermi(t[j], psi[j] - thetas[k], R)
-    return _reaches(model, k[near], foot, perp, R, n_dir) >= r
+    # a lone sample, at or above the budget, keeps the per-sample indices
+    seg = (k if len(samples) == 1 else which[j] * n_dir + k)[near]
+    return (_reaches(model, seg, foot, perp, R, len(samples) * n_dir) >= r).reshape(-1, n_dir)
 
 
-def _line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
-    """Directions whose radial segment of length r misses every line.
+def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.ndarray:
+    """Mask (len(samples), n_dir) of the directions whose radial segment
+    of length r misses every line of the sample.
 
     The line at foot (p, phi) blocks the arc of directions theta with
     cos(theta - phi) > tanh p / tanh r, that is the grid directions k
     with |k h - phi| <= beta, cos beta = tanh p / tanh r.
     """
-    sample.require_window(r, "ray survival")
+    for sample in samples:
+        sample.require_window(r, "ray survival")
     h = 2.0 * math.pi / n_dir
-    mask = sample.foot_dist < r
-    beta = np.arccos(np.clip(np.tanh(sample.foot_dist[mask]) / math.tanh(r), -1.0, 1.0))
-    lo = np.ceil((sample.foot_dir[mask] - beta) / h).astype(np.int64)
-    hi = np.floor((sample.foot_dir[mask] + beta) / h).astype(np.int64)
-    alive = np.ones(n_dir, dtype=bool)
-    alive[_grid_runs(lo, hi, n_dir)[1]] = False
-    return alive
+    which, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
+    mask = foot_dist < r
+    beta = np.arccos(np.clip(np.tanh(foot_dist[mask]) / math.tanh(r), -1.0, 1.0))
+    lo = np.ceil((foot_dir[mask] - beta) / h).astype(np.int64)
+    hi = np.floor((foot_dir[mask] + beta) / h).astype(np.int64)
+    owner, k = _grid_runs(lo, hi, n_dir)
+    alive = np.ones(len(samples) * n_dir, dtype=bool)
+    alive[k if len(samples) == 1 else which[mask][owner] * n_dir + k] = False
+    return alive.reshape(-1, n_dir)
 
 
-def _ray_survivors(model: str, params: ModelParams, r: float, n_dir: int, gen):
-    """Draw what can reach the rays of length r from (0, 1), the lines
-    meeting B(o, r) or the points within R of it, and return it with the
-    mask of the n_dir grid directions whose ray survives."""
+def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, rngs):
+    """Draw, from each stream of rngs in turn, what can reach the rays of
+    length r from (0, 1), the lines meeting B(o, r) or the points within R
+    of it, and yield each group of consecutive samples (``_groups``) with
+    the mask (samples, n_dir) of the grid directions whose ray survives."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     # with fewer, detect-line's seven antipodal partners of a direction repeat
     if n_dir < 8:
         raise ValueError("need at least 8 directions")
     if model == "lines":
-        sample = sample_lines(params.intensity, r, gen)
-        return sample, _line_ray_survivors(sample, r, n_dir)
-    sample = sample_points(params, r + params.radius, gen)
-    return sample, _boolean_ray_survivors(sample, r, n_dir, model)
+        draws = (sample_lines(params.intensity, r, rng.generator()) for rng in rngs)
+        for group in _groups(draws):
+            yield group, _line_ray_survivors(group, r, n_dir)
+    else:
+        draws = (sample_points(params, r + params.radius, rng.generator()) for rng in rngs)
+        for group in _groups(draws):
+            yield group, _boolean_ray_survivors(group, r, n_dir, model)
 
 
 def surviving_directions(
@@ -513,11 +568,13 @@ def surviving_directions(
     params: ModelParams,
     r: float,
     n_directions: int,
-    rng: RngStream,
-) -> RaySurvival:
-    """Ray survival on a uniform direction grid, one shared sample."""
-    _, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
-    return RaySurvival([int(i) for i in np.nonzero(alive)[0]])
+    rngs,
+) -> list[RaySurvival]:
+    """Ray survival on a uniform direction grid: one sample per stream of
+    rngs, each drawn from ``rng.generator()``, decided per group of
+    consecutive samples."""
+    return [RaySurvival(np.flatnonzero(mask).tolist())
+            for _, alive in _ray_groups(model, params, r, n_directions, rngs) for mask in alive]
 
 
 def _antipodal_pairs(alive: np.ndarray, r: float, s: float):
@@ -539,38 +596,63 @@ def _antipodal_pairs(alive: np.ndarray, r: float, s: float):
     return i[keep][order], j[keep][order]
 
 
+def _chord_contained(model: str, sample: BooleanSample, i: int, j: int, n_dir: int, r: float,
+                     s: float) -> bool:
+    """Whether the chord between the points at distance r from (0, 1) in
+    the grid directions i and j of n_dir, which passes within h < s of
+    (0, 1), lies in the set of the sample's balls.
+
+    The distance to the ray [o, p] toward one end p is convex along the
+    half-chord from p to the chord's point nearest (0, 1), 0 at p and at
+    most h there, so the chord lies within h of its two rays.  A point
+    at distance R + s or more from both rays then keeps more than R from
+    the chord, and only the points within R + s of the geodesic of one
+    ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin for
+    rounding), are measured."""
+    R = sample.params.radius
+    ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
+    reach = math.sinh(R + s + 1e-9)
+    sinh_t = np.sinh(sample.t)
+    near = (sinh_t * np.abs(np.sin(sample.psi - ends[0])) < reach) | (
+        sinh_t * np.abs(np.sin(sample.psi - ends[1])) < reach)
+    pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
+    w = to_hyperboloid(polar_around_origin(sample.t[near], sample.psi[near]))
+    return _net_contained(pq[:1], pq[1:], w, R, model)
+
+
 def detect_line_through_ball(
     model: str,
     params: ModelParams,
     s: float,
     r: float,
-    rng: RngStream,
+    rngs,
     n_directions: int = 360,
-) -> LineDetection:
-    """Search for a full chord through B(o, s) certified by two
-    surviving rays in nearly antipodal directions: the pairs of one
-    shared sample's surviving directions that ``_antipodal_pairs``
+) -> list[LineDetection]:
+    """Search, in one sample per stream of rngs (drawn and decided as by
+    ``surviving_directions``), for a full chord through B(o, s) certified
+    by two surviving rays in nearly antipodal directions: the pairs of
+    the sample's surviving directions that ``_antipodal_pairs``
     enumerates are tried in its order, and the first whose chord between
-    the far endpoints is contained is the witness.  For lines that is the
-    first pair: a line that strictly separates the ends p and q puts one
-    of them on the side away from (0, 1), so it crosses that end's ray,
-    and no line crosses a surviving ray."""
+    the far endpoints is contained (``_chord_contained``) is the witness.
+    For lines that is the first pair: a line that strictly separates the
+    ends p and q puts one of them on the side away from (0, 1), so it
+    crosses that end's ray, and no line crosses a surviving ray."""
     if not s > 0:
         raise ValueError("the chord certificate's ball radius s must be positive")
+    found = []
     # the chords between the rays' ends lie in B(o, r) as well
-    sample, alive = _ray_survivors(model, params, r, n_directions, rng.generator())
-    n_surviving = int(np.count_nonzero(alive))
-    if n_surviving < 2:
-        return LineDetection(False, None, n_surviving)
-    w = None if model == "lines" else to_hyperboloid(sample.points)
-    for i, j in zip(*_antipodal_pairs(alive, r, s)):
-        if w is not None:
-            ends = 2.0 * math.pi * np.asarray([i, j]) / n_directions
-            pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
-            if not _net_contained(pq[:1], pq[1:], w, params.radius, model):
-                continue
-        return LineDetection(True, (int(i), int(j)), n_surviving)
-    return LineDetection(False, None, n_surviving)
+    for group, alive in _ray_groups(model, params, r, n_directions, rngs):
+        for sample, mask in zip(group, alive):
+            n_surviving = int(np.count_nonzero(mask))
+            witness = None
+            if n_surviving >= 2:
+                for i, j in zip(*_antipodal_pairs(mask, r, s)):
+                    if model == "lines" or _chord_contained(
+                            model, sample, i, j, n_directions, r, s):
+                        witness = (int(i), int(j))
+                        break
+            found.append(LineDetection(witness is not None, witness, n_surviving))
+    return found
 
 
 def _chord_distance(r: float, delta: np.ndarray) -> np.ndarray:
@@ -616,20 +698,29 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 TUBE_BLOCK = 64
 
 
-def _lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
-    """(A, f, Q) of one line realization for the tube whose end nets
-    net_x and net_y (hyperboloid vectors) start with the end centres.
+def _lines_tube_events(samples: list[LineSample], net_x: np.ndarray, net_y: np.ndarray):
+    """(A, f, Q), one bool array each, of the line realizations samples
+    for the tube whose end nets net_x and net_y (hyperboloid vectors)
+    start with the end centres.
 
     The tube is convex, so two of its points are joined off the lines
     iff no line separates them, that is iff their rows of signs of
-    ``sides`` are equal.  f joins the end centres, A some point of each
-    net, and Q every point of both nets.
+    ``sides`` are equal.  f joins the end centres and Q every point of
+    both nets, so each is counted per trial over its lines by
+    ``bincount``; A, some point of each net, compares the row sets of
+    the trials where f fails.  Every line's sides are taken once.
     """
-    pos_x, pos_y = sample.sides(net_x) > 0.0, sample.sides(net_y) > 0.0
-    f_ok = bool(np.array_equal(pos_x[0], pos_y[0]))
+    trial, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
+    lines = LineSample(samples[0].intensity, samples[0].window_radius, foot_dist, foot_dir)
+    pos_x, pos_y = lines.sides(net_x) > 0.0, lines.sides(net_y) > 0.0
     both = np.concatenate([pos_x, pos_y])
-    q_ok = bool(np.all(both.all(axis=0) | ~both.any(axis=0)))
-    a_ok = f_ok or bool({row.tobytes() for row in pos_x} & {row.tobytes() for row in pos_y})
+    f_ok = np.bincount(trial[pos_x[0] != pos_y[0]], minlength=len(samples)) == 0
+    q_ok = np.bincount(trial[both.any(axis=0) & ~both.all(axis=0)], minlength=len(samples)) == 0
+    a_ok = f_ok.copy()
+    bounds = np.searchsorted(trial, np.arange(len(samples) + 1))
+    for t in np.flatnonzero(~f_ok):
+        rows_x, rows_y = pos_x[:, bounds[t]:bounds[t + 1]], pos_y[:, bounds[t]:bounds[t + 1]]
+        a_ok[t] = bool({row.tobytes() for row in rows_x} & {row.tobytes() for row in rows_y})
     return a_ok, f_ok, q_ok
 
 
@@ -784,10 +875,17 @@ def sandwich_AQ(
     The flood fill (``_flood_connected``) is a plain numpy reachability
     sweep over the runs of open cells along and across the feet.  Over
     20 passes of the tube workload's sandwiches (2000 vacant and 200
-    occupied trials) the margins left it 72 trials at about 0.25 ms a
-    call, 4% of the sandwiches' time, and the Q net 86 at 2.5 ms, half
-    of it.  Grids whose open paths turn many times cost more rounds,
-    about 2.4 ms on random grids of open density 0.3-0.8.
+    occupied trials; one seed, three runs on a 2-core host) the margins
+    left it 102 trials at 0.22-0.30 ms a call, 5% of the sandwiches'
+    time, and the Q net 63 at 2.3-3.3 ms, a third of it (4356 segments
+    against about 20 points; 3.2-4.8 ms and 44% with the projection
+    form of ``segment_point_distance``).  Grids whose open paths turn
+    many times cost more rounds, about 2.4 ms on random grids of open
+    density 0.3-0.8.
+
+    Lines trials are decided per group of ``_groups``: every line's
+    sides on both end nets are taken once, f and Q count per trial the
+    lines that split the centres or a net (``_lines_tube_events``).
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -809,7 +907,9 @@ def sandwich_AQ(
     rho = half_d + s
     if model == "lines":
         hx, hy = to_hyperboloid(net_x), to_hyperboloid(net_y)
-        events = [_lines_tube_events(sample_lines(lam, rho, gen), hx, hy) for _ in range(trials)]
+        events = []
+        for group in _groups(sample_lines(lam, rho, gen) for _ in range(trials)):
+            events += zip(*(ok.tolist() for ok in _lines_tube_events(group, hx, hy)))
     else:
         events = []
         seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))

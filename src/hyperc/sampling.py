@@ -74,8 +74,12 @@ class ModelParams:
     def __post_init__(self):
         if not self.intensity >= 0:
             raise ValueError("intensity must be nonnegative")
+        if self.intensity == math.inf:
+            raise ValueError("intensity must be finite")
         if self.radius is not None and not self.radius > 0:
             raise ValueError("ball radius must be positive")
+        if self.radius == math.inf:
+            raise ValueError("ball radius must be finite")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose

@@ -64,8 +64,10 @@ def _check_arc(arc_length: float) -> None:
 
 def _foot_normals(arc_length: float) -> np.ndarray:
     """Unit normals of L_0, L_1, L_2, shape (3, 3): L_j's foot lies
-    p = artanh cos(arc/2) from (0, 1) in the direction 2 pi j / 3."""
-    p = math.atanh(math.cos(arc_length / 2.0))
+    p = artanh cos(arc/2) = -log tan(arc/4) from (0, 1) in the direction
+    2 pi j / 3.  The second form keeps full precision as the arc shrinks,
+    where cos(arc/2) rounds near 1 (the first is 2e-11 off at arc 1e-3)."""
+    p = -math.log(math.tan(arc_length / 4.0))
     return line_normal(np.full(3, p), 2.0 * math.pi * np.arange(3) / 3.0)
 
 
@@ -146,7 +148,7 @@ def tube_constants(arc_length: float) -> tuple[float, float]:
     largest distance from a bi-infinite tree path's vertices to its limit
     geodesic, and from that geodesic to the path's vertices.
 
-    L_j has foot distance p = artanh cos(arc/2) in the direction
+    L_j has foot distance p = -log tan(arc/4) in the direction
     2 pi j / 3, and cosh d(L_0, L_1) = -<n_0, n_1> on their unit normals.
     The path ...0101... runs along the axis of r_0 r_1, their common
     perpendicular with normal m, and its vertices lie delta = arcsinh |m_2|

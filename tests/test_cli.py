@@ -251,9 +251,18 @@ def test_nan_intensity_is_a_usage_error(capsys):
         (["lrp", "--nmin", "5", "--nmax", "2"], "nmax must be at least nmin"),
         *((["s-dist", "--lambda", "1", f"--grid={grid}", "--seed", "1"],
            "--grid must be at least 1") for grid in ("0", "-3")),
+        *((["alpha", "--model", model, "--lambda", "inf"], "intensity must be finite")
+          for model in ("vacant", "lines")),
+        (["lrp", "--lambda", "inf"], "intensity must be finite"),
+        *((["critical", "--model", model, "--R", "inf"], "R must be finite")
+          for model in ("occupied", "vacant")),
+        (["alpha", "--model", "occupied", "--lambda", "1", "--R", "inf"],
+         "ball radius must be finite"),
     ],
     ids=["alpha-lines-negative", "alpha-lines-nan", "lrp-negative", "lrp-nan", "lrp-c-above-1",
-         "lrp-c-negative", "lrp-c-nan", "lrp-inverted", "s-dist-grid-0", "s-dist-grid-negative"],
+         "lrp-c-negative", "lrp-c-nan", "lrp-inverted", "s-dist-grid-0", "s-dist-grid-negative",
+         "alpha-vacant-inf", "alpha-lines-inf", "lrp-inf", "critical-occupied-R-inf",
+         "critical-vacant-R-inf", "alpha-occupied-R-inf"],
 )
 def test_out_of_range_parameter_is_a_usage_error(argv, message, capsys):
     """Each is refused before anything is computed or drawn, in one

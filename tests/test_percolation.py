@@ -31,10 +31,10 @@ from hyperc.geometry import (
 from hyperc.percolation import (
     TRIAL_BLOCK,
     TUBE_BLOCK,
-    LineDetection,
     _antipodal_pairs,
     _block_thresholds,
     _boolean_ray_survivors,
+    _chord_contained,
     _chord_distance,
     _coverage_reaches,
     _cut_columns,
@@ -45,6 +45,7 @@ from hyperc.percolation import (
     _lines_tube_events,
     _net_contained,
     _q_by_margin,
+    _ray_groups,
     _tube_grid,
     _within_segment,
     detect_line_through_ball,
@@ -67,6 +68,12 @@ from hyperc.sampling import (
 )
 
 from axis_oracles import axis_point, distance_to_axis_segment, polar_of, to_axis
+from tube_oracles import (
+    full_chord_detection,
+    lines_tube_events,
+    projection_segment_point_distance,
+    sample_and_rays,
+)
 
 # false-alarm rate per estimate of the exact two-sided binomial gates
 TAIL = 3.8e-8
@@ -542,7 +549,7 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     seen = set()
     for seed in range(6):
         sample = sample_points(params, r + params.radius, np.random.default_rng(seed))
-        alive = _boolean_ray_survivors(sample, r, n_dir, model)
+        alive = _boolean_ray_survivors([sample], r, n_dir, model)[0]
         for k in range(n_dir):
             end = HPoint(ends[k].real, ends[k].imag)
             assert alive[k] == segment_in(model, ORIGIN, end, sample), (seed, k)
@@ -571,7 +578,7 @@ def test_ray_arcs_match_all_pairs(model, params, n_dir):
     r = 5.0
     for seed in range(8):
         sample = sample_points(params, r + params.radius, RngStream(seed).generator())
-        got = _boolean_ray_survivors(sample, r, n_dir, model)
+        got = _boolean_ray_survivors([sample], r, n_dir, model)[0]
         assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, model)), seed
 
 
@@ -595,7 +602,7 @@ def test_ray_arcs_of_single_points(n_dir):
     blocked = set()
     for t, psi in places:
         sample = BooleanSample(params, r + params.radius, np.asarray([t]), np.asarray([psi]))
-        got = _boolean_ray_survivors(sample, r, n_dir, "vacant")
+        got = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
         ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
         assert np.array_equal(got, ref), (t, psi)
         blocked.add(int(n_dir - got.sum()))
@@ -615,7 +622,7 @@ def test_line_ray_arcs_match_the_segment_predicate(n_dir, foot_dist, steps):
     sample = LineSample(
         0.1, r, np.append(drawn.foot_dist, foot_dist), np.append(drawn.foot_dir, foot_dir)
     )
-    alive = _line_ray_survivors(sample, r, n_dir)
+    alive = _line_ray_survivors([sample], r, n_dir)[0]
     ends = polar_around_origin(np.full(n_dir, r), h * np.arange(n_dir))
     for k in range(n_dir):
         end = HPoint(ends[k].real, ends[k].imag)
@@ -1108,7 +1115,9 @@ def test_lines_tube_events(feet, events):
     # the line at right angles to the axis at foot c has its foot there:
     # distance |c| from (0, 1), disk direction 0 above (0, 1) and pi below
     lines = LineSample(1.0, 2.05, np.abs(feet), np.where(feet < 0.0, math.pi, 0.0))
-    assert _lines_tube_events(lines, hx, hy) == events
+    assert lines_tube_events(lines, hx, hy) == events
+    assert tuple(ok.tolist() for ok in _lines_tube_events([lines], hx, hy)) == tuple(
+        [e] for e in events)
 
 
 @pytest.mark.parametrize("model", ["vacant", "occupied", "lines"])
@@ -1118,9 +1127,9 @@ def test_empty_process(model):
     ends, or none is at risk at r = 0."""
     params = ModelParams(0.0, None if model == "lines" else 1.0)
     inside = model != "occupied"
-    rays = surviving_directions(model, params, 4.0, 16, RngStream(1))
+    [rays] = surviving_directions(model, params, 4.0, 16, [RngStream(1)])
     assert len(rays.surviving) == (16 if inside else 0)
-    det = detect_line_through_ball(model, params, 0.1, 4.0, RngStream(1), n_directions=36)
+    [det] = detect_line_through_ball(model, params, 0.1, 4.0, [RngStream(1)], n_directions=36)
     assert det.found == inside
     assert det.n_surviving == (36 if inside else 0)
     res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 2, RngStream(1))
@@ -1145,10 +1154,8 @@ def test_vacant_ray_share_matches_f_vacant():
     bound 2 exp(-2 n t^2) = TAIL.  A window missing the balls beyond
     B(o, r) would read about 0.3 here, against f = 0.197."""
     params, r, n_dir, n = ModelParams(0.2, 1.0), 2.0, 32, 2000
-    share = [
-        len(surviving_directions("vacant", params, r, n_dir, RngStream(50, i)).surviving) / n_dir
-        for i in range(n)
-    ]
+    rays = surviving_directions("vacant", params, r, n_dir, [RngStream(50, i) for i in range(n)])
+    share = [len(rs.surviving) / n_dir for rs in rays]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f_vacant(r, params)) <= t
 
@@ -1180,9 +1187,8 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
     antipodal, and on the surviving directions of real samples."""
     r, s = 4.0, 0.1
     masks = [np.ones(n_dir, dtype=bool)]
-    for seed in range(8):
-        gen = RngStream(seed).generator()
-        masks.append(percolation._ray_survivors(model, params, r, n_dir, gen)[1])
+    rngs = [RngStream(seed) for seed in range(8)]
+    masks += [mask for _, alive in _ray_groups(model, params, r, n_dir, rngs) for mask in alive]
     partial_tried = 0
     for alive in masks:
         got, ref = _antipodal_pairs(alive, r, s), _all_pairs_antipodal(alive, r, s)
@@ -1194,29 +1200,15 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
 @pytest.mark.parametrize("n_dir", [-4, 0, 1, 3, 7])
 def test_detect_line_needs_eight_directions(n_dir):
     with pytest.raises(ValueError, match="at least 8 directions"):
-        detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, RngStream(1), n_dir)
-    det = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, RngStream(1), 8)
+        detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, [RngStream(1)], n_dir)
+    [det] = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, [RngStream(1)], 8)
     assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, float("nan")])
 def test_detect_line_needs_a_positive_ball(s):
     with pytest.raises(ValueError, match="radius s must be positive"):
-        detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, RngStream(1))
-
-
-def _checked_lines_detection(params, s, r, rng, n_dir=360) -> LineDetection:
-    """detect_line_through_ball for lines with the chord check kept: the
-    pairs are tried in order, and the first whose chord _lines_avoid
-    passes is the witness."""
-    sample, alive = percolation._ray_survivors("lines", params, r, n_dir, rng.generator())
-    n_surviving = int(np.count_nonzero(alive))
-    if n_surviving >= 2:
-        for i, j in zip(*_antipodal_pairs(alive, r, s)):
-            ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray([i, j]) / n_dir)
-            if _lines_avoid(sample, to_hyperboloid(ends)):
-                return LineDetection(True, (int(i), int(j)), n_surviving)
-    return LineDetection(False, None, n_surviving)
+        detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, [RngStream(1)])
 
 
 @pytest.mark.parametrize("r", [5.0, 10.0])
@@ -1227,9 +1219,10 @@ def test_the_lines_witness_needs_no_chord_check(lam, r):
     _lines_avoid and by segment_in."""
     params, s = ModelParams(lam), 0.1
     outcomes = set()
-    for seed in range(200):
-        det = detect_line_through_ball("lines", params, s, r, RngStream(seed))
-        assert det == _checked_lines_detection(params, s, r, RngStream(seed)), seed
+    rngs = [RngStream(seed) for seed in range(200)]
+    found = detect_line_through_ball("lines", params, s, r, rngs)
+    for seed, det in enumerate(found):
+        assert det == full_chord_detection("lines", params, s, r, RngStream(seed)), seed
         outcomes.add(det.found)
         if det.found:
             sample = sample_lines(lam, r, RngStream(seed).generator())
@@ -1237,6 +1230,148 @@ def test_the_lines_witness_needs_no_chord_check(lam, r):
             assert _lines_avoid(sample, to_hyperboloid(ends)), seed
             assert segment_in("lines", *(HPoint(z.real, z.imag) for z in ends), sample), seed
     assert True in outcomes
+
+
+# (model, params, r, directions): about 130-170 points or lines a sample
+GROUPED_CASES = [
+    ("vacant", ModelParams(0.1, 1.0), 5.0, 64),
+    ("occupied", ModelParams(1.0, 1.0), 3.0, 64),
+    ("lines", ModelParams(0.2), 6.0, 90),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 500, None])
+@pytest.mark.parametrize("model, params, r, n_dir", GROUPED_CASES)
+def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r, n_dir, budget):
+    """rays and detect-line decide their samples in groups of at most
+    GROUP_POINTS points or lines.  At a budget of 1 (a sample a group),
+    500 (a few) and the default (two groups of 40 samples), every
+    sample's survivors and detection equal those of the sample decided
+    on its own, each chord measured against its whole sample."""
+    if budget is not None:
+        monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
+    name = "_line_ray_survivors" if model == "lines" else "_boolean_ray_survivors"
+    survivors, sizes = getattr(percolation, name), []
+
+    def spy(samples, *args):
+        sizes.append(len(samples))
+        return survivors(samples, *args)
+
+    monkeypatch.setattr(percolation, name, spy)
+    rngs = [RngStream(seed, 3) for seed in range(40)]
+    rays = surviving_directions(model, params, r, n_dir, rngs)
+    found = detect_line_through_ball(model, params, 0.1, r, rngs, n_dir)
+    assert sum(sizes) == 80
+    assert set(sizes) == {1} if budget == 1 else 1 < max(sizes) < 40
+    for rng, rs, det in zip(rngs, rays, found, strict=True):
+        alive = sample_and_rays(model, params, r, n_dir, rng)[1]
+        assert rs.surviving == np.flatnonzero(alive).tolist()
+        assert det == full_chord_detection(model, params, 0.1, r, rng, n_dir)
+    assert {det.found for det in found} == {True, False}
+
+
+def _chord_ends(i: int, j: int, n_dir: int, r: float) -> np.ndarray:
+    ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
+    return to_hyperboloid(polar_around_origin(np.full(2, r), ends))
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_pruned_chord_check_matches_the_full_check(model, params):
+    """On 200 realizations, three chords each between nearly antipodal
+    grid directions that pass within s of (0, 1): the chord measured
+    against the points near its rays is contained iff it is when
+    measured against every point."""
+    r, s, n_dir, R = 3.0, 0.1, 360, params.radius
+    pair_i, pair_j = _antipodal_pairs(np.ones(n_dir, dtype=bool), r, s)
+    verdicts = []
+    for seed in range(200):
+        gen = RngStream(seed, 5).generator()
+        sample = sample_points(params, r + R, gen)
+        w = to_hyperboloid(sample.points)
+        for k in gen.integers(len(pair_i), size=3):
+            i, j = pair_i[k], pair_j[k]
+            pq = _chord_ends(i, j, n_dir, r)
+            full = _net_contained(pq[:1], pq[1:], w, R, model)
+            assert _chord_contained(model, sample, i, j, n_dir, r, s) == full, (seed, i, j)
+            verdicts.append(full)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied"])
+def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
+    """The chord between the antipodal directions 0 and pi is the
+    diameter along direction 0.  A point exactly R + s from it is
+    measured, one R + s + 1e-6 from it is not, and the verdict is the
+    full check's, on a realization that holds both."""
+    params, r, s, n_dir = ModelParams(1.0, 1.0), 3.0, 0.1, 360
+    R = params.radius
+    drawn = sample_points(params, r + R, RngStream(9).generator())
+    t = np.asarray([2.0, 2.5])
+    psi = np.arcsin(np.sinh([R + s, R + s + 1e-6]) / np.sinh(t))
+    sample = BooleanSample(params, r + R, np.append(drawn.t, t), np.append(drawn.psi, psi))
+    seen = []
+
+    def spy(seg_p, seg_q, w, *args):
+        seen.append(w)
+        return _net_contained(seg_p, seg_q, w, *args)
+
+    monkeypatch.setattr(percolation, "_net_contained", spy)
+    got = _chord_contained(model, sample, 0, n_dir // 2, n_dir, r, s)
+    pq = _chord_ends(0, n_dir // 2, n_dir, r)
+    assert got == _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
+    [w] = seen
+    at, beyond = to_hyperboloid(polar_around_origin(t, psi))
+    assert np.any(np.all(w == at, axis=1)) and not np.any(np.all(w == beyond, axis=1))
+    assert len(w) < len(drawn)
+
+
+@pytest.mark.parametrize("budget", [1, 10, None])
+def test_lines_sandwich_matches_the_per_trial_events(monkeypatch, budget):
+    """The lines sandwich takes every line's sides once per group of
+    trials, f and Q by counting the lines that split, and A's row sets
+    only where f fails.  Over 200 seeds of 20 trials at the tube
+    workload's lambda = 0.1 (about 1.2 lines a trial; 30% of the trials
+    hold none), at a budget of 1 line (a trial a group), 10 and the
+    default, its (A, f, Q) are those of the trials decided one by one."""
+    if budget is not None:
+        monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
+    lam, s, trials = 0.1, 0.05, 20
+    hx, hy = (to_hyperboloid(net) for net in _end_nets(2.0, s, 0.999 * s / 4.0))
+    empty, a_not_f = 0, 0
+    for seed in range(200):
+        res = sandwich_AQ(X_TUBE, Y_TUBE, s, "lines", ModelParams(lam), trials, RngStream(seed))
+        gen = RngStream(seed).generator()
+        samples = [sample_lines(lam, 2.0 + s, gen) for _ in range(trials)]
+        events = [lines_tube_events(sample, hx, hy) for sample in samples]
+        n_A, n_f, n_Q = (sum(col) for col in zip(*events))
+        assert (res.p_A, res.f_hat, res.p_Q) == (n_A / trials, n_f / trials, n_Q / trials), seed
+        empty += sum(len(sample) == 0 for sample in samples)
+        a_not_f += n_A - n_f
+    assert empty > 0 and a_not_f > 0
+
+
+@pytest.mark.parametrize(
+    "model, params, trials",
+    [("vacant", ModelParams(0.1, 1.0), 50), ("occupied", ModelParams(1.0, 1.0), 2)],
+)
+def test_sandwich_is_the_same_with_the_projection_kernel(monkeypatch, model, params, trials):
+    """The Boolean sandwich at the tube workload's parameters, over 30
+    seeds, gives the results it gives with segment_point_distance
+    replaced by the projection form; the Q net runs in some trials."""
+    got = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+           for seed in range(30)]
+    calls = []
+
+    def projection(*args):
+        calls.append(1)
+        return projection_segment_point_distance(*args)
+
+    monkeypatch.setattr(percolation, "segment_point_distance", projection)
+    assert got == [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+                   for seed in range(30)]
+    assert calls
 
 
 def test_chord_distance_is_well_conditioned():
@@ -1281,11 +1416,11 @@ def test_rays_refuse_a_length_past_the_window(model):
     gen = RngStream(3).generator()
     if model == "lines":
         sample = sample_lines(1.0, 2.0, gen)
-        rays = partial(_line_ray_survivors, sample, n_dir=16)
+        rays = partial(_line_ray_survivors, [sample], n_dir=16)
     else:
         sample = sample_points(ModelParams(0.5, 1.0), 3.0, gen)
-        rays = partial(_boolean_ray_survivors, sample, n_dir=16, model=model)
-    assert rays(r=2.0).shape == (16,)
+        rays = partial(_boolean_ray_survivors, [sample], n_dir=16, model=model)
+    assert rays(r=2.0).shape == (1, 16)
     with pytest.raises(WindowError):
         rays(r=2.1)
 

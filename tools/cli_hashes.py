@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 76
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 83
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -43,10 +43,13 @@ INVOCATIONS = [
      ["alpha", "--model", "occupied", "--lambda", "1000", "--R", "1"]),
     ("alpha.bad-model", ["alpha", "--model", "cubes", "--lambda", "1"]),
     ("alpha.lines.lambda-negative", ["alpha", "--model", "lines", "--lambda=-1"]),
+    ("alpha.vacant.lambda-inf", ["alpha", "--model", "vacant", "--lambda", "inf"]),
+    ("alpha.lines.lambda-inf", ["alpha", "--model", "lines", "--lambda", "inf"]),
     ("critical.default", ["critical"]),
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
     ("critical.lines", ["critical", "--model", "lines"]),
     ("critical.R20", ["critical", "--model", "occupied", "--R", "20"]),
+    ("critical.R-inf", ["critical", "--model", "occupied", "--R", "inf"]),
     *((f"critical.occupied.R{R}", ["critical", "--model", "occupied", "--R", R])
       for R in ("0.05", "3", "8")),
     ("simulate-f.vacant.csv",
@@ -88,6 +91,10 @@ INVOCATIONS = [
       "--samples", "10", "--seed", "2"]),
     ("rays.lines",
      ["rays", "--model", "lines", "--lambda", "0.2", "--samples", "40", "--seed", "2"]),
+    # 200 samples of about 126 points: the rays are decided in groups
+    ("rays.vacant.groups",
+     ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "5", "--samples", "200",
+      "--seed", "2"]),
     ("rays.no-samples", ["rays", "--lambda", "0.1", "--samples", "0", "--seed", "1"]),
     ("rays.r-nan", ["rays", "--lambda", "0.1", "--r", "nan", "--samples", "2", "--seed", "1"]),
     ("rays.r-inf", ["rays", "--lambda", "0.1", "--r", "inf", "--samples", "2", "--seed", "1"]),
@@ -102,6 +109,13 @@ INVOCATIONS = [
     ("detect-line.vacant.odd-grid",
      ["detect-line", "--model", "vacant", "--lambda", "0.05", "--r", "4", "--directions", "361",
       "--samples", "20", "--seed", "4"]),
+    # chords measured only against the points near their rays
+    ("detect-line.occupied.pruned",
+     ["detect-line", "--model", "occupied", "--lambda", "1", "--R", "1", "--r", "5",
+      "--samples", "8", "--seed", "4"]),
+    ("detect-line.vacant.groups",
+     ["detect-line", "--model", "vacant", "--lambda", "0.1", "--R", "1", "--r", "5",
+      "--samples", "60", "--seed", "4"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
     ("detect-line.r-nan",
@@ -123,6 +137,7 @@ INVOCATIONS = [
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
     ("lrp.lambda-negative", ["lrp", "--lambda=-1"]),
+    ("lrp.lambda-inf", ["lrp", "--lambda", "inf"]),
     ("lrp.c-above-1", ["lrp", "--c", "5"]),
     ("lrp.inverted", ["lrp", "--nmin", "5", "--nmax", "2"]),
     ("tree.sep.svg", ["tree", *TREE, "--check-separation", "--svg", "tree.svg"]),
