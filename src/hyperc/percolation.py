@@ -21,33 +21,28 @@ cap is drawn in chunks of trials below it.  Rays, chords and the tube
 sandwich draw exactly the ball that can reach them, and measure each
 ray, chord, net segment or grid cell only against the points that can
 come within R of it; the sandwich decides its flood-fill grid in its
-tube's axis coordinates.
-Rays and detect-line draw one sample per stream and decide their
-samples per group: consecutive samples of at most GROUP_POINTS points
-or lines together go through one ``_grid_runs``, ``_polar_fermi`` and
-``_reaches`` pass, sample i's direction k as segment i n + k.  The
-lines sandwich takes the sides of a group of trials' lines at once.
-The Boolean sandwich decides its trials in blocks: f, and margins on
-the central segment that settle Q or A for most trials (``sandwich_AQ``
-gives the argument), each in one ``_reaches`` call per block; only the
-trials they leave run the Q net or the flood fill, one at a time.
+tube's axis coordinates.  Rays and detect-line draw one sample per
+stream and decide their samples per group: consecutive samples of at
+most GROUP_POINTS points or lines together go through one
+``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass, sample i's
+direction k as segment i n + k.  The lines sandwich takes the sides of
+a group of trials' lines at once.  The Boolean sandwich decides its
+trials in blocks: f, and margins on the central segment that settle Q
+or A for most trials (``sandwich_AQ`` gives the argument), each in one
+``_reaches`` call per block; only the trials they leave run the Q net
+or the flood fill, one at a time.
 
-The polar steps around (0, 1) are each written once: ``_grid_runs``
-maps every arc of directions (a point's rays, a line's blocked rays,
-a direction's antipodal partners) onto the direction grid,
-``_polar_fermi`` reads polar coordinates as Fermi coordinates along a
-ray (the ray survivors, the law of S), and ``sampling.ball_polar`` and
-``geometry.ball_net`` draw and net a ball.  A ``BooleanSample`` keeps
-the polar coordinates it was drawn in, so the ray survivors read its
-``t`` and ``psi`` as they are, with no change of model; ``estimate_f``
-converts its end caps to axis coordinates per chunk, the sandwich per block.
-
-One predicate, ``segment_in``, decides a single segment [p, q] against
-a sample: the Boolean models through ``_net_contained`` on hyperboloid
-vectors, the lines through ``_lines_avoid``, the side test.
-``estimate_f`` and the ray survivors reach their thresholds through
-axis coordinates or polar formulas instead, so the tests check them
-against ``segment_in`` on the same realization.
+Every path reads the polar coordinates (t, psi) around (0, 1) that a
+``BooleanSample`` was drawn in as they are, with no trip through the
+upper half-plane: as Fermi coordinates along a geodesic through (0, 1)
+by ``geometry.polar_frame`` and ``frame_fermi`` (the ray survivors, the
+law of S, the sandwich's blocks, ``estimate_f``'s end caps), or as
+hyperboloid vectors by ``geometry.polar_hyperboloid`` (chords, the Q
+net, ``segment_in``).  ``_grid_runs`` maps every arc of directions onto
+the direction grid.  One predicate, ``segment_in``, decides a single
+segment [p, q] against a sample, the Boolean models through
+``_net_contained`` and the lines through ``_lines_avoid``; the tests
+check every other path against it on the same realization.
 """
 
 from __future__ import annotations
@@ -65,13 +60,15 @@ from . import sampling
 from .geometry import (
     HPoint,
     ORIGIN,
-    axis_coordinates,
     ball_area,
     ball_net,
     dist,
     dist_arrays,
+    frame_fermi,
     minkowski,
     polar_around_origin,
+    polar_frame,
+    polar_hyperboloid,
     segment_point_distance,
     to_hyperboloid,
     tube_area,
@@ -264,7 +261,7 @@ def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSam
     if p == q:
         d = dist_arrays(sample.points, np.asarray(p.as_complex()))
         return bool(np.all(d >= R)) if model == "vacant" else bool(np.any(d <= R))
-    return _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
+    return _net_contained(pq[:1], pq[1:], polar_hyperboloid(sample.t, sample.psi), R, model)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +438,6 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
     return owner, np.mod(k, n)
 
 
-def _polar_fermi(t: np.ndarray, dpsi: np.ndarray, reach: float = math.inf):
-    """Of the points at distance t from (0, 1), angle dpsi from a geodesic
-    through it, the mask of those at offset below reach, and their foot
-    arctanh(tanh t cos dpsi) (tanh clipped short of +-1) and offset
-    arcsinh(sinh t |sin dpsi|)."""
-    perp = np.arcsinh(np.sinh(t) * np.abs(np.sin(dpsi)))
-    near = perp < reach
-    tanh_foot = np.clip(np.tanh(t[near]) * np.cos(dpsi[near]), -1.0 + 1e-15, 1.0 - 1e-15)
-    return near, np.arctanh(tanh_foot), perp[near]
-
-
 # Samples that rays and detect-line decide in one pass, and lines
 # trials that the lines sandwich decides in one pass: consecutive ones
 # join a group while their points or lines together stay within this
@@ -499,9 +485,9 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     so it can come within R only of the rays that run toward it, in the
     directions theta with |theta - psi| < beta, sin beta = sinh R / sinh t.
     Such a point is measured on the grid directions of that arc and the
-    next one beyond each end, a point with t <= R on every direction; a
-    margin of 1e-9 on t keeps ties at distance R decided as by measuring
-    every pair.
+    next one beyond each end, a point with t <= R + 1e-9 on every one,
+    where sinh t |sin(psi - theta)| < sinh(R + 1e-9); these margins keep
+    ties at distance R decided as by measuring every pair.
     """
     R = samples[0].params.radius
     for sample in samples:
@@ -515,10 +501,12 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     hi = np.ceil((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
-    near, foot, perp = _polar_fermi(t[j], psi[j] - thetas[k], R)
+    along, normal = polar_frame(t[j], psi[j] - thetas[k])
+    near = np.abs(normal) < math.sinh(R + 1e-9)
+    foot, offset = frame_fermi(along[near], normal[near])
     # a lone sample, at or above the budget, keeps the per-sample indices
     seg = (k if len(samples) == 1 else which[j] * n_dir + k)[near]
-    return (_reaches(model, seg, foot, perp, R, len(samples) * n_dir) >= r).reshape(-1, n_dir)
+    return (_reaches(model, seg, foot, offset, R, len(samples) * n_dir) >= r).reshape(-1, n_dir)
 
 
 def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.ndarray:
@@ -611,12 +599,10 @@ def _chord_contained(model: str, sample: BooleanSample, i: int, j: int, n_dir: i
     rounding), are measured."""
     R = sample.params.radius
     ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
-    reach = math.sinh(R + s + 1e-9)
-    sinh_t = np.sinh(sample.t)
-    near = (sinh_t * np.abs(np.sin(sample.psi - ends[0])) < reach) | (
-        sinh_t * np.abs(np.sin(sample.psi - ends[1])) < reach)
-    pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
-    w = to_hyperboloid(polar_around_origin(sample.t[near], sample.psi[near]))
+    _, normal = polar_frame(sample.t, sample.psi - ends[:, None])
+    near = (np.abs(normal) < math.sinh(R + s + 1e-9)).any(axis=0)
+    pq = polar_hyperboloid(np.full(2, r), ends)
+    w = polar_hyperboloid(sample.t[near], sample.psi[near])
     return _net_contained(pq[:1], pq[1:], w, R, model)
 
 
@@ -637,8 +623,8 @@ def detect_line_through_ball(
     For lines that is the first pair: a line that strictly separates the
     ends p and q puts one of them on the side away from (0, 1), so it
     crosses that end's ray, and no line crosses a surviving ray."""
-    if not s > 0:
-        raise ValueError("the chord certificate's ball radius s must be positive")
+    if not 0.0 < s < math.inf:
+        raise ValueError("the chord certificate's ball radius s must be positive and finite")
     found = []
     # the chords between the rays' ends lie in B(o, r) as well
     for group, alive in _ray_groups(model, params, r, n_directions, rngs):
@@ -681,8 +667,8 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
     gen = rng.generator()
     counts = gen.poisson(mean, trials)
     # Fermi coordinates along gamma, the geodesic through (0, 1) in direction 0
-    _, u, perp = _polar_fermi(*ball_polar(R, int(counts.sum()), gen))
-    u_plus = u + _half_width(R, perp)
+    u, offset = frame_fermi(*polar_frame(*ball_polar(R, int(counts.sum()), gen)))
+    u_plus = u + _half_width(R, offset)
     nonempty = counts > 0
     starts = (np.cumsum(counts) - counts)[nonempty]
     s_vals = np.minimum.reduceat(u_plus, starts) if len(starts) else np.empty(0)
@@ -872,16 +858,11 @@ def sandwich_AQ(
     the net or the flood fill on its own, so the results are those of
     the full checks.
 
-    The flood fill (``_flood_connected``) is a plain numpy reachability
-    sweep over the runs of open cells along and across the feet.  Over
-    20 passes of the tube workload's sandwiches (2000 vacant and 200
-    occupied trials; one seed, three runs on a 2-core host) the margins
-    left it 102 trials at 0.22-0.30 ms a call, 5% of the sandwiches'
-    time, and the Q net 63 at 2.3-3.3 ms, a third of it (4356 segments
-    against about 20 points; 3.2-4.8 ms and 44% with the projection
-    form of ``segment_point_distance``).  Grids whose open paths turn
-    many times cost more rounds, about 2.4 ms on random grids of open
-    density 0.3-0.8.
+    Over 20 passes of the tube workload's sandwiches (2000 vacant and
+    200 occupied trials; one seed, three runs on a 2-core host) the
+    margins left the flood fill (``_flood_connected``) 102 trials at
+    0.22-0.30 ms a call, 5% of the sandwiches' time, and the Q net 63 at
+    2.3-3.3 ms, a third of it (4356 segments against about 20 points).
 
     Lines trials are decided per group of ``_groups``: every line's
     sides on both end nets are taken once, f and Q count per trial the
@@ -894,54 +875,47 @@ def sandwich_AQ(
         raise ValueError("the tube estimates need d(x, y) >= 4")
     if not 0.0 < s <= 0.05:
         raise ValueError("tube radius s must lie in (0, 0.05]")
-    net_mesh = 0.999 * s / 4.0
     lam, R = params.intensity, params.radius
 
     half_d = d / 2.0
-    # the net of B(o, s), moved along the axis to the ends gamma(-+d/2)
-    net = polar_around_origin(*ball_net(s, net_mesh))
-    net_x, net_y = math.exp(-half_d) * net, math.exp(half_d) * net
     gen = rng.generator()
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
     rho = half_d + s
+    # the net of B(o, s), moved along the axis to the ends gamma(-+d/2)
+    net = polar_around_origin(*ball_net(s, 0.999 * s / 4.0))
+    hx, hy = to_hyperboloid(math.exp(-half_d) * net), to_hyperboloid(math.exp(half_d) * net)
+    events = []
     if model == "lines":
-        hx, hy = to_hyperboloid(net_x), to_hyperboloid(net_y)
-        events = []
         for group in _groups(sample_lines(lam, rho, gen) for _ in range(trials)):
             events += zip(*(ok.tolist() for ok in _lines_tube_events(group, hx, hy)))
     else:
-        events = []
-        seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
-        seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
+        seg_p, seg_q = np.repeat(hx, len(hy), axis=0), np.tile(hy, (len(hx), 1))
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
         # every path from the start to the end cells crosses these columns
         mid_feet = feet[np.abs(feet) <= half_d - s]
         for lo in range(0, trials, TUBE_BLOCK):
             n = min(TUBE_BLOCK, trials - lo)
-            samples = [sample_points(params, rho + R, gen) for _ in range(n)]
-            trial = np.repeat(np.arange(n), [len(p) for p in samples])
-            pts = polar_around_origin(np.concatenate([p.t for p in samples]),
-                                      np.concatenate([p.psi for p in samples]))
-            # Fermi coordinates of the central segments, which run over feet [0, d]
-            u, y = axis_coordinates(pts * math.exp(half_d))
-            f_ok = _reaches(model, trial, u, y, R, n) >= d
-            # the net and the grid lie within s of the central segment;
-            # u is measured from the tube's centre, as the grid's feet are
-            near = _within_segment(u - half_d, y, half_d, R + s)
-            trial, pts, u, y = trial[near], pts[near], u[near] - half_d, y[near]
+            trial, t, psi = _joined([sample_points(params, rho + R, gen) for _ in range(n)],
+                                    "t", "psi")
+            # Fermi coordinates along the axis from the tube's centre, as the grid's
+            u, y = frame_fermi(*polar_frame(t, psi))
+            f_ok = _reaches(model, trial, u + half_d, y, R, n) >= d
+            # the net and the grid lie within s of the central segment
+            near = _within_segment(u, y, half_d, R + s)
+            trial, t, psi, u, y = trial[near], t[near], psi[near], u[near], y[near]
             bounds = np.searchsorted(trial, np.arange(n + 1))
             q_ok, a_ok = f_ok.copy(), f_ok.copy()
             q_ok[f_ok] = _q_by_margin(model, *_trials_of(f_ok, trial, u, y), half_d, R, s)
             cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s)
-            for t in np.flatnonzero(f_ok & ~q_ok):
-                k = slice(bounds[t], bounds[t + 1])
-                q_ok[t] = _net_contained(seg_p, seg_q, to_hyperboloid(pts[k]), R, model)
-            for t in np.flatnonzero(~f_ok)[~cut]:
-                k = slice(bounds[t], bounds[t + 1])
+            for i in np.flatnonzero(f_ok & ~q_ok):
+                k = slice(bounds[i], bounds[i + 1])
+                q_ok[i] = _net_contained(seg_p, seg_q, polar_hyperboloid(t[k], psi[k]), R, model)
+            for i in np.flatnonzero(~f_ok)[~cut]:
+                k = slice(bounds[i], bounds[i + 1])
                 blocked = _blocked_cells(feet, offs, u[k], y[k], R)
                 open_grid = (blocked if model == "occupied" else ~blocked) & in_region
-                a_ok[t] = _flood_connected(open_grid, start_cells, end_cells)
+                a_ok[i] = _flood_connected(open_grid, start_cells, end_cells)
             events += zip(a_ok.tolist(), f_ok.tolist(), q_ok.tolist())
     n_A, n_f, n_Q = (sum(col) for col in zip(*events))
     return SandwichResult(n_A / trials, n_f / trials, n_Q / trials, trials)

@@ -6,13 +6,12 @@ the isometry-invariant area measure and kept in polar coordinates
 Grassmannian measure restricted to the lines meeting it.  A point
 cloud's upper half-plane coordinates are made on first read.  The
 R-neighbourhood of a segment of the imaginary axis is drawn as well,
-its end caps as one polar ball per trial, converted to axis
-coordinates once for a whole chunk of trials; for lines only the feet
-where they cross an axis segment are drawn.  All
-randomness flows through ``RngStream``: trial t of stream s under master
-seed m draws from PCG64 seeded by numpy's
-``SeedSequence(m, spawn_key=(s, t))``, so a trial's draws are a pure
-function of (m, s, t).  A stream mixes its pool once, hashes the seeds
+its end caps as one polar ball per trial, read in the polar frame
+once for a whole chunk of trials; for lines only the feet where they
+cross an axis segment are drawn.  All randomness flows through
+``RngStream``: trial t of stream s under master seed m draws from PCG64
+seeded by numpy's ``SeedSequence(m, spawn_key=(s, t))``, so a trial's
+draws are a pure function of (m, s, t).  A stream mixes its pool once, hashes the seeds
 of t's group of 256 consecutive keys in one numpy pass and keeps the
 last group's; the seeds equal numpy's ``SeedSequence`` bit for bit.
 Every sampler refuses, with ``ValueError``, a trial whose expected
@@ -28,11 +27,12 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
-    axis_coordinates,
     ball_area,
+    frame_fermi,
     line_normal,
     minkowski,
     polar_around_origin,
+    polar_frame,
     tube_area,
 )
 
@@ -316,16 +316,16 @@ def sample_tube(params: ModelParams, length: float, gens):
     """Independent Poisson realizations, one per generator, on the
     R-neighbourhood of the axis segment over feet [0, length].
 
-    Points are returned in the axis coordinates (u, y) of
-    ``axis_coordinates``, with the index of the trial each belongs to.
-    The neighbourhood is the rectangle u in [0, length], |y| < R, whose
-    area element is cosh y du dy (u uniform, y = arsinh(sinh R U) with
-    U uniform on (-1, 1)), and the two half balls of radius R at the
-    ends.  Together the half balls are one ball: each trial draws the
-    ball around gamma(0) with ``sample_points``, in polar form, after its
-    rectangle.  The caps of all the trials then go through
-    ``axis_coordinates`` at once; each keeps its half behind gamma(0)
-    and moves the other half along the axis to gamma(length).
+    Points are returned in their Fermi coordinates (u, y) along the axis,
+    with the index of the trial each belongs to.  The neighbourhood is
+    the rectangle u in [0, length], |y| < R, whose area element is
+    cosh y du dy (u uniform, y = arsinh(sinh R U) with U uniform on
+    (-1, 1)), and the two half balls of radius R at the ends.  Together
+    the half balls are one ball: each trial draws the ball around
+    gamma(0) with ``sample_points``, in polar form, after its rectangle.
+    The caps of all the trials then go through ``frame_fermi`` at once;
+    each keeps its half behind gamma(0) and moves the other half along
+    the axis to gamma(length).
     """
     R = params.radius
     if length < 0:
@@ -343,7 +343,7 @@ def sample_tube(params: ModelParams, length: float, gens):
         cap_psi.append(cap.psi)
     trials = np.arange(len(n_rect))
     a, b = np.concatenate(rect, axis=1)
-    cu, cy = axis_coordinates(polar_around_origin(np.concatenate(cap_t), np.concatenate(cap_psi)))
+    cu, cy = frame_fermi(*polar_frame(np.concatenate(cap_t), np.concatenate(cap_psi)))
     trial = np.concatenate([np.repeat(trials, n_rect), np.repeat(trials, n_cap)])
     u = np.concatenate([length * a, np.where(cu < 0.0, cu, cu + length)])
     y = np.concatenate([np.arcsinh(math.sinh(R) * (2.0 * b - 1.0)), cy])

@@ -14,7 +14,10 @@ from hyperc.geometry import (
     ball_net,
     dist,
     dist_arrays,
+    frame_fermi,
     polar_around_origin,
+    polar_frame,
+    polar_hyperboloid,
     segment_point_distance,
     to_disk,
     to_hyperboloid,
@@ -346,6 +349,52 @@ class TestHyperboloid:
         z = polar_around_origin(t, phi)
         for k in range(3):
             assert dist(ORIGIN, HPoint(z[k].real, z[k].imag)) == pytest.approx(t[k], abs=1e-12)
+
+    def test_polar_frame_and_hyperboloid_against_60_digits(self):
+        """At t up to 25, with angles from 1e-12 to pi, ``frame_fermi`` of
+        ``polar_frame`` keeps foot and offset within 4e-16 (1 + t) of
+        60-digit arithmetic on the same t and angle, and
+        ``polar_hyperboloid`` each coordinate within 4e-16 cosh t: the
+        bounds their docstrings state.  ``frame_fermi`` on its own is off
+        by at most 2 units in the last place of the larger of the result
+        and 1."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        t = np.concatenate([np.linspace(0.0, 25.0, 51), rng.uniform(0.0, 25.0, 250)])
+        sign = rng.choice([-1.0, 1.0], len(t))
+        dpsi = sign * np.concatenate([10.0 ** rng.uniform(-12.0, 0.0, 150),
+                                      rng.uniform(0.0, math.pi, len(t) - 150)])
+        foot, offset = frame_fermi(*polar_frame(t, dpsi))
+        vector = polar_hyperboloid(t, dpsi)
+        along, normal = rng.normal(size=(2, 300)) * 10.0 ** rng.uniform(-12.0, 11.0, (2, 300))
+        direct = np.stack(frame_fermi(along, normal))
+        with mpmath.workdps(60):
+            exact = np.asarray([_polar_exact(a, b, mpmath) for a, b in zip(t, dpsi)])
+            exact_direct = np.asarray([_fermi_exact(a, c, mpmath)
+                                       for a, c in zip(along, normal)]).T
+        assert (np.abs(foot - exact[:, 0]) <= 4e-16 * (1.0 + t)).all()
+        assert (np.abs(offset - exact[:, 1]) <= 4e-16 * (1.0 + t)).all()
+        assert (np.abs(vector - exact[:, 2:]) <= 4e-16 * np.cosh(t)[:, None]).all()
+        ulp = np.spacing(np.maximum(np.abs(exact_direct), 1.0))
+        assert (np.abs(direct - exact_direct) <= 2.0 * ulp).all()
+
+
+def _fermi_exact(along, normal, mpmath):
+    """(foot, offset) of ``frame_fermi`` in the working precision of
+    mpmath, rounded to floats."""
+    along, normal = mpmath.mpf(along), mpmath.mpf(normal)
+    foot = mpmath.asinh(along / mpmath.sqrt(1 + normal ** 2))
+    return [float(foot), float(mpmath.asinh(normal))]
+
+
+def _polar_exact(t, dpsi, mpmath):
+    """foot, offset and the three hyperboloid coordinates of the point at
+    distance t from (0, 1), angle dpsi from direction 0, in the working
+    precision of mpmath, t and dpsi taken as exact."""
+    t, dpsi = mpmath.mpf(float(t)), mpmath.mpf(float(dpsi))
+    along, normal = mpmath.sinh(t) * mpmath.cos(dpsi), mpmath.sinh(t) * mpmath.sin(dpsi)
+    vector = [float(v) for v in (-normal, along, mpmath.cosh(t))]
+    return _fermi_exact(along, normal, mpmath) + vector
 
 
 def _frame_exact(p, q, w, mpmath):

@@ -24,7 +24,10 @@ from hyperc.geometry import (
     ball_area,
     ball_net,
     dist_arrays,
+    frame_fermi,
     polar_around_origin,
+    polar_frame,
+    polar_hyperboloid,
     to_hyperboloid,
     tube_area,
 )
@@ -557,17 +560,50 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     assert seen == {True, False}
 
 
+def _ray_end(r: float, theta: float) -> HPoint:
+    """The end of the ray of length r from (0, 1) in the disk direction
+    theta, from its hyperboloid vector X = polar_hyperboloid(r, theta):
+    y = 1 / (X0 - X2), with X0 - X2 = e^-r + 2 sinh r sin^2(theta / 2)
+    written without cancellation, and x = X1 y."""
+    y = 1.0 / (math.exp(-r) + 2.0 * math.sinh(r) * math.sin(theta / 2.0) ** 2)
+    return HPoint(-math.sinh(r) * math.sin(theta) * y, y)
+
+
+@pytest.mark.parametrize("r", [12.0, 15.0, 17.0, 19.0, 22.0])
+def test_far_rays_match_the_segment_predicate(r):
+    """Far from (0, 1) the ray survivors read the same Fermi coordinates
+    as ``segment_in``.  A lone vacant point at t = r + 0.9, 0.9 from the
+    ray in direction 0, meets that ray's geodesic over feet from about
+    r + 0.149 on, so the ray survives; the ray's end is its exact point
+    at distance r.  At r = 19 and r = 22 random samples, at intensities
+    that keep them below the sampling cap, agree on every direction too.
+    The ends lie at distance r from (0, 1) to the bit, so the windows
+    need no padding past r + R."""
+    params, n_dir = ModelParams(1.0, 1.0), 64
+    window = r + params.radius
+    t = r + 0.9
+    samples = [BooleanSample(params, window, np.asarray([t]),
+                             np.asarray([math.asin(math.sinh(0.9) / math.sinh(t))]))]
+    lam = {19.0: 1e-5, 22.0: 1e-6}.get(r)
+    if lam:
+        drawn = sample_points(ModelParams(lam, 1.0), r + 1.0, RngStream(int(r)).generator())
+        samples.append(BooleanSample(params, window, drawn.t, drawn.psi))
+    for i, sample in enumerate(samples):
+        alive = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
+        for k in range(n_dir):
+            end = _ray_end(r, 2.0 * math.pi * k / n_dir)
+            assert alive[k] == segment_in("vacant", ORIGIN, end, sample), (i, k)
+        assert alive[0]
+
+
 def _all_pairs_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str):
     """Reference for _boolean_ray_survivors: every direction measured
-    against every point."""
-    R = sample.params.radius
+    against every point, in the polar frame."""
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    t, psi = sample.t, sample.psi
-    dpsi = psi[None, :] - thetas[:, None]
-    perp = np.arcsinh(np.sinh(t)[None, :] * np.abs(np.sin(dpsi)))
-    k, j = np.nonzero(perp < R)
-    tanh_foot = np.clip(np.tanh(t)[j] * np.cos(dpsi[k, j]), -1.0 + 1e-15, 1.0 - 1e-15)
-    return percolation._reaches(model, k, np.arctanh(tanh_foot), perp[k, j], R, n_dir) >= r
+    foot, offset = frame_fermi(*polar_frame(sample.t, sample.psi - thetas[:, None]))
+    k = np.repeat(np.arange(n_dir), len(sample))
+    R = sample.params.radius
+    return percolation._reaches(model, k, foot.ravel(), offset.ravel(), R, n_dir) >= r
 
 
 @pytest.mark.parametrize("n_dir", [360, 37])
@@ -608,6 +644,20 @@ def test_ray_arcs_of_single_points(n_dir):
         blocked.add(int(n_dir - got.sum()))
     # points near (0, 1) block every ray, far ones only a few
     assert n_dir in blocked and min(blocked) < n_dir // 4
+
+
+def test_ray_filter_keeps_a_rounding_tie():
+    """At R = 0.49, arcsinh(sinh R) rounds below R, so a lone point at
+    t = R, a quarter turn from direction 0, reads an offset below R from
+    that ray: measuring every pair blocks the vacant ray, and so must
+    the kernel, whose filter on sinh t |sin(psi - theta)| keeps a margin
+    above sinh R."""
+    R, r, n_dir = 0.49, 3.0, 8
+    assert np.arcsinh(np.sinh(R)) < R
+    sample = BooleanSample(ModelParams(1.0, R), r + R, np.asarray([R]), np.asarray([math.pi / 2]))
+    got = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
+    assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, "vacant"))
+    assert not got[0]
 
 
 @pytest.mark.parametrize("n_dir", [64, 37])
@@ -1148,16 +1198,23 @@ def test_empty_process(model):
     assert segment_in(model, ORIGIN, _axis_end(3.0), sample) == inside
 
 
-def test_vacant_ray_share_matches_f_vacant():
+@pytest.mark.parametrize(
+    "model, params, f",
+    [("vacant", ModelParams(0.2, 1.0), f_vacant),
+     ("lines", ModelParams(0.8), lambda r, params: f_grassmann(r, params.intensity))],
+    ids=["vacant", "lines"],
+)
+def test_ray_share_matches_f(model, params, f):
     """Each direction's ray survives with probability f(r), so the mean
     surviving share over independent samples is gated by Hoeffding's
-    bound 2 exp(-2 n t^2) = TAIL.  A window missing the balls beyond
-    B(o, r) would read about 0.3 here, against f = 0.197."""
-    params, r, n_dir, n = ModelParams(0.2, 1.0), 2.0, 32, 2000
-    rays = surviving_directions("vacant", params, r, n_dir, [RngStream(50, i) for i in range(n)])
+    bound 2 exp(-2 n t^2) = TAIL.  A vacant window missing the balls
+    beyond B(o, r) would read about 0.3 here, against f = 0.197; for
+    lines f = e^{-lambda r} = 0.202."""
+    r, n_dir, n = 2.0, 32, 2000
+    rays = surviving_directions(model, params, r, n_dir, [RngStream(50, i) for i in range(n)])
     share = [len(rs.surviving) / n_dir for rs in rays]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
-    assert abs(np.mean(share) - f_vacant(r, params)) <= t
+    assert abs(np.mean(share) - f(r, params)) <= t
 
 
 def _all_pairs_antipodal(alive, r, s):
@@ -1205,7 +1262,7 @@ def test_detect_line_needs_eight_directions(n_dir):
     assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
 
 
-@pytest.mark.parametrize("s", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("s", [-1.0, 0.0, float("nan"), math.inf])
 def test_detect_line_needs_a_positive_ball(s):
     with pytest.raises(ValueError, match="radius s must be positive"):
         detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, [RngStream(1)])
@@ -1322,7 +1379,7 @@ def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
     pq = _chord_ends(0, n_dir // 2, n_dir, r)
     assert got == _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
     [w] = seen
-    at, beyond = to_hyperboloid(polar_around_origin(t, psi))
+    at, beyond = polar_hyperboloid(t, psi)
     assert np.any(np.all(w == at, axis=1)) and not np.any(np.all(w == beyond, axis=1))
     assert len(w) < len(drawn)
 

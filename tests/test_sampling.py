@@ -16,7 +16,9 @@ from hyperc.geometry import (
     ball_area,
     dist,
     dist_arrays,
+    frame_fermi,
     polar_around_origin,
+    polar_frame,
     to_hyperboloid,
 )
 from hyperc.sampling import (
@@ -354,14 +356,15 @@ def _gens(seed: int, n: int) -> list:
 
 def _tube_per_trial(params: ModelParams, length: float, gens):
     """Reference for sample_tube: the same draws, with each trial's end
-    caps converted to axis coordinates on their own."""
+    caps read in the polar frame on their own."""
     R = params.radius
     mean = params.intensity * length * 2.0 * math.sinh(R)
     rects, caps = [], []
     for k, gen in enumerate(gens):
         a, b = gen.random((2, gen.poisson(mean)))
         rects.append((np.full(len(a), k), length * a, np.arcsinh(math.sinh(R) * (2.0 * b - 1.0))))
-        cu, cy = axis_coordinates(sample_points(params, R, gen).points)
+        cap = sample_points(params, R, gen)
+        cu, cy = frame_fermi(*polar_frame(cap.t, cap.psi))
         caps.append((np.full(len(cu), k), np.where(cu < 0.0, cu, cu + length), cy))
     return tuple(np.concatenate(col) for col in zip(*rects, *caps))
 

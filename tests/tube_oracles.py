@@ -1,22 +1,25 @@
 """Reference forms of the tube certificates that the tests compare
 against: Fermi coordinates by projecting every point onto every
-segment, rays decided one sample at a time, the chord of detect-line
-measured against every point of its sample, and the lines sandwich's
-events decided one trial at a time."""
+segment, rays decided one sample at a time with every pair of their
+arcs read by ``frame_fermi``, the chord of detect-line measured against
+every point of its sample, its ends and the points made through the
+upper half-plane (``polar_around_origin``, then ``to_hyperboloid``)
+rather than by ``polar_hyperboloid``, and the lines sandwich's events
+decided one trial at a time."""
 
 import math
 
 import numpy as np
 
-from hyperc.geometry import geodesic_normal, minkowski, polar_around_origin, to_hyperboloid
-from hyperc.percolation import (
-    LineDetection,
-    _antipodal_pairs,
-    _grid_runs,
-    _net_contained,
-    _polar_fermi,
-    _reaches,
+from hyperc.geometry import (
+    frame_fermi,
+    geodesic_normal,
+    minkowski,
+    polar_around_origin,
+    polar_frame,
+    to_hyperboloid,
 )
+from hyperc.percolation import LineDetection, _antipodal_pairs, _grid_runs, _net_contained, _reaches
 from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_lines, sample_points
 
 
@@ -44,7 +47,9 @@ def projection_segment_point_distance(p, q, w):
 def boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: str) -> np.ndarray:
     """Directions whose ray of length r from (0, 1) lies in the set, for
     one sample: each point measured on the grid directions of its arc
-    and the next one beyond each end, every direction for t <= R."""
+    and the next one beyond each end, every direction for t <= R, and
+    every such pair passed to ``_reaches``, with no filter on its
+    normal product."""
     R = sample.params.radius
     sample.require_window(r + R, "ray survival")
     h = 2.0 * math.pi / n_dir
@@ -55,8 +60,8 @@ def boolean_ray_survivors(sample: BooleanSample, r: float, n_dir: int, model: st
     hi = np.ceil((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
-    near, foot, perp = _polar_fermi(t[j], psi[j] - thetas[k], R)
-    return _reaches(model, k[near], foot, perp, R, n_dir) >= r
+    foot, offset = frame_fermi(*polar_frame(t[j], psi[j] - thetas[k]))
+    return _reaches(model, k, foot, offset, R, n_dir) >= r
 
 
 def line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 83
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 85
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -101,6 +101,10 @@ INVOCATIONS = [
     ("rays.lines.odd-grid",
      ["rays", "--model", "lines", "--lambda", "0.2", "--directions", "63", "--samples", "40",
       "--seed", "2"]),
+    # points out to t = 20, where the rays' feet need the polar frame
+    ("rays.vacant.far",
+     ["rays", "--model", "vacant", "--lambda", "1e-4", "--r", "19", "--directions", "64",
+      "--samples", "3", "--seed", "2"]),
     ("detect-line.lines",
      ["detect-line", "--model", "lines", "--lambda", "0.1", "--samples", "30", "--seed", "4"]),
     ("detect-line.occupied",
@@ -118,6 +122,8 @@ INVOCATIONS = [
       "--samples", "60", "--seed", "4"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
+    ("detect-line.s-inf",
+     ["detect-line", "--lambda", "0.1", "--s", "inf", "--samples", "2", "--seed", "1"]),
     ("detect-line.r-nan",
      ["detect-line", "--lambda", "0.1", "--r", "nan", "--samples", "2", "--seed", "1"]),
     ("detect-line.no-directions",
