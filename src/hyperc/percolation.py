@@ -25,12 +25,16 @@ tube's axis coordinates.  Rays and detect-line draw one sample per
 stream and decide their samples per group: consecutive samples of at
 most GROUP_POINTS points or lines together go through one
 ``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass, sample i's
-direction k as segment i n + k.  The lines sandwich takes the sides of
-a group of trials' lines at once.  The Boolean sandwich decides its
-trials in blocks: f, and margins on the central segment that settle Q
-or A for most trials (``sandwich_AQ`` gives the argument), each in one
-``_reaches`` call per block; only the trials they leave run the Q net
-or the flood fill, one at a time.
+direction k as segment i n + k.  Detect-line builds its candidate pairs
+once per call and decides a group's Boolean chords in rounds, the next
+candidate of every undecided sample a round, all in one ``_reaches``
+call.  The lines sandwich takes the sides of a group of trials' lines
+at once.  The Boolean sandwich decides its trials in blocks: f, and
+margins on the central segment that settle Q or A for most trials
+(``sandwich_AQ`` gives the argument), f and the Q margin each in one
+``_reaches`` call per block and the A margin in one (points, columns)
+cosh test; only the trials they leave run the Q net or the flood fill,
+one at a time, and only a call that reaches the Q net builds it.
 
 Every path reads the polar coordinates (t, psi) around (0, 1) that a
 ``BooleanSample`` was drawn in as they are, with no trip through the
@@ -69,6 +73,7 @@ from .geometry import (
     polar_around_origin,
     polar_frame,
     polar_hyperboloid,
+    segment_frame,
     segment_point_distance,
     to_hyperboloid,
     tube_area,
@@ -429,12 +434,18 @@ def estimate_f(
 # ray survival and line detection
 
 
-def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
-    """(owner, k mod n) for every integer k with lo[owner] <= k <= hi[owner]:
-    the runs expanded on the circular grid of n directions, none for hi < lo."""
+def _runs(lo: np.ndarray, hi: np.ndarray):
+    """(owner, k) for every integer k with lo[owner] <= k <= hi[owner],
+    owner by owner; none for hi < lo."""
     run_len = np.maximum(hi - lo + 1, 0)
     owner = np.repeat(np.arange(len(lo)), run_len)
-    k = np.arange(len(owner)) + np.repeat(lo + run_len - np.cumsum(run_len), run_len)
+    return owner, np.arange(len(owner)) + np.repeat(lo + run_len - np.cumsum(run_len), run_len)
+
+
+def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
+    """The runs of ``_runs`` expanded on the circular grid of n directions,
+    as (owner, k mod n)."""
+    owner, k = _runs(lo, hi)
     return owner, np.mod(k, n)
 
 
@@ -534,8 +545,10 @@ def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.n
 def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, rngs):
     """Draw, from each stream of rngs in turn, what can reach the rays of
     length r from (0, 1), the lines meeting B(o, r) or the points within R
-    of it, and yield each group of consecutive samples (``_groups``) with
-    the mask (samples, n_dir) of the grid directions whose ray survives."""
+    of it, and return an iterator over the groups of consecutive samples
+    (``_groups``), each with the mask (samples, n_dir) of the grid
+    directions whose ray survives.  The arguments are checked at the
+    call, before any draw."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     # with fewer, detect-line's seven antipodal partners of a direction repeat
@@ -543,12 +556,9 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, rngs):
         raise ValueError("need at least 8 directions")
     if model == "lines":
         draws = (sample_lines(params.intensity, r, rng.generator()) for rng in rngs)
-        for group in _groups(draws):
-            yield group, _line_ray_survivors(group, r, n_dir)
-    else:
-        draws = (sample_points(params, r + params.radius, rng.generator()) for rng in rngs)
-        for group in _groups(draws):
-            yield group, _boolean_ray_survivors(group, r, n_dir, model)
+        return ((group, _line_ray_survivors(group, r, n_dir)) for group in _groups(draws))
+    draws = (sample_points(params, r + params.radius, rng.generator()) for rng in rngs)
+    return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in _groups(draws))
 
 
 def surviving_directions(
@@ -565,45 +575,89 @@ def surviving_directions(
             for _, alive in _ray_groups(model, params, r, n_directions, rngs) for mask in alive]
 
 
-def _antipodal_pairs(alive: np.ndarray, r: float, s: float):
-    """Pairs i < j of alive grid directions within 2.5 steps of antipodal
-    whose chord at distance r passes within s of (0, 1), as two arrays,
-    closest to antipodal first, ties in order of (i, j).  Only the
-    partners i + n//2 - 3 ... i + n//2 + 3 (mod n) of i can be that close.
-    """
-    n = len(alive)
+def _antipodal_pairs(n: int, r: float, s: float):
+    """The pairs i < j of the grid of n directions within 2.5 steps of
+    antipodal whose chord at distance r passes within s of (0, 1), as two
+    arrays, closest to antipodal first, ties in order of (i, j).  Only
+    the partners i + n//2 - 3 ... i + n//2 + 3 (mod n) of i can be that
+    close.  A sample's candidates are these pairs whose two directions
+    both survive, in this order (``_candidates``), so detect-line builds
+    them once per call: 0.2-0.3 ms at n = 360, against 0.1-0.2 ms per
+    sample for a search among the sample's own surviving directions,
+    which each of the 68 samples of a tube workload pass would run
+    (2-core host)."""
     thetas = 2.0 * math.pi * np.arange(n) / n
-    idx = np.flatnonzero(alive)
-    owner, j = _grid_runs(idx + n // 2 - 3, idx + n // 2 + 3, n)
-    i = idx[owner]
+    i, j = _grid_runs(np.arange(n) + n // 2 - 3, np.arange(n) + n // 2 + 3, n)
     delta = np.mod(thetas[j] - thetas[i], 2.0 * math.pi)
     miss = np.abs(delta - math.pi)
-    keep = alive[j] & (j > i) & (miss <= 2.5 * (2.0 * math.pi / n))
+    keep = (j > i) & (miss <= 2.5 * (2.0 * math.pi / n))
     keep &= _chord_distance(r, delta) < s
     order = np.lexsort((j[keep], i[keep], miss[keep]))
     return i[keep][order], j[keep][order]
 
 
-def _chord_contained(model: str, sample: BooleanSample, i: int, j: int, n_dir: int, r: float,
-                     s: float) -> bool:
-    """Whether the chord between the points at distance r from (0, 1) in
-    the grid directions i and j of n_dir, which passes within h < s of
-    (0, 1), lies in the set of the sample's balls.
+def _candidates(alive: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray):
+    """(sample, pair) of every pair of ``_antipodal_pairs`` whose two
+    directions both survive in a sample (a row of alive): sample by
+    sample, each sample's pairs in the order they are tried."""
+    return np.nonzero(alive[:, pair_i] & alive[:, pair_j])
 
-    The distance to the ray [o, p] toward one end p is convex along the
-    half-chord from p to the chord's point nearest (0, 1), 0 at p and at
-    most h there, so the chord lies within h of its two rays.  A point
-    at distance R + s or more from both rays then keeps more than R from
-    the chord, and only the points within R + s of the geodesic of one
-    ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin for
-    rounding), are measured."""
-    R = sample.params.radius
-    ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
-    _, normal = polar_frame(sample.t, sample.psi - ends[:, None])
-    near = (np.abs(normal) < math.sinh(R + s + 1e-9)).any(axis=0)
-    pq = polar_hyperboloid(np.full(2, r), ends)
-    w = polar_hyperboloid(sample.t[near], sample.psi[near])
-    return _net_contained(pq[:1], pq[1:], w, R, model)
+
+def _chords_contained(model: str, R: float, r: float, ends: np.ndarray, chord: np.ndarray,
+                      t: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Per chord between the points at distance r from (0, 1) in the
+    directions ends[c] (shape (chords, 2)), whether it lies in the set of
+    the balls of radius R around the points at polar (t[k], psi[k]) with
+    chord[k] = c; each such pair's Fermi coordinates come from its own
+    products with the chord's frame, and all chords from one ``_reaches``
+    call."""
+    radius = np.full(len(ends), r)
+    p, q = polar_hyperboloid(radius, ends[:, 0]), polar_hyperboloid(radius, ends[:, 1])
+    e, n = segment_frame(p, q)
+    w = polar_hyperboloid(t, psi)
+    foot, offset = frame_fermi(minkowski(e[chord], w), minkowski(n[chord], w))
+    lengths = np.arccosh(np.maximum(-minkowski(p, q), 1.0))
+    return _reaches(model, chord, foot, offset, R, len(ends)) >= lengths
+
+
+def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, ends: np.ndarray,
+                  n_dir: int, r: float, s: float) -> np.ndarray:
+    """Index of each sample's first contained candidate chord, or -1.
+    Candidate c is the chord of sample[c] between the grid directions
+    ends[c] (shape (candidates, 2)), sample by sample in the order they
+    are tried; each passes within h < s of (0, 1).
+
+    The chords are decided in rounds, each of which takes the next
+    candidate of every sample not yet decided, all of them in one
+    ``_chords_contained`` call.  The distance to the ray [o, p] toward
+    one end p is convex along the half-chord from p to the chord's point
+    nearest (0, 1), 0 at p and at most h there, so the chord lies within
+    h of its two rays.  A point at distance R + s or more from both rays
+    then keeps more than R from the chord, and each chord is measured
+    only against its own sample's points within R + s of the geodesic of
+    one ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin
+    for rounding).
+    """
+    R = samples[0].params.radius
+    which, t, psi = _joined(samples, "t", "psi")
+    # each sample's points, and the bounds of its candidates
+    points = np.searchsorted(which, np.arange(len(samples) + 1))
+    starts = np.searchsorted(sample, np.arange(len(samples) + 1))
+    first = np.full(len(samples), -1)
+    todo = np.flatnonzero(starts[1:] > starts[:-1])
+    cand = starts[todo]
+    while len(todo):
+        rays = 2.0 * math.pi * ends[cand] / n_dir
+        chord, k = _runs(points[todo], points[todo + 1] - 1)
+        _, normal = polar_frame(t[k, None], psi[k, None] - rays[chord])
+        near = (np.abs(normal) < math.sinh(R + s + 1e-9)).any(axis=1)
+        k = k[near]
+        ok = _chords_contained(model, R, r, rays, chord[near], t[k], psi[k])
+        first[todo[ok]] = cand[ok]
+        todo, cand = todo[~ok], cand[~ok] + 1
+        left = cand < starts[todo + 1]
+        todo, cand = todo[left], cand[left]
+    return first
 
 
 def detect_line_through_ball(
@@ -616,35 +670,49 @@ def detect_line_through_ball(
 ) -> list[LineDetection]:
     """Search, in one sample per stream of rngs (drawn and decided as by
     ``surviving_directions``), for a full chord through B(o, s) certified
-    by two surviving rays in nearly antipodal directions: the pairs of
-    the sample's surviving directions that ``_antipodal_pairs``
-    enumerates are tried in its order, and the first whose chord between
-    the far endpoints is contained (``_chord_contained``) is the witness.
-    For lines that is the first pair: a line that strictly separates the
-    ends p and q puts one of them on the side away from (0, 1), so it
-    crosses that end's ray, and no line crosses a surviving ray."""
+    by two surviving rays in nearly antipodal directions: each sample's
+    candidates are the pairs of ``_antipodal_pairs``, built once per
+    call, whose two directions survive (``_candidates``, one gather per
+    group), tried in that order, and the first whose chord between the
+    far endpoints is contained is the witness (``_first_chords``, in
+    rounds over the group).  For lines that is the first pair: a line
+    that strictly separates the ends p and q puts one of them on the
+    side away from (0, 1), so it crosses that end's ray, and no line
+    crosses a surviving ray.
+
+    Over 20 passes of the tube workload's detect-line runs (68 samples a
+    pass; one seed, 2-core host) the ray survivors took about half of
+    the time, the chord rounds a sixth, the draws 8%, and the pairs with
+    their gathers 7%."""
     if not 0.0 < s < math.inf:
         raise ValueError("the chord certificate's ball radius s must be positive and finite")
-    found = []
     # the chords between the rays' ends lie in B(o, r) as well
-    for group, alive in _ray_groups(model, params, r, n_directions, rngs):
-        for sample, mask in zip(group, alive):
-            n_surviving = int(np.count_nonzero(mask))
-            witness = None
-            if n_surviving >= 2:
-                for i, j in zip(*_antipodal_pairs(mask, r, s)):
-                    if model == "lines" or _chord_contained(
-                            model, sample, i, j, n_directions, r, s):
-                        witness = (int(i), int(j))
-                        break
-            found.append(LineDetection(witness is not None, witness, n_surviving))
+    groups = _ray_groups(model, params, r, n_directions, rngs)
+    pair_i, pair_j = _antipodal_pairs(n_directions, r, s)
+    found = []
+    for group, alive in groups:
+        sample, pair = _candidates(alive, pair_i, pair_j)
+        ends = np.stack([pair_i[pair], pair_j[pair]], axis=1)
+        if model == "lines":
+            first = np.full(len(group), -1)
+            head = np.flatnonzero(np.diff(sample, prepend=-1))
+            first[sample[head]] = head
+        else:
+            first = _first_chords(model, group, sample, ends, n_directions, r, s)
+        for c, mask in zip(first.tolist(), alive):
+            witness = None if c < 0 else tuple(ends[c].tolist())
+            found.append(LineDetection(witness is not None, witness, int(np.count_nonzero(mask))))
     return found
 
 
 def _chord_distance(r: float, delta: np.ndarray) -> np.ndarray:
-    """Distance from (0, 1) to the chord between the points at distance r
-    in directions delta apart.  In the Klein model centred at (0, 1) the
-    chord is straight, at Euclidean distance tanh r |cos(delta / 2)|."""
+    """Distance h from (0, 1) to the chord between the points at distance
+    r in directions delta apart.  In the Klein model centred at (0, 1)
+    the chord is straight, at Euclidean distance tanh r |cos(delta / 2)|.
+    Within 2e-16 (h + sinh 2h) of the exact h at the given r and delta:
+    the product carries a few units of relative rounding, which arctanh
+    multiplies by sinh h cosh h.  Where the product rounds to 1 (from
+    r = 19.06 on, for delta near 0) h is inf."""
     return np.arctanh(math.tanh(r) * np.abs(np.cos(delta / 2.0)))
 
 
@@ -680,7 +748,8 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 
 # Boolean sandwich trials decided at once.  The column check measures
 # every grid column against every point near the tube; at lambda = 1,
-# R = 1 it lifts the peak memory 6 MB above a trial at a time (256: 46 MB).
+# R = 1 it lifts the peak traced memory of a 256-trial vacant call 9 MB
+# above a trial at a time (256: 36 MB).
 TUBE_BLOCK = 64
 
 
@@ -749,15 +818,20 @@ def _q_by_margin(model: str, trial, u, y, n: int, half_d: float, R: float, s: fl
 def _cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
     """Per trial of n, True when some grid column's axis point lies strictly
     within R - s of a point (vacant) or at least R + s from every point
-    (occupied), trial t's column over feet[c] passed to ``_reaches`` as the
-    zero-length segment t * len(feet) + c: that column is closed in every
-    cell (``sandwich_AQ`` gives the argument); False leaves A undecided."""
-    grow = s if model == "vacant" else -s
-    cols = len(feet)
-    seg = (trial[:, None] * cols + np.arange(cols)).ravel()
-    foot = (u[:, None] - feet).ravel()
-    reach = _reaches(model, seg, foot, np.repeat(y, cols), R - grow, n * cols)
-    return (reach < 0.0).reshape(n, cols).any(axis=1)
+    (occupied): that column is closed in every cell (``sandwich_AQ``
+    gives the argument); False leaves A undecided.  Point k of trial[k]
+    at axis coordinates (u[k], y[k]) lies within R -+ s of the column
+    over feet[c] iff cosh(u[k] - feet[c]) cosh y[k] < cosh(R -+ s), one
+    (points, columns) product, reduced per trial by one call.  The cut
+    only certifies, with slack s, so a tie at rounding cannot change A."""
+    cosh_dist = np.cosh(u[:, None] - feet)
+    cosh_dist *= np.cosh(y)[:, None]
+    if model == "vacant":
+        near = cosh_dist < math.cosh(max(R - s, 0.0))
+        return np.bincount(trial[near.any(axis=1)], minlength=n) > 0
+    covered = np.zeros((n, len(feet)), dtype=bool)
+    np.logical_or.at(covered, trial, cosh_dist < math.cosh(R + s))
+    return ~covered.all(axis=1)
 
 
 def _run_ids(cells: np.ndarray) -> np.ndarray:
@@ -808,16 +882,36 @@ def _tube_grid(half_d: float, s: float):
     the axis feet [-half_d, half_d], in axis coordinates: (feet, offs,
     in_region, start_cells, end_cells), the masks indexed [foot, offset].
     The region is the tube, capped by the balls of radius s around the
-    end centres; the start and end cells lie strictly within s of them."""
+    end centres; the start and end cells lie strictly within s of them.
+
+    A cell's distance to an end centre, arccosh(cosh(t -+ d/2) cosh v),
+    is taken only on the rows within 2s of that end's foot: every other
+    row keeps at least 2s from it, so it lies in the tube and in neither
+    end.  A comparison of cosh(t -+ d/2) cosh v with cosh s instead of
+    the arccosh would flip cells at rounding ties (2-4 cells at d = 4,
+    s = 0.02 and 0.05)."""
     mesh = s / 8.0
     n_t = int(math.ceil((2.0 * half_d + 2.0 * s) / mesh)) + 1
     n_v = 2 * int(math.ceil(s / mesh)) + 1
     feet, offs = np.linspace(-half_d - s, half_d + s, n_t), np.linspace(-s, s, n_v)
-    tt, vv = np.meshgrid(feet, offs, indexing="ij")
-    d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(vv), 1.0))
-    d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(vv), 1.0))
-    in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
-    return feet, offs, in_region, in_region & (d_x < s), in_region & (d_y < s)
+    in_region = np.ones((n_t, n_v), dtype=bool)
+    ends = np.zeros((2, n_t, n_v), dtype=bool)
+    for cells, end in zip(ends, (-half_d, half_d)):
+        rows = np.abs(feet - end) < 2.0 * s
+        d_end = np.arccosh(np.maximum(np.cosh(feet[rows] - end)[:, None] * np.cosh(offs), 1.0))
+        # the cap: the cells beyond the end's foot lie within s of its centre
+        beyond = (feet[rows] < end) if end < 0.0 else (feet[rows] > end)
+        in_region[rows] = ~beyond[:, None] | (d_end <= s)
+        cells[rows] = d_end < s
+    return feet, offs, in_region, in_region & ends[0], in_region & ends[1]
+
+
+def _end_nets(half_d: float, s: float):
+    """Hyperboloid vectors of the nets of the balls of radius s around the
+    tube's end centres gamma(-+half_d), centres first: the net of B(o, s)
+    with spacing 0.999 s / 4, moved along the axis."""
+    net = polar_around_origin(*ball_net(s, 0.999 * s / 4.0))
+    return to_hyperboloid(math.exp(-half_d) * net), to_hyperboloid(math.exp(half_d) * net)
 
 
 def sandwich_AQ(
@@ -858,11 +952,13 @@ def sandwich_AQ(
     the net or the flood fill on its own, so the results are those of
     the full checks.
 
-    Over 20 passes of the tube workload's sandwiches (2000 vacant and
-    200 occupied trials; one seed, three runs on a 2-core host) the
-    margins left the flood fill (``_flood_connected``) 102 trials at
-    0.22-0.30 ms a call, 5% of the sandwiches' time, and the Q net 63 at
-    2.3-3.3 ms, a third of it (4356 segments against about 20 points).
+    Over 20 passes of the tube workload's Boolean sandwiches (2000
+    vacant and 200 occupied trials; one seed, three runs on a 2-core
+    host) the margins left the flood fill (``_flood_connected``) 84
+    trials at 0.3 ms a call, 6% of the sandwiches' time, and the Q net 64
+    at 3.0 ms, half of it (4356 segments against about 20 points).  The
+    grid took 6% and the column cut 5%; the end nets, built only by the
+    45 of 140 calls that reach the Q net, took 2%.
 
     Lines trials are decided per group of ``_groups``: every line's
     sides on both end nets are taken once, f and Q count per trial the
@@ -882,15 +978,13 @@ def sandwich_AQ(
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
     rho = half_d + s
-    # the net of B(o, s), moved along the axis to the ends gamma(-+d/2)
-    net = polar_around_origin(*ball_net(s, 0.999 * s / 4.0))
-    hx, hy = to_hyperboloid(math.exp(-half_d) * net), to_hyperboloid(math.exp(half_d) * net)
     events = []
     if model == "lines":
+        hx, hy = _end_nets(half_d, s)
         for group in _groups(sample_lines(lam, rho, gen) for _ in range(trials)):
             events += zip(*(ok.tolist() for ok in _lines_tube_events(group, hx, hy)))
     else:
-        seg_p, seg_q = np.repeat(hx, len(hy), axis=0), np.tile(hy, (len(hx), 1))
+        q_net = None  # the segments of the Q net, built for the first trial that runs it
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
         # every path from the start to the end cells crosses these columns
         mid_feet = feet[np.abs(feet) <= half_d - s]
@@ -909,8 +1003,11 @@ def sandwich_AQ(
             q_ok[f_ok] = _q_by_margin(model, *_trials_of(f_ok, trial, u, y), half_d, R, s)
             cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s)
             for i in np.flatnonzero(f_ok & ~q_ok):
+                if q_net is None:
+                    hx, hy = _end_nets(half_d, s)
+                    q_net = np.repeat(hx, len(hy), axis=0), np.tile(hy, (len(hx), 1))
                 k = slice(bounds[i], bounds[i + 1])
-                q_ok[i] = _net_contained(seg_p, seg_q, polar_hyperboloid(t[k], psi[k]), R, model)
+                q_ok[i] = _net_contained(*q_net, polar_hyperboloid(t[k], psi[k]), R, model)
             for i in np.flatnonzero(~f_ok)[~cut]:
                 k = slice(bounds[i], bounds[i + 1])
                 blocked = _blocked_cells(feet, offs, u[k], y[k], R)

@@ -37,11 +37,13 @@ from hyperc.percolation import (
     _antipodal_pairs,
     _block_thresholds,
     _boolean_ray_survivors,
-    _chord_contained,
+    _candidates,
     _chord_distance,
+    _chords_contained,
     _coverage_reaches,
     _cut_columns,
     _exposure_alpha,
+    _first_chords,
     _flood_connected,
     _line_ray_survivors,
     _lines_avoid,
@@ -72,10 +74,13 @@ from hyperc.sampling import (
 
 from axis_oracles import axis_point, distance_to_axis_segment, polar_of, to_axis
 from tube_oracles import (
+    antipodal_pairs,
     full_chord_detection,
     lines_tube_events,
     projection_segment_point_distance,
+    reaches_cut_columns,
     sample_and_rays,
+    tube_grid,
 )
 
 # false-alarm rate per estimate of the exact two-sided binomial gates
@@ -896,6 +901,41 @@ def test_margins_imply_the_full_checks(model, params):
     assert 0 < q_accepted.sum() < 200 and 0 < cut.sum() < 200
 
 
+@pytest.mark.parametrize(
+    "model, params, trials",
+    [("vacant", ModelParams(0.1, 1.0), 50), ("occupied", ModelParams(1.0, 1.0), 2)],
+)
+def test_sandwich_is_the_same_with_the_reaches_column_cut(monkeypatch, model, params, trials):
+    """The column cut tests each (point, column) by a cosh product; with
+    the form that passes every column to ``_reaches`` as a zero-length
+    segment patched in, the tube workload's sandwich gives the same
+    results at seeds 0-39, and the cut settled some trials."""
+    def run():
+        return [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
+                for seed in range(40)]
+
+    counts = _spy_margins(monkeypatch)
+    got = run()
+    assert counts["_cut_columns"][1] > 0
+    monkeypatch.setattr(percolation, "_cut_columns", reaches_cut_columns)
+    assert run() == got
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied"])
+def test_column_cut_matches_the_reaches_form(model):
+    """On random points near the tube, 64 trials at each radius, the cosh
+    test cuts the trials that the zero-length segments of ``_reaches``
+    cut, also at R < s, where no vacant ball of radius R - s exists."""
+    gen = np.random.default_rng(34)
+    feet = np.linspace(-1.95, 1.95, 625)
+    for R in (0.03, 0.5, 1.0):
+        trial = np.sort(gen.integers(0, 64, 400))
+        u, y = gen.uniform(-3.0, 3.0, 400), gen.uniform(-R - 0.1, R + 0.1, 400)
+        got = _cut_columns(model, trial, u, y, 64, feet, R, 0.05)
+        assert np.array_equal(got, reaches_cut_columns(model, trial, u, y, 64, feet, R, 0.05)), R
+        assert got.any() != (model == "vacant" and R < 0.05), R
+
+
 @pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
 @pytest.mark.parametrize("s", [0.02, 0.05])
 def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
@@ -1073,6 +1113,17 @@ def _serpentine(shape, gap=None) -> np.ndarray:
     return grid
 
 
+@pytest.mark.parametrize("s", [0.001, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05])
+def test_tube_grid_matches_the_arccosh_grid(s):
+    """The grid takes the arccosh of a cell's distance to an end only on
+    the rows within 2s of that end; at d = 4, 4.05, ..., 12 every cell of
+    every mask equals that of the grid with an arccosh per cell."""
+    for d in np.linspace(4.0, 12.0, 161):
+        got, ref = _tube_grid(d / 2.0, s), tube_grid(d / 2.0, s)
+        for a, b in zip(got, ref, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b), (d, s)
+
+
 def test_flood_fill_agrees_with_the_component_labels():
     """On the tube workload's grid, with its start and end masks: seeded
     random grids of open density 0.3-0.8, an all-closed grid, a grid
@@ -1232,7 +1283,13 @@ def _all_pairs_antipodal(alive, r, s):
     return idx[ci[order]], idx[cj[order]]
 
 
-@pytest.mark.parametrize("n_dir", [36, 37, 360, 361])
+# (r, s) of the pair tests: s = 0.5 lets the coarse grids of 8 and 9
+# directions have pairs, and at s = 1e-20 no chord of any grid passes
+# close enough, not even an antipodal one (its distance rounds to ~6e-17)
+PAIR_CASES = [(4.0, 0.1), (10.0, 0.02), (2.0, 0.5), (4.0, 1e-20)]
+
+
+@pytest.mark.parametrize("n_dir", [8, 9, 36, 37, 360, 361])
 @pytest.mark.parametrize(
     "model, params",
     [("vacant", ModelParams(0.05, 1.0)), ("occupied", ModelParams(1.0, 1.0)),
@@ -1240,18 +1297,27 @@ def _all_pairs_antipodal(alive, r, s):
 )
 def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
     """detect-line tries the pairs, and in the order, of the all-pairs
-    reference: on the full grid, whose pairs tie in their distance from
-    antipodal, and on the surviving directions of real samples."""
-    r, s = 4.0, 0.1
-    masks = [np.ones(n_dir, dtype=bool)]
+    reference and of the search among each sample's surviving
+    directions: the call's pairs of the whole grid, gathered per group,
+    on the full grid, whose pairs tie in their distance from antipodal,
+    and on each row of the group masks of real samples."""
     rngs = [RngStream(seed) for seed in range(8)]
-    masks += [mask for _, alive in _ray_groups(model, params, r, n_dir, rngs) for mask in alive]
-    partial_tried = 0
-    for alive in masks:
-        got, ref = _antipodal_pairs(alive, r, s), _all_pairs_antipodal(alive, r, s)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-        partial_tried += len(got[0]) * (not alive.all())
-    assert partial_tried > 0
+    groups = [alive for _, alive in _ray_groups(model, params, 4.0, n_dir, rngs)]
+    groups.append(np.ones((1, n_dir), dtype=bool))
+    assert max(len(alive) for alive in groups) > 1
+    partial_tried, sizes = 0, []
+    for r, s in PAIR_CASES:
+        pair_i, pair_j = _antipodal_pairs(n_dir, r, s)
+        sizes.append(len(pair_i))
+        for alive in groups:
+            sample, pair = _candidates(alive, pair_i, pair_j)
+            assert np.all(np.diff(sample) >= 0)
+            for row, mask in enumerate(alive):
+                got = pair_i[pair[sample == row]], pair_j[pair[sample == row]]
+                for ref in (_all_pairs_antipodal(mask, r, s), antipodal_pairs(mask, r, s)):
+                    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+                partial_tried += len(got[0]) * (not mask.all())
+    assert partial_tried > 0 and sizes[-1] == 0
 
 
 @pytest.mark.parametrize("n_dir", [-4, 0, 1, 3, 7])
@@ -1327,6 +1393,39 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
     assert {det.found for det in found} == {True, False}
 
 
+@pytest.mark.parametrize("budget", [40, None])
+def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
+    """On a coarse odd grid, whose chords all miss (0, 1), with a wide
+    ball s, the first chords of a vacant sample often fail.  detect-line
+    then decides each group's chords in rounds, the next candidate of
+    every undecided sample per round; every detection equals the
+    per-sample oracle's, which tries the chords one at a time, each
+    against every point.  At a budget of 40 points (a few samples a
+    group) and the default (one group), some group holds several samples
+    and some sample takes 3 or more rounds."""
+    if budget is not None:
+        monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
+    params, s, r, n_dir = ModelParams(0.3, 1.0), 0.6, 2.0, 41
+    first_chords, rounds = percolation._first_chords, []
+
+    def spy(model, samples, *args):
+        rounds.append([len(samples), 0])
+        return first_chords(model, samples, *args)
+
+    def count(*args):
+        rounds[-1][1] += 1
+        return _chords_contained(*args)
+
+    monkeypatch.setattr(percolation, "_first_chords", spy)
+    monkeypatch.setattr(percolation, "_chords_contained", count)
+    rngs = [RngStream(seed, 11) for seed in range(100)]
+    found = detect_line_through_ball("vacant", params, s, r, rngs, n_dir)
+    for rng, det in zip(rngs, found, strict=True):
+        assert det == full_chord_detection("vacant", params, s, r, rng, n_dir)
+    assert {det.found for det in found} == {True, False}
+    assert max(size for size, _ in rounds) > 1 and max(n for _, n in rounds) >= 3
+
+
 def _chord_ends(i: int, j: int, n_dir: int, r: float) -> np.ndarray:
     ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
     return to_hyperboloid(polar_around_origin(np.full(2, r), ends))
@@ -1337,22 +1436,25 @@ def _chord_ends(i: int, j: int, n_dir: int, r: float) -> np.ndarray:
 )
 def test_pruned_chord_check_matches_the_full_check(model, params):
     """On 200 realizations, three chords each between nearly antipodal
-    grid directions that pass within s of (0, 1): the chord measured
+    grid directions that pass within s of (0, 1), all decided in one
+    round as the lone candidates of 600 samples: a chord measured
     against the points near its rays is contained iff it is when
     measured against every point."""
     r, s, n_dir, R = 3.0, 0.1, 360, params.radius
-    pair_i, pair_j = _antipodal_pairs(np.ones(n_dir, dtype=bool), r, s)
-    verdicts = []
+    pair_i, pair_j = _antipodal_pairs(n_dir, r, s)
+    samples, ends, verdicts = [], [], []
     for seed in range(200):
         gen = RngStream(seed, 5).generator()
         sample = sample_points(params, r + R, gen)
         w = to_hyperboloid(sample.points)
         for k in gen.integers(len(pair_i), size=3):
-            i, j = pair_i[k], pair_j[k]
-            pq = _chord_ends(i, j, n_dir, r)
-            full = _net_contained(pq[:1], pq[1:], w, R, model)
-            assert _chord_contained(model, sample, i, j, n_dir, r, s) == full, (seed, i, j)
-            verdicts.append(full)
+            pq = _chord_ends(pair_i[k], pair_j[k], n_dir, r)
+            verdicts.append(_net_contained(pq[:1], pq[1:], w, R, model))
+            samples.append(sample)
+            ends.append((pair_i[k], pair_j[k]))
+    order = np.arange(len(samples))
+    first = _first_chords(model, samples, order, np.asarray(ends), n_dir, r, s)
+    assert np.array_equal(first, np.where(verdicts, order, -1))
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -1370,18 +1472,19 @@ def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
     sample = BooleanSample(params, r + R, np.append(drawn.t, t), np.append(drawn.psi, psi))
     seen = []
 
-    def spy(seg_p, seg_q, w, *args):
-        seen.append(w)
-        return _net_contained(seg_p, seg_q, w, *args)
+    def spy(model, R, r, ends, chord, t, psi):
+        seen.append(np.stack([t, psi], axis=1))
+        return _chords_contained(model, R, r, ends, chord, t, psi)
 
-    monkeypatch.setattr(percolation, "_net_contained", spy)
-    got = _chord_contained(model, sample, 0, n_dir // 2, n_dir, r, s)
+    monkeypatch.setattr(percolation, "_chords_contained", spy)
+    [first] = _first_chords(model, [sample], np.zeros(1, int), np.asarray([[0, n_dir // 2]]),
+                            n_dir, r, s)
     pq = _chord_ends(0, n_dir // 2, n_dir, r)
-    assert got == _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
-    [w] = seen
-    at, beyond = polar_hyperboloid(t, psi)
-    assert np.any(np.all(w == at, axis=1)) and not np.any(np.all(w == beyond, axis=1))
-    assert len(w) < len(drawn)
+    assert (first == 0) == _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
+    [measured] = seen
+    at, beyond = np.stack([t, psi], axis=1)
+    assert np.any(np.all(measured == at, axis=1)) and not np.any(np.all(measured == beyond, axis=1))
+    assert len(measured) < len(drawn)
 
 
 @pytest.mark.parametrize("budget", [1, 10, None])
@@ -1445,6 +1548,23 @@ def test_chord_distance_is_well_conditioned():
         delta = np.mod(np.roll(thetas, -m) - thetas, 2.0 * math.pi)
         err = np.abs(_chord_distance(r, delta) - exact)
         assert err.max() < 1e-12, (m, err.max())
+
+
+def test_chord_distance_against_60_digits():
+    """At r up to 18 and any delta, the chord's distance h from (0, 1)
+    lies within 2e-16 (h + sinh 2h) of 60-digit arithmetic on the same r
+    and delta, the bound its docstring states."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(33)
+    r = np.concatenate([np.linspace(0.0, 18.0, 37), rng.uniform(0.0, 18.0, 264)])
+    delta = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 151),
+                            math.pi + rng.uniform(-0.1, 0.1, 100), rng.uniform(0.0, 0.01, 50)])
+    got = np.asarray([_chord_distance(a, np.asarray(b)) for a, b in zip(r.tolist(), delta)])
+    with mpmath.workdps(60):
+        exact = np.asarray([float(mpmath.atanh(mpmath.tanh(mpmath.mpf(a))
+                                               * abs(mpmath.cos(mpmath.mpf(float(b)) / 2))))
+                            for a, b in zip(r, delta)])
+    assert (np.abs(got - exact) <= 2e-16 * (exact + np.sinh(2.0 * exact))).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Reference forms of the tube certificates that the tests compare
 against: Fermi coordinates by projecting every point onto every
 segment, rays decided one sample at a time with every pair of their
-arcs read by ``frame_fermi``, the chord of detect-line measured against
-every point of its sample, its ends and the points made through the
-upper half-plane (``polar_around_origin``, then ``to_hyperboloid``)
-rather than by ``polar_hyperboloid``, and the lines sandwich's events
-decided one trial at a time."""
+arcs read by ``frame_fermi``, detect-line's candidate pairs searched
+among each sample's surviving directions and its chords tried one at a
+time, each measured against every point of its sample, its ends and the
+points made through the upper half-plane (``polar_around_origin``, then
+``to_hyperboloid``) rather than by ``polar_hyperboloid``, the lines
+sandwich's events decided one trial at a time, the sandwich's grid with
+an arccosh per cell, and its column cut as zero-length segments through
+``_reaches``."""
 
 import math
 
@@ -19,7 +22,13 @@ from hyperc.geometry import (
     polar_frame,
     to_hyperboloid,
 )
-from hyperc.percolation import LineDetection, _antipodal_pairs, _grid_runs, _net_contained, _reaches
+from hyperc.percolation import (
+    LineDetection,
+    _chord_distance,
+    _grid_runs,
+    _net_contained,
+    _reaches,
+)
 from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_lines, sample_points
 
 
@@ -89,6 +98,24 @@ def sample_and_rays(model: str, params: ModelParams, r: float, n_dir: int, rng):
     return sample, boolean_ray_survivors(sample, r, n_dir, model)
 
 
+def antipodal_pairs(alive: np.ndarray, r: float, s: float):
+    """The candidate pairs of one sample, searched among its surviving
+    directions: pairs i < j of alive grid directions within 2.5 steps of
+    antipodal whose chord at distance r passes within s of (0, 1), as two
+    arrays, closest to antipodal first, ties in order of (i, j)."""
+    n = len(alive)
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    idx = np.flatnonzero(alive)
+    owner, j = _grid_runs(idx + n // 2 - 3, idx + n // 2 + 3, n)
+    i = idx[owner]
+    delta = np.mod(thetas[j] - thetas[i], 2.0 * math.pi)
+    miss = np.abs(delta - math.pi)
+    keep = alive[j] & (j > i) & (miss <= 2.5 * (2.0 * math.pi / n))
+    keep &= _chord_distance(r, delta) < s
+    order = np.lexsort((j[keep], i[keep], miss[keep]))
+    return i[keep][order], j[keep][order]
+
+
 def full_chord_detection(model: str, params: ModelParams, s: float, r: float, rng,
                          n_dir: int = 360) -> LineDetection:
     """detect-line for one stream, deciding each candidate chord against
@@ -96,7 +123,7 @@ def full_chord_detection(model: str, params: ModelParams, s: float, r: float, rn
     sample, alive = sample_and_rays(model, params, r, n_dir, rng)
     n_surviving = int(np.count_nonzero(alive))
     if n_surviving >= 2:
-        for i, j in zip(*_antipodal_pairs(alive, r, s)):
+        for i, j in zip(*antipodal_pairs(alive, r, s)):
             ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
             pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
             if model == "lines":
@@ -120,3 +147,32 @@ def lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
     q_ok = bool(np.all(both.all(axis=0) | ~both.any(axis=0)))
     a_ok = f_ok or bool({row.tobytes() for row in pos_x} & {row.tobytes() for row in pos_y})
     return a_ok, f_ok, q_ok
+
+
+def tube_grid(half_d: float, s: float):
+    """The sandwich's flood-fill grid, (feet, offs, in_region, start_cells,
+    end_cells), with the distance of every cell to each end centre taken
+    by an arccosh."""
+    mesh = s / 8.0
+    n_t = int(math.ceil((2.0 * half_d + 2.0 * s) / mesh)) + 1
+    n_v = 2 * int(math.ceil(s / mesh)) + 1
+    feet, offs = np.linspace(-half_d - s, half_d + s, n_t), np.linspace(-s, s, n_v)
+    tt = feet[:, None]
+    d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(offs), 1.0))
+    d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(offs), 1.0))
+    in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
+    return feet, offs, in_region, in_region & (d_x < s), in_region & (d_y < s)
+
+
+def reaches_cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
+    """The sandwich's column cut, each trial's column over feet[c] passed
+    to ``_reaches`` as the zero-length segment trial * len(feet) + c with
+    balls of radius R - s (vacant) or R + s (occupied): a negative reach
+    puts the column's axis point strictly within R - s of a point, or at
+    least R + s from every point."""
+    grow = s if model == "vacant" else -s
+    cols = len(feet)
+    seg = (trial[:, None] * cols + np.arange(cols)).ravel()
+    foot = (u[:, None] - feet).ravel()
+    reach = _reaches(model, seg, foot, np.repeat(y, cols), R - grow, n * cols)
+    return (reach < 0.0).reshape(n, cols).any(axis=1)

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 85
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 86
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -120,6 +120,10 @@ INVOCATIONS = [
     ("detect-line.vacant.groups",
      ["detect-line", "--model", "vacant", "--lambda", "0.1", "--R", "1", "--r", "5",
       "--samples", "60", "--seed", "4"]),
+    # a coarse odd grid and a wide ball: some chords are tried in 3 rounds
+    ("detect-line.vacant.rounds",
+     ["detect-line", "--model", "vacant", "--lambda", "0.3", "--R", "1", "--r", "2", "--s", "0.6",
+      "--directions", "41", "--samples", "100", "--seed", "1"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
     ("detect-line.s-inf",
