@@ -301,6 +301,9 @@ def _cmd_s_dist(cfg):
 
 
 def _cmd_grassmann(cfg):
+    ball_closed = phi_ball(cfg["rho"])
+    if cfg["mc_lambda"] is not None and not math.isfinite(cfg["mc_rmax"]):
+        raise ValueError("--mc-rmax must be finite")
     seg = [
         {"r": r, "closed_form": phi_segment(r), "quadrature": phi_segment_quadrature(r)}
         for r in _finite_r_values(cfg["r_values"])
@@ -316,7 +319,7 @@ def _cmd_grassmann(cfg):
     rho = cfg["rho"]
     ball = {
         "rho": rho,
-        "closed_form": phi_ball(rho),
+        "closed_form": ball_closed,
         "quadrature": phi_ball_quadrature(rho),
     }
     results = {"segment_measure": seg, "separating_measure": sep, "ball_measure": ball}

@@ -33,8 +33,12 @@ at once.  The Boolean sandwich decides its trials in blocks: f, and
 margins on the central segment that settle Q or A for most trials
 (``sandwich_AQ`` gives the argument), f and the Q margin each in one
 ``_reaches`` call per block and the A margin in one (points, columns)
-cosh test; only the trials they leave run the Q net or the flood fill,
-one at a time, and only a call that reaches the Q net builds it.
+cosh test; a Q the margin leaves goes to a cross-section certificate,
+which tests the segments across the tube at the grid's feet that hold
+every net segment's points, all of a block's in one ``_reaches`` call.
+Only the trials these leave run the Q net, which stops at its first
+failing chunk of segments, or the flood fill, one at a time, and only a
+call that reaches the Q net builds it.
 
 Every path reads the polar coordinates (t, psi) around (0, 1) that a
 ``BooleanSample`` was drawn in as they are, with no trip through the
@@ -51,12 +55,12 @@ check every other path against it on the same realization.
 
 from __future__ import annotations
 
+import atexit
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -90,6 +94,9 @@ from .sampling import (
     sample_points,
     sample_tube,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "ExperimentResult",
@@ -230,13 +237,26 @@ def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, 
     return thr
 
 
+# Strided chunks of segments that ``_net_contained`` measures in turn.
+NET_CHUNKS = 8
+
+
 def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
     """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
-    balls of radius R around the points w (all hyperboloid vectors)."""
-    foot, perp = segment_point_distance(seg_p, seg_q, w)
-    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
-    seg = np.repeat(np.arange(len(seg_p)), len(w))
-    return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))
+    balls of radius R around the points w (all hyperboloid vectors).
+
+    The segments are measured in NET_CHUNKS strided chunks, k, k + 8,
+    ..., and the first chunk with a failing segment ends the call; the
+    chunks spread over the whole net, so a sandwich trial whose Q fails
+    mostly stops after the first."""
+    for k in range(min(NET_CHUNKS, len(seg_p))):
+        p, q = seg_p[k::NET_CHUNKS], seg_q[k::NET_CHUNKS]
+        foot, perp = segment_point_distance(p, q, w)
+        lengths = np.arccosh(np.maximum(-minkowski(p, q), 1.0))
+        seg = np.repeat(np.arange(len(p)), len(w))
+        if not np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(p)) >= lengths):
+            return False
+    return True
 
 
 def _lines_avoid(sample: LineSample, pq: np.ndarray) -> bool:
@@ -322,7 +342,11 @@ def _span_thresholds(model, lam, R, r_max, master_seed, stream_index, span):
 # forked), and no pool thread is alive when a pool forks, because the
 # old pool is shut down first.  A long-lived worker keeps the module
 # state it was forked with, so its jobs take everything they read as
-# arguments.
+# arguments.  The pool machinery is imported on first use: it loads
+# multiprocessing, logging, socket and subprocess, which a run without
+# workers never needs.  Imported after this module, it is torn down
+# before it at exit, so the pool is closed by an exit handler, while
+# both modules are intact.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
 _pool_lock = threading.Lock()
 
@@ -334,9 +358,14 @@ def _close_pool() -> None:
         _pool = None
 
 
+atexit.register(_close_pool)
+
+
 def _shared_pool(size: int) -> ProcessPoolExecutor:
     """The shared pool, started on first use or replaced by one of
     another size."""
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool
     if _pool is not None and _pool[0] != size:
         _close_pool()
@@ -349,6 +378,8 @@ def _pool_map(job, spans, size: int) -> list:
     """job over spans on the shared pool, in span order.  A pool that
     broke (one of its workers died) is replaced and the spans run once
     more; the jobs are pure, so the rerun returns the same."""
+    from concurrent.futures.process import BrokenProcessPool
+
     with _pool_lock:
         try:
             return list(_shared_pool(size).map(job, spans))
@@ -815,6 +846,60 @@ def _q_by_margin(model: str, trial, u, y, n: int, half_d: float, R: float, s: fl
     return _reaches(model, trial, u + half_d, y, R + grow, n) >= 2.0 * half_d
 
 
+def _net_width(u: np.ndarray, half_d: float, s: float) -> np.ndarray:
+    """Bound on the offset from the axis of every point at axis foot u of
+    a segment whose ends lie within s of the end centres gamma(-+half_d).
+
+    Along a geodesic tanh v = a cosh u + b sinh u, and the ends have
+    |v| <= s at feet beyond -+(half_d - s), which bounds tanh |v| by
+    tanh s cosh u / cosh(half_d - s) for |u| <= half_d - s.  Further out
+    the segment keeps within s of the central segment (the distance to
+    it is convex along the segment), so |v| <= s up to the end feet and
+    cosh v <= cosh s / cosh(|u| - half_d) beyond them."""
+    inner = half_d - s
+    a = np.abs(u)
+    mid = np.arctanh(math.tanh(s) * np.cosh(np.minimum(a, inner)) / math.cosh(inner))
+    cap = np.arccosh(np.maximum(math.cosh(s) / np.cosh(np.maximum(a - half_d, 0.0)), 1.0))
+    return np.where(a <= inner, mid, np.where(a <= half_d, s, cap))
+
+
+def _q_by_columns(model: str, trial, u, y, n: int, feet, half_d: float, R: float,
+                  s: float) -> np.ndarray:
+    """Per trial of n, True when every column {(feet[m], v) : |v| <= w_m}
+    lies in the set for balls of radius R + eps (vacant) or R - eps
+    (occupied) around the trial's points, point k of trial[k] at axis
+    coordinates (u[k], y[k]): then Q holds, and False leaves it
+    undecided.  The feet are the grid's, at most s / 8 apart, and w_m is
+    ``_net_width`` at the worst foot within s / 16 of feet[m].
+
+    Each point (u, v) of a net segment has a foot feet[m] within s / 16
+    and |v| <= w_m, so it lies within eps of the column point (feet[m], v),
+    cosh eps = 1 + cosh^2 s (cosh(s / 16) - 1), and a ball of radius R + eps
+    that misses the column (or one of R - eps that covers it) keeps it in
+    the set.  eps is about s / 16, far above rounding.  A point's Fermi
+    coordinates along a column come from frame_fermi(sinh y, cosh y
+    sinh(u - feet[m])), measured only on the columns whose geodesic it
+    comes within R -+ eps of, and all trials' columns from one
+    ``_reaches`` call, segment trial * columns + m."""
+    half_step = s / 16.0
+    eps = math.acosh(1.0 + math.cosh(s) ** 2 * (math.cosh(half_step) - 1.0))
+    radius = R + (eps if model == "vacant" else -eps)
+    cols = len(feet)
+    a = np.abs(feet)
+    widths = _net_width(np.minimum(np.maximum(a - half_step, half_d), a + half_step), half_d, s)
+    # a point comes within radius of the column's geodesic iff
+    # cosh y |sinh(u - foot)| < sinh(radius); one spare column each side
+    cosh_y = np.cosh(y)
+    span = np.arcsinh(math.sinh(radius) / cosh_y)
+    step = feet[1] - feet[0]
+    lo = np.maximum(np.floor((u - span - feet[0]) / step).astype(np.int64) - 1, 0)
+    hi = np.minimum(np.ceil((u + span - feet[0]) / step).astype(np.int64) + 1, cols - 1)
+    k, m = _runs(lo, hi)
+    along, offset = frame_fermi(np.sinh(y)[k], cosh_y[k] * np.sinh(u[k] - feet[m]))
+    ends = _reaches(model, trial[k] * cols + m, along + widths[m], offset, radius, n * cols)
+    return (ends.reshape(n, cols) >= 2.0 * widths).all(axis=1)
+
+
 def _cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
     """Per trial of n, True when some grid column's axis point lies strictly
     within R - s of a point (vacant) or at least R + s from every point
@@ -941,24 +1026,36 @@ def sandwich_AQ(
     segment is convex along it, so it lies within s of that segment; Q
     then holds if the central segment lies in the set for balls of
     radius R + s (vacant) or R - s (occupied), and the net is not
-    measured (``_q_by_margin``).  A: start cells have feet below
+    measured (``_q_by_margin``).  A Q that the margin leaves goes to the
+    net's cross-sections: at each grid foot, the segment across the axis
+    that holds every net segment's points at that foot, within the width
+    ``_net_width``; if those segments lie in the set for balls of radius
+    R + eps (vacant) or R - eps (occupied), with eps the farthest a net
+    point lies from its nearest cross-section, Q holds
+    (``_q_by_columns``).  A: start cells have feet below
     -d/2 + s and end cells above d/2 - s, so every 4-connected path
     between them crosses each grid column with foot in
     [-d/2 + s, d/2 - s], and such a column's cells lie within s of its
     axis point; A then fails if one of those axis points lies strictly
     within R - s of a point (vacant) or at least R + s from every point
-    (occupied), and no flood fill runs (``_cut_columns``).  Both
+    (occupied), and no flood fill runs (``_cut_columns``).  These
     conditions are sufficient only; each trial they leave undecided runs
     the net or the flood fill on its own, so the results are those of
     the full checks.
 
     Over 20 passes of the tube workload's Boolean sandwiches (2000
-    vacant and 200 occupied trials; one seed, three runs on a 2-core
-    host) the margins left the flood fill (``_flood_connected``) 84
-    trials at 0.3 ms a call, 6% of the sandwiches' time, and the Q net 64
-    at 3.0 ms, half of it (4356 segments against about 20 points).  The
-    grid took 6% and the column cut 5%; the end nets, built only by the
-    45 of 140 calls that reach the Q net, took 2%.
+    vacant and 200 occupied trials; one seed, under cProfile on a 2-core
+    host) the margins left 97 trials to the flood fill
+    (``_flood_connected`` with ``_blocked_cells``, 19% of the
+    sandwiches' time) and 92 to the certificate (53 calls, 6%), which
+    settled 27 of them.  Of the 65 trials left to the Q net (4356
+    segments against about 20 points; 17%), 60 failed in the net's first
+    chunk and 5 held; without the certificate and the chunks, all 92 ran
+    the whole net, 47% of the time.  The grid took 8%, the column cut 6%
+    and the end nets, built only by the 40 of 140 calls that reach the
+    Q net, 3%.  Dropping the Q margin and leaving every Q to the
+    certificate made the workload's occupied sandwich 1.6 times slower
+    in the median, so the margin stays.
 
     Lines trials are decided per group of ``_groups``: every line's
     sides on both end nets are taken once, f and Q count per trial the
@@ -1001,6 +1098,10 @@ def sandwich_AQ(
             bounds = np.searchsorted(trial, np.arange(n + 1))
             q_ok, a_ok = f_ok.copy(), f_ok.copy()
             q_ok[f_ok] = _q_by_margin(model, *_trials_of(f_ok, trial, u, y), half_d, R, s)
+            left = f_ok & ~q_ok
+            if left.any():
+                q_ok[left] = _q_by_columns(model, *_trials_of(left, trial, u, y), feet, half_d,
+                                           R, s)
             cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s)
             for i in np.flatnonzero(f_ok & ~q_ok):
                 if q_net is None:

@@ -432,8 +432,8 @@ def phi_ball(rho: float) -> float:
     ``phi_ball_quadrature`` integrates the same measure over
     boundary-angle pairs and is its oracle in the tests.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     return math.pi * math.sinh(rho)
 
 

@@ -260,11 +260,15 @@ def test_nan_intensity_is_a_usage_error(capsys):
          "ball radius must be finite"),
         (["detect-line", "--lambda", "0.1", "--s", "inf", "--samples", "2", "--seed", "1"],
          "radius s must be positive and finite"),
+        *((["grassmann", "--mc-lambda", "0.3", f"--mc-rmax={rmax}", "--seed", "1"],
+           "--mc-rmax must be finite") for rmax in ("inf", "nan")),
+        (["grassmann", "--rho", "inf"], "rho must be positive and finite"),
     ],
     ids=["alpha-lines-negative", "alpha-lines-nan", "lrp-negative", "lrp-nan", "lrp-c-above-1",
          "lrp-c-negative", "lrp-c-nan", "lrp-inverted", "s-dist-grid-0", "s-dist-grid-negative",
          "alpha-vacant-inf", "alpha-lines-inf", "lrp-inf", "critical-occupied-R-inf",
-         "critical-vacant-R-inf", "alpha-occupied-R-inf", "detect-line-s-inf"],
+         "critical-vacant-R-inf", "alpha-occupied-R-inf", "detect-line-s-inf",
+         "grassmann-mc-rmax-inf", "grassmann-mc-rmax-nan", "grassmann-rho-inf"],
 )
 def test_out_of_range_parameter_is_a_usage_error(argv, message, capsys):
     """Each is refused before anything is computed or drawn, in one

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in it or exported,
 every function, class and method it defines is used in the package, and
-the command line loads no scipy module until a quadrature runs."""
+the command line loads no scipy module until a quadrature runs and no
+process pool machinery until a run asks for workers."""
 
 import ast
 import os
@@ -90,31 +91,57 @@ def test_every_definition_is_referenced():
     assert unreferenced == []
 
 
-def test_the_cli_loads_no_scipy():
-    """scipy costs most of a CLI call's import time and serves only the
-    quadrature oracles, which import it when called (the quadrature
-    checks of ``hyperc grassmann``).  Importing the CLI, a simulate-f run
-    through ``main`` and a tube sandwich load no scipy module."""
+# the pool machinery's modules, which estimate_f loads only for a run on
+# worker processes
+POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
+
+
+def _modules_after_cli_runs(prefixes, workers: int = 1) -> list:
+    """In a fresh interpreter, the loaded modules named by prefixes (a
+    module or a submodule of one), after importing the CLI, after a
+    simulate-f run through ``main`` on the given number of workers, and
+    after a tube sandwich of each Boolean model."""
     code = (
         "import math, sys\n"
         "import hyperc.cli\n"
         "from hyperc.geometry import HPoint\n"
         "from hyperc.percolation import sandwich_AQ\n"
         "from hyperc.sampling import ModelParams, RngStream\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "loaded = [scipy_modules()]\n"
-        "argv = ['simulate-f', '--lambda', '0.1', '--rmax', '2', '--trials', '100', '--seed', '1']\n"
+        f"prefixes = {tuple(prefixes)!r}\n"
+        "def modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if any(m == p or m.startswith(p + '.') for p in prefixes))\n"
+        "loaded = [modules()]\n"
+        "argv = ['simulate-f', '--lambda', '0.1', '--rmax', '2', '--trials', '600',\n"
+        f"        '--seed', '1', '--workers', '{workers}']\n"
         "assert hyperc.cli.main(argv) == 0\n"
-        "loaded.append(scipy_modules())\n"
-        "res = sandwich_AQ(HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0)), 0.05, 'vacant',\n"
-        "                  ModelParams(0.1, 1.0), 20, RngStream(3))\n"
-        "assert res.p_Q <= res.f_hat <= res.p_A\n"
-        "loaded.append(scipy_modules())\n"
+        "loaded.append(modules())\n"
+        "for model, lam in (('vacant', 0.1), ('occupied', 1.0)):\n"
+        "    res = sandwich_AQ(HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0)), 0.05, model,\n"
+        "                      ModelParams(lam, 1.0), 20, RngStream(3))\n"
+        "    assert res.p_Q <= res.f_hat <= res.p_A\n"
+        "loaded.append(modules())\n"
         "print(loaded, file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(hyperc.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip().splitlines()[-1] == "[[], [], []]"
+    return ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+
+
+def test_the_cli_loads_no_scipy():
+    """scipy costs most of a CLI call's import time and serves only the
+    quadrature oracles, which import it when called (the quadrature
+    checks of ``hyperc grassmann``).  Importing the CLI, a simulate-f run
+    through ``main`` and a tube sandwich load no scipy module."""
+    assert _modules_after_cli_runs(["scipy"]) == [[], [], []]
+
+
+def test_a_run_without_workers_loads_no_pool():
+    """The process pool's machinery is imported when a pool starts:
+    importing the CLI, a simulate-f run without workers and a tube
+    sandwich load none of it, and a run on two workers does."""
+    assert _modules_after_cli_runs(POOL_MODULES) == [[], [], []]
+    with_pool = _modules_after_cli_runs(POOL_MODULES, workers=2)
+    assert with_pool[0] == [] and {"concurrent.futures", "multiprocessing"} <= set(with_pool[1])

@@ -25,6 +25,7 @@ from hyperc.geometry import (
     ball_net,
     dist_arrays,
     frame_fermi,
+    minkowski,
     polar_around_origin,
     polar_frame,
     polar_hyperboloid,
@@ -32,6 +33,7 @@ from hyperc.geometry import (
     tube_area,
 )
 from hyperc.percolation import (
+    NET_CHUNKS,
     TRIAL_BLOCK,
     TUBE_BLOCK,
     _antipodal_pairs,
@@ -49,6 +51,8 @@ from hyperc.percolation import (
     _lines_avoid,
     _lines_tube_events,
     _net_contained,
+    _net_width,
+    _q_by_columns,
     _q_by_margin,
     _ray_groups,
     _tube_grid,
@@ -77,6 +81,7 @@ from tube_oracles import (
     antipodal_pairs,
     full_chord_detection,
     lines_tube_events,
+    net_contained,
     projection_segment_point_distance,
     reaches_cut_columns,
     sample_and_rays,
@@ -788,19 +793,24 @@ def test_blocked_cells_match_the_per_point_loop(n_pts):
     assert np.array_equal(got[clear], (d < R).any(axis=2)[clear])
 
 
-def _one_point(monkeypatch, z: complex) -> None:
-    """Make every Boolean realization the single point z."""
+def _fixed_points(monkeypatch, z) -> None:
+    """Make every Boolean realization the point or points z."""
     t, psi = polar_of(z)
     monkeypatch.setattr(
         percolation, "sample_points", lambda p, radius, gen: BooleanSample(p, radius, t, psi)
     )
 
 
+# the sandwich's sufficient checks, which settle trials before the Q net
+# or the flood fill
+MARGIN_CHECKS = ("_q_by_margin", "_q_by_columns", "_cut_columns")
+
+
 def _spy_margins(monkeypatch) -> dict:
-    """Wrap the sandwich's two margin checks; per check's name, [trials
-    it saw, trials it settled]."""
+    """Wrap the sandwich's margin checks and its cross-section certificate;
+    per check's name, [trials it saw, trials it settled]."""
     counts = {}
-    for name in ("_q_by_margin", "_cut_columns"):
+    for name in MARGIN_CHECKS:
         tally = counts[name] = [0, 0]
 
         def spy(*args, check=getattr(percolation, name), tally=tally):
@@ -816,7 +826,7 @@ def _spy_margins(monkeypatch) -> dict:
 
 def _undecided(monkeypatch) -> None:
     """Leave every trial to the Q net and the flood fill."""
-    for name in ("_q_by_margin", "_cut_columns"):
+    for name in MARGIN_CHECKS:
         monkeypatch.setattr(percolation, name, lambda model, trial, u, y, n, *rest: np.zeros(n, bool))
 
 
@@ -825,7 +835,7 @@ def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
     from the central segment, so f holds, but comes within R of the end
     net, so Q fails; A holds."""
     params, s = ModelParams(0.1, 1.0), 0.05
-    _one_point(monkeypatch, axis_point(2.0, params.radius + s / 2.0))
+    _fixed_points(monkeypatch, axis_point(2.0, params.radius + s / 2.0))
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
     assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
 
@@ -846,11 +856,11 @@ def test_column_margin_cuts_beside_the_middle_only(monkeypatch, foot, gap, event
     the middle the column margin settles A; beside an end it leaves A to
     the flood fill.  The flood fill agrees in both."""
     params, s = ModelParams(0.1, 1.0), 0.05
-    _one_point(monkeypatch, axis_point(foot, params.radius - gap * s))
+    _fixed_points(monkeypatch, axis_point(foot, params.radius - gap * s))
     counts = _spy_margins(monkeypatch)
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
     assert (res.p_A, res.f_hat, res.p_Q) == events
-    assert counts == {"_q_by_margin": [0, 0], "_cut_columns": [1, cut]}
+    assert counts == {"_q_by_margin": [0, 0], "_q_by_columns": [0, 0], "_cut_columns": [1, cut]}
     _undecided(monkeypatch)
     assert sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0)) == res
 
@@ -870,11 +880,12 @@ def _column_cuts(model, u, y, feet, R, s) -> np.ndarray:
 )
 def test_margins_imply_the_full_checks(model, params):
     """Over 200 realizations of the tube workload's model, decided in one
-    call of each margin check: a Q that the margin accepts is one that
-    the sandwich's net accepts, and a trial that the column margin cuts
-    has a cut column, each of which is closed in every cell of the
-    sandwich's grid of offsets, all blocked (vacant) or none covered
-    (occupied)."""
+    call of each margin check and of the cross-section certificate: a Q
+    that the margin or the certificate accepts is one that the
+    sandwich's net accepts, the certificate accepts some that the margin
+    leaves, and a trial that the column margin cuts has a cut column,
+    each of which is closed in every cell of the sandwich's grid of
+    offsets, all blocked (vacant) or none covered (occupied)."""
     half_d, s, R = 2.0, 0.05, params.radius
     net_x, net_y = _end_nets(half_d, s, 0.999 * s / 4.0)
     seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
@@ -890,15 +901,137 @@ def test_margins_imply_the_full_checks(model, params):
     trial = np.repeat(np.arange(200), [len(u) for _, u, _ in trials])
     u_all, y_all = (np.concatenate([t[k] for t in trials]) for k in (1, 2))
     q_accepted = _q_by_margin(model, trial, u_all, y_all, 200, half_d, R, s)
+    q_columns = _q_by_columns(model, trial, u_all, y_all, 200, feet, half_d, R, s)
     cut = _cut_columns(model, trial, u_all, y_all, 200, mid, R, s)
     for seed, (pts, u, y) in enumerate(trials):
-        if q_accepted[seed]:
+        if q_accepted[seed] or q_columns[seed]:
             assert _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
         columns = _column_cuts(model, u, y, mid, R, s)
         assert columns.any() == cut[seed], seed
         blocked = percolation._blocked_cells(mid[columns], offs, u, y, R)
         assert (blocked if model == "vacant" else ~blocked).all(), seed
     assert 0 < q_accepted.sum() < 200 and 0 < cut.sum() < 200
+    assert (q_columns & ~q_accepted).any()
+
+
+@pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
+@pytest.mark.parametrize("s", [0.02, 0.05])
+def test_net_width_bounds_every_net_segment(d, s):
+    """41 points along each segment of the Q net lie within _net_width of
+    the axis at their foot.  The net's rings reach 0.999 of the bound
+    beyond the end feet, 0.99 where it is s, between the feet d/2 - s and
+    d/2, and 0.94 over the middle, where the bound takes the worst ends
+    at once."""
+    half_d = d / 2.0
+    net_x, net_y = percolation._end_nets(half_d, s)
+    p, q = np.repeat(net_x, len(net_y), axis=0), np.tile(net_y, (len(net_x), 1))
+    length = np.arccosh(np.maximum(-minkowski(p, q), 1.0))[:, None, None]
+    tau = np.linspace(0.0, 1.0, 41)[:, None]
+    pts = (np.sinh((1.0 - tau) * length) * p[:, None] + np.sinh(tau * length) * q[:, None])
+    pts /= np.sinh(length)
+    # the axis through (0, 1) in direction 0 has frame products (x1, -x0)
+    u, v = frame_fermi(pts[..., 1], -pts[..., 0])
+    ratio = np.abs(v) / _net_width(u, half_d, s)
+    assert ratio.max() <= 1.0
+    assert ratio[np.abs(u) > half_d].max() > 0.998
+    assert ratio[(np.abs(u) > half_d - s) & (np.abs(u) <= half_d)].max() > 0.99
+    assert ratio[np.abs(u) <= half_d - s].max() > 0.94
+
+
+# (p_A, f, p_Q) of the sandwich whose balls cover the whole tube
+COVERED = (1.0, 1.0, 1.0)
+
+
+def test_certificate_settles_a_cover_that_the_margin_leaves(monkeypatch):
+    """Occupied balls of radius 1 centred on the axis at feet -+0.98 and
+    -+2 cover the tube, but those of radius R - s leave a gap around the
+    foot 0, so the Q margin fails; the cross-sections of the net, covered
+    by the balls of radius R - eps, settle Q, and the net is not run."""
+    params, s = ModelParams(1.0, 1.0), 0.05
+    _fixed_points(monkeypatch, axis_point(np.asarray([-2.0, -0.98, 0.98, 2.0]), 0.0))
+    counts = _spy_margins(monkeypatch)
+
+    def no_net(*args):
+        raise AssertionError("the Q net ran")
+
+    monkeypatch.setattr(percolation, "_net_contained", no_net)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "occupied", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == COVERED
+    assert counts["_q_by_margin"] == [1, 0] and counts["_q_by_columns"] == [1, 1]
+
+
+def test_certificate_refuses_a_hole_beside_the_net(monkeypatch):
+    """Occupied balls of radius 1 on the axis at feet -+c, cosh c =
+    cosh R / cosh v_h, and -+2 leave a hole mid-tube at offsets above v_h,
+    halfway between the width w of the net at foot 0 and s.  The net
+    keeps inside w, so Q holds; the balls of radius R - eps leave the
+    middle column open, so the certificate refuses and the net decides."""
+    params, s, R = ModelParams(1.0, 1.0), 0.05, 1.0
+    w = float(_net_width(np.zeros(1), 2.0, s)[0])
+    v_h = (w + s) / 2.0
+    c = math.acosh(math.cosh(R) / math.cosh(v_h))
+    centres = axis_point(np.asarray([-2.0, -c, c, 2.0]), 0.0)
+    # the hole: a point of the tube farther than R from every centre
+    assert dist_arrays(axis_point(0.0, (v_h + s) / 2.0), centres).min() > R
+    _fixed_points(monkeypatch, centres)
+    counts = _spy_margins(monkeypatch)
+    verdicts = []
+
+    def net(*args, check=percolation._net_contained):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(percolation, "_net_contained", net)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "occupied", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == COVERED
+    assert counts["_q_by_margin"] == [1, 0] and counts["_q_by_columns"] == [1, 0]
+    assert verdicts == [True]
+
+
+def test_certificate_decides_nothing_below_eps():
+    """With occupied balls of radius R below eps, R - eps is negative and
+    the certificate settles no trial, even where the balls cover the
+    tube: a lattice of points 0.001 apart over a tube of half-length 0.1
+    and radius 0.05.  Balls of radius 0.02 around the same lattice are
+    settled."""
+    half_d, s = 0.1, 0.05
+    eps = math.acosh(1.0 + math.cosh(s) ** 2 * (math.cosh(s / 16.0) - 1.0))
+    feet = _tube_grid(half_d, s)[0]
+    u, y = np.meshgrid(np.arange(-0.16, 0.161, 0.001), np.arange(-0.06, 0.061, 0.001))
+    u, y = u.ravel(), y.ravel()
+    trial = np.zeros(len(u), dtype=np.int64)
+    for R, settled in ((0.9 * eps, False), (0.02, True)):
+        got = _q_by_columns("occupied", trial, u, y, 1, feet, half_d, R, s)
+        assert got.tolist() == [settled], R
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.15, 0.6)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_chunked_net_matches_the_one_pass_oracle(model, params):
+    """The net measured in strided chunks gives the one-pass verdict on
+    random segments: each segment alone, every contained segment at once
+    (all chunks pass), and those with one failing segment placed last, in
+    the last chunk."""
+    R = params.radius
+    gen = np.random.default_rng(41)
+    w = to_hyperboloid(sample_points(params, 2.0 + R, gen).points)
+    ends = polar_around_origin(
+        gen.uniform(0.0, 2.0, (2, 200)), gen.uniform(0.0, 2.0 * math.pi, (2, 200))
+    )
+    p, q = to_hyperboloid(ends[0]), to_hyperboloid(ends[1])
+    alone = []
+    for k in range(200):
+        alone.append(net_contained(p[k : k + 1], q[k : k + 1], w, R, model))
+        assert _net_contained(p[k : k + 1], q[k : k + 1], w, R, model) == alone[-1], k
+    good, bad = np.flatnonzero(alone), np.flatnonzero(~np.asarray(alone))
+    assert len(good) > 2 * NET_CHUNKS and len(bad) > 0
+    assert net_contained(p[good], q[good], w, R, model)
+    assert _net_contained(p[good], q[good], w, R, model)
+    last = np.append(good[: (len(good) // NET_CHUNKS) * NET_CHUNKS - 1], bad[0])
+    assert len(last) % NET_CHUNKS == 0
+    assert not net_contained(p[last], q[last], w, R, model)
+    assert not _net_contained(p[last], q[last], w, R, model)
 
 
 @pytest.mark.parametrize(
@@ -939,9 +1072,11 @@ def test_column_cut_matches_the_reaches_form(model):
 @pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
 @pytest.mark.parametrize("s", [0.02, 0.05])
 def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
-    """With both margin checks made to decide nothing, every trial runs the
-    Q net or the flood fill, and each result is the same, to the type of
-    its fields; each check had decided some trials."""
+    """With both margin checks and the cross-section certificate made to
+    decide nothing, every trial runs the Q net or the flood fill, and each
+    result is the same, to the type of its fields; each check had decided
+    some trials (the certificate at every (d, s) in the occupied case at
+    lambda 2, R 0.7)."""
     cases = [
         ("vacant", ModelParams(0.0, 1.0)),
         ("vacant", ModelParams(0.1, 1.0)),
@@ -949,6 +1084,7 @@ def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
         ("occupied", ModelParams(0.0, 1.0)),
         ("occupied", ModelParams(1.0, 1.0)),
         ("occupied", ModelParams(3.0, 0.5)),
+        ("occupied", ModelParams(2.0, 0.7)),
     ]
     y_end = HPoint(0.0, math.exp(d))
 
@@ -987,14 +1123,18 @@ SANDWICH_STREAM = [
 @pytest.mark.parametrize("model, params, trials, pinned", SANDWICH_STREAM)
 def test_sandwich_stream_is_pinned(monkeypatch, model, params, trials, pinned):
     """The tube workload's sandwich gives the recorded triples, and at its
-    parameters each margin check settles most of the trials it sees."""
+    parameters each margin check settles most of the trials it sees; the
+    cross-section certificate, which sees only the trials that the Q
+    margin leaves, settles some of them."""
     counts = _spy_margins(monkeypatch)
     got = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
            for seed in range(5)]
     assert [(r.p_A, r.f_hat, r.p_Q) for r in got] == pinned
     if model != "lines":
-        for calls, decided in counts.values():
+        for name in ("_q_by_margin", "_cut_columns"):
+            calls, decided = counts[name]
             assert decided > calls / 2
+        assert counts["_q_by_columns"][1] > 0
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -473,6 +473,11 @@ class TestPhiMeasures:
             with pytest.raises(ValueError, match=f"segment length must be {message}"):
                 phi(r)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_ball_refuses_a_non_finite_or_nonpositive_radius(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            phi_ball(rho)
+
     def test_separating_domain(self):
         for bad in (0.0, math.pi, -1.0, 4.0):
             with pytest.raises(ValueError):

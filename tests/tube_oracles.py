@@ -7,8 +7,8 @@ time, each measured against every point of its sample, its ends and the
 points made through the upper half-plane (``polar_around_origin``, then
 ``to_hyperboloid``) rather than by ``polar_hyperboloid``, the lines
 sandwich's events decided one trial at a time, the sandwich's grid with
-an arccosh per cell, and its column cut as zero-length segments through
-``_reaches``."""
+an arccosh per cell, its column cut as zero-length segments through
+``_reaches``, and its Q net measured in one pass."""
 
 import math
 
@@ -20,6 +20,7 @@ from hyperc.geometry import (
     minkowski,
     polar_around_origin,
     polar_frame,
+    segment_point_distance,
     to_hyperboloid,
 )
 from hyperc.percolation import (
@@ -176,3 +177,13 @@ def reaches_cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: floa
     foot = (u[:, None] - feet).ravel()
     reach = _reaches(model, seg, foot, np.repeat(y, cols), R - grow, n * cols)
     return (reach < 0.0).reshape(n, cols).any(axis=1)
+
+
+def net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
+    """Whether every segment [seg_p[k], seg_q[k]] lies in the set of the
+    balls of radius R around the points w (all hyperboloid vectors), all
+    segments measured in one pass."""
+    foot, perp = segment_point_distance(seg_p, seg_q, w)
+    lengths = np.arccosh(np.maximum(-minkowski(seg_p, seg_q), 1.0))
+    seg = np.repeat(np.arange(len(seg_p)), len(w))
+    return bool(np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(seg_p)) >= lengths))

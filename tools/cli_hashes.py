@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 86
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 89
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -144,6 +144,11 @@ INVOCATIONS = [
      ["grassmann", "--rho", "2.0", "--mc-lambda", "0.5,1", "--mc-trials", "300", "--seed", "5"]),
     ("grassmann.r-values-nan", ["grassmann", "--r-values", "nan,1"]),
     ("grassmann.r-values-inf", ["grassmann", "--r-values", "1,inf"]),
+    ("grassmann.mc-rmax-inf",
+     ["grassmann", "--mc-lambda", "0.3", "--mc-rmax", "inf", "--seed", "1"]),
+    ("grassmann.mc-rmax-nan",
+     ["grassmann", "--mc-lambda", "0.3", "--mc-rmax", "nan", "--seed", "1"]),
+    ("grassmann.rho-inf", ["grassmann", "--rho", "inf"]),
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
     ("lrp.lambda-negative", ["lrp", "--lambda=-1"]),
