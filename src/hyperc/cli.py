@@ -2,14 +2,17 @@
 
 Each subcommand is declared once, in the ``_COMMANDS`` table, as its
 handler, its help text and its options.  Each ``_Option`` gives the
-flag, the built-in default, the type, the help text and, where it
-differs from the flag, the config key.  The parser is built from that
-table, and ``_resolve`` reads it to fill each option from the flag,
-then the ``--config`` file (keys are the option keys, such as ``lam``
-or ``r_values``), then the default; a ``_REQUIRED`` default that is
-still unset is a usage error.  A handler takes the resolved
-configuration and returns its results, which ``main`` writes as the
-JSON summary; ``render`` writes its SVG itself and returns None.
+flag, the built-in default, the domain, the help text and, where it
+differs from the flag, the config key.  The domains live in the table:
+each is a type and a range, and no handler checks a single option's
+range.  The parser is built from that table, and ``_resolve`` reads it
+to fill each option from the flag, then the ``--config`` file (keys are
+the option keys, such as ``lam`` or ``r_values``), then the default,
+and refuses a value outside its domain, or a ``_REQUIRED`` default
+still unset, under every model and scene, before any handler runs.  A
+handler takes the resolved configuration and returns its results,
+which ``main`` writes as the JSON summary; ``render`` writes its SVG
+itself and returns None.
 
 Every randomized subcommand resolves a master seed (flag, then the
 HYPERC_SEED environment variable, then a fresh one printed to stderr)
@@ -30,13 +33,14 @@ import secrets
 import sys
 import time
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, analytic, render
 from .geometry import ball_area
 from .percolation import (
+    MODELS,
     detect_line_through_ball,
     estimate_f,
     estimate_S_cdf,
@@ -64,13 +68,36 @@ SOLVER_ERROR = 3
 _REQUIRED = object()  # default of an option that must come from the flag or the config file
 
 
+class _Domain(NamedTuple):
+    """The values of an option: ``type`` parses its text (None keeps the
+    text, ``bool`` makes a switch), and a parsed value must pass
+    ``holds``, which ``text`` describes."""
+
+    type: type | None
+    holds: Callable[[object], bool]
+    text: str
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+_TEXT = _Domain(None, lambda text: True, "text")
+_SWITCH = _Domain(bool, lambda on: True, "true or false")
+_NONNEGATIVE = _Domain(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
+_POSITIVE = _Domain(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_COUNT = _Domain(int, lambda n: n >= 0, "at least 0")
+_POSITIVE_COUNT = _Domain(int, lambda n: n >= 1, "at least 1")
+_NONNEGATIVE_LIST = _Domain(None, lambda text: all(map(_NONNEGATIVE.holds, _float_list(text))),
+                            "a comma list of nonnegative finite numbers")
+
+
 class _Option(NamedTuple):
-    """One flag of a subcommand; ``type`` None keeps the text, ``bool``
-    makes a switch."""
+    """One flag of a subcommand and its domain."""
 
     flag: str
     default: object = None
-    type: type | None = None
+    domain: _Domain = _TEXT
     help: str | None = None
     dest: str | None = None
 
@@ -96,18 +123,19 @@ def _read_config(path: str) -> dict:
 def _from_config(opt: _Option, text: str):
     """A config-file value converted with the option's declared type, as
     its flag would be; a switch takes true or false."""
-    if opt.type is None:
+    if opt.domain.type is None:
         return text
-    if opt.type is bool:
+    if opt.domain is _SWITCH:
         if text.lower() not in ("true", "false"):
             raise ValueError(f"config key {opt.key} must be true or false, got {text!r}")
         return text.lower() == "true"
-    return opt.type(text)
+    return opt.domain.type(text)
 
 
 def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
     """CLI flag > config file entry > builtin default; a config key that
-    no option of the subcommand reads is an error."""
+    no option of the subcommand reads, or a value outside its option's
+    domain, is an error."""
     unknown = sorted(set(config) - {opt.key for opt in options})
     if unknown:
         raise ValueError(f"config keys not read by {args.command}: {', '.join(unknown)}")
@@ -120,6 +148,8 @@ def _resolve(args: argparse.Namespace, config: dict, options) -> dict:
             value = opt.default
         if value is _REQUIRED:
             raise ValueError(f"{opt.flag} is required")
+        if value is not None and not opt.domain.holds(value):
+            raise ValueError(f"{opt.flag} must be {opt.domain.text}")
         resolved[opt.key] = value
     return resolved
 
@@ -133,10 +163,6 @@ def _resolve_seed(cfg: dict) -> int:
     seed = secrets.randbits(48)
     print(f"hyperc: generated seed {seed}", file=sys.stderr)
     return seed
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _json_ready(obj):
@@ -177,21 +203,10 @@ def _params(cfg: dict) -> ModelParams:
     return ModelParams(cfg["lam"], None if cfg.get("model") == "lines" else cfg["R"])
 
 
-def _finite_r_values(text: str) -> list[float]:
-    rs = _float_list(text)
-    if not all(map(math.isfinite, rs)):
-        raise ValueError("r values must be finite")
-    return rs
-
-
 def _r_grid(cfg: dict) -> list[float]:
     if cfg.get("r_values"):
-        return _finite_r_values(cfg["r_values"])
+        return _float_list(cfg["r_values"])
     rmin, rmax, rstep = cfg["rmin"], cfg["rmax"], cfg["rstep"]
-    if not all(map(math.isfinite, (rmin, rmax, rstep))):
-        raise ValueError("rmin, rmax and rstep must be finite")
-    if not rstep > 0:
-        raise ValueError("rstep must be positive")
     if rmax < rmin:
         raise ValueError("rmax must be at least rmin")
     count = int(round((rmax - rmin) / rstep)) + 1
@@ -207,25 +222,21 @@ def _cmd_alpha(cfg):
     if model == "vacant":
         value = analytic.alpha_vacant(_params(cfg))
         return {"alpha": value, "formula": "2*lambda*sinh(R)"}
-    elif model == "occupied":
+    if model == "occupied":
         res = analytic.alpha_occupied(_params(cfg))
         return {"alpha": res.alpha, "residual": res.residual, "iterations": res.iterations}
-    elif model == "lines":
-        return {"alpha": _params(cfg).intensity, "formula": "f(r) = exp(-lambda*r)"}
-    raise ValueError(f"unknown model {model!r}")
+    return {"alpha": _params(cfg).intensity, "formula": "f(r) = exp(-lambda*r)"}
 
 
 def _cmd_critical(cfg):
     model = cfg["model"]
     if model == "vacant":
         return {"lambda_critical": analytic.lambda_gv(cfg["R"]), "formula": "1/(2*sinh(R))"}
-    elif model == "occupied":
+    if model == "occupied":
         lam = analytic.lambda_gc(cfg["R"])
         check = analytic.alpha_occupied(ModelParams(lam, cfg["R"]))
         return {"lambda_critical": lam, "alpha_residual": abs(check.alpha - 1.0)}
-    elif model == "lines":
-        return {"lambda_critical": 1.0, "formula": "exponent 1 at lambda = 1"}
-    raise ValueError(f"unknown model {model!r}")
+    return {"lambda_critical": 1.0, "formula": "exponent 1 at lambda = 1"}
 
 
 def _cmd_simulate_f(cfg):
@@ -253,10 +264,6 @@ def _cmd_simulate_f(cfg):
 
 
 def _cmd_rays(cfg):
-    if cfg["samples"] < 1:
-        raise ValueError("need at least one sample")
-    if not math.isfinite(cfg["r"]):
-        raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
     rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
     counts = [len(rs.surviving) for rs in surviving_directions(
@@ -270,10 +277,6 @@ def _cmd_rays(cfg):
 
 
 def _cmd_detect_line(cfg):
-    if cfg["samples"] < 1:
-        raise ValueError("need at least one sample")
-    if not math.isfinite(cfg["r"]):
-        raise ValueError("r must be finite")
     cfg["seed"] = _resolve_seed(cfg)
     rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
     found = sum(det.found for det in detect_line_through_ball(
@@ -282,8 +285,6 @@ def _cmd_detect_line(cfg):
 
 
 def _cmd_s_dist(cfg):
-    if cfg["grid"] < 1:
-        raise ValueError("--grid must be at least 1")
     cfg["seed"] = _resolve_seed(cfg)
     params = _params(cfg)
     result = estimate_S_cdf(params, cfg["trials"], RngStream(cfg["seed"]))
@@ -301,12 +302,9 @@ def _cmd_s_dist(cfg):
 
 
 def _cmd_grassmann(cfg):
-    ball_closed = phi_ball(cfg["rho"])
-    if cfg["mc_lambda"] is not None and not math.isfinite(cfg["mc_rmax"]):
-        raise ValueError("--mc-rmax must be finite")
     seg = [
         {"r": r, "closed_form": phi_segment(r), "quadrature": phi_segment_quadrature(r)}
-        for r in _finite_r_values(cfg["r_values"])
+        for r in _float_list(cfg["r_values"])
     ]
     sep = [
         {
@@ -319,7 +317,7 @@ def _cmd_grassmann(cfg):
     rho = cfg["rho"]
     ball = {
         "rho": rho,
-        "closed_form": ball_closed,
+        "closed_form": phi_ball(rho),
         "quadrature": phi_ball_quadrature(rho),
     }
     results = {"segment_measure": seg, "separating_measure": sep, "ball_measure": ball}
@@ -345,9 +343,6 @@ def _cmd_grassmann(cfg):
 
 
 def _cmd_lrp(cfg):
-    # lrp_edge_prob takes the limit c at an infinite intensity; a run needs a finite one
-    if cfg["lam"] == math.inf:
-        raise ValueError("intensity must be finite")
     if cfg["nmax"] < cfg["nmin"]:
         raise ValueError("nmax must be at least nmin")
     rows = []
@@ -391,10 +386,8 @@ def _cmd_render(cfg):
     elif model == "points":
         sample = sample_points(_params(cfg), cfg["window"], stream.generator())
         content = render.render_boolean(sample)
-    elif model == "tree":
-        content = render.render_tree(build_tree(cfg["arc_length"], cfg["depth"]))
     else:
-        raise ValueError(f"unknown render model {model!r}")
+        content = render.render_tree(build_tree(cfg["arc_length"], cfg["depth"]))
     render.write_svg(content, cfg["out"])
     print(f"wrote {cfg['out']}", file=sys.stderr)
 
@@ -403,18 +396,19 @@ def _cmd_render(cfg):
 # option table
 
 
-def _model(default, help="vacant | occupied | lines"):
-    return _Option("--model", default, None, help)
+def _model(default, names=MODELS):
+    choices = _Domain(None, names.__contains__, "one of " + ", ".join(names))
+    return _Option("--model", default, choices, " | ".join(names))
 
 
 def _lam(default=_REQUIRED):
-    return _Option("--lambda", default, float, "process intensity", "lam")
+    return _Option("--lambda", default, _NONNEGATIVE, "process intensity", "lam")
 
 
-_R = _Option("--R", 1.0, float, "ball radius of the Boolean model")
-_SEED = _Option("--seed", None, int, "master seed (fallback: HYPERC_SEED)")
-_OUT = _Option("--out", None, None, "JSON summary path (default: stdout)")
-_CSV = _Option("--csv", None, None, "CSV table path")
+_R = _Option("--R", 1.0, _POSITIVE, "ball radius of the Boolean model")
+_SEED = _Option("--seed", None, _COUNT, "master seed (fallback: HYPERC_SEED)")
+_OUT = _Option("--out", None, _TEXT, "JSON summary path (default: stdout)")
+_CSV = _Option("--csv", None, _TEXT, "CSV table path")
 
 _COMMANDS = {
     "alpha": (
@@ -434,15 +428,15 @@ _COMMANDS = {
             _model("vacant"),
             _lam(),
             _R,
-            _Option("--rmin", 1.0, float),
-            _Option("--rmax", 6.0, float),
-            _Option("--rstep", 1.0, float),
-            _Option("--r-values", None, None, "comma list overriding the grid"),
-            _Option("--trials", 10000, int),
+            _Option("--rmin", 1.0, _NONNEGATIVE),
+            _Option("--rmax", 6.0, _NONNEGATIVE),
+            _Option("--rstep", 1.0, _POSITIVE),
+            _Option("--r-values", None, _NONNEGATIVE_LIST, "comma list overriding the grid"),
+            _Option("--trials", 10000, _POSITIVE_COUNT),
             _Option(
                 "--workers",
                 1,
-                int,
+                _POSITIVE_COUNT,
                 "worker processes, from one pool kept for the process's later runs and "
                 "started only when trials span more than one block; output is "
                 "independent of this",
@@ -459,9 +453,9 @@ _COMMANDS = {
             _model("vacant"),
             _lam(),
             _R,
-            _Option("--r", 5.0, float, "ray length"),
-            _Option("--directions", 64, int),
-            _Option("--samples", 200, int),
+            _Option("--r", 5.0, _NONNEGATIVE, "ray length"),
+            _Option("--directions", 64, _POSITIVE_COUNT),
+            _Option("--samples", 200, _POSITIVE_COUNT),
             _SEED,
             _OUT,
         ],
@@ -473,10 +467,10 @@ _COMMANDS = {
             _model("lines"),
             _lam(),
             _R,
-            _Option("--s", 0.1, float, "ball radius for the chord certificate"),
-            _Option("--r", 10.0, float, "ray length"),
-            _Option("--directions", 360, int),
-            _Option("--samples", 200, int),
+            _Option("--s", 0.1, _POSITIVE, "ball radius for the chord certificate"),
+            _Option("--r", 10.0, _NONNEGATIVE, "ray length"),
+            _Option("--directions", 360, _POSITIVE_COUNT),
+            _Option("--samples", 200, _POSITIVE_COUNT),
             _SEED,
             _OUT,
         ],
@@ -487,8 +481,8 @@ _COMMANDS = {
         [
             _lam(),
             _R,
-            _Option("--trials", 10000, int),
-            _Option("--grid", 100, int, "comparison grid size"),
+            _Option("--trials", 10000, _POSITIVE_COUNT),
+            _Option("--grid", 100, _POSITIVE_COUNT, "comparison grid size"),
             _SEED,
             _CSV,
             _OUT,
@@ -498,12 +492,13 @@ _COMMANDS = {
         _cmd_grassmann,
         "line-measure normalization checks (closed forms vs quadrature)",
         [
-            _Option("--r-values", "0.5,1,2"),
-            _Option("--theta-values", "0.3,0.7853981633974483,1.5707963267948966,2.0,2.8"),
-            _Option("--rho", 1.0, float),
-            _Option("--mc-lambda", None, None, "comma list; runs the MC check"),
-            _Option("--mc-trials", 10000, int),
-            _Option("--mc-rmax", 4.0, float),
+            _Option("--r-values", "0.5,1,2", _NONNEGATIVE_LIST),
+            _Option("--theta-values", "0.3,0.7853981633974483,1.5707963267948966,2.0,2.8",
+                    _NONNEGATIVE_LIST),
+            _Option("--rho", 1.0, _POSITIVE),
+            _Option("--mc-lambda", None, _NONNEGATIVE_LIST, "comma list; runs the MC check"),
+            _Option("--mc-trials", 10000, _POSITIVE_COUNT),
+            _Option("--mc-rmax", 4.0, _NONNEGATIVE),
             _SEED,
             _OUT,
         ],
@@ -513,9 +508,9 @@ _COMMANDS = {
         "long-range percolation edge law on Z",
         [
             _lam(1.0),
-            _Option("--c", 1.0, float, "edge retention constant"),
-            _Option("--nmin", 2, int),
-            _Option("--nmax", 200, int),
+            _Option("--c", 1.0, _NONNEGATIVE, "edge retention constant"),
+            _Option("--nmin", 2, _POSITIVE_COUNT),
+            _Option("--nmax", 200, _POSITIVE_COUNT),
             _CSV,
             _OUT,
         ],
@@ -524,12 +519,12 @@ _COMMANDS = {
         _cmd_tree,
         "reflection-group tree: separation checks and tube constants",
         [
-            _Option("--arc-length", 1.0, float,
+            _Option("--arc-length", 1.0, _POSITIVE,
                     "boundary arc of each generator line, in (0, 2 pi / 3); it alone "
                     "sets the closed-form tube constants"),
-            _Option("--depth", 8, int, "word length of the vertices built, checked and drawn"),
-            _Option("--check-separation", None, bool),
-            _Option("--svg", None, None, "render the tree to this SVG path"),
+            _Option("--depth", 8, _COUNT, "word length of the vertices built, checked and drawn"),
+            _Option("--check-separation", None, _SWITCH),
+            _Option("--svg", None, _TEXT, "render the tree to this SVG path"),
             _OUT,
         ],
     ),
@@ -537,15 +532,15 @@ _COMMANDS = {
         _cmd_render,
         "SVG of a realization in the Poincare disk",
         [
-            _model("lines", "points | lines | tree"),
+            _model("lines", ("points", "lines", "tree")),
             _lam(1.0),
             _R,
-            _Option("--rho", 5.0, float, "line-process reference radius"),
-            _Option("--window", 3.0, float, "point-process window radius"),
-            _Option("--arc-length", 1.0, float),
-            _Option("--depth", 6, int),
+            _Option("--rho", 5.0, _POSITIVE, "line-process reference radius"),
+            _Option("--window", 3.0, _POSITIVE, "point-process window radius"),
+            _Option("--arc-length", 1.0, _POSITIVE),
+            _Option("--depth", 6, _COUNT),
             _SEED,
-            _Option("--out", "scene.svg", None, "output SVG path"),
+            _Option("--out", "scene.svg", _TEXT, "output SVG path"),
         ],
     ),
 }
@@ -567,7 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in options:
             # every flag parses to None when absent, so _resolve can fall
             # back to the config file and then to the table default
-            kind = dict(action="store_const", const=True) if opt.type is bool else dict(type=opt.type)
+            kind = (dict(action="store_const", const=True) if opt.domain is _SWITCH
+                    else dict(type=opt.domain.type))
             p.add_argument(opt.flag, dest=opt.key, default=None, help=opt.help, **kind)
     return parser
 

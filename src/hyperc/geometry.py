@@ -127,7 +127,12 @@ def ball_net(radius: float, mesh: float):
 
 
 def to_hyperboloid(z: np.ndarray) -> np.ndarray:
-    """Map complex UHP coordinates to hyperboloid vectors, shape (..., 3)."""
+    """Map complex UHP coordinates to hyperboloid vectors, shape (..., 3),
+    each coordinate within 4e-16 cosh t of the exact vector of the given
+    z, t its distance from (0, 1): each is a few roundings of terms no
+    larger than cosh t = (|z|^2 + 1) / (2 y), so even where |z|^2 - 1
+    cancels the error stays of that size.  The bound is 4.4e-12 at
+    t = 10 and 1.4e-5 at t = 25."""
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
     n = x * x + y * y

@@ -71,7 +71,6 @@ from .geometry import (
     ball_area,
     ball_net,
     dist,
-    dist_arrays,
     frame_fermi,
     minkowski,
     polar_around_origin,
@@ -272,7 +271,8 @@ def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSam
     Vacant: no sample point lies strictly within R of it, so a ball
     tangent to it still counts as vacant.  Occupied: the closed balls
     cover it.  Lines: no line strictly separates p from q.  A
-    zero-length segment is decided as the point p.
+    zero-length segment is decided as the point p, by the cosh of its
+    distance to each sample point, -<w, p>, against cosh R.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
@@ -283,10 +283,11 @@ def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSam
         return _lines_avoid(sample, pq)
     R = sample.params.radius
     sample.require_window(reach + R, f"{model} containment")
+    w = polar_hyperboloid(sample.t, sample.psi)
     if p == q:
-        d = dist_arrays(sample.points, np.asarray(p.as_complex()))
-        return bool(np.all(d >= R)) if model == "vacant" else bool(np.any(d <= R))
-    return _net_contained(pq[:1], pq[1:], polar_hyperboloid(sample.t, sample.psi), R, model)
+        cosh_d, cosh_R = -minkowski(w, pq[0]), math.cosh(R)
+        return bool(np.all(cosh_d >= cosh_R) if model == "vacant" else np.any(cosh_d <= cosh_R))
+    return _net_contained(pq[:1], pq[1:], w, R, model)
 
 
 # ---------------------------------------------------------------------------

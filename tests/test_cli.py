@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperc import cli, sampling
+from hyperc import cli, percolation, sampling
 from hyperc.cli import SOLVER_ERROR, USAGE_ERROR, main
 
 MODELS = [("vacant", "0.1"), ("occupied", "1.0"), ("lines", "0.1")]
@@ -73,10 +73,104 @@ def test_runs_and_reruns_byte_identically(tmp_path, argv, files):
         assert summary["config"]["model"] == argv[argv.index("--model") + 1]
 
 
-@pytest.mark.parametrize("command", sorted(SMOKE))
-def test_bad_model_is_a_usage_error(command):
-    argv = [command, "--model", "sticks", "--lambda", "0.1", "--seed", "1", *SMOKE[command]]
-    assert main(argv) == USAGE_ERROR
+# small runs of every subcommand, onto which one option at a time is overridden
+SCAN_BASE = {
+    "alpha": ["--lambda", "0.3"],
+    "critical": [],
+    "simulate-f": ["--lambda", "0.1", "--trials", "100", "--rmax", "2", "--seed", "1"],
+    "rays": ["--lambda", "0.1", "--samples", "2", "--r", "2", "--seed", "1"],
+    "detect-line": ["--lambda", "0.1", "--samples", "2", "--r", "3", "--seed", "1"],
+    "s-dist": ["--lambda", "0.5", "--trials", "100", "--grid", "10", "--seed", "1"],
+    "grassmann": ["--r-values", "1", "--theta-values", "1", "--mc-lambda", "0.5",
+                  "--mc-trials", "100", "--mc-rmax", "2", "--seed", "1"],
+    "lrp": ["--nmax", "20"],
+    "tree": ["--depth", "3"],
+    "render": ["--seed", "1", "--depth", "3"],
+}
+SCAN_MODELS = {"render": ("points", "lines", "tree")}
+# per domain: the first values outside it, and the least value inside it where it has one
+SCAN_EDGES = {
+    cli._NONNEGATIVE: (["-5e-324"], "0"),
+    cli._POSITIVE: (["0"], None),
+    cli._COUNT: (["-1"], "0"),
+    cli._POSITIVE_COUNT: (["0"], "1"),
+    cli._NONNEGATIVE_LIST: (["-5e-324", "1,-1"], "0"),
+}
+
+
+def _has_model(options) -> bool:
+    return any(opt.flag == "--model" for opt in options)
+
+
+def _scan_cases():
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for model in SCAN_MODELS.get(command, percolation.MODELS) if _has_model(options) else [None]:
+            for opt in options:
+                if opt.domain in SCAN_EDGES:
+                    yield pytest.param(command, model, opt,
+                                       id=f"{command}-{model or 'any'}-{opt.flag.lstrip('-')}")
+
+
+def _with(argv, flag, value):
+    argv = list(argv)
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return [*argv, f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("command, model, opt", _scan_cases())
+def test_every_option_is_refused_outside_its_domain(tmp_path, capsys, command, model, opt):
+    """Under every model or scene, whether the run reads the option or
+    not, nan, plus or minus inf (for floats) and the first values
+    outside the option's domain exit 2 with one line naming the flag and
+    no summary.  The least value inside the domain, where it has one,
+    is not refused by the table, and a run that it lets finish echoes
+    only finite numbers in its config."""
+    base = [command, *SCAN_BASE[command], *(["--model", model] if model else []),
+            *(["--out", str(tmp_path / "out")] if command == "render" else [])]
+    outside, least = SCAN_EDGES[opt.domain]
+    for value in ([] if opt.domain.type is int else ["nan", "inf", "-inf"]) + outside:
+        argv = _with(base, opt.flag, value)
+        assert main(argv) == USAGE_ERROR, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"hyperc: {opt.flag} must be {opt.domain.text}\n", argv
+        assert captured.out == ""
+    if least is None:
+        return
+    argv = _with(base, opt.flag, least)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert f"hyperc: {opt.flag} must be" not in captured.err, argv
+    assert code in (0, USAGE_ERROR, SOLVER_ERROR), argv
+    if code == 0 and command != "render":
+        def bare(constant):
+            raise AssertionError(f"bare {constant} in the summary of {argv}")
+
+        config = json.loads(captured.out, parse_constant=bare)["config"]
+        assert not {"nan", "inf", "-inf"} & set(map(str, config.values())), (argv, config)
+
+
+@pytest.mark.parametrize("command", sorted(c for c, (_, _, opts) in cli._COMMANDS.items()
+                                            if _has_model(opts)))
+def test_bad_model_is_a_usage_error(command, capsys):
+    assert main([command, *SCAN_BASE[command], "--model", "sticks"]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hyperc: --model must be one of ") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [("simulate-f", "lam = 0.1\nrstep = 0\n", "--rstep must be positive and finite"),
+     ("rays", "lam = 0.1\nsamples = 0\n", "--samples must be at least 1")],
+    ids=["rstep", "samples"],
+)
+def test_config_file_values_are_refused_outside_their_domain(tmp_path, capsys, command, text,
+                                                             message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path), "--seed", "1"]) == USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"hyperc: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -183,25 +277,30 @@ def test_exponent_above_the_tangent_bound_is_a_solver_error(capsys):
 
 @pytest.mark.parametrize("directions", ["0", "3", "-4"])
 def test_too_few_directions_is_a_usage_error(directions, capsys):
+    """The table refuses a count below 1, the library one below 8."""
     argv = ["detect-line", "--lambda", "0.1", "--directions", directions, "--samples", "2"]
     assert main([*argv, "--seed", "1"]) == USAGE_ERROR
-    assert "need at least 8 directions" in capsys.readouterr().err
+    message = ("--directions must be at least 1" if int(directions) < 1
+               else "need at least 8 directions")
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate-f", "--lambda", "0.1", "--rstep", "0"], "rstep must be positive"),
-        (["simulate-f", "--lambda", "0.1", "--rstep", "-1"], "rstep must be positive"),
+        (["simulate-f", "--lambda", "0.1", "--rstep", "0"], "--rstep must be positive"),
+        (["simulate-f", "--lambda", "0.1", "--rstep", "-1"], "--rstep must be positive"),
         (["simulate-f", "--lambda", "0.1", "--rmin", "3", "--rmax", "1"],
          "rmax must be at least rmin"),
         (["simulate-f", "--lambda", "0.1", "--r-values", ","], "need at least one r value"),
         (["grassmann", "--mc-lambda", "0.1", "--mc-rmax", "0.5"], "need at least one r value"),
-        *(((["simulate-f", "--lambda", "0.1", *bound, "--trials", "100"],
-            "rmin, rmax and rstep must be finite"))
-          for bound in (["--rmax", "inf"], ["--rmin=-inf"], ["--rstep", "inf"], ["--rmin", "nan"])),
+        *(((["simulate-f", "--lambda", "0.1", *bound, "--trials", "100"], message))
+          for bound, message in ((["--rmax", "inf"], "--rmax must be nonnegative and finite"),
+                                 (["--rmin=-inf"], "--rmin must be nonnegative and finite"),
+                                 (["--rstep", "inf"], "--rstep must be positive and finite"),
+                                 (["--rmin", "nan"], "--rmin must be nonnegative and finite"))),
         *(((["simulate-f", "--lambda", "0.1", "--r-values", values, "--trials", "100"],
-            "r values must be finite"))
+            "--r-values must be a comma list of nonnegative finite numbers"))
           for values in ("0,nan", "0,inf")),
     ],
     ids=["rstep-0", "rstep-negative", "inverted", "empty-list", "grassmann-below-1",
@@ -216,7 +315,8 @@ def test_empty_or_inverted_r_grid_is_a_usage_error(argv, message, capsys):
 def test_grassmann_refuses_a_non_finite_r(values, capsys):
     assert main(["grassmann", f"--r-values={values}"]) == USAGE_ERROR
     captured = capsys.readouterr()
-    assert "r values must be finite" in captured.err and captured.out == ""
+    assert "--r-values must be a comma list of nonnegative finite numbers" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
@@ -225,44 +325,45 @@ def test_non_finite_r_is_a_usage_error(command, r, capsys):
     argv = [command, "--lambda", "0.1", "--seed", "1", *SMOKE[command], f"--r={r}"]
     assert main(argv) == USAGE_ERROR
     captured = capsys.readouterr()
-    assert "r must be finite" in captured.err and captured.out == ""
+    assert "--r must be nonnegative and finite" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))
 def test_no_samples_is_a_usage_error(command, capsys):
     argv = [command, "--lambda", "0.1", "--seed", "1", *SMOKE[command], "--samples", "0"]
     assert main(argv) == USAGE_ERROR
-    assert "need at least one sample" in capsys.readouterr().err
+    assert "--samples must be at least 1" in capsys.readouterr().err
 
 
 def test_nan_intensity_is_a_usage_error(capsys):
     assert main(["alpha", "--lambda", "nan"]) == USAGE_ERROR
     captured = capsys.readouterr()
-    assert "intensity must be nonnegative" in captured.err and captured.out == ""
+    assert "--lambda must be nonnegative and finite" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        *((["alpha", "--model", "lines", f"--lambda={lam}"], "intensity must be nonnegative")
+        *((["alpha", "--model", "lines", f"--lambda={lam}"], "--lambda must be nonnegative")
           for lam in ("-1", "nan")),
-        *((["lrp", f"--lambda={lam}"], "intensity must be nonnegative") for lam in ("-1", "nan")),
-        *((["lrp", f"--c={c}"], "c must lie in [0, 1]") for c in ("5", "-0.5", "nan")),
+        *((["lrp", f"--lambda={lam}"], "--lambda must be nonnegative") for lam in ("-1", "nan")),
+        (["lrp", "--c=5"], "c must lie in [0, 1]"),
+        *((["lrp", f"--c={c}"], "--c must be nonnegative and finite") for c in ("-0.5", "nan")),
         (["lrp", "--nmin", "5", "--nmax", "2"], "nmax must be at least nmin"),
         *((["s-dist", "--lambda", "1", f"--grid={grid}", "--seed", "1"],
            "--grid must be at least 1") for grid in ("0", "-3")),
-        *((["alpha", "--model", model, "--lambda", "inf"], "intensity must be finite")
-          for model in ("vacant", "lines")),
-        (["lrp", "--lambda", "inf"], "intensity must be finite"),
-        *((["critical", "--model", model, "--R", "inf"], "R must be finite")
+        *((["alpha", "--model", model, "--lambda", "inf"],
+           "--lambda must be nonnegative and finite") for model in ("vacant", "lines")),
+        (["lrp", "--lambda", "inf"], "--lambda must be nonnegative and finite"),
+        *((["critical", "--model", model, "--R", "inf"], "--R must be positive and finite")
           for model in ("occupied", "vacant")),
         (["alpha", "--model", "occupied", "--lambda", "1", "--R", "inf"],
-         "ball radius must be finite"),
+         "--R must be positive and finite"),
         (["detect-line", "--lambda", "0.1", "--s", "inf", "--samples", "2", "--seed", "1"],
-         "radius s must be positive and finite"),
+         "--s must be positive and finite"),
         *((["grassmann", "--mc-lambda", "0.3", f"--mc-rmax={rmax}", "--seed", "1"],
-           "--mc-rmax must be finite") for rmax in ("inf", "nan")),
-        (["grassmann", "--rho", "inf"], "rho must be positive and finite"),
+           "--mc-rmax must be nonnegative and finite") for rmax in ("inf", "nan")),
+        (["grassmann", "--rho", "inf"], "--rho must be positive and finite"),
     ],
     ids=["alpha-lines-negative", "alpha-lines-nan", "lrp-negative", "lrp-nan", "lrp-c-above-1",
          "lrp-c-negative", "lrp-c-nan", "lrp-inverted", "s-dist-grid-0", "s-dist-grid-negative",

@@ -370,6 +370,29 @@ class TestHyperboloid:
                 err.append(float(mpmath.acosh(1 + abs(got - exact) ** 2 / (2 * got.imag * exact.imag))))
         assert (np.asarray(err) <= 4e-16 * np.exp(t)).all()
 
+    def test_to_hyperboloid_against_60_digits(self):
+        """At t up to 25, in any direction and near the unit circle, where
+        |z|^2 - 1 cancels, ``to_hyperboloid`` keeps each coordinate within
+        4e-16 cosh t of the vector that 60-digit arithmetic gives for the
+        same z, t its distance from (0, 1): the bound its docstring
+        states, 1.4e-5 at t = 25."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(33)
+        t = np.concatenate([np.linspace(0.0, 25.0, 51), rng.uniform(0.0, 25.0, 250)])
+        phi = np.concatenate([rng.uniform(-math.pi, math.pi, 101),
+                              math.pi * rng.integers(-4, 5, 100) / 4,
+                              rng.choice([-0.5, 0.5], 100) * math.pi + rng.normal(0.0, 1e-6, 100)])
+        z = polar_around_origin(t, phi)
+        err, cosh_t = [], []
+        with mpmath.workdps(60):
+            for zk, got in zip(z, to_hyperboloid(z)):
+                x, y = mpmath.mpf(float(zk.real)), mpmath.mpf(float(zk.imag))
+                n = x * x + y * y
+                exact = (x / y, (n - 1) / (2 * y), (n + 1) / (2 * y))
+                err.append([float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)])
+                cosh_t.append(float(exact[2]))
+        assert (np.asarray(err) <= 4e-16 * np.asarray(cosh_t)[:, None]).all()
+
     def test_polar_frame_and_hyperboloid_against_60_digits(self):
         """At t up to 25, with angles from 1e-12 to pi, ``frame_fermi`` of
         ``polar_frame`` keeps foot and offset within 4e-16 (1 + t) of

@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 89
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 94
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -45,6 +45,8 @@ INVOCATIONS = [
     ("alpha.lines.lambda-negative", ["alpha", "--model", "lines", "--lambda=-1"]),
     ("alpha.vacant.lambda-inf", ["alpha", "--model", "vacant", "--lambda", "inf"]),
     ("alpha.lines.lambda-inf", ["alpha", "--model", "lines", "--lambda", "inf"]),
+    # an option that the model does not read is still held to its domain
+    ("alpha.lines.R-nan", ["alpha", "--model", "lines", "--lambda", "0.5", "--R", "nan"]),
     ("critical.default", ["critical"]),
     ("critical.vacant", ["critical", "--model", "vacant", "--R", "0.5"]),
     ("critical.lines", ["critical", "--model", "lines"]),
@@ -79,6 +81,8 @@ INVOCATIONS = [
      ["simulate-f", "--lambda", "0.1", "--r-values", "0,nan", "--trials", "100", "--seed", "1"]),
     ("simulate-f.r-values-inf",
      ["simulate-f", "--lambda", "0.1", "--r-values", "0,inf", "--trials", "100", "--seed", "1"]),
+    ("simulate-f.workers-0",
+     ["simulate-f", "--lambda", "0.1", "--trials", "100", "--workers", "0", "--seed", "1"]),
     # no trial keeps the lines off a segment of length 3: alpha_hat is "nan"
     ("simulate-f.lines.no-exposure",
      ["simulate-f", "--model", "lines", "--lambda", "20", "--rmin", "3", "--rmax", "4",
@@ -149,6 +153,8 @@ INVOCATIONS = [
     ("grassmann.mc-rmax-nan",
      ["grassmann", "--mc-lambda", "0.3", "--mc-rmax", "nan", "--seed", "1"]),
     ("grassmann.rho-inf", ["grassmann", "--rho", "inf"]),
+    ("grassmann.no-mc.mc-rmax-inf", ["grassmann", "--mc-rmax", "inf"]),
+    ("grassmann.seed-negative", ["grassmann", "--seed=-1"]),
     ("lrp.default.csv", ["lrp", "--csv", "lrp.csv"]),
     ("lrp.args", ["lrp", "--lambda", "0.5", "--c", "0.8", "--nmin", "3", "--nmax", "30"]),
     ("lrp.lambda-negative", ["lrp", "--lambda=-1"]),
@@ -170,6 +176,8 @@ INVOCATIONS = [
     ("tree.default.svg", ["tree", "--svg", "t.svg"]),
     ("render.tree.depth7", ["render", "--model", "tree", "--depth", "7", "--out", "t.svg"]),
     ("render.bad-model", ["render", "--model", "cubes", "--seed", "1"]),
+    ("render.tree.lambda-negative",
+     ["render", "--model", "tree", "--lambda=-1", "--depth", "4", "--out", "t.svg"]),
     ("unknown-flag", ["alpha", "--lambda", "1", "--radius", "2"]),
     ("help", ["--help"]),
     *((f"help.{cmd}", [cmd, "--help"]) for cmd in (
