@@ -265,9 +265,9 @@ def _cmd_simulate_f(cfg):
 
 def _cmd_rays(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
     counts = [len(rs.surviving) for rs in surviving_directions(
-        cfg["model"], _params(cfg), cfg["r"], cfg["directions"], rngs)]
+        cfg["model"], _params(cfg), cfg["r"], cfg["directions"], cfg["samples"],
+        RngStream(cfg["seed"]))]
     nonempty = sum(count > 0 for count in counts)
     return {
         "mean_survivors": float(np.mean(counts)),
@@ -278,9 +278,9 @@ def _cmd_rays(cfg):
 
 def _cmd_detect_line(cfg):
     cfg["seed"] = _resolve_seed(cfg)
-    rngs = (RngStream(cfg["seed"], i + 1) for i in range(cfg["samples"]))
     found = sum(det.found for det in detect_line_through_ball(
-        cfg["model"], _params(cfg), cfg["s"], cfg["r"], rngs, n_directions=cfg["directions"]))
+        cfg["model"], _params(cfg), cfg["s"], cfg["r"], cfg["samples"], RngStream(cfg["seed"]),
+        n_directions=cfg["directions"]))
     return {"detections": found, "frequency": found / cfg["samples"]}
 
 
@@ -453,7 +453,7 @@ _COMMANDS = {
             _model("vacant"),
             _lam(),
             _R,
-            _Option("--r", 5.0, _NONNEGATIVE, "ray length"),
+            _Option("--r", 5.0, _POSITIVE, "ray length"),
             _Option("--directions", 64, _POSITIVE_COUNT),
             _Option("--samples", 200, _POSITIVE_COUNT),
             _SEED,
@@ -468,7 +468,7 @@ _COMMANDS = {
             _lam(),
             _R,
             _Option("--s", 0.1, _POSITIVE, "ball radius for the chord certificate"),
-            _Option("--r", 10.0, _NONNEGATIVE, "ray length"),
+            _Option("--r", 10.0, _POSITIVE, "ray length"),
             _Option("--directions", 360, _POSITIVE_COUNT),
             _Option("--samples", 200, _POSITIVE_COUNT),
             _SEED,

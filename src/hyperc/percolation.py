@@ -21,30 +21,30 @@ cap is drawn in chunks of trials below it.  Rays, chords and the tube
 sandwich draw exactly the ball that can reach them, and measure each
 ray, chord, net segment or grid cell only against the points that can
 come within R of it; the sandwich decides its flood-fill grid in its
-tube's axis coordinates.  Rays and detect-line draw one sample per
-stream and decide their samples per group: consecutive samples of at
-most GROUP_POINTS points or lines together go through one
-``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass, sample i's
-direction k as segment i n + k.  Detect-line builds its candidate pairs
-once per call and decides a group's Boolean chords in rounds, the next
-candidate of every undecided sample a round, all in one ``_reaches``
-call.  The lines sandwich takes the sides of a group of trials' lines
-at once.  The Boolean sandwich decides its trials in blocks: f, and
-margins on the central segment that settle Q or A for most trials
-(``sandwich_AQ`` gives the argument), f and the Q margin each in one
-``_reaches`` call per block and the A margin in one (points, columns)
-cosh test; a Q the margin leaves goes to a cross-section certificate,
-which tests the segments across the tube at the grid's feet that hold
-every net segment's points, all of a block's in one ``_reaches`` call.
-Only the trials these leave run the Q net, which stops at its first
-failing chunk of segments, or the flood fill, one at a time, and only a
-call that reaches the Q net builds it.
+tube's axis coordinates.  Rays, detect-line and the sandwich draw their
+samples in sequence from one generator and decide them per group
+(``_ball_groups``): consecutive samples of at most GROUP_POINTS points
+or lines together.  A group of rays goes through one ``_grid_runs``,
+``frame_fermi`` and ``_reaches`` pass, sample i's direction k as
+segment i n + k.  Detect-line builds its candidate pairs once per call
+and decides a group's Boolean chords in rounds, the next candidate of
+every undecided sample a round, all in one ``_reaches`` call.  The
+lines sandwich takes the sides of a group of trials' lines at once.
+The Boolean sandwich decides f, and margins on the central segment that
+settle Q or A for most trials (``sandwich_AQ`` gives the argument), f
+and the Q margin each in one ``_reaches`` call per group and the A
+margin in one (points, columns) cosh test; a Q the margin leaves goes
+to a cross-section certificate, which tests the segments across the
+tube at the grid's feet that hold every net segment's points, all of a
+group's in one ``_reaches`` call.  Only the trials these leave run the
+Q net, which stops at its first failing chunk of segments, or the flood
+fill, one at a time, and only a call that reaches the Q net builds it.
 
 Every path reads the polar coordinates (t, psi) around (0, 1) that a
 ``BooleanSample`` was drawn in as they are, with no trip through the
 upper half-plane: as Fermi coordinates along a geodesic through (0, 1)
 by ``geometry.polar_frame`` and ``frame_fermi`` (the ray survivors, the
-law of S, the sandwich's blocks, ``estimate_f``'s end caps), or as
+law of S, the sandwich's groups, ``estimate_f``'s end caps), or as
 hyperboloid vectors by ``geometry.polar_hyperboloid`` (chords, the Q
 net, ``segment_in``).  ``_grid_runs`` maps every arc of directions onto
 the direction grid.  One predicate, ``segment_in``, decides a single
@@ -72,11 +72,11 @@ from .geometry import (
     ball_net,
     dist,
     frame_fermi,
+    line_normal,
     minkowski,
     polar_around_origin,
     polar_frame,
     polar_hyperboloid,
-    segment_frame,
     segment_point_distance,
     to_hyperboloid,
     tube_area,
@@ -481,10 +481,10 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
     return owner, np.mod(k, n)
 
 
-# Samples that rays and detect-line decide in one pass, and lines
-# trials that the lines sandwich decides in one pass: consecutive ones
-# join a group while their points or lines together stay within this
-# many, and one at or above it makes a group of its own.  At budgets of
+# Samples that rays, detect-line and the sandwich decide in one pass:
+# consecutive ones join a group while their points or lines together
+# stay within this many, and one at or above it makes a group of its
+# own.  At budgets of
 # 1, 1024, 2048, 4096, 8192 and 16384 the tube workload's rays,
 # detect-line and lines sandwich operations took 60-66, 47-48, 46-48,
 # 46-49, 46-52 and 52-56 ms together (two runs of 40 alternating rounds,
@@ -495,12 +495,19 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
 GROUP_POINTS = 1024
 
 
-def _groups(samples):
-    """The runs of consecutive samples whose points or lines together stay
-    within GROUP_POINTS, as lists; a sample at or above it makes a run
-    alone."""
+def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng: RngStream):
+    """Draw samples realizations of what can reach B(o, rho), the lines
+    meeting it or the points within R of it, in sequence from
+    ``rng.generator()``, and yield the runs of consecutive ones whose
+    points or lines together stay within GROUP_POINTS, as lists; a
+    sample at or above it makes a run alone."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
+    gen = rng.generator()
     group, size = [], 0
-    for sample in samples:
+    for _ in range(samples):
+        sample = (sample_lines(params.intensity, rho, gen) if model == "lines"
+                  else sample_points(params, rho + params.radius, gen))
         if group and size + len(sample) > GROUP_POINTS:
             yield group
             group, size = [], 0
@@ -512,9 +519,7 @@ def _groups(samples):
 
 def _joined(samples, *fields):
     """Each element's sample index, then the samples' arrays of each field
-    joined end to end; a lone sample's arrays as they are, uncopied."""
-    if len(samples) == 1:
-        return np.zeros(len(samples[0]), np.int64), *(getattr(samples[0], f) for f in fields)
+    joined end to end."""
     owner = np.repeat(np.arange(len(samples)), [len(sample) for sample in samples])
     return owner, *(np.concatenate([getattr(sample, f) for sample in samples]) for f in fields)
 
@@ -547,8 +552,7 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     along, normal = polar_frame(t[j], psi[j] - thetas[k])
     near = np.abs(normal) < math.sinh(R + 1e-9)
     foot, offset = frame_fermi(along[near], normal[near])
-    # a lone sample, at or above the budget, keeps the per-sample indices
-    seg = (k if len(samples) == 1 else which[j] * n_dir + k)[near]
+    seg = (which[j] * n_dir + k)[near]
     return (_reaches(model, seg, foot, offset, R, len(samples) * n_dir) >= r).reshape(-1, n_dir)
 
 
@@ -570,27 +574,25 @@ def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.n
     hi = np.floor((foot_dir[mask] + beta) / h).astype(np.int64)
     owner, k = _grid_runs(lo, hi, n_dir)
     alive = np.ones(len(samples) * n_dir, dtype=bool)
-    alive[k if len(samples) == 1 else which[mask][owner] * n_dir + k] = False
+    alive[which[mask][owner] * n_dir + k] = False
     return alive.reshape(-1, n_dir)
 
 
-def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, rngs):
-    """Draw, from each stream of rngs in turn, what can reach the rays of
-    length r from (0, 1), the lines meeting B(o, r) or the points within R
-    of it, and return an iterator over the groups of consecutive samples
-    (``_groups``), each with the mask (samples, n_dir) of the grid
-    directions whose ray survives.  The arguments are checked at the
-    call, before any draw."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
+def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: int,
+                rng: RngStream):
+    """The groups of ``_ball_groups`` of samples realizations of what can
+    reach the rays of length r from (0, 1), as an iterator, each with the
+    mask (samples, n_dir) of the grid directions whose ray survives.  The
+    ray length and the grid are checked at the call, before any draw."""
+    if not 0.0 < r < math.inf:
+        raise ValueError("ray length r must be positive and finite")
     # with fewer, detect-line's seven antipodal partners of a direction repeat
     if n_dir < 8:
         raise ValueError("need at least 8 directions")
+    groups = _ball_groups(model, params, r, samples, rng)
     if model == "lines":
-        draws = (sample_lines(params.intensity, r, rng.generator()) for rng in rngs)
-        return ((group, _line_ray_survivors(group, r, n_dir)) for group in _groups(draws))
-    draws = (sample_points(params, r + params.radius, rng.generator()) for rng in rngs)
-    return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in _groups(draws))
+        return ((group, _line_ray_survivors(group, r, n_dir)) for group in groups)
+    return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in groups)
 
 
 def surviving_directions(
@@ -598,13 +600,14 @@ def surviving_directions(
     params: ModelParams,
     r: float,
     n_directions: int,
-    rngs,
+    samples: int,
+    rng: RngStream,
 ) -> list[RaySurvival]:
-    """Ray survival on a uniform direction grid: one sample per stream of
-    rngs, each drawn from ``rng.generator()``, decided per group of
-    consecutive samples."""
-    return [RaySurvival(np.flatnonzero(mask).tolist())
-            for _, alive in _ray_groups(model, params, r, n_directions, rngs) for mask in alive]
+    """Ray survival on a uniform direction grid: samples realizations,
+    drawn in sequence from ``rng.generator()`` and decided per group of
+    consecutive ones (``_ball_groups``)."""
+    groups = _ray_groups(model, params, r, n_directions, samples, rng)
+    return [RaySurvival(np.flatnonzero(mask).tolist()) for _, alive in groups for mask in alive]
 
 
 def _antipodal_pairs(n: int, r: float, s: float):
@@ -640,16 +643,20 @@ def _chords_contained(model: str, R: float, r: float, ends: np.ndarray, chord: n
     """Per chord between the points at distance r from (0, 1) in the
     directions ends[c] (shape (chords, 2)), whether it lies in the set of
     the balls of radius R around the points at polar (t[k], psi[k]) with
-    chord[k] = c; each such pair's Fermi coordinates come from its own
-    products with the chord's frame, and all chords from one ``_reaches``
-    call."""
-    radius = np.full(len(ends), r)
-    p, q = polar_hyperboloid(radius, ends[:, 0]), polar_hyperboloid(radius, ends[:, 1])
-    e, n = segment_frame(p, q)
+    chord[k] = c, all in one ``_reaches`` call.  Each chord is read in its
+    frame at its foot, h = ``_chord_distance`` out on the bisector m of
+    the shorter arc between its ends, delta apart: normal
+    ``line_normal(h, m)``, tangent (-cos m, -sin m, 0), and ends
+    asinh(sinh r |sin(delta / 2)|) either side.  No cosh of the length,
+    which rounds to 1 on short chords, enters, so it holds at any r > 0."""
+    delta = ends[:, 1] - ends[:, 0]
+    mid = ends[:, 0] + delta / 2.0 + np.where(np.cos(delta / 2.0) < 0.0, math.pi, 0.0)
+    half = np.arcsinh(math.sinh(r) * np.abs(np.sin(delta / 2.0)))
+    e = np.stack([-np.cos(mid), -np.sin(mid), np.zeros(len(mid))], axis=-1)
+    n = line_normal(_chord_distance(r, delta), mid)
     w = polar_hyperboloid(t, psi)
     foot, offset = frame_fermi(minkowski(e[chord], w), minkowski(n[chord], w))
-    lengths = np.arccosh(np.maximum(-minkowski(p, q), 1.0))
-    return _reaches(model, chord, foot, offset, R, len(ends)) >= lengths
+    return _reaches(model, chord, foot + half[chord], offset, R, len(ends)) >= 2.0 * half
 
 
 def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, ends: np.ndarray,
@@ -697,10 +704,11 @@ def detect_line_through_ball(
     params: ModelParams,
     s: float,
     r: float,
-    rngs,
+    samples: int,
+    rng: RngStream,
     n_directions: int = 360,
 ) -> list[LineDetection]:
-    """Search, in one sample per stream of rngs (drawn and decided as by
+    """Search, in samples realizations (drawn and decided as by
     ``surviving_directions``), for a full chord through B(o, s) certified
     by two surviving rays in nearly antipodal directions: each sample's
     candidates are the pairs of ``_antipodal_pairs``, built once per
@@ -719,7 +727,7 @@ def detect_line_through_ball(
     if not 0.0 < s < math.inf:
         raise ValueError("the chord certificate's ball radius s must be positive and finite")
     # the chords between the rays' ends lie in B(o, r) as well
-    groups = _ray_groups(model, params, r, n_directions, rngs)
+    groups = _ray_groups(model, params, r, n_directions, samples, rng)
     pair_i, pair_j = _antipodal_pairs(n_directions, r, s)
     found = []
     for group, alive in groups:
@@ -777,13 +785,6 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 
 # ---------------------------------------------------------------------------
 # the tube sandwich P(Q) <= f <= P(A)
-
-# Boolean sandwich trials decided at once.  The column check measures
-# every grid column against every point near the tube; at lambda = 1,
-# R = 1 it lifts the peak traced memory of a 256-trial vacant call 9 MB
-# above a trial at a time (256: 36 MB).
-TUBE_BLOCK = 64
-
 
 def _lines_tube_events(samples: list[LineSample], net_x: np.ndarray, net_y: np.ndarray):
     """(A, f, Q), one bool array each, of the line realizations samples
@@ -1020,29 +1021,28 @@ def sandwich_AQ(
     centered on (0, 1).  The net and the grid lie within s of the
     central segment and see only the points strictly within R + s of it.
 
-    Boolean trials are decided in blocks of TUBE_BLOCK, alike at any
-    block size: f in one ``_reaches`` call, then two margins on the
-    central segment, which settle most trials.  Q: each net segment
-    joins points within s of x and y, and the distance to the central
-    segment is convex along it, so it lies within s of that segment; Q
-    then holds if the central segment lies in the set for balls of
-    radius R + s (vacant) or R - s (occupied), and the net is not
+    Trials are drawn and decided per group of ``_ball_groups``, alike at
+    any group size.  Boolean groups: f in one ``_reaches`` call, then two
+    margins on the central segment, which settle most trials.  Q: each net
+    segment joins points within s of x and y, and the distance to the
+    central segment is convex along it, so it lies within s of that
+    segment; Q then holds if the central segment lies in the set for balls
+    of radius R + s (vacant) or R - s (occupied), and the net is not
     measured (``_q_by_margin``).  A Q that the margin leaves goes to the
     net's cross-sections: at each grid foot, the segment across the axis
     that holds every net segment's points at that foot, within the width
     ``_net_width``; if those segments lie in the set for balls of radius
     R + eps (vacant) or R - eps (occupied), with eps the farthest a net
     point lies from its nearest cross-section, Q holds
-    (``_q_by_columns``).  A: start cells have feet below
-    -d/2 + s and end cells above d/2 - s, so every 4-connected path
-    between them crosses each grid column with foot in
-    [-d/2 + s, d/2 - s], and such a column's cells lie within s of its
-    axis point; A then fails if one of those axis points lies strictly
-    within R - s of a point (vacant) or at least R + s from every point
-    (occupied), and no flood fill runs (``_cut_columns``).  These
-    conditions are sufficient only; each trial they leave undecided runs
-    the net or the flood fill on its own, so the results are those of
-    the full checks.
+    (``_q_by_columns``).  A: start cells have feet below -d/2 + s and end
+    cells above d/2 - s, so every 4-connected path between them crosses
+    each grid column with foot in [-d/2 + s, d/2 - s], and such a column's
+    cells lie within s of its axis point; A then fails if one of those
+    axis points lies strictly within R - s of a point (vacant) or at least
+    R + s from every point (occupied), and no flood fill runs
+    (``_cut_columns``).  These conditions are sufficient only; each trial
+    they leave undecided runs the net or the flood fill on its own, so the
+    results are those of the full checks.
 
     Over 20 passes of the tube workload's Boolean sandwiches (2000
     vacant and 200 occupied trials; one seed, under cProfile on a 2-core
@@ -1058,38 +1058,33 @@ def sandwich_AQ(
     certificate made the workload's occupied sandwich 1.6 times slower
     in the median, so the margin stays.
 
-    Lines trials are decided per group of ``_groups``: every line's
-    sides on both end nets are taken once, f and Q count per trial the
-    lines that split the centres or a net (``_lines_tube_events``).
+    Lines groups: every line's sides on both end nets are taken once, f
+    and Q count per trial the lines that split the centres or a net
+    (``_lines_tube_events``).
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
     d = dist(x, y)
     if d < 4.0:
         raise ValueError("the tube estimates need d(x, y) >= 4")
     if not 0.0 < s <= 0.05:
         raise ValueError("tube radius s must lie in (0, 0.05]")
-    lam, R = params.intensity, params.radius
-
     half_d = d / 2.0
-    gen = rng.generator()
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
-    rho = half_d + s
+    groups = _ball_groups(model, params, half_d + s, trials, rng)
     events = []
     if model == "lines":
         hx, hy = _end_nets(half_d, s)
-        for group in _groups(sample_lines(lam, rho, gen) for _ in range(trials)):
+        for group in groups:
             events += zip(*(ok.tolist() for ok in _lines_tube_events(group, hx, hy)))
     else:
+        R = params.radius
         q_net = None  # the segments of the Q net, built for the first trial that runs it
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
         # every path from the start to the end cells crosses these columns
         mid_feet = feet[np.abs(feet) <= half_d - s]
-        for lo in range(0, trials, TUBE_BLOCK):
-            n = min(TUBE_BLOCK, trials - lo)
-            trial, t, psi = _joined([sample_points(params, rho + R, gen) for _ in range(n)],
-                                    "t", "psi")
+        for group in groups:
+            n = len(group)
+            trial, t, psi = _joined(group, "t", "psi")
             # Fermi coordinates along the axis from the tube's centre, as the grid's
             u, y = frame_fermi(*polar_frame(t, psi))
             f_ok = _reaches(model, trial, u + half_d, y, R, n) >= d

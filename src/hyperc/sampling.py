@@ -279,7 +279,15 @@ def _expected_per_trial(count: float, what: str) -> float:
 def ball_polar(radius: float, n, gen: np.random.Generator):
     """Polar coordinates (t, phi) around (0, 1) of n i.i.d. invariant points
     of B((0, 1), radius): radial CDF (cosh t - 1)/(cosh radius - 1), and
-    uniform angles, drawn after all the radii."""
+    uniform angles, drawn after all the radii.
+
+    Each t lies within 2.2e-16 (2 coth t + t) of the exact radius
+    arccosh(1 + U (cosh radius - 1)) of its drawn U: the roundings of
+    cosh radius, the product and the sum move the argument by at most
+    about 4.4e-16 cosh t, arccosh divides that by sinh t, and it adds its
+    own unit in the last place of t.  That is 4.4e-12 at t = 1e-4 and
+    5.9e-15 at t = 25.  Where the argument rounds to 1, t reads 0 for an
+    exact radius below 1.5e-8, within the bound."""
     t = np.arccosh(1.0 + gen.random(n) * (math.cosh(radius) - 1.0))
     return t, gen.random(n) * (2.0 * math.pi)
 

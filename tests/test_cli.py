@@ -325,7 +325,7 @@ def test_non_finite_r_is_a_usage_error(command, r, capsys):
     argv = [command, "--lambda", "0.1", "--seed", "1", *SMOKE[command], f"--r={r}"]
     assert main(argv) == USAGE_ERROR
     captured = capsys.readouterr()
-    assert "--r must be nonnegative and finite" in captured.err and captured.out == ""
+    assert "--r must be positive and finite" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE))

@@ -35,7 +35,6 @@ from hyperc.geometry import (
 from hyperc.percolation import (
     NET_CHUNKS,
     TRIAL_BLOCK,
-    TUBE_BLOCK,
     _antipodal_pairs,
     _block_thresholds,
     _boolean_ray_survivors,
@@ -1137,20 +1136,30 @@ def test_sandwich_stream_is_pinned(monkeypatch, model, params, trials, pinned):
         assert counts["_q_by_columns"][1] > 0
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_sandwich_is_the_same_at_any_block_size(monkeypatch, block):
-    """Trials decided in blocks of 7, or one at a time, give the results
-    of the default blocks, over several default blocks and a part one."""
-    cases = [("vacant", ModelParams(0.1, 1.0), 2 * TUBE_BLOCK + 22),
-             ("occupied", ModelParams(1.0, 1.0), TUBE_BLOCK + 6)]
+@pytest.mark.parametrize("budget", [1, 7])
+def test_sandwich_is_the_same_at_any_block_size(monkeypatch, budget):
+    """Trials decided in groups of at most 7 points, or about one at a
+    time, give the results of the default groups, over several default
+    groups (about 170 vacant trials of 6 points, or 17 occupied trials of
+    60 points) and a part one."""
+    cases = [("vacant", ModelParams(0.1, 1.0), 400), ("occupied", ModelParams(1.0, 1.0), 70)]
+    joined, sizes = percolation._joined, []
+
+    def spy(group, *fields):
+        sizes.append((len(group), sum(map(len, group))))
+        return joined(group, *fields)
 
     def run():
+        sizes.clear()
         return [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
                 for model, params, trials in cases for seed in range(2)]
 
+    monkeypatch.setattr(percolation, "_joined", spy)
     default = run()
-    monkeypatch.setattr(percolation, "TUBE_BLOCK", block)
+    assert max(sizes)[0] > 100 and len(sizes) >= 12
+    monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
     assert run() == default
+    assert all(points <= budget or trials == 1 for trials, points in sizes)
 
 
 def _end_nets(half_d: float, s: float, mesh: float):
@@ -1368,9 +1377,9 @@ def test_empty_process(model):
     ends, or none is at risk at r = 0."""
     params = ModelParams(0.0, None if model == "lines" else 1.0)
     inside = model != "occupied"
-    [rays] = surviving_directions(model, params, 4.0, 16, [RngStream(1)])
+    [rays] = surviving_directions(model, params, 4.0, 16, 1, RngStream(1))
     assert len(rays.surviving) == (16 if inside else 0)
-    [det] = detect_line_through_ball(model, params, 0.1, 4.0, [RngStream(1)], n_directions=36)
+    [det] = detect_line_through_ball(model, params, 0.1, 4.0, 1, RngStream(1), n_directions=36)
     assert det.found == inside
     assert det.n_surviving == (36 if inside else 0)
     res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 2, RngStream(1))
@@ -1402,7 +1411,7 @@ def test_ray_share_matches_f(model, params, f):
     beyond B(o, r) would read about 0.3 here, against f = 0.197; for
     lines f = e^{-lambda r} = 0.202."""
     r, n_dir, n = 2.0, 32, 2000
-    rays = surviving_directions(model, params, r, n_dir, [RngStream(50, i) for i in range(n)])
+    rays = surviving_directions(model, params, r, n_dir, n, RngStream(50))
     share = [len(rs.surviving) / n_dir for rs in rays]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f(r, params)) <= t
@@ -1441,8 +1450,7 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
     directions: the call's pairs of the whole grid, gathered per group,
     on the full grid, whose pairs tie in their distance from antipodal,
     and on each row of the group masks of real samples."""
-    rngs = [RngStream(seed) for seed in range(8)]
-    groups = [alive for _, alive in _ray_groups(model, params, 4.0, n_dir, rngs)]
+    groups = [alive for _, alive in _ray_groups(model, params, 4.0, n_dir, 8, RngStream(0))]
     groups.append(np.ones((1, n_dir), dtype=bool))
     assert max(len(alive) for alive in groups) > 1
     partial_tried, sizes = 0, []
@@ -1463,15 +1471,46 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
 @pytest.mark.parametrize("n_dir", [-4, 0, 1, 3, 7])
 def test_detect_line_needs_eight_directions(n_dir):
     with pytest.raises(ValueError, match="at least 8 directions"):
-        detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, [RngStream(1)], n_dir)
-    [det] = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, [RngStream(1)], 8)
+        detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, 1, RngStream(1), n_dir)
+    [det] = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, 1, RngStream(1), 8)
     assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, float("nan"), math.inf])
 def test_detect_line_needs_a_positive_ball(s):
     with pytest.raises(ValueError, match="radius s must be positive"):
-        detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, [RngStream(1)])
+        detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, 1, RngStream(1))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("model", ["vacant", "lines"])
+def test_rays_need_a_positive_length(model, r):
+    params = ModelParams(0.1, None if model == "lines" else 1.0)
+    with pytest.raises(ValueError, match="ray length r must be positive"):
+        surviving_directions(model, params, r, 16, 1, RngStream(1))
+    with pytest.raises(ValueError, match="ray length r must be positive"):
+        detect_line_through_ball(model, params, 0.1, r, 1, RngStream(1))
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-100, 1e-300])
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(0.3, 1.0))]
+)
+def test_short_chords_are_decided_at_the_origin(model, params, r):
+    """Rays and chords of length about r lie within r of (0, 1), so
+    detect-line finds a chord in a sample iff (0, 1) lies outside every
+    ball (vacant) or inside one (occupied), over 100 samples that hold
+    both kinds.  The chords are read in their frame at the foot; a frame
+    taken from the cosh of their length, which rounds to 1, read a point
+    2 from (0, 1) at foot -674 at r = 1e-8 and divided by zero at
+    1e-200."""
+    found = detect_line_through_ball(model, params, 0.1, r, 100, RngStream(7), n_directions=36)
+    gen, outcomes = RngStream(7).generator(), set()
+    for i, det in enumerate(found):
+        covered = bool(np.any(sample_points(params, r + params.radius, gen).t < params.radius))
+        assert det.found == (covered if model == "occupied" else not covered), i
+        outcomes.add(covered)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("r", [5.0, 10.0])
@@ -1482,16 +1521,16 @@ def test_the_lines_witness_needs_no_chord_check(lam, r):
     _lines_avoid and by segment_in."""
     params, s = ModelParams(lam), 0.1
     outcomes = set()
-    rngs = [RngStream(seed) for seed in range(200)]
-    found = detect_line_through_ball("lines", params, s, r, rngs)
-    for seed, det in enumerate(found):
-        assert det == full_chord_detection("lines", params, s, r, RngStream(seed)), seed
+    found = detect_line_through_ball("lines", params, s, r, 200, RngStream(0))
+    oracle_gen, gen = RngStream(0).generator(), RngStream(0).generator()
+    for i, det in enumerate(found):
+        assert det == full_chord_detection("lines", params, s, r, oracle_gen), i
         outcomes.add(det.found)
+        sample = sample_lines(lam, r, gen)
         if det.found:
-            sample = sample_lines(lam, r, RngStream(seed).generator())
             ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray(det.witness) / 360)
-            assert _lines_avoid(sample, to_hyperboloid(ends)), seed
-            assert segment_in("lines", *(HPoint(z.real, z.imag) for z in ends), sample), seed
+            assert _lines_avoid(sample, to_hyperboloid(ends)), i
+            assert segment_in("lines", *(HPoint(z.real, z.imag) for z in ends), sample), i
     assert True in outcomes
 
 
@@ -1521,28 +1560,31 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
         return survivors(samples, *args)
 
     monkeypatch.setattr(percolation, name, spy)
-    rngs = [RngStream(seed, 3) for seed in range(40)]
-    rays = surviving_directions(model, params, r, n_dir, rngs)
-    found = detect_line_through_ball(model, params, 0.1, r, rngs, n_dir)
+    rays = surviving_directions(model, params, r, n_dir, 40, RngStream(3))
+    found = detect_line_through_ball(model, params, 0.1, r, 40, RngStream(3), n_dir)
     assert sum(sizes) == 80
     assert set(sizes) == {1} if budget == 1 else 1 < max(sizes) < 40
-    for rng, rs, det in zip(rngs, rays, found, strict=True):
-        alive = sample_and_rays(model, params, r, n_dir, rng)[1]
+    ray_gen, det_gen = RngStream(3).generator(), RngStream(3).generator()
+    for rs, det in zip(rays, found, strict=True):
+        alive = sample_and_rays(model, params, r, n_dir, ray_gen)[1]
         assert rs.surviving == np.flatnonzero(alive).tolist()
-        assert det == full_chord_detection(model, params, 0.1, r, rng, n_dir)
+        assert det == full_chord_detection(model, params, 0.1, r, det_gen, n_dir)
     assert {det.found for det in found} == {True, False}
 
 
 @pytest.mark.parametrize("budget", [40, None])
 def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
     """On a coarse odd grid, whose chords all miss (0, 1), with a wide
-    ball s, the first chords of a vacant sample often fail.  detect-line
-    then decides each group's chords in rounds, the next candidate of
-    every undecided sample per round; every detection equals the
-    per-sample oracle's, which tries the chords one at a time, each
-    against every point.  At a budget of 40 points (a few samples a
-    group) and the default (one group), some group holds several samples
-    and some sample takes 3 or more rounds."""
+    ball s, the first chord of a vacant sample sometimes fails (in about
+    3 of 100 samples with a candidate; about 1 sample in 800 needs 3
+    rounds or more, and the 400 here hold one).
+    detect-line then decides each group's chords in rounds, the next
+    candidate of every undecided sample per round; over 400 samples
+    every detection equals the per-sample oracle's, which tries the
+    chords one at a time, each against every point.  At a budget of 40
+    points (a few samples a group) and the default (about 60 samples a
+    group), some group holds several samples and some sample takes 3 or
+    more rounds."""
     if budget is not None:
         monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
     params, s, r, n_dir = ModelParams(0.3, 1.0), 0.6, 2.0, 41
@@ -1558,10 +1600,10 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
 
     monkeypatch.setattr(percolation, "_first_chords", spy)
     monkeypatch.setattr(percolation, "_chords_contained", count)
-    rngs = [RngStream(seed, 11) for seed in range(100)]
-    found = detect_line_through_ball("vacant", params, s, r, rngs, n_dir)
-    for rng, det in zip(rngs, found, strict=True):
-        assert det == full_chord_detection("vacant", params, s, r, rng, n_dir)
+    found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(11), n_dir)
+    gen = RngStream(11).generator()
+    for det in found:
+        assert det == full_chord_detection("vacant", params, s, r, gen, n_dir)
     assert {det.found for det in found} == {True, False}
     assert max(size for size, _ in rounds) > 1 and max(n for _, n in rounds) >= 3
 

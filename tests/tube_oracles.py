@@ -1,11 +1,13 @@
 """Reference forms of the tube certificates that the tests compare
 against: Fermi coordinates by projecting every point onto every
-segment, rays decided one sample at a time with every pair of their
-arcs read by ``frame_fermi``, detect-line's candidate pairs searched
-among each sample's surviving directions and its chords tried one at a
-time, each measured against every point of its sample, its ends and the
-points made through the upper half-plane (``polar_around_origin``, then
-``to_hyperboloid``) rather than by ``polar_hyperboloid``, the lines
+segment, rays decided one sample at a time, each drawn next from one
+generator, with every pair of their arcs read by ``frame_fermi``,
+detect-line's candidate pairs searched among each sample's surviving
+directions and its chords tried one at a time, each measured against
+every point of its sample in the frame of ``segment_frame`` at one end,
+its ends and the points made through the upper half-plane
+(``polar_around_origin``, then ``to_hyperboloid``) rather than by
+``polar_hyperboloid``, the lines
 sandwich's events decided one trial at a time, the sandwich's grid with
 an arccosh per cell, its column cut as zero-length segments through
 ``_reaches``, and its Q net measured in one pass."""
@@ -88,10 +90,10 @@ def line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
     return alive
 
 
-def sample_and_rays(model: str, params: ModelParams, r: float, n_dir: int, rng):
-    """One stream's sample, drawn as ``surviving_directions`` draws it,
-    and its mask of surviving directions, decided on its own."""
-    gen = rng.generator()
+def sample_and_rays(model: str, params: ModelParams, r: float, n_dir: int, gen):
+    """The next sample of gen, drawn as ``surviving_directions`` draws each
+    sample from its stream's generator, and its mask of surviving
+    directions, decided on its own."""
     if model == "lines":
         sample = sample_lines(params.intensity, r, gen)
         return sample, line_ray_survivors(sample, r, n_dir)
@@ -117,11 +119,12 @@ def antipodal_pairs(alive: np.ndarray, r: float, s: float):
     return i[keep][order], j[keep][order]
 
 
-def full_chord_detection(model: str, params: ModelParams, s: float, r: float, rng,
+def full_chord_detection(model: str, params: ModelParams, s: float, r: float, gen,
                          n_dir: int = 360) -> LineDetection:
-    """detect-line for one stream, deciding each candidate chord against
-    every point of the sample (lines: against every line)."""
-    sample, alive = sample_and_rays(model, params, r, n_dir, rng)
+    """detect-line for the next sample of gen (``sample_and_rays``),
+    deciding each candidate chord against every point of the sample
+    (lines: against every line)."""
+    sample, alive = sample_and_rays(model, params, r, n_dir, gen)
     n_surviving = int(np.count_nonzero(alive))
     if n_surviving >= 2:
         for i, j in zip(*antipodal_pairs(alive, r, s)):

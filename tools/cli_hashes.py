@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 94
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 98
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -109,6 +109,11 @@ INVOCATIONS = [
     ("rays.vacant.far",
      ["rays", "--model", "vacant", "--lambda", "1e-4", "--r", "19", "--directions", "64",
       "--samples", "3", "--seed", "2"]),
+    # a zero ray length is refused under every model
+    ("rays.vacant.r-zero",
+     ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "0", "--samples", "2", "--seed", "1"]),
+    ("rays.lines.r-zero",
+     ["rays", "--model", "lines", "--lambda", "0.1", "--r", "0", "--samples", "2", "--seed", "1"]),
     ("detect-line.lines",
      ["detect-line", "--model", "lines", "--lambda", "0.1", "--samples", "30", "--seed", "4"]),
     ("detect-line.occupied",
@@ -127,7 +132,14 @@ INVOCATIONS = [
     # a coarse odd grid and a wide ball: some chords are tried in 3 rounds
     ("detect-line.vacant.rounds",
      ["detect-line", "--model", "vacant", "--lambda", "0.3", "--R", "1", "--r", "2", "--s", "0.6",
-      "--directions", "41", "--samples", "100", "--seed", "1"]),
+      "--directions", "41", "--samples", "100", "--seed", "14"]),
+    ("detect-line.vacant.r-zero",
+     ["detect-line", "--model", "vacant", "--lambda", "0.1", "--r", "0", "--samples", "2",
+      "--seed", "1"]),
+    # chords far shorter than rounding of their length's cosh, read in the frame at the foot
+    ("detect-line.vacant.r-tiny",
+     ["detect-line", "--model", "vacant", "--lambda", "0.1", "--r", "1e-8", "--samples", "20",
+      "--seed", "1"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
     ("detect-line.s-inf",
