@@ -21,9 +21,10 @@ cap is drawn in chunks of trials below it.  Rays, chords and the tube
 sandwich draw exactly the ball that can reach them, and measure each
 ray, chord, net segment or grid cell only against the points that can
 come within R of it; the sandwich decides its flood-fill grid in its
-tube's axis coordinates.  Rays, detect-line and the sandwich draw their
-samples in sequence from one generator and decide them per group
-(``_ball_groups``): consecutive samples of at most GROUP_POINTS points
+tube's axis coordinates; for lines, rays and detect-line draw only the
+lines that cross a grid ray (``_grid_lines``).  Rays, detect-line and
+the sandwich draw their samples from one generator and decide them per
+group (``_ball_groups``): consecutive samples of at most GROUP_POINTS points
 or lines together.  A group of rays goes through one ``_grid_runs``,
 ``frame_fermi`` and ``_reaches`` pass, sample i's direction k as
 segment i n + k.  Detect-line builds its candidate pairs once per call
@@ -60,6 +61,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -484,30 +486,34 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
 # Samples that rays, detect-line and the sandwich decide in one pass:
 # consecutive ones join a group while their points or lines together
 # stay within this many, and one at or above it makes a group of its
-# own.  At budgets of
-# 1, 1024, 2048, 4096, 8192 and 16384 the tube workload's rays,
-# detect-line and lines sandwich operations took 60-66, 47-48, 46-48,
-# 46-49, 46-52 and 52-56 ms together (two runs of 40 alternating rounds,
+# own.  At budgets of 1, 256, 1024, 4096 and 16384 the tube workload's
+# rays, detect-line and lines sandwich operations took 65-76, 49-60,
+# 43-48, 36-43 and 38-43 ms together (medians of two runs of 40 rounds,
 # in process, on a 2-core host).  Large groups lose on large kernel
-# passes: four occupied samples of about 1260 points at 360 directions
-# took 4.5-4.6 ms as one group against 3.3-3.5 ms one by one (at 64
-# directions 1.0 against 1.3 ms), so such samples are left alone.
+# passes: four occupied samples of about 1240 points at 360 directions
+# took 3.4 ms as one group against 3.2 ms one by one (at 64 directions
+# 0.65 against 1.04 ms), so such samples are left alone.
 GROUP_POINTS = 1024
 
 
-def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng: RngStream):
-    """Draw samples realizations of what can reach B(o, rho), the lines
-    meeting it or the points within R of it, in sequence from
-    ``rng.generator()``, and yield the runs of consecutive ones whose
-    points or lines together stay within GROUP_POINTS, as lists; a
-    sample at or above it makes a run alone."""
+def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng: RngStream,
+                 n_dir: int = 0):
+    """Draw samples realizations of what can reach B(o, rho), the points
+    within R of it or the lines meeting it (with n_dir, only those that
+    cross a ray of that grid, ``_grid_lines``), from ``rng.generator()``,
+    and yield the runs of consecutive ones whose points or lines together
+    stay within GROUP_POINTS, as lists; a sample at or above it makes a
+    run alone."""
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     gen = rng.generator()
+    if model == "lines" and n_dir:
+        draws = _grid_lines(params.intensity, rho, n_dir, samples, gen)
+    else:
+        draws = (sample_lines(params.intensity, rho, gen) if model == "lines"
+                 else sample_points(params, rho + params.radius, gen) for _ in range(samples))
     group, size = [], 0
-    for _ in range(samples):
-        sample = (sample_lines(params.intensity, rho, gen) if model == "lines"
-                  else sample_points(params, rho + params.radius, gen))
+    for sample in draws:
         if group and size + len(sample) > GROUP_POINTS:
             yield group
             group, size = [], 0
@@ -517,11 +523,59 @@ def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng:
         yield group
 
 
+def _half_arc(p: np.ndarray, r: float) -> np.ndarray:
+    """Half-width beta of the arc of directions whose ray of length r from
+    (0, 1) crosses the line at foot distance p < r, cos beta = tanh p /
+    tanh r, as sin^2(beta / 2) = sinh(r - p) / (2 sinh r cosh p): no
+    cancellation near p = r and no overflow."""
+    q = np.exp(-p)
+    ratio = np.expm1(2.0 * (p - r)) / math.expm1(-2.0 * r)
+    return 2.0 * np.arcsin(q * np.sqrt(ratio / (1.0 + q * q)))
+
+
+def _grid_lines(lam: float, r: float, n_dir: int, samples: int, gen: np.random.Generator):
+    """samples realizations, as ``LineSample`` on B(o, r), of the lines
+    that cross a ray of length r on the grid of n_dir directions h apart:
+    foot (p, phi) with phi within ``_half_arc`` beta(p) of a grid angle.
+    Their intensity (lam / 2) n_dir min(h, 2 beta) cosh p dp is drawn by
+    thinning the envelope (lam / 2) n_dir min(h cosh p, pi), which
+    dominates because 2 beta cosh p <= pi; phi is uniform where 2 beta >=
+    h, else k h + beta (2 V - 1) with k uniform.  Each quantity is drawn
+    once per block of samples expecting at most MAX_TRIAL_POINTS lines."""
+    h = 2.0 * math.pi / n_dir
+    knee = min(math.acosh(n_dir / 2.0), r)  # where h cosh p reaches pi
+    head, flat = math.sinh(knee), n_dir / 2.0 * (r - knee)
+    mean = sampling._expected_per_trial(lam * math.pi * (head + flat), "lines")
+    block = max(1, int(sampling.MAX_TRIAL_POINTS // max(mean, 1.0)))
+    for lo in range(0, samples, block):
+        counts = gen.poisson(mean, min(block, samples - lo))
+        x = gen.random(counts.sum()) * (head + flat)
+        p = np.where(x < head, np.arcsinh(x), knee + (x - head) / (n_dir / 2.0))
+        beta = _half_arc(p, r)
+        # clamped below overflow: past p = 36 beta is below the rounding of phi
+        cosh_p = np.cosh(np.minimum(p, 700.0))
+        envelope = np.minimum(h * cosh_p, math.pi)
+        keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * cosh_p
+        p, beta = p[keep], beta[keep]
+        k, v = gen.integers(n_dir, size=len(p)), gen.random(len(p))
+        phi = np.where(2.0 * beta >= h, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
+        owner = np.repeat(np.arange(len(counts)), counts)[keep]
+        ends = np.searchsorted(owner, np.arange(len(counts) + 1))
+        yield from (LineSample(lam, r, p[a:b], phi[a:b]) for a, b in zip(ends[:-1], ends[1:]))
+
+
 def _joined(samples, *fields):
     """Each element's sample index, then the samples' arrays of each field
     joined end to end."""
     owner = np.repeat(np.arange(len(samples)), [len(sample) for sample in samples])
     return owner, *(np.concatenate([getattr(sample, f) for sample in samples]) for f in fields)
+
+
+def _wide_arcs(t: np.ndarray, reach: float) -> np.ndarray:
+    """Per point at distance t from (0, 1), a bound above every |dpsi| <=
+    pi / 2 at which the rounded test sinh t |sin dpsi| < sinh(reach) holds."""
+    ratio = math.sinh(reach) * (1.0 + 1e-12) / np.maximum(np.sinh(t), math.sinh(reach))
+    return np.arcsin(np.minimum(ratio, 1.0)) + 1e-12
 
 
 def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, model: str):
@@ -532,10 +586,11 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     A point at polar (t, psi) with t > R keeps more than R from (0, 1),
     so it can come within R only of the rays that run toward it, in the
     directions theta with |theta - psi| < beta, sin beta = sinh R / sinh t.
-    Such a point is measured on the grid directions of that arc and the
-    next one beyond each end, a point with t <= R + 1e-9 on every one,
-    where sinh t |sin(psi - theta)| < sinh(R + 1e-9); these margins keep
-    ties at distance R decided as by measuring every pair.
+    Such a point is measured on the grid directions of that arc, a point
+    with t <= R + 1e-9 on every one, where sinh t |sin(psi - theta)| <
+    sinh(R + 1e-9); the arc is widened to ``_wide_arcs``, which hold
+    every pair kept, so ties at distance R are decided as by measuring
+    every pair.
     """
     R = samples[0].params.radius
     for sample in samples:
@@ -543,10 +598,10 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     which, t, psi = _joined(samples, "t", "psi")
-    beta = np.arcsin(math.sinh(R) / np.maximum(np.sinh(t), math.sinh(R)))
+    beta = _wide_arcs(t, R + 1e-9)
     # each point's run [lo, hi] of direction indices
-    lo = np.floor((psi - beta) / h).astype(np.int64)
-    hi = np.ceil((psi + beta) / h).astype(np.int64)
+    lo = np.ceil((psi - beta) / h).astype(np.int64)
+    hi = np.floor((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
     along, normal = polar_frame(t[j], psi[j] - thetas[k])
@@ -562,14 +617,14 @@ def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.n
 
     The line at foot (p, phi) blocks the arc of directions theta with
     cos(theta - phi) > tanh p / tanh r, that is the grid directions k
-    with |k h - phi| <= beta, cos beta = tanh p / tanh r.
+    with |k h - phi| <= beta, ``_half_arc`` beta(p).
     """
     for sample in samples:
         sample.require_window(r, "ray survival")
     h = 2.0 * math.pi / n_dir
     which, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
     mask = foot_dist < r
-    beta = np.arccos(np.clip(np.tanh(foot_dist[mask]) / math.tanh(r), -1.0, 1.0))
+    beta = _half_arc(foot_dist[mask], r)
     lo = np.ceil((foot_dir[mask] - beta) / h).astype(np.int64)
     hi = np.floor((foot_dir[mask] + beta) / h).astype(np.int64)
     owner, k = _grid_runs(lo, hi, n_dir)
@@ -581,15 +636,18 @@ def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int) -> np.n
 def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: int,
                 rng: RngStream):
     """The groups of ``_ball_groups`` of samples realizations of what can
-    reach the rays of length r from (0, 1), as an iterator, each with the
-    mask (samples, n_dir) of the grid directions whose ray survives.  The
-    ray length and the grid are checked at the call, before any draw."""
+    reach the rays of length r from (0, 1) on the grid, as an iterator,
+    each with the mask (samples, n_dir) of the grid directions whose ray
+    survives.  The count, the ray length and the grid are checked at the
+    call, before any draw."""
+    if not isinstance(samples, Integral) or samples < 0:
+        raise ValueError("samples must be an integer of at least 0")
     if not 0.0 < r < math.inf:
         raise ValueError("ray length r must be positive and finite")
     # with fewer, detect-line's seven antipodal partners of a direction repeat
     if n_dir < 8:
         raise ValueError("need at least 8 directions")
-    groups = _ball_groups(model, params, r, samples, rng)
+    groups = _ball_groups(model, params, r, samples, rng, n_dir)
     if model == "lines":
         return ((group, _line_ray_survivors(group, r, n_dir)) for group in groups)
     return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in groups)
@@ -604,8 +662,8 @@ def surviving_directions(
     rng: RngStream,
 ) -> list[RaySurvival]:
     """Ray survival on a uniform direction grid: samples realizations,
-    drawn in sequence from ``rng.generator()`` and decided per group of
-    consecutive ones (``_ball_groups``)."""
+    drawn from ``rng.generator()`` and decided per group of consecutive
+    ones (``_ray_groups``)."""
     groups = _ray_groups(model, params, r, n_directions, samples, rng)
     return [RaySurvival(np.flatnonzero(mask).tolist()) for _, alive in groups for mask in alive]
 
@@ -675,10 +733,12 @@ def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, 
     then keeps more than R from the chord, and each chord is measured
     only against its own sample's points within R + s of the geodesic of
     one ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin
-    for rounding).
+    for rounding), taken only where the angle from a ray's geodesic lies
+    within ``_wide_arcs``.
     """
     R = samples[0].params.radius
     which, t, psi = _joined(samples, "t", "psi")
+    arc = _wide_arcs(t, R + s + 1e-9)
     # each sample's points, and the bounds of its candidates
     points = np.searchsorted(which, np.arange(len(samples) + 1))
     starts = np.searchsorted(sample, np.arange(len(samples) + 1))
@@ -688,6 +748,9 @@ def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, 
     while len(todo):
         rays = 2.0 * math.pi * ends[cand] / n_dir
         chord, k = _runs(points[todo], points[todo + 1] - 1)
+        off = np.remainder(psi[k, None] - rays[chord] + math.pi / 2.0, math.pi) - math.pi / 2.0
+        aim = (np.abs(off) < arc[k, None]).any(axis=1)
+        chord, k = chord[aim], k[aim]
         _, normal = polar_frame(t[k, None], psi[k, None] - rays[chord])
         near = (np.abs(normal) < math.sinh(R + s + 1e-9)).any(axis=1)
         k = k[near]
@@ -718,12 +781,13 @@ def detect_line_through_ball(
     rounds over the group).  For lines that is the first pair: a line
     that strictly separates the ends p and q puts one of them on the
     side away from (0, 1), so it crosses that end's ray, and no line
-    crosses a surviving ray.
+    crosses a surviving ray; so no line that misses every grid ray, which
+    ``_grid_lines`` never draws, splits a candidate chord.
 
     Over 20 passes of the tube workload's detect-line runs (68 samples a
-    pass; one seed, 2-core host) the ray survivors took about half of
-    the time, the chord rounds a sixth, the draws 8%, and the pairs with
-    their gathers 7%."""
+    pass; one seed, under cProfile on a 2-core host) the ray survivors
+    took about half of the time, the chord rounds a quarter, the draws
+    9%, and the pairs with their gathers 9%."""
     if not 0.0 < s < math.inf:
         raise ValueError("the chord certificate's ball radius s must be positive and finite")
     # the chords between the rays' ends lie in B(o, r) as well
@@ -1062,6 +1126,8 @@ def sandwich_AQ(
     and Q count per trial the lines that split the centres or a net
     (``_lines_tube_events``).
     """
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ValueError("trials must be an integer of at least 1")
     d = dist(x, y)
     if d < 4.0:
         raise ValueError("the tube estimates need d(x, y) >= 4")

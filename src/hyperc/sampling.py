@@ -235,7 +235,8 @@ class BooleanSample(_Window):
 class LineSample(_Window):
     """Poisson lines meeting B((0, 1), window_radius), in polar form:
     ``foot_dist`` is the hyperbolic distance from (0, 1) to the line and
-    ``foot_dir`` the disk-model direction of its nearest point.
+    ``foot_dir`` the disk-model direction of its nearest point; for rays,
+    only those that cross a ray of the grid (``percolation._grid_lines``).
     """
 
     intensity: float

@@ -170,6 +170,18 @@ class TestHittingLaw:
         assert g2r == pytest.approx(0.9670339246268447, abs=1e-12)
         assert g2r < 1.0
 
+    @pytest.mark.parametrize("t", [1e-12, 1e-8, 1e-4, 0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("lam", [1e-6, 0.5, 3.0])
+    def test_against_50_digits_of_the_crescent(self, lam, t):
+        """G = 1 - e^{-lambda A} keeps its digits for the crescent area A
+        as computed: 1 - exp lost all but 7 of them at lambda A = 2e-10.
+        (The closed form of A itself loses digits below t = 1e-4.)"""
+        mpmath = pytest.importorskip("mpmath")
+        area = area_crescent_closed_form(t, 1.0)
+        with mpmath.workdps(50):
+            exact = float(-mpmath.expm1(-lam * mpmath.mpf(area)))
+        assert hitting_cdf(t, ModelParams(lam, 1.0)) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     def test_nondecreasing(self):
         p = ModelParams(0.8, 1.0)
         ts = np.linspace(0.0, 2.2, 45)
@@ -440,6 +452,22 @@ class TestLongRangePercolation:
         for bad in (0, 1):
             with pytest.raises(ValueError):
                 lrp_edge_measure(0, bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 10**5, 10**7, 10**8 - 1, 10**8, 10**8 + 1])
+    def test_against_50_digits(self, n):
+        """The measure log(n^2 / ((n-1)(n+1))) and the edge probability
+        c (1 - e^{-lambda measure}) keep their digits up to gaps of 1e8,
+        where the measure is about 1e-16: a log of the rounded ratio read
+        8.0e-4 relative error at 1e7 and 0 at 1e8, and 1 - exp 1e-7 at
+        lambda = 1e-3 and n = 1e3.  At lambda = c = 1, n^2 prob is 1."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.mpf(n) ** 2 / ((n - 1) * mpmath.mpf(n + 1)))
+            assert lrp_edge_measure(0, n) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+            for lam, c in [(1.0, 1.0), (0.5, 0.8), (1e-3, 1.0)]:
+                prob = c * -mpmath.expm1(-lam * exact)
+                assert lrp_edge_prob(0, n, lam, c) == pytest.approx(float(prob), rel=1e-14, abs=0.0)
+        assert n * n * lrp_edge_prob(0, n, 1.0, 1.0) == pytest.approx(1.0, abs=1.0 / n)
 
     @pytest.mark.parametrize("intensity, c", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 1.5),
                                               (1.0, -0.5), (1.0, math.nan)])

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.stats import binom, chi2, norm
+from scipy import integrate
+from scipy.stats import binom, chi2, norm, poisson
 
 from hyperc import percolation, sampling
 from hyperc.analytic import alpha_occupied, f_grassmann, f_vacant, hitting_cdf
@@ -46,6 +47,8 @@ from hyperc.percolation import (
     _exposure_alpha,
     _first_chords,
     _flood_connected,
+    _grid_lines,
+    _half_arc,
     _line_ray_survivors,
     _lines_avoid,
     _lines_tube_events,
@@ -82,8 +85,9 @@ from tube_oracles import (
     lines_tube_events,
     net_contained,
     projection_segment_point_distance,
+    ray_samples,
     reaches_cut_columns,
-    sample_and_rays,
+    sample_rays,
     tube_grid,
 )
 
@@ -1399,22 +1403,107 @@ def test_empty_process(model):
 
 
 @pytest.mark.parametrize(
-    "model, params, f",
-    [("vacant", ModelParams(0.2, 1.0), f_vacant),
-     ("lines", ModelParams(0.8), lambda r, params: f_grassmann(r, params.intensity))],
-    ids=["vacant", "lines"],
+    "model, params, r, n_dir, f",
+    [("vacant", ModelParams(0.2, 1.0), 2.0, 32, f_vacant),
+     ("lines", ModelParams(0.8), 2.0, 32, lambda r, params: f_grassmann(r, params.intensity)),
+     ("lines", ModelParams(0.1), 10.0, 360, lambda r, params: f_grassmann(r, params.intensity))],
+    ids=["vacant", "lines", "lines-far"],
 )
-def test_ray_share_matches_f(model, params, f):
+def test_ray_share_matches_f(model, params, r, n_dir, f):
     """Each direction's ray survives with probability f(r), so the mean
     surviving share over independent samples is gated by Hoeffding's
     bound 2 exp(-2 n t^2) = TAIL.  A vacant window missing the balls
     beyond B(o, r) would read about 0.3 here, against f = 0.197; for
-    lines f = e^{-lambda r} = 0.202."""
-    r, n_dir, n = 2.0, 32, 2000
+    lines f = e^{-lambda r} = 0.202 and 0.368."""
+    n = 2000
     rays = surviving_directions(model, params, r, n_dir, n, RngStream(50))
     share = [len(rs.surviving) / n_dir for rs in rays]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f(r, params)) <= t
+
+
+@pytest.mark.parametrize("lam, r, n_dir, lag", [(0.1, 10.0, 360, 1), (0.1, 10.0, 360, 5),
+                                                (0.1, 10.0, 360, 180), (0.3, 5.0, 64, 1),
+                                                (0.3, 5.0, 64, 5), (0.3, 5.0, 64, 32)])
+def test_ray_pairs_match_the_triangle(lam, r, n_dir, lag):
+    """The lines that meet rays k and k + lag are those that meet their
+    triangle, of measure half its perimeter, r + c / 2 with sinh(c / 2) =
+    sinh r sin(pi lag / n_dir); both rays survive with probability
+    f_grassmann(r + c / 2).  The share of such surviving pairs per sample
+    is gated by Hoeffding's bound, as in ``test_ray_share_matches_f``:
+    lines thinned to those that cross a grid ray keep the joint law, not
+    only each ray's."""
+    n = 2000
+    rays = surviving_directions("lines", ModelParams(lam), r, n_dir, n, RngStream(60))
+    alive = np.zeros((n, n_dir), dtype=bool)
+    for i, rs in enumerate(rays):
+        alive[i, rs.surviving] = True
+    share = (alive & np.roll(alive, -lag, axis=1)).mean(axis=1)
+    c = 2.0 * math.asinh(math.sinh(r) * math.sin(math.pi * lag / n_dir))
+    t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
+    assert abs(share.mean() - f_grassmann(r + c / 2.0, lam)) <= t
+
+
+@pytest.mark.parametrize("r, lam", [(1.0, -1.0), (1.0, -math.inf), (1.0, math.nan),
+                                    (math.nan, 1.0), (-1.0, 1.0)])
+def test_f_grassmann_refuses_what_is_no_probability(r, lam):
+    """f_grassmann(1, -1) read e^1 = 2.718, and a NaN length or intensity
+    read NaN."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        f_grassmann(r, lam)
+
+
+@pytest.mark.parametrize("r", [1e-3, 2.0, 10.0, 19.0, 30.0, 400.0])
+def test_half_arc_against_50_digits(r):
+    """The arc of directions a line blocks, cos beta = tanh p / tanh r,
+    keeps its digits up to p = r: arccos of the rounded ratio read 0 for
+    every p beyond 18.4 at r = 19, which left those lines blocking no
+    ray and the rays' share at lambda = 0.1 reading 0.155 against
+    e^{-1.9} = 0.150."""
+    mpmath = pytest.importorskip("mpmath")
+    p = r * np.asarray([0.0, 1e-9, 0.3, 0.9, 0.97, 1.0 - 1e-6, 1.0 - 1e-12, 1.0])
+    got = _half_arc(p, r)
+    # tanh r needs about 0.87 r digits to tell it from 1
+    with mpmath.workdps(50 + int(r)):
+        for pk, beta in zip(p, got):
+            exact = mpmath.acos(mpmath.tanh(mpmath.mpf(pk)) / mpmath.tanh(r))
+            assert abs(beta - float(exact)) <= 4e-16 * float(exact), (pk, beta, exact)
+
+
+@pytest.mark.parametrize("lam, r, n_dir", [(0.1, 10.0, 360), (0.3, 5.0, 64), (0.8, 2.0, 32)])
+def test_grid_lines_count_matches_their_measure(lam, r, n_dir):
+    """The lines that cross a grid ray number Poisson with mean (lam / 2)
+    n_dir int_0^r min(h, 2 beta(p)) cosh p dp, cos beta = tanh p / tanh r,
+    per sample; over 2000 samples the total is gated by its exact
+    two-sided Poisson tail.  Keeping 10% too few lines fails every case."""
+    h, n = 2.0 * math.pi / n_dir, 2000
+
+    def density(p):
+        return min(h, 2.0 * math.acos(math.tanh(p) / math.tanh(r))) * math.cosh(p)
+
+    wide = math.atanh(math.tanh(r) * math.cos(h / 2.0))  # where 2 beta = h
+    mean = lam / 2.0 * n_dir * sum(integrate.quad(density, a, b, epsrel=1e-10, limit=200)[0]
+                                   for a, b in [(0.0, wide), (wide, r)])
+    total = sum(map(len, _grid_lines(lam, r, n_dir, n, RngStream(9).generator())))
+    tail = 2.0 * min(poisson.cdf(total, n * mean), poisson.sf(total - 1, n * mean))
+    assert tail >= TAIL, (total, n * mean)
+
+
+def test_grid_lines_draw_in_blocks_under_the_cap(monkeypatch):
+    """Under a cap of 1000 lines, samples that expect 289 envelope lines
+    each are drawn three to a block: the call yields every sample, and
+    each block as a call for just its samples draws it from the same
+    generator state.  A sample that expects more than the cap is
+    refused."""
+    monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 1000)
+    got = list(_grid_lines(0.1, 10.0, 360, 7, RngStream(2).generator()))
+    gen = RngStream(2).generator()
+    ref = [sample for m in (3, 3, 1) for sample in _grid_lines(0.1, 10.0, 360, m, gen)]
+    assert len(got) == 7 and all(len(sample) > 100 for sample in got)
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a.foot_dist, b.foot_dist) and np.array_equal(a.foot_dir, b.foot_dir)
+    with pytest.raises(ValueError, match="MAX_TRIAL_POINTS"):
+        next(_grid_lines(1.0, 10.0, 360, 1, gen))
 
 
 def _all_pairs_antipodal(alive, r, s):
@@ -1482,6 +1571,26 @@ def test_detect_line_needs_a_positive_ball(s):
         detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, 1, RngStream(1))
 
 
+@pytest.mark.parametrize("samples", [-1, 2.5, math.nan, math.inf, "3"])
+@pytest.mark.parametrize("model", ["vacant", "lines"])
+def test_rays_need_a_whole_sample_count(model, samples):
+    """A negative count read no sample and 2.5 raised TypeError; both are
+    refused before any draw, and 0 samples give none."""
+    params = ModelParams(0.1, None if model == "lines" else 1.0)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        surviving_directions(model, params, 4.0, 16, samples, RngStream(1))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        detect_line_through_ball(model, params, 0.1, 4.0, samples, RngStream(1))
+    assert surviving_directions(model, params, 4.0, 16, np.int64(0), RngStream(1)) == []
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan])
+def test_sandwich_needs_a_trial(trials):
+    """0 trials failed on the sandwich's own unpacking of no events."""
+    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
+        sandwich_AQ(X_TUBE, Y_TUBE, 0.05, "vacant", ModelParams(0.1, 1.0), trials, RngStream(1))
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("model", ["vacant", "lines"])
 def test_rays_need_a_positive_length(model, r):
@@ -1517,16 +1626,15 @@ def test_short_chords_are_decided_at_the_origin(model, params, r):
 @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
 def test_the_lines_witness_needs_no_chord_check(lam, r):
     """Over 200 samples, detect-line's unchecked lines witness is the one
-    that the chord check finds, and its chord misses every line, by
-    _lines_avoid and by segment_in."""
+    that the chord check finds, and its chord misses every line that
+    crosses a grid ray, by _lines_avoid and by segment_in."""
     params, s = ModelParams(lam), 0.1
     outcomes = set()
     found = detect_line_through_ball("lines", params, s, r, 200, RngStream(0))
-    oracle_gen, gen = RngStream(0).generator(), RngStream(0).generator()
-    for i, det in enumerate(found):
-        assert det == full_chord_detection("lines", params, s, r, oracle_gen), i
+    samples = ray_samples("lines", params, r, 360, 200, RngStream(0).generator())
+    for i, (det, sample) in enumerate(zip(found, samples, strict=True)):
+        assert det == full_chord_detection("lines", params, s, r, sample), i
         outcomes.add(det.found)
-        sample = sample_lines(lam, r, gen)
         if det.found:
             ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray(det.witness) / 360)
             assert _lines_avoid(sample, to_hyperboloid(ends)), i
@@ -1534,7 +1642,8 @@ def test_the_lines_witness_needs_no_chord_check(lam, r):
     assert True in outcomes
 
 
-# (model, params, r, directions): about 130-170 points or lines a sample
+# (model, params, r, directions): about 130-170 points a sample, or 48 lines that
+# cross a grid ray
 GROUPED_CASES = [
     ("vacant", ModelParams(0.1, 1.0), 5.0, 64),
     ("occupied", ModelParams(1.0, 1.0), 3.0, 64),
@@ -1564,11 +1673,11 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
     found = detect_line_through_ball(model, params, 0.1, r, 40, RngStream(3), n_dir)
     assert sum(sizes) == 80
     assert set(sizes) == {1} if budget == 1 else 1 < max(sizes) < 40
-    ray_gen, det_gen = RngStream(3).generator(), RngStream(3).generator()
-    for rs, det in zip(rays, found, strict=True):
-        alive = sample_and_rays(model, params, r, n_dir, ray_gen)[1]
+    samples = ray_samples(model, params, r, n_dir, 40, RngStream(3).generator())
+    for rs, det, sample in zip(rays, found, samples, strict=True):
+        alive = sample_rays(model, sample, r, n_dir)
         assert rs.surviving == np.flatnonzero(alive).tolist()
-        assert det == full_chord_detection(model, params, 0.1, r, det_gen, n_dir)
+        assert det == full_chord_detection(model, params, 0.1, r, sample, n_dir)
     assert {det.found for det in found} == {True, False}
 
 
@@ -1601,9 +1710,9 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
     monkeypatch.setattr(percolation, "_first_chords", spy)
     monkeypatch.setattr(percolation, "_chords_contained", count)
     found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(11), n_dir)
-    gen = RngStream(11).generator()
-    for det in found:
-        assert det == full_chord_detection("vacant", params, s, r, gen, n_dir)
+    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(11).generator())
+    for det, sample in zip(found, samples, strict=True):
+        assert det == full_chord_detection("vacant", params, s, r, sample, n_dir)
     assert {det.found for det in found} == {True, False}
     assert max(size for size, _ in rounds) > 1 and max(n for _, n in rounds) >= 3
 

@@ -1,7 +1,8 @@
 """Reference forms of the tube certificates that the tests compare
 against: Fermi coordinates by projecting every point onto every
-segment, rays decided one sample at a time, each drawn next from one
-generator, with every pair of their arcs read by ``frame_fermi``,
+segment, rays decided one sample at a time, with every pair of their
+arcs read by ``frame_fermi``, the lines that cross a grid ray drawn in
+one block with arccos arcs,
 detect-line's candidate pairs searched among each sample's surviving
 directions and its chords tried one at a time, each measured against
 every point of its sample in the frame of ``segment_frame`` at one end,
@@ -32,7 +33,7 @@ from hyperc.percolation import (
     _net_contained,
     _reaches,
 )
-from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_lines, sample_points
+from hyperc.sampling import MAX_TRIAL_POINTS, BooleanSample, LineSample, ModelParams, sample_points
 
 
 def projection_segment_point_distance(p, q, w):
@@ -90,15 +91,47 @@ def line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
     return alive
 
 
-def sample_and_rays(model: str, params: ModelParams, r: float, n_dir: int, gen):
-    """The next sample of gen, drawn as ``surviving_directions`` draws each
-    sample from its stream's generator, and its mask of surviving
-    directions, decided on its own."""
+def grid_lines(lam: float, r: float, n_dir: int, samples: int, gen) -> list[LineSample]:
+    """samples realizations of the lines that cross a ray of length r on
+    the grid of n_dir directions, from the uniforms that
+    ``surviving_directions`` draws, in one block: each line's foot
+    distance p by inverting the envelope's distribution, proportional
+    to min(h cosh p, pi), kept with probability min(h, 2 beta) cosh p /
+    min(h cosh p, pi), beta = arccos(tanh p / tanh r), and its foot
+    direction uniform on the arcs within beta of the grid angles."""
+    h = 2.0 * math.pi / n_dir
+    knee = min(math.acosh(n_dir / 2.0), r)
+    mass = math.sinh(knee) + n_dir / 2.0 * (r - knee)
+    assert lam * math.pi * mass * samples <= MAX_TRIAL_POINTS  # a single block
+    counts = gen.poisson(lam * math.pi * mass, samples)
+    x = gen.random(counts.sum()) * mass
+    p = np.asarray([math.asinh(u) if u < math.sinh(knee) else knee + (u - math.sinh(knee))
+                    / (n_dir / 2.0) for u in x])
+    beta = np.arccos(np.tanh(p) / math.tanh(r))
+    envelope = np.minimum(h * np.cosh(p), math.pi)
+    keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * np.cosh(p)
+    p, beta = p[keep], beta[keep]
+    k, v = gen.integers(n_dir, size=len(p)), gen.random(len(p))
+    phi = np.where(2.0 * beta >= h, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
+    owner = np.repeat(np.arange(samples), counts)[keep]
+    return [LineSample(lam, r, p[owner == i], phi[owner == i]) for i in range(samples)]
+
+
+def ray_samples(model: str, params: ModelParams, r: float, n_dir: int, samples: int, gen):
+    """The samples realizations that ``surviving_directions`` draws from
+    gen: the points within R of B(o, r), sample by sample, or the lines
+    of ``grid_lines``."""
     if model == "lines":
-        sample = sample_lines(params.intensity, r, gen)
-        return sample, line_ray_survivors(sample, r, n_dir)
-    sample = sample_points(params, r + params.radius, gen)
-    return sample, boolean_ray_survivors(sample, r, n_dir, model)
+        return grid_lines(params.intensity, r, n_dir, samples, gen)
+    return [sample_points(params, r + params.radius, gen) for _ in range(samples)]
+
+
+def sample_rays(model: str, sample, r: float, n_dir: int) -> np.ndarray:
+    """The mask of the directions whose ray survives in sample, decided on
+    its own."""
+    if model == "lines":
+        return line_ray_survivors(sample, r, n_dir)
+    return boolean_ray_survivors(sample, r, n_dir, model)
 
 
 def antipodal_pairs(alive: np.ndarray, r: float, s: float):
@@ -119,12 +152,12 @@ def antipodal_pairs(alive: np.ndarray, r: float, s: float):
     return i[keep][order], j[keep][order]
 
 
-def full_chord_detection(model: str, params: ModelParams, s: float, r: float, gen,
+def full_chord_detection(model: str, params: ModelParams, s: float, r: float, sample,
                          n_dir: int = 360) -> LineDetection:
-    """detect-line for the next sample of gen (``sample_and_rays``),
-    deciding each candidate chord against every point of the sample
-    (lines: against every line)."""
-    sample, alive = sample_and_rays(model, params, r, n_dir, gen)
+    """detect-line for one sample (``sample_rays``), deciding each
+    candidate chord against every point of the sample (lines: against
+    every line)."""
+    alive = sample_rays(model, sample, r, n_dir)
     n_surviving = int(np.count_nonzero(alive))
     if n_surviving >= 2:
         for i, j in zip(*antipodal_pairs(alive, r, s)):

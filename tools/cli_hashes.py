@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 98
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 100
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -109,6 +109,11 @@ INVOCATIONS = [
     ("rays.vacant.far",
      ["rays", "--model", "vacant", "--lambda", "1e-4", "--r", "19", "--directions", "64",
       "--samples", "3", "--seed", "2"]),
+    # pi sinh 19 lambda = 2.8e7 lines meet B(o, 19), past the sampling cap;
+    # about 500 a sample cross a grid ray
+    ("rays.lines.far",
+     ["rays", "--model", "lines", "--lambda", "0.1", "--r", "19", "--directions", "360",
+      "--samples", "20", "--seed", "2"]),
     # a zero ray length is refused under every model
     ("rays.vacant.r-zero",
      ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "0", "--samples", "2", "--seed", "1"]),
@@ -140,6 +145,9 @@ INVOCATIONS = [
     ("detect-line.vacant.r-tiny",
      ["detect-line", "--model", "vacant", "--lambda", "0.1", "--r", "1e-8", "--samples", "20",
       "--seed", "1"]),
+    ("detect-line.lines.far",
+     ["detect-line", "--model", "lines", "--lambda", "0.1", "--r", "19", "--samples", "20",
+      "--seed", "4"]),
     ("detect-line.negative-s",
      ["detect-line", "--lambda", "0.1", "--s", "-1", "--samples", "2", "--seed", "1"]),
     ("detect-line.s-inf",
