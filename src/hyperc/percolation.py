@@ -496,22 +496,10 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
 GROUP_POINTS = 1024
 
 
-def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng: RngStream,
-                 n_dir: int = 0):
-    """Draw samples realizations of what can reach B(o, rho), the points
-    within R of it or the lines meeting it (with n_dir, only those that
-    cross a ray of that grid, ``_grid_lines``), from ``rng.generator()``,
-    and yield the runs of consecutive ones whose points or lines together
-    stay within GROUP_POINTS, as lists; a sample at or above it makes a
-    run alone."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    gen = rng.generator()
-    if model == "lines" and n_dir:
-        draws = _grid_lines(params.intensity, rho, n_dir, samples, gen)
-    else:
-        draws = (sample_lines(params.intensity, rho, gen) if model == "lines"
-                 else sample_points(params, rho + params.radius, gen) for _ in range(samples))
+def _ball_groups(draws):
+    """The runs of consecutive samples of draws whose points or lines
+    together stay within GROUP_POINTS, as lists; a sample at or above it
+    makes a run alone."""
     group, size = [], 0
     for sample in draws:
         if group and size + len(sample) > GROUP_POINTS:
@@ -521,6 +509,14 @@ def _ball_groups(model: str, params: ModelParams, rho: float, samples: int, rng:
         size += len(sample)
     if group:
         yield group
+
+
+# Envelope lines that ``_grid_lines`` draws at once, a block of samples.
+LINE_BLOCK = 1 << 15
+# Longest lines rays: a line's blocked arc shrinks as e^-p, and at r = 30,
+# 33 and 36 (360 directions, 1.7e6 lines each) rounding (phi -+ beta) / h
+# left 5, 55 and 1144 drawn lines blocking no ray; none at r = 19 to 28.
+LINES_MAX_R = 25.0
 
 
 def _half_arc(p: np.ndarray, r: float) -> np.ndarray:
@@ -541,19 +537,17 @@ def _grid_lines(lam: float, r: float, n_dir: int, samples: int, gen: np.random.G
     thinning the envelope (lam / 2) n_dir min(h cosh p, pi), which
     dominates because 2 beta cosh p <= pi; phi is uniform where 2 beta >=
     h, else k h + beta (2 V - 1) with k uniform.  Each quantity is drawn
-    once per block of samples expecting at most MAX_TRIAL_POINTS lines."""
+    once per block of samples expecting at most LINE_BLOCK lines."""
     h = 2.0 * math.pi / n_dir
     knee = min(math.acosh(n_dir / 2.0), r)  # where h cosh p reaches pi
     head, flat = math.sinh(knee), n_dir / 2.0 * (r - knee)
     mean = sampling._expected_per_trial(lam * math.pi * (head + flat), "lines")
-    block = max(1, int(sampling.MAX_TRIAL_POINTS // max(mean, 1.0)))
+    block = max(1, int(LINE_BLOCK // max(mean, 1.0)))
     for lo in range(0, samples, block):
         counts = gen.poisson(mean, min(block, samples - lo))
         x = gen.random(counts.sum()) * (head + flat)
         p = np.where(x < head, np.arcsinh(x), knee + (x - head) / (n_dir / 2.0))
-        beta = _half_arc(p, r)
-        # clamped below overflow: past p = 36 beta is below the rounding of phi
-        cosh_p = np.cosh(np.minimum(p, 700.0))
+        beta, cosh_p = _half_arc(p, r), np.cosh(p)
         envelope = np.minimum(h * cosh_p, math.pi)
         keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * cosh_p
         p, beta = p[keep], beta[keep]
@@ -571,13 +565,6 @@ def _joined(samples, *fields):
     return owner, *(np.concatenate([getattr(sample, f) for sample in samples]) for f in fields)
 
 
-def _wide_arcs(t: np.ndarray, reach: float) -> np.ndarray:
-    """Per point at distance t from (0, 1), a bound above every |dpsi| <=
-    pi / 2 at which the rounded test sinh t |sin dpsi| < sinh(reach) holds."""
-    ratio = math.sinh(reach) * (1.0 + 1e-12) / np.maximum(np.sinh(t), math.sinh(reach))
-    return np.arcsin(np.minimum(ratio, 1.0)) + 1e-12
-
-
 def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, model: str):
     """Mask (len(samples), n_dir) of the directions whose ray of length r
     from (0, 1) lies in the set, per sample; sample i's direction k is the
@@ -588,9 +575,9 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     directions theta with |theta - psi| < beta, sin beta = sinh R / sinh t.
     Such a point is measured on the grid directions of that arc, a point
     with t <= R + 1e-9 on every one, where sinh t |sin(psi - theta)| <
-    sinh(R + 1e-9); the arc is widened to ``_wide_arcs``, which hold
-    every pair kept, so ties at distance R are decided as by measuring
-    every pair.
+    sinh(R + 1e-9); the arc is widened past every |psi - theta| <= pi / 2
+    at which that rounded test holds, so ties at distance R are decided
+    as by measuring every pair.
     """
     R = samples[0].params.radius
     for sample in samples:
@@ -598,14 +585,15 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
     which, t, psi = _joined(samples, "t", "psi")
-    beta = _wide_arcs(t, R + 1e-9)
+    reach = math.sinh(R + 1e-9)
+    beta = np.arcsin(np.minimum(reach * (1.0 + 1e-12) / np.maximum(np.sinh(t), reach), 1.0)) + 1e-12
     # each point's run [lo, hi] of direction indices
     lo = np.ceil((psi - beta) / h).astype(np.int64)
     hi = np.floor((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
     along, normal = polar_frame(t[j], psi[j] - thetas[k])
-    near = np.abs(normal) < math.sinh(R + 1e-9)
+    near = np.abs(normal) < reach
     foot, offset = frame_fermi(along[near], normal[near])
     seg = (which[j] * n_dir + k)[near]
     return (_reaches(model, seg, foot, offset, R, len(samples) * n_dir) >= r).reshape(-1, n_dir)
@@ -638,8 +626,8 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: 
     """The groups of ``_ball_groups`` of samples realizations of what can
     reach the rays of length r from (0, 1) on the grid, as an iterator,
     each with the mask (samples, n_dir) of the grid directions whose ray
-    survives.  The count, the ray length and the grid are checked at the
-    call, before any draw."""
+    survives.  The count, the model, the ray length (for lines at most
+    LINES_MAX_R) and the grid are checked at the call, before any draw."""
     if not isinstance(samples, Integral) or samples < 0:
         raise ValueError("samples must be an integer of at least 0")
     if not 0.0 < r < math.inf:
@@ -647,9 +635,15 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: 
     # with fewer, detect-line's seven antipodal partners of a direction repeat
     if n_dir < 8:
         raise ValueError("need at least 8 directions")
-    groups = _ball_groups(model, params, r, samples, rng, n_dir)
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
+    if model == "lines" and r > LINES_MAX_R:
+        raise ValueError(f"lines rays need ray length r (--r) at most {LINES_MAX_R:g}")
+    gen = rng.generator()
     if model == "lines":
+        groups = _ball_groups(_grid_lines(params.intensity, r, n_dir, samples, gen))
         return ((group, _line_ray_survivors(group, r, n_dir)) for group in groups)
+    groups = _ball_groups(sample_points(params, r + params.radius, gen) for _ in range(samples))
     return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in groups)
 
 
@@ -733,12 +727,10 @@ def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, 
     then keeps more than R from the chord, and each chord is measured
     only against its own sample's points within R + s of the geodesic of
     one ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin
-    for rounding), taken only where the angle from a ray's geodesic lies
-    within ``_wide_arcs``.
+    for rounding).
     """
     R = samples[0].params.radius
     which, t, psi = _joined(samples, "t", "psi")
-    arc = _wide_arcs(t, R + s + 1e-9)
     # each sample's points, and the bounds of its candidates
     points = np.searchsorted(which, np.arange(len(samples) + 1))
     starts = np.searchsorted(sample, np.arange(len(samples) + 1))
@@ -748,9 +740,6 @@ def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, 
     while len(todo):
         rays = 2.0 * math.pi * ends[cand] / n_dir
         chord, k = _runs(points[todo], points[todo + 1] - 1)
-        off = np.remainder(psi[k, None] - rays[chord] + math.pi / 2.0, math.pi) - math.pi / 2.0
-        aim = (np.abs(off) < arc[k, None]).any(axis=1)
-        chord, k = chord[aim], k[aim]
         _, normal = polar_frame(t[k, None], psi[k, None] - rays[chord])
         near = (np.abs(normal) < math.sinh(R + s + 1e-9)).any(axis=1)
         k = k[near]
@@ -1136,7 +1125,12 @@ def sandwich_AQ(
     half_d = d / 2.0
     # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
     # the points within R of it can reach it
-    groups = _ball_groups(model, params, half_d + s, trials, rng)
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
+    gen = rng.generator()
+    groups = _ball_groups(sample_lines(params.intensity, half_d + s, gen) if model == "lines"
+                          else sample_points(params, half_d + s + params.radius, gen)
+                          for _ in range(trials))
     events = []
     if model == "lines":
         hx, hy = _end_nets(half_d, s)

@@ -249,6 +249,14 @@ def test_an_S_law_trial_above_the_sampling_cap_is_a_usage_error(capsys, monkeypa
     assert "one trial expects 13.65 points, beyond MAX_TRIAL_POINTS = 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rays", "detect-line"])
+def test_lines_rays_past_their_bound_are_a_usage_error(command, capsys):
+    # a light intensity keeps the count of lines far below the sampling cap
+    argv = [command, "--model", "lines", "--lambda", "0.001", "--seed", "1"]
+    assert main([*argv, "--r", "1000"]) == USAGE_ERROR
+    assert "(--r) at most 25" in capsys.readouterr().err
+
+
 def test_unbracketed_critical_intensity_is_a_solver_error(capsys):
     assert main(["critical", "--R", "20"]) == SOLVER_ERROR
     assert "no lambda_gc bracket above 1e-12" in capsys.readouterr().err

@@ -34,6 +34,7 @@ from hyperc.geometry import (
     tube_area,
 )
 from hyperc.percolation import (
+    LINES_MAX_R,
     NET_CHUNKS,
     TRIAL_BLOCK,
     _antipodal_pairs,
@@ -1406,15 +1407,18 @@ def test_empty_process(model):
     "model, params, r, n_dir, f",
     [("vacant", ModelParams(0.2, 1.0), 2.0, 32, f_vacant),
      ("lines", ModelParams(0.8), 2.0, 32, lambda r, params: f_grassmann(r, params.intensity)),
-     ("lines", ModelParams(0.1), 10.0, 360, lambda r, params: f_grassmann(r, params.intensity))],
-    ids=["vacant", "lines", "lines-far"],
+     ("lines", ModelParams(0.1), 10.0, 360, lambda r, params: f_grassmann(r, params.intensity)),
+     ("lines", ModelParams(0.04), LINES_MAX_R, 360,
+      lambda r, params: f_grassmann(r, params.intensity))],
+    ids=["vacant", "lines", "lines-far", "lines-bound"],
 )
 def test_ray_share_matches_f(model, params, r, n_dir, f):
     """Each direction's ray survives with probability f(r), so the mean
     surviving share over independent samples is gated by Hoeffding's
     bound 2 exp(-2 n t^2) = TAIL.  A vacant window missing the balls
     beyond B(o, r) would read about 0.3 here, against f = 0.197; for
-    lines f = e^{-lambda r} = 0.202 and 0.368."""
+    lines f = e^{-lambda r} = 0.202, 0.368 and, at the longest lines
+    rays accepted, 0.368."""
     n = 2000
     rays = surviving_directions(model, params, r, n_dir, n, RngStream(50))
     share = [len(rs.surviving) / n_dir for rs in rays]
@@ -1490,11 +1494,12 @@ def test_grid_lines_count_matches_their_measure(lam, r, n_dir):
 
 
 def test_grid_lines_draw_in_blocks_under_the_cap(monkeypatch):
-    """Under a cap of 1000 lines, samples that expect 289 envelope lines
-    each are drawn three to a block: the call yields every sample, and
-    each block as a call for just its samples draws it from the same
-    generator state.  A sample that expects more than the cap is
-    refused."""
+    """Under a block of 1000 lines, samples that expect 289 envelope
+    lines each are drawn three to a block: the call yields every sample,
+    and each block as a call for just its samples draws it from the same
+    generator state.  A sample that expects more than the sampling cap,
+    here also 1000, is refused."""
+    monkeypatch.setattr(percolation, "LINE_BLOCK", 1000)
     monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 1000)
     got = list(_grid_lines(0.1, 10.0, 360, 7, RngStream(2).generator()))
     gen = RngStream(2).generator()
@@ -1504,6 +1509,23 @@ def test_grid_lines_draw_in_blocks_under_the_cap(monkeypatch):
         assert np.array_equal(a.foot_dist, b.foot_dist) and np.array_equal(a.foot_dir, b.foot_dir)
     with pytest.raises(ValueError, match="MAX_TRIAL_POINTS"):
         next(_grid_lines(1.0, 10.0, 360, 1, gen))
+
+
+@pytest.mark.parametrize("model", ["lines", "vacant"])
+def test_lines_rays_refuse_rays_past_the_bound(model):
+    """Past LINES_MAX_R a line's blocked arc nears the rounding of its
+    direction, so lines rays and detect-line refuse the ray length, by
+    its CLI name, before any draw; the Boolean models are bounded by the
+    sampling cap instead, and take a ray just past it at a low intensity."""
+    params = ModelParams(1e-9, 1.0)
+    r = LINES_MAX_R + 1e-9
+    if model == "lines":
+        with pytest.raises(ValueError, match="--r"):
+            surviving_directions(model, params, r, 360, 1, RngStream(0))
+        with pytest.raises(ValueError, match="--r"):
+            detect_line_through_ball(model, params, 0.1, r, 1, RngStream(0))
+    else:
+        assert surviving_directions(model, params, r, 360, 1, RngStream(0))[0].surviving
 
 
 def _all_pairs_antipodal(alive, r, s):
@@ -1627,19 +1649,34 @@ def test_short_chords_are_decided_at_the_origin(model, params, r):
 def test_the_lines_witness_needs_no_chord_check(lam, r):
     """Over 200 samples, detect-line's unchecked lines witness is the one
     that the chord check finds, and its chord misses every line that
-    crosses a grid ray, by _lines_avoid and by segment_in."""
+    crosses a grid ray, by _lines_avoid and by segment_in.  Every line of
+    an independent draw of all lines meeting B(o, r) that splits the
+    witness chord crosses one of its two rays, |theta - phi| <= beta,
+    cos beta = tanh p / tanh r: the lines that miss every grid ray, which
+    rays and detect-line do not draw, cannot split the chord."""
     params, s = ModelParams(lam), 0.1
-    outcomes = set()
+    outcomes, splits = set(), 0
     found = detect_line_through_ball("lines", params, s, r, 200, RngStream(0))
     samples = ray_samples("lines", params, r, 360, 200, RngStream(0).generator())
+    gen = RngStream(1).generator()
     for i, (det, sample) in enumerate(zip(found, samples, strict=True)):
         assert det == full_chord_detection("lines", params, s, r, sample), i
         outcomes.add(det.found)
         if det.found:
-            ends = polar_around_origin(np.full(2, r), 2.0 * math.pi * np.asarray(det.witness) / 360)
-            assert _lines_avoid(sample, to_hyperboloid(ends)), i
-            assert segment_in("lines", *(HPoint(z.real, z.imag) for z in ends), sample), i
-    assert True in outcomes
+            thetas = 2.0 * math.pi * np.asarray(det.witness) / 360
+            disk = polar_around_origin(np.full(2, r), thetas)
+            ends = to_hyperboloid(disk)
+            assert _lines_avoid(sample, ends), i
+            assert segment_in("lines", *(HPoint(z.real, z.imag) for z in disk), sample), i
+            full = sample_lines(lam, r, gen)
+            side = full.sides(ends)
+            split = side[0] * side[1] < 0.0
+            beta = np.arccos(np.tanh(full.foot_dist) / math.tanh(r))
+            off = np.abs(np.remainder(full.foot_dir[:, None] - thetas + math.pi, 2.0 * math.pi)
+                         - math.pi)
+            assert not np.any(split & ~(off <= beta[:, None]).any(axis=1)), i
+            splits += int(split.sum())
+    assert True in outcomes and splits > 0
 
 
 # (model, params, r, directions): about 130-170 points a sample, or 48 lines that

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from hyperc import percolation
 from hyperc.geometry import (
     frame_fermi,
     geodesic_normal,
@@ -33,7 +34,7 @@ from hyperc.percolation import (
     _net_contained,
     _reaches,
 )
-from hyperc.sampling import MAX_TRIAL_POINTS, BooleanSample, LineSample, ModelParams, sample_points
+from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_points
 
 
 def projection_segment_point_distance(p, q, w):
@@ -94,7 +95,8 @@ def line_ray_survivors(sample: LineSample, r: float, n_dir: int) -> np.ndarray:
 def grid_lines(lam: float, r: float, n_dir: int, samples: int, gen) -> list[LineSample]:
     """samples realizations of the lines that cross a ray of length r on
     the grid of n_dir directions, from the uniforms that
-    ``surviving_directions`` draws, in one block: each line's foot
+    ``surviving_directions`` draws, block by block of samples expecting
+    at most LINE_BLOCK envelope lines together: each line's foot
     distance p by inverting the envelope's distribution, proportional
     to min(h cosh p, pi), kept with probability min(h, 2 beta) cosh p /
     min(h cosh p, pi), beta = arccos(tanh p / tanh r), and its foot
@@ -102,19 +104,22 @@ def grid_lines(lam: float, r: float, n_dir: int, samples: int, gen) -> list[Line
     h = 2.0 * math.pi / n_dir
     knee = min(math.acosh(n_dir / 2.0), r)
     mass = math.sinh(knee) + n_dir / 2.0 * (r - knee)
-    assert lam * math.pi * mass * samples <= MAX_TRIAL_POINTS  # a single block
-    counts = gen.poisson(lam * math.pi * mass, samples)
-    x = gen.random(counts.sum()) * mass
-    p = np.asarray([math.asinh(u) if u < math.sinh(knee) else knee + (u - math.sinh(knee))
-                    / (n_dir / 2.0) for u in x])
-    beta = np.arccos(np.tanh(p) / math.tanh(r))
-    envelope = np.minimum(h * np.cosh(p), math.pi)
-    keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * np.cosh(p)
-    p, beta = p[keep], beta[keep]
-    k, v = gen.integers(n_dir, size=len(p)), gen.random(len(p))
-    phi = np.where(2.0 * beta >= h, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
-    owner = np.repeat(np.arange(samples), counts)[keep]
-    return [LineSample(lam, r, p[owner == i], phi[owner == i]) for i in range(samples)]
+    block = max(1, int(percolation.LINE_BLOCK // max(lam * math.pi * mass, 1.0)))
+    out = []
+    for size in [min(block, samples - lo) for lo in range(0, samples, block)]:
+        counts = gen.poisson(lam * math.pi * mass, size)
+        x = gen.random(counts.sum()) * mass
+        p = np.asarray([math.asinh(u) if u < math.sinh(knee) else knee + (u - math.sinh(knee))
+                        / (n_dir / 2.0) for u in x])
+        beta = np.arccos(np.tanh(p) / math.tanh(r))
+        envelope = np.minimum(h * np.cosh(p), math.pi)
+        keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * np.cosh(p)
+        p, beta = p[keep], beta[keep]
+        k, v = gen.integers(n_dir, size=len(p)), gen.random(len(p))
+        phi = np.where(2.0 * beta >= h, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
+        owner = np.repeat(np.arange(size), counts)[keep]
+        out += [LineSample(lam, r, p[owner == i], phi[owner == i]) for i in range(size)]
+    return out
 
 
 def ray_samples(model: str, params: ModelParams, r: float, n_dir: int, samples: int, gen):
