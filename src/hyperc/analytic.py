@@ -73,7 +73,7 @@ def f_vacant(r: float, params: ModelParams) -> float:
     of the segment's R-neighborhood; at r = 0 this is the probability
     that a fixed point is vacant.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("segment length must be nonnegative")
     lam, R = params.intensity, params.radius
     return math.exp(-lam * tube_area(R, r))
@@ -116,7 +116,7 @@ def area_crescent(t: float, R: float) -> float:
     underflows there.  The hitting law and the exponent solvers use
     ``area_crescent_closed_form``; this quadrature is its oracle.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if t >= 2.0 * R:
         return ball_area(R)
@@ -137,7 +137,7 @@ def area_crescent_closed_form(t, R: float):
     t >= 2R.  Written with s, computed without cancellation, so that it
     stays accurate as t approaches 2R."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be nonnegative")
     k = math.cosh(R)
     h = np.minimum(t, 2.0 * R) / 2.0

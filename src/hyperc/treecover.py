@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
@@ -111,8 +112,8 @@ def build_tree(arc_length: float, depth: int) -> EmbeddedTree:
     may not exceed MAX_RADIUS.
     """
     _check_arc(arc_length)
-    if not 0 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [0, {MAX_DEPTH}]")
+    if not isinstance(depth, Integral) or not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be an integer in [0, {MAX_DEPTH}]")
     vertices: dict[Word, HPoint] = {(): ORIGIN}
     tree = EmbeddedTree(arc_length, depth, vertices)
     edge = tree.edge_length()

@@ -102,6 +102,12 @@ class TestVacantClosedForms:
             assert val == pytest.approx(cap, rel=1e-12)
         assert cap <= 1.0
 
+    @pytest.mark.parametrize("r", [math.nan, -1.0])
+    def test_refuses_a_length_that_is_no_length(self, r):
+        """A NaN length read NaN."""
+        with pytest.raises(ValueError, match="segment length must be nonnegative"):
+            f_vacant(r, ModelParams(0.5, 1.0))
+
 
 class TestCrescentArea:
     def test_degenerate(self):
@@ -198,6 +204,16 @@ class TestHittingLaw:
         p = ModelParams(0.7, 0.9)
         val, _ = integrate.quad(lambda s: hitting_density(s, p), 0.0, 2 * p.radius, limit=200)
         assert val == pytest.approx(hitting_cdf(2 * p.radius, p), abs=1e-9)
+
+    @pytest.mark.parametrize("law", [hitting_cdf, lambda t, p: area_crescent(t, 1.0),
+                                     lambda t, p: area_crescent_closed_form([0.5, t], 1.0)],
+                             ids=["hitting_cdf", "quadrature", "closed_form"])
+    @pytest.mark.parametrize("t", [math.nan, -0.5])
+    def test_refuses_a_length_that_is_no_length(self, law, t):
+        """A NaN length read NaN, also as one of the closed form's
+        lengths."""
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            law(t, ModelParams(0.7, 1.0))
 
 
 class TestOccupiedExponent:

@@ -539,6 +539,22 @@ def test_S_law_matches_the_hitting_cdf():
     assert _binomial_tail(empty, n, p0) >= TAIL
 
 
+@pytest.mark.parametrize("trials", [99, 150.0, math.nan, math.inf, "200"])
+def test_estimate_f_needs_a_whole_trial_count(trials):
+    """150.0 trials raised TypeError in the trial spans."""
+    with pytest.raises(ValueError, match="trials must be an integer of at least 100"):
+        estimate_f("vacant", ModelParams(0.1, 1.0), [1.0], trials, RngStream(0))
+    res = estimate_f("vacant", ModelParams(0.1, 1.0), [1.0], np.int64(100), RngStream(0))
+    assert res.trials == 100
+
+
+@pytest.mark.parametrize("trials", [0, 2.0, math.nan, math.inf])
+def test_s_law_needs_a_whole_trial_count(trials):
+    """2.0 trials raised TypeError in the Poisson draw."""
+    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
+        estimate_S_cdf(ModelParams(1.0, 1.0), trials, RngStream(0))
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         estimate_f("sticks", ModelParams(1.0, 1.0), [1.0], 100, RngStream(0))
@@ -566,7 +582,7 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     seen = set()
     for seed in range(6):
         sample = sample_points(params, r + params.radius, np.random.default_rng(seed))
-        alive = _boolean_ray_survivors([sample], r, n_dir, model)[0]
+        alive = _boolean_ray_survivors([sample], r, n_dir, model)()[0]
         for k in range(n_dir):
             end = HPoint(ends[k].real, ends[k].imag)
             assert alive[k] == segment_in(model, ORIGIN, end, sample), (seed, k)
@@ -603,7 +619,7 @@ def test_far_rays_match_the_segment_predicate(r):
         drawn = sample_points(ModelParams(lam, 1.0), r + 1.0, RngStream(int(r)).generator())
         samples.append(BooleanSample(params, window, drawn.t, drawn.psi))
     for i, sample in enumerate(samples):
-        alive = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
+        alive = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
         for k in range(n_dir):
             end = _ray_end(r, 2.0 * math.pi * k / n_dir)
             assert alive[k] == segment_in("vacant", ORIGIN, end, sample), (i, k)
@@ -628,7 +644,7 @@ def test_ray_arcs_match_all_pairs(model, params, n_dir):
     r = 5.0
     for seed in range(8):
         sample = sample_points(params, r + params.radius, RngStream(seed).generator())
-        got = _boolean_ray_survivors([sample], r, n_dir, model)[0]
+        got = _boolean_ray_survivors([sample], r, n_dir, model)()[0]
         assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, model)), seed
 
 
@@ -652,7 +668,7 @@ def test_ray_arcs_of_single_points(n_dir):
     blocked = set()
     for t, psi in places:
         sample = BooleanSample(params, r + params.radius, np.asarray([t]), np.asarray([psi]))
-        got = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
+        got = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
         ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
         assert np.array_equal(got, ref), (t, psi)
         blocked.add(int(n_dir - got.sum()))
@@ -669,7 +685,7 @@ def test_ray_filter_keeps_a_rounding_tie():
     R, r, n_dir = 0.49, 3.0, 8
     assert np.arcsinh(np.sinh(R)) < R
     sample = BooleanSample(ModelParams(1.0, R), r + R, np.asarray([R]), np.asarray([math.pi / 2]))
-    got = _boolean_ray_survivors([sample], r, n_dir, "vacant")[0]
+    got = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
     assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, "vacant"))
     assert not got[0]
 
@@ -686,7 +702,7 @@ def test_line_ray_arcs_match_the_segment_predicate(n_dir, foot_dist, steps):
     sample = LineSample(
         0.1, r, np.append(drawn.foot_dist, foot_dist), np.append(drawn.foot_dir, foot_dir)
     )
-    alive = _line_ray_survivors([sample], r, n_dir)[0]
+    alive = _line_ray_survivors([sample], r, n_dir)()[0]
     ends = polar_around_origin(np.full(n_dir, r), h * np.arange(n_dir))
     for k in range(n_dir):
         end = HPoint(ends[k].real, ends[k].imag)
@@ -1386,7 +1402,8 @@ def test_empty_process(model):
     assert len(rays.surviving) == (16 if inside else 0)
     [det] = detect_line_through_ball(model, params, 0.1, 4.0, 1, RngStream(1), n_directions=36)
     assert det.found == inside
-    assert det.n_surviving == (36 if inside else 0)
+    [rays] = surviving_directions(model, params, 4.0, 36, 1, RngStream(1))
+    assert len(rays.surviving) == (36 if inside else 0)
     res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, 2, RngStream(1))
     assert (res.p_A, res.f_hat, res.p_Q) == ((1.0,) * 3 if inside else (0.0,) * 3)
     f = estimate_f(model, params, [0.0, 2.0], 100, RngStream(1))
@@ -1424,6 +1441,25 @@ def test_ray_share_matches_f(model, params, r, n_dir, f):
     share = [len(rs.surviving) / n_dir for rs in rays]
     t = math.sqrt(math.log(2.0 / TAIL) / (2.0 * n))
     assert abs(np.mean(share) - f(r, params)) <= t
+
+
+@pytest.mark.parametrize("params, r, n_dir", [(ModelParams(1.0, 1.0), 3.0, 64),
+                                              (ModelParams(2.0, 0.7), 2.0, 360)])
+def test_occupied_ray_share_matches_estimate_f(params, r, n_dir):
+    """The occupied f has no closed form, so the mean surviving share over
+    2000 independent samples is compared with estimate_f at the same
+    (lambda, R, r) on 20,000 trials of an independent stream.  The
+    samples' shares are i.i.d. with mean f(r), and the trials are
+    Bernoulli(f(r)), so the difference over its estimated standard error
+    sqrt(var(share) / 2000 + f (1 - f) / 20000) is about standard normal;
+    the two-sample z-test rejects beyond norm.isf(TAIL / 2) = 5.5."""
+    n, trials = 2000, 20000
+    rays = surviving_directions("occupied", params, r, n_dir, n, RngStream(51))
+    share = np.asarray([len(rs.surviving) / n_dir for rs in rays])
+    f = float(estimate_f("occupied", params, [r], trials, RngStream(52)).estimates[0])
+    se = math.sqrt(share.var(ddof=1) / n + f * (1.0 - f) / trials)
+    assert 0.1 < f < 0.9
+    assert abs(share.mean() - f) <= norm.isf(TAIL / 2.0) * se
 
 
 @pytest.mark.parametrize("lam, r, n_dir, lag", [(0.1, 10.0, 360, 1), (0.1, 10.0, 360, 5),
@@ -1561,7 +1597,8 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
     directions: the call's pairs of the whole grid, gathered per group,
     on the full grid, whose pairs tie in their distance from antipodal,
     and on each row of the group masks of real samples."""
-    groups = [alive for _, alive in _ray_groups(model, params, 4.0, n_dir, 8, RngStream(0))]
+    groups = [survive() for _, survive in _ray_groups(model, params, 4.0, n_dir, 8, RngStream(0),
+                                                      n_dir)]
     groups.append(np.ones((1, n_dir), dtype=bool))
     assert max(len(alive) for alive in groups) > 1
     partial_tried, sizes = 0, []
@@ -1579,12 +1616,27 @@ def test_antipodal_pairs_match_all_pairs(model, params, n_dir):
     assert partial_tried > 0 and sizes[-1] == 0
 
 
+@pytest.mark.parametrize("build, args", [(_antipodal_pairs, (360, 5.0, 0.1)),
+                                         (_tube_grid, (2.0, 0.05))])
+def test_call_constants_are_built_once_and_read_only(build, args):
+    """detect-line's pairs and the sandwich's grid are kept per process:
+    a second call returns the very arrays of the first, which no caller
+    can write."""
+    first, second = build(*args), build(*args)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = a[:1]
+
+
 @pytest.mark.parametrize("n_dir", [-4, 0, 1, 3, 7])
 def test_detect_line_needs_eight_directions(n_dir):
     with pytest.raises(ValueError, match="at least 8 directions"):
         detect_line_through_ball("lines", ModelParams(0.1), 0.1, 4.0, 1, RngStream(1), n_dir)
     [det] = detect_line_through_ball("lines", ModelParams(0.0), 0.1, 4.0, 1, RngStream(1), 8)
-    assert (det.found, det.witness, det.n_surviving) == (True, (0, 4), 8)
+    assert (det.found, det.witness) == (True, (0, 4))
+    [rays] = surviving_directions("lines", ModelParams(0.0), 4.0, 8, 1, RngStream(1))
+    assert rays.surviving == list(range(8))
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, float("nan"), math.inf])
@@ -1691,13 +1743,17 @@ GROUPED_CASES = [
 @pytest.mark.parametrize("budget", [1, 500, None])
 @pytest.mark.parametrize("model, params, r, n_dir", GROUPED_CASES)
 def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r, n_dir, budget):
-    """rays and detect-line decide their samples in groups of at most
-    GROUP_POINTS points or lines.  At a budget of 1 (a sample a group),
-    500 (a few) and the default (two groups of 40 samples), every
-    sample's survivors and detection equal those of the sample decided
-    on its own, each chord measured against its whole sample."""
+    """rays and detect-line decide their samples in groups whose points
+    or lines, times n_dir (rays) or n_dir / 8 (detect-line), stay within
+    RAY_PAIRS.  At a budget of 1 point (a sample a group), 500 points a
+    rays group (a few samples; detect-line takes about 4000 points) and
+    the default (one group a call),
+    every sample's survivors and detection equal those of the sample
+    decided on its own, each chord measured against its whole sample,
+    and detect-line's lazy rounds ask the ray kernel only for rays that
+    the whole-grid oracle decides alike."""
     if budget is not None:
-        monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
+        monkeypatch.setattr(percolation, "RAY_PAIRS", budget * n_dir)
     name = "_line_ray_survivors" if model == "lines" else "_boolean_ray_survivors"
     survivors, sizes = getattr(percolation, name), []
 
@@ -1709,7 +1765,10 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
     rays = surviving_directions(model, params, r, n_dir, 40, RngStream(3))
     found = detect_line_through_ball(model, params, 0.1, r, 40, RngStream(3), n_dir)
     assert sum(sizes) == 80
-    assert set(sizes) == {1} if budget == 1 else 1 < max(sizes) < 40
+    if budget == 1:
+        assert set(sizes) == {1}
+    else:
+        assert max(sizes) > 1 and (len(sizes) > 2 if budget else sizes == [40, 40])
     samples = ray_samples(model, params, r, n_dir, 40, RngStream(3).generator())
     for rs, det, sample in zip(rays, found, samples, strict=True):
         alive = sample_rays(model, sample, r, n_dir)
@@ -1722,18 +1781,19 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
 def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
     """On a coarse odd grid, whose chords all miss (0, 1), with a wide
     ball s, the first chord of a vacant sample sometimes fails (in about
-    3 of 100 samples with a candidate; about 1 sample in 800 needs 3
-    rounds or more, and the 400 here hold one).
+    3 of 100 samples with a candidate; about 1 sample in 4000 needs 3
+    rounds or more within one of detect-line's rounds over the pair list,
+    and the 400 of this stream hold one).
     detect-line then decides each group's chords in rounds, the next
     candidate of every undecided sample per round; over 400 samples
     every detection equals the per-sample oracle's, which tries the
     chords one at a time, each against every point.  At a budget of 40
-    points (a few samples a group) and the default (about 60 samples a
+    points (a few samples a group) and the default (all 400 in one
     group), some group holds several samples and some sample takes 3 or
-    more rounds."""
-    if budget is not None:
-        monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
+    more rounds within one of detect-line's rounds over the pair list."""
     params, s, r, n_dir = ModelParams(0.3, 1.0), 0.6, 2.0, 41
+    if budget is not None:
+        monkeypatch.setattr(percolation, "RAY_PAIRS", budget * (n_dir // 8))
     first_chords, rounds = percolation._first_chords, []
 
     def spy(model, samples, *args):
@@ -1746,8 +1806,8 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
 
     monkeypatch.setattr(percolation, "_first_chords", spy)
     monkeypatch.setattr(percolation, "_chords_contained", count)
-    found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(11), n_dir)
-    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(11).generator())
+    found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(20), n_dir)
+    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(20).generator())
     for det, sample in zip(found, samples, strict=True):
         assert det == full_chord_detection("vacant", params, s, r, sample, n_dir)
     assert {det.found for det in found} == {True, False}
@@ -1925,7 +1985,7 @@ def test_rays_refuse_a_length_past_the_window(model):
     else:
         sample = sample_points(ModelParams(0.5, 1.0), 3.0, gen)
         rays = partial(_boolean_ray_survivors, [sample], n_dir=16, model=model)
-    assert rays(r=2.0).shape == (1, 16)
+    assert rays(r=2.0)().shape == (1, 16)
     with pytest.raises(WindowError):
         rays(r=2.1)
 

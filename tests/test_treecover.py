@@ -26,6 +26,14 @@ def test_trees_beyond_the_max_radius_are_rejected(arc, depth):
         build_tree(arc, depth)
 
 
+@pytest.mark.parametrize("depth", [2.0, -1, MAX_DEPTH + 1, math.nan])
+def test_tree_needs_a_whole_depth(depth):
+    """Depth 2.0 raised TypeError in the word enumeration."""
+    with pytest.raises(ValueError, match="depth must be an integer in"):
+        build_tree(0.5, depth)
+    assert len(build_tree(0.5, np.int64(2)).vertices) == 10
+
+
 def _deepest_tree(arc):
     """The tree at the largest depth that MAX_RADIUS and MAX_DEPTH accept."""
     edge = build_tree(arc, 0).edge_length()

@@ -163,8 +163,7 @@ def full_chord_detection(model: str, params: ModelParams, s: float, r: float, sa
     candidate chord against every point of the sample (lines: against
     every line)."""
     alive = sample_rays(model, sample, r, n_dir)
-    n_surviving = int(np.count_nonzero(alive))
-    if n_surviving >= 2:
+    if np.count_nonzero(alive) >= 2:
         for i, j in zip(*antipodal_pairs(alive, r, s)):
             ends = 2.0 * math.pi * np.asarray([i, j]) / n_dir
             pq = to_hyperboloid(polar_around_origin(np.full(2, r), ends))
@@ -175,8 +174,8 @@ def full_chord_detection(model: str, params: ModelParams, s: float, r: float, sa
                 inside = _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points),
                                         params.radius, model)
             if inside:
-                return LineDetection(True, (int(i), int(j)), n_surviving)
-    return LineDetection(False, None, n_surviving)
+                return LineDetection(True, (int(i), int(j)))
+    return LineDetection(False, None)
 
 
 def lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):

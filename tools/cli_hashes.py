@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 100
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 102
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -138,6 +138,14 @@ INVOCATIONS = [
     ("detect-line.vacant.rounds",
      ["detect-line", "--model", "vacant", "--lambda", "0.3", "--R", "1", "--r", "2", "--s", "0.6",
       "--directions", "41", "--samples", "100", "--seed", "14"]),
+    # samples with no witness and points within R of (0, 1): they run every round
+    ("detect-line.occupied.every-round",
+     ["detect-line", "--model", "occupied", "--lambda", "0.6", "--R", "1", "--r", "4",
+      "--samples", "10", "--seed", "3"]),
+    # 8 of 20 samples hold a point within R of (0, 1), so no ray of theirs survives
+    ("detect-line.vacant.dead-at-o",
+     ["detect-line", "--model", "vacant", "--lambda", "0.2", "--R", "1", "--r", "3",
+      "--samples", "20", "--seed", "1"]),
     ("detect-line.vacant.r-zero",
      ["detect-line", "--model", "vacant", "--lambda", "0.1", "--r", "0", "--samples", "2",
       "--seed", "1"]),
