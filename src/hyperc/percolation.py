@@ -19,44 +19,41 @@ reduced at once, inline or on a process pool that ``estimate_f`` keeps
 for later calls, and a block whose points would exceed the sampling
 cap is drawn in chunks of trials below it.  Rays, chords and the tube
 sandwich draw exactly the ball that can reach them, and measure each
-ray, chord, net segment or grid cell only against the points that can
-come within R of it; the sandwich decides its flood-fill grid in its
-tube's axis coordinates; for lines, rays and detect-line draw only the
-lines that cross a grid ray (``_grid_lines``).  Rays, detect-line and
-the sandwich draw their samples from one generator and decide them per
-group (``_ball_groups``) of consecutive samples: at most GROUP_POINTS
-points or lines together for the sandwich, and for rays at most
-RAY_PAIRS points or lines times the directions (an eighth of them for
-detect-line).  A group
-of rays goes through one ``_grid_runs``, ``frame_fermi`` and
-``_reaches`` pass, sample i's direction k as segment i n + k.
+ray, chord or grid cell only against the points that can reach it; the
+sandwich decides its flood-fill grid in its tube's axis coordinates;
+for lines, rays and detect-line draw only the lines that cross a grid
+ray (``_grid_lines``).  Rays, detect-line and the sandwich draw their
+samples from one generator and decide them per group (``_ball_groups``)
+of consecutive samples: at most GROUP_POINTS points or lines together
+for the sandwich, and for rays at most RAY_PAIRS points or lines times
+the directions (an eighth of them for detect-line).  A group of rays
+goes through one ``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass,
+sample i's direction k as segment i n + k.
 Detect-line keeps its candidate pairs per process and decides a group's
 rays lazily, in rounds over growing prefixes of the pairs, only the
 directions that a round's pairs name, only for the samples without a
 witness yet; within a round it decides the Boolean chords in rounds of
 their own, the next candidate of every undecided sample a round, all in
-one ``_reaches`` call.  The lines sandwich takes the sides of a group of
-trials' lines at once.
-The Boolean sandwich decides f, and margins on the central segment that
-settle Q or A for most trials (``sandwich_AQ`` gives the argument), f
-and the Q margin each in one ``_reaches`` call per group and the A
-margin in one (points, columns) cosh test; a Q the margin leaves goes
-to a cross-section certificate, which tests the segments across the
-tube at the grid's feet that hold every net segment's points, all of a
-group's in one ``_reaches`` call.  Only the trials these leave run the
-Q net, which stops at its first failing chunk of segments, or the flood
-fill, one at a time, and only a call that reaches the Q net builds it.
+one ``_reaches`` call.  The sandwich brackets f between a certified Q
+and a one-sided A (``sandwich_AQ`` gives the arguments).  Its Boolean
+groups decide f and a margin on the central segment that settles Q for
+most trials, each in one ``_reaches`` call, then the cross-section
+certificate on the trials that the margin leaves, in another; a Q that
+neither settles is false.  Where f fails, a column cut, one (points,
+columns) cosh test, refuses most A, and only the trials it leaves run
+the flood fill, one at a time.  The lines sandwich reads its three
+events off each line's sides at the two end centres, a group at once.
 
 Every path reads the polar coordinates (t, psi) around (0, 1) that a
 ``BooleanSample`` was drawn in as they are, with no trip through the
 upper half-plane: as Fermi coordinates along a geodesic through (0, 1)
 by ``geometry.polar_frame`` and ``frame_fermi`` (the ray survivors, the
 law of S, the sandwich's groups, ``estimate_f``'s end caps), or as
-hyperboloid vectors by ``geometry.polar_hyperboloid`` (chords, the Q
-net, ``segment_in``).  ``_grid_runs`` maps every arc of directions onto
+hyperboloid vectors by ``geometry.polar_hyperboloid`` (chords,
+``segment_in``).  ``_grid_runs`` maps every arc of directions onto
 the direction grid.  One predicate, ``segment_in``, decides a single
 segment [p, q] against a sample, the Boolean models through
-``_net_contained`` and the lines through ``_lines_avoid``; the tests
+``_reaches`` and the lines through ``_lines_avoid``; the tests
 check every other path against it on the same realization.
 """
 
@@ -77,12 +74,10 @@ from .geometry import (
     HPoint,
     ORIGIN,
     ball_area,
-    ball_net,
     dist,
     frame_fermi,
     line_normal,
     minkowski,
-    polar_around_origin,
     polar_frame,
     polar_hyperboloid,
     segment_point_distance,
@@ -243,28 +238,6 @@ def _reaches(model: str, seg: np.ndarray, foot: np.ndarray, offset: np.ndarray, 
     return thr
 
 
-# Strided chunks of segments that ``_net_contained`` measures in turn.
-NET_CHUNKS = 8
-
-
-def _net_contained(seg_p, seg_q, w, R: float, model: str) -> bool:
-    """True iff every segment [seg_p[k], seg_q[k]] lies in the set of the
-    balls of radius R around the points w (all hyperboloid vectors).
-
-    The segments are measured in NET_CHUNKS strided chunks, k, k + 8,
-    ..., and the first chunk with a failing segment ends the call; the
-    chunks spread over the whole net, so a sandwich trial whose Q fails
-    mostly stops after the first."""
-    for k in range(min(NET_CHUNKS, len(seg_p))):
-        p, q = seg_p[k::NET_CHUNKS], seg_q[k::NET_CHUNKS]
-        foot, perp = segment_point_distance(p, q, w)
-        lengths = np.arccosh(np.maximum(-minkowski(p, q), 1.0))
-        seg = np.repeat(np.arange(len(p)), len(w))
-        if not np.all(_reaches(model, seg, foot.ravel(), perp.ravel(), R, len(p)) >= lengths):
-            return False
-    return True
-
-
 def _lines_avoid(sample: LineSample, pq: np.ndarray) -> bool:
     """True iff no line strictly separates the hyperboloid points pq[0]
     and pq[1]."""
@@ -294,7 +267,9 @@ def segment_in(model: str, p: HPoint, q: HPoint, sample: BooleanSample | LineSam
     if p == q:
         cosh_d, cosh_R = -minkowski(w, pq[0]), math.cosh(R)
         return bool(np.all(cosh_d >= cosh_R) if model == "vacant" else np.any(cosh_d <= cosh_R))
-    return _net_contained(pq[:1], pq[1:], w, R, model)
+    foot, perp = segment_point_distance(pq[:1], pq[1:], w)
+    length = np.arccosh(np.maximum(-minkowski(pq[:1], pq[1:]), 1.0))
+    return bool(_reaches(model, np.zeros(len(w), dtype=np.int64), foot[0], perp[0], R, 1) >= length)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +425,8 @@ def estimate_f(
     rs = np.sort(np.asarray(r_values, dtype=float))
     if rs.size == 0:
         raise ValueError("need at least one r value")
-    if rs[0] < 0:
-        raise ValueError("r values must be nonnegative")
+    if not 0.0 <= rs[0] <= rs[-1] < math.inf:
+        raise ValueError("r values must be nonnegative and finite")
     lam, R = params.intensity, params.radius
     if model != "lines" and R is None:
         raise ValueError("point models need a ball radius")
@@ -691,8 +666,8 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: 
     if not 0.0 < r < math.inf:
         raise ValueError("ray length r must be positive and finite")
     # with fewer, detect-line's seven antipodal partners of a direction repeat
-    if n_dir < 8:
-        raise ValueError("need at least 8 directions")
+    if not isinstance(n_dir, Integral) or n_dir < 8:
+        raise ValueError("need at least 8 directions, a whole number")
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     if model == "lines" and r > LINES_MAX_R:
@@ -948,30 +923,26 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 # ---------------------------------------------------------------------------
 # the tube sandwich P(Q) <= f <= P(A)
 
-def _lines_tube_events(samples: list[LineSample], net_x: np.ndarray, net_y: np.ndarray):
+def _lines_tube_events(samples: list[LineSample], half_d: float, s: float):
     """(A, f, Q), one bool array each, of the line realizations samples
-    for the tube whose end nets net_x and net_y (hyperboloid vectors)
-    start with the end centres.
-
-    The tube is convex, so two of its points are joined off the lines
-    iff no line separates them, that is iff their rows of signs of
-    ``sides`` are equal.  f joins the end centres and Q every point of
-    both nets, so each is counted per trial over its lines by
-    ``bincount``; A, some point of each net, compares the row sets of
-    the trials where f fails.  Every line's sides are taken once.
-    """
+    for the tube between the end centres x and y = gamma(-+half_d), from
+    each line's sides sx and sy at them (``LineSample.sides``, the sinh
+    of the signed distance), taken once.  Two points of the convex tube
+    are joined off the lines iff no line strictly separates them, as in
+    ``segment_in``.  f fails on a line with x and y on different sides, a
+    side of 0 counting as negative.  Q, which is Q*, fails on a line with
+    sx sy <= 0 or min(|sx|, |sy|) < sinh s: it strictly splits the
+    centres or one closed end ball.  A fails on a line with sx sy < 0 and
+    min(|sx|, |sy|) > sinh s: it strictly separates the closed end balls,
+    so that every path between them crosses it; A* and f imply A."""
     trial, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
     lines = LineSample(samples[0].intensity, samples[0].window_radius, foot_dist, foot_dir)
-    pos_x, pos_y = lines.sides(net_x) > 0.0, lines.sides(net_y) > 0.0
-    both = np.concatenate([pos_x, pos_y])
-    f_ok = np.bincount(trial[pos_x[0] != pos_y[0]], minlength=len(samples)) == 0
-    q_ok = np.bincount(trial[both.any(axis=0) & ~both.all(axis=0)], minlength=len(samples)) == 0
-    a_ok = f_ok.copy()
-    bounds = np.searchsorted(trial, np.arange(len(samples) + 1))
-    for t in np.flatnonzero(~f_ok):
-        rows_x, rows_y = pos_x[:, bounds[t]:bounds[t + 1]], pos_y[:, bounds[t]:bounds[t + 1]]
-        a_ok[t] = bool({row.tobytes() for row in rows_x} & {row.tobytes() for row in rows_y})
-    return a_ok, f_ok, q_ok
+    sh, ch = math.sinh(half_d), math.cosh(half_d)
+    sx, sy = lines.sides(np.asarray([[0.0, -sh, ch], [0.0, sh, ch]]))
+    near, limit = np.minimum(np.abs(sx), np.abs(sy)), math.sinh(s)
+    splits = ((sx * sy < 0.0) & (near > limit), (sx > 0.0) != (sy > 0.0),
+              ~((sx * sy > 0.0) & (near >= limit)))
+    return tuple(np.bincount(trial[split], minlength=len(samples)) == 0 for split in splits)
 
 
 def _within_segment(u: np.ndarray, y: np.ndarray, half_length: float, reach: float) -> np.ndarray:
@@ -986,10 +957,11 @@ def _blocked_cells(feet, offs, u, y, R) -> np.ndarray:
     """Mask over the grid feet x offs of axis coordinates (t, v) of the
     cells strictly within R of some point at axis coordinates (u, y), by
     cosh dist = cosh y cosh v cosh(u - t) - sinh y sinh v, with no
-    arccosh per cell; the points run along the first axis, which ``any``
-    reduces far faster than a short last one."""
+    arccosh per cell; none for R <= 0.  The points run along the first
+    axis, which ``any`` reduces far faster than a short last one."""
+    limit = math.cosh(R) if R > 0.0 else -math.inf
     ch = np.cosh(y)[:, None, None] * np.cosh(offs) * np.cosh(u[:, None] - feet)[:, :, None]
-    return (ch - (np.sinh(y)[:, None] * np.sinh(offs))[:, None, :] < math.cosh(R)).any(axis=0)
+    return (ch - (np.sinh(y)[:, None] * np.sinh(offs))[:, None, :] < limit).any(axis=0)
 
 
 def _trials_of(mask: np.ndarray, trial: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -1003,9 +975,8 @@ def _q_by_margin(model: str, trial, u, y, n: int, half_d: float, R: float, s: fl
     """Per trial of n, True when the central segment, over feet [-half_d,
     half_d], lies in the set for balls of radius R + s (vacant) or R - s
     (occupied) around the trial's points, point k of trial[k] at axis
-    coordinates (u[k], y[k]): then Q holds (``sandwich_AQ`` gives the
-    argument), and False leaves it undecided.  The net's points keep
-    short of radius s, so the margin exceeds rounding."""
+    coordinates (u[k], y[k]): then Q* holds (``sandwich_AQ`` gives the
+    argument), and False leaves it undecided."""
     grow = s if model == "vacant" else -s
     return _reaches(model, trial, u + half_d, y, R + grow, n) >= 2.0 * half_d
 
@@ -1032,19 +1003,20 @@ def _q_by_columns(model: str, trial, u, y, n: int, feet, half_d: float, R: float
     """Per trial of n, True when every column {(feet[m], v) : |v| <= w_m}
     lies in the set for balls of radius R + eps (vacant) or R - eps
     (occupied) around the trial's points, point k of trial[k] at axis
-    coordinates (u[k], y[k]): then Q holds, and False leaves it
+    coordinates (u[k], y[k]): then Q* holds, and False leaves it
     undecided.  The feet are the grid's, at most s / 8 apart, and w_m is
     ``_net_width`` at the worst foot within s / 16 of feet[m].
 
-    Each point (u, v) of a net segment has a foot feet[m] within s / 16
-    and |v| <= w_m, so it lies within eps of the column point (feet[m], v),
-    cosh eps = 1 + cosh^2 s (cosh(s / 16) - 1), and a ball of radius R + eps
-    that misses the column (or one of R - eps that covers it) keeps it in
-    the set.  eps is about s / 16, far above rounding.  A point's Fermi
-    coordinates along a column come from frame_fermi(sinh y, cosh y
-    sinh(u - feet[m])), measured only on the columns whose geodesic it
-    comes within R -+ eps of, and all trials' columns from one
-    ``_reaches`` call, segment trial * columns + m."""
+    Each point (u, v) of a segment whose ends lie within s of the end
+    centres has a foot feet[m] within s / 16 and |v| <= w_m, so it lies
+    within eps of the column point (feet[m], v), cosh eps = 1 + cosh^2 s
+    (cosh(s / 16) - 1), and a ball of radius R + eps that misses the
+    column (or one of R - eps that covers it) keeps it in the set.  eps is
+    about s / 16, far above rounding.  A point's Fermi coordinates along a
+    column come from frame_fermi(sinh y, cosh y sinh(u - feet[m])),
+    measured only on the columns whose geodesic it comes within R -+ eps
+    of, and all trials' columns from one ``_reaches`` call, segment
+    trial * columns + m."""
     half_step = s / 16.0
     eps = math.acosh(1.0 + math.cosh(s) ** 2 * (math.cosh(half_step) - 1.0))
     radius = R + (eps if model == "vacant" else -eps)
@@ -1064,22 +1036,22 @@ def _q_by_columns(model: str, trial, u, y, n: int, feet, half_d: float, R: float
     return (ends.reshape(n, cols) >= 2.0 * widths).all(axis=1)
 
 
-def _cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
+def _cut_columns(model: str, trial, u, y, n: int, feet, R: float, w: float) -> np.ndarray:
     """Per trial of n, True when some grid column's axis point lies strictly
-    within R - s of a point (vacant) or at least R + s from every point
-    (occupied): that column is closed in every cell (``sandwich_AQ``
-    gives the argument); False leaves A undecided.  Point k of trial[k]
-    at axis coordinates (u[k], y[k]) lies within R -+ s of the column
-    over feet[c] iff cosh(u[k] - feet[c]) cosh y[k] < cosh(R -+ s), one
-    (points, columns) product, reduced per trial by one call.  The cut
-    only certifies, with slack s, so a tie at rounding cannot change A."""
+    within R - w of a point (vacant) or at least R + w from every point
+    (occupied), w the farthest that a point of the column's cells lies
+    from it: then every cell of that column is closed (``sandwich_AQ``
+    gives the argument), and False leaves A undecided.  Point k of
+    trial[k] at axis coordinates (u[k], y[k]) lies within R -+ w of the
+    column over feet[c] iff cosh(u[k] - feet[c]) cosh y[k] < cosh(R -+ w),
+    one (points, columns) product, reduced per trial by one call."""
     cosh_dist = np.cosh(u[:, None] - feet)
     cosh_dist *= np.cosh(y)[:, None]
     if model == "vacant":
-        near = cosh_dist < math.cosh(max(R - s, 0.0))
+        near = cosh_dist < math.cosh(max(R - w, 0.0))
         return np.bincount(trial[near.any(axis=1)], minlength=n) > 0
     covered = np.zeros((n, len(feet)), dtype=bool)
-    np.logical_or.at(covered, trial, cosh_dist < math.cosh(R + s))
+    np.logical_or.at(covered, trial, cosh_dist < math.cosh(R + w))
     return ~covered.all(axis=1)
 
 
@@ -1128,44 +1100,46 @@ def _flood_connected(open_grid, start_cells, end_cells) -> bool:
 
 @cache
 def _tube_grid(half_d: float, s: float):
-    """The sandwich's flood-fill grid of mesh s / 8 over the s-tube around
-    the axis feet [-half_d, half_d], in axis coordinates: (feet, offs,
-    in_region, start_cells, end_cells), the masks indexed [foot, offset].
-    The region is the tube, capped by the balls of radius s around the
-    end centres; the start and end cells lie strictly within s of them.
-
-    A cell's distance to an end centre, arccosh(cosh(t -+ d/2) cosh v),
-    is taken only on the rows within 2s of that end's foot: every other
-    row keeps at least 2s from it, so it lies in the tube and in neither
-    end.  A comparison of cosh(t -+ d/2) cosh v with cosh s instead of
-    the arccosh would flip cells at rounding ties (2-4 cells at d = 4,
-    s = 0.02 and 0.05).  Built once per process for each (half_d, s), as
-    read-only arrays (about 0.1 ms a build on a 2-core host)."""
+    """The sandwich's flood-fill grid of mesh s / 8 in axis coordinates,
+    (feet, offs, in_region, start_cells, end_cells), the masks indexed
+    [foot, offset], built once per process for each (half_d, s), as
+    read-only arrays.  Cell (i, j) is the closed rectangle of half-sides
+    a and b, half the steps, around (feet[i], offs[j]); the cells cover
+    the s-tube around the axis feet [-half_d, half_d].  The start and end
+    cells meet the closed balls B(gamma(-+half_d), s), and the region
+    meets the tube.  cosh dist = cosh(t -+ half_d) cosh v grows with
+    |t -+ half_d| and |v|, so a cell's nearest point to an end centre has
+    cosh dist = cosh(max(|feet[i] -+ half_d| - a, 0)) cosh(max(|offs[j]|
+    - b, 0)), tested against cosh s widened by a relative 1e-12, so that
+    rounding only adds cells."""
     mesh = s / 8.0
     n_t = int(math.ceil((2.0 * half_d + 2.0 * s) / mesh)) + 1
     n_v = 2 * int(math.ceil(s / mesh)) + 1
     feet, offs = np.linspace(-half_d - s, half_d + s, n_t), np.linspace(-s, s, n_v)
-    in_region = np.ones((n_t, n_v), dtype=bool)
-    ends = np.zeros((2, n_t, n_v), dtype=bool)
-    for cells, end in zip(ends, (-half_d, half_d)):
-        rows = np.abs(feet - end) < 2.0 * s
-        d_end = np.arccosh(np.maximum(np.cosh(feet[rows] - end)[:, None] * np.cosh(offs), 1.0))
-        # the cap: the cells beyond the end's foot lie within s of its centre
-        beyond = (feet[rows] < end) if end < 0.0 else (feet[rows] > end)
-        in_region[rows] = ~beyond[:, None] | (d_end <= s)
-        cells[rows] = d_end < s
-    grid = feet, offs, in_region, in_region & ends[0], in_region & ends[1]
-    for a in grid:
-        a.flags.writeable = False
+    a, b = (feet[1] - feet[0]) / 2.0, (offs[1] - offs[0]) / 2.0
+    across = np.cosh(np.maximum(np.abs(offs) - b, 0.0))
+    start_cells, end_cells = (np.cosh(np.maximum(np.abs(feet - c) - a, 0.0))[:, None] * across
+                              <= math.cosh(s) * (1.0 + 1e-12) for c in (-half_d, half_d))
+    in_region = (np.abs(feet) - a <= half_d)[:, None] | start_cells | end_cells
+    grid = feet, offs, in_region, start_cells, end_cells
+    for arr in grid:
+        arr.flags.writeable = False
     return grid
 
 
-def _end_nets(half_d: float, s: float):
-    """Hyperboloid vectors of the nets of the balls of radius s around the
-    tube's end centres gamma(-+half_d), centres first: the net of B(o, s)
-    with spacing 0.999 s / 4, moved along the axis."""
-    net = polar_around_origin(*ball_net(s, 0.999 * s / 4.0))
-    return to_hyperboloid(math.exp(-half_d) * net), to_hyperboloid(math.exp(half_d) * net)
+def _cell_radius(feet: np.ndarray, offs: np.ndarray) -> float:
+    """rho, the farthest that a point of any cell of the grid feet x offs
+    (``_tube_grid``) lies from its centre, plus 1e-12 for rounding.
+
+    In axis coordinates cosh dist((t0, v0), (t, v)) = cosh v cosh v0
+    cosh(t - t0) - sinh v sinh v0.  Over the cell, |t - t0| <= a and
+    |v - v0| <= b, it is largest at |t - t0| = a, and, convex in v, at
+    v = v0 -+ b, where it is cosh b + (cosh a - 1) cosh v0 cosh(v0 -+ b);
+    so sinh^2(rho / 2) = sinh^2(b / 2) + sinh^2(a / 2) cosh v cosh(v + b)
+    at the grid's largest offset v, with no cancellation."""
+    a, b, v = (feet[1] - feet[0]) / 2.0, (offs[1] - offs[0]) / 2.0, float(np.abs(offs).max())
+    half = math.sinh(b / 2.0) ** 2 + math.sinh(a / 2.0) ** 2 * math.cosh(v) * math.cosh(v + b)
+    return 2.0 * math.asinh(math.sqrt(half)) + 1e-12
 
 
 def sandwich_AQ(
@@ -1179,61 +1153,53 @@ def sandwich_AQ(
 ) -> SandwichResult:
     """Estimate the triple (P(A), f, P(Q)) for the s-tube between x and y.
 
-    Q tests containment of a net of segments spanning the tube, A runs
-    a flood fill over a grid of the tube in axis coordinates (lines: some
-    point of each end net on the same side of every line), and f tests
-    the central segment.  All three share each trial's sample and the
-    discretizations are one-sided, so Q <= f <= A holds per realization.
-    Only d(x, y) enters; trials run in canonical position with the tube
-    centered on (0, 1).  The net and the grid lie within s of the
-    central segment and see only the points strictly within R + s of it.
+    f tests the central segment [x, y].  Q* is the event that every
+    segment from B(x, s) to B(y, s) lies in the set, and A* that a path in
+    the set within the tube, the closed s-neighbourhood of [x, y], joins
+    the two balls.  Q certifies Q* and A* implies A, so Q <= Q* <= f <=
+    A* <= A in every realization.  Only d(x, y) enters; trials run in
+    canonical position, the tube centred on (0, 1), and are drawn and
+    decided per group of ``_ball_groups``, alike at any group size.
+    Lines: closed forms on the end centres (``_lines_tube_events``).
 
-    Trials are drawn and decided per group of ``_ball_groups``, alike at
-    any group size.  Boolean groups: f in one ``_reaches`` call, then two
-    margins on the central segment, which settle most trials.  Q: each net
-    segment joins points within s of x and y, and the distance to the
-    central segment is convex along it, so it lies within s of that
-    segment; Q then holds if the central segment lies in the set for balls
-    of radius R + s (vacant) or R - s (occupied), and the net is not
-    measured (``_q_by_margin``).  A Q that the margin leaves goes to the
-    net's cross-sections: at each grid foot, the segment across the axis
-    that holds every net segment's points at that foot, within the width
-    ``_net_width``; if those segments lie in the set for balls of radius
-    R + eps (vacant) or R - eps (occupied), with eps the farthest a net
-    point lies from its nearest cross-section, Q holds
-    (``_q_by_columns``).  A: start cells have feet below -d/2 + s and end
-    cells above d/2 - s, so every 4-connected path between them crosses
-    each grid column with foot in [-d/2 + s, d/2 - s], and such a column's
-    cells lie within s of its axis point; A then fails if one of those
-    axis points lies strictly within R - s of a point (vacant) or at least
-    R + s from every point (occupied), and no flood fill runs
-    (``_cut_columns``).  These conditions are sufficient only; each trial
-    they leave undecided runs the net or the flood fill on its own, so the
-    results are those of the full checks.
+    Boolean Q.  Each segment from B(x, s) to B(y, s) lies within s of
+    [x, y], the distance to it being convex along the segment, so Q*
+    holds if [x, y] lies in the set for balls of radius R + s (vacant) or
+    R - s (occupied) (``_q_by_margin``).  Else, at each grid foot, the
+    segment across the axis of half-width ``_net_width`` holds every such
+    segment's points at that foot; if these lie in the set for balls of
+    radius R + eps (vacant) or R - eps (occupied), eps the farthest any
+    such point lies from its nearest one, Q* holds (``_q_by_columns``).
+    A trial that neither settles has Q false.
 
-    Over 20 passes of the tube workload's Boolean sandwiches (2000
-    vacant and 200 occupied trials; one seed, under cProfile on a 2-core
-    host) the margins left 97 trials to the flood fill
-    (``_flood_connected`` with ``_blocked_cells``, 19% of the
-    sandwiches' time) and 92 to the certificate (53 calls, 6%), which
-    settled 27 of them.  Of the 65 trials left to the Q net (4356
-    segments against about 20 points; 17%), 60 failed in the net's first
-    chunk and 5 held; without the certificate and the chunks, all 92 ran
-    the whole net, 47% of the time.  The grid took 8%, the column cut 6%
-    and the end nets, built only by the 40 of 140 calls that reach the
-    Q net, 3%.  Dropping the Q margin and leaving every Q to the
-    certificate made the workload's occupied sandwich 1.6 times slower
-    in the median, so the margin stays.
-
-    Lines groups: every line's sides on both end nets are taken once, f
-    and Q count per trial the lines that split the centres or a net
-    (``_lines_tube_events``).
+    Boolean A.  The grid's closed cells (``_tube_grid``) cover the tube,
+    each within rho of its centre (``_cell_radius``).  A cell is closed
+    only when it lies wholly outside the set: its centre lies strictly
+    within R - rho of a point (vacant) or at least R + rho from every
+    point (occupied).  The region holds the cells that meet the tube, the
+    start and end cells those that meet B(x, s) and B(y, s), and A is a
+    4-connected path of open region cells from a start to an end cell.
+    Every cell that meets the path of A* holds a point of the set and of
+    the tube, so it is an open region cell, and the cells at the path's
+    ends are start and end cells.  The cells that hold any one point
+    (one, two side by side, or four around a corner) are 4-connected
+    among themselves, so two that share only a corner are joined through
+    the other two; the path is connected, so A holds.  A 4-connected path
+    crosses every column of cells (one foot) from the last that holds a
+    start cell to the first that holds an end cell, and each cell of such
+    a column lies within s + rho of its axis point; so if that point lies
+    strictly within R - s - rho of a point (vacant), or at least
+    R + s + rho from every point (occupied), A fails with no flood fill
+    (``_cut_columns``).  The other trials where f fails run the flood
+    fill one at a time.  The path of A* and the segments of Q* lie within
+    s of [x, y], so the checks see only the points strictly within R + s
+    of it, all that can reach them.
     """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError("trials must be an integer of at least 1")
     d = dist(x, y)
-    if d < 4.0:
-        raise ValueError("the tube estimates need d(x, y) >= 4")
+    if not 4.0 <= d < math.inf:
+        raise ValueError("the tube estimates need a finite d(x, y) >= 4")
     if not 0.0 < s <= 0.05:
         raise ValueError("tube radius s must lie in (0, 0.05]")
     half_d = d / 2.0
@@ -1247,24 +1213,24 @@ def sandwich_AQ(
                            for _ in range(trials)), GROUP_POINTS)
     events = []
     if model == "lines":
-        hx, hy = _end_nets(half_d, s)
         for group in groups:
-            events += zip(*(ok.tolist() for ok in _lines_tube_events(group, hx, hy)))
+            events += zip(*(ok.tolist() for ok in _lines_tube_events(group, half_d, s)))
     else:
         R = params.radius
-        q_net = None  # the segments of the Q net, built for the first trial that runs it
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
-        # every path from the start to the end cells crosses these columns
-        mid_feet = feet[np.abs(feet) <= half_d - s]
+        rho = _cell_radius(feet, offs)
+        cell_R = R - rho if model == "vacant" else R + rho
+        # the columns from the last start cell to the first end cell, which every path crosses
+        first = np.flatnonzero(start_cells.any(axis=1))[-1]
+        mid_feet = feet[first:np.flatnonzero(end_cells.any(axis=1))[0] + 1]
         for group in groups:
             n = len(group)
             trial, t, psi = _joined(group, "t", "psi")
             # Fermi coordinates along the axis from the tube's centre, as the grid's
             u, y = frame_fermi(*polar_frame(t, psi))
             f_ok = _reaches(model, trial, u + half_d, y, R, n) >= d
-            # the net and the grid lie within s of the central segment
             near = _within_segment(u, y, half_d, R + s)
-            trial, t, psi, u, y = trial[near], t[near], psi[near], u[near], y[near]
+            trial, u, y = trial[near], u[near], y[near]
             bounds = np.searchsorted(trial, np.arange(n + 1))
             q_ok, a_ok = f_ok.copy(), f_ok.copy()
             q_ok[f_ok] = _q_by_margin(model, *_trials_of(f_ok, trial, u, y), half_d, R, s)
@@ -1272,16 +1238,10 @@ def sandwich_AQ(
             if left.any():
                 q_ok[left] = _q_by_columns(model, *_trials_of(left, trial, u, y), feet, half_d,
                                            R, s)
-            cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s)
-            for i in np.flatnonzero(f_ok & ~q_ok):
-                if q_net is None:
-                    hx, hy = _end_nets(half_d, s)
-                    q_net = np.repeat(hx, len(hy), axis=0), np.tile(hy, (len(hx), 1))
-                k = slice(bounds[i], bounds[i + 1])
-                q_ok[i] = _net_contained(*q_net, polar_hyperboloid(t[k], psi[k]), R, model)
+            cut = _cut_columns(model, *_trials_of(~f_ok, trial, u, y), mid_feet, R, s + rho)
             for i in np.flatnonzero(~f_ok)[~cut]:
                 k = slice(bounds[i], bounds[i + 1])
-                blocked = _blocked_cells(feet, offs, u[k], y[k], R)
+                blocked = _blocked_cells(feet, offs, u[k], y[k], cell_R)
                 open_grid = (blocked if model == "occupied" else ~blocked) & in_region
                 a_ok[i] = _flood_connected(open_grid, start_cells, end_cells)
             events += zip(a_ok.tolist(), f_ok.tolist(), q_ok.tolist())

@@ -167,6 +167,23 @@ class TestCrescentArea:
         with pytest.raises(ValueError):
             area_crescent(-0.1, 1.0)
 
+    @pytest.mark.parametrize("R", [0.05, 0.3, 1.0, 3.0, 8.0])
+    def test_closed_form_against_50_digits(self, R):
+        """Within 2e-15 relative of 50-digit evaluation of 4 [k atan(k u /
+        s) - atan(u / s)] at the given t and R, for t from 1e-12 to 3R and
+        just below 2R; subtracted from the ball's area, as the form once
+        was, it read 1.2e-4 off at R = 1, t = 1e-12, and 5e-3 at R = 0.05."""
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.append(np.geomspace(1e-12, 3.0 * R, 80), [2.0 * R * (1.0 - 1e-12), 2.0 * R])
+        got = area_crescent_closed_form(ts, R)
+        with mpmath.workdps(50):
+            k = mpmath.cosh(R)
+            for t, area in zip(ts, got):
+                u = mpmath.sinh(min(mpmath.mpf(t), 2 * mpmath.mpf(R)) / 2)
+                s = mpmath.sqrt(mpmath.sinh(R) ** 2 - u * u)
+                exact = 4 * (k * mpmath.atan2(k * u, s) - mpmath.atan2(u, s))
+                assert abs(area - exact) <= 2e-15 * exact, t
+
 
 class TestHittingLaw:
     def test_boundaries(self):
@@ -180,8 +197,7 @@ class TestHittingLaw:
     @pytest.mark.parametrize("lam", [1e-6, 0.5, 3.0])
     def test_against_50_digits_of_the_crescent(self, lam, t):
         """G = 1 - e^{-lambda A} keeps its digits for the crescent area A
-        as computed: 1 - exp lost all but 7 of them at lambda A = 2e-10.
-        (The closed form of A itself loses digits below t = 1e-4.)"""
+        as computed: 1 - exp lost all but 7 of them at lambda A = 2e-10."""
         mpmath = pytest.importorskip("mpmath")
         area = area_crescent_closed_form(t, 1.0)
         with mpmath.workdps(50):

@@ -11,7 +11,6 @@ from hyperc.geometry import (
     ORIGIN,
     axis_coordinates,
     ball_area,
-    ball_net,
     dist,
     dist_arrays,
     frame_fermi,
@@ -24,7 +23,7 @@ from hyperc.geometry import (
 )
 
 from axis_oracles import axis_point, distance_to_axis_segment
-from tube_oracles import projection_segment_point_distance
+from tube_oracles import ball_net, projection_segment_point_distance
 from line_oracles import canonical_matrix, dist_to_geodesic, inverse
 # the Mobius matrices, geodesics by ideal ends and boundary maps that the
 # oracles are built on live in tests/mobius.py; TestIsometries,

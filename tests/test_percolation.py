@@ -23,7 +23,7 @@ from hyperc.geometry import (
     HPoint,
     axis_coordinates,
     ball_area,
-    ball_net,
+    dist,
     dist_arrays,
     frame_fermi,
     minkowski,
@@ -35,7 +35,6 @@ from hyperc.geometry import (
 )
 from hyperc.percolation import (
     LINES_MAX_R,
-    NET_CHUNKS,
     TRIAL_BLOCK,
     _antipodal_pairs,
     _block_thresholds,
@@ -44,6 +43,7 @@ from hyperc.percolation import (
     _chord_distance,
     _chords_contained,
     _coverage_reaches,
+    _cell_radius,
     _cut_columns,
     _exposure_alpha,
     _first_chords,
@@ -53,7 +53,6 @@ from hyperc.percolation import (
     _line_ray_survivors,
     _lines_avoid,
     _lines_tube_events,
-    _net_contained,
     _net_width,
     _q_by_columns,
     _q_by_margin,
@@ -82,10 +81,12 @@ from hyperc.sampling import (
 from axis_oracles import axis_point, distance_to_axis_segment, polar_of, to_axis
 from tube_oracles import (
     antipodal_pairs,
+    end_nets,
     full_chord_detection,
+    lines_net_events,
     lines_tube_events,
     net_contained,
-    projection_segment_point_distance,
+    q_net,
     ray_samples,
     reaches_cut_columns,
     sample_rays,
@@ -539,11 +540,19 @@ def test_S_law_matches_the_hitting_cdf():
     assert _binomial_tail(empty, n, p0) >= TAIL
 
 
-@pytest.mark.parametrize("trials", [99, 150.0, math.nan, math.inf, "200"])
-def test_estimate_f_needs_a_whole_trial_count(trials):
-    """150.0 trials raised TypeError in the trial spans."""
-    with pytest.raises(ValueError, match="trials must be an integer of at least 100"):
-        estimate_f("vacant", ModelParams(0.1, 1.0), [1.0], trials, RngStream(0))
+@pytest.mark.parametrize(
+    "trials, r, match",
+    [pytest.param(trials, 1.0, "trials must be an integer of at least 100", id=str(trials))
+     for trials in (99, 150.0, math.nan, math.inf, "200")]
+    + [pytest.param(100, r, "r values must be nonnegative and finite", id=f"r={r}")
+       for r in (math.nan, math.inf, -math.inf)],
+)
+def test_estimate_f_needs_a_whole_trial_count(trials, r, match):
+    """150.0 trials raised TypeError in the trial spans, an r of nan
+    failed on converting it to an integer, and one of inf on the sampling
+    cap."""
+    with pytest.raises(ValueError, match=match):
+        estimate_f("vacant", ModelParams(0.1, 1.0), [0.0, r], trials, RngStream(0))
     res = estimate_f("vacant", ModelParams(0.1, 1.0), [1.0], np.int64(100), RngStream(0))
     assert res.trials == 100
 
@@ -730,14 +739,16 @@ def _axis_contained(w: np.ndarray, length: float, R: float, model: str) -> bool:
     "model, params", [("vacant", ModelParams(0.15, 0.6)), ("occupied", ModelParams(1.0, 1.0))]
 )
 def test_net_containment_matches_the_segment_predicates(model, params):
-    """_net_contained, on hyperboloid vectors, decides each segment as the
+    """segment_in, on hyperboloid vectors, decides each segment as the
     axis oracle does after the isometry that lays the segment on the
-    imaginary axis has moved the segment and the points."""
+    imaginary axis has moved the segment and the points; the one-pass net
+    oracle decides the segments together alike."""
     R = params.radius
     gen = np.random.default_rng(40)
     # segments between points of B(o, 2) lie in it, so the window
     # B(o, 2 + R) holds every ball that can reach them
-    pts = sample_points(params, 2.0 + R, gen).points
+    sample = sample_points(params, 2.0 + R, gen)
+    pts = sample.points
     w = to_hyperboloid(pts)
     ends = polar_around_origin(
         gen.uniform(0.0, 2.0, (2, 40)), gen.uniform(0.0, 2.0 * math.pi, (2, 40))
@@ -748,11 +759,12 @@ def test_net_containment_matches_the_segment_predicates(model, params):
         m = to_axis(ends[0, k], ends[1, k])
         length = math.log(m.apply_array(ends[1, k]).imag)
         expect.append(_axis_contained(m.apply_array(pts), length, R, model))
-        assert _net_contained(p[k : k + 1], q[k : k + 1], w, R, model) == expect[-1], k
+        ends_k = [HPoint(z.real, z.imag) for z in ends[:, k]]
+        assert segment_in(model, *ends_k, sample) == expect[-1], k
     assert set(expect) == {True, False}
-    assert _net_contained(p, q, w, R, model) == all(expect)
+    assert net_contained(p, q, w, R, model) == all(expect)
     good = np.flatnonzero(expect)
-    assert _net_contained(p[good], q[good], w, R, model)
+    assert net_contained(p[good], q[good], w, R, model)
 
 
 X_TUBE, Y_TUBE = HPoint(0.0, 1.0), HPoint(0.0, math.exp(4.0))
@@ -821,8 +833,8 @@ def _fixed_points(monkeypatch, z) -> None:
     )
 
 
-# the sandwich's sufficient checks, which settle trials before the Q net
-# or the flood fill
+# the sandwich's sufficient checks: the margin and the certificate that
+# settle Q, and the column cut that settles A before the flood fill
 MARGIN_CHECKS = ("_q_by_margin", "_q_by_columns", "_cut_columns")
 
 
@@ -845,15 +857,15 @@ def _spy_margins(monkeypatch) -> dict:
 
 
 def _undecided(monkeypatch) -> None:
-    """Leave every trial to the Q net and the flood fill."""
-    for name in MARGIN_CHECKS:
-        monkeypatch.setattr(percolation, name, lambda model, trial, u, y, n, *rest: np.zeros(n, bool))
+    """Leave every trial where f fails to the flood fill."""
+    monkeypatch.setattr(percolation, "_cut_columns",
+                        lambda model, trial, u, y, n, *rest: np.zeros(n, bool))
 
 
 def test_sandwich_measures_a_point_beside_the_tube(monkeypatch):
     """A point R + s/2 beside the end y of the tube keeps more than R
-    from the central segment, so f holds, but comes within R of the end
-    net, so Q fails; A holds."""
+    from the central segment, so f holds, but comes within R of B(y, s),
+    so Q fails; A holds."""
     params, s = ModelParams(0.1, 1.0), 0.05
     _fixed_points(monkeypatch, axis_point(2.0, params.radius + s / 2.0))
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
@@ -885,14 +897,27 @@ def test_column_margin_cuts_beside_the_middle_only(monkeypatch, foot, gap, event
     assert sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0)) == res
 
 
-def _column_cuts(model, u, y, feet, R, s) -> np.ndarray:
+def _column_cuts(model, u, y, feet, R, w) -> np.ndarray:
     """_cut_columns's verdict on each column over the feet alone: column
     c is passed as trial c, its one foot at 0 and the points moved along
     the axis by -feet[c]."""
     cols = len(feet)
     trial = np.repeat(np.arange(cols), len(u))
     moved = (u[None, :] - feet[:, None]).ravel()
-    return _cut_columns(model, trial, moved, np.tile(y, cols), cols, np.zeros(1), R, s)
+    return _cut_columns(model, trial, moved, np.tile(y, cols), cols, np.zeros(1), R, w)
+
+
+def _mid_feet(half_d: float, s: float) -> np.ndarray:
+    """The feet of the sandwich's cut columns: the grid's rows from the
+    last that holds a start cell to the first that holds an end cell."""
+    feet, _, _, start, end = _tube_grid(half_d, s)
+    return feet[np.flatnonzero(start.any(axis=1))[-1]:np.flatnonzero(end.any(axis=1))[0] + 1]
+
+
+def _cell_test_radius(model: str, R: float, rho: float) -> float:
+    """The radius at which the sandwich blocks a cell: R - rho (vacant,
+    closed when blocked) or R + rho (occupied, closed when not)."""
+    return R - rho if model == "vacant" else R + rho
 
 
 @pytest.mark.parametrize(
@@ -902,16 +927,15 @@ def test_margins_imply_the_full_checks(model, params):
     """Over 200 realizations of the tube workload's model, decided in one
     call of each margin check and of the cross-section certificate: a Q
     that the margin or the certificate accepts is one that the
-    sandwich's net accepts, the certificate accepts some that the margin
-    leaves, and a trial that the column margin cuts has a cut column,
-    each of which is closed in every cell of the sandwich's grid of
-    offsets, all blocked (vacant) or none covered (occupied)."""
+    Q net accepts, the certificate accepts some that the margin leaves,
+    and a trial that the column margin cuts has a cut column, each of
+    which is closed in every cell of the sandwich's grid, all blocked at
+    R - rho (vacant) or none at R + rho (occupied)."""
     half_d, s, R = 2.0, 0.05, params.radius
-    net_x, net_y = _end_nets(half_d, s, 0.999 * s / 4.0)
-    seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
-    seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
-    feet, offs = np.linspace(-half_d - s, half_d + s, 657), np.linspace(-s, s, 17)
-    mid = feet[np.abs(feet) <= half_d - s]
+    seg_p, seg_q = q_net(half_d, s)
+    feet, offs = _tube_grid(half_d, s)[:2]
+    rho = _cell_radius(feet, offs)
+    mid = _mid_feet(half_d, s)
     trials = []
     for seed in range(200):
         pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
@@ -922,13 +946,14 @@ def test_margins_imply_the_full_checks(model, params):
     u_all, y_all = (np.concatenate([t[k] for t in trials]) for k in (1, 2))
     q_accepted = _q_by_margin(model, trial, u_all, y_all, 200, half_d, R, s)
     q_columns = _q_by_columns(model, trial, u_all, y_all, 200, feet, half_d, R, s)
-    cut = _cut_columns(model, trial, u_all, y_all, 200, mid, R, s)
+    cut = _cut_columns(model, trial, u_all, y_all, 200, mid, R, s + rho)
     for seed, (pts, u, y) in enumerate(trials):
         if q_accepted[seed] or q_columns[seed]:
-            assert _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
-        columns = _column_cuts(model, u, y, mid, R, s)
+            assert net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
+        columns = _column_cuts(model, u, y, mid, R, s + rho)
         assert columns.any() == cut[seed], seed
-        blocked = percolation._blocked_cells(mid[columns], offs, u, y, R)
+        radius = _cell_test_radius(model, R, rho)
+        blocked = percolation._blocked_cells(mid[columns], offs, u, y, radius)
         assert (blocked if model == "vacant" else ~blocked).all(), seed
     assert 0 < q_accepted.sum() < 200 and 0 < cut.sum() < 200
     assert (q_columns & ~q_accepted).any()
@@ -943,8 +968,7 @@ def test_net_width_bounds_every_net_segment(d, s):
     d/2, and 0.94 over the middle, where the bound takes the worst ends
     at once."""
     half_d = d / 2.0
-    net_x, net_y = percolation._end_nets(half_d, s)
-    p, q = np.repeat(net_x, len(net_y), axis=0), np.tile(net_y, (len(net_x), 1))
+    p, q = q_net(half_d, s)
     length = np.arccosh(np.maximum(-minkowski(p, q), 1.0))[:, None, None]
     tau = np.linspace(0.0, 1.0, 41)[:, None]
     pts = (np.sinh((1.0 - tau) * length) * p[:, None] + np.sinh(tau * length) * q[:, None])
@@ -965,16 +989,11 @@ COVERED = (1.0, 1.0, 1.0)
 def test_certificate_settles_a_cover_that_the_margin_leaves(monkeypatch):
     """Occupied balls of radius 1 centred on the axis at feet -+0.98 and
     -+2 cover the tube, but those of radius R - s leave a gap around the
-    foot 0, so the Q margin fails; the cross-sections of the net, covered
-    by the balls of radius R - eps, settle Q, and the net is not run."""
+    foot 0, so the Q margin fails; the cross-sections, covered by the
+    balls of radius R - eps, settle Q."""
     params, s = ModelParams(1.0, 1.0), 0.05
     _fixed_points(monkeypatch, axis_point(np.asarray([-2.0, -0.98, 0.98, 2.0]), 0.0))
     counts = _spy_margins(monkeypatch)
-
-    def no_net(*args):
-        raise AssertionError("the Q net ran")
-
-    monkeypatch.setattr(percolation, "_net_contained", no_net)
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "occupied", params, 1, RngStream(0))
     assert (res.p_A, res.f_hat, res.p_Q) == COVERED
     assert counts["_q_by_margin"] == [1, 0] and counts["_q_by_columns"] == [1, 1]
@@ -983,9 +1002,10 @@ def test_certificate_settles_a_cover_that_the_margin_leaves(monkeypatch):
 def test_certificate_refuses_a_hole_beside_the_net(monkeypatch):
     """Occupied balls of radius 1 on the axis at feet -+c, cosh c =
     cosh R / cosh v_h, and -+2 leave a hole mid-tube at offsets above v_h,
-    halfway between the width w of the net at foot 0 and s.  The net
-    keeps inside w, so Q holds; the balls of radius R - eps leave the
-    middle column open, so the certificate refuses and the net decides."""
+    halfway between s and the width w at foot 0 of the segments from
+    B(x, s) to B(y, s).  Those keep inside w, so Q* holds, and the Q net
+    accepts; but the balls of radius R - eps leave the middle column
+    open, so the certificate refuses, and Q is false: Q stays below Q*."""
     params, s, R = ModelParams(1.0, 1.0), 0.05, 1.0
     w = float(_net_width(np.zeros(1), 2.0, s)[0])
     v_h = (w + s) / 2.0
@@ -995,17 +1015,10 @@ def test_certificate_refuses_a_hole_beside_the_net(monkeypatch):
     assert dist_arrays(axis_point(0.0, (v_h + s) / 2.0), centres).min() > R
     _fixed_points(monkeypatch, centres)
     counts = _spy_margins(monkeypatch)
-    verdicts = []
-
-    def net(*args, check=percolation._net_contained):
-        verdicts.append(check(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(percolation, "_net_contained", net)
     res = sandwich_AQ(X_TUBE, Y_TUBE, s, "occupied", params, 1, RngStream(0))
-    assert (res.p_A, res.f_hat, res.p_Q) == COVERED
+    assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
     assert counts["_q_by_margin"] == [1, 0] and counts["_q_by_columns"] == [1, 0]
-    assert verdicts == [True]
+    assert net_contained(*q_net(2.0, s), to_hyperboloid(centres), R, "occupied")
 
 
 def test_certificate_decides_nothing_below_eps():
@@ -1023,35 +1036,6 @@ def test_certificate_decides_nothing_below_eps():
     for R, settled in ((0.9 * eps, False), (0.02, True)):
         got = _q_by_columns("occupied", trial, u, y, 1, feet, half_d, R, s)
         assert got.tolist() == [settled], R
-
-
-@pytest.mark.parametrize(
-    "model, params", [("vacant", ModelParams(0.15, 0.6)), ("occupied", ModelParams(1.0, 1.0))]
-)
-def test_chunked_net_matches_the_one_pass_oracle(model, params):
-    """The net measured in strided chunks gives the one-pass verdict on
-    random segments: each segment alone, every contained segment at once
-    (all chunks pass), and those with one failing segment placed last, in
-    the last chunk."""
-    R = params.radius
-    gen = np.random.default_rng(41)
-    w = to_hyperboloid(sample_points(params, 2.0 + R, gen).points)
-    ends = polar_around_origin(
-        gen.uniform(0.0, 2.0, (2, 200)), gen.uniform(0.0, 2.0 * math.pi, (2, 200))
-    )
-    p, q = to_hyperboloid(ends[0]), to_hyperboloid(ends[1])
-    alone = []
-    for k in range(200):
-        alone.append(net_contained(p[k : k + 1], q[k : k + 1], w, R, model))
-        assert _net_contained(p[k : k + 1], q[k : k + 1], w, R, model) == alone[-1], k
-    good, bad = np.flatnonzero(alone), np.flatnonzero(~np.asarray(alone))
-    assert len(good) > 2 * NET_CHUNKS and len(bad) > 0
-    assert net_contained(p[good], q[good], w, R, model)
-    assert _net_contained(p[good], q[good], w, R, model)
-    last = np.append(good[: (len(good) // NET_CHUNKS) * NET_CHUNKS - 1], bad[0])
-    assert len(last) % NET_CHUNKS == 0
-    assert not net_contained(p[last], q[last], w, R, model)
-    assert not _net_contained(p[last], q[last], w, R, model)
 
 
 @pytest.mark.parametrize(
@@ -1092,11 +1076,10 @@ def test_column_cut_matches_the_reaches_form(model):
 @pytest.mark.parametrize("d", [4.0, 5.0, 6.0])
 @pytest.mark.parametrize("s", [0.02, 0.05])
 def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
-    """With both margin checks and the cross-section certificate made to
-    decide nothing, every trial runs the Q net or the flood fill, and each
-    result is the same, to the type of its fields; each check had decided
-    some trials (the certificate at every (d, s) in the occupied case at
-    lambda 2, R 0.7)."""
+    """With the column cut made to decide nothing, every trial where f
+    fails runs the flood fill, and each result is the same, to the type
+    of its fields; each check had decided some trials (the certificate
+    at every (d, s) in the occupied case at lambda 2, R 0.7)."""
     cases = [
         ("vacant", ModelParams(0.0, 1.0)),
         ("vacant", ModelParams(0.1, 1.0)),
@@ -1126,10 +1109,10 @@ def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
 
 
 # (p_A, f, p_Q) of the tube workload's sandwich (d 4, s 0.05) at seeds
-# 0-4, recorded before the margin checks were added
+# 0-4, with Q certified and A one-sided
 SANDWICH_STREAM = [
     ("vacant", ModelParams(0.1, 1.0), 100,
-     [(0.28, 0.26, 0.24), (0.38, 0.34, 0.32), (0.38, 0.37, 0.36), (0.31, 0.29, 0.28),
+     [(0.28, 0.26, 0.24), (0.39, 0.34, 0.32), (0.38, 0.37, 0.36), (0.31, 0.29, 0.28),
       (0.37, 0.31, 0.31)]),
     ("occupied", ModelParams(1.0, 1.0), 20,
      [(0.7, 0.7, 0.7), (0.55, 0.55, 0.55), (0.7, 0.65, 0.65), (0.6, 0.55, 0.5),
@@ -1183,15 +1166,8 @@ def test_sandwich_is_the_same_at_any_block_size(monkeypatch, budget):
     assert all(points <= budget or trials == 1 for trials, points in sizes)
 
 
-def _end_nets(half_d: float, s: float, mesh: float):
-    """The sandwich's nets of the balls of radius s around i e^-half_d
-    and i e^half_d."""
-    net = polar_around_origin(*ball_net(s, mesh))
-    return math.exp(-half_d) * net, math.exp(half_d) * net
-
-
 def _ring_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
-    """Reference for _end_nets: the net of B(i e^center_foot, s) built
+    """Reference for end_nets: the net of B(i e^center_foot, s) built
     ring by ring, its centre written as i e^center_foot."""
     chunks = [np.asarray([1j])]
     k = 1
@@ -1205,38 +1181,186 @@ def _ring_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
 @pytest.mark.parametrize("s, mesh", [(0.05, 0.999 * 0.05 / 4.0), (0.05, 0.0125), (0.03, 0.014),
                                      (0.05, 0.2), (0.2, 0.999 * 0.2 / 4.0)])
 def test_end_nets_match_the_ring_by_ring_net(s, mesh):
-    for c, net in zip((-2.0, 2.0), _end_nets(2.0, s, mesh)):
+    for c, net in zip((-2.0, 2.0), end_nets(2.0, s, mesh)):
         assert net.tobytes() == _ring_net(c, s, mesh).tobytes(), c
 
 
-def _tube_nets(half_d: float, s: float):
-    """Segments joining every point of a coarse net of B(x, s) to every
-    point of one of B(y, s), as in the sandwich's Q net."""
-    net_x, net_y = _end_nets(half_d, s, 0.999 * s / 2.0)
-    seg_p = to_hyperboloid(np.repeat(net_x, len(net_y)))
-    seg_q = to_hyperboloid(np.tile(net_y, len(net_x)))
-    return seg_p, seg_q
+def _grid_flood(model: str, u, y, R: float, half_d: float, s: float) -> bool:
+    """The sandwich's A for the points at axis coordinates (u, y): the
+    flood fill over its grid, the cells blocked at R -+ rho."""
+    feet, offs, in_region, start, end = _tube_grid(half_d, s)
+    rho = _cell_radius(feet, offs)
+    blocked = percolation._blocked_cells(feet, offs, u, y, _cell_test_radius(model, R, rho))
+    return _flood_connected((blocked if model == "occupied" else ~blocked) & in_region, start, end)
 
 
 @pytest.mark.parametrize(
     "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
 )
 def test_filtered_points_decide_the_net_alike(model, params):
-    """The sandwich measures its Q net only against the points strictly
-    within R + s of the central segment; on the whole window of the
-    tube the net is decided alike."""
+    """The sandwich decides its events only from the points strictly
+    within R + s of the central segment; on the whole window of the tube,
+    a coarse Q net and the flood fill are decided alike at these seeds.
+    (A dropped occupied point could open only a cell that it covers
+    outside the tube, which the bracket allows either way.)"""
     half_d, s, R = 2.0, 0.05, params.radius
-    seg_p, seg_q = _tube_nets(half_d, s)
-    outcomes, dropped = set(), 0
+    seg_p, seg_q = q_net(half_d, s, 0.999 * s / 2.0)
+    nets, floods, dropped = set(), set(), 0
     for seed in range(40):
         pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
         u, y = axis_coordinates(pts)
         near = _within_segment(u, y, half_d, R + s)
-        full = _net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
-        assert _net_contained(seg_p, seg_q, to_hyperboloid(pts[near]), R, model) == full, seed
-        outcomes.add(full)
+        full = net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model)
+        assert net_contained(seg_p, seg_q, to_hyperboloid(pts[near]), R, model) == full, seed
+        flood = _grid_flood(model, u, y, R, half_d, s)
+        assert _grid_flood(model, u[near], y[near], R, half_d, s) == flood, seed
+        nets.add(full)
+        floods.add(flood)
         dropped += int((~near).sum())
-    assert outcomes == {True, False} and dropped > 0
+    assert nets == floods == {True, False} and dropped > 0
+
+
+@pytest.mark.parametrize(
+    "model, params", [("vacant", ModelParams(0.1, 1.0)), ("occupied", ModelParams(1.0, 1.0))]
+)
+def test_certified_q_implies_the_net(model, params):
+    """Over 300 one-trial sandwiches at the tube workload's parameters,
+    every certified Q is accepted by the Q net on the same realization,
+    whose segments are some of those that Q* quantifies over: Q lies
+    below Q*, which lies below the net."""
+    half_d, s, R = dist(X_TUBE, Y_TUBE) / 2.0, 0.05, params.radius
+    seg_p, seg_q = q_net(half_d, s)
+    certified = 0
+    for seed in range(300):
+        res = sandwich_AQ(X_TUBE, Y_TUBE, s, model, params, 1, RngStream(seed))
+        if res.p_Q == 1.0:
+            pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
+            assert net_contained(seg_p, seg_q, to_hyperboloid(pts), R, model), seed
+            certified += 1
+    assert 50 < certified < 300
+
+
+def test_the_net_accepts_a_tube_that_q_refuses(monkeypatch):
+    """A vacant point at distance R + 0.996 s from the start centre x, at
+    right angles to the axis, midway between two points of the Q net's
+    outer ring (26 points at radius 0.999 s), keeps more than R from
+    every net segment, so the net accepts; but it lies within R of the
+    segment from the point of B(x, s) toward it to y, so Q* fails, and
+    so does Q.  f and A hold.  In canonical position x and y lie at
+    i e^-2 and i e^2."""
+    params, s, R = ModelParams(0.1, 1.0), 0.05, 1.0
+    z = math.exp(-2.0) * polar_around_origin(np.asarray([R + 0.996 * s]), np.asarray([math.pi / 2]))
+    assert net_contained(*q_net(2.0, s), to_hyperboloid(z), R, "vacant")
+    t, psi = polar_of(z)
+    edge = math.exp(-2.0) * polar_around_origin(s * (1.0 - 1e-9), math.pi / 2)
+    sample = BooleanSample(params, 2.0 + s + R, t, psi)
+    y_end = HPoint(0.0, math.exp(2.0))
+    assert not segment_in("vacant", HPoint(float(edge.real), float(edge.imag)), y_end, sample)
+    _fixed_points(monkeypatch, z)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 1.0, 0.0)
+
+
+def _fine_flood(model: str, u, y, R: float, half_d: float, s: float, mesh: float) -> bool:
+    """A flood fill at the given mesh whose cells are judged by their
+    centres: the region and the start and end cells hold the centres
+    within s of the central segment, of x and of y, and a cell is open
+    when no point lies strictly within R of its centre (vacant) or some
+    point lies within R of it (occupied); 4-connected components by
+    ``scipy.ndimage.label``.  Each point is measured only on the rows of
+    feet within R of its own, as cosh dist >= cosh(u - t)."""
+    feet = np.linspace(-half_d - s, half_d + s, int(math.ceil((2.0 * half_d + 2.0 * s) / mesh)) + 1)
+    offs = np.linspace(-s, s, 2 * int(math.ceil(s / mesh)) + 1)
+    near = np.zeros((len(feet), len(offs)), dtype=bool)
+    for uk, yk in zip(u, y):
+        rows = np.abs(feet - uk) < R
+        ch = math.cosh(yk) * np.cosh(offs) * np.cosh(uk - feet[rows])[:, None]
+        near[rows] |= ch - math.sinh(yk) * np.sinh(offs) < math.cosh(R)
+    tt = np.abs(feet)[:, None]
+    reach = np.cosh(np.maximum(tt - half_d, 0.0)) * np.cosh(offs)
+    region = reach <= math.cosh(s)
+    start, end = ((np.cosh(feet - c)[:, None] * np.cosh(offs) <= math.cosh(s))
+                  for c in (-half_d, half_d))
+    open_cells = (near if model == "occupied" else ~near) & region
+    return _label_connected(open_cells, start, end)
+
+
+@pytest.mark.parametrize(
+    "model, params, seeds",
+    [("vacant", ModelParams(0.1, 1.0), 60), ("occupied", ModelParams(1.0, 1.0), 120)],
+)
+def test_one_sided_a_contains_the_fine_flood(model, params, seeds):
+    """On one-trial sandwiches at the tube workload's parameters, every
+    A that the sandwich refuses is refused by a flood fill at mesh s / 64
+    judged by its cells' centres, an approximation of A* from finer cells;
+    A holds on some where f fails."""
+    half_d, s, R = dist(X_TUBE, Y_TUBE) / 2.0, 0.05, params.radius
+    refused = a_not_f = 0
+    for seed in range(seeds):
+        res = sandwich_AQ(X_TUBE, Y_TUBE, s, model, params, 1, RngStream(seed))
+        a_not_f += res.p_A > res.f_hat
+        if res.p_A == 0.0:
+            pts = sample_points(params, half_d + s + R, RngStream(seed).generator()).points
+            u, y = axis_coordinates(pts)
+            near = _within_segment(u, y, half_d, R + s)
+            assert not _fine_flood(model, u[near], y[near], R, half_d, s, s / 64.0), seed
+            refused += 1
+    assert refused > 10 and a_not_f > 0
+
+
+def test_one_sided_a_passes_a_gap_between_cell_centres(monkeypatch):
+    """Two vacant points at foot 0 leave a channel of width 0.001 s at
+    offsets around 0.5625 s, between two rows of cell centres, and the
+    lower one blocks the central segment.  A path along the channel joins
+    the end balls, so A* holds, and so does A; cells judged by their
+    centres at radius R close every cell across the channel."""
+    params, s, R = ModelParams(0.1, 1.0), 0.05, 1.0
+    gap, width = 0.5625 * s, 0.001 * s
+    pts = axis_point(np.zeros(2), np.asarray([gap + width / 2.0 + R, gap - width / 2.0 - R]))
+    _fixed_points(monkeypatch, pts)
+    res = sandwich_AQ(X_TUBE, Y_TUBE, s, "vacant", params, 1, RngStream(0))
+    assert (res.p_A, res.f_hat, res.p_Q) == (1.0, 0.0, 0.0)
+    feet, offs, in_region, start, end = _tube_grid(2.0, s)
+    u, y = axis_coordinates(pts)
+    by_centres = ~percolation._blocked_cells(feet, offs, u, y, R) & in_region
+    assert not _flood_connected(by_centres, start, end)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3])
+def test_lines_closed_forms_match_a_fine_net(lam):
+    """On 400 line realizations of the tube workload's sandwich, the
+    closed forms give the f and Q of end nets at mesh 0.999 s / 32, whose
+    outer rings lie at 0.999 s, and A wherever some point of one net is
+    joined to some point of the other, off the lines."""
+    half_d, s = 2.0, 0.05
+    hx, hy = (to_hyperboloid(net) for net in end_nets(half_d, s, 0.999 * s / 32.0))
+    gen = RngStream(7).generator()
+    samples = [sample_lines(lam, half_d + s, gen) for _ in range(400)]
+    a_ok, f_ok, q_ok = _lines_tube_events(samples, half_d, s)
+    for i, sample in enumerate(samples):
+        a_net, f_net, q_net_ok = lines_net_events(sample, hx, hy)
+        assert (f_ok[i], q_ok[i]) == (f_net, q_net_ok), i
+        assert a_ok[i] or not a_net, i
+    assert 0 < q_ok.sum() < f_ok.sum() < a_ok.sum() < len(samples)
+
+
+@pytest.mark.parametrize("s", [0.001, 0.02, 0.05])
+def test_cell_radius_bounds_every_cell(s):
+    """Points on the four edges of cells in the grid's outer and middle
+    rows of offsets, measured from the cell's centre by ``dist_arrays``,
+    lie within rho, and the outer cells' far corners reach it, less its
+    margin for rounding."""
+    feet, offs = _tube_grid(2.0, s)[:2]
+    rho = _cell_radius(feet, offs)
+    a, b = (feet[1] - feet[0]) / 2.0, (offs[1] - offs[0]) / 2.0
+    e = np.linspace(-1.0, 1.0, 101)
+    edge_t = np.concatenate([a * e, a * e, np.full(101, a), np.full(101, -a)])
+    edge_v = np.concatenate([np.full(101, b), np.full(101, -b), b * e, b * e])
+    for t0, v0 in ((feet[7], offs[0]), (feet[300], offs[len(offs) // 2]), (feet[-1], offs[-1])):
+        d = dist_arrays(axis_point(t0 + edge_t, v0 + edge_v), axis_point(t0, v0))
+        assert d.max() <= rho, (t0, v0)
+        if v0 != 0.0:
+            assert d.max() == pytest.approx(rho - 1e-12, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -1285,13 +1409,15 @@ def _serpentine(shape, gap=None) -> np.ndarray:
 
 @pytest.mark.parametrize("s", [0.001, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05])
 def test_tube_grid_matches_the_arccosh_grid(s):
-    """The grid takes the arccosh of a cell's distance to an end only on
-    the rows within 2s of that end; at d = 4, 4.05, ..., 12 every cell of
-    every mask equals that of the grid with an arccosh per cell."""
+    """At d = 4, 4.05, ..., 12 the grid has the oracle's feet and offsets,
+    and each mask holds every cell that the oracle puts within s of an
+    end centre (or in the straight tube) and none that it puts beyond
+    s + 1e-9: the grid's cosh test errs only toward more cells."""
     for d in np.linspace(4.0, 12.0, 161):
-        got, ref = _tube_grid(d / 2.0, s), tube_grid(d / 2.0, s)
-        for a, b in zip(got, ref, strict=True):
-            assert a.shape == b.shape and np.array_equal(a, b), (d, s)
+        got, lo, hi = _tube_grid(d / 2.0, s), tube_grid(d / 2.0, s), tube_grid(d / 2.0, s, 1e-9)
+        assert np.array_equal(got[0], lo[0]) and np.array_equal(got[1], lo[1]), (d, s)
+        for mask, inner, outer in zip(got[2:], lo[2:], hi[2:], strict=True):
+            assert mask.shape == inner.shape and np.all(inner <= mask) and np.all(mask <= outer)
 
 
 def test_flood_fill_agrees_with_the_component_labels():
@@ -1376,18 +1502,18 @@ def test_sandwich_is_the_same_with_the_component_labels(monkeypatch):
 def test_lines_tube_events(feet, events):
     """(A, f, Q) for lines crossing the axis at right angles at the given
     feet, with the tube's end balls of radius 0.05 around i e^-2 and
-    i e^2: a line behind the start centre cuts off part of the start
-    net (Q fails), a line just past it separates the centres but not
-    the net points beyond it (A holds, f fails), and a line at the
-    middle separates everything."""
+    i e^2: a line behind the start centre, within s of it, cuts the
+    start ball (Q fails), a line just past it separates the centres but
+    not the whole balls (A holds, f fails), and a line at the middle
+    separates everything.  The end nets give the same events."""
     s = 0.05
-    hx, hy = (to_hyperboloid(net) for net in _end_nets(2.0, s, 0.999 * s / 4.0))
+    hx, hy = (to_hyperboloid(net) for net in end_nets(2.0, s, 0.999 * s / 4.0))
     feet = np.asarray(feet)
     # the line at right angles to the axis at foot c has its foot there:
     # distance |c| from (0, 1), disk direction 0 above (0, 1) and pi below
     lines = LineSample(1.0, 2.05, np.abs(feet), np.where(feet < 0.0, math.pi, 0.0))
-    assert lines_tube_events(lines, hx, hy) == events
-    assert tuple(ok.tolist() for ok in _lines_tube_events([lines], hx, hy)) == tuple(
+    assert lines_tube_events(lines, 2.0, s) == lines_net_events(lines, hx, hy) == events
+    assert tuple(ok.tolist() for ok in _lines_tube_events([lines], 2.0, s)) == tuple(
         [e] for e in events)
 
 
@@ -1645,24 +1771,39 @@ def test_detect_line_needs_a_positive_ball(s):
         detect_line_through_ball("lines", ModelParams(0.1), s, 4.0, 1, RngStream(1))
 
 
-@pytest.mark.parametrize("samples", [-1, 2.5, math.nan, math.inf, "3"])
+@pytest.mark.parametrize(
+    "samples, n_dir, match",
+    [pytest.param(samples, 16, "samples must be an integer", id=str(samples))
+     for samples in (-1, 2.5, math.nan, math.inf, "3")]
+    + [pytest.param(1, n_dir, "at least 8 directions, a whole number", id=f"directions={n_dir}")
+       for n_dir in (64.0, 8.5, math.nan)],
+)
 @pytest.mark.parametrize("model", ["vacant", "lines"])
-def test_rays_need_a_whole_sample_count(model, samples):
-    """A negative count read no sample and 2.5 raised TypeError; both are
-    refused before any draw, and 0 samples give none."""
+def test_rays_need_a_whole_sample_count(model, samples, n_dir, match):
+    """A negative count read no sample and 2.5 raised TypeError; 64.0
+    directions raised IndexError, 8.5 TypeError, and nan failed on the
+    length of a range.  All are refused before any draw, and 0 samples
+    give none."""
     params = ModelParams(0.1, None if model == "lines" else 1.0)
-    with pytest.raises(ValueError, match="samples must be an integer"):
-        surviving_directions(model, params, 4.0, 16, samples, RngStream(1))
-    with pytest.raises(ValueError, match="samples must be an integer"):
-        detect_line_through_ball(model, params, 0.1, 4.0, samples, RngStream(1))
+    with pytest.raises(ValueError, match=match):
+        surviving_directions(model, params, 4.0, n_dir, samples, RngStream(1))
+    with pytest.raises(ValueError, match=match):
+        detect_line_through_ball(model, params, 0.1, 4.0, samples, RngStream(1), n_dir)
     assert surviving_directions(model, params, 4.0, 16, np.int64(0), RngStream(1)) == []
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5, math.nan])
-def test_sandwich_needs_a_trial(trials):
-    """0 trials failed on the sandwich's own unpacking of no events."""
-    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
-        sandwich_AQ(X_TUBE, Y_TUBE, 0.05, "vacant", ModelParams(0.1, 1.0), trials, RngStream(1))
+@pytest.mark.parametrize(
+    "trials, y_end, match",
+    [pytest.param(trials, Y_TUBE, "trials must be an integer of at least 1", id=str(trials))
+     for trials in (0, -1, 2.5, math.nan)]
+    + [pytest.param(1, HPoint(0.0, math.inf), "need a finite d", id="y-at-infinity"),
+       pytest.param(1, HPoint(math.nan, 1.0), "need a finite d", id="y-nan")],
+)
+def test_sandwich_needs_a_trial(trials, y_end, match):
+    """0 trials failed on the sandwich's own unpacking of no events, and a
+    y at infinity on converting a NaN to an integer."""
+    with pytest.raises(ValueError, match=match):
+        sandwich_AQ(X_TUBE, y_end, 0.05, "vacant", ModelParams(0.1, 1.0), trials, RngStream(1))
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
@@ -1837,7 +1978,7 @@ def test_pruned_chord_check_matches_the_full_check(model, params):
         w = to_hyperboloid(sample.points)
         for k in gen.integers(len(pair_i), size=3):
             pq = _chord_ends(pair_i[k], pair_j[k], n_dir, r)
-            verdicts.append(_net_contained(pq[:1], pq[1:], w, R, model))
+            verdicts.append(net_contained(pq[:1], pq[1:], w, R, model))
             samples.append(sample)
             ends.append((pair_i[k], pair_j[k]))
     order = np.arange(len(samples))
@@ -1868,7 +2009,7 @@ def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
     [first] = _first_chords(model, [sample], np.zeros(1, int), np.asarray([[0, n_dir // 2]]),
                             n_dir, r, s)
     pq = _chord_ends(0, n_dir // 2, n_dir, r)
-    assert (first == 0) == _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
+    assert (first == 0) == net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
     [measured] = seen
     at, beyond = np.stack([t, psi], axis=1)
     assert np.any(np.all(measured == at, axis=1)) and not np.any(np.all(measured == beyond, axis=1))
@@ -1878,48 +2019,25 @@ def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
 @pytest.mark.parametrize("budget", [1, 10, None])
 def test_lines_sandwich_matches_the_per_trial_events(monkeypatch, budget):
     """The lines sandwich takes every line's sides once per group of
-    trials, f and Q by counting the lines that split, and A's row sets
-    only where f fails.  Over 200 seeds of 20 trials at the tube
-    workload's lambda = 0.1 (about 1.2 lines a trial; 30% of the trials
-    hold none), at a budget of 1 line (a trial a group), 10 and the
-    default, its (A, f, Q) are those of the trials decided one by one."""
+    trials and counts the lines that break each event.  Over 200 seeds of
+    20 trials at the tube workload's lambda = 0.1 (about 1.2 lines a
+    trial; 30% of the trials hold none), at a budget of 1 line (a trial a
+    group), 10 and the default, its (A, f, Q) are those of the trials
+    decided one by one, line by line."""
     if budget is not None:
         monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
     lam, s, trials = 0.1, 0.05, 20
-    hx, hy = (to_hyperboloid(net) for net in _end_nets(2.0, s, 0.999 * s / 4.0))
     empty, a_not_f = 0, 0
     for seed in range(200):
         res = sandwich_AQ(X_TUBE, Y_TUBE, s, "lines", ModelParams(lam), trials, RngStream(seed))
         gen = RngStream(seed).generator()
         samples = [sample_lines(lam, 2.0 + s, gen) for _ in range(trials)]
-        events = [lines_tube_events(sample, hx, hy) for sample in samples]
+        events = [lines_tube_events(sample, 2.0, s) for sample in samples]
         n_A, n_f, n_Q = (sum(col) for col in zip(*events))
         assert (res.p_A, res.f_hat, res.p_Q) == (n_A / trials, n_f / trials, n_Q / trials), seed
         empty += sum(len(sample) == 0 for sample in samples)
         a_not_f += n_A - n_f
     assert empty > 0 and a_not_f > 0
-
-
-@pytest.mark.parametrize(
-    "model, params, trials",
-    [("vacant", ModelParams(0.1, 1.0), 50), ("occupied", ModelParams(1.0, 1.0), 2)],
-)
-def test_sandwich_is_the_same_with_the_projection_kernel(monkeypatch, model, params, trials):
-    """The Boolean sandwich at the tube workload's parameters, over 30
-    seeds, gives the results it gives with segment_point_distance
-    replaced by the projection form; the Q net runs in some trials."""
-    got = [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
-           for seed in range(30)]
-    calls = []
-
-    def projection(*args):
-        calls.append(1)
-        return projection_segment_point_distance(*args)
-
-    monkeypatch.setattr(percolation, "segment_point_distance", projection)
-    assert got == [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
-                   for seed in range(30)]
-    assert calls
 
 
 def test_chord_distance_is_well_conditioned():

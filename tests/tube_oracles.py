@@ -10,8 +10,13 @@ its ends and the points made through the upper half-plane
 (``polar_around_origin``, then ``to_hyperboloid``) rather than by
 ``polar_hyperboloid``, the lines
 sandwich's events decided one trial at a time, the sandwich's grid with
-an arccosh per cell, its column cut as zero-length segments through
-``_reaches``, and its Q net measured in one pass."""
+each cell's nearest point to an end centre measured in the upper
+half-plane, its column cut as zero-length segments through
+``_reaches``, and finite nets of the tube's end balls: segments joining
+every point of one to every point of the other (Q), and for lines a
+point of each on the same side of every line (A and Q).  A net holds
+only some of the segments that the events quantify over, so Q on a
+net accepts every realization that Q* accepts, and more."""
 
 import math
 
@@ -19,6 +24,7 @@ import numpy as np
 
 from hyperc import percolation
 from hyperc.geometry import (
+    dist_arrays,
     frame_fermi,
     geodesic_normal,
     minkowski,
@@ -31,10 +37,11 @@ from hyperc.percolation import (
     LineDetection,
     _chord_distance,
     _grid_runs,
-    _net_contained,
     _reaches,
 )
 from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_points
+
+from axis_oracles import axis_point
 
 
 def projection_segment_point_distance(p, q, w):
@@ -171,17 +178,61 @@ def full_chord_detection(model: str, params: ModelParams, s: float, r: float, sa
                 side = sample.sides(pq)
                 inside = not np.any(side[0] * side[1] < 0.0)
             else:
-                inside = _net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points),
-                                        params.radius, model)
+                inside = net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points),
+                                       params.radius, model)
             if inside:
                 return LineDetection(True, (int(i), int(j)))
     return LineDetection(False, None)
 
 
-def lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
-    """(A, f, Q) of one line realization for the tube whose end nets
-    net_x and net_y (hyperboloid vectors) start with the end centres:
-    points are joined off the lines iff their rows of signs are equal."""
+def ball_net(radius: float, mesh: float):
+    """Polar coordinates (t, psi) around (0, 1) of a net of B(o, radius)
+    with spacing at most mesh: the centre and the rings at k mesh <
+    radius, each ring of at least four equally spaced points."""
+    radii = [k * mesh for k in range(1, int(radius / mesh) + 2) if k * mesh < radius]
+    sizes = [max(4, int(math.ceil(2.0 * math.pi * math.sinh(rad) / mesh))) for rad in radii]
+    t = np.concatenate([[0.0]] + [np.full(m, rad) for m, rad in zip(sizes, radii)])
+    psi = np.concatenate([[0.0]] + [2.0 * math.pi * np.arange(m) / m for m in sizes])
+    return t, psi
+
+
+def end_nets(half_d: float, s: float, mesh: float):
+    """The nets (``ball_net``) of the balls of radius s around i e^-half_d
+    and i e^half_d, complex UHP coordinates, centres first."""
+    net = polar_around_origin(*ball_net(s, mesh))
+    return math.exp(-half_d) * net, math.exp(half_d) * net
+
+
+def q_net(half_d: float, s: float, mesh: float | None = None):
+    """The Q net, as hyperboloid segments (seg_p, seg_q): every point of
+    the net of B(x, s) joined to every point of the net of B(y, s), at
+    mesh 0.999 s / 4 unless given, whose outer ring lies at 0.999 s."""
+    nets = end_nets(half_d, s, 0.999 * s / 4.0 if mesh is None else mesh)
+    hx, hy = (to_hyperboloid(net) for net in nets)
+    return np.repeat(hx, len(hy), axis=0), np.tile(hy, (len(hx), 1))
+
+
+def lines_tube_events(sample: LineSample, half_d: float, s: float):
+    """(A, f, Q) of one line realization for the tube between i e^-half_d
+    and i e^half_d, line by line from the sides at the end centres: f
+    fails on a line with them on different sides (0 counting as
+    negative), Q on a line within s of either centre or between them, A
+    on a line more than s from both and between them."""
+    sx, sy = sample.sides(to_hyperboloid(np.asarray([1j * math.exp(-half_d),
+                                                     1j * math.exp(half_d)])))
+    a_ok = f_ok = q_ok = True
+    for a, b in zip(sx.tolist(), sy.tolist()):
+        far = min(abs(a), abs(b)) > math.sinh(s)
+        f_ok &= (a > 0.0) == (b > 0.0)
+        q_ok &= a * b > 0.0 and min(abs(a), abs(b)) >= math.sinh(s)
+        a_ok &= not (a * b < 0.0 and far)
+    return a_ok, f_ok, q_ok
+
+
+def lines_net_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
+    """(A, f, Q) of one line realization on the end nets net_x and net_y
+    (hyperboloid vectors), which start with the end centres: points are
+    joined off the lines iff their rows of signs are equal."""
     pos_x, pos_y = sample.sides(net_x) > 0.0, sample.sides(net_y) > 0.0
     f_ok = bool(np.array_equal(pos_x[0], pos_y[0]))
     both = np.concatenate([pos_x, pos_y])
@@ -190,28 +241,38 @@ def lines_tube_events(sample: LineSample, net_x: np.ndarray, net_y: np.ndarray):
     return a_ok, f_ok, q_ok
 
 
-def tube_grid(half_d: float, s: float):
+def tube_grid(half_d: float, s: float, slack: float = 0.0):
     """The sandwich's flood-fill grid, (feet, offs, in_region, start_cells,
-    end_cells), with the distance of every cell to each end centre taken
-    by an arccosh."""
+    end_cells), with each cell's nearest point to each end centre found
+    by clamping the centre's foot and offset into the cell and measured
+    by ``dist_arrays`` in the upper half-plane, on the rows within 2s of
+    its foot: the cells within s + slack of an end centre, and for the
+    region also every cell that reaches the feet [-half_d, half_d]."""
     mesh = s / 8.0
     n_t = int(math.ceil((2.0 * half_d + 2.0 * s) / mesh)) + 1
     n_v = 2 * int(math.ceil(s / mesh)) + 1
     feet, offs = np.linspace(-half_d - s, half_d + s, n_t), np.linspace(-s, s, n_v)
-    tt = feet[:, None]
-    d_x = np.arccosh(np.maximum(np.cosh(tt + half_d) * np.cosh(offs), 1.0))
-    d_y = np.arccosh(np.maximum(np.cosh(tt - half_d) * np.cosh(offs), 1.0))
-    in_region = np.where(tt < -half_d, d_x <= s, np.where(tt > half_d, d_y <= s, True))
-    return feet, offs, in_region, in_region & (d_x < s), in_region & (d_y < s)
+    a, b = (feet[1] - feet[0]) / 2.0, (offs[1] - offs[0]) / 2.0
+    v_near = np.clip(0.0, offs - b, offs + b)
+    balls = []
+    for c in (-half_d, half_d):
+        # a row farther than 2s + a from the end's foot keeps s from it
+        rows = np.flatnonzero(np.abs(feet - c) <= 2.0 * s + a)
+        t_near = np.clip(c, feet[rows] - a, feet[rows] + a)[:, None]
+        balls.append(np.zeros((n_t, n_v), dtype=bool))
+        near = axis_point(t_near, v_near)
+        balls[-1][rows] = dist_arrays(near, 1j * math.exp(c)) <= s + slack
+    in_region = (np.abs(feet) - a <= half_d)[:, None] | balls[0] | balls[1]
+    return feet, offs, in_region, balls[0], balls[1]
 
 
-def reaches_cut_columns(model: str, trial, u, y, n: int, feet, R: float, s: float) -> np.ndarray:
+def reaches_cut_columns(model: str, trial, u, y, n: int, feet, R: float, w: float) -> np.ndarray:
     """The sandwich's column cut, each trial's column over feet[c] passed
     to ``_reaches`` as the zero-length segment trial * len(feet) + c with
-    balls of radius R - s (vacant) or R + s (occupied): a negative reach
-    puts the column's axis point strictly within R - s of a point, or at
-    least R + s from every point."""
-    grow = s if model == "vacant" else -s
+    balls of radius R - w (vacant) or R + w (occupied): a negative reach
+    puts the column's axis point strictly within R - w of a point, or at
+    least R + w from every point."""
+    grow = w if model == "vacant" else -w
     cols = len(feet)
     seg = (trial[:, None] * cols + np.arange(cols)).ravel()
     foot = (u[:, None] - feet).ravel()
