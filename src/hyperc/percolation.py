@@ -18,17 +18,16 @@ generator, keyed by the trial index; the trials run in blocks, each
 reduced at once, inline or on a process pool that ``estimate_f`` keeps
 for later calls, and a block whose points would exceed the sampling
 cap is drawn in chunks of trials below it.  Rays, chords and the tube
-sandwich draw exactly the ball that can reach them, and measure each
-ray, chord or grid cell only against the points that can reach it; the
-sandwich decides its flood-fill grid in its tube's axis coordinates;
-for lines, rays and detect-line draw only the lines that cross a grid
-ray (``_grid_lines``).  Rays, detect-line and the sandwich draw their
-samples from one generator and decide them per group (``_ball_groups``)
-of consecutive samples: at most GROUP_POINTS points or lines together
-for the sandwich, and for rays at most RAY_PAIRS points or lines times
-the directions (an eighth of them for detect-line).  A group of rays
-goes through one ``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass,
-sample i's direction k as segment i n + k.
+sandwich draw exactly the ball that can reach them (for lines rays only
+the lines that cross a grid ray, ``_grid_lines``), a block of samples a
+draw split into samples by their counts (``_sample_groups``), and
+decide the consecutive samples of a block in groups (n, owner, sample):
+one sample holding the points or lines of all n, owner each one's
+sample index.  They measure each ray, chord or grid cell only against
+the points that can reach it; the sandwich decides its flood-fill grid
+in its tube's axis coordinates.  A group of rays goes through one
+``_grid_runs``, ``frame_fermi`` and ``_reaches`` pass, sample i's
+direction k as segment i n + k.
 Detect-line keeps its candidate pairs per process and decides a group's
 rays lazily, in rounds over growing prefixes of the pairs, only the
 directions that a round's pairs name, only for the samples without a
@@ -90,6 +89,7 @@ from .sampling import (
     ModelParams,
     RngStream,
     ball_polar,
+    phi_ball,
     phi_segment,
     sample_crossings,
     sample_lines,
@@ -463,59 +463,66 @@ def _grid_runs(lo: np.ndarray, hi: np.ndarray, n: int):
     return owner, np.mod(k, n)
 
 
-# Rays, detect-line and the sandwich decide consecutive samples in one
-# pass, a group (``_ball_groups``).  Times below are medians of 15-40
-# interleaved calls, in process, on a 2-core host.
-#
-# The sandwich's groups hold at most GROUP_POINTS points or lines.  At
-# 1024, 4096, 16384 and 65536, 1000 vacant trials took 29.0, 28.2, 26.8
-# and 27.9 ms, 100 occupied ones 18.4, 16.7, 16.5 and 16.4 ms and 2000
-# lines ones 34.5, 33.8, 33.7 and 34.6 ms; the tube workload's fit one
-# group at 1024.  The column cut holds a (points, columns) array, 41 MB
-# for 8192 points on the workload's 624 columns, so the budget stays.
+# Rays, detect-line and the sandwich decide a block's samples in groups
+# (``_group_cuts``).  Medians of 15 interleaved calls, in process, 2-core
+# host: at GROUP_POINTS 1024, 4096, 16384 and 65536, 1000 vacant sandwich
+# trials took 16.2, 15.0, 14.2 and 13.2 ms, 100 occupied ones 13.4, 11.9,
+# 11.2 and 11.3 ms.  The tube workload's fit one group at 1024, and the
+# column cut's (points, columns) array takes 41 MB at 8192 points.
 GROUP_POINTS = 1024
-# A rays group's points or lines times its n directions, the (point,
-# direction) pairs that its kernel may measure, stay within RAY_PAIRS.
-# Full rays gain from groups until their arrays outgrow the cache: 48
-# vacant samples (126 points each) at 360 directions took 6.19, 3.04,
-# 3.17 and 3.60 ms at 1, 1024, 2912 and 8192 points a group, 16 occupied
-# samples (1261 points) at 64 directions 4.88, 3.60, 3.81 and 3.89 ms at
-# 1024, 4096, 16384 and 32768, and 8 occupied samples at 360 directions
-# 6.43, 6.66 and 8.02 ms one, two and four a group; so the best group
-# holds about 2^19 pairs: 8192 points at 64 directions, 1456 at 360 (an
-# occupied sample alone).  Detect-line measures few of its directions,
-# but builds the runs of all n, so its groups count n / 8: 16 occupied
-# samples at 360 directions took 19.6, 15.7, 13.2, 12.3 and 12.6 ms at
-# 1456, 2912, 5825, 11650 and 32768 points a group and at 1440
-# directions 19.1, 16.9, 15.4, 17.2 and 19.5 ms; 48 vacant samples took
-# 5.37, 4.13, 3.47, 3.07 and 3.12 ms at 360 directions and 8.9, 7.5, 8.1,
-# 8.6 and 8.1 ms at 1440.  At 32768 points a group regardless of n,
-# detect-line held 72 MB at its peak at 1440 directions (200 occupied
-# samples) against 42 MB at the parent's 1024 points, and holds 44 MB
-# at n / 8.
+# A rays group's points or lines times its n directions (n / 8 for
+# detect-line) stay within RAY_PAIRS.  At 2^17 to 2^21, 16 occupied
+# samples at 64 directions took 4.21, 3.00, 2.70, 2.61 and 2.48 ms, and
+# detect-line on 16 at 360 directions 8.88, 7.51, 6.97, 6.39 and 6.43 ms.
 RAY_PAIRS = 1 << 19
-
-
-def _ball_groups(draws, budget: int):
-    """The runs of consecutive samples of draws whose points or lines
-    together stay within budget, as lists; a sample at or above it
-    makes a run alone."""
-    group, size = [], 0
-    for sample in draws:
-        if group and size + len(sample) > budget:
-            yield group
-            group, size = [], 0
-        group.append(sample)
-        size += len(sample)
-    if group:
-        yield group
-
-
-# Envelope lines that ``_grid_lines`` draws at once, a block of samples.
+# Points or lines that a block of samples, drawn at once, expects together.
 LINE_BLOCK = 1 << 15
-# Longest lines rays: a line's blocked arc shrinks as e^-p, and at r = 30,
-# 33 and 36 (360 directions, 1.7e6 lines each) rounding (phi -+ beta) / h
-# left 5, 55 and 1144 drawn lines blocking no ray; none at r = 19 to 28.
+
+
+def _group_cuts(counts: np.ndarray, budget: int):
+    """(n, owner, elements) of each run of consecutive samples, of counts[i]
+    points or lines each, that stay within budget together, a sample at
+    or above it alone: n samples, each element's sample in the run, and
+    the slice of its elements."""
+    bounds, size = [0], 0
+    for i, count in enumerate(counts.tolist()):
+        if i > bounds[-1] and size + count > budget:
+            bounds.append(i)
+            size = 0
+        size += count
+    ends = np.concatenate([[0], np.cumsum(counts)])
+    for a, b in zip(bounds, bounds[1:] + [len(counts)]):
+        yield b - a, np.repeat(np.arange(b - a), counts[a:b]), slice(ends[a], ends[b])
+
+
+def _sample_groups(model: str, params: ModelParams, rho: float, samples: int,
+                   gen: np.random.Generator, budget: int):
+    """samples realizations of the points in B(o, rho), or of the lines
+    meeting it, as the groups (n, owner, sample) of ``_group_cuts``.  A
+    block of m, as many as expect at most LINE_BLOCK together, is one draw
+    at m times the intensity, cut into consecutive runs by a multinomial
+    draw of their counts.  Given their number the drawn elements are
+    i.i.d., so the runs are independent Poisson processes (Poisson
+    splitting).  A realization above MAX_TRIAL_POINTS is refused."""
+    lam = params.intensity
+    mean = lam * (phi_ball(rho) if model == "lines" else ball_area(rho))
+    block = max(1, int(LINE_BLOCK // max(mean, 1.0)))
+    for lo in range(0, samples, block):
+        m = min(block, samples - lo)
+        if model == "lines":
+            drawn = sample_lines(m * lam, rho, gen)
+            fields, make = (drawn.foot_dist, drawn.foot_dir), partial(LineSample, lam, rho)
+        else:
+            drawn = sample_points(ModelParams(m * lam, params.radius), rho, gen)
+            fields, make = (drawn.t, drawn.psi), partial(BooleanSample, params, rho)
+        counts = gen.multinomial(len(drawn), np.full(m, 1.0 / m))
+        for n, owner, elements in _group_cuts(counts, budget):
+            yield n, owner, make(*(field[elements] for field in fields))
+
+
+# Longest lines rays, the longest that the tests gate.  A narrow line marks
+# its ray directly: rounding (phi -+ beta) / h left 5, 55 and 1144 of 1.7e6
+# lines blocking no ray at r = 30, 33 and 36.
 LINES_MAX_R = 25.0
 
 
@@ -529,15 +536,19 @@ def _half_arc(p: np.ndarray, r: float) -> np.ndarray:
     return 2.0 * np.arcsin(q * np.sqrt(ratio / (1.0 + q * q)))
 
 
-def _grid_lines(lam: float, r: float, n_dir: int, samples: int, gen: np.random.Generator):
-    """samples realizations, as ``LineSample`` on B(o, r), of the lines
-    that cross a ray of length r on the grid of n_dir directions h apart:
-    foot (p, phi) with phi within ``_half_arc`` beta(p) of a grid angle.
-    Their intensity (lam / 2) n_dir min(h, 2 beta) cosh p dp is drawn by
-    thinning the envelope (lam / 2) n_dir min(h cosh p, pi), which
-    dominates because 2 beta cosh p <= pi; phi is uniform where 2 beta >=
-    h, else k h + beta (2 V - 1) with k uniform.  Each quantity is drawn
-    once per block of samples expecting at most LINE_BLOCK lines."""
+def _grid_lines(lam: float, r: float, n_dir: int, samples: int, gen: np.random.Generator,
+                budget: int):
+    """samples realizations, on B(o, r), of the lines that cross a ray of
+    length r on the grid of n_dir directions h apart: foot (p, phi) with
+    phi within ``_half_arc`` beta(p) of a grid angle.  Their intensity
+    (lam / 2) n_dir min(h, 2 beta) cosh p dp is drawn by thinning the
+    envelope (lam / 2) n_dir min(h cosh p, pi), which dominates because
+    2 beta cosh p <= pi; phi is uniform where 2 beta >= h, else k h +
+    beta (2 V - 1) with k uniform.  Each quantity is drawn once per block
+    of samples expecting at most LINE_BLOCK lines, and the groups of
+    ``_group_cuts`` within budget come as (n, owner, sample, ray): ray is
+    each narrow line's k, the one grid ray it crosses, and -1 for the
+    others."""
     h = 2.0 * math.pi / n_dir
     knee = min(math.acosh(n_dir / 2.0), r)  # where h cosh p reaches pi
     head, flat = math.sinh(knee), n_dir / 2.0 * (r - knee)
@@ -552,41 +563,37 @@ def _grid_lines(lam: float, r: float, n_dir: int, samples: int, gen: np.random.G
         keep = gen.random(len(p)) * envelope < np.minimum(h, 2.0 * beta) * cosh_p
         p, beta = p[keep], beta[keep]
         k, v = gen.integers(n_dir, size=len(p)), gen.random(len(p))
-        phi = np.where(2.0 * beta >= h, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
+        wide = 2.0 * beta >= h
+        phi = np.where(wide, 2.0 * math.pi * v, k * h + beta * (2.0 * v - 1.0))
+        ray = np.where(wide, -1, k)
         owner = np.repeat(np.arange(len(counts)), counts)[keep]
-        ends = np.searchsorted(owner, np.arange(len(counts) + 1))
-        yield from (LineSample(lam, r, p[a:b], phi[a:b]) for a, b in zip(ends[:-1], ends[1:]))
+        for n, group, lines in _group_cuts(np.bincount(owner, minlength=len(counts)), budget):
+            yield n, group, LineSample(lam, r, p[lines], phi[lines]), ray[lines]
 
 
-def _joined(samples, *fields):
-    """Each element's sample index, then the samples' arrays of each field
-    joined end to end."""
-    owner = np.repeat(np.arange(len(samples)), [len(sample) for sample in samples])
-    return owner, *(np.concatenate([getattr(sample, f) for sample in samples]) for f in fields)
-
-
-def _dead_at_origin(model: str, samples: list[BooleanSample | LineSample]) -> np.ndarray:
-    """Per sample, whether (0, 1) itself lies outside the set, so that no
-    ray from it survives: a point strictly within R - 1e-9 of it (vacant),
-    or none within R + 1e-9 (occupied).  The margins keep rounding ties
-    with the ray kernel's own verdict out.  No line passes through (0, 1)."""
+def _dead_at_origin(model: str, n: int, owner: np.ndarray, sample) -> np.ndarray:
+    """Per sample of the group (n, owner, sample), whether (0, 1) itself
+    lies outside the set, so that no ray from it survives: a point
+    strictly within R - 1e-9 of it (vacant), or none within R + 1e-9
+    (occupied).  The margins keep rounding ties with the ray kernel's own
+    verdict out.  No line passes through (0, 1)."""
     if model == "lines":
-        return np.zeros(len(samples), dtype=bool)
-    R = samples[0].params.radius
-    which, t = _joined(samples, "t")
+        return np.zeros(n, dtype=bool)
+    R = sample.params.radius
     if model == "vacant":
-        return np.bincount(which[t < R - 1e-9], minlength=len(samples)) > 0
-    return np.bincount(which[t <= R + 1e-9], minlength=len(samples)) == 0
+        return np.bincount(owner[sample.t < R - 1e-9], minlength=n) > 0
+    return np.bincount(owner[sample.t <= R + 1e-9], minlength=n) == 0
 
 
-def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, model: str):
-    """The rays of length r from (0, 1) on the grid, per sample, as a
-    function survive(want): given a mask (len(samples), n_dir) of the rays
-    to decide, default all, it returns the mask of those among them that
-    lie in the set; sample i's direction k is the kernel's segment
-    i n_dir + k.  Each point's run of directions is built once, and each
-    call measures only the runs of wanted rays, so detect-line can decide
-    its rays a few directions at a time.
+def _boolean_ray_survivors(n: int, owner: np.ndarray, sample: BooleanSample, r: float,
+                           n_dir: int, model: str):
+    """The rays of length r from (0, 1) on the grid, per sample of the
+    group (n, owner, sample), as a function survive(want): given a mask
+    (n, n_dir) of the rays to decide, default all, it returns the mask of
+    those among them that lie in the set; sample i's direction k is the
+    kernel's segment i n_dir + k.  Each point's run of directions is built
+    once, and each call measures only the runs of wanted rays, so
+    detect-line can decide its rays a few directions at a time.
 
     A point at polar (t, psi) with t > R keeps more than R from (0, 1),
     so it can come within R only of the rays that run toward it, in the
@@ -597,12 +604,11 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     at which that rounded test holds, so ties at distance R are decided
     as by measuring every pair.
     """
-    R = samples[0].params.radius
-    for sample in samples:
-        sample.require_window(r + R, "ray survival")
+    R = sample.params.radius
+    sample.require_window(r + R, "ray survival")
     h = 2.0 * math.pi / n_dir
     thetas = 2.0 * math.pi * np.arange(n_dir) / n_dir
-    which, t, psi = _joined(samples, "t", "psi")
+    t, psi = sample.t, sample.psi
     reach = math.sinh(R + 1e-9)
     beta = np.arcsin(np.minimum(reach * (1.0 + 1e-12) / np.maximum(np.sinh(t), reach), 1.0)) + 1e-12
     # each point's run [lo, hi] of direction indices
@@ -610,7 +616,7 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
     hi = np.floor((psi + beta) / h).astype(np.int64)
     lo[t <= R + 1e-9], hi[t <= R + 1e-9] = 0, n_dir - 1
     j, k = _grid_runs(lo, hi, n_dir)
-    seg = which[j] * n_dir + k
+    seg = owner[j] * n_dir + k
 
     def survive(want=None):
         run = slice(None) if want is None else want.ravel()[seg]
@@ -618,34 +624,36 @@ def _boolean_ray_survivors(samples: list[BooleanSample], r: float, n_dir: int, m
         along, normal = polar_frame(t[jr], psi[jr] - thetas[kr])
         near = np.abs(normal) < reach
         foot, offset = frame_fermi(along[near], normal[near])
-        ok = _reaches(model, seg[run][near], foot, offset, R, len(samples) * n_dir) >= r
+        ok = _reaches(model, seg[run][near], foot, offset, R, n * n_dir) >= r
         return ok.reshape(-1, n_dir) if want is None else ok.reshape(want.shape) & want
 
     return survive
 
 
-def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int):
-    """The rays of length r from (0, 1) on the grid, per sample, as the
-    function survive(want) of ``_boolean_ray_survivors``: the radial
-    segments that miss every line of the sample.
+def _line_ray_survivors(n: int, owner: np.ndarray, sample: LineSample, ray: np.ndarray,
+                        r: float, n_dir: int):
+    """The rays of length r from (0, 1) on the grid, per sample of the
+    group (n, owner, sample), as the function survive(want) of
+    ``_boolean_ray_survivors``: the radial segments that miss every line.
 
     The line at foot (p, phi) blocks the arc of directions theta with
     cos(theta - phi) > tanh p / tanh r, that is the grid directions k
-    with |k h - phi| <= beta, ``_half_arc`` beta(p).
+    with |k h - phi| <= beta, ``_half_arc`` beta(p).  A line with ray >= 0
+    lies within beta < h / 2 of grid angle ray h (``_grid_lines``), so it
+    blocks that ray alone, marked with no rounding.
     """
-    for sample in samples:
-        sample.require_window(r, "ray survival")
+    sample.require_window(r, "ray survival")
     h = 2.0 * math.pi / n_dir
-    which, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
-    mask = foot_dist < r
-    beta = _half_arc(foot_dist[mask], r)
-    lo = np.ceil((foot_dir[mask] - beta) / h).astype(np.int64)
-    hi = np.floor((foot_dir[mask] + beta) / h).astype(np.int64)
-    owner, k = _grid_runs(lo, hi, n_dir)
-    blocked = which[mask][owner] * n_dir + k
+    narrow = ray >= 0
+    arc = (sample.foot_dist < r) & ~narrow
+    beta = _half_arc(sample.foot_dist[arc], r)
+    lo = np.ceil((sample.foot_dir[arc] - beta) / h).astype(np.int64)
+    hi = np.floor((sample.foot_dir[arc] + beta) / h).astype(np.int64)
+    line, k = _grid_runs(lo, hi, n_dir)
+    blocked = np.concatenate([owner[arc][line] * n_dir + k, owner[narrow] * n_dir + ray[narrow]])
 
     def survive(want=None):
-        alive = np.ones(len(samples) * n_dir, dtype=bool) if want is None else want.ravel().copy()
+        alive = np.ones(n * n_dir, dtype=bool) if want is None else want.ravel().copy()
         alive[blocked] = False
         return alive.reshape(-1, n_dir)
 
@@ -654,13 +662,12 @@ def _line_ray_survivors(samples: list[LineSample], r: float, n_dir: int):
 
 def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: int,
                 rng: RngStream, dirs: int):
-    """The groups of ``_ball_groups`` of samples realizations of what can
-    reach the rays of length r from (0, 1) on the grid, as an iterator,
-    each with its ray kernel survive(want) (``_boolean_ray_survivors``,
-    ``_line_ray_survivors``); a group's points or lines times dirs stay
+    """The groups (n, owner, sample) of samples realizations of what can
+    reach the rays of length r from (0, 1) on the grid, drawn from
+    rng.generator() (``_sample_groups``, ``_grid_lines``), each with its
+    ray kernel survive(want); a group's points or lines times dirs stay
     within RAY_PAIRS.  The count, the model, the ray length (for lines at
-    most LINES_MAX_R) and the grid are checked at the call, before any
-    draw."""
+    most LINES_MAX_R) and the grid are checked before any draw."""
     if not isinstance(samples, Integral) or samples < 0:
         raise ValueError("samples must be an integer of at least 0")
     if not 0.0 < r < math.inf:
@@ -675,11 +682,10 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: 
     gen = rng.generator()
     budget = max(1, RAY_PAIRS // dirs)
     if model == "lines":
-        groups = _ball_groups(_grid_lines(params.intensity, r, n_dir, samples, gen), budget)
-        return ((group, _line_ray_survivors(group, r, n_dir)) for group in groups)
-    groups = _ball_groups((sample_points(params, r + params.radius, gen) for _ in range(samples)),
-                          budget)
-    return ((group, _boolean_ray_survivors(group, r, n_dir, model)) for group in groups)
+        groups = _grid_lines(params.intensity, r, n_dir, samples, gen, budget)
+        return ((group[:3], _line_ray_survivors(*group, r, n_dir)) for group in groups)
+    groups = _sample_groups(model, params, r + params.radius, samples, gen, budget)
+    return ((group, _boolean_ray_survivors(*group, r, n_dir, model)) for group in groups)
 
 
 def surviving_directions(
@@ -691,8 +697,8 @@ def surviving_directions(
     rng: RngStream,
 ) -> list[RaySurvival]:
     """Ray survival on a uniform direction grid: samples realizations,
-    drawn from ``rng.generator()`` and decided per group of consecutive
-    ones (``_ray_groups``)."""
+    drawn a block at a time from ``rng.generator()`` and decided per
+    group of consecutive ones (``_ray_groups``)."""
     groups = _ray_groups(model, params, r, n_directions, samples, rng, n_directions)
     return [RaySurvival(np.flatnonzero(mask).tolist()) for _, survive in groups
             for mask in survive()]
@@ -749,12 +755,13 @@ def _chords_contained(model: str, R: float, r: float, ends: np.ndarray, chord: n
     return _reaches(model, chord, foot + half[chord], offset, R, len(ends)) >= 2.0 * half
 
 
-def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, ends: np.ndarray,
-                  n_dir: int, r: float, s: float) -> np.ndarray:
-    """Index of each sample's first contained candidate chord, or -1.
-    Candidate c is the chord of sample[c] between the grid directions
-    ends[c] (shape (candidates, 2)), sample by sample in the order they
-    are tried; each passes within h < s of (0, 1).
+def _first_chords(model: str, todo: np.ndarray, owner: np.ndarray, sample: BooleanSample,
+                  row: np.ndarray, ends: np.ndarray, n_dir: int, r: float, s: float) -> np.ndarray:
+    """Index of the first contained candidate chord of each sample of the
+    group (owner, sample) where the mask todo holds, or -1.  Candidate c
+    is the chord of the row[c]-th of those samples between the grid
+    directions ends[c] (shape (candidates, 2)), sample by sample in the
+    order they are tried; each passes within h < s of (0, 1).
 
     The chords are decided in rounds, each of which takes the next
     candidate of every sample not yet decided, all of them in one
@@ -767,12 +774,12 @@ def _first_chords(model: str, samples: list[BooleanSample], sample: np.ndarray, 
     one ray, sinh t |sin(psi - theta)| < sinh(R + s + 1e-9) (a margin
     for rounding).
     """
-    R = samples[0].params.radius
-    which, t, psi = _joined(samples, "t", "psi")
+    R = sample.params.radius
+    which, t, psi, n = _trials_of(todo, owner, sample.t, sample.psi)
     # each sample's points, and the bounds of its candidates
-    points = np.searchsorted(which, np.arange(len(samples) + 1))
-    starts = np.searchsorted(sample, np.arange(len(samples) + 1))
-    first = np.full(len(samples), -1)
+    points = np.searchsorted(which, np.arange(n + 1))
+    starts = np.searchsorted(row, np.arange(n + 1))
+    first = np.full(n, -1)
     todo = np.flatnonzero(starts[1:] > starts[:-1])
     cand = starts[todo]
     while len(todo):
@@ -834,10 +841,9 @@ def detect_line_through_ball(
     (0, 1)) and of 21%, 38% and 10% of 300 vacant ones (lambda 0.1, R 1;
     82 dead).  Over 20 passes of the tube workload's detect-line runs
     (68 samples a pass; one seed, under cProfile on a 2-core host) the
-    ray kernels took about a third of the time (building the groups'
-    runs 16%, the rounds' masked passes 19%), the chords a third, the
-    draws 16%, and the candidates, the dead test and the rounds'
-    bookkeeping the rest."""
+    ray kernels took 38% of the time (building the groups' runs 16%, the
+    rounds' masked passes 22%), the chords 32%, the block draws 12%, and
+    the candidates, the dead test and the rounds' bookkeeping the rest."""
     if not 0.0 < s < math.inf:
         raise ValueError("the chord certificate's ball radius s must be positive and finite")
     # the chords between the rays' ends lie in B(o, r) as well
@@ -852,10 +858,10 @@ def detect_line_through_ball(
         rounds.append((pair_i[lo:hi], pair_j[lo:hi], lo, fresh & ~seen))
         seen |= fresh
     found = []
-    for group, survive in groups:
-        witness = np.full(len(group), -1)
-        todo = np.flatnonzero(~_dead_at_origin(model, group))
-        alive = np.zeros((len(group), n_directions), dtype=bool)
+    for (n, owner, sample), survive in groups:
+        witness = np.full(n, -1)
+        todo = np.flatnonzero(~_dead_at_origin(model, n, owner, sample))
+        alive = np.zeros((n, n_directions), dtype=bool)
         for round_i, round_j, lo, fresh in rounds:
             if not len(todo):
                 break
@@ -871,8 +877,8 @@ def detect_line_through_ball(
                 head = np.flatnonzero(np.diff(row, prepend=-1))
                 first[row[head]] = head
             else:
-                first = _first_chords(model, [group[i] for i in todo], row, ends,
-                                      n_directions, r, s)
+                first = _first_chords(model, np.bincount(todo, minlength=n) > 0, owner, sample,
+                                      row, ends, n_directions, r, s)
             hit = first >= 0
             witness[todo[hit]] = lo + pair[first[hit]]
             todo = todo[~hit]
@@ -923,11 +929,11 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
 # ---------------------------------------------------------------------------
 # the tube sandwich P(Q) <= f <= P(A)
 
-def _lines_tube_events(samples: list[LineSample], half_d: float, s: float):
-    """(A, f, Q), one bool array each, of the line realizations samples
-    for the tube between the end centres x and y = gamma(-+half_d), from
-    each line's sides sx and sy at them (``LineSample.sides``, the sinh
-    of the signed distance), taken once.  Two points of the convex tube
+def _lines_tube_events(n: int, owner: np.ndarray, sample: LineSample, half_d: float, s: float):
+    """(A, f, Q), one bool array each, of the n line realizations of the
+    group (n, owner, sample) for the tube between the end centres x and
+    y = gamma(-+half_d), from each line's sides sx and sy at them
+    (``LineSample.sides``, the sinh of the signed distance), taken once.  Two points of the convex tube
     are joined off the lines iff no line strictly separates them, as in
     ``segment_in``.  f fails on a line with x and y on different sides, a
     side of 0 counting as negative.  Q, which is Q*, fails on a line with
@@ -935,14 +941,12 @@ def _lines_tube_events(samples: list[LineSample], half_d: float, s: float):
     centres or one closed end ball.  A fails on a line with sx sy < 0 and
     min(|sx|, |sy|) > sinh s: it strictly separates the closed end balls,
     so that every path between them crosses it; A* and f imply A."""
-    trial, foot_dist, foot_dir = _joined(samples, "foot_dist", "foot_dir")
-    lines = LineSample(samples[0].intensity, samples[0].window_radius, foot_dist, foot_dir)
     sh, ch = math.sinh(half_d), math.cosh(half_d)
-    sx, sy = lines.sides(np.asarray([[0.0, -sh, ch], [0.0, sh, ch]]))
+    sx, sy = sample.sides(np.asarray([[0.0, -sh, ch], [0.0, sh, ch]]))
     near, limit = np.minimum(np.abs(sx), np.abs(sy)), math.sinh(s)
     splits = ((sx * sy < 0.0) & (near > limit), (sx > 0.0) != (sy > 0.0),
               ~((sx * sy > 0.0) & (near >= limit)))
-    return tuple(np.bincount(trial[split], minlength=len(samples)) == 0 for split in splits)
+    return tuple(np.bincount(owner[split], minlength=n) == 0 for split in splits)
 
 
 def _within_segment(u: np.ndarray, y: np.ndarray, half_length: float, reach: float) -> np.ndarray:
@@ -1158,8 +1162,9 @@ def sandwich_AQ(
     the set within the tube, the closed s-neighbourhood of [x, y], joins
     the two balls.  Q certifies Q* and A* implies A, so Q <= Q* <= f <=
     A* <= A in every realization.  Only d(x, y) enters; trials run in
-    canonical position, the tube centred on (0, 1), and are drawn and
-    decided per group of ``_ball_groups``, alike at any group size.
+    canonical position, the tube centred on (0, 1), and are drawn a block
+    at a time and decided per group of at most GROUP_POINTS points or
+    lines (``_sample_groups``), alike at any group size.
     Lines: closed forms on the end centres (``_lines_tube_events``).
 
     Boolean Q.  Each segment from B(x, s) to B(y, s) lies within s of
@@ -1203,18 +1208,15 @@ def sandwich_AQ(
     if not 0.0 < s <= 0.05:
         raise ValueError("tube radius s must lie in (0, 0.05]")
     half_d = d / 2.0
-    # the tube lies in B(o, d/2 + s): only the lines meeting that ball and
-    # the points within R of it can reach it
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
-    gen = rng.generator()
-    groups = _ball_groups((sample_lines(params.intensity, half_d + s, gen) if model == "lines"
-                           else sample_points(params, half_d + s + params.radius, gen)
-                           for _ in range(trials)), GROUP_POINTS)
+    # only the lines meeting B(o, d/2 + s), which holds the tube, or points within R of it reach it
+    rho = half_d + s if model == "lines" else half_d + s + params.radius
+    groups = _sample_groups(model, params, rho, trials, rng.generator(), GROUP_POINTS)
     events = []
     if model == "lines":
         for group in groups:
-            events += zip(*(ok.tolist() for ok in _lines_tube_events(group, half_d, s)))
+            events += zip(*(ok.tolist() for ok in _lines_tube_events(*group, half_d, s)))
     else:
         R = params.radius
         feet, offs, in_region, start_cells, end_cells = _tube_grid(half_d, s)
@@ -1223,11 +1225,9 @@ def sandwich_AQ(
         # the columns from the last start cell to the first end cell, which every path crosses
         first = np.flatnonzero(start_cells.any(axis=1))[-1]
         mid_feet = feet[first:np.flatnonzero(end_cells.any(axis=1))[0] + 1]
-        for group in groups:
-            n = len(group)
-            trial, t, psi = _joined(group, "t", "psi")
+        for n, trial, sample in groups:
             # Fermi coordinates along the axis from the tube's centre, as the grid's
-            u, y = frame_fermi(*polar_frame(t, psi))
+            u, y = frame_fermi(*polar_frame(sample.t, sample.psi))
             f_ok = _reaches(model, trial, u + half_d, y, R, n) >= d
             near = _within_segment(u, y, half_d, R + s)
             trial, u, y = trial[near], u[near], y[near]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .geometry import to_disk
 from .sampling import BooleanSample, LineSample
 from .treecover import EmbeddedTree
@@ -116,10 +118,11 @@ def _ball_element(w: complex, R: float, stroke="firebrick", fill="none") -> str:
 
 
 def render_boolean(sample: BooleanSample) -> str:
-    """Points of the process with their R-balls."""
+    """Points of the process with their R-balls, each at tanh(t / 2)
+    e^{i psi} in the disk centred on (0, 1), from its polar (t, psi)."""
     lines = []
     R = sample.params.radius
-    disk = to_disk(sample.points)
+    disk = np.tanh(sample.t / 2.0) * np.exp(1j * sample.psi)
     for w in disk:
         lines.append(_ball_element(w, R, fill="#fde0e0"))
     for w in disk:

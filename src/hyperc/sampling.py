@@ -4,18 +4,24 @@ Every window is a ball around (0, 1): point clouds are drawn on it with
 the isometry-invariant area measure and kept in polar coordinates
 (t, psi) around (0, 1), and lines are drawn from the invariant
 Grassmannian measure restricted to the lines meeting it.  A point
-cloud's upper half-plane coordinates are made on first read.  The
-R-neighbourhood of a segment of the imaginary axis is drawn as well,
-its end caps as one polar ball per trial, read in the polar frame
-once for a whole chunk of trials; for lines only the feet where they
-cross an axis segment are drawn.  All randomness flows through
+cloud's upper half-plane coordinates are made on first read.  One draw
+at k times the intensity serves k independent realizations: given their
+number its points or lines are i.i.d., so a multinomial draw of the
+realizations' counts cuts it into k Poisson processes (rays,
+detect-line and the tube sandwich draw their samples so, a block at a
+time).  The R-neighbourhood of a segment of the imaginary axis is drawn
+as well, its end caps as one polar ball per trial, read in the polar
+frame once for a whole chunk of trials; for lines only the feet where
+they cross an axis segment are drawn.  All randomness flows through
 ``RngStream``: trial t of stream s under master seed m draws from PCG64
 seeded by numpy's ``SeedSequence(m, spawn_key=(s, t))``, so a trial's
-draws are a pure function of (m, s, t).  A stream mixes its pool once, hashes the seeds
-of t's group of 256 consecutive keys in one numpy pass and keeps the
-last group's; the seeds equal numpy's ``SeedSequence`` bit for bit.
-Every sampler refuses, with ``ValueError``, a trial whose expected
-number of points or lines exceeds ``MAX_TRIAL_POINTS``.
+draws are a pure function of (m, s, t), and a run of blocks draws from
+the stream's own generator, ``generator()``.  A stream mixes its pool
+once, hashes the seeds of t's group of 256 consecutive keys in one numpy
+pass and keeps the last group's; the seeds equal numpy's
+``SeedSequence`` bit for bit.  Every sampler refuses, with
+``ValueError``, a trial whose expected number of points or lines
+exceeds ``MAX_TRIAL_POINTS``.
 """
 
 from __future__ import annotations

@@ -54,6 +54,10 @@ ALLOWED_UNREFERENCED = {
     # which the tests and perfbench/layers.py reach by name; the package
     # reads its polar points in the frame of ``frame_fermi`` instead
     "axis_coordinates",
+    # BooleanSample.points, the upper half-plane coordinates of a sample's
+    # points, which only perfbench/layers.py and the tests read; the
+    # package reads the polar (t, psi) they are made from
+    "points",
 }
 
 

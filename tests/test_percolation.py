@@ -81,12 +81,14 @@ from hyperc.sampling import (
 from axis_oracles import axis_point, distance_to_axis_segment, polar_of, to_axis
 from tube_oracles import (
     antipodal_pairs,
+    block_samples,
     end_nets,
     full_chord_detection,
     lines_net_events,
     lines_tube_events,
     net_contained,
     q_net,
+    group_of,
     ray_samples,
     reaches_cut_columns,
     sample_rays,
@@ -591,7 +593,7 @@ def test_ray_survival_matches_the_segment_predicates(model, params):
     seen = set()
     for seed in range(6):
         sample = sample_points(params, r + params.radius, np.random.default_rng(seed))
-        alive = _boolean_ray_survivors([sample], r, n_dir, model)()[0]
+        alive = _boolean_ray_survivors(*group_of([sample]), r, n_dir, model)()[0]
         for k in range(n_dir):
             end = HPoint(ends[k].real, ends[k].imag)
             assert alive[k] == segment_in(model, ORIGIN, end, sample), (seed, k)
@@ -628,7 +630,7 @@ def test_far_rays_match_the_segment_predicate(r):
         drawn = sample_points(ModelParams(lam, 1.0), r + 1.0, RngStream(int(r)).generator())
         samples.append(BooleanSample(params, window, drawn.t, drawn.psi))
     for i, sample in enumerate(samples):
-        alive = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
+        alive = _boolean_ray_survivors(*group_of([sample]), r, n_dir, "vacant")()[0]
         for k in range(n_dir):
             end = _ray_end(r, 2.0 * math.pi * k / n_dir)
             assert alive[k] == segment_in("vacant", ORIGIN, end, sample), (i, k)
@@ -653,7 +655,7 @@ def test_ray_arcs_match_all_pairs(model, params, n_dir):
     r = 5.0
     for seed in range(8):
         sample = sample_points(params, r + params.radius, RngStream(seed).generator())
-        got = _boolean_ray_survivors([sample], r, n_dir, model)()[0]
+        got = _boolean_ray_survivors(*group_of([sample]), r, n_dir, model)()[0]
         assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, model)), seed
 
 
@@ -677,7 +679,7 @@ def test_ray_arcs_of_single_points(n_dir):
     blocked = set()
     for t, psi in places:
         sample = BooleanSample(params, r + params.radius, np.asarray([t]), np.asarray([psi]))
-        got = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
+        got = _boolean_ray_survivors(*group_of([sample]), r, n_dir, "vacant")()[0]
         ref = _all_pairs_ray_survivors(sample, r, n_dir, "vacant")
         assert np.array_equal(got, ref), (t, psi)
         blocked.add(int(n_dir - got.sum()))
@@ -694,7 +696,7 @@ def test_ray_filter_keeps_a_rounding_tie():
     R, r, n_dir = 0.49, 3.0, 8
     assert np.arcsinh(np.sinh(R)) < R
     sample = BooleanSample(ModelParams(1.0, R), r + R, np.asarray([R]), np.asarray([math.pi / 2]))
-    got = _boolean_ray_survivors([sample], r, n_dir, "vacant")()[0]
+    got = _boolean_ray_survivors(*group_of([sample]), r, n_dir, "vacant")()[0]
     assert np.array_equal(got, _all_pairs_ray_survivors(sample, r, n_dir, "vacant"))
     assert not got[0]
 
@@ -711,7 +713,7 @@ def test_line_ray_arcs_match_the_segment_predicate(n_dir, foot_dist, steps):
     sample = LineSample(
         0.1, r, np.append(drawn.foot_dist, foot_dist), np.append(drawn.foot_dir, foot_dir)
     )
-    alive = _line_ray_survivors([sample], r, n_dir)()[0]
+    alive = _line_ray_survivors(*group_of([sample]), np.full(len(sample), -1), r, n_dir)()[0]
     ends = polar_around_origin(np.full(n_dir, r), h * np.arange(n_dir))
     for k in range(n_dir):
         end = HPoint(ends[k].real, ends[k].imag)
@@ -1109,17 +1111,17 @@ def test_margins_leave_the_sandwich_unchanged(monkeypatch, d, s):
 
 
 # (p_A, f, p_Q) of the tube workload's sandwich (d 4, s 0.05) at seeds
-# 0-4, with Q certified and A one-sided
+# 0-4, with Q certified and A one-sided, the trials drawn a block at a time
 SANDWICH_STREAM = [
     ("vacant", ModelParams(0.1, 1.0), 100,
-     [(0.28, 0.26, 0.24), (0.39, 0.34, 0.32), (0.38, 0.37, 0.36), (0.31, 0.29, 0.28),
-      (0.37, 0.31, 0.31)]),
+     [(0.29, 0.27, 0.27), (0.29, 0.27, 0.27), (0.31, 0.29, 0.25), (0.36, 0.36, 0.34),
+      (0.3, 0.28, 0.27)]),
     ("occupied", ModelParams(1.0, 1.0), 20,
-     [(0.7, 0.7, 0.7), (0.55, 0.55, 0.55), (0.7, 0.65, 0.65), (0.6, 0.55, 0.5),
-      (0.75, 0.6, 0.6)]),
+     [(0.75, 0.65, 0.65), (0.9, 0.8, 0.75), (0.75, 0.65, 0.65), (0.65, 0.65, 0.65),
+      (0.7, 0.65, 0.6)]),
     ("lines", ModelParams(0.1), 100,
-     [(0.7, 0.69, 0.68), (0.67, 0.66, 0.63), (0.7, 0.69, 0.68), (0.72, 0.7, 0.68),
-      (0.64, 0.63, 0.63)]),
+     [(0.67, 0.67, 0.65), (0.71, 0.7, 0.68), (0.62, 0.62, 0.61), (0.68, 0.67, 0.66),
+      (0.67, 0.67, 0.65)]),
 ]
 
 
@@ -1147,23 +1149,103 @@ def test_sandwich_is_the_same_at_any_block_size(monkeypatch, budget):
     groups (about 170 vacant trials of 6 points, or 17 occupied trials of
     60 points) and a part one."""
     cases = [("vacant", ModelParams(0.1, 1.0), 400), ("occupied", ModelParams(1.0, 1.0), 70)]
-    joined, sizes = percolation._joined, []
+    cuts, sizes = percolation._group_cuts, []
 
-    def spy(group, *fields):
-        sizes.append((len(group), sum(map(len, group))))
-        return joined(group, *fields)
+    def spy(counts, budget):
+        for n, owner, elements in cuts(counts, budget):
+            sizes.append((n, len(owner)))
+            yield n, owner, elements
 
     def run():
         sizes.clear()
         return [sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(seed))
                 for model, params, trials in cases for seed in range(2)]
 
-    monkeypatch.setattr(percolation, "_joined", spy)
+    monkeypatch.setattr(percolation, "_group_cuts", spy)
     default = run()
     assert max(sizes)[0] > 100 and len(sizes) >= 12
     monkeypatch.setattr(percolation, "GROUP_POINTS", budget)
     assert run() == default
     assert all(points <= budget or trials == 1 for trials, points in sizes)
+
+
+@pytest.mark.parametrize(
+    "model, params, exact",
+    [("vacant", ModelParams(0.1, 1.0), f_vacant(4.0, ModelParams(0.1, 1.0))),
+     ("lines", ModelParams(0.1), f_grassmann(4.0, 0.1))],
+    ids=["vacant", "lines"],
+)
+def test_sandwich_f_matches_the_exact_f(model, params, exact):
+    """The sandwich's f-hat over 4000 trials, drawn a block at a time,
+    counts the trials whose segment of length d = 4 lies in the set, so
+    it is gated by the exact two-sided binomial tail against f(4) (0.278
+    vacant, 0.670 lines).  A block drawn at lambda instead of m lambda,
+    or every point of a block given to one trial, reads f-hat near 1."""
+    trials = 4000
+    res = sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, params, trials, RngStream(70))
+    k = round(res.f_hat * trials)
+    assert _binomial_tail(k, trials, exact) >= TAIL, (res.f_hat, exact)
+    assert res.p_Q <= res.f_hat <= res.p_A
+
+
+def _split_counts(model, params, rho, samples, seed) -> list:
+    """Each block's per-sample counts, as ``_sample_groups`` splits its draw,
+    with every block one group."""
+    blocks = []
+    for n, owner, _ in percolation._sample_groups(model, params, rho, samples,
+                                                   RngStream(seed).generator(), 1 << 40):
+        blocks.append(np.bincount(owner, minlength=n))
+    return blocks
+
+
+# (model, params, rho, LINE_BLOCK or None, samples): the sandwich's balls
+# (6.0 and 60.2 points, 1.20 lines a sample) and a rays ball (1261
+# points), in default blocks (5443, 544, 25 and 27,307 samples), and in
+# blocks of 4 and 2 samples
+SPLIT_CASES = [
+    ("vacant", ModelParams(0.1, 1.0), 3.05, None, 20000),
+    ("occupied", ModelParams(1.0, 1.0), 3.05, None, 4000),
+    ("occupied", ModelParams(1.0, 1.0), 6.0, None, 400),
+    ("lines", ModelParams(0.1), 2.05, None, 40000),
+    ("vacant", ModelParams(0.1, 1.0), 3.05, 25, 20000),
+    ("lines", ModelParams(0.1), 2.05, 3, 20000),
+]
+
+
+@pytest.mark.parametrize("model, params, rho, line_block, samples", SPLIT_CASES)
+def test_block_split_counts_are_poisson(monkeypatch, model, params, rho, line_block, samples):
+    """A block of m samples is one draw at m lambda split by a multinomial
+    draw of its counts, so each sample's count is Poisson with mean mu =
+    lambda area B(rho) (lambda phi_ball(rho) for lines).  Over all the
+    samples, the mean lies within z sqrt(mu / N) of mu and the variance
+    within z sqrt((mu + 2 mu^2) / N) of mu, z = norm.isf(TAIL / 2) = 5.5.
+    A block drawn at lambda reads the mean mu / m; every point given to
+    one sample reads a variance near m mu^2."""
+    if line_block is not None:
+        monkeypatch.setattr(percolation, "LINE_BLOCK", line_block)
+    mu = params.intensity * (math.pi * math.sinh(rho) if model == "lines" else ball_area(rho))
+    blocks = _split_counts(model, params, rho, samples, 71)
+    counts = np.concatenate(blocks)
+    assert len(counts) == samples and len(blocks) > 1
+    z, n = norm.isf(TAIL / 2.0), len(counts)
+    assert abs(counts.mean() - mu) <= z * math.sqrt(mu / n), (counts.mean(), mu)
+    assert abs(counts.var(ddof=1) - mu) <= z * math.sqrt((mu + 2.0 * mu * mu) / n)
+
+
+@pytest.mark.parametrize("model, params, rho, line_block, samples",
+                         [case for case in SPLIT_CASES if case[3] is not None])
+def test_block_split_counts_are_uncorrelated(monkeypatch, model, params, rho, line_block,
+                                             samples):
+    """The samples of a block are independent Poisson processes, so over
+    the blocks the counts of a block's first two samples have correlation
+    0, within z / sqrt(blocks), z = norm.isf(TAIL / 2) = 5.5.  A split of a
+    fixed total among m samples reads -1 / (m - 1): -1/3 in blocks of 4,
+    -1 in blocks of 2."""
+    monkeypatch.setattr(percolation, "LINE_BLOCK", line_block)
+    blocks = np.asarray(_split_counts(model, params, rho, samples, 72))
+    corr = np.corrcoef(blocks[:, 0], blocks[:, 1])[0, 1]
+    assert blocks.shape[1] in (2, 4)
+    assert abs(corr) <= norm.isf(TAIL / 2.0) / math.sqrt(len(blocks)), corr
 
 
 def _ring_net(center_foot: float, s: float, mesh: float) -> np.ndarray:
@@ -1336,7 +1418,7 @@ def test_lines_closed_forms_match_a_fine_net(lam):
     hx, hy = (to_hyperboloid(net) for net in end_nets(half_d, s, 0.999 * s / 32.0))
     gen = RngStream(7).generator()
     samples = [sample_lines(lam, half_d + s, gen) for _ in range(400)]
-    a_ok, f_ok, q_ok = _lines_tube_events(samples, half_d, s)
+    a_ok, f_ok, q_ok = _lines_tube_events(*group_of(samples), half_d, s)
     for i, sample in enumerate(samples):
         a_net, f_net, q_net_ok = lines_net_events(sample, hx, hy)
         assert (f_ok[i], q_ok[i]) == (f_net, q_net_ok), i
@@ -1513,7 +1595,7 @@ def test_lines_tube_events(feet, events):
     # distance |c| from (0, 1), disk direction 0 above (0, 1) and pi below
     lines = LineSample(1.0, 2.05, np.abs(feet), np.where(feet < 0.0, math.pi, 0.0))
     assert lines_tube_events(lines, 2.0, s) == lines_net_events(lines, hx, hy) == events
-    assert tuple(ok.tolist() for ok in _lines_tube_events([lines], 2.0, s)) == tuple(
+    assert tuple(ok.tolist() for ok in _lines_tube_events(*group_of([lines]), 2.0, s)) == tuple(
         [e] for e in events)
 
 
@@ -1650,27 +1732,60 @@ def test_grid_lines_count_matches_their_measure(lam, r, n_dir):
     wide = math.atanh(math.tanh(r) * math.cos(h / 2.0))  # where 2 beta = h
     mean = lam / 2.0 * n_dir * sum(integrate.quad(density, a, b, epsrel=1e-10, limit=200)[0]
                                    for a, b in [(0.0, wide), (wide, r)])
-    total = sum(map(len, _grid_lines(lam, r, n_dir, n, RngStream(9).generator())))
+    groups = _grid_lines(lam, r, n_dir, n, RngStream(9).generator(), percolation.RAY_PAIRS)
+    total = sum(len(sample) for _, _, sample, _ in groups)
     tail = 2.0 * min(poisson.cdf(total, n * mean), poisson.sf(total - 1, n * mean))
     assert tail >= TAIL, (total, n * mean)
 
 
 def test_grid_lines_draw_in_blocks_under_the_cap(monkeypatch):
     """Under a block of 1000 lines, samples that expect 289 envelope
-    lines each are drawn three to a block: the call yields every sample,
-    and each block as a call for just its samples draws it from the same
-    generator state.  A sample that expects more than the sampling cap,
-    here also 1000, is refused."""
+    lines each are drawn three to a block: at a budget of one line, the
+    call yields every sample as a group of its own, and each block as a
+    call for just its samples draws it from the same generator state; at
+    a budget of 1000 lines, a group is a block.  A sample that expects
+    more than the sampling cap, here also 1000, is refused."""
     monkeypatch.setattr(percolation, "LINE_BLOCK", 1000)
     monkeypatch.setattr(sampling, "MAX_TRIAL_POINTS", 1000)
-    got = list(_grid_lines(0.1, 10.0, 360, 7, RngStream(2).generator()))
+    got = list(_grid_lines(0.1, 10.0, 360, 7, RngStream(2).generator(), 1))
     gen = RngStream(2).generator()
-    ref = [sample for m in (3, 3, 1) for sample in _grid_lines(0.1, 10.0, 360, m, gen)]
-    assert len(got) == 7 and all(len(sample) > 100 for sample in got)
-    for a, b in zip(got, ref, strict=True):
+    ref = [group for m in (3, 3, 1) for group in _grid_lines(0.1, 10.0, 360, m, gen, 1)]
+    assert len(got) == 7 and all(n == 1 and len(sample) > 100 for n, _, sample, _ in got)
+    for (_, _, a, ray_a), (_, _, b, ray_b) in zip(got, ref, strict=True):
         assert np.array_equal(a.foot_dist, b.foot_dist) and np.array_equal(a.foot_dir, b.foot_dir)
+        assert np.array_equal(ray_a, ray_b)
+    blocks = list(_grid_lines(0.1, 10.0, 360, 7, RngStream(2).generator(), 1000))
+    assert [n for n, *_ in blocks] == [3, 3, 1]
+    assert np.array_equal(np.concatenate([g[2].foot_dir for g in blocks]),
+                          np.concatenate([g[2].foot_dir for g in got]))
     with pytest.raises(ValueError, match="MAX_TRIAL_POINTS"):
-        next(_grid_lines(1.0, 10.0, 360, 1, gen))
+        next(_grid_lines(1.0, 10.0, 360, 1, gen, 1))
+
+
+@pytest.mark.parametrize("r, misses", [(25.0, False), (30.0, True), (36.0, True)])
+def test_narrow_lines_block_their_ray(r, misses):
+    """Each line that ``_grid_lines`` draws with 2 beta < h lies within
+    beta of its grid angle k h, so it blocks ray k and no other.  Over 200
+    samples at lambda 0.1 and 360 directions (139,192 such lines at r = 25
+    and 218,538 at r = 36), each of them, decided as a sample of its own,
+    leaves every ray but its k alive.  Rounding (phi -+ beta) / h, as the
+    arcs of the wide lines are, misses the grid ray of none of them at
+    r = 25, of one at r = 30 and of 141 at r = 36."""
+    n_dir, rounded_misses, narrow_lines = 360, 0, 0
+    h = 2.0 * math.pi / n_dir
+    for _, _, sample, ray in _grid_lines(0.1, r, n_dir, 200, RngStream(8).generator(), 2000):
+        narrow = ray >= 0
+        m = int(narrow.sum())
+        lines = LineSample(0.1, r, sample.foot_dist[narrow], sample.foot_dir[narrow])
+        alive = _line_ray_survivors(m, np.arange(m), lines, ray[narrow], r, n_dir)()
+        assert not alive[np.arange(m), ray[narrow]].any()
+        assert np.all(alive.sum(axis=1) == n_dir - 1)
+        beta = _half_arc(lines.foot_dist, r)
+        rounded_misses += int(np.sum(np.ceil((lines.foot_dir - beta) / h)
+                                     > np.floor((lines.foot_dir + beta) / h)))
+        narrow_lines += m
+    assert narrow_lines > 100000
+    assert (rounded_misses > 0) == misses
 
 
 @pytest.mark.parametrize("model", ["lines", "vacant"])
@@ -1829,9 +1944,9 @@ def test_short_chords_are_decided_at_the_origin(model, params, r):
     2 from (0, 1) at foot -674 at r = 1e-8 and divided by zero at
     1e-200."""
     found = detect_line_through_ball(model, params, 0.1, r, 100, RngStream(7), n_directions=36)
-    gen, outcomes = RngStream(7).generator(), set()
-    for i, det in enumerate(found):
-        covered = bool(np.any(sample_points(params, r + params.radius, gen).t < params.radius))
+    samples, outcomes = ray_samples(model, params, r, 36, 100, RngStream(7).generator()), set()
+    for i, (det, sample) in enumerate(zip(found, samples, strict=True)):
+        covered = bool(np.any(sample.t < params.radius))
         assert det.found == (covered if model == "occupied" else not covered), i
         outcomes.add(covered)
     assert outcomes == {True, False}
@@ -1872,35 +1987,41 @@ def test_the_lines_witness_needs_no_chord_check(lam, r):
     assert True in outcomes and splits > 0
 
 
-# (model, params, r, directions): about 130-170 points a sample, or 48 lines that
-# cross a grid ray
+# (model, params, r, directions): about 130-170 points a sample, 48 lines
+# that cross a grid ray, or 1261 points, 25 samples to a block, so that
+# the draw spans two blocks
 GROUPED_CASES = [
     ("vacant", ModelParams(0.1, 1.0), 5.0, 64),
     ("occupied", ModelParams(1.0, 1.0), 3.0, 64),
     ("lines", ModelParams(0.2), 6.0, 90),
+    ("occupied", ModelParams(1.0, 1.0), 5.0, 64),
 ]
+# the default groups of a rays call and a detect-line call, by (model, r):
+# a call a group, or at 1261 points a sample 8192 points a rays group and
+# a block a detect-line group
+DEFAULT_GROUPS = {("occupied", 5.0): [6, 6, 6, 6, 1, 6, 6, 3, 25, 15]}
 
 
 @pytest.mark.parametrize("budget", [1, 500, None])
 @pytest.mark.parametrize("model, params, r, n_dir", GROUPED_CASES)
 def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r, n_dir, budget):
-    """rays and detect-line decide their samples in groups whose points
-    or lines, times n_dir (rays) or n_dir / 8 (detect-line), stay within
-    RAY_PAIRS.  At a budget of 1 point (a sample a group), 500 points a
-    rays group (a few samples; detect-line takes about 4000 points) and
-    the default (one group a call),
-    every sample's survivors and detection equal those of the sample
-    decided on its own, each chord measured against its whole sample,
-    and detect-line's lazy rounds ask the ray kernel only for rays that
-    the whole-grid oracle decides alike."""
+    """rays and detect-line decide the samples of a block in groups whose
+    points or lines, times n_dir (rays) or n_dir / 8 (detect-line), stay
+    within RAY_PAIRS.  At a budget of 1 point (a sample a group), 500
+    points a rays group (a few samples; detect-line takes about 4000
+    points) and the default (``DEFAULT_GROUPS``), every sample's
+    survivors and detection equal those of the sample decided on its own,
+    cut from the same block draw, each chord measured against its whole
+    sample, and detect-line's lazy rounds ask the ray kernel only for rays
+    that the whole-grid oracle decides alike."""
     if budget is not None:
         monkeypatch.setattr(percolation, "RAY_PAIRS", budget * n_dir)
     name = "_line_ray_survivors" if model == "lines" else "_boolean_ray_survivors"
     survivors, sizes = getattr(percolation, name), []
 
-    def spy(samples, *args):
-        sizes.append(len(samples))
-        return survivors(samples, *args)
+    def spy(n, *args):
+        sizes.append(n)
+        return survivors(n, *args)
 
     monkeypatch.setattr(percolation, name, spy)
     rays = surviving_directions(model, params, r, n_dir, 40, RngStream(3))
@@ -1909,7 +2030,8 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
     if budget == 1:
         assert set(sizes) == {1}
     else:
-        assert max(sizes) > 1 and (len(sizes) > 2 if budget else sizes == [40, 40])
+        default = DEFAULT_GROUPS.get((model, r), [40, 40])
+        assert max(sizes) > 1 and (len(sizes) > 2 if budget else sizes == default)
     samples = ray_samples(model, params, r, n_dir, 40, RngStream(3).generator())
     for rs, det, sample in zip(rays, found, samples, strict=True):
         alive = sample_rays(model, sample, r, n_dir)
@@ -1937,9 +2059,9 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
         monkeypatch.setattr(percolation, "RAY_PAIRS", budget * (n_dir // 8))
     first_chords, rounds = percolation._first_chords, []
 
-    def spy(model, samples, *args):
-        rounds.append([len(samples), 0])
-        return first_chords(model, samples, *args)
+    def spy(model, todo, *args):
+        rounds.append([int(todo.sum()), 0])
+        return first_chords(model, todo, *args)
 
     def count(*args):
         rounds[-1][1] += 1
@@ -1947,8 +2069,8 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
 
     monkeypatch.setattr(percolation, "_first_chords", spy)
     monkeypatch.setattr(percolation, "_chords_contained", count)
-    found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(20), n_dir)
-    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(20).generator())
+    found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(36), n_dir)
+    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(36).generator())
     for det, sample in zip(found, samples, strict=True):
         assert det == full_chord_detection("vacant", params, s, r, sample, n_dir)
     assert {det.found for det in found} == {True, False}
@@ -1982,7 +2104,9 @@ def test_pruned_chord_check_matches_the_full_check(model, params):
             samples.append(sample)
             ends.append((pair_i[k], pair_j[k]))
     order = np.arange(len(samples))
-    first = _first_chords(model, samples, order, np.asarray(ends), n_dir, r, s)
+    n, owner, joined = group_of(samples)
+    first = _first_chords(model, np.ones(n, dtype=bool), owner, joined, order, np.asarray(ends),
+                          n_dir, r, s)
     assert np.array_equal(first, np.where(verdicts, order, -1))
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -2006,8 +2130,8 @@ def test_pruned_chord_check_keeps_a_point_at_R_plus_s(monkeypatch, model):
         return _chords_contained(model, R, r, ends, chord, t, psi)
 
     monkeypatch.setattr(percolation, "_chords_contained", spy)
-    [first] = _first_chords(model, [sample], np.zeros(1, int), np.asarray([[0, n_dir // 2]]),
-                            n_dir, r, s)
+    [first] = _first_chords(model, np.ones(1, dtype=bool), np.zeros(len(sample), int), sample,
+                            np.zeros(1, int), np.asarray([[0, n_dir // 2]]), n_dir, r, s)
     pq = _chord_ends(0, n_dir // 2, n_dir, r)
     assert (first == 0) == net_contained(pq[:1], pq[1:], to_hyperboloid(sample.points), R, model)
     [measured] = seen
@@ -2030,8 +2154,8 @@ def test_lines_sandwich_matches_the_per_trial_events(monkeypatch, budget):
     empty, a_not_f = 0, 0
     for seed in range(200):
         res = sandwich_AQ(X_TUBE, Y_TUBE, s, "lines", ModelParams(lam), trials, RngStream(seed))
-        gen = RngStream(seed).generator()
-        samples = [sample_lines(lam, 2.0 + s, gen) for _ in range(trials)]
+        samples = block_samples("lines", ModelParams(lam), 2.0 + s, trials,
+                                RngStream(seed).generator())
         events = [lines_tube_events(sample, 2.0, s) for sample in samples]
         n_A, n_f, n_Q = (sum(col) for col in zip(*events))
         assert (res.p_A, res.f_hat, res.p_Q) == (n_A / trials, n_f / trials, n_Q / trials), seed
@@ -2099,10 +2223,11 @@ def test_rays_refuse_a_length_past_the_window(model):
     gen = RngStream(3).generator()
     if model == "lines":
         sample = sample_lines(1.0, 2.0, gen)
-        rays = partial(_line_ray_survivors, [sample], n_dir=16)
+        rays = partial(_line_ray_survivors, *group_of([sample]), np.full(len(sample), -1),
+                       n_dir=16)
     else:
         sample = sample_points(ModelParams(0.5, 1.0), 3.0, gen)
-        rays = partial(_boolean_ray_survivors, [sample], n_dir=16, model=model)
+        rays = partial(_boolean_ray_survivors, *group_of([sample]), n_dir=16, model=model)
     assert rays(r=2.0)().shape == (1, 16)
     with pytest.raises(WindowError):
         rays(r=2.1)

@@ -39,7 +39,7 @@ from hyperc.percolation import (
     _grid_runs,
     _reaches,
 )
-from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_points
+from hyperc.sampling import BooleanSample, LineSample, ModelParams, sample_lines, sample_points
 
 from axis_oracles import axis_point
 
@@ -129,13 +129,54 @@ def grid_lines(lam: float, r: float, n_dir: int, samples: int, gen) -> list[Line
     return out
 
 
+def block_samples(model: str, params: ModelParams, rho: float, samples: int, gen) -> list:
+    """The samples realizations of the points of B(o, rho), or of the lines
+    meeting it, that rays, detect-line and the sandwich draw from gen,
+    one sample at a time: blocks of m samples that together expect at
+    most LINE_BLOCK points or lines, each drawn at m times the intensity
+    and cut into consecutive runs by a multinomial draw of their counts."""
+    lam = params.intensity
+    mean = lam * math.pi * (math.sinh(rho) if model == "lines" else 2.0 * (math.cosh(rho) - 1.0))
+    block = max(1, int(percolation.LINE_BLOCK // max(mean, 1.0)))
+    out = []
+    for lo in range(0, samples, block):
+        m = min(block, samples - lo)
+        if model == "lines":
+            drawn = sample_lines(m * lam, rho, gen)
+            a, b = drawn.foot_dist, drawn.foot_dir
+        else:
+            drawn = sample_points(ModelParams(m * lam, params.radius), rho, gen)
+            a, b = drawn.t, drawn.psi
+        ends = np.cumsum([0, *gen.multinomial(len(a), [1.0 / m] * m)])
+        out += [LineSample(lam, rho, a[i:j], b[i:j]) if model == "lines"
+                else BooleanSample(params, rho, a[i:j], b[i:j]) for i, j in zip(ends, ends[1:])]
+    return out
+
+
+def group_of(samples: list):
+    """The samples as one group (n, owner, sample) of the tube kernels:
+    their number, each element's sample index and one sample holding all
+    their points or lines."""
+    owner = np.repeat(np.arange(len(samples)), [len(sample) for sample in samples])
+    first = samples[0]
+    if isinstance(first, LineSample):
+        joined = LineSample(first.intensity, first.window_radius,
+                            *(np.concatenate([getattr(x, f) for x in samples])
+                              for f in ("foot_dist", "foot_dir")))
+    else:
+        joined = BooleanSample(first.params, first.window_radius,
+                               *(np.concatenate([getattr(x, f) for x in samples])
+                                 for f in ("t", "psi")))
+    return len(samples), owner, joined
+
+
 def ray_samples(model: str, params: ModelParams, r: float, n_dir: int, samples: int, gen):
     """The samples realizations that ``surviving_directions`` draws from
-    gen: the points within R of B(o, r), sample by sample, or the lines
+    gen: the points within R of B(o, r) (``block_samples``), or the lines
     of ``grid_lines``."""
     if model == "lines":
         return grid_lines(params.intensity, r, n_dir, samples, gen)
-    return [sample_points(params, r + params.radius, gen) for _ in range(samples)]
+    return block_samples(model, params, r + params.radius, samples, gen)
 
 
 def sample_rays(model: str, sample, r: float, n_dir: int) -> np.ndarray:

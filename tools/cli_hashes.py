@@ -1,6 +1,6 @@
 """Fingerprint the bytes every hyperc subcommand produces.
 
-Runs ``python -m hyperc.cli`` once for each of a fixed list of 102
+Runs ``python -m hyperc.cli`` once for each of a fixed list of 104
 invocations, each in a fresh empty directory, and prints one line
 ``name sha16`` per invocation: the first 16 hex digits of the SHA-256
 of the exit code, stdout, stderr and every file the run left behind.
@@ -99,6 +99,11 @@ INVOCATIONS = [
     ("rays.vacant.groups",
      ["rays", "--model", "vacant", "--lambda", "0.1", "--r", "5", "--samples", "200",
       "--seed", "2"]),
+    # 40 samples of about 1261 points, 25 to a block of at most 2^15: the
+    # draw spans two blocks
+    ("rays.occupied.blocks",
+     ["rays", "--model", "occupied", "--lambda", "1.0", "--r", "5", "--directions", "64",
+      "--samples", "40", "--seed", "2"]),
     ("rays.no-samples", ["rays", "--lambda", "0.1", "--samples", "0", "--seed", "1"]),
     ("rays.r-nan", ["rays", "--lambda", "0.1", "--r", "nan", "--samples", "2", "--seed", "1"]),
     ("rays.r-inf", ["rays", "--lambda", "0.1", "--r", "inf", "--samples", "2", "--seed", "1"]),
@@ -146,6 +151,9 @@ INVOCATIONS = [
     ("detect-line.vacant.dead-at-o",
      ["detect-line", "--model", "vacant", "--lambda", "0.2", "--R", "1", "--r", "3",
       "--samples", "20", "--seed", "1"]),
+    ("detect-line.occupied.blocks",
+     ["detect-line", "--model", "occupied", "--lambda", "1.0", "--r", "5", "--directions", "64",
+      "--samples", "40", "--seed", "2"]),
     ("detect-line.vacant.r-zero",
      ["detect-line", "--model", "vacant", "--lambda", "0.1", "--r", "0", "--samples", "2",
       "--seed", "1"]),
