@@ -75,13 +75,13 @@ def f_vacant(r: float, params: ModelParams) -> float:
     """
     if not r >= 0:
         raise ValueError("segment length must be nonnegative")
-    lam, R = params.intensity, params.radius
+    lam, R = params.intensity, params.ball_radius
     return math.exp(-lam * tube_area(R, r))
 
 
 def alpha_vacant(params: ModelParams) -> float:
     """Vacant-set decay exponent 2 lambda sinh R."""
-    return 2.0 * params.intensity * math.sinh(params.radius)
+    return 2.0 * params.intensity * math.sinh(params.ball_radius)
 
 
 def _check_R(R: float) -> None:
@@ -155,7 +155,7 @@ def hitting_cdf(t: float, params: ModelParams) -> float:
     """G(t) = P(first coverage gap parameter S falls in (0, t)):
     1 - exp(-lambda area of the crescent), as -expm1: within 2e-16
     relative of 1 - exp(-lambda A) for the area A as computed."""
-    return -math.expm1(-params.intensity * area_crescent_closed_form(t, params.radius))
+    return -math.expm1(-params.intensity * area_crescent_closed_form(t, params.ball_radius))
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +210,7 @@ def alpha_occupied(params: ModelParams) -> AlphaResult:
     [1e-3, 1e3]), where G' has its mass near s = 0: at (lambda, R) =
     (1000, 1) they give 0.471 against a bound below 1e-12.
     """
-    lam, R = params.intensity, params.radius
+    lam, R = params.intensity, params.ball_radius
     if not lam > 0:
         raise ValueError("occupied exponent needs positive intensity")
     s, jac, area, rate = _exponent_nodes(R)

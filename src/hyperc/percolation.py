@@ -427,9 +427,7 @@ def estimate_f(
         raise ValueError("need at least one r value")
     if not 0.0 <= rs[0] <= rs[-1] < math.inf:
         raise ValueError("r values must be nonnegative and finite")
-    lam, R = params.intensity, params.radius
-    if model != "lines" and R is None:
-        raise ValueError("point models need a ball radius")
+    lam, R = params.intensity, params.radius if model == "lines" else params.ball_radius
     spans = [(lo, min(trials, lo + TRIAL_BLOCK)) for lo in range(0, trials, TRIAL_BLOCK)]
     job = partial(_span_thresholds, model, lam, R, float(rs[-1]), rng.master_seed, rng.stream_index)
     if workers <= 1 or len(spans) == 1:
@@ -684,7 +682,7 @@ def _ray_groups(model: str, params: ModelParams, r: float, n_dir: int, samples: 
     if model == "lines":
         groups = _grid_lines(params.intensity, r, n_dir, samples, gen, budget)
         return ((group[:3], _line_ray_survivors(*group, r, n_dir)) for group in groups)
-    groups = _sample_groups(model, params, r + params.radius, samples, gen, budget)
+    groups = _sample_groups(model, params, r + params.ball_radius, samples, gen, budget)
     return ((group, _boolean_ray_survivors(*group, r, n_dir, model)) for group in groups)
 
 
@@ -913,7 +911,7 @@ def estimate_S_cdf(params: ModelParams, trials: int, rng: RngStream) -> SDistRes
     """
     if not isinstance(trials, Integral) or trials < 1:
         raise ValueError("trials must be an integer of at least 1")
-    lam, R = params.intensity, params.radius
+    lam, R = params.intensity, params.ball_radius
     mean = sampling._expected_per_trial(lam * ball_area(R), "points")
     gen = rng.generator()
     counts = gen.poisson(mean, trials)
@@ -1211,7 +1209,7 @@ def sandwich_AQ(
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     # only the lines meeting B(o, d/2 + s), which holds the tube, or points within R of it reach it
-    rho = half_d + s if model == "lines" else half_d + s + params.radius
+    rho = half_d + s if model == "lines" else half_d + s + params.ball_radius
     groups = _sample_groups(model, params, rho, trials, rng.generator(), GROUP_POINTS)
     events = []
     if model == "lines":

@@ -13,15 +13,13 @@ time).  The R-neighbourhood of a segment of the imaginary axis is drawn
 as well, its end caps as one polar ball per trial, read in the polar
 frame once for a whole chunk of trials; for lines only the feet where
 they cross an axis segment are drawn.  All randomness flows through
-``RngStream``: trial t of stream s under master seed m draws from PCG64
-seeded by numpy's ``SeedSequence(m, spawn_key=(s, t))``, so a trial's
-draws are a pure function of (m, s, t), and a run of blocks draws from
-the stream's own generator, ``generator()``.  A stream mixes its pool
-once, hashes the seeds of t's group of 256 consecutive keys in one numpy
-pass and keeps the last group's; the seeds equal numpy's
-``SeedSequence`` bit for bit.  Every sampler refuses, with
-``ValueError``, a trial whose expected number of points or lines
-exceeds ``MAX_TRIAL_POINTS``.
+``RngStream``: a run of blocks draws from the stream's own generator,
+``generator()``, PCG64 seeded by numpy's ``SeedSequence(m, spawn_key=(s,))``
+for master seed m and stream s, and trial t draws from PCG64 seeded by
+block t + 1 of numpy's Philox4x64 under a key taken from that same
+sequence, so a trial's draws are a pure function of (m, s, t).  Every
+sampler refuses, with ``ValueError``, a trial whose expected number of
+points or lines exceeds ``MAX_TRIAL_POINTS``.
 """
 
 from __future__ import annotations
@@ -87,42 +85,20 @@ class ModelParams:
         if self.radius == math.inf:
             raise ValueError("ball radius must be finite")
 
+    @property
+    def ball_radius(self) -> float:
+        """``radius``, which every Boolean model needs."""
+        if self.radius is None:
+            raise ValueError("the Boolean models need a ball radius R")
+        return self.radius
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose
-# output numpy keeps stable under its stream-compatibility policy (NEP 19)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-# A stream hashes the seeds of this many consecutive trial keys at once.
+# A stream derives the seeds of this many consecutive trial keys at once.
 _KEY_GROUP = 256
 
 
-def _words32(x: int) -> int:
-    """How many 32-bit words numpy's SeedSequence splits x into."""
-    return max(1, -(-int(x).bit_length() // 32))
-
-
-def _hash_chain(h: int, mult: int, n: int):
-    """The constants that n successive words of the hash meet, starting
-    from h: each is xored with one and multiplied by the next, as
-    columns (1, n) of uint32."""
-    chain = [h * pow(mult, k, 1 << 32) & _M32 for k in range(n + 1)]
-    return np.array([chain[:-1]], np.uint32), np.array([chain[1:]], np.uint32)
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ v >> 16
-
-
-# the 8 output words are hashed from the pool's 4 words twice over
-_OUT_XOR, _OUT_MUL = _hash_chain(_INIT_B, _MULT_B, 8)
-
-
 class _State(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the seeding words a SeedSequence would have made."""
+    """Hands PCG64 a trial's four seeding words."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -136,72 +112,45 @@ class _State(np.random.bit_generator.ISeedSequence):
 class RngStream:
     """Reproducible random stream: (master_seed, stream_index) -> generator.
 
-    ``generator(*subkeys)`` returns PCG64 seeded by numpy's
-    ``SeedSequence(master_seed, spawn_key=(stream_index, *subkeys))``.
-    Distinct keys give statistically independent generators and
-    identical keys reproduce identical draws bit for bit.
-
-    A trial's key is one subkey t with 0 <= t < 2**32.  Its sequence
-    mixes the single word t last into the pool of the stream's own
-    sequence, ``SeedSequence(master_seed, spawn_key=(stream_index,))``,
-    so the stream computes that pool once (``_pool``).  It hashes the
-    seeds of t's whole group of _KEY_GROUP consecutive keys in one numpy
-    pass (``_seed_words``) and keeps the last group's, so a run of
-    trials pays for the hash once per group.  Any other key goes through
-    numpy's SeedSequence itself.
+    ``generator()`` returns PCG64 seeded by numpy's
+    ``SeedSequence(master_seed, spawn_key=(stream_index,))``.
+    ``generator(t)``, for a trial key t with 0 <= t < 2**64, returns
+    PCG64 seeded by the 256-bit output block of numpy's Philox4x64 at
+    counter t + 1, keyed by words 4 and 5 of that SeedSequence's
+    ``generate_state(6, np.uint64)``, whose first four words seed
+    ``generator()``.  Philox is a keyed bijection of its counter
+    (Salmon et al., SC 2011), so distinct trials get distinct blocks,
+    and identical keys reproduce identical draws bit for bit.  A stream
+    draws the blocks of t's whole group of _KEY_GROUP consecutive keys
+    with one ``random_raw`` call and keeps the last group's, so a run of
+    trials pays for Philox once per group.
     """
 
     master_seed: int
     stream_index: int = 0
 
-    # (group, its seeding words): one tuple, replaced whole, so threads
-    # that share the stream never pair a group with another's words; two
-    # that miss at once both hash, and either result is right
+    # (group, its seeding blocks): one tuple, replaced whole, so threads
+    # that share the stream never pair a group with another's blocks; two
+    # that miss at once both draw, and either result is right
     _keys = (-1, None)
 
     @cached_property
-    def _pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The constants that mix a key into the pool of
-        SeedSequence(master_seed, spawn_key=(stream_index,)): _MIX_L
-        times each pool word, and the hash constants each copy of the
-        key meets, all as uint32 columns (1, 4).
+    def _seq(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
 
-        With a spawn key the seed's words are padded to at least 4, and
-        mixing them into the 4-word pool takes 4 _MULT_A rounds for the
-        first four words, 12 to mix the pool with itself and 4 for every
-        word after.
-        """
-        pool = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,)).pool
-        rounds = 16 + 4 * (max(_words32(self.master_seed), 4) + _words32(self.stream_index) - 4)
-        h = _INIT_A * pow(_MULT_A, rounds, 1 << 32) & _M32
-        return (_MIX_L * pool[None, :], *_hash_chain(h, _MULT_A, 4))
-
-    def generator(self, *subkeys: int) -> np.random.Generator:
-        if len(subkeys) == 1 and isinstance(subkeys[0], int) and 0 <= subkeys[0] <= _M32:
-            group, t = divmod(subkeys[0], _KEY_GROUP)
-            keys = self._keys
-            if keys[0] != group:
-                keys = (group, self._seed_words(group))
-                object.__setattr__(self, "_keys", keys)
-            return np.random.Generator(np.random.PCG64(_State(keys[1][t])))
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index, *subkeys)
-        )
-        return np.random.Generator(np.random.PCG64(seq))
-
-    def _seed_words(self, group: int) -> np.ndarray:
-        """Row i is SeedSequence(master_seed, spawn_key=(stream_index, t))
-        .generate_state(4, np.uint64) for t = group * _KEY_GROUP + i.
-
-        Every hash constant is the same for every key, so one pass of
-        uint32 arithmetic over the group's keys mixes each key into the
-        pool and hashes out its 8 words.
-        """
-        mixed_pool, xor, mul = self._pool
-        t = np.arange(_KEY_GROUP, dtype=np.uint32) + np.uint32(group * _KEY_GROUP)
-        r = mixed_pool - _MIX_R * _hashmix(t[:, None], xor, mul)
-        out = _hashmix(np.tile(r ^ r >> 16, 2), _OUT_XOR, _OUT_MUL).astype(np.uint64)
-        return out[:, 0::2] | out[:, 1::2] << 32
+    def generator(self, t: int | None = None) -> np.random.Generator:
+        if t is None:
+            return np.random.Generator(np.random.PCG64(self._seq))
+        if not (isinstance(t, (int, np.integer)) and 0 <= t < 1 << 64):
+            raise ValueError(f"trial key must be an integer in [0, 2**64), not {t!r}")
+        group, i = divmod(int(t), _KEY_GROUP)
+        keys = self._keys
+        if keys[0] != group:
+            philox = np.random.Philox(counter=group * _KEY_GROUP,
+                                      key=self._seq.generate_state(6, np.uint64)[4:])
+            keys = (group, philox.random_raw(4 * _KEY_GROUP).reshape(_KEY_GROUP, 4))
+            object.__setattr__(self, "_keys", keys)
+        return np.random.Generator(np.random.PCG64(_State(keys[1][i])))
 
 
 class _Window:

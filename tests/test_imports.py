@@ -48,7 +48,7 @@ ALLOWED_UNREFERENCED = {
     # tests and the benchmark's tracer reach by name
     "area_crescent",
     # _State.generate_state, which only numpy's PCG64 calls, to seed
-    # itself from the words RngStream mixed
+    # itself from a trial's Philox block that RngStream drew
     "generate_state",
     # the axis coordinates of complex points by the Cayley map and logs,
     # which the tests and perfbench/layers.py reach by name; the package

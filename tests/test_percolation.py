@@ -17,7 +17,7 @@ from scipy import integrate
 from scipy.stats import binom, chi2, norm, poisson
 
 from hyperc import percolation, sampling
-from hyperc.analytic import alpha_occupied, f_grassmann, f_vacant, hitting_cdf
+from hyperc.analytic import alpha_occupied, alpha_vacant, f_grassmann, f_vacant, hitting_cdf
 from hyperc.geometry import (
     ORIGIN,
     HPoint,
@@ -26,6 +26,7 @@ from hyperc.geometry import (
     dist,
     dist_arrays,
     frame_fermi,
+    line_normal,
     minkowski,
     polar_around_origin,
     polar_frame,
@@ -35,6 +36,7 @@ from hyperc.geometry import (
 )
 from hyperc.percolation import (
     LINES_MAX_R,
+    LineDetection,
     TRIAL_BLOCK,
     _antipodal_pairs,
     _block_thresholds,
@@ -577,6 +579,30 @@ def test_rejects_bad_input():
         estimate_f("occupied", ModelParams(1.0), [1.0], 100, RngStream(0))
     with pytest.raises(ValueError, match="at least one r value"):
         estimate_f("vacant", ModelParams(1.0, 1.0), [], 100, RngStream(0))
+
+
+# every entry point that reads a Boolean model's ball radius, called on
+# ModelParams(0.1), which has none; each raised TypeError before
+NO_RADIUS_CALLS = {
+    "f_vacant": lambda p, model: f_vacant(1.0, p),
+    "alpha_vacant": lambda p, model: alpha_vacant(p),
+    "hitting_cdf": lambda p, model: hitting_cdf(0.5, p),
+    "alpha_occupied": lambda p, model: alpha_occupied(p),
+    "estimate_S_cdf": lambda p, model: estimate_S_cdf(p, 10, RngStream(0)),
+    "estimate_f": lambda p, model: estimate_f(model, p, [1.0], 100, RngStream(0)),
+    "sandwich_AQ": lambda p, model: sandwich_AQ(X_TUBE, Y_TUBE, 0.05, model, p, 1, RngStream(0)),
+    "surviving_directions": lambda p, model: surviving_directions(model, p, 4.0, 16, 1,
+                                                                  RngStream(0)),
+    "detect_line_through_ball": lambda p, model: detect_line_through_ball(model, p, 0.1, 4.0, 1,
+                                                                          RngStream(0)),
+}
+
+
+@pytest.mark.parametrize("model", ["vacant", "occupied"])
+@pytest.mark.parametrize("name", NO_RADIUS_CALLS)
+def test_a_boolean_call_without_a_ball_radius_is_a_usage_error(name, model):
+    with pytest.raises(ValueError, match="need a ball radius R"):
+        NO_RADIUS_CALLS[name](ModelParams(0.1), model)
 
 
 # ---------------------------------------------------------------------------
@@ -2040,24 +2066,44 @@ def test_grouped_rays_match_the_per_sample_oracle(monkeypatch, model, params, r,
     assert {det.found for det in found} == {True, False}
 
 
+def _beside_chord(i: int, j: int, n_dir: int, r: float, x: float, off: float):
+    """Polar (t, psi) of the point at foot x along the chord between the
+    points at distance r in the grid directions i and j, counted from the
+    chord's point nearest (0, 1), and off beyond the chord, away from
+    (0, 1): a point off from the chord whose nearest point on it is x
+    from that foot."""
+    delta = 2.0 * math.pi * (j - i) / n_dir
+    h = float(_chord_distance(r, np.asarray(delta)))
+    b = math.pi * (i + j) / n_dir + (math.pi if delta > math.pi else 0.0)
+    foot, normal = polar_hyperboloid(h, b), line_normal(h, b)
+    along = np.asarray([-math.cos(b), -math.sin(b), 0.0])
+    w = math.cosh(off) * (math.cosh(x) * foot + math.sinh(x) * along) + math.sinh(off) * normal
+    return math.acosh(w[2]), math.atan2(-w[0], w[1])
+
+
 @pytest.mark.parametrize("budget", [40, None])
 def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
     """On a coarse odd grid, whose chords all miss (0, 1), with a wide
     ball s, the first chord of a vacant sample sometimes fails (in about
-    3 of 100 samples with a candidate; about 1 sample in 4000 needs 3
-    rounds or more within one of detect-line's rounds over the pair list,
-    and the 400 of this stream hold one).
-    detect-line then decides each group's chords in rounds, the next
-    candidate of every undecided sample per round; over 400 samples
-    every detection equals the per-sample oracle's, which tries the
-    chords one at a time, each against every point.  At a budget of 40
-    points (a few samples a group) and the default (all 400 in one
-    group), some group holds several samples and some sample takes 3 or
-    more rounds within one of detect-line's rounds over the pair list."""
+    3 of 100 samples with a candidate).  detect-line then decides each
+    group's chords in rounds, the next candidate of every undecided
+    sample per round.  The first group gets one more sample, built by
+    hand: two points, each R - 0.005 beyond one of the grid's first two
+    candidate chords, 1 from its foot, block both chords but neither's
+    rays, so the third candidate, the first contained, takes 3 rounds
+    within detect-line's first round over the pair list.  Over it and 400
+    drawn samples every detection equals the per-sample oracle's, which
+    tries the chords one at a time, each against every point.  At a
+    budget of 40 points (a few samples a group) and the default (all in
+    one group), some group holds several samples."""
     params, s, r, n_dir = ModelParams(0.3, 1.0), 0.6, 2.0, 41
+    pair_i, pair_j = _antipodal_pairs(n_dir, r, s)
+    blockers = [_beside_chord(pair_i[k], pair_j[k], n_dir, r, 1.0, params.radius - 0.005)
+                for k in (0, 1)]
+    built = BooleanSample(params, r + params.radius, *np.asarray(blockers).T)
     if budget is not None:
         monkeypatch.setattr(percolation, "RAY_PAIRS", budget * (n_dir // 8))
-    first_chords, rounds = percolation._first_chords, []
+    first_chords, sample_groups, rounds = percolation._first_chords, percolation._sample_groups, []
 
     def spy(model, todo, *args):
         rounds.append([int(todo.sum()), 0])
@@ -2067,14 +2113,24 @@ def test_chord_rounds_match_the_per_sample_oracle(monkeypatch, budget):
         rounds[-1][1] += 1
         return _chords_contained(*args)
 
+    def with_built(*args):
+        groups = sample_groups(*args)
+        n, owner, sample = next(groups)
+        yield (n + 1, np.append(np.zeros(len(built), int), owner + 1),
+               BooleanSample(params, sample.window_radius, np.append(built.t, sample.t),
+                             np.append(built.psi, sample.psi)))
+        yield from groups
+
     monkeypatch.setattr(percolation, "_first_chords", spy)
     monkeypatch.setattr(percolation, "_chords_contained", count)
+    monkeypatch.setattr(percolation, "_sample_groups", with_built)
     found = detect_line_through_ball("vacant", params, s, r, 400, RngStream(36), n_dir)
-    samples = ray_samples("vacant", params, r, n_dir, 400, RngStream(36).generator())
+    samples = [built, *ray_samples("vacant", params, r, n_dir, 400, RngStream(36).generator())]
     for det, sample in zip(found, samples, strict=True):
         assert det == full_chord_detection("vacant", params, s, r, sample, n_dir)
+    assert found[0] == LineDetection(True, (int(pair_i[2]), int(pair_j[2])))
+    assert rounds[0][1] >= 3 and max(size for size, _ in rounds) > 1
     assert {det.found for det in found} == {True, False}
-    assert max(size for size, _ in rounds) > 1 and max(n for _, n in rounds) >= 3
 
 
 def _chord_ends(i: int, j: int, n_dir: int, r: float) -> np.ndarray:

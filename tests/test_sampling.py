@@ -77,6 +77,26 @@ def sample_lines_rejection(intensity: float, rho: float, gen: np.random.Generato
     return LineSample(intensity, rho, p, phi)
 
 
+# PCG64's multiplier, and 2**128 - 1
+PCG_MULT, MASK_128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def philox_trial_state(seed: int, stream: int, t: int) -> dict:
+    """The PCG64 state that RngStream(seed, stream).generator(t) starts
+    from, by another route: a fresh Philox under the stream's key
+    advanced by t blocks gives the trial's four words, and PCG64's
+    seeding (state 0, one step, add the first two words, one step, with
+    the increment made of the last two) runs on Python integers."""
+    key = np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(6, np.uint64)[4:]
+    philox = np.random.Philox(key=key)
+    philox.advance(t)
+    w = [int(x) for x in philox.random_raw(4)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & MASK_128
+    state = ((inc + (w[0] << 64 | w[1])) * PCG_MULT + inc) & MASK_128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 class TestRngStream:
     def test_bitwise_reproducible(self):
         a = RngStream(123, 4).generator().uniform(size=100)
@@ -101,34 +121,47 @@ class TestRngStream:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**40 - 1, 2**64 + 5, 2**128 + 7])
     def test_generators_are_numpys(self, seed):
-        # one int key below 2**32 takes the pooled path; the others,
-        # numpy's SeedSequence
-        keys = [(0,), (1,), (255,), (256,), (2**32 - 1,), (), (3, 4), (2**32,), (np.int64(5),)]
+        """generator() is PCG64 seeded by numpy's SeedSequence, and
+        generator(t) by numpy's Philox, at the ends of a key group, past
+        32 bits and at the last key."""
         for stream in (0, 7, 2**32 - 1, 2**32):
             rng = RngStream(seed, stream)
-            for key in keys:
-                seq = np.random.SeedSequence(seed, spawn_key=(stream, *key))
-                assert rng.generator(*key).bit_generator.state == np.random.PCG64(seq).state
+            seq = np.random.SeedSequence(seed, spawn_key=(stream,))
+            assert rng.generator().bit_generator.state == np.random.PCG64(seq).state
+            for t in (0, 255, 256, 2**32, 2**64 - 1):
+                assert rng.generator(t).bit_generator.state == philox_trial_state(seed, stream, t)
             assert (rng.generator(np.int64(5)).bit_generator.state
                     == rng.generator(5).bit_generator.state)
 
     def test_negative_key_is_refused(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trial key must be an integer"):
             RngStream(3, 1).generator(-1)
 
+    @pytest.mark.parametrize("key", [2**64, 2**70, 1.0, np.float64(2.0), "3", math.nan])
+    def test_keys_outside_the_trial_range_are_refused(self, key):
+        with pytest.raises(ValueError, match="trial key must be an integer"):
+            RngStream(3, 1).generator(key)
+
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**200 - 1), st.integers(0, 2**40 - 1), st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**200 - 1), st.integers(0, 2**40 - 1), st.integers(0, 2**64 - 1))
     def test_trial_generators_are_numpys(self, seed, stream, t):
-        seq = np.random.SeedSequence(seed, spawn_key=(stream, t))
         assert (RngStream(seed, stream).generator(t).bit_generator.state
-                == np.random.PCG64(seq).state)
+                == philox_trial_state(seed, stream, t))
 
     def test_keys_out_of_order(self):
-        # each key leaves another group's seeds cached for the next
+        # each key leaves another group's blocks cached for the next
         rng = RngStream(2**70 + 3, 9)
-        for t in (300, 5, 300, 2**32 - 1, 0):
-            seq = np.random.SeedSequence(2**70 + 3, spawn_key=(9, t))
-            assert rng.generator(t).bit_generator.state == np.random.PCG64(seq).state, t
+        for t in (300, 5, 300, 2**64 - 1, 0):
+            assert rng.generator(t).bit_generator.state == philox_trial_state(2**70 + 3, 9, t), t
+
+    def test_trial_generators_look_independent(self):
+        """The first uniforms of 10^5 consecutive trial generators pass a
+        two-sided Kolmogorov-Smirnov test against U(0, 1) at p > 1e-6,
+        and their lag-1 correlation lies within 5 sd (1/sqrt(n)) of 0."""
+        n, rng = 10**5, RngStream(2026, 4)
+        u = np.array([rng.generator(t).random() for t in range(n)])
+        assert stats.kstest(u, "uniform").pvalue > 1e-6
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 5.0 / math.sqrt(n)
 
     def test_threads_sharing_a_stream(self):
         """Two threads cycle over keys of the same four groups on one
@@ -136,8 +169,7 @@ class TestRngStream:
         cached, and at times finds the group it wants cached by the other."""
         seed, stream = 17, 3
         keys = [[0, 300, 600, 900], [301, 601, 901, 1]]
-        want = {t: np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, t))).state
-                for ks in keys for t in ks}
+        want = {t: philox_trial_state(seed, stream, t) for ks in keys for t in ks}
         rng = RngStream(seed, stream)
         wrong, done = [], []
 

@@ -68,7 +68,7 @@ INVOCATIONS = [
     ("simulate-f.config+flag",
      ["simulate-f", "--config", "run.cfg", "--trials", "200", "--out", "sum.json"],
      {"run.cfg": "model = occupied\nlam = 1.5\nrmax = 3\ntrials = 900\nseed = 8\n"}),
-    # a 129-bit seed: four 32-bit words plus one, mixed through the stream's pool
+    # a 129-bit seed, which the stream's SeedSequence takes whole
     ("simulate-f.occupied.long-seed.w2",
      ["simulate-f", "--model", "occupied", "--lambda", "1.0", "--rmax", "3", "--trials", "600",
       "--workers", "2", "--seed", "340282366920938463463374607431768211457"]),
